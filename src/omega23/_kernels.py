@@ -1,108 +1,30 @@
-"""Prime-field orbit kernels.
+"""Prime-field orbit kernel.
 
-Breadth-first orbit closure over F_p^N with dense visited tables. Two
-interchangeable implementations: a numba-jitted kernel (point-major
-discovery order) and a pure-numpy one (frontier-batched, so discovery
-order differs while the computed orbit set is identical). Selection via
-the OMEGA23_BACKEND environment variable: auto (default), numba, numpy.
+Breadth-first orbit closure over F_p^N with a dense visited table. The
+search is frontier-batched: each generator acts on the whole current
+frontier with one integer matmul, and the new points of a frontier are
+appended in the order they are first reached.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
 ORBIT_CAP = 5_000_000
 DENSE_CAP = 1 << 22  # largest p^N handled by the dense tables
 
-try:
-    import numba
 
-    _HAVE_NUMBA = True
-except ImportError:  # numba is optional (the `numba` extra); NumPy is the fallback
-    numba = None
-    _HAVE_NUMBA = False
+def orbit_bfs(gens: np.ndarray, start: np.ndarray, p: int, space: int,
+              cap: int = ORBIT_CAP):
+    """Closure of `start` under flattened prime-field generators.
 
-
-class BackendError(RuntimeError):
-    pass
-
-
-def backend_name(requested: str | None = None) -> str:
-    """Resolve the backend: explicit argument, else env flag, else auto."""
-    name = requested or os.environ.get("OMEGA23_BACKEND", "auto")
-    if name not in ("auto", "numba", "numpy"):
-        raise BackendError(f"unknown backend {name!r}; use auto, numba or numpy")
-    if name == "auto":
-        return "numba" if _HAVE_NUMBA else "numpy"
-    if name == "numba" and not _HAVE_NUMBA:
-        raise BackendError("numba backend requested but numba is not importable; "
-                           "install the numba extra or use the numpy backend")
-    return name
-
-
-def _orbit_bfs_py(gens, start, p, space, cap):
-    """Reference BFS, point-major order. Compiled by numba below when numba
-    is importable; the tests also run it uncompiled as the oracle for the
-    frontier-batched kernel."""
-    n_coords = start.shape[0]
-    n_gens = gens.shape[0]
-    visited = np.full(space, -1, np.int32)
-    max_pts = cap if cap < space else space
-    ids = np.empty(max_pts, np.int64)
-    parent = np.empty(max_pts, np.int32)
-    genlab = np.empty(max_pts, np.int16)
-
-    sid = 0
-    mult = 1
-    for k in range(n_coords):
-        sid += start[k] * mult
-        mult *= p
-    ids[0] = sid
-    parent[0] = -1
-    genlab[0] = -1
-    visited[sid] = 0
-    count = 1
-    head = 0
-    vec = np.empty(n_coords, np.int64)
-    img = np.empty(n_coords, np.int64)
-    while head < count:
-        t = ids[head]
-        for k in range(n_coords):
-            vec[k] = t % p
-            t //= p
-        for gi in range(n_gens):
-            for r in range(n_coords):
-                acc = 0
-                for c in range(n_coords):
-                    acc += gens[gi, r, c] * vec[c]
-                img[r] = acc % p
-            nid = 0
-            mult = 1
-            for k in range(n_coords):
-                nid += img[k] * mult
-                mult *= p
-            if visited[nid] < 0:
-                if count >= max_pts:
-                    return 1, count, ids[:count], parent[:count], genlab[:count], visited
-                visited[nid] = count
-                ids[count] = nid
-                parent[count] = head
-                genlab[count] = gi
-                count += 1
-        head += 1
-    return 0, count, ids[:count], parent[:count], genlab[:count], visited
-
-
-if _HAVE_NUMBA:
-    _orbit_bfs_numba = numba.njit(cache=True)(_orbit_bfs_py)
-else:
-    _orbit_bfs_numba = None
-
-
-def _orbit_bfs_numpy(gens, start, p, space, cap):
-    """Frontier-batched BFS. Same orbit set, frontier-major discovery order."""
+    Returns (status, ids, parent, genlab, visited); status 1 means the cap
+    was hit before closure. `ids` lists point codes in discovery order,
+    `parent`/`genlab` encode the Schreier forest, `visited` maps a point
+    code to its discovery position (or -1).
+    """
+    gens = np.ascontiguousarray(gens, dtype=np.int64)
+    start = np.ascontiguousarray(start, dtype=np.int64)
     n_coords = start.shape[0]
     n_gens = gens.shape[0]
     visited = np.full(space, -1, np.int32)
@@ -112,7 +34,7 @@ def _orbit_bfs_numpy(gens, start, p, space, cap):
     genlab = np.empty(max_pts, np.int16)
     powers = p ** np.arange(n_coords, dtype=np.int64)
 
-    sid = int(start.astype(np.int64) @ powers)
+    sid = int(start @ powers)
     ids[0] = sid
     parent[0] = -1
     genlab[0] = -1
@@ -137,43 +59,15 @@ def _orbit_bfs_numpy(gens, start, p, space, cap):
                 continue
             uniq, first = np.unique(cand, return_index=True)
             order = np.argsort(first, kind="stable")
-            new_ids = uniq[order]
-            new_src = src[first[order]]
-            k = new_ids.size
-            if count + k > max_pts:
-                k = max_pts - count
-                new_ids = new_ids[:k]
-                new_src = new_src[:k]
-                visited[new_ids] = count + np.arange(k, dtype=np.int32)
-                ids[count:count + k] = new_ids
-                parent[count:count + k] = (lo + new_src).astype(np.int32)
-                genlab[count:count + k] = gi
-                count += k
-                return 1, count, ids[:count], parent[:count], genlab[:count], visited
+            k = min(order.size, max_pts - count)
+            keep = order[:k]
+            new_ids = uniq[keep]
             visited[new_ids] = count + np.arange(k, dtype=np.int32)
             ids[count:count + k] = new_ids
-            parent[count:count + k] = (lo + new_src).astype(np.int32)
+            parent[count:count + k] = (lo + src[first[keep]]).astype(np.int32)
             genlab[count:count + k] = gi
             count += k
+            if k < order.size:
+                return 1, ids[:count], parent[:count], genlab[:count], visited
         lo = hi
-    return 0, count, ids[:count], parent[:count], genlab[:count], visited
-
-
-def orbit_bfs(gens: np.ndarray, start: np.ndarray, p: int, space: int,
-              cap: int = ORBIT_CAP, backend: str | None = None):
-    """Closure of `start` under flattened prime-field generators.
-
-    Returns (status, ids, parent, genlab, visited); status 1 means the cap
-    was hit before closure. `ids` lists point codes in discovery order,
-    `parent`/`genlab` encode the Schreier forest, `visited` maps a point
-    code to its discovery position (or -1).
-    """
-    gens = np.ascontiguousarray(gens, dtype=np.int64)
-    start = np.ascontiguousarray(start, dtype=np.int64)
-    which = backend_name(backend)
-    if which == "numba":
-        out = _orbit_bfs_numba(gens, start, p, space, cap)
-    else:
-        out = _orbit_bfs_numpy(gens, start, p, space, cap)
-    status, count, ids, parent, genlab, visited = out
-    return int(status), ids, parent, genlab, visited
+    return 0, ids[:count], parent[:count], genlab[:count], visited

@@ -7,8 +7,10 @@ followed by a full deterministic Schreier-generator verification. Budget
 or table-size exhaustion yields Inconclusive, never a wrong order.
 
 Vectors over F_{p^f} are flattened to F_p^{nf} through the regular
-representation of the field, so the orbit kernels only ever do integer
-matrix-vector products mod p.
+representation of the field, so the orbit kernel (`_kernels.orbit_bfs`)
+only ever does integer matrix-vector products mod p. Its discovery order
+fixes the Schreier trees, and so the transversals, the residues and the
+later base vectors: the same seed gives the same chain on every machine.
 """
 
 from __future__ import annotations
@@ -69,7 +71,7 @@ def _flatten_matrix(ctx: FieldCtx, m: Matrix) -> np.ndarray:
     return np.ascontiguousarray(blocks.reshape(nf, nf))
 
 
-def _encode(vec: np.ndarray, p: int, powers: np.ndarray) -> int:
+def _encode(vec: np.ndarray, powers: np.ndarray) -> int:
     return int(np.asarray(vec, dtype=np.int64).reshape(-1) @ powers)
 
 
@@ -123,7 +125,7 @@ class Orbit:
         return u
 
 
-def orbit(gens, v, cap: int = ORBIT_CAP, backend: str | None = None) -> Orbit:
+def orbit(gens, v, cap: int = ORBIT_CAP) -> Orbit:
     """Breadth-first closure of the vector v under the given matrices."""
     gens = tuple(gens)
     if not gens:
@@ -142,7 +144,7 @@ def orbit(gens, v, cap: int = ORBIT_CAP, backend: str | None = None) -> Orbit:
             f"p^(n*f) = {space} exceeds the dense table cap {DENSE_CAP}")
     flat = np.stack([_flatten_matrix(ctx, g) for g in gens])
     status, ids, parent, genlab, visited = orbit_bfs(
-        flat, vec.reshape(-1), ctx.p, space, cap=cap, backend=backend)
+        flat, vec.reshape(-1), ctx.p, space, cap=cap)
     if status:
         raise OrbitCapExceeded(f"orbit exceeded the cap of {cap} points")
     return Orbit(ctx=ctx, n=n, gens=gens, ids=ids, parent=parent,
@@ -166,8 +168,8 @@ class Level:
         self._u = None
         self._u_inv = {}
 
-    def recompute(self, cap, backend):
-        self.orbit = orbit(self.gens, self.base_vec, cap=cap, backend=backend)
+    def recompute(self, cap):
+        self.orbit = orbit(self.gens, self.base_vec, cap=cap)
         self.base_id = int(self.orbit.ids[0])
         self._u_inv = {}
         if self.orbit.size <= _TRANSVERSAL_CACHE_LIMIT:
@@ -221,7 +223,7 @@ def _sift_from(levels, g: Matrix, start: int):
         img = g @ lv.base_vec
         if powers is None:
             powers = ctx.p ** np.arange(img.size, dtype=np.int64)
-        pid = _encode(img, ctx.p, powers)
+        pid = _encode(img, powers)
         pos = lv.orbit.position(pid)
         if pos < 0:
             return g, i
@@ -263,11 +265,10 @@ class _RandomElements:
 
 
 class _ChainBuilder:
-    def __init__(self, gens, seed, cap, budget_seconds, backend):
+    def __init__(self, gens, seed, cap, budget_seconds):
         self.gens = tuple(gens)
         self.seed = seed
         self.cap = cap
-        self.backend = backend
         self.levels = []
         self.deadline = (
             time.monotonic() + budget_seconds if budget_seconds else None)
@@ -296,19 +297,23 @@ class _ChainBuilder:
                 return ej
         raise CertifyError("identity residue cannot open a level")
 
-    def feed(self, g: Matrix) -> bool:
-        """Sift g; absorb a nontrivial residue. True if the chain grew."""
-        residue, idx = _sift_from(self.levels, g, 0)
-        if residue is None:
-            return False
-        self._check_budget()
+    def _absorb(self, residue: Matrix, idx: int):
+        """Add a residue stuck at level idx, opening a new level past the end."""
         if idx == len(self.levels):
             lv = Level(self._new_base_vector(residue), [residue])
             self.levels.append(lv)
         else:
             lv = self.levels[idx]
             lv.gens.append(residue)
-        lv.recompute(self.cap, self.backend)
+        lv.recompute(self.cap)
+
+    def feed(self, g: Matrix) -> bool:
+        """Sift g; absorb a nontrivial residue. True if the chain grew."""
+        residue, idx = _sift_from(self.levels, g, 0)
+        if residue is None:
+            return False
+        self._check_budget()
+        self._absorb(residue, idx)
         return True
 
     def verify_schreier(self) -> bool:
@@ -326,20 +331,14 @@ class _ChainBuilder:
                 u_pt = lv.u(pos)
                 for s in lv.gens:
                     w = s @ u_pt
-                    pid = _encode(w @ lv.base_vec, ctx.p, powers)
+                    pid = _encode(w @ lv.base_vec, powers)
                     pos2 = lv.orbit.position(pid)
                     schreier = lv.u_inv(pos2) @ w
                     if schreier.is_identity():
                         continue
                     residue, idx = _sift_from(self.levels, schreier, i + 1)
                     if residue is not None:
-                        if idx == len(self.levels):
-                            nlv = Level(self._new_base_vector(residue), [residue])
-                            self.levels.append(nlv)
-                        else:
-                            nlv = self.levels[idx]
-                            nlv.gens.append(residue)
-                        nlv.recompute(self.cap, self.backend)
+                        self._absorb(residue, idx)
                         return False
         return True
 
@@ -383,8 +382,8 @@ class _ChainBuilder:
 
 
 def stabilizer_chain(gens, target: int | None = None, seed: int | None = None,
-                     cap: int = ORBIT_CAP, budget_seconds: float | None = None,
-                     backend: str | None = None) -> StabilizerChain:
+                     cap: int = ORBIT_CAP,
+                     budget_seconds: float | None = None) -> StabilizerChain:
     """Randomized Schreier-Sims with sound termination.
 
     With a target (caller must have verified the generated group's order
@@ -398,7 +397,7 @@ def stabilizer_chain(gens, target: int | None = None, seed: int | None = None,
     seed = resolved_seed(seed)
     if not gens:
         return StabilizerChain(base=(), levels=(), order=1, verified=True, seed=seed)
-    builder = _ChainBuilder(gens, seed, cap, budget_seconds, backend)
+    builder = _ChainBuilder(gens, seed, cap, budget_seconds)
     return builder.build(target)
 
 
@@ -445,8 +444,7 @@ def _restricted_space(pair: GenPair) -> OrthoSpace:
 def certify_generation(pair: GenPair, restrict_to_s9: bool = False,
                        seed: int | None = None,
                        budget_seconds: float | None = None,
-                       cap: int = ORBIT_CAP,
-                       backend: str | None = None) -> CertResult:
+                       cap: int = ORBIT_CAP) -> CertResult:
     """Compare the order of the generated group against the closed formula.
 
     Full mode certifies <x, y> against the ambient group's order; restricted
@@ -487,7 +485,6 @@ def certify_generation(pair: GenPair, restrict_to_s9: bool = False,
             seed=seed,
             cap=cap,
             budget_seconds=budget_seconds,
-            backend=backend,
         )
         computed = chain.order
         base_size = len(chain.base)

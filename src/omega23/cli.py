@@ -14,13 +14,11 @@ import json
 import sys
 
 import numpy as np
-import sympy
 
 from . import resolved_seed
-from ._kernels import BackendError
 from .certify import CertifyError, certify_generation
-from .fields import (FieldError, elem_to_json, field_to_json, is_square,
-                     make_field)
+from .fields import (FieldError, elem_to_json, field_from_prime_power,
+                     field_to_json, is_square)
 from .forms import (FormsError, OrthoSpace, in_omega, isotropic_count,
                     is_isometry, omega_order, gram_matrix, reflection_decomposition,
                     spinor_norm, witt_type)
@@ -37,7 +35,7 @@ EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
 
 _BUILD_ERRORS = (FieldError, FormsError, GenError, LinalgError, VerifyError,
-                 CertifyError, BackendError, ValueError)
+                 CertifyError, ValueError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -49,17 +47,6 @@ class _Parser(argparse.ArgumentParser):
 def _diag(kind: str, detail: str):
     print(json.dumps({"error": kind, "detail": detail}, sort_keys=True),
           file=sys.stderr)
-
-
-def _parse_q(text: str):
-    q = int(text)
-    fac = sympy.factorint(q)
-    if len(fac) != 1:
-        raise FieldError(f"q = {q} is not a prime power")
-    [(p, f)] = fac.items()
-    if p == 2:
-        raise FieldError("q must be odd")
-    return make_field(int(p), int(f))
 
 
 def _parse_a(ctx, text: str | None):
@@ -97,7 +84,7 @@ def _pair_params(args, ctx, a_parsed):
 
 
 def _cmd_generate(args) -> int:
-    ctx = _parse_q(args.q)
+    ctx = field_from_prime_power(args.q)
     a = _parse_a(ctx, args.a)
     pair = build_pair(args.n, ctx, a, force=args.force)
     doc = {
@@ -117,7 +104,7 @@ def _report_lines(report) -> list:
 
 
 def _cmd_verify(args) -> int:
-    ctx = _parse_q(args.q)
+    ctx = field_from_prime_power(args.q)
     a = _parse_a(ctx, args.a)
     pair = build_pair(args.n, ctx, a, force=args.force)
     reports = []
@@ -146,7 +133,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    ctx = _parse_q(args.q)
+    ctx = field_from_prime_power(args.q)
     a = _parse_a(ctx, args.a)
     pair = build_pair(args.n, ctx, a, force=args.force)
     result = certify_generation(
@@ -154,7 +141,6 @@ def _cmd_certify(args) -> int:
         restrict_to_s9=args.restrict_s9,
         seed=args.seed,
         budget_seconds=args.budget,
-        backend=args.backend,
     )
     doc = {
         "command": "certify",
@@ -175,7 +161,7 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_search_a(args) -> int:
-    ctx = _parse_q(args.q)
+    ctx = field_from_prime_power(args.q)
     found = search_a(args.n, ctx, all=True)
     dflt = default_a(args.n, ctx)
     doc = {
@@ -217,7 +203,7 @@ def _eps_of_gram(ctx, j: Matrix) -> str:
 
 
 def _cmd_spinor(args) -> int:
-    ctx = _parse_q(args.q)
+    ctx = field_from_prime_power(args.q)
     g = _load_matrix(ctx, args.matrix)
     if args.gram:
         j = _load_matrix(ctx, args.gram)
@@ -294,7 +280,7 @@ def _enumerate_so(ctx, n: int):
 
 
 def _cmd_oracle(args) -> int:
-    ctx = _parse_q(args.q)
+    ctx = field_from_prime_power(args.q)
     n = args.n
     if args.what == "omega-order":
         if n % 2 == 0:
@@ -388,8 +374,6 @@ def _build_parser() -> _Parser:
     c.add_argument("--seed", type=int, default=None)
     c.add_argument("--budget", type=float, default=None,
                    help="wall-clock budget in seconds")
-    c.add_argument("--backend", choices=("auto", "numba", "numpy"),
-                   default=None)
     c.set_defaults(fn=_cmd_certify)
 
     s = sub.add_parser("search-a", description="list admissible parameters")

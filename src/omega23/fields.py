@@ -17,7 +17,7 @@ import itertools
 from functools import lru_cache
 
 import numpy as np
-from sympy import isprime
+from sympy import factorint, isprime, primefactors
 
 
 class FieldError(ValueError):
@@ -100,19 +100,6 @@ def _polygcd(a, b, p):
     return a
 
 
-def _prime_divisors(n):
-    out, d = [], 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def _is_irreducible(m, p):
     """Rabin test for a monic polynomial m over GF(p)."""
     f = len(m) - 1
@@ -121,7 +108,7 @@ def _is_irreducible(m, p):
     t = [0, 1]
     if _polypowmod(t, p**f, m, p) != _polymod(t, m, p):
         return False
-    for r in _prime_divisors(f):
+    for r in primefactors(f):
         h = _polypowmod(t, p ** (f // r), m, p)
         diff = [0] * max(len(h), 2)
         for i, c in enumerate(h):
@@ -135,12 +122,11 @@ def _is_irreducible(m, p):
 def _smallest_modulus(p, f):
     if f == 1:
         return [0, 1]
-    for tail in itertools.product(range(p), repeat=f):
-        cand = list(tail) + [1]
-        if cand[0] == 0:
-            continue  # divisible by t
-        if _is_irreducible(cand, p):
-            return cand
+    for c0 in range(1, p):  # c0 = 0 would make the candidate divisible by t
+        for tail in itertools.product(range(p), repeat=f - 1):
+            cand = [c0, *tail, 1]
+            if _is_irreducible(cand, p):
+                return cand
     raise FieldError(f"no irreducible of degree {f} over GF({p})")  # unreachable
 
 
@@ -366,17 +352,11 @@ def field_from_prime_power(q: int) -> FieldCtx:
     q = int(q)
     if q < 3:
         raise FieldError(f"not an odd prime power: {q}")
-    for p in range(2, q + 1):
-        if q % p == 0:
-            f = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                f += 1
-            if m != 1:
-                raise FieldError(f"not a prime power: {q}")
-            return make_field(p, f)
-    raise FieldError(f"not a prime power: {q}")
+    fac = factorint(q)
+    if len(fac) != 1:
+        raise FieldError(f"not a prime power: {q}")
+    [(p, f)] = fac.items()
+    return make_field(int(p), int(f))
 
 
 # ---------------------------------------------------------------------------

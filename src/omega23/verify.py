@@ -16,7 +16,7 @@ from importlib import resources
 import numpy as np
 import sympy
 
-from .fields import FieldCtx, elem_to_json, is_square, make_field
+from .fields import FieldCtx, elem_to_json, field_from_prime_power, is_square, make_field
 from .forms import in_omega, is_isometry
 from .generators import (
     GenPair,
@@ -668,17 +668,9 @@ def load_claims(path=None) -> tuple:
     return tuple(rows)
 
 
-def _pq(q: int):
-    fac = sympy.factorint(q)
-    if len(fac) != 1:
-        raise VerifyError(f"{q} is not a prime power")
-    [(p, f)] = fac.items()
-    return int(p), int(f)
-
-
 @lru_cache(maxsize=512)
 def _cached_pair(n: int, q: int, a_key, force: bool) -> GenPair:
-    ctx = make_field(*_pq(q))
+    ctx = field_from_prime_power(q)
     a = list(a_key) if isinstance(a_key, tuple) else a_key
     return build_pair(n, ctx, a, force=force)
 

@@ -216,6 +216,13 @@ def test_field_from_prime_power():
         field_from_prime_power(15)
     with pytest.raises(EvenCharacteristic):
         field_from_prime_power(8)
+    for q in (0, 1, -3):
+        with pytest.raises(FieldError):
+            field_from_prime_power(q)
+    # a large prime must not be factored by trial division
+    assert field_from_prime_power(10_000_019).f == 1
+    assert field_from_prime_power(3 ** 16).modulus.tolist() == [
+        1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 0, 1]
 
 
 def test_cross_field_mixing_rejected():
