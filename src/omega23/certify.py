@@ -7,7 +7,8 @@ followed by a full deterministic Schreier-generator verification. Budget
 or table-size exhaustion yields Inconclusive, never a wrong order.
 
 Vectors over F_{p^f} are flattened to F_p^{nf} through the regular
-representation of the field, so the orbit kernel (`_kernels.orbit_bfs`)
+representation of the field (the block form `linalg._block_form` that
+`Matrix @` multiplies through), so the orbit kernel (`_kernels.orbit_bfs`)
 only ever does integer matrix-vector products mod p. Its discovery order
 fixes the Schreier trees, and so the transversals, the residues and the
 later base vectors: the same seed gives the same chain on every machine.
@@ -26,7 +27,7 @@ from ._kernels import DENSE_CAP, ORBIT_CAP, orbit_bfs
 from .fields import FieldCtx, elem_to_json
 from .forms import OrthoSpace, in_omega, omega_order
 from .generators import GenPair, WrongCase
-from .linalg import Matrix, unit_vector
+from .linalg import Matrix, _block_form, unit_vector
 from .verify import _s9_restrictions
 
 
@@ -61,14 +62,7 @@ _PRA_BURN_IN = 64
 
 
 # ---------------------------------------------------------------------------
-# flattening F_{p^f}^n -> F_p^{nf}
-
-
-def _flatten_matrix(ctx: FieldCtx, m: Matrix) -> np.ndarray:
-    """Block matrix over F_p acting on flattened coordinate vectors."""
-    blocks = np.einsum("iju,uvw->iwjv", m.data, ctx.mul_table) % ctx.p
-    nf = m.rows * ctx.f
-    return np.ascontiguousarray(blocks.reshape(nf, nf))
+# point ids of flattened vectors in F_p^{nf}
 
 
 def _encode(vec: np.ndarray, powers: np.ndarray) -> int:
@@ -142,7 +136,7 @@ def orbit(gens, v, cap: int = ORBIT_CAP) -> Orbit:
     if space > DENSE_CAP:
         raise StateSpaceTooLarge(
             f"p^(n*f) = {space} exceeds the dense table cap {DENSE_CAP}")
-    flat = np.stack([_flatten_matrix(ctx, g) for g in gens])
+    flat = np.stack([_block_form(ctx, g.data) for g in gens])
     status, ids, parent, genlab, visited = orbit_bfs(
         flat, vec.reshape(-1), ctx.p, space, cap=cap)
     if status:
@@ -467,12 +461,13 @@ def certify_generation(pair: GenPair, restrict_to_s9: bool = False,
         space = _restricted_space(pair)
         target = omega_order(9, "circ", ctx.q)
         eps = "circ"
+        contained = all(in_omega(space, g).ok for g in gens)
     else:
         gens = (pair.x, pair.y)
         space = pair.space
         target = omega_order(pair.n, pair.space.eps, ctx.q)
         eps = pair.space.eps
-    contained = all(in_omega(space, g).ok for g in gens)
+        contained = pair.x_in_omega.ok and pair.y_in_omega.ok
 
     verdict = "Inconclusive"
     computed = 1

@@ -12,14 +12,14 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from importlib import resources
 
 import numpy as np
 
 from ._dims import CASE_A_DIMS, b_params, case_of, unsupported_message
 from .fields import FieldCtx, FieldElem, elem_to_json, field_to_json, is_square, subfield_degree
-from .forms import OrthoSpace, gram_matrix, in_omega, is_isometry
+from .forms import OmegaMembership, OrthoSpace, gram_matrix, in_omega, is_isometry
 from .linalg import Matrix, charpoly, eigenspace, minpoly, poly_from_elems, restrict, unit_vector
 
 
@@ -288,6 +288,15 @@ class GenPair:
     y: Matrix
     space: OrthoSpace
 
+    # spinor-kernel membership of each generator, computed at most once
+    @cached_property
+    def x_in_omega(self) -> OmegaMembership:
+        return in_omega(self.space, self.x)
+
+    @cached_property
+    def y_in_omega(self) -> OmegaMembership:
+        return in_omega(self.space, self.y)
+
 
 def _require(cond: bool, what: str):
     if not cond:
@@ -346,10 +355,11 @@ def build_pair(n: int, ctx: FieldCtx, a=None, force: bool = False) -> GenPair:
     _require(np.array_equal(y1.det(), ctx.one), "y1 is an even permutation")
     if tag.case == "A":
         _x3_decomposition_check(ctx, n, x, x1, a_vec)
+    pair = GenPair(n=n, ctx=ctx, a=a_elem, tag=tag, x=x, y=y, space=space)
     if not force:
-        _require(in_omega(space, x).ok, "x has trivial spinor norm")
-        _require(in_omega(space, y).ok, "y has trivial spinor norm")
-    return GenPair(n=n, ctx=ctx, a=a_elem, tag=tag, x=x, y=y, space=space)
+        _require(pair.x_in_omega.ok, "x has trivial spinor norm")
+        _require(pair.y_in_omega.ok, "y has trivial spinor norm")
+    return pair
 
 
 def _check_sl4_block(ctx: FieldCtx, xt: np.ndarray):

@@ -312,6 +312,16 @@ class Matrix:
         d = np.stack([np.stack([ctx.coerce(e) for e in row]) for row in rows])
         return Matrix(ctx, d)
 
+    @staticmethod
+    def _reduced(ctx: FieldCtx, data: np.ndarray) -> "Matrix":
+        """Wrap (rows, cols, f) data whose entries are already below p."""
+        m = object.__new__(Matrix)
+        d = np.ascontiguousarray(data)
+        d.setflags(write=False)
+        object.__setattr__(m, "ctx", ctx)
+        object.__setattr__(m, "data", d)
+        return m
+
     def __eq__(self, other):
         return (
             isinstance(other, Matrix)
@@ -342,13 +352,16 @@ class Matrix:
     def __matmul__(self, other):
         ctx = self.ctx
         if isinstance(other, Matrix):
+            if not (other.ctx is ctx or other.ctx == ctx):
+                raise LinalgError("matrices over different fields")
             if self.cols != other.rows:
                 raise LinalgError("shape mismatch in matrix product")
-            out = np.einsum("iku,kjv,uvw->ijw", self.data, other.data, ctx.mul_table)
-            return Matrix(ctx, out % ctx.p)
-        v = np.asarray(other, dtype=np.int64)  # (cols, f) vector
-        out = np.einsum("iku,kv,uvw->iw", self.data, v, ctx.mul_table)
-        return out % ctx.p
+            return Matrix._reduced(ctx, _product(ctx, _block_form(ctx, self.data), other.data))
+        v = np.asarray(other, dtype=np.int64) % ctx.p  # (cols, f) vector
+        if v.shape != (self.cols, ctx.f):
+            raise LinalgError(
+                f"vector shape {v.shape} does not match ({self.cols}, {ctx.f})")
+        return _product(ctx, _block_form(ctx, self.data), v)
 
     def transpose(self) -> "Matrix":
         return Matrix(self.ctx, np.swapaxes(self.data, 0, 1))
@@ -435,6 +448,42 @@ class Matrix:
             [np.stack([elem_from_json(ctx, v) for v in row]) for row in entries]
         )
         return Matrix(ctx, d)
+
+
+def _block_form(ctx: FieldCtx, data: np.ndarray) -> np.ndarray:
+    """F_p block form of a reduced (r, k, f) array: an (r*f, k*f) array below p.
+
+    Entry (i*f + w, j*f + v) is the t**w coefficient of data[i, j] * t**v,
+    so the block form applied to a column of (k*f,) coordinate vectors,
+    flattened entry by entry, is the product by data over F_{p^f}. For
+    f = 1 it is data itself, reshaped.
+    """
+    r, k, f = data.shape
+    if f == 1:
+        return data.reshape(r, k)
+    blocks = np.einsum("iju,uvw->iwjv", data, ctx.mul_table) % ctx.p
+    return blocks.reshape(r * f, k * f)
+
+
+def _product(ctx: FieldCtx, blocks: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Exact product of a left factor in block form and a reduced right factor.
+
+    The right factor is a (k, f) vector or a (k, c, f) matrix. One int64
+    matmul of the (r*f, k*f) block form against it as (k*f,) or (k*f, c),
+    reduced once, gives the reduced (r, f) or (r, c, f) product; for f = 1
+    this is (A @ B) % p. Each output sum has k*f terms below p**2, so the
+    result is exact while k * f * p**2 < 2**63.
+    """
+    f = ctx.f
+    if b.ndim == 2:
+        return (blocks @ b.reshape(-1) % ctx.p).reshape(-1, f)
+    k, c, _ = b.shape
+    prod = blocks @ b.transpose(0, 2, 1).reshape(k * f, c)
+    # reduce straight into an (r, c, f) array that owns its memory, so a
+    # stored product carries no view of a temporary
+    out = np.empty((prod.shape[0] // f, c, f), dtype=np.int64)
+    np.remainder(prod.reshape(-1, f, c), ctx.p, out=out.transpose(0, 2, 1))
+    return out
 
 
 def _lift_entries(ctx: FieldCtx, d):
@@ -526,27 +575,24 @@ def charpoly(m: Matrix) -> Poly:
     if m.rows != m.cols:
         raise NotSquare("charpoly needs a square matrix")
     ctx = m.ctx
-    n = m.rows
+    n, f = m.rows, ctx.f
     a = m.data
+    blocks = _block_form(ctx, a)
     # big-endian coefficient list, as (k, f) array; starts as the constant 1
     c = ctx.one[None, :].copy()
     for r in range(1, n + 1):
-        sub = a[: r - 1, : r - 1]
-        row = a[r - 1, : r - 1]
-        col = a[: r - 1, r - 1]
-        diag = a[r - 1, r - 1]
+        # [sub; row] = a[:r, :r-1]: one product gives sub.w and row.w
+        stacked = blocks[: r * f, : (r - 1) * f]
         # transfer column: [1, -d, -(row.col), -(row.M.col), ...]
-        t = np.zeros((r + 1, ctx.f), dtype=np.int64)
+        t = np.zeros((r + 1, f), dtype=np.int64)
         t[0] = ctx.one
-        t[1] = ctx.neg(diag)
-        w = col
+        t[1] = ctx.neg(a[r - 1, r - 1])
+        w = a[: r - 1, r - 1]
         for k in range(2, r + 1):
-            t[k] = ctx.neg(
-                np.einsum("ju,jv,uvw->w", row, w, ctx.mul_table) % ctx.p
-            )
-            if k < r:
-                w = np.einsum("iju,jv,uvw->iw", sub, w, ctx.mul_table) % ctx.p
-        new = np.zeros((r + 1, ctx.f), dtype=np.int64)
+            sw = _product(ctx, stacked, w)
+            t[k] = ctx.neg(sw[r - 1])
+            w = sw[: r - 1]
+        new = np.zeros((r + 1, f), dtype=np.int64)
         for j in range(t.shape[0]):
             if t[j].any():
                 upper = min(c.shape[0], r + 1 - j)
@@ -799,7 +845,7 @@ def restrict(m: Matrix, basis) -> Matrix:
     cols = [np.asarray(b, dtype=np.int64) % ctx.p for b in basis]
     k = len(cols)
     b = np.stack(cols, axis=1)  # (n, k, f)
-    mb = np.einsum("iju,jkv,uvw->ikw", m.data, b, ctx.mul_table) % ctx.p
+    mb = _product(ctx, _block_form(ctx, m.data), b)
     aug = np.concatenate([b, mb], axis=1)  # (n, 2k, f)
     red, pivots = rref(ctx, aug)
     if len([p for p in pivots if p < k]) < k:

@@ -7,7 +7,7 @@ import pytest
 from omega23.fields import make_field
 from omega23.forms import gram_matrix, in_omega, is_isometry, omega_order, quadratic_value
 from omega23.generators import WrongCase, build_pair
-from omega23.linalg import Matrix, unit_vector
+from omega23.linalg import Matrix, _block_form, unit_vector
 from omega23._kernels import ORBIT_CAP
 from omega23.certify import (
     BudgetExceeded,
@@ -16,7 +16,6 @@ from omega23.certify import (
     Orbit,
     OrbitCapExceeded,
     StateSpaceTooLarge,
-    _flatten_matrix,
     certify_generation,
     orbit,
     stabilizer_chain,
@@ -131,7 +130,7 @@ def _point_major_orbit(gens, v):
     """The reference point-major BFS, run on the inputs orbit() builds."""
     ctx = gens[0].ctx
     flat = np.ascontiguousarray(
-        np.stack([_flatten_matrix(ctx, g) for g in gens]), dtype=np.int64)
+        np.stack([_block_form(ctx, g.data) for g in gens]), dtype=np.int64)
     start = np.ascontiguousarray(np.asarray(v, dtype=np.int64).reshape(-1) % ctx.p)
     space = ctx.p ** (gens[0].rows * ctx.f)
     status, count, ids, parent, genlab, visited = _orbit_bfs_py(

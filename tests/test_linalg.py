@@ -2,10 +2,14 @@
 
 import numpy as np
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from omega23.fields import make_field
+from omega23.fields import FieldCtx, field_from_prime_power, make_field
 from omega23.generators import build_pair
 from omega23.linalg import (
+    LinalgError,
     Matrix,
     NotInvariant,
     NotSquare,
@@ -168,6 +172,104 @@ def test_json_round_trip():
     for ctx in (F5, F9):
         m = _rand_matrix(ctx, 3, rng)
         assert Matrix.from_json(ctx, m.to_json()) == m
+
+
+# ---------------------------------------------------------------------------
+# the product against the three-operand einsum reference
+
+PRODUCT_QS = (3, 5, 7, 9, 25, 27, 49, 81, 125)
+
+
+def _einsum_product(ctx, a, b):
+    """Reference product of (r, k, f) and (k, c, f) coefficient arrays."""
+    return np.einsum("iku,kjv,uvw->ijw", a, b, ctx.mul_table) % ctx.p
+
+
+def _entries(ctx, rng, shape, fill):
+    if fill == "max":  # every coefficient p - 1: the largest sums
+        return np.full((*shape, ctx.f), ctx.p - 1, dtype=np.int64)
+    return rng.integers(0, ctx.p, size=(*shape, ctx.f))
+
+
+def _sympy(a):
+    """A prime-field (r, c, 1) coefficient array as an integer sympy.Matrix."""
+    return sympy.Matrix(a[:, :, 0].tolist())
+
+
+product_case = settings(derandomize=True, max_examples=60, deadline=None)
+q_st = st.sampled_from(PRODUCT_QS)
+dim_st = st.integers(1, 7)
+fill_st = st.sampled_from(["random", "random", "max"])  # max: one draw in three
+seed_st = st.integers(0, 2**32 - 1)
+
+
+@product_case
+@given(q=q_st, r=dim_st, k=dim_st, c=dim_st, fill=fill_st, seed=seed_st)
+def test_product_matches_einsum_reference(q, r, k, c, fill, seed):
+    ctx = field_from_prime_power(q)
+    rng = np.random.default_rng(seed)
+    a, b = _entries(ctx, rng, (r, k), fill), _entries(ctx, rng, (k, c), fill)
+    v = _entries(ctx, rng, (k,), fill)
+    prod = Matrix(ctx, a) @ Matrix(ctx, b)
+    assert prod.data.shape == (r, c, ctx.f)
+    assert np.array_equal(prod.data, _einsum_product(ctx, a, b))
+    mv = Matrix(ctx, a) @ v
+    assert mv.shape == (r, ctx.f)
+    assert np.array_equal(mv, _einsum_product(ctx, a, v[:, None])[:, 0])
+    if ctx.f == 1:
+        ref = (_sympy(a) * _sympy(b)).applyfunc(lambda e: e % ctx.p)
+        assert prod.data[:, :, 0].tolist() == ref.tolist()
+
+
+@product_case
+@given(q=q_st, n=st.integers(2, 7), data=st.data(), seed=seed_st)
+def test_restrict_matches_einsum_reference(q, n, data, seed):
+    """m = P U P^-1 with U block upper triangular: the first k columns of P
+    span an invariant subspace on which m acts as U's top-left block."""
+    ctx = field_from_prime_power(q)
+    k = data.draw(st.integers(1, n - 1))
+    rng = np.random.default_rng(seed)
+    p_mat = _rand_invertible(ctx, n, rng)
+    u = _entries(ctx, rng, (n, n), "random")
+    u[k:, :k] = 0
+    m = p_mat @ Matrix(ctx, u) @ p_mat.inverse()
+    basis = [p_mat.data[:, j] for j in range(k)]
+    res = restrict(m, basis)
+    assert np.array_equal(res.data, u[:k, :k])
+    cols = np.stack(basis, axis=1)
+    assert np.array_equal(_einsum_product(ctx, m.data, cols),
+                          _einsum_product(ctx, cols, res.data))
+
+
+@product_case
+@given(q=st.sampled_from([3, 5, 7]), n=st.integers(1, 7), seed=seed_st)
+def test_charpoly_matches_sympy_at_prime_q(q, n, seed):
+    ctx = make_field(q, 1)
+    a = np.random.default_rng(seed).integers(0, q, size=(n, n, 1))
+    lam = sympy.Symbol("lam")
+    ref = sympy.Poly(_sympy(a).charpoly(lam).as_expr(), lam)
+    expected = [int(c) % q for c in reversed(ref.all_coeffs())]
+    assert charpoly(Matrix(ctx, a)).coeffs[:, 0].tolist() == expected
+
+
+def test_product_refuses_another_field_of_the_same_degree():
+    with pytest.raises(LinalgError):
+        Matrix.identity(make_field(3, 2), 3) @ Matrix.identity(make_field(5, 2), 3)
+    with pytest.raises(LinalgError):
+        Matrix.identity(F3, 3) @ Matrix.identity(F5, 3)
+    # an equal context built separately is the same field
+    twin = FieldCtx(3, 2, F9.modulus)
+    assert twin is not F9
+    assert Matrix.identity(F9, 3) @ Matrix.identity(twin, 3) == Matrix.identity(F9, 3)
+
+
+def test_product_refuses_a_vector_of_the_wrong_shape():
+    m = Matrix.identity(F9, 3)
+    with pytest.raises(LinalgError):
+        m @ np.ones((3, 1), dtype=np.int64)  # would broadcast to (3, 2)
+    with pytest.raises(LinalgError):
+        m @ np.ones((2, 2), dtype=np.int64)
+    assert np.array_equal(m @ np.ones((3, 2), dtype=np.int64), np.ones((3, 2)))
 
 
 # ---------------------------------------------------------------------------
