@@ -150,44 +150,59 @@ def orbit(gens, v, cap: int = ORBIT_CAP) -> Orbit:
 
 
 class Level:
-    """One link: a base vector, its generators, and the orbit machinery."""
+    """One link: a base vector, its generators, and the orbit machinery.
 
-    __slots__ = ("base_vec", "base_id", "gens", "orbit", "_u", "_u_inv")
+    The orbit's parent/genlab arrays are its Schreier vector. A coset
+    representative u(pos), and its inverse, is built on first use by
+    walking the Schreier tree up to the nearest memoized ancestor
+    (Seress, Permutation Group Algorithms, 2003, ch. 4); each memo keeps
+    at most _TRANSVERSAL_CACHE_LIMIT matrices and walks without storing
+    past that.
+    """
+
+    __slots__ = ("base_vec", "base_id", "gens", "orbit", "_u", "_u_inv", "_gen_inv")
 
     def __init__(self, base_vec, gens):
         self.base_vec = base_vec
         self.base_id = None
         self.gens = list(gens)
         self.orbit = None
-        self._u = None
+        self._u = {}
         self._u_inv = {}
+        self._gen_inv = {}
 
     def recompute(self, cap):
         self.orbit = orbit(self.gens, self.base_vec, cap=cap)
         self.base_id = int(self.orbit.ids[0])
-        self._u_inv = {}
-        if self.orbit.size <= _TRANSVERSAL_CACHE_LIMIT:
-            ctx = self.orbit.ctx
-            u = [Matrix.identity(ctx, self.orbit.n)]
-            for pos in range(1, self.orbit.size):
-                par = int(self.orbit.parent[pos])
-                lbl = int(self.orbit.genlab[pos])
-                u.append(self.gens[lbl] @ u[par])
-            self._u = u
-        else:
-            self._u = None
+        one = Matrix.identity(self.orbit.ctx, self.orbit.n)
+        self._u = {0: one}
+        self._u_inv = {0: one}
+
+    def _walk(self, pos: int, memo: dict, step) -> Matrix:
+        path = []
+        while pos not in memo:
+            path.append(pos)
+            pos = int(self.orbit.parent[pos])
+        m = memo[pos]
+        genlab = self.orbit.genlab
+        for at in reversed(path):
+            m = step(m, int(genlab[at]))
+            if len(memo) < _TRANSVERSAL_CACHE_LIMIT:
+                memo[at] = m
+        return m
+
+    def _inv_gen(self, lbl: int) -> Matrix:
+        got = self._gen_inv.get(lbl)
+        if got is None:
+            got = self._gen_inv[lbl] = self.gens[lbl].inverse()
+        return got
 
     def u(self, pos: int) -> Matrix:
-        if self._u is not None:
-            return self._u[pos]
-        return self.orbit.transversal(pos)
+        """The transversal element mapping the base vector to orbit[pos]."""
+        return self._walk(pos, self._u, lambda m, lbl: self.gens[lbl] @ m)
 
     def u_inv(self, pos: int) -> Matrix:
-        got = self._u_inv.get(pos)
-        if got is None:
-            got = self.u(pos).inverse()
-            self._u_inv[pos] = got
-        return got
+        return self._walk(pos, self._u_inv, lambda m, lbl: m @ self._inv_gen(lbl))
 
 
 @dataclass(frozen=True)
@@ -230,28 +245,35 @@ class _RandomElements:
 
     def __init__(self, gens, seed):
         self.rng = random.Random(seed)
-        slots = list(gens)
+        inverses = [g.inverse() for g in gens]
+        slots, slot_invs = list(gens), list(inverses)
         while len(slots) < _PRA_SLOTS:
-            slots.append(gens[len(slots) % len(gens)])
+            k = len(slots) % len(gens)
+            slots.append(gens[k])
+            slot_invs.append(inverses[k])
         self.slots = slots
+        self.slot_invs = slot_invs  # slot_invs[i] is slots[i]'s inverse
         self.acc = Matrix.identity(gens[0].ctx, gens[0].rows)
         for _ in range(_PRA_BURN_IN):
             self._step()
 
     def _step(self):
         rng = self.rng
-        i = rng.randrange(len(self.slots))
-        j = rng.randrange(len(self.slots) - 1)
+        slots, invs = self.slots, self.slot_invs
+        i = rng.randrange(len(slots))
+        j = rng.randrange(len(slots) - 1)
         if j >= i:
             j += 1
-        other = self.slots[j]
+        other, other_inv = slots[j], invs[j]
         if rng.random() < 0.5:
-            other = other.inverse()
+            other, other_inv = other_inv, other
         if rng.random() < 0.5:
-            self.slots[i] = self.slots[i] @ other
+            slots[i] = slots[i] @ other
+            invs[i] = other_inv @ invs[i]
         else:
-            self.slots[i] = other @ self.slots[i]
-        self.acc = self.acc @ self.slots[i]
+            slots[i] = other @ slots[i]
+            invs[i] = invs[i] @ other_inv
+        self.acc = self.acc @ slots[i]
 
     def __next__(self) -> Matrix:
         self._step()

@@ -159,9 +159,20 @@ class FieldCtx:
         self.zero = np.zeros(self.f, dtype=np.int64)
         self.one = np.zeros(self.f, dtype=np.int64)
         self.one[0] = 1
+        self._identities = {}
+
+    def identity(self, n: int) -> np.ndarray:
+        """The read-only (n, n, f) identity array, built once per n."""
+        got = self._identities.get(n)
+        if got is None:
+            got = np.zeros((n, n, self.f), dtype=np.int64)
+            got[np.arange(n), np.arange(n), 0] = 1
+            got.setflags(write=False)
+            self._identities[n] = got
+        return got
 
     def __eq__(self, other):
-        return (
+        return other is self or (
             isinstance(other, FieldCtx)
             and self.p == other.p
             and self.f == other.f

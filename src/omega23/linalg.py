@@ -299,9 +299,7 @@ class Matrix:
 
     @staticmethod
     def identity(ctx: FieldCtx, n: int) -> "Matrix":
-        d = np.zeros((n, n, ctx.f), dtype=np.int64)
-        d[np.arange(n), np.arange(n), 0] = 1
-        return Matrix(ctx, d)
+        return Matrix._reduced(ctx, ctx.identity(n))
 
     @staticmethod
     def zeros(ctx: FieldCtx, r: int, c: int) -> "Matrix":
@@ -322,11 +320,14 @@ class Matrix:
         object.__setattr__(m, "data", d)
         return m
 
+    # data is always a C-contiguous int64 array, so equal shapes and equal
+    # bytes mean equal entries; comparing bytes skips numpy's per-call setup
     def __eq__(self, other):
         return (
             isinstance(other, Matrix)
             and self.ctx == other.ctx
-            and np.array_equal(self.data, other.data)
+            and self.data.shape == other.data.shape
+            and self.data.tobytes() == other.data.tobytes()
         )
 
     __hash__ = None
@@ -337,11 +338,21 @@ class Matrix:
     def entry(self, i: int, j: int) -> np.ndarray:
         return self.data[i, j].copy()
 
+    def _same_shape(self, other, op: str) -> np.ndarray:
+        """other's data, once other is a matrix over this field of this shape."""
+        if not isinstance(other, Matrix):
+            raise LinalgError(f"matrix {op} needs a matrix operand")
+        if not (other.ctx is self.ctx or other.ctx == self.ctx):
+            raise LinalgError("matrices over different fields")
+        if other.data.shape != self.data.shape:
+            raise LinalgError(f"shape mismatch in matrix {op}")
+        return other.data
+
     def __add__(self, other):
-        return Matrix(self.ctx, (self.data + other.data) % self.ctx.p)
+        return Matrix(self.ctx, (self.data + self._same_shape(other, "sum")) % self.ctx.p)
 
     def __sub__(self, other):
-        return Matrix(self.ctx, (self.data - other.data) % self.ctx.p)
+        return Matrix(self.ctx, (self.data - self._same_shape(other, "difference")) % self.ctx.p)
 
     def __neg__(self):
         return Matrix(self.ctx, (-self.data) % self.ctx.p)
@@ -372,7 +383,8 @@ class Matrix:
         return self.data[np.arange(self.rows), np.arange(self.rows)].sum(axis=0) % self.ctx.p
 
     def is_identity(self) -> bool:
-        return self == Matrix.identity(self.ctx, self.rows) if self.rows == self.cols else False
+        return (self.rows == self.cols
+                and self.data.tobytes() == self.ctx.identity(self.rows).tobytes())
 
     def pow(self, e: int) -> "Matrix":
         if self.rows != self.cols:

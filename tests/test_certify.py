@@ -9,12 +9,14 @@ from omega23.forms import gram_matrix, in_omega, is_isometry, omega_order, quadr
 from omega23.generators import WrongCase, build_pair
 from omega23.linalg import Matrix, _block_form, unit_vector
 from omega23._kernels import ORBIT_CAP
+from omega23 import certify as certify_mod
 from omega23.certify import (
     BudgetExceeded,
     CertifyError,
     DimensionMismatch,
     Orbit,
     OrbitCapExceeded,
+    _RandomElements,
     StateSpaceTooLarge,
     certify_generation,
     orbit,
@@ -23,6 +25,7 @@ from omega23.certify import (
 
 
 CTX3 = make_field(3, 1)
+CTX5 = make_field(5, 1)
 
 
 @pytest.fixture(scope="module")
@@ -261,6 +264,89 @@ def test_chain_transversals_sampled(chain932):
         for pos in {0, lv.orbit.size - 1, rng.randrange(lv.orbit.size)}:
             u = lv.u(pos)
             assert np.array_equal(u @ lv.base_vec, lv.orbit.vector(pos))
+
+
+SIZES_932 = (6480, 2214, 756, 234, 72, 30, 4, 3)
+
+
+def test_chain_pinned_base_and_sizes(pair932, chain932):
+    # outputs of the eager-transversal implementation, kept bit for bit
+    res = certify_generation(pair932, seed=53251)
+    assert res.orbit_sizes == SIZES_932 and res.base_size == 8
+    assert chain932.orbit_sizes == SIZES_932 and chain932.verified
+    expected = [unit_vector(CTX3, 9, k) for k in (2, 0, 1, 3, 4, 5, 6, 7)]
+    assert len(chain932.base) == len(expected)
+    for got, want in zip(chain932.base, expected):
+        assert np.array_equal(got, want)
+
+
+@pytest.fixture(scope="module")
+def chain95():
+    """A targeted (9, 5) chain and each level's memo sizes right after the
+    build, before any test walks its Schreier trees."""
+    pair = build_pair(9, CTX5)
+    chain = stabilizer_chain([pair.x, pair.y], seed=53251,
+                             target=omega_order(9, pair.space.eps, 5))
+    memos = [(len(lv._u), len(lv._u_inv)) for lv in chain.levels]
+    return chain, memos
+
+
+def test_lazy_transversals_invert_and_map_to_base(chain95):
+    chain, _ = chain95
+    assert chain.order == omega_order(9, "circ", 5)
+    assert chain.orbit_sizes[0] == 391250
+    rng = random.Random(29)
+    for lv in chain.levels:
+        size = lv.orbit.size
+        for pos in {0, size - 1, size // 2} | {rng.randrange(size) for _ in range(6)}:
+            u, u_inv = lv.u(pos), lv.u_inv(pos)
+            assert (u_inv @ u).is_identity()
+            assert np.array_equal(u @ lv.base_vec, lv.orbit.vector(pos))
+            assert np.array_equal(u_inv @ lv.orbit.vector(pos), lv.base_vec)
+
+
+def test_targeted_build_memoizes_few_transversals(chain95):
+    chain, memos = chain95
+    for lv, (n_u, n_u_inv) in zip(chain.levels, memos):
+        # an eager table holds one matrix per orbit point
+        assert n_u + n_u_inv <= 2 + lv.orbit.size // 4, (lv.orbit.size, n_u, n_u_inv)
+    assert sum(n_u + n_u_inv for n_u, n_u_inv in memos) < chain.orbit_sizes[0] // 100
+
+
+def test_memo_cap_keeps_the_chain(pair932, chain932, monkeypatch):
+    monkeypatch.setattr(certify_mod, "_TRANSVERSAL_CACHE_LIMIT", 100)
+    capped = stabilizer_chain([pair932.x, pair932.y], target=None, seed=53251)
+    assert capped.verified
+    assert capped.order == chain932.order
+    assert capped.orbit_sizes == chain932.orbit_sizes
+    for u, v in zip(capped.base, chain932.base):
+        assert np.array_equal(u, v)
+    for lv in capped.levels:
+        assert len(lv._u) <= 100 and len(lv._u_inv) <= 100
+    assert capped.levels[0].orbit.size > 100
+
+
+def test_random_elements_keep_inverses_and_stream(pair932):
+    gens = (pair932.x, pair932.y)
+    stream = _RandomElements(gens, 17)
+    drawn = [next(stream) for _ in range(20)]
+    for slot, inv in zip(stream.slots, stream.slot_invs):
+        assert (slot @ inv).is_identity()
+    # the stream a product replacement with explicit inversion gives
+    rng = random.Random(17)
+    slots = [gens[k % 2] for k in range(10)]
+    acc = Matrix.identity(CTX3, 9)
+    expected = []
+    for step in range(64 + 20):
+        i = rng.randrange(10)
+        j = rng.randrange(9)
+        j += j >= i
+        other = slots[j].inverse() if rng.random() < 0.5 else slots[j]
+        slots[i] = slots[i] @ other if rng.random() < 0.5 else other @ slots[i]
+        acc = acc @ slots[i]
+        if step >= 64:
+            expected.append(acc)
+    assert drawn == expected
 
 
 # --- certification -----------------------------------------------------------

@@ -272,6 +272,49 @@ def test_product_refuses_a_vector_of_the_wrong_shape():
     assert np.array_equal(m @ np.ones((3, 2), dtype=np.int64), np.ones((3, 2)))
 
 
+def test_sum_and_difference_refuse_another_field():
+    a, b = Matrix.identity(F3, 2), Matrix.identity(F5, 2).scale(4)
+    with pytest.raises(LinalgError):
+        a + b  # was [[2, 0], [0, 2]] over F_3
+    with pytest.raises(LinalgError):
+        a - b
+    with pytest.raises(LinalgError):
+        Matrix.identity(F9, 2) + Matrix.identity(make_field(5, 2), 2)
+    twin = FieldCtx(3, 2, F9.modulus)
+    assert Matrix.identity(F9, 2) + Matrix.identity(twin, 2) == Matrix.identity(F9, 2).scale(2)
+
+
+def test_sum_and_difference_refuse_another_shape():
+    with pytest.raises(LinalgError):
+        Matrix.identity(F3, 2) + Matrix.identity(F3, 3)  # was numpy's ValueError
+    with pytest.raises(LinalgError):
+        Matrix.identity(F3, 2) - Matrix.zeros(F3, 2, 3)
+    with pytest.raises(LinalgError):
+        Matrix.identity(F3, 2) + np.eye(2, dtype=np.int64)
+    m = Matrix.from_rows(F5, [[1, 2, 3], [4, 0, 1]])
+    assert m + m - m == m
+    assert (m - m) == Matrix.zeros(F5, 2, 3)
+
+
+def test_identity_and_equality_shortcuts():
+    for ctx in (F3, F9):
+        one = Matrix.identity(ctx, 4)
+        assert one.is_identity() and one == Matrix.identity(ctx, 4)
+        assert not one.data.flags.writeable
+        assert not one.scale(2).is_identity()
+        assert not (one + Matrix.identity(ctx, 4)).is_identity()
+        assert not Matrix.zeros(ctx, 4, 4).is_identity()
+        assert not Matrix(ctx, np.eye(4, 5, dtype=np.int64)).is_identity()
+        assert one != Matrix.identity(ctx, 5)
+        assert one != Matrix(ctx, np.eye(4, 5, dtype=np.int64))
+    # the first coefficient alone does not make an identity over F_9
+    x = np.zeros((2, 2, 2), dtype=np.int64)
+    x[[0, 1], [0, 1], 0] = 1
+    x[0, 1, 1] = 1
+    assert not Matrix(F9, x).is_identity()
+    assert F9 == F9 and F9 == FieldCtx(3, 2, F9.modulus) and F9 != F3
+
+
 # ---------------------------------------------------------------------------
 # characteristic and minimal polynomials
 
