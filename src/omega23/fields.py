@@ -17,7 +17,9 @@ import itertools
 from functools import lru_cache
 
 import numpy as np
-from sympy import factorint, isprime, primefactors
+from sympy import factorint, isprime
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_irreducible_p, gf_rem
 
 
 class FieldError(ValueError):
@@ -40,83 +42,7 @@ class BadDegree(FieldError):
 
 
 # ---------------------------------------------------------------------------
-# dense polynomial helpers over the prime field (little-endian int lists)
-
-
-def _trim(c):
-    if not c:
-        return [0]
-    i = len(c) - 1
-    while i > 0 and c[i] == 0:
-        i -= 1
-    return c[: i + 1]
-
-
-def _polymod(a, m, p):
-    a = [x % p for x in a]
-    dm = len(m) - 1
-    while len(a) - 1 >= dm and any(a):
-        a = _trim(a)
-        if len(a) - 1 < dm:
-            break
-        lead = a[-1]
-        if lead:
-            shift = len(a) - 1 - dm
-            for i, mi in enumerate(m):
-                a[shift + i] = (a[shift + i] - lead * mi) % p
-        a = a[:-1]
-    a = _trim(a)
-    return a
-
-
-def _polymulmod(a, b, m, p):
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
-    return _polymod(prod, m, p)
-
-
-def _polypowmod(a, e, m, p):
-    result = [1]
-    base = _polymod(list(a), m, p)
-    while e:
-        if e & 1:
-            result = _polymulmod(result, base, m, p)
-        base = _polymulmod(base, base, m, p)
-        e >>= 1
-    return result
-
-
-def _polygcd(a, b, p):
-    a, b = _trim([x % p for x in a]), _trim([x % p for x in b])
-    while b != [0]:
-        # reduce a mod b (b made monic first)
-        inv = pow(b[-1], p - 2, p)
-        b = [x * inv % p for x in b]
-        r = _polymod(a, b, p)
-        a, b = b, _trim(r)
-    return a
-
-
-def _is_irreducible(m, p):
-    """Rabin test for a monic polynomial m over GF(p)."""
-    f = len(m) - 1
-    if f < 1:
-        return False
-    t = [0, 1]
-    if _polypowmod(t, p**f, m, p) != _polymod(t, m, p):
-        return False
-    for r in primefactors(f):
-        h = _polypowmod(t, p ** (f // r), m, p)
-        diff = [0] * max(len(h), 2)
-        for i, c in enumerate(h):
-            diff[i] = c
-        diff[1] = (diff[1] - 1) % p
-        if len(_polygcd(m, diff, p)) > 1:
-            return False
-    return True
+# the canonical modulus (galoistools polynomials are big-endian int lists)
 
 
 def _smallest_modulus(p, f):
@@ -125,7 +51,7 @@ def _smallest_modulus(p, f):
     for c0 in range(1, p):  # c0 = 0 would make the candidate divisible by t
         for tail in itertools.product(range(p), repeat=f - 1):
             cand = [c0, *tail, 1]
-            if _is_irreducible(cand, p):
+            if gf_irreducible_p(cand[::-1], p, ZZ):
                 return cand
     raise FieldError(f"no irreducible of degree {f} over GF({p})")  # unreachable
 
@@ -145,11 +71,16 @@ class FieldCtx:
         self.p = int(p)
         self.f = int(f)
         self.q = self.p**self.f
+        # mul and scale sum f*f int64 products a_u * b_v * mul_table[u, v, w],
+        # each below p**2 for f = 1 (the table is 1) and below p**3 for f > 1
+        if self.f**2 * (self.p - 1) ** (2 if self.f == 1 else 3) >= 2**63:
+            raise FieldError(f"GF({self.p}^{self.f}) is outside the exact int64 range")
         self.modulus = np.array(modulus, dtype=np.int64)
         assert self.modulus.shape == (self.f + 1,) and self.modulus[-1] == 1
         r = np.zeros((2 * self.f - 1, self.f), dtype=np.int64)
+        big_endian = [int(c) for c in self.modulus[::-1]]
         for e in range(2 * self.f - 1):
-            vec = _polymod([0] * e + [1], list(self.modulus), self.p)
+            vec = gf_rem([1] + [0] * e, big_endian, self.p, ZZ)[::-1]
             r[e, : len(vec)] = vec
         self.reduce_table = r
         self.mul_table = np.zeros((self.f, self.f, self.f), dtype=np.int64)

@@ -3,21 +3,22 @@
 Characteristic polynomials use the division-free Berkowitz scheme with
 the det(T*I - M) sign convention; minimal polynomials are the lcm of
 Krylov local annihilators; eigenspace bases come out in reduced echelon
-form so subspace comparisons are plain equality. Factorization is
-squarefree / distinct-degree / seeded equal-degree splitting.
+form so subspace comparisons are plain equality. Element orders are
+computed over F_p from the block form: its minimal polynomial, factored
+with sympy's galoistools.
 
 Everything here is pure and matrices are immutable.
 """
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass
+from math import lcm
 
 import numpy as np
 from sympy import divisors, factorint, mobius
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_factor, gf_lcm, gf_pow_mod
 
-from . import resolved_seed
 from .fields import FieldCtx, elem_from_json, elem_to_json
 
 
@@ -114,10 +115,6 @@ class Poly:
     def __hash__(self):
         return hash((self.ctx.q, self.coeffs.tobytes(), self.coeffs.shape))
 
-    def key(self):
-        """Deterministic sort key: degree, then canonical coefficient indices."""
-        return (self.degree, tuple(self.ctx.index(c) for c in self.coeffs))
-
     def __repr__(self):
         if self.is_zero():
             return "Poly(0)"
@@ -208,23 +205,6 @@ class Poly:
             return Poly(self.ctx, np.zeros((0, self.ctx.f), dtype=np.int64))
         out = self.coeffs[1:] * np.arange(1, self.degree + 1, dtype=np.int64)[:, None]
         return Poly(self.ctx, out % self.ctx.p)
-
-    def pow_mod(self, e: int, mod: "Poly") -> "Poly":
-        result = poly_one(self.ctx)
-        base = self % mod
-        while e:
-            if e & 1:
-                result = (result * base) % mod
-            base = (base * base) % mod
-            e >>= 1
-        return result
-
-    def shift_compose_frobenius(self) -> "Poly":
-        """p-th root of a polynomial in t**p: c_i -> c_i**(q/p) on stride p."""
-        ctx = self.ctx
-        take = self.coeffs[:: ctx.p]
-        root = np.stack([ctx.pow(c, ctx.q // ctx.p) for c in take]) if take.shape[0] else take
-        return Poly(ctx, root)
 
     def eval_elem(self, a) -> np.ndarray:
         """Horner evaluation at a field element; returns an (f,) vector."""
@@ -484,8 +464,10 @@ def _product(ctx: FieldCtx, blocks: np.ndarray, b: np.ndarray) -> np.ndarray:
     matmul of the (r*f, k*f) block form against it as (k*f,) or (k*f, c),
     reduced once, gives the reduced (r, f) or (r, c, f) product; for f = 1
     this is (A @ B) % p. Each output sum has k*f terms below p**2, so the
-    result is exact while k * f * p**2 < 2**63.
+    result is exact while k * f * p**2 < 2**63; past that it raises.
+    `_fp_minpoly`'s Krylov step has the same bound with k*f = n*f.
     """
+    _require_exact(blocks.shape[1], ctx.p)
     f = ctx.f
     if b.ndim == 2:
         return (blocks @ b.reshape(-1) % ctx.p).reshape(-1, f)
@@ -496,6 +478,12 @@ def _product(ctx: FieldCtx, blocks: np.ndarray, b: np.ndarray) -> np.ndarray:
     out = np.empty((prod.shape[0] // f, c, f), dtype=np.int64)
     np.remainder(prod.reshape(-1, f, c), ctx.p, out=out.transpose(0, 2, 1))
     return out
+
+
+def _require_exact(terms: int, p: int) -> None:
+    """Refuse an int64 sum of `terms` products of residues mod p that could wrap."""
+    if terms * (p - 1) ** 2 >= 2**63:
+        raise LinalgError(f"a sum of {terms} products mod {p} can leave the int64 range")
 
 
 def _lift_entries(ctx: FieldCtx, d):
@@ -676,100 +664,10 @@ def eigenspace(m: Matrix, lam):
 
 
 # ---------------------------------------------------------------------------
-# factorization
-
-
-def factor_poly(ctx: FieldCtx, f: Poly, seed: int | None = None):
-    """Full factorization: squarefree, distinct-degree, equal-degree split.
-
-    Returns a list of (monic irreducible Poly, multiplicity), sorted by
-    (degree, coefficient indices); deterministic for a fixed seed.
-    """
-    if f.is_zero():
-        raise ZeroPolynomial("cannot factor the zero polynomial")
-    rng = random.Random(resolved_seed(seed))
-    out = {}
-    for part, mult in _squarefree_parts(ctx, f.monic()):
-        for d, prod in _distinct_degree(ctx, part):
-            for g in _equal_degree(ctx, prod, d, rng):
-                out[g] = out.get(g, 0) + mult
-    return sorted(out.items(), key=lambda kv: kv[0].key())
-
-
-def _squarefree_parts(ctx: FieldCtx, f: Poly):
-    """Yield (squarefree factor, multiplicity) with product f."""
-    if f.degree == 0:
-        return
-    d = f.derivative()
-    if d.is_zero():  # f is a p-th power
-        for part, mult in _squarefree_parts(ctx, f.shift_compose_frobenius()):
-            yield part, mult * ctx.p
-        return
-    w = f.gcd(d)
-    v = (f // w).monic()
-    mult = 1
-    while v.degree > 0:
-        h = v.gcd(w)
-        piece = (v // h).monic()
-        if piece.degree > 0:
-            yield piece, mult
-        v = h
-        w = (w // h).monic()
-        mult += 1
-    if w.degree > 0:  # leftover p-th power part
-        for part, m2 in _squarefree_parts(ctx, w):
-            yield part, m2 * ctx.p
-
-
-def _distinct_degree(ctx: FieldCtx, f: Poly):
-    """Split a squarefree monic f into (degree, product-of-that-degree) parts."""
-    t = poly_t(ctx)
-    h = t
-    rest = f
-    d = 0
-    while rest.degree > 0:
-        d += 1
-        if 2 * d > rest.degree:
-            yield rest.degree, rest
-            return
-        h = h.pow_mod(ctx.q, rest)
-        g = rest.gcd(h - t)
-        if g.degree > 0:
-            yield d, g
-            rest = (rest // g).monic()
-            h = h % rest
-
-
-def _equal_degree(ctx: FieldCtx, f: Poly, d: int, rng: random.Random):
-    """Cantor-Zassenhaus split of a product of degree-d irreducibles (odd q)."""
-    if f.degree == d:
-        return [f.monic()]
-    exponent = (ctx.q**d - 1) // 2
-    while True:
-        u = poly_from_elems(
-            ctx, [ctx.from_index(rng.randrange(ctx.q)) for _ in range(f.degree)]
-        )
-        if u.degree < 1:
-            continue
-        w = u.pow_mod(exponent, f) - poly_one(ctx)
-        g = f.gcd(w)
-        if 0 < g.degree < f.degree:
-            return _equal_degree(ctx, g, d, rng) + _equal_degree(
-                ctx, (f // g).monic(), d, rng
-            )
-
-
-# ---------------------------------------------------------------------------
 # element order
 
 
-@dataclass(frozen=True)
-class OrderResult:
-    order: int
-    method: str  # "powering" | "minpoly-route"
-
-
-FACTOR_DIGITS_BUDGET = 120  # upper bound on decimal digits of q**d - 1 we factor
+FACTOR_DIGITS_BUDGET = 120  # upper bound on decimal digits of p**d - 1 we factor
 
 
 def _cyclotomic_value(e: int, q: int) -> int:
@@ -785,11 +683,11 @@ def _cyclotomic_value(e: int, q: int) -> int:
     return num // den
 
 
-def _factor_qd_minus_1(q: int, d: int, digits_budget: int) -> dict:
+def _factor_qd_minus_1(q: int, d: int) -> dict:
     n = q**d - 1
-    if len(str(n)) > digits_budget:
+    if len(str(n)) > FACTOR_DIGITS_BUDGET:
         raise OrderSearchExceeded(
-            f"q^d-1 has {len(str(n))} digits, over the budget of {digits_budget}"
+            f"q^d-1 has {len(str(n))} digits, over the budget of {FACTOR_DIGITS_BUDGET}"
         )
     out = {}
     for e in divisors(d):
@@ -798,53 +696,104 @@ def _factor_qd_minus_1(q: int, d: int, digits_budget: int) -> dict:
     return out
 
 
-def _order_of_t_mod(ctx: FieldCtx, g: Poly, digits_budget: int) -> int:
-    """Multiplicative order of t in F_q[t]/(g), g irreducible, g != t."""
-    d = g.degree
-    n = ctx.q**d - 1
-    order = n
-    one = poly_one(ctx)
-    for prime in _factor_qd_minus_1(ctx.q, d, digits_budget):
-        while order % prime == 0 and poly_t(ctx).pow_mod(order // prime, g) == one:
-            order //= prime
-    return order
+def _echelon_add(rows: np.ndarray, pivots: list, x: np.ndarray, p: int, width: int):
+    """Add x to the basis rows[:len(pivots)], kept fully reduced on its pivots.
+
+    One product x[pivots] @ rows clears every pivot of x. If the first
+    `width` entries of the result vanish, x depended on the basis and the
+    reduced x is returned; otherwise it is normalized, cleared from the
+    other rows and stored as the next row, and None is returned. Each sum
+    has at most len(pivots) terms below p**2.
+    """
+    k = len(pivots)
+    if k:
+        x = (x - x[pivots] @ rows[:k]) % p
+    nonzero = np.flatnonzero(x[:width])
+    if nonzero.size == 0:
+        return x
+    lead = int(nonzero[0])
+    x = x * pow(int(x[lead]), -1, p) % p
+    if k:
+        rows[:k] = (rows[:k] - np.outer(rows[:k, lead], x)) % p
+    rows[k] = x
+    pivots.append(lead)
+    return None
 
 
-def element_order(
-    m: Matrix,
-    cap: int = 10_000,
-    seed: int | None = None,
-    digits_budget: int = FACTOR_DIGITS_BUDGET,
-) -> OrderResult:
-    """Exact multiplicative order: powering up to cap, then the minpoly route."""
+def _fp_minpoly(a: np.ndarray, p: int) -> list:
+    """Minimal polynomial of a square int64 array below p over F_p.
+
+    The lcm of the local minimal polynomials of unit vectors e_i, taken
+    only while i is not yet a pivot of the echelon basis of the sum of the
+    Krylov spaces seen so far. A space holding e_i has i as a pivot, so in
+    the end every index is a pivot and the spaces sum to F_p**N. Krylov
+    rows [vector | coordinates] in v, a v, a**2 v, ... stay fully reduced,
+    so the first dependency reads off the local minimal polynomial.
+    Returned as big-endian ints, the galoistools convention. Exact while
+    N * p**2 < 2**63 for an N x N array, as for `_product`.
+    """
+    n = a.shape[0]
+    _require_exact(n, p)
+    span = np.zeros((n, n), dtype=np.int64)
+    span_pivots = []
+    mp = [1]
+    for i in range(n):
+        if len(mp) == n + 1:  # the characteristic polynomial: no start can add to it
+            break
+        if i in span_pivots:
+            continue
+        krylov = np.zeros((n, 2 * n + 1), dtype=np.int64)
+        pivots = []
+        w = np.zeros(n, dtype=np.int64)
+        w[i] = 1
+        for k in range(n + 1):
+            x = np.zeros(2 * n + 1, dtype=np.int64)
+            x[:n] = w
+            x[n + k] = 1
+            dep = _echelon_add(krylov, pivots, x, p, n)
+            if dep is not None:
+                local = [int(c) for c in dep[n + k : n - 1 : -1]]  # monic, big-endian
+                break
+            w = a @ w % p
+        mp = gf_lcm(mp, local, p, ZZ)
+        for row in krylov[: len(pivots), :n]:
+            _echelon_add(span, span_pivots, row, p, n)
+    acc = np.zeros((n, n), dtype=np.int64)
+    for c in mp:
+        acc = acc @ a % p
+        acc[np.arange(n), np.arange(n)] += c
+        acc %= p
+    assert not acc.any(), "minimal polynomial does not annihilate the matrix"
+    return mp
+
+
+def element_order(m: Matrix) -> int:
+    """Exact multiplicative order, computed over F_p from the block form.
+
+    The block form is an injective ring homomorphism, so m and its block
+    form B have the same order. For each irreducible factor g of B's
+    minimal polynomial with multiplicity e, the order of t mod g divides
+    p**deg(g) - 1; the order is the lcm of those orders times the least
+    power of p that is at least the largest e.
+    """
     if m.rows != m.cols:
         raise NotSquare("element_order needs a square matrix")
-    ctx = m.ctx
-    ident = Matrix.identity(ctx, m.rows)
-    acc = m
-    for k in range(1, cap + 1):
-        if acc == ident:
-            return OrderResult(k, "powering")
-        acc = acc @ m
-    # minpoly route; a singular matrix surfaces here as a factor t
-    mp = minpoly(m)
+    p = m.ctx.p
+    mp = _fp_minpoly(_block_form(m.ctx, m.data), p)
+    if mp[-1] == 0:
+        raise Singular("matrix is singular, no multiplicative order")
     order = 1
-    for g, mult in factor_poly(ctx, mp, seed):
-        if g == poly_t(ctx):
-            raise Singular("matrix is singular, no multiplicative order")
-        part = _order_of_t_mod(ctx, g, digits_budget)
+    for g, mult in gf_factor(mp, p, ZZ)[1]:
+        d = len(g) - 1
+        part = p**d - 1
+        for prime in _factor_qd_minus_1(p, d):
+            while part % prime == 0 and gf_pow_mod([1, 0], part // prime, g, p, ZZ) == [1]:
+                part //= prime
         ppow = 1
         while ppow < mult:
-            ppow *= ctx.p
-        lcm_in = part * ppow
-        order = order * lcm_in // _gcd(order, lcm_in)
-    return OrderResult(order, "minpoly-route")
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
+            ppow *= p
+        order = lcm(order, part * ppow)
+    return order
 
 
 # ---------------------------------------------------------------------------

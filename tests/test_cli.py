@@ -299,6 +299,8 @@ def test_oracle_wrong_parity_exits_two(capsys):
     ("bogus",),                                  # unknown subcommand
     pytest.param(("certify", "--n", "9", "--q", "3", "--backend", "numpy"),
                  id="removed-backend-option"),
+    pytest.param(("verify", "--n", "9", "--q", "8589934609"),  # nextprime(2**33)
+                 id="field-outside-int64-range"),
 ])
 def test_usage_errors_exit_two(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

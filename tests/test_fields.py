@@ -2,10 +2,12 @@ import itertools
 
 import numpy as np
 import pytest
+import sympy
 
 from omega23.fields import (
     BadDegree,
     EvenCharacteristic,
+    FieldCtx,
     FieldError,
     NonPrime,
     SquareClass,
@@ -229,3 +231,75 @@ def test_cross_field_mixing_rejected():
     a = make_field(3, 2).elem([1, 1])
     with pytest.raises(FieldError):
         make_field(5, 2).coerce(a)
+
+
+# The canonical moduli, little-endian, as computed before the modulus search
+# moved to galoistools: every q the acceptance suite and the claims table use,
+# plus a grid of larger degrees and characteristics up to 3**20.
+PINNED_MODULI = {
+    (3, 1): [0, 1], (5, 1): [0, 1], (7, 1): [0, 1], (11, 1): [0, 1],
+    (13, 1): [0, 1], (19, 1): [0, 1],
+    (3, 2): [1, 0, 1], (3, 3): [1, 0, 2, 1], (3, 4): [1, 0, 1, 1, 1],
+    (3, 5): [1, 0, 0, 0, 2, 1], (3, 6): [1, 0, 0, 0, 1, 1, 1],
+    (3, 7): [1, 0, 0, 0, 0, 1, 2, 1], (3, 8): [1, 0, 0, 0, 0, 1, 1, 0, 1],
+    (3, 12): [1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1, 1],
+    (3, 16): [1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 0, 1],
+    (3, 20): [1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 2, 1],
+    (5, 2): [1, 1, 1], (5, 3): [1, 0, 1, 1], (5, 4): [1, 0, 1, 1, 1],
+    (5, 6): [1, 0, 0, 0, 1, 1, 1], (5, 10): [1, 0, 0, 0, 0, 0, 0, 0, 2, 2, 1],
+    (7, 2): [1, 0, 1], (7, 3): [1, 0, 1, 1], (7, 4): [1, 0, 0, 1, 1],
+    (11, 2): [1, 0, 1], (11, 3): [1, 0, 4, 1], (11, 4): [1, 0, 0, 4, 1],
+    (13, 2): [1, 3, 1], (13, 3): [1, 0, 4, 1], (13, 4): [1, 0, 0, 1, 1],
+    (19, 2): [1, 0, 1], (97, 3): [1, 0, 1, 1], (101, 2): [1, 1, 1], (1009, 2): [1, 9, 1],
+}
+
+
+@pytest.mark.parametrize("p, f", sorted(PINNED_MODULI), ids=lambda v: str(v))
+def test_modulus_is_pinned(p, f):
+    assert make_field(p, f).modulus.tolist() == PINNED_MODULI[(p, f)]
+
+
+def _int64_edge(f):
+    """(largest, smallest) prime p whose GF(p^f) tables do / do not fit int64."""
+    # f*f products below p**2 (f = 1) or p**3 (f > 1) must sum below 2**63
+    e = 2 if f == 1 else 3
+    root = sympy.integer_nthroot((2**63 - 1) // (f * f), e)[0]
+    while f * f * root**e >= 2**63:
+        root -= 1
+    inside = sympy.prevprime(root + 2)  # the largest prime with p - 1 <= root
+    return inside, sympy.nextprime(inside)
+
+
+def _reference_mul(ctx, a, b):
+    """Product of two coefficient vectors with Python integers."""
+    prod = [0] * (2 * ctx.f - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += int(x) * int(y)
+    mod = [int(c) for c in ctx.modulus]
+    for k in range(len(prod) - 1, ctx.f - 1, -1):  # t**f = -(m_0 + ... + m_{f-1} t**(f-1))
+        c, prod[k] = prod[k], 0
+        for i in range(ctx.f):
+            prod[k - ctx.f + i] -= c * mod[i]
+    return [c % ctx.p for c in prod[: ctx.f]]
+
+
+@pytest.mark.parametrize("f", [1, 2, 3])
+def test_make_field_refuses_tables_that_leave_int64(f):
+    inside, outside = _int64_edge(f)
+    ctx = make_field(int(inside), f)
+    top = np.full(f, inside - 1, dtype=np.int64)
+    mixed = np.arange(f, dtype=np.int64) * 7 % inside + inside // 2
+    for a, b in ((top, top), (top, mixed), (mixed, mixed)):
+        assert ctx.mul(a, b).tolist() == _reference_mul(ctx, a, b)
+    with pytest.raises(FieldError):
+        make_field(int(outside), f)
+
+
+def test_make_field_refuses_the_wrapping_prime_field():
+    # here GF(p)'s table product (p-1)*(p-1) wrapped to 8589934321, not 1
+    p = sympy.nextprime(2**33)
+    with pytest.raises(FieldError, match="int64"):
+        field_from_prime_power(p)
+    with pytest.raises(FieldError, match="int64"):
+        FieldCtx(p, 1, [0, 1])

@@ -5,10 +5,13 @@ import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_factor
 
 from omega23.fields import FieldCtx, field_from_prime_power, make_field
 from omega23.generators import build_pair
 from omega23.linalg import (
+    _fp_minpoly,
     LinalgError,
     Matrix,
     NotInvariant,
@@ -21,7 +24,6 @@ from omega23.linalg import (
     eigenspace,
     element_order,
     evaluate_word,
-    factor_poly,
     kernel_basis,
     minpoly,
     parse_word,
@@ -35,6 +37,7 @@ from omega23.linalg import (
     vector,
     word_str,
 )
+from omega23.verify import _cached_pair, evaluate_claim_word, load_claims
 
 F3 = make_field(3, 1)
 F5 = make_field(5, 1)
@@ -370,20 +373,6 @@ def test_eigenspace_dimensions():
     assert len(eigenspace(m, 1)) == 0
 
 
-def test_factor_poly_reconstructs_and_is_irreducible():
-    t = poly_t(F3)
-    one = poly_one(F3)
-    f = (t * t + one) * _ppow(t + one, 2)  # t^2+1 irreducible over F_3
-    fac = factor_poly(F3, f, seed=1)
-    prod = poly_one(F3)
-    degrees = sorted((g.degree, mult) for g, mult in fac)
-    for g, mult in fac:
-        assert g.is_monic
-        prod = prod * _ppow(g, mult)
-    assert prod == f.monic()
-    assert degrees == [(1, 2), (2, 1)]
-
-
 # ---------------------------------------------------------------------------
 # element orders
 
@@ -391,42 +380,137 @@ def test_factor_poly_reconstructs_and_is_irreducible():
 def test_element_order_small_known():
     # companion matrix of t^2 + 1 over F_3 has order 4
     c = Matrix.from_rows(F3, [[0, 2], [1, 0]])
-    res = element_order(c)
-    assert res.order == 4
+    assert element_order(c) == 4 and type(element_order(c)) is int
     y = build_pair(9, F3, 2).y
-    assert element_order(y).order == 3
-    assert element_order(build_pair(9, F3, 2).x).order == 2
+    assert element_order(y) == 3
+    assert element_order(build_pair(9, F3, 2).x) == 2
+    assert element_order(Matrix.identity(F9, 0)) == 1
+    pair = build_pair(9, F5, 2, force=True)
+    assert element_order(evaluate_word("[x,y]", pair.x, pair.y)) == 156
+
+
+def _brute_order(m, cap):
+    """Least k >= 1 with m**k = 1, by repeated products."""
+    acc, k = m, 1
+    while not acc.is_identity():
+        acc = acc @ m
+        k += 1
+        assert k <= cap
+    return k
 
 
 def test_element_order_matches_brute_force():
     rng = np.random.default_rng(23)
     for _ in range(15):
         m = _rand_invertible(F5, 2, rng)
-        res = element_order(m)
-        acc = m
-        k = 1
-        while not acc.is_identity():
-            acc = acc @ m
-            k += 1
-            assert k <= 600
-        assert res.order == k
+        assert element_order(m) == _brute_order(m, 600)
 
 
-def test_element_order_minpoly_route_agrees():
-    # force the factorization route with cap=1 and compare to powering
-    pair = build_pair(9, F5, 2, force=True)
-    m = evaluate_word("[x,y]", pair.x, pair.y)
-    fast = element_order(m)
-    slow = element_order(m, cap=1)
-    assert fast.method == "powering" and slow.method == "minpoly-route"
-    assert fast.order == slow.order == 156
+def _unipotent_heavy(ctx, n, rng):
+    """P U P^-1, U upper triangular with at most two distinct diagonal entries:
+    long Jordan blocks, so minimal polynomials with repeated factors."""
+    eigen = [ctx.from_index(int(i)) for i in rng.integers(1, ctx.q, size=2)]
+    u = rng.integers(0, ctx.p, size=(n, n, ctx.f))
+    u[np.tril_indices(n)] = 0
+    for i in range(n):
+        u[i, i] = eigen[int(rng.integers(0, 2))]
+    p_mat = _rand_invertible(ctx, n, rng)
+    return p_mat @ Matrix(ctx, u) @ p_mat.inverse()
+
+
+def _derogatory(ctx, n, rng):
+    """P diag(A, A, 1) P^-1 (the 1 only for odd n): no cyclic vector, so the
+    minimal polynomial needs several Krylov spaces."""
+    k = n // 2
+    u = np.zeros((n, n, ctx.f), dtype=np.int64)
+    a = rng.integers(0, ctx.p, size=(k, k, ctx.f))
+    u[:k, :k] = u[k : 2 * k, k : 2 * k] = a
+    if n % 2:
+        u[n - 1, n - 1] = ctx.one
+    p_mat = _rand_invertible(ctx, n, rng)
+    return p_mat @ Matrix(ctx, u) @ p_mat.inverse()
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(q=q_st, kind=st.sampled_from(["invertible", "unipotent-heavy"]),
+       data=st.data(), seed=seed_st)
+def test_element_order_matches_brute_force_powering(q, kind, data, seed):
+    """No element of GL(n, q) has order above q**n - 1, so q**n caps the powering."""
+    ctx = field_from_prime_power(q)
+    rng = np.random.default_rng(seed)
+    if kind == "invertible":
+        n = data.draw(st.integers(1, max(k for k in range(1, 7) if q**k <= 16_000)))
+        m = _rand_invertible(ctx, n, rng)
+    else:
+        n = data.draw(st.integers(1, 5))
+        m = _unipotent_heavy(ctx, n, rng)
+    assert element_order(m) == _brute_order(m, q**n)
+
+
+def _structured(ctx, kind, n, rng):
+    if kind == "random":
+        return _rand_matrix(ctx, n, rng)
+    return (_unipotent_heavy if kind == "unipotent-heavy" else _derogatory)(ctx, n, rng)
+
+
+kind_st = st.sampled_from(["random", "unipotent-heavy", "derogatory"])
+
+
+@product_case
+@given(q=st.sampled_from([3, 5, 7, 11]), n=st.integers(1, 8), kind=kind_st, seed=seed_st)
+def test_fp_minpoly_matches_minpoly_at_prime_q(q, n, kind, seed):
+    ctx = make_field(q, 1)
+    m = _structured(ctx, kind, n, np.random.default_rng(seed))
+    expected = [int(c) for c in minpoly(m).coeffs[::-1, 0]]
+    assert _fp_minpoly(m.data[:, :, 0], q) == expected
+
+
+@product_case
+@given(q=st.sampled_from([3, 5, 7, 11]), n=st.integers(1, 8), kind=kind_st, seed=seed_st)
+def test_gf_factor_matches_sympy_factor_list(q, n, kind, seed):
+    """Factor minimal polynomials of the kind element_order meets."""
+    ctx = make_field(q, 1)
+    mp = _fp_minpoly(_structured(ctx, kind, n, np.random.default_rng(seed)).data[:, :, 0], q)
+    _, theirs = sympy.Poly(mp, sympy.Symbol("t"), modulus=q).factor_list()
+    expected = sorted(([int(c) % q for c in g.all_coeffs()], k) for g, k in theirs)
+    assert sorted(gf_factor(mp, q, ZZ)[1]) == expected
+
+
+def test_order_certificates_on_the_large_claim_rows():
+    """o = element_order(m) is the order: m**o = 1 and m**(o/r) != 1 for every prime r | o.
+    These are the rows that powering up to 4096 could not settle."""
+    large = 0
+    for claim in load_claims():
+        a_key = tuple(claim.a) if isinstance(claim.a, list) else claim.a
+        m = evaluate_claim_word(_cached_pair(claim.n, claim.q, a_key, claim.force), claim.word)
+        o = element_order(m)
+        if o <= 4096:
+            continue
+        large += 1
+        assert m.pow(o).is_identity(), claim.id
+        for r in sympy.primefactors(o):
+            assert not m.pow(o // r).is_identity(), (claim.id, r)
+    assert large == 60
 
 
 def test_element_order_rejects_singular_and_nonsquare():
     with pytest.raises(Singular):
-        element_order(Matrix.from_rows(F3, [[1, 2], [2, 1]]), cap=4)
+        element_order(Matrix.from_rows(F3, [[1, 2], [2, 1]]))
     with pytest.raises(NotSquare):
         element_order(Matrix.zeros(F3, 2, 3))
+
+
+def test_products_refuse_sums_that_can_leave_int64():
+    """At p = 2**31 - 1 two products (p-1)**2 still fit in int64; three do not."""
+    p = 2**31 - 1
+    ctx = make_field(p, 1)
+    top = np.full((2, 2), p - 1, dtype=np.int64)
+    assert (Matrix(ctx, top) @ Matrix(ctx, top)).data[:, :, 0].tolist() == [[2, 2], [2, 2]]
+    assert element_order(Matrix(ctx, top[:1, :1])) == 2
+    with pytest.raises(LinalgError):
+        Matrix.identity(ctx, 3) @ Matrix.identity(ctx, 3)
+    with pytest.raises(LinalgError):
+        element_order(Matrix.identity(ctx, 3))
 
 
 # ---------------------------------------------------------------------------
