@@ -71,9 +71,12 @@ class FieldCtx:
         self.p = int(p)
         self.f = int(f)
         self.q = self.p**self.f
-        # mul and scale sum f*f int64 products a_u * b_v * mul_table[u, v, w],
-        # each below p**2 for f = 1 (the table is 1) and below p**3 for f > 1
-        if self.f**2 * (self.p - 1) ** (2 if self.f == 1 else 3) >= 2**63:
+        self._exact_terms = {
+            table: (2**63 - 1) // (self.p - 1) ** (3 if table and self.f > 1 else 2)
+            for table in (False, True)
+        }
+        # mul and scale sum f*f products a_u * b_v * mul_table[u, v, w]
+        if self.f**2 > self.exact_terms(table=True):
             raise FieldError(f"GF({self.p}^{self.f}) is outside the exact int64 range")
         self.modulus = np.array(modulus, dtype=np.int64)
         assert self.modulus.shape == (self.f + 1,) and self.modulus[-1] == 1
@@ -91,6 +94,16 @@ class FieldCtx:
         self.one = np.zeros(self.f, dtype=np.int64)
         self.one[0] = 1
         self._identities = {}
+
+    def exact_terms(self, table: bool = False) -> int:
+        """How many products of residues an int64 sum holds without wrapping.
+
+        A product is two residues below p, times a mul_table entry if
+        `table` (below p, and 1 when f = 1). This is the one int64 bound
+        of the package: the tables, block products, the Krylov step of
+        element orders and the forms' sums over a vector all check it.
+        """
+        return self._exact_terms[table]
 
     def identity(self, n: int) -> np.ndarray:
         """The read-only (n, n, f) identity array, built once per n."""

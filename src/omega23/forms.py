@@ -54,6 +54,11 @@ class OrthoSpace:
     def __post_init__(self):
         if self.J.rows != self.n or self.J.cols != self.n:
             raise DimensionMismatch("Gram matrix shape does not match n")
+        # the sums over a vector here (bilinear values, the spinor norm's
+        # quadratic values, the isotropic census) have n*f*f table products
+        if self.n * self.ctx.f**2 > self.ctx.exact_terms(table=True):
+            raise FormsError(
+                f"sums over {self.n}-vectors in GF({self.ctx.q}) can leave the int64 range")
         if self.J != self.J.transpose():
             raise FormsError("Gram matrix must be symmetric")
 

@@ -19,7 +19,7 @@ from sympy import divisors, factorint, mobius
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_factor, gf_lcm, gf_pow_mod
 
-from .fields import FieldCtx, elem_from_json, elem_to_json
+from .fields import FieldCtx, elem_from_json, elem_to_json, make_field
 
 
 class LinalgError(ValueError):
@@ -206,6 +206,13 @@ class Poly:
         out = self.coeffs[1:] * np.arange(1, self.degree + 1, dtype=np.int64)[:, None]
         return Poly(self.ctx, out % self.ctx.p)
 
+    def pow_mod(self, e: int, mod: "Poly") -> "Poly":
+        """self**e modulo mod over a prime field, by galoistools' gf_pow_mod."""
+        ctx = self.ctx
+        if ctx.f != 1:
+            raise LinalgError(f"pow_mod works over a prime field, not GF({ctx.q})")
+        return _from_big_endian(ctx, gf_pow_mod(_big_endian(self), e, _big_endian(mod), ctx.p, ZZ))
+
     def eval_elem(self, a) -> np.ndarray:
         """Horner evaluation at a field element; returns an (f,) vector."""
         ctx = self.ctx
@@ -224,6 +231,15 @@ class Poly:
 
     def to_json(self):
         return [elem_to_json(self.ctx, c) for c in self.coeffs]
+
+
+def _big_endian(poly: Poly) -> list:
+    """A prime-field polynomial as galoistools' big-endian list of ints."""
+    return poly.coeffs[::-1, 0].tolist()
+
+
+def _from_big_endian(ctx: FieldCtx, big: list) -> Poly:
+    return Poly(ctx, np.array(big[::-1], dtype=np.int64).reshape(-1, 1))
 
 
 def poly_zero(ctx: FieldCtx) -> Poly:
@@ -465,9 +481,9 @@ def _product(ctx: FieldCtx, blocks: np.ndarray, b: np.ndarray) -> np.ndarray:
     reduced once, gives the reduced (r, f) or (r, c, f) product; for f = 1
     this is (A @ B) % p. Each output sum has k*f terms below p**2, so the
     result is exact while k * f * p**2 < 2**63; past that it raises.
-    `_fp_minpoly`'s Krylov step has the same bound with k*f = n*f.
+    The Krylov step of `element_order` has the same bound with k*f = n*f.
     """
-    _require_exact(blocks.shape[1], ctx.p)
+    _require_exact(ctx, blocks.shape[1])
     f = ctx.f
     if b.ndim == 2:
         return (blocks @ b.reshape(-1) % ctx.p).reshape(-1, f)
@@ -480,10 +496,10 @@ def _product(ctx: FieldCtx, blocks: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _require_exact(terms: int, p: int) -> None:
+def _require_exact(ctx: FieldCtx, terms: int) -> None:
     """Refuse an int64 sum of `terms` products of residues mod p that could wrap."""
-    if terms * (p - 1) ** 2 >= 2**63:
-        raise LinalgError(f"a sum of {terms} products mod {p} can leave the int64 range")
+    if terms > ctx.exact_terms():
+        raise LinalgError(f"a sum of {terms} products mod {ctx.p} can leave the int64 range")
 
 
 def _lift_entries(ctx: FieldCtx, d):
@@ -664,6 +680,22 @@ def eigenspace(m: Matrix, lam):
 
 
 # ---------------------------------------------------------------------------
+# factorization
+
+
+def factor_poly(ctx: FieldCtx, f: Poly) -> list:
+    """Monic irreducible factors of f over a prime field, with multiplicities.
+
+    galoistools' gf_factor; a list of (Poly, multiplicity) pairs.
+    """
+    if f.is_zero():
+        raise ZeroPolynomial("cannot factor the zero polynomial")
+    if ctx.f != 1:
+        raise LinalgError(f"factor_poly factors over a prime field, not GF({ctx.q})")
+    return [(_from_big_endian(ctx, g), k) for g, k in gf_factor(_big_endian(f), ctx.p, ZZ)[1]]
+
+
+# ---------------------------------------------------------------------------
 # element order
 
 
@@ -730,10 +762,10 @@ def _fp_minpoly(a: np.ndarray, p: int) -> list:
     rows [vector | coordinates] in v, a v, a**2 v, ... stay fully reduced,
     so the first dependency reads off the local minimal polynomial.
     Returned as big-endian ints, the galoistools convention. Exact while
-    N * p**2 < 2**63 for an N x N array, as for `_product`.
+    N * p**2 < 2**63 for an N x N array, as for `_product`; the caller
+    checks that.
     """
     n = a.shape[0]
-    _require_exact(n, p)
     span = np.zeros((n, n), dtype=np.int64)
     span_pivots = []
     mp = [1]
@@ -772,22 +804,26 @@ def element_order(m: Matrix) -> int:
 
     The block form is an injective ring homomorphism, so m and its block
     form B have the same order. For each irreducible factor g of B's
-    minimal polynomial with multiplicity e, the order of t mod g divides
-    p**deg(g) - 1; the order is the lcm of those orders times the least
+    minimal polynomial (`factor_poly` over F_p) with multiplicity e, the
+    order of t mod g divides p**deg(g) - 1 and is found with
+    `Poly.pow_mod`; the order is the lcm of those orders times the least
     power of p that is at least the largest e.
     """
     if m.rows != m.cols:
         raise NotSquare("element_order needs a square matrix")
     p = m.ctx.p
-    mp = _fp_minpoly(_block_form(m.ctx, m.data), p)
-    if mp[-1] == 0:
+    blocks = _block_form(m.ctx, m.data)
+    _require_exact(m.ctx, blocks.shape[0])
+    fp = make_field(p, 1)
+    mp = _from_big_endian(fp, _fp_minpoly(blocks, p))
+    if not mp.coeffs[0].any():
         raise Singular("matrix is singular, no multiplicative order")
+    t = poly_t(fp)
     order = 1
-    for g, mult in gf_factor(mp, p, ZZ)[1]:
-        d = len(g) - 1
-        part = p**d - 1
-        for prime in _factor_qd_minus_1(p, d):
-            while part % prime == 0 and gf_pow_mod([1, 0], part // prime, g, p, ZZ) == [1]:
+    for g, mult in factor_poly(fp, mp):
+        part = p**g.degree - 1
+        for prime in _factor_qd_minus_1(p, g.degree):
+            while part % prime == 0 and t.pow_mod(part // prime, g).is_one():
                 part //= prime
         ppow = 1
         while ppow < mult:

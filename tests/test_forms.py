@@ -83,6 +83,28 @@ def test_orthospace_requires_symmetry():
                    eps="plus")
 
 
+def _reference_bilinear(ctx, v, w):
+    """v . w for the identity form, one exact table product per coordinate."""
+    return (sum(ctx.mul(a, b) for a, b in zip(v, w)) % ctx.p).tolist()
+
+
+def test_orthospace_refuses_sums_that_can_leave_int64():
+    """GF(p^2) tables fit int64 up to p near 1.3e6, but an n-vector's bilinear value
+    sums n*2*2 table products below p**3: at n = 9 exact for p = 599999 and
+    refused for p = 1000003, where the raw sum over an 11-vector already wraps."""
+    inside = make_field(599999, 2)
+    top = np.full((9, 2), inside.p - 1, dtype=np.int64)
+    value = bilinear_value(_identity_space(inside, 9), top, top)
+    assert value.tolist() == _reference_bilinear(inside, top, top)
+    outside = make_field(1000003, 2)
+    top = np.full((11, 2), outside.p - 1, dtype=np.int64)
+    raw = np.einsum("iu,iv,uvw->w", top, top, outside.mul_table) % outside.p
+    assert raw.tolist() != _reference_bilinear(outside, top, top)
+    for n in (9, 11):
+        with pytest.raises(FormsError, match="int64"):
+            _identity_space(outside, n)
+
+
 def test_bilinear_symmetric_and_quadratic_scaling():
     rng = np.random.default_rng(2)
     space = gram_matrix("A", 9, F5)

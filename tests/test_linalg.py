@@ -5,8 +5,6 @@ import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from sympy.polys.domains import ZZ
-from sympy.polys.galoistools import gf_factor
 
 from omega23.fields import FieldCtx, field_from_prime_power, make_field
 from omega23.generators import build_pair
@@ -20,10 +18,12 @@ from omega23.linalg import (
     ParseError,
     Poly,
     Singular,
+    ZeroPolynomial,
     charpoly,
     eigenspace,
     element_order,
     evaluate_word,
+    factor_poly,
     kernel_basis,
     minpoly,
     parse_word,
@@ -374,6 +374,47 @@ def test_eigenspace_dimensions():
 
 
 # ---------------------------------------------------------------------------
+# factorization and powers modulo a polynomial
+
+
+def test_factor_poly_reconstructs_and_is_irreducible():
+    t = poly_t(F3)
+    one = poly_one(F3)
+    f = (t * t + one) * _ppow(t + one, 2)  # t^2+1 irreducible over F_3
+    fac = factor_poly(F3, f)
+    prod = poly_one(F3)
+    degrees = sorted((g.degree, mult) for g, mult in fac)
+    for g, mult in fac:
+        assert g.is_monic()
+        prod = prod * _ppow(g, mult)
+    assert prod == f.monic()
+    assert degrees == [(1, 2), (2, 1)]
+
+
+def test_factor_poly_and_pow_mod_refuse_extension_fields():
+    t = poly_t(F9)
+    with pytest.raises(LinalgError):
+        factor_poly(F9, t)
+    with pytest.raises(LinalgError):
+        t.pow_mod(2, t * t + poly_one(F9))
+    with pytest.raises(ZeroPolynomial):
+        factor_poly(F3, Poly(F3, np.zeros((0, 1), dtype=np.int64)))
+
+
+def test_pow_mod_matches_repeated_products():
+    rng = np.random.default_rng(5)
+    for _ in range(10):
+        mod = Poly(F5, rng.integers(0, 5, size=(int(rng.integers(2, 6)), 1)))
+        if mod.degree < 1:
+            continue
+        base = Poly(F5, rng.integers(0, 5, size=(5, 1)))
+        acc = poly_one(F5) % mod
+        for e in range(30):
+            assert base.pow_mod(e, mod) == acc, e
+            acc = (acc * base) % mod
+
+
+# ---------------------------------------------------------------------------
 # element orders
 
 
@@ -467,13 +508,15 @@ def test_fp_minpoly_matches_minpoly_at_prime_q(q, n, kind, seed):
 
 @product_case
 @given(q=st.sampled_from([3, 5, 7, 11]), n=st.integers(1, 8), kind=kind_st, seed=seed_st)
-def test_gf_factor_matches_sympy_factor_list(q, n, kind, seed):
+def test_factor_poly_matches_sympy_factor_list(q, n, kind, seed):
     """Factor minimal polynomials of the kind element_order meets."""
     ctx = make_field(q, 1)
-    mp = _fp_minpoly(_structured(ctx, kind, n, np.random.default_rng(seed)).data[:, :, 0], q)
-    _, theirs = sympy.Poly(mp, sympy.Symbol("t"), modulus=q).factor_list()
+    mp = minpoly(_structured(ctx, kind, n, np.random.default_rng(seed)))
+    coeffs = [int(c) for c in mp.coeffs[::-1, 0]]
+    _, theirs = sympy.Poly(coeffs, sympy.Symbol("t"), modulus=q).factor_list()
     expected = sorted(([int(c) % q for c in g.all_coeffs()], k) for g, k in theirs)
-    assert sorted(gf_factor(mp, q, ZZ)[1]) == expected
+    ours = [([int(c) for c in g.coeffs[::-1, 0]], k) for g, k in factor_poly(ctx, mp)]
+    assert sorted(ours) == expected
 
 
 def test_order_certificates_on_the_large_claim_rows():
