@@ -188,6 +188,8 @@ class FieldCtx:
         a = self.coerce(a)
         if not a.any():
             raise ZeroDivisionError("inverse of zero field element")
+        if self.f == 1:  # Python's modular inverse, no powering
+            return np.array([pow(int(a[0]), -1, self.p)], dtype=np.int64)
         return self.pow(a, self.q - 2)
 
     def frobenius(self, a, k: int = 1):

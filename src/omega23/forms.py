@@ -1,9 +1,12 @@
 """Orthogonal geometry over odd finite fields.
 
 Gram matrices for the two construction cases, quadratic values,
-reflections, a constructive spinor norm (diagonalize first, then
-Cartan-Dieudonne over the orthogonal basis), kernel-of-spinor-norm
-membership, Witt type, and the classical group orders.
+reflections, the spinor norm as the discriminant of Wall's form on
+im(1 - g) (one rref and one small determinant), kernel-of-spinor-norm
+membership, Witt type, and the classical group orders. The constructive
+reflection decomposition (diagonalize first, then Cartan-Dieudonne over
+the orthogonal basis) now serves only `omega23 spinor`'s reflection
+count and the tests' oracle.
 
 Spinor-norm convention: theta(r_v) is the square class of Q(v). Some
 texts use the opposite sign convention; reports name this one.
@@ -17,7 +20,7 @@ import numpy as np
 
 from ._dims import case_of, unsupported_message
 from .fields import FieldCtx, SquareClass, is_square, square_class
-from .linalg import Matrix
+from .linalg import Matrix, rref
 
 
 class FormsError(ValueError):
@@ -147,7 +150,7 @@ def is_isometry(space: OrthoSpace, g: Matrix) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# congruent diagonalization and the constructive spinor norm
+# congruent diagonalization and the constructive reflection decomposition
 
 
 def congruent_diagonalization(space: OrthoSpace):
@@ -250,13 +253,36 @@ def reflection_decomposition(space: OrthoSpace, g: Matrix):
     return centers
 
 
-def spinor_norm(space: OrthoSpace, g: Matrix) -> SquareClass:
-    """theta(g): product of the square classes Q(center) over a decomposition."""
+def spinor_norm(space: OrthoSpace, g: Matrix, *, det=None) -> SquareClass:
+    """theta(g): the discriminant of Wall's form on im(1 - g).
+
+    Wall's form is chi(u, v) = B(u, w) for v = (1 - g) w on V = im(1 - g);
+    it is well defined and nondegenerate because V is the orthogonal
+    complement of ker(1 - g), and theta(g) is the square class of its
+    determinant (G. E. Wall, Publ. IHES 1, 1959; H. Zassenhaus, Arch.
+    Math. 13, 1962). With M = 1 - g and pivot columns `piv` of rref(M),
+    the columns M e_i, i in piv, are a basis of V with preimages e_i, so
+    chi on that basis is (M^T J)[piv, piv]. For a reflection r_v this is
+    the 1x1 form Q(v), the convention above.
+
+    `det` is g's determinant when the caller has already checked that g
+    is an isometry (as `in_omega` does); otherwise both are computed here.
+    """
     ctx = space.ctx
-    out = SquareClass(True)
-    for v in reflection_decomposition(space, g):
-        out = out * square_class(ctx, quadratic_value(space, v)._arr())
-    return out
+    if det is None:
+        if not is_isometry(space, g):
+            raise NotAnIsometry("matrix does not preserve the form")
+        det = g.det()
+    m = Matrix(ctx, (ctx.identity(space.n) - g.data) % ctx.p)
+    piv = rref(ctx, m.data)[1]
+    # g is a product of rank(1 - g) reflections, up to an even number more
+    assert np.array_equal(det, ctx.coerce((-1) ** len(piv)))
+    if not piv:
+        return SquareClass(True)
+    chi = (m.transpose() @ space.J).data[np.ix_(piv, piv)]
+    disc = Matrix(ctx, chi).det()
+    assert disc.any(), "Wall's form is degenerate"
+    return square_class(ctx, disc)
 
 
 @dataclass(frozen=True)
@@ -273,9 +299,10 @@ def in_omega(space: OrthoSpace, g: Matrix) -> OmegaMembership:
     reasons = []
     if not is_isometry(space, g):
         return OmegaMembership(False, ("not-an-isometry",))
-    if not np.array_equal(g.det(), space.ctx.one):
+    det = g.det()
+    if not np.array_equal(det, space.ctx.one):
         reasons.append("determinant-not-one")
-    if not spinor_norm(space, g).square:
+    if not spinor_norm(space, g, det=det).square:
         reasons.append("spinor-norm-nontrivial")
     return OmegaMembership(not reasons, tuple(reasons))
 

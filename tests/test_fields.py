@@ -303,3 +303,24 @@ def test_make_field_refuses_the_wrapping_prime_field():
         field_from_prime_power(p)
     with pytest.raises(FieldError, match="int64"):
         FieldCtx(p, 1, [0, 1])
+
+
+@pytest.mark.parametrize("p", [3, 5, 13, 10007, "edge"])
+def test_prime_field_inverse_matches_powering(p):
+    """Over F_p the inverse is Python's pow(a, -1, p); it must equal a**(p-2)
+    computed by the table powering that extension fields still use."""
+    if p == "edge":
+        p = int(_int64_edge(1)[0])
+        elements = [1, 2, 3, p // 2, p // 2 + 1, p - 2, p - 1]
+    else:
+        elements = range(1, p)
+    ctx = make_field(p, 1)
+    for a in elements:
+        got = ctx.inv(a)
+        assert got.dtype == np.int64 and got.shape == (1,)
+        assert got.tolist() == ctx.pow(a, p - 2).tolist()
+        assert ctx.mul(got, ctx.coerce(a)).tolist() == [1]
+    with pytest.raises(ZeroDivisionError):
+        ctx.inv(0)
+    with pytest.raises(ZeroDivisionError):
+        ctx.inv(p)

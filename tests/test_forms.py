@@ -5,8 +5,11 @@ from math import gcd
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from omega23.fields import is_square, make_field
+from omega23.fields import (SquareClass, field_from_prime_power, is_square, make_field,
+                            square_class)
 from omega23.forms import (
     DimensionMismatch,
     FormsError,
@@ -27,7 +30,8 @@ from omega23.forms import (
     spinor_norm,
     witt_type,
 )
-from omega23.linalg import Matrix, vector
+from omega23.generators import build_pair
+from omega23.linalg import Matrix, evaluate_word, parse_word, vector
 
 F3 = make_field(3, 1)
 F5 = make_field(5, 1)
@@ -202,6 +206,90 @@ def test_spinor_norm_multiplicative(ctx):
         h = _rand_isometry(space, rng, factors=int(rng.integers(1, 6)))
         assert (spinor_norm(space, g @ h)
                 == spinor_norm(space, g) * spinor_norm(space, h))
+
+
+# Wall's form against the reflection decomposition
+
+SPINOR_QS = (3, 5, 7, 9, 25, 27, 49, 81, 125)
+spinor_case = settings(derandomize=True, max_examples=60, deadline=None)
+seed_st = st.integers(0, 2**32 - 1)
+
+
+def _oracle_spinor_norm(space, g):
+    """Product of the square classes Q(v) over the centers of a decomposition."""
+    out = SquareClass(True)
+    for v in reflection_decomposition(space, g):
+        out = out * square_class(space.ctx, quadratic_value(space, v)._arr())
+    return out
+
+
+def _check_spinor_norm(space, g):
+    """Wall's discriminant equals the oracle, and det g = (-1)**rank(1 - g)."""
+    ctx = space.ctx
+    theta = spinor_norm(space, g)
+    assert theta == _oracle_spinor_norm(space, g)
+    rank = (Matrix.identity(ctx, space.n) - g).rank()
+    assert g.det().tolist() == ctx.coerce((-1) ** rank).tolist()
+    return theta
+
+
+def _rand_center(space, rng):
+    """An anisotropic vector with coordinates anywhere in F_q, not just F_p."""
+    while True:
+        v = rng.integers(0, space.ctx.p, size=(space.n, space.ctx.f))
+        if quadratic_value(space, v)._arr().any():
+            return v
+
+
+def _rand_space(ctx, n, rng):
+    """A diagonal form with random nonzero entries, so both discriminants occur."""
+    d = np.zeros((n, n, ctx.f), dtype=np.int64)
+    for i in range(n):
+        while not d[i, i].any():
+            d[i, i] = rng.integers(0, ctx.p, size=ctx.f)
+    return OrthoSpace(n=n, ctx=ctx, J=Matrix(ctx, d), eps="circ" if n % 2 else "plus")
+
+
+@spinor_case
+@given(q=st.sampled_from(SPINOR_QS), shape=st.sampled_from(["diag", "A", "B"]),
+       n=st.integers(2, 8), factors=st.integers(0, 4), seed=seed_st)
+def test_spinor_norm_matches_reflection_oracle_on_reflection_products(
+        q, shape, n, factors, seed):
+    """Products of 0-4 random reflections with centers anywhere in F_q**n,
+    so the norm is nontrivial on a good share of the draws."""
+    ctx = field_from_prime_power(q)
+    rng = np.random.default_rng(seed)
+    space = {"diag": lambda: _rand_space(ctx, n, rng),
+             "A": lambda: gram_matrix("A", 9, ctx),
+             "B": lambda: gram_matrix("B", 12 if n % 2 else 15, ctx)}[shape]()
+    g = Matrix.identity(ctx, space.n)
+    for _ in range(factors):
+        g = g @ reflection(space, _rand_center(space, rng))
+    _check_spinor_norm(space, g)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(q=st.sampled_from(SPINOR_QS), n=st.sampled_from([9, 11, 12, 13, 15, 16]),
+       word=st.sampled_from(["x", "y", "xy", "xY", "[x,y]", "xyxyY", "(xy)^3"]),
+       seed=seed_st)
+def test_spinor_norm_matches_reflection_oracle_on_pair_words(q, n, word, seed):
+    """The construction's x and y lie in Omega; times a random reflection the
+    norm follows the reflection's center."""
+    ctx = field_from_prime_power(q)
+    pair = build_pair(n, ctx)
+    g = evaluate_word(parse_word(word), pair.x, pair.y)
+    assert _check_spinor_norm(pair.space, g).square
+    rng = np.random.default_rng(seed)
+    v = _rand_center(pair.space, rng)
+    theta = _check_spinor_norm(pair.space, g @ reflection(pair.space, v))
+    assert theta.square == is_square(ctx, quadratic_value(pair.space, v)._arr())
+
+
+def test_spinor_norm_rejects_non_isometry():
+    space = _identity_space(F3, 3)
+    shear = Matrix.from_rows(F3, [[1, 1, 0], [0, 1, 0], [0, 0, 1]])
+    with pytest.raises(NotAnIsometry):
+        spinor_norm(space, shear)
 
 
 def test_in_omega_reasons():

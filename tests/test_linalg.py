@@ -5,6 +5,7 @@ import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.polys.matrices import DomainMatrix
 
 from omega23.fields import FieldCtx, field_from_prime_power, make_field
 from omega23.generators import build_pair
@@ -253,6 +254,137 @@ def test_charpoly_matches_sympy_at_prime_q(q, n, seed):
     ref = sympy.Poly(_sympy(a).charpoly(lam).as_expr(), lam)
     expected = [int(c) % q for c in reversed(ref.all_coeffs())]
     assert charpoly(Matrix(ctx, a)).coeffs[:, 0].tolist() == expected
+
+
+# ---------------------------------------------------------------------------
+# det, rank (through rref) and inverse against independent references
+
+shape_kind_st = st.sampled_from(["random", "sparse", "anti-triangular", "low-rank", "max"])
+cols_st = st.one_of(st.none(), dim_st)  # None: square, about half the draws
+
+
+def _shaped(ctx, rng, r, c, kind):
+    """An (r, c, f) array: random; random with half the entries zero, or zero
+    above a nonzero anti-diagonal (so pivots need row swaps, and the
+    square anti-triangular case is invertible); a product through fewer
+    than min(r, c) dimensions (so singular when square); or every
+    coefficient p - 1."""
+    if kind in ("sparse", "anti-triangular"):
+        a = _entries(ctx, rng, (r, c), "random")
+        i, j = np.indices((r, c))
+        if kind == "sparse":
+            a[rng.random((r, c)) < 0.5] = 0
+        else:
+            a[i + j < r - 1] = 0
+            a[(i + j == r - 1) & ~a.any(axis=2), 0] = 1
+        return a
+    if kind == "low-rank":
+        k = int(rng.integers(0, min(r, c)))
+        return _einsum_product(ctx, _entries(ctx, rng, (r, k), "random"),
+                               _entries(ctx, rng, (k, c), "random"))
+    return _entries(ctx, rng, (r, c), kind)
+
+
+def _ref_elimination(ctx, a):
+    """(pivots, reduced rows, det, inverse rows or None) of an (r, c, f) array
+    by Gauss-Jordan on tuples of Python ints; products go through mul_table
+    term by term and inverses are found by search."""
+    p, f = ctx.p, ctx.f
+    table = ctx.mul_table.tolist()
+
+    def mul(x, y):
+        out = [0] * f
+        for u in range(f):
+            for v in range(f):
+                for w in range(f):
+                    out[w] += x[u] * y[v] * table[u][v][w]
+        return tuple(c % p for c in out)
+
+    def sub(x, y):
+        return tuple((s - t) % p for s, t in zip(x, y))
+
+    zero, one = (0,) * f, (1,) + (0,) * (f - 1)
+    elems = [tuple(ctx.from_index(i).tolist()) for i in range(1, ctx.q)]
+    r, c = a.shape[0], a.shape[1]
+    square = r == c
+    rows = [[tuple(a[i, j].tolist()) for j in range(c)]
+            + ([one if k == i else zero for k in range(r)] if square else [])
+            for i in range(r)]
+    det, pivots, row = one, [], 0
+    for col in range(c):
+        piv = next((i for i in range(row, r) if rows[i][col] != zero), None)
+        if piv is None:
+            continue
+        if piv != row:
+            rows[row], rows[piv] = rows[piv], rows[row]
+            det = sub(zero, det)
+        lead = rows[row][col]
+        det = mul(det, lead)
+        inv = next(e for e in elems if mul(e, lead) == one)
+        rows[row] = [mul(inv, x) for x in rows[row]]
+        for i in range(r):
+            if i != row and rows[i][col] != zero:
+                factor = rows[i][col]
+                rows[i] = [sub(x, mul(factor, y)) for x, y in zip(rows[i], rows[row])]
+        pivots.append(col)
+        row += 1
+    full = square and len(pivots) == r
+    return (pivots, [row_[:c] for row_ in rows], det if full else zero,
+            [row_[c:] for row_ in rows] if full else None)
+
+
+@product_case
+@given(q=st.sampled_from([3, 5, 7, 11, 13]), r=dim_st, c=cols_st, kind=shape_kind_st,
+       seed=seed_st)
+def test_det_rank_inverse_match_sympy_at_prime_q(q, r, c, kind, seed):
+    ctx = make_field(q, 1)
+    c = r if c is None else c
+    rng = np.random.default_rng(seed)
+    a = _shaped(ctx, rng, r, c, kind)
+    gf = DomainMatrix.from_Matrix(_sympy(a)).convert_to(sympy.GF(q))
+    ref_red, ref_pivots = gf.rref()
+    red, pivots = rref(ctx, a)
+    assert pivots == list(ref_pivots)
+    assert red[:, :, 0].tolist() == [[int(x) % q for x in row] for row in ref_red.to_list()]
+    assert Matrix(ctx, a).rank() == gf.rank() == len(pivots)
+    if r != c:
+        with pytest.raises(NotSquare):
+            Matrix(ctx, a).det()
+        with pytest.raises(NotSquare):
+            Matrix(ctx, a).inverse()
+        return
+    m = Matrix(ctx, a)
+    det = int(_sympy(a).det()) % q
+    assert m.det().tolist() == [det]
+    if det:
+        assert m.inverse().data[:, :, 0].tolist() == _sympy(a).inv_mod(q).tolist()
+    else:
+        with pytest.raises(Singular):
+            m.inverse()
+
+
+@product_case
+@given(q=st.sampled_from([9, 25, 27, 49, 81, 125]), r=st.integers(1, 5),
+       c=st.one_of(st.none(), st.integers(1, 5)), kind=shape_kind_st, seed=seed_st)
+def test_det_rank_inverse_match_python_reference_over_extensions(q, r, c, kind, seed):
+    ctx = field_from_prime_power(q)
+    c = r if c is None else c
+    rng = np.random.default_rng(seed)
+    a = _shaped(ctx, rng, r, c, kind)
+    ref_pivots, ref_red, det, inv = _ref_elimination(ctx, a)
+    red, pivots = rref(ctx, a)
+    assert pivots == ref_pivots
+    assert red.tolist() == [[list(x) for x in row] for row in ref_red]
+    assert Matrix(ctx, a).rank() == len(ref_pivots)
+    if r != c:
+        return
+    m = Matrix(ctx, a)
+    assert tuple(m.det().tolist()) == det
+    if inv is None:
+        with pytest.raises(Singular):
+            m.inverse()
+    else:
+        assert m.inverse().data.tolist() == [[list(x) for x in row] for row in inv]
 
 
 def test_product_refuses_another_field_of_the_same_degree():
