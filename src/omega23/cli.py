@@ -209,22 +209,23 @@ def _cmd_spinor(args) -> int:
         j = _load_matrix(ctx, args.gram)
         space = OrthoSpace(n=j.rows, ctx=ctx, J=j, eps=_eps_of_gram(ctx, j))
     else:
-        tag = classify(g.rows)
-        space = gram_matrix(tag.case, g.rows, ctx)
+        # gram_matrix takes "B" for both of the B5 and B6 layouts
+        space = gram_matrix("A" if classify(g.rows).case == "A" else "B", g.rows, ctx)
     if g.rows != space.n or g.cols != space.n:
         raise FormsError(
             f"matrix is {g.rows}x{g.cols}, Gram is {space.n}x{space.n}")
     if not is_isometry(space, g):
         raise FormsError("matrix does not preserve the form; "
                          "spinor norm is undefined")
-    theta = spinor_norm(space, g)
+    det = g.det()
+    theta = spinor_norm(space, g, det=det)
     member = in_omega(space, g)
     doc = {
         "command": "spinor",
         "params": {"q": ctx.q, "n": space.n,
                    "gram": "user" if args.gram else "case"},
         "field": field_to_json(ctx),
-        "determinant": elem_to_json(ctx, g.det()),
+        "determinant": elem_to_json(ctx, det),
         "spinor_square": theta.square,
         "in_kernel": member.ok,
         "reasons": list(member.reasons),

@@ -100,8 +100,9 @@ class FieldCtx:
 
         A product is two residues below p, times a mul_table entry if
         `table` (below p, and 1 when f = 1). This is the one int64 bound
-        of the package: the tables, block products, the Krylov step of
-        element orders and the forms' sums over a vector all check it.
+        of the package: the tables, block products, minimal polynomials
+        (n*f terms for an n x n matrix, so element orders too) and the
+        forms' sums over a vector all check it.
         """
         return self._exact_terms[table]
 

@@ -1,11 +1,12 @@
 """Exact dense polynomial and matrix algebra over a FieldCtx.
 
 Characteristic polynomials use the division-free Berkowitz scheme with
-the det(T*I - M) sign convention; minimal polynomials are the lcm of
-Krylov local annihilators; eigenspace bases come out in reduced echelon
-form so subspace comparisons are plain equality. Element orders are
-computed over F_p from the block form: its minimal polynomial, factored
-with sympy's galoistools.
+the det(T*I - M) sign convention; a minimal polynomial is the first
+linear dependency among the powers of the matrix, found by one echelon
+basis over F_p on the block form; eigenspace bases come out in reduced
+echelon form so subspace comparisons are plain equality. Element orders
+are computed over F_p from the block form: its minimal polynomial,
+factored with sympy's galoistools.
 
 Everything here is pure and matrices are immutable.
 """
@@ -18,7 +19,7 @@ from math import lcm
 import numpy as np
 from sympy import divisors, factorint, mobius
 from sympy.polys.domains import ZZ
-from sympy.polys.galoistools import gf_factor, gf_lcm, gf_pow_mod
+from sympy.polys.galoistools import gf_factor, gf_pow_mod
 
 from .fields import FieldCtx, elem_from_json, elem_to_json, make_field
 
@@ -95,17 +96,6 @@ class Poly:
     def is_monic(self) -> bool:
         return self.degree >= 0 and np.array_equal(self.coeffs[-1], self.ctx.one)
 
-    def lead(self) -> np.ndarray:
-        if self.is_zero():
-            raise ZeroPolynomial("zero polynomial has no leading coefficient")
-        return self.coeffs[-1].copy()
-
-    def monic(self) -> "Poly":
-        if self.is_zero():
-            raise ZeroPolynomial("cannot normalize the zero polynomial")
-        inv = self.ctx.inv(self.coeffs[-1])
-        return Poly(self.ctx, self.ctx.scale(inv, self.coeffs))
-
     def __eq__(self, other):
         return (
             isinstance(other, Poly)
@@ -150,9 +140,6 @@ class Poly:
         k = max(self.coeffs.shape[0], other.coeffs.shape[0], 1)
         return Poly(self.ctx, (self._pad(k) - other._pad(k)) % self.ctx.p)
 
-    def __neg__(self):
-        return Poly(self.ctx, (-self.coeffs) % self.ctx.p)
-
     def __mul__(self, other):
         if self.is_zero() or other.is_zero():
             return Poly(self.ctx, np.zeros((0, self.ctx.f), dtype=np.int64))
@@ -187,26 +174,6 @@ class Poly:
     def __mod__(self, other):
         return divmod(self, other)[1]
 
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def gcd(self, other) -> "Poly":
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic() if not a.is_zero() else a
-
-    def lcm(self, other) -> "Poly":
-        if self.is_zero() or other.is_zero():
-            return Poly(self.ctx, np.zeros((0, self.ctx.f), dtype=np.int64))
-        return ((self * other) // self.gcd(other)).monic()
-
-    def derivative(self) -> "Poly":
-        if self.degree < 1:
-            return Poly(self.ctx, np.zeros((0, self.ctx.f), dtype=np.int64))
-        out = self.coeffs[1:] * np.arange(1, self.degree + 1, dtype=np.int64)[:, None]
-        return Poly(self.ctx, out % self.ctx.p)
-
     def pow_mod(self, e: int, mod: "Poly") -> "Poly":
         """self**e modulo mod over a prime field, by galoistools' gf_pow_mod."""
         ctx = self.ctx
@@ -224,11 +191,17 @@ class Poly:
         return acc
 
     def eval_matrix(self, m: "Matrix") -> "Matrix":
+        """Horner evaluation at a square matrix: acc -> m @ acc + c*I."""
+        if m.rows != m.cols:
+            raise NotSquare("a polynomial is evaluated at a square matrix")
         ctx = self.ctx
-        acc = Matrix.zeros(ctx, m.rows, m.cols)
+        blocks = _block_form(ctx, m.data)
+        diag = np.arange(m.rows)
+        acc = np.zeros(m.data.shape, dtype=np.int64)
         for c in self.coeffs[::-1]:
-            acc = acc @ m + Matrix.identity(ctx, m.rows).scale(c)
-        return acc
+            acc = _product(ctx, blocks, acc)
+            acc[diag, diag] = (acc[diag, diag] + c) % ctx.p
+        return Matrix._reduced(ctx, acc)
 
     def to_json(self):
         return [elem_to_json(self.ctx, c) for c in self.coeffs]
@@ -482,7 +455,8 @@ def _product(ctx: FieldCtx, blocks: np.ndarray, b: np.ndarray) -> np.ndarray:
     reduced once, gives the reduced (r, f) or (r, c, f) product; for f = 1
     this is (A @ B) % p. Each output sum has k*f terms below p**2, so the
     result is exact while k * f * p**2 < 2**63; past that it raises.
-    The Krylov step of `element_order` has the same bound with k*f = n*f.
+    `minpoly` of an n x n matrix, and so `element_order`, has the same
+    bound with k*f = n*f.
     """
     _require_exact(ctx, blocks.shape[1])
     f = ctx.f
@@ -493,7 +467,7 @@ def _product(ctx: FieldCtx, blocks: np.ndarray, b: np.ndarray) -> np.ndarray:
     # reduce straight into an (r, c, f) array that owns its memory, so a
     # stored product carries no view of a temporary
     out = np.empty((prod.shape[0] // f, c, f), dtype=np.int64)
-    np.remainder(prod.reshape(-1, f, c), ctx.p, out=out.transpose(0, 2, 1))
+    np.remainder(prod.reshape(out.shape[0], f, c), ctx.p, out=out.transpose(0, 2, 1))
     return out
 
 
@@ -620,55 +594,41 @@ def charpoly(m: Matrix) -> Poly:
 
 
 def minpoly(m: Matrix) -> Poly:
-    """LCM of the local minimal polynomials on the Krylov spaces of e_1..e_n."""
+    """Monic minimal polynomial: the first dependency among I, m, m**2, ...
+
+    Columns v, v + f, v + 2f, ... of B**k, B the block form, hold t**v * m**k
+    entry by entry, so the F_q-span of I, m, ..., m**k is the F_p-span of
+    those f slices per power. The rows [B**k[:, v::f] | e_(k, v)] are
+    echelonized over F_p in the order (k, v). The first row (k, 0) that
+    reduces to zero writes m**k in the lower powers: its reduced coordinate
+    tail, read as k + 1 elements of F_q, is the monic minimal polynomial. A
+    row (k, v > 0) cannot depend on the rows before it, as t**v is a unit.
+    At most n*f rows are stored, so every int64 sum has at most n*f terms
+    below p**2, the bound `_product` enforces for this matrix.
+    """
     if m.rows != m.cols:
         raise NotSquare("minpoly needs a square matrix")
     ctx = m.ctx
-    n = m.rows
-    result = poly_one(ctx)
-    for i in range(n):
-        local = _local_minpoly(ctx, m, unit_vector(ctx, n, i))
-        result = result.lcm(local)
-        if result.degree == n:
-            break
-    assert result.eval_matrix(m) == Matrix.zeros(ctx, n, n)
-    return result
-
-
-def _local_minpoly(ctx: FieldCtx, m: Matrix, v) -> Poly:
-    """Monic annihilator of m on the Krylov space of v.
-
-    Rows [w | coords] carry the expression of each reduced Krylov vector
-    in terms of v, m v, m^2 v, ...; the first dependency yields the local
-    minimal polynomial directly.
-    """
-    n = m.rows
-    pivot_rows = []  # list of (pivot_col, row(n+k+1, f)) fully reduced
-    w = v
+    n, f, p = m.rows, ctx.f, ctx.p
+    _require_exact(ctx, n * f)
+    blocks = _block_form(ctx, m.data)
+    width = n * n * f
+    rows = np.zeros((n * f, width + (n + 1) * f), dtype=np.int64)
+    pivots = []
+    power = np.eye(n * f, dtype=np.int64)
     for k in range(n + 1):
-        aug = np.zeros((n + n + 1, ctx.f), dtype=np.int64)
-        aug[:n] = w
-        aug[n + k] = ctx.one
-        for pc, prow in pivot_rows:
-            if aug[pc].any():
-                factor = aug[pc].copy()
-                aug = (aug - ctx.scale(factor, prow)) % ctx.p
-        lead = next((c for c in range(n) if aug[c].any()), None)
-        if lead is None:
-            # dependency found: coefficients live in the bookkeeping tail
-            coeffs = aug[n : n + k + 1]
-            inv = ctx.inv(coeffs[k])
-            return Poly(ctx, ctx.scale(inv, coeffs))
-        inv = ctx.inv(aug[lead])
-        aug = ctx.scale(inv, aug)
-        # back-substitute into existing rows to keep them reduced
-        pivot_rows = [
-            (pc, (prow - ctx.scale(prow[lead], aug)) % ctx.p if prow[lead].any() else prow)
-            for pc, prow in pivot_rows
-        ]
-        pivot_rows.append((lead, aug))
-        w = m @ w
-    raise LinalgError("unreachable: Krylov space exceeded dimension")
+        for v in range(f):
+            x = np.zeros(rows.shape[1], dtype=np.int64)
+            x[:width] = power[:, v::f].ravel()
+            x[width + k * f + v] = 1
+            dep = _echelon_add(rows, pivots, x, p, width)
+            if dep is not None:
+                assert v == 0, "t**v * m**k depends on lower rows while m**k does not"
+                mp = Poly(ctx, dep[width : width + (k + 1) * f].reshape(k + 1, f))
+                assert mp.eval_matrix(m) == Matrix.zeros(ctx, n, n)
+                return mp
+        power = power @ blocks % p
+    raise AssertionError("no dependency among the first n + 1 powers")
 
 
 def eigenspace(m: Matrix, lam):
@@ -753,59 +713,13 @@ def _echelon_add(rows: np.ndarray, pivots: list, x: np.ndarray, p: int, width: i
     return None
 
 
-def _fp_minpoly(a: np.ndarray, p: int) -> list:
-    """Minimal polynomial of a square int64 array below p over F_p.
-
-    The lcm of the local minimal polynomials of unit vectors e_i, taken
-    only while i is not yet a pivot of the echelon basis of the sum of the
-    Krylov spaces seen so far. A space holding e_i has i as a pivot, so in
-    the end every index is a pivot and the spaces sum to F_p**N. Krylov
-    rows [vector | coordinates] in v, a v, a**2 v, ... stay fully reduced,
-    so the first dependency reads off the local minimal polynomial.
-    Returned as big-endian ints, the galoistools convention. Exact while
-    N * p**2 < 2**63 for an N x N array, as for `_product`; the caller
-    checks that.
-    """
-    n = a.shape[0]
-    span = np.zeros((n, n), dtype=np.int64)
-    span_pivots = []
-    mp = [1]
-    for i in range(n):
-        if len(mp) == n + 1:  # the characteristic polynomial: no start can add to it
-            break
-        if i in span_pivots:
-            continue
-        krylov = np.zeros((n, 2 * n + 1), dtype=np.int64)
-        pivots = []
-        w = np.zeros(n, dtype=np.int64)
-        w[i] = 1
-        for k in range(n + 1):
-            x = np.zeros(2 * n + 1, dtype=np.int64)
-            x[:n] = w
-            x[n + k] = 1
-            dep = _echelon_add(krylov, pivots, x, p, n)
-            if dep is not None:
-                local = [int(c) for c in dep[n + k : n - 1 : -1]]  # monic, big-endian
-                break
-            w = a @ w % p
-        mp = gf_lcm(mp, local, p, ZZ)
-        for row in krylov[: len(pivots), :n]:
-            _echelon_add(span, span_pivots, row, p, n)
-    acc = np.zeros((n, n), dtype=np.int64)
-    for c in mp:
-        acc = acc @ a % p
-        acc[np.arange(n), np.arange(n)] += c
-        acc %= p
-    assert not acc.any(), "minimal polynomial does not annihilate the matrix"
-    return mp
-
-
 def element_order(m: Matrix) -> int:
     """Exact multiplicative order, computed over F_p from the block form.
 
     The block form is an injective ring homomorphism, so m and its block
     form B have the same order. For each irreducible factor g of B's
-    minimal polynomial (`factor_poly` over F_p) with multiplicity e, the
+    minimal polynomial (`minpoly` of B over F_p, factored with
+    `factor_poly`) with multiplicity e, the
     order of t mod g divides p**deg(g) - 1 and is found with
     `Poly.pow_mod`, memoized per (p, g); the order is the lcm of those
     orders times the least power of p that is at least the largest e.
@@ -813,10 +727,8 @@ def element_order(m: Matrix) -> int:
     if m.rows != m.cols:
         raise NotSquare("element_order needs a square matrix")
     p = m.ctx.p
-    blocks = _block_form(m.ctx, m.data)
-    _require_exact(m.ctx, blocks.shape[0])
     fp = make_field(p, 1)
-    mp = _from_big_endian(fp, _fp_minpoly(blocks, p))
+    mp = minpoly(Matrix._reduced(fp, _block_form(m.ctx, m.data)[:, :, None]))
     if not mp.coeffs[0].any():
         raise Singular("matrix is singular, no multiplicative order")
     order = 1

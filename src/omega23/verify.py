@@ -42,6 +42,7 @@ from .linalg import (
     poly_from_elems,
     poly_one,
     restrict,
+    rref,
     unit_vector,
 )
 
@@ -761,19 +762,11 @@ def _subfield_data(p: int, f2: int):
     for i in range(base.f):
         powers[:, i] = cur
         cur = ctx2.mul(cur, rho)
-    # Gaussian elimination over the prime field: solver rows recover coordinates
-    aug = np.concatenate([powers % p, np.eye(f2, dtype=np.int64)], axis=1) % p
-    rowidx = 0
-    for col in range(base.f):
-        pivot = next(r for r in range(rowidx, f2) if aug[r, col] % p)
-        aug[[rowidx, pivot]] = aug[[pivot, rowidx]]
-        inv = pow(int(aug[rowidx, col]), p - 2, p)
-        aug[rowidx] = (aug[rowidx] * inv) % p
-        for r in range(f2):
-            if r != rowidx and aug[r, col]:
-                aug[r] = (aug[r] - aug[r, col] * aug[rowidx]) % p
-        rowidx += 1
-    solver = aug[:, base.f:]
+    # [powers | I] in reduced echelon form over F_p: the first base.f solver
+    # rows recover coordinates, the others span the left null space of the
+    # powers and so vanish exactly on subfield values
+    aug = np.concatenate([powers, np.eye(f2, dtype=np.int64)], axis=1)
+    solver = rref(make_field(p, 1), aug[:, :, None])[0][:, base.f:, 0]
     return base, rho, solver
 
 

@@ -217,6 +217,19 @@ def test_spinor_case_gram(capsys, tmp_path):
     assert doc["params"]["gram"] == "case"
 
 
+@pytest.mark.parametrize("n", [12, 15])
+def test_spinor_case_gram_in_both_b_layouts(capsys, tmp_path, n):
+    """The B6 (n = 12) and B5 (n = 15) layouts share the case-B Gram matrix."""
+    pair = build_pair(n, make_field(5, 1))
+    mat = tmp_path / "x.json"
+    mat.write_text(json.dumps(pair.x.to_json()))
+    code, out, err = run_cli(capsys, "spinor", "--q", "5", "--matrix", str(mat))
+    assert code == 0, err
+    doc = check("spinor", out)
+    assert doc["params"] == {"q": 5, "n": n, "gram": "case"}
+    assert doc["spinor_square"] is True and doc["in_kernel"] is True
+
+
 def test_spinor_user_gram_nested_list(capsys, tmp_path):
     mat = tmp_path / "g.json"
     gram = tmp_path / "j.json"
