@@ -9,9 +9,11 @@ or table-size exhaustion yields Inconclusive, never a wrong order.
 Vectors over F_{p^f} are flattened to F_p^{nf} through the regular
 representation of the field (the block form `linalg._block_form` that
 `Matrix @` multiplies through), so the orbit kernel (`_kernels.orbit_bfs`)
-only ever does integer matrix-vector products mod p. Its discovery order
-fixes the Schreier trees, and so the transversals, the residues and the
-later base vectors: the same seed gives the same chain on every machine.
+works on base-p point codes over F_p: it maps a whole frontier through
+per-generator image tables of half-vectors, with no matrix product per
+point. Its discovery order fixes the Schreier trees, and so the
+transversals, the residues and the later base vectors: the same seed
+gives the same chain on every machine.
 """
 
 from __future__ import annotations

@@ -19,9 +19,9 @@ from . import resolved_seed
 from .certify import CertifyError, certify_generation
 from .fields import (FieldError, elem_to_json, field_from_prime_power,
                      field_to_json, is_square)
-from .forms import (FormsError, OrthoSpace, in_omega, isotropic_count,
-                    is_isometry, omega_order, gram_matrix, reflection_decomposition,
-                    spinor_norm, witt_type)
+from .forms import (FormsError, OrthoSpace, in_omega, isometry_membership,
+                    isotropic_count, is_isometry, omega_order, gram_matrix,
+                    reflection_decomposition, spinor_norm, witt_type)
 from .generators import (GenError, build_pair, classify, default_a,
                          pair_to_json, pair_to_text, search_a)
 from .linalg import LinalgError, Matrix
@@ -33,6 +33,11 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
+
+# Largest n*n*f int64 coefficient array (one generator matrix) that
+# `generate`, `verify` and `certify` build: 2^22 entries, 32 MiB. The
+# acceptance grid's largest point, n = 25 at q = 27, needs 1875.
+MAX_MATRIX_ENTRIES = 1 << 22
 
 _BUILD_ERRORS = (FieldError, FormsError, GenError, LinalgError, VerifyError,
                  CertifyError, ValueError)
@@ -70,6 +75,15 @@ def _emit(doc: dict, text: str | None, args) -> None:
         sys.stdout.write(payload)
 
 
+def _build_pair(args, ctx, a):
+    """build_pair, refused before any allocation above MAX_MATRIX_ENTRIES."""
+    entries = args.n * args.n * ctx.f
+    if entries > MAX_MATRIX_ENTRIES:
+        raise GenError(f"n*n*f = {entries} matrix entries exceed the CLI bound "
+                       f"MAX_MATRIX_ENTRIES = {MAX_MATRIX_ENTRIES}")
+    return build_pair(args.n, ctx, a, force=args.force)
+
+
 def _pair_params(args, ctx, a_parsed):
     return {
         "n": args.n,
@@ -86,7 +100,7 @@ def _pair_params(args, ctx, a_parsed):
 def _cmd_generate(args) -> int:
     ctx = field_from_prime_power(args.q)
     a = _parse_a(ctx, args.a)
-    pair = build_pair(args.n, ctx, a, force=args.force)
+    pair = _build_pair(args, ctx, a)
     doc = {
         "command": "generate",
         "params": _pair_params(args, ctx, a),
@@ -106,7 +120,7 @@ def _report_lines(report) -> list:
 def _cmd_verify(args) -> int:
     ctx = field_from_prime_power(args.q)
     a = _parse_a(ctx, args.a)
-    pair = build_pair(args.n, ctx, a, force=args.force)
+    pair = _build_pair(args, ctx, a)
     reports = []
     if args.suite in ("structural", "all"):
         reports.append(verify_structural(pair, forced=args.force))
@@ -135,7 +149,7 @@ def _cmd_verify(args) -> int:
 def _cmd_certify(args) -> int:
     ctx = field_from_prime_power(args.q)
     a = _parse_a(ctx, args.a)
-    pair = build_pair(args.n, ctx, a, force=args.force)
+    pair = _build_pair(args, ctx, a)
     result = certify_generation(
         pair,
         restrict_to_s9=args.restrict_s9,
@@ -219,7 +233,7 @@ def _cmd_spinor(args) -> int:
                          "spinor norm is undefined")
     det = g.det()
     theta = spinor_norm(space, g, det=det)
-    member = in_omega(space, g)
+    member = isometry_membership(ctx, det, theta)
     doc = {
         "command": "spinor",
         "params": {"q": ctx.q, "n": space.n,

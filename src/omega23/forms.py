@@ -294,17 +294,23 @@ class OmegaMembership:
         return self.ok
 
 
+def isometry_membership(ctx: FieldCtx, det, theta: SquareClass) -> OmegaMembership:
+    """Membership of an isometry in the kernel Omega, from its determinant
+    and spinor norm, with reason codes on failure."""
+    reasons = []
+    if not np.array_equal(det, ctx.one):
+        reasons.append("determinant-not-one")
+    if not theta.square:
+        reasons.append("spinor-norm-nontrivial")
+    return OmegaMembership(not reasons, tuple(reasons))
+
+
 def in_omega(space: OrthoSpace, g: Matrix) -> OmegaMembership:
     """Isometry + det 1 + trivial spinor norm, with reason codes on failure."""
-    reasons = []
     if not is_isometry(space, g):
         return OmegaMembership(False, ("not-an-isometry",))
     det = g.det()
-    if not np.array_equal(det, space.ctx.one):
-        reasons.append("determinant-not-one")
-    if not spinor_norm(space, g, det=det).square:
-        reasons.append("spinor-norm-nontrivial")
-    return OmegaMembership(not reasons, tuple(reasons))
+    return isometry_membership(space.ctx, det, spinor_norm(space, g, det=det))
 
 
 # ---------------------------------------------------------------------------

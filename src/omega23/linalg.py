@@ -216,10 +216,6 @@ def _from_big_endian(ctx: FieldCtx, big: list) -> Poly:
     return Poly(ctx, np.array(big[::-1], dtype=np.int64).reshape(-1, 1))
 
 
-def poly_zero(ctx: FieldCtx) -> Poly:
-    return Poly(ctx, np.zeros((0, ctx.f), dtype=np.int64))
-
-
 def poly_one(ctx: FieldCtx) -> Poly:
     return Poly(ctx, ctx.one[None, :])
 
@@ -232,10 +228,6 @@ def poly_from_elems(ctx: FieldCtx, elems) -> Poly:
     """Build from an iterable of coercible coefficients, little-endian."""
     rows = [ctx.coerce(e) for e in elems]
     return Poly(ctx, np.stack(rows) if rows else np.zeros((0, ctx.f), dtype=np.int64))
-
-
-def poly_from_json(ctx: FieldCtx, data) -> Poly:
-    return poly_from_elems(ctx, [elem_from_json(ctx, v) for v in data])
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,15 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from omega23.fields import make_field
 from omega23.forms import gram_matrix, in_omega, is_isometry, omega_order, quadratic_value
 from omega23.generators import WrongCase, build_pair
 from omega23.linalg import Matrix, _block_form, unit_vector
-from omega23._kernels import ORBIT_CAP
+from omega23 import _kernels
+from omega23._kernels import DENSE_CAP, ORBIT_CAP, orbit_bfs
 from omega23 import certify as certify_mod
 from omega23.certify import (
     BudgetExceeded,
@@ -150,6 +153,112 @@ def test_orbit_backends_agree(pair932):
     assert ref_ids.size == np_.size
     assert np.array_equal(np.sort(ref_ids), np.sort(np_.ids))
     assert np.array_equal(ref_visited >= 0, np_.visited >= 0)
+
+
+def _orbit_bfs_frontier_py(gens, start, p, space, cap):
+    """Plain-Python frontier-batched BFS: for each frontier, for each
+    generator, for each frontier position, append the image if it is new.
+    The exact discovery order `_kernels.orbit_bfs` must reproduce."""
+    n_coords = start.shape[0]
+    rows = [[[int(e) for e in row] for row in g] for g in gens]
+    visited = np.full(space, -1, np.int32)
+    max_pts = min(cap, space)
+
+    def code(vec):
+        return sum(d * p ** k for k, d in enumerate(vec))
+
+    def image(g, pt):
+        vec = [(pt // p ** k) % p for k in range(n_coords)]
+        return code([sum(a * b for a, b in zip(row, vec)) % p for row in g])
+
+    ids, parent, genlab = [code(int(d) for d in start)], [-1], [-1]
+    visited[ids[0]] = 0
+
+    def result(status):
+        return (status, np.array(ids, np.int64), np.array(parent, np.int32),
+                np.array(genlab, np.int16), visited)
+
+    lo = 0
+    while lo < len(ids):
+        hi = len(ids)
+        for gi, g in enumerate(rows):
+            for pos in range(lo, hi):
+                nid = image(g, ids[pos])
+                if visited[nid] >= 0:
+                    continue
+                if len(ids) >= max_pts:
+                    return result(1)
+                visited[nid] = len(ids)
+                ids.append(nid)
+                parent.append(pos)
+                genlab.append(gi)
+        lo = hi
+    return result(0)
+
+
+def _assert_same_bfs(got, want):
+    assert got[0] == want[0]
+    for a, b in zip(got[1:], want[1:]):
+        assert a.dtype == b.dtype
+        assert np.array_equal(a, b)
+
+
+_BFS_PRIMES = (3, 5, 7, 11, 13)
+_BFS_SPACE = 7000
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(data=st.data(), p=st.sampled_from(_BFS_PRIMES), f=st.sampled_from([1, 2]),
+       seed=st.integers(0, 2**32 - 1))
+def test_orbit_bfs_matches_frontier_reference(data, p, f, seed):
+    ctx = make_field(p, f)
+    n_max = 1
+    while p ** ((n_max + 1) * f) <= _BFS_SPACE:
+        n_max += 1
+    n = n_max - data.draw(st.integers(0, n_max - 1), label="n_max - n")
+    n_gens = data.draw(st.integers(1, 4), label="generators")
+    space = p ** (n * f)
+    cap = data.draw(st.one_of(st.just(ORBIT_CAP), st.integers(1, space)), label="cap")
+    rng = np.random.default_rng(seed)
+    gens = []
+    while len(gens) < n_gens:
+        m = Matrix(ctx, rng.integers(0, p, size=(n, n, f)))
+        if m.det().any():
+            gens.append(_block_form(ctx, m.data))
+    gens = np.stack(gens)
+    start = rng.integers(0, p, size=n * f)
+    want = _orbit_bfs_frontier_py(gens, start, p, space, cap)
+    _assert_same_bfs(orbit_bfs(gens, start, p, space, cap), want)
+
+
+_LARGEST_PRIME = 4194301  # the largest prime below DENSE_CAP = 2^22
+
+
+@settings(derandomize=True, max_examples=12, deadline=None)
+@given(exps=st.lists(st.sampled_from([(_LARGEST_PRIME - 1) // d for d in
+                                      (1, 2, 3, 4, 11, 31, 41, 300, 1271, 4100)]),
+                     min_size=1, max_size=3),
+       base=st.integers(2, _LARGEST_PRIME - 1), start=st.integers(1, _LARGEST_PRIME - 1),
+       cap=st.integers(1, 3000))
+def test_orbit_bfs_prime_field_line(exps, base, start, cap):
+    """N = 1 at the largest prime the dense table admits: digits are
+    wider than the unpacking tables, and every orbit here hits the cap or
+    closes under scalars of small order."""
+    p = _LARGEST_PRIME
+    assert p < DENSE_CAP < 2 * p
+    gens = np.array([[[pow(base, e, p)]] for e in exps], np.int64)
+    start = np.array([start], np.int64)
+    want = _orbit_bfs_frontier_py(gens, start, p, p, cap)
+    _assert_same_bfs(orbit_bfs(gens, start, p, p, cap), want)
+
+
+def test_orbit_bfs_unpack_tables_bounded():
+    for p in _BFS_PRIMES + (2039, 2053):
+        n_coords = 1
+        while p ** (n_coords + 1) <= DENSE_CAP:
+            n_coords += 1
+            for shift, mask, table in _kernels._unpack_tables(p, n_coords):
+                assert table.size == mask + 1 <= min(1 << 12, p ** n_coords)
 
 
 def test_orbit_cap(pair932):

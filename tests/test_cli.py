@@ -176,6 +176,27 @@ def test_certify_env_seed(capsys, monkeypatch):
     assert doc["certificate"]["seed"] == 777 and doc["params"]["seed"] == 777
 
 
+@pytest.mark.parametrize("command", ["generate", "verify", "certify"])
+def test_oversized_dimension_refused_before_building(capsys, monkeypatch, command):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("build_pair reached past the matrix-size bound")
+
+    monkeypatch.setattr("omega23.cli.build_pair", unreachable)
+    code, out, err = run_cli(capsys, command, "--n", "100000", "--q", "3")
+    assert code == 2 and out == ""
+    diag = json.loads(err)
+    assert diag["error"] == "GenError"
+    assert "MAX_MATRIX_ENTRIES" in diag["detail"]
+
+
+def test_matrix_bound_admits_acceptance_grid():
+    from omega23.cli import MAX_MATRIX_ENTRIES
+
+    # the largest grid point of tests/test_acceptance.py: n = 25, q = 27 = 3^3
+    assert 25 * 25 * 3 <= MAX_MATRIX_ENTRIES
+    assert 100000 * 100000 > MAX_MATRIX_ENTRIES
+
+
 # ---------------------------------------------------------------------------
 # search-a
 
