@@ -6,9 +6,12 @@ is the lexicographically smallest monic irreducible of degree f, where
 tuples (c0, c1, ..., c_{f-1}) are compared constant term first. That
 makes every field reproducible from (p, f) alone.
 
-Bulk arithmetic is exposed through per-context numpy tables so callers
-can fold whole arrays of coefficient vectors with one einsum; the
-scalar wrapper class is a convenience on top of the same tables.
+Bulk arithmetic runs on per-context numpy tables: products of whole
+arrays of coefficient vectors through the multiplication table (one
+einsum, or a matmul against a block built from it), and inverses through
+the Frobenius matrices, as the norm's inverse times the other
+conjugates. The scalar wrapper class is a convenience on top of the
+same tables.
 """
 
 from __future__ import annotations
@@ -60,11 +63,15 @@ def _smallest_modulus(p, f):
 
 
 class FieldCtx:
-    """Field context: modulus plus precomputed reduction/multiplication tables.
+    """Field context: modulus plus precomputed reduction, multiplication
+    and Frobenius tables.
 
     reduce_table maps t**e (0 <= e <= 2f-2) to its reduced coefficient
     vector; mul_table[u, v] is the reduced vector of t**(u+v), so a
-    product of coefficient arrays is einsum('...u,...v,uvw->...w') % p.
+    product of coefficient arrays is einsum('...u,...v,uvw->...w') % p,
+    and (row @ mul_table) % p holds t**u * row for each u, the block that
+    turns products with a fixed row into one matmul. frob[i] is the
+    (f, f) matrix of a -> a**(p**i) acting on coefficient rows.
     """
 
     def __init__(self, p: int, f: int, modulus):
@@ -94,6 +101,18 @@ class FieldCtx:
         self.one = np.zeros(self.f, dtype=np.int64)
         self.one[0] = 1
         self._identities = {}
+        # frob[i] is the matrix of a -> a**(p**i) on coefficient rows:
+        # row v of frob[1] is t**(p*v), and the rest are its matmul powers
+        frob = [np.eye(self.f, dtype=np.int64)]
+        if self.f > 1:
+            t_p = self.pow(self.coerce([0, 1]), self.p)
+            rows = [self.one]
+            for _ in range(1, self.f):
+                rows.append(self.mul(rows[-1], t_p))
+            step = np.stack(rows)
+            for _ in range(1, self.f):
+                frob.append(frob[-1] @ step % self.p)
+        self.frob = np.stack(frob)
 
     def exact_terms(self, table: bool = False) -> int:
         """How many products of residues an int64 sum holds without wrapping.
@@ -173,6 +192,14 @@ class FieldCtx:
         """Product of a scalar element k with an (..., f) array."""
         return np.einsum("u,...v,uvw->...w", self.coerce(k), np.asarray(a), self.mul_table) % self.p
 
+    def product(self, a):
+        """Product of the k elements of a nonempty (k, f) array, taken
+        pairwise: ceil(log2 k) calls to mul."""
+        while len(a) > 1:
+            half = len(a) // 2
+            a = np.concatenate([self.mul(a[:half], a[half : 2 * half]), a[2 * half :]])
+        return a[0]
+
     def pow(self, a, e: int):
         a = self.coerce(a)
         if e < 0:
@@ -186,15 +213,24 @@ class FieldCtx:
         return result
 
     def inv(self, a):
+        """a**-1 = N(a)**-1 * (a**p * a**(p**2) * ... * a**(p**(f-1))), no powering.
+
+        The norm N(a) = a * a**p * ... * a**(p**(f-1)) lies in F_p, where
+        Python's modular inverse inverts it; for f = 1 that is all there is.
+        """
         a = self.coerce(a)
         if not a.any():
             raise ZeroDivisionError("inverse of zero field element")
-        if self.f == 1:  # Python's modular inverse, no powering
+        if self.f == 1:
             return np.array([pow(int(a[0]), -1, self.p)], dtype=np.int64)
-        return self.pow(a, self.q - 2)
+        rest = self.product(a @ self.frob[1:] % self.p)
+        norm = self.mul(a, rest)
+        assert not norm[1:].any(), "the norm of an element lies in F_p"
+        return rest * pow(int(norm[0]), -1, self.p) % self.p
 
     def frobenius(self, a, k: int = 1):
-        return self.pow(a, self.p**k)
+        """a**(p**k) of every element of an (..., f) array, as one matmul."""
+        return np.asarray(a) @ self.frob[k % self.f] % self.p
 
     # -- enumeration and canonical order ------------------------------------
 

@@ -365,39 +365,35 @@ class Matrix:
         if self.rows != self.cols:
             raise NotSquare("inverse needs a square matrix")
         n = self.rows
-        aug = np.concatenate([self.data, Matrix.identity(self.ctx, n).data], axis=1)
+        aug = np.concatenate([self.data, self.ctx.identity(n)], axis=1)
         red, pivots = rref(self.ctx, aug)
         if pivots != list(range(n)):
             raise Singular("matrix is not invertible")
-        return Matrix(self.ctx, red[:, n:])
+        return Matrix._reduced(self.ctx, red[:, n:])
 
     def det(self) -> np.ndarray:
         """Determinant by elimination; returns an (f,) element vector."""
         if self.rows != self.cols:
             raise NotSquare("determinant needs a square matrix")
-        ctx = self.ctx
+        ctx, n, f = self.ctx, self.rows, self.ctx.f
         a = self.data.copy()
-        n = self.rows
-        detv = ctx.one.copy()
+        flat = a.reshape(n, n * f)
+        swaps = 0
         for col in range(n):
-            piv = next((r for r in range(col, n) if a[r, col].any()), None)
-            if piv is None:
+            nonzero = a[col:, col].any(axis=1).nonzero()[0]
+            if not nonzero.size:
                 return ctx.zero.copy()
-            if piv != col:
-                a[[col, piv]] = a[[piv, col]]
-                detv = ctx.neg(detv)
-            detv = ctx.mul(detv, a[col, col])
-            inv = ctx.inv(a[col, col])
-            below = np.arange(col + 1, n)
+            if nonzero[0]:
+                a[[col, col + nonzero[0]]] = a[[col + nonzero[0], col]]
+                swaps += 1
+            below = col + nonzero[1:]
             if below.size:
-                factors = np.einsum(
-                    "ru,v,uvw->rw", a[below, col], inv, ctx.mul_table
-                ) % ctx.p
-                a[below] = (
-                    a[below]
-                    - np.einsum("ru,cv,uvw->rcw", factors, a[col], ctx.mul_table)
-                ) % ctx.p
-        return detv
+                # only columns right of col are read again
+                block = _scaled_row_block(ctx, a[col, col + 1:], ctx.inv(a[col, col]))
+                _subtract_multiples(ctx, flat, below, (col + 1) * f, a[below, col], block)
+        # the diagonal now holds the pivots
+        detv = ctx.product(np.concatenate([ctx.one[None], a[np.arange(n), np.arange(n)]]))
+        return ctx.neg(detv) if swaps % 2 else detv
 
     def rank(self) -> int:
         return len(rref(self.ctx, self.data)[1])
@@ -491,30 +487,65 @@ def unit_vector(ctx: FieldCtx, n: int, i: int) -> np.ndarray:
 
 
 def rref(ctx: FieldCtx, data):
-    """Reduced row echelon form of an (r, c, f) array; returns (array, pivots)."""
-    a = np.asarray(data, dtype=np.int64).copy()
-    nrows, ncols = a.shape[0], a.shape[1]
+    """Reduced row echelon form of an (r, c, f) array; returns (array, pivots).
+
+    The pivot of a column is its first nonzero entry at or below the
+    current row. Each column costs one scan for nonzero entries and one
+    int64 matmul that clears them against the scaled pivot row.
+    """
+    a = np.asarray(data, dtype=np.int64).copy()  # C order, so flat is a view
+    nrows, ncols, f = a.shape
+    flat = a.reshape(nrows, ncols * f)
     pivots = []
     row = 0
     for col in range(ncols):
         if row >= nrows:
             break
-        piv = next((r for r in range(row, nrows) if a[r, col].any()), None)
-        if piv is None:
+        nonzero = a[:, col].any(axis=1)
+        below = nonzero[row:].nonzero()[0]
+        if not below.size:
             continue
+        piv = row + below[0]
         if piv != row:
             a[[row, piv]] = a[[piv, row]]
-        inv = ctx.inv(a[row, col])
-        a[row] = np.einsum("cu,v,uvw->cw", a[row], inv, ctx.mul_table) % ctx.p
-        others = np.array([r for r in range(nrows) if r != row and a[r, col].any()])
+        # entries left of col are zero in the pivot row; the rows to clear
+        # are the other nonzero ones, and after the swap row piv is zero
+        block = _scaled_row_block(ctx, a[row, col:], ctx.inv(a[row, col]))
+        flat[row, col * f:] = block[0]
+        nonzero[piv] = False
+        others = nonzero.nonzero()[0]
         if others.size:
-            f = a[others, col]
-            a[others] = (
-                a[others] - np.einsum("ru,cv,uvw->rcw", f, a[row], ctx.mul_table)
-            ) % ctx.p
+            _subtract_multiples(ctx, flat, others, col * f, a[others, col], block)
         pivots.append(col)
         row += 1
     return a, pivots
+
+
+def _row_block(ctx: FieldCtx, row: np.ndarray) -> np.ndarray:
+    """(f, c*f) F_p block of a reduced (c, f) row: x @ block is x * row.
+
+    Entry (u, j*f + w) is the t**w coefficient of t**u * row[j], the
+    transpose of the `_block_form` of the row stood up as a column; so a
+    (k, f) column of factors times the block is the (k, c*f) array of
+    their products with the row, entry by entry, flattened. Its sums have
+    f terms below p**2, well inside the `exact_terms` bound.
+    """
+    if ctx.f == 1:
+        return row.reshape(1, -1)
+    return (row @ ctx.mul_table % ctx.p).reshape(ctx.f, -1)
+
+
+def _scaled_row_block(ctx: FieldCtx, row: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """`_row_block` of k * row; its first row is k * row, flattened."""
+    if ctx.f == 1:
+        return row.reshape(1, -1) * k[0] % ctx.p
+    return _row_block(ctx, k[None]) @ _row_block(ctx, row) % ctx.p
+
+
+def _subtract_multiples(ctx: FieldCtx, flat, rows, start, factors, block) -> None:
+    """flat[rows, start:] -= factors * (the row whose block is `block`), mod p."""
+    prod = factors * block if ctx.f == 1 else factors @ block
+    flat[rows, start:] = (flat[rows, start:] - prod) % ctx.p
 
 
 def kernel_basis(ctx: FieldCtx, m: Matrix):

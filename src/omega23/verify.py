@@ -130,20 +130,6 @@ def _fmt(ctx: FieldCtx, value) -> str:
     return json.dumps(elem_to_json(ctx, np.asarray(value)))
 
 
-def _entrywise_frobenius(ctx: FieldCtx, arr: np.ndarray, k: int) -> np.ndarray:
-    """p^k-th power applied to every element of an (..., f) array."""
-    e = ctx.p**k
-    out = np.zeros(arr.shape, dtype=np.int64)
-    out[..., 0] = 1
-    base = np.asarray(arr) % ctx.p
-    while e:
-        if e & 1:
-            out = ctx.mul(out, base)
-        base = ctx.mul(base, base)
-        e >>= 1
-    return out
-
-
 # ---------------------------------------------------------------------------
 # structural battery
 
@@ -164,8 +150,8 @@ def verify_structural(pair: GenPair, forced: bool = False) -> VerificationReport
         iso = is_isometry(pair.space, g)
         rec.add(f"{name}-preserves-form", iso, "gram matrix preserved",
                 "preserved" if iso else "violated", "generators/isometry")
-        det_one = np.array_equal(g.det(), ctx.one)
-        rec.add(f"{name}-determinant-one", det_one, "1", _fmt(ctx, g.det()),
+        det = g.det()
+        rec.add(f"{name}-determinant-one", np.array_equal(det, ctx.one), "1", _fmt(ctx, det),
                 "generators/determinant")
         if name == "x" and pair.tag.case == "A":
             # covered below: x sits in the spinor kernel iff -a is a square,
@@ -795,7 +781,7 @@ def hermitian_rep(ctx_q2: FieldCtx, g: Matrix) -> Matrix:
     base, _rho, solver = _subfield_data(ctx_q2.p, ctx_q2.f)
     half = ctx_q2.f // 2
     psi = sym_power_rep(ctx_q2, g, 2)
-    psi_sigma = Matrix(ctx_q2, _entrywise_frobenius(ctx_q2, psi.data, half))
+    psi_sigma = Matrix(ctx_q2, ctx_q2.frobenius(psi.data, half))
     delta = ctx_q2.from_index(ctx_q2.p)  # the class of the generator
     delta_q = ctx_q2.frobenius(delta, half)
 

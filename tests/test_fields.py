@@ -324,3 +324,38 @@ def test_prime_field_inverse_matches_powering(p):
         ctx.inv(0)
     with pytest.raises(ZeroDivisionError):
         ctx.inv(p)
+
+
+@pytest.mark.parametrize("q", [9, 25, 27, 49, 81, 121, 125, 3**8, 3**20, "edge-2", "edge-3"])
+def test_extension_field_inverse_matches_powering(q):
+    """Over GF(p^f), f > 1, the inverse is N(a)**-1 times the product of the
+    other conjugates of a; it must equal a**(q-2) by table powering, and
+    each conjugate a**(p**k) from the Frobenius matrices must equal powering
+    too. Every nonzero element up to q = 125; random ones beyond, and at
+    the largest prime whose tables fit int64."""
+    rng = np.random.default_rng(7)
+    if isinstance(q, str):
+        f = int(q[-1])
+        ctx = make_field(int(_int64_edge(f)[0]), f)
+        p = ctx.p
+        elements = [np.full(f, p - 1), np.arange(f) * 7 % p + p // 2, np.eye(1, f, f - 1)[0]]
+        elements += list(rng.integers(0, p, size=(5, f)))
+    else:
+        ctx = field_from_prime_power(q)
+        if q <= 125:
+            elements = [ctx.from_index(i) for i in range(1, q)]
+        else:
+            elements = list(rng.integers(0, ctx.p, size=(10 if ctx.f < 20 else 4, ctx.f)))
+    assert ctx.f > 1
+    for a in elements:
+        a = ctx.coerce(a)
+        got = ctx.inv(a)
+        assert got.dtype == np.int64 and got.shape == (ctx.f,)
+        assert got.tolist() == ctx.pow(a, ctx.q - 2).tolist()
+        assert ctx.mul(a, got).tolist() == ctx.one.tolist()
+        for k in range(1, ctx.f):
+            assert ctx.frobenius(a, k).tolist() == ctx.pow(a, ctx.p**k).tolist()
+    with pytest.raises(ZeroDivisionError):
+        ctx.inv(0)
+    with pytest.raises(ZeroDivisionError):
+        ctx.inv(ctx.zero)

@@ -1,5 +1,7 @@
 """Polynomials, matrices, orders, and the word language."""
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
 import sympy
@@ -38,6 +40,7 @@ from omega23.linalg import (
     word_str,
 )
 from omega23.verify import _cached_pair, evaluate_claim_word, load_claims
+from test_fields import _int64_edge
 
 F3 = make_field(3, 1)
 F5 = make_field(5, 1)
@@ -267,10 +270,12 @@ def _shaped(ctx, rng, r, c, kind):
 def _ref_elimination(ctx, a):
     """(pivots, reduced rows, det, inverse rows or None) of an (r, c, f) array
     by Gauss-Jordan on tuples of Python ints; products go through mul_table
-    term by term and inverses are found by search."""
+    term by term (memoized) and an inverse is x**(q-2) by square-and-multiply,
+    checked to be one."""
     p, f = ctx.p, ctx.f
     table = ctx.mul_table.tolist()
 
+    @lru_cache(maxsize=None)
     def mul(x, y):
         out = [0] * f
         for u in range(f):
@@ -282,8 +287,16 @@ def _ref_elimination(ctx, a):
     def sub(x, y):
         return tuple((s - t) % p for s, t in zip(x, y))
 
+    def inverse(x):
+        out, base, e = one, x, ctx.q - 2
+        while e:
+            if e & 1:
+                out = mul(out, base)
+            base, e = mul(base, base), e >> 1
+        assert mul(out, x) == one
+        return out
+
     zero, one = (0,) * f, (1,) + (0,) * (f - 1)
-    elems = [tuple(ctx.from_index(i).tolist()) for i in range(1, ctx.q)]
     r, c = a.shape[0], a.shape[1]
     square = r == c
     rows = [[tuple(a[i, j].tolist()) for j in range(c)]
@@ -299,7 +312,7 @@ def _ref_elimination(ctx, a):
             det = sub(zero, det)
         lead = rows[row][col]
         det = mul(det, lead)
-        inv = next(e for e in elems if mul(e, lead) == one)
+        inv = inverse(lead)
         rows[row] = [mul(inv, x) for x in rows[row]]
         for i in range(r):
             if i != row and rows[i][col] != zero:
@@ -348,14 +361,18 @@ def test_det_rank_inverse_match_sympy_at_prime_q(q, r, c, kind, seed):
 def test_det_rank_inverse_match_python_reference_over_extensions(q, r, c, kind, seed):
     ctx = field_from_prime_power(q)
     c = r if c is None else c
-    rng = np.random.default_rng(seed)
-    a = _shaped(ctx, rng, r, c, kind)
+    _check_elimination(ctx, _shaped(ctx, np.random.default_rng(seed), r, c, kind))
+
+
+def _check_elimination(ctx, a):
+    """rref (array and pivots), rank, det and inverse of a equal the
+    Python reference's exactly."""
     ref_pivots, ref_red, det, inv = _ref_elimination(ctx, a)
     red, pivots = rref(ctx, a)
     assert pivots == ref_pivots
-    assert red.tolist() == [[list(x) for x in row] for row in ref_red]
+    assert red.dtype == np.int64 and red.tolist() == [[list(x) for x in row] for row in ref_red]
     assert Matrix(ctx, a).rank() == len(ref_pivots)
-    if r != c:
+    if a.shape[0] != a.shape[1]:
         return
     m = Matrix(ctx, a)
     assert tuple(m.det().tolist()) == det
@@ -364,6 +381,42 @@ def test_det_rank_inverse_match_python_reference_over_extensions(q, r, c, kind, 
             m.inverse()
     else:
         assert m.inverse().data.tolist() == [[list(x) for x in row] for row in inv]
+
+
+@pytest.mark.parametrize("shape", ["square", "augmented", "rank-deficient"])
+@pytest.mark.parametrize("n", [12, 13, 25])
+@pytest.mark.parametrize("q", [9, 25, 27])
+def test_elimination_matches_python_reference_at_workload_sizes(q, n, shape):
+    """The sizes the verify batteries eliminate: n x n, the n x 2n [A | I]
+    that `inverse` reduces, and a singular matrix with zero columns, so
+    some columns have no pivot and are skipped."""
+    ctx = field_from_prime_power(q)
+    rng = np.random.default_rng(100 * n + q)
+    if shape == "rank-deficient":
+        a = _einsum_product(ctx, _entries(ctx, rng, (n, n - 3), "random"),
+                            _entries(ctx, rng, (n - 3, n), "random"))
+        a[:, [0, n // 2, n - 1]] = 0
+    else:
+        a = _entries(ctx, rng, (n, n), "random")
+        a[rng.random((n, n)) < 0.3] = 0  # zeros on the diagonal force row swaps
+    if shape == "augmented":
+        a = np.concatenate([a, ctx.identity(n)], axis=1)
+    _check_elimination(ctx, a)
+
+
+@pytest.mark.parametrize("f", [2, 3])
+def test_elimination_exact_at_the_largest_prime(f):
+    """At the largest p that make_field accepts for GF(p^f), every int64
+    sum of the elimination (row blocks, row updates, the inverse by norm
+    and conjugates) has the largest terms; results stay exact."""
+    ctx = make_field(int(_int64_edge(f)[0]), f)
+    rng = np.random.default_rng(f)
+    for a in (_entries(ctx, rng, (5, 5), "max") - np.eye(5, dtype=np.int64)[:, :, None],
+              _entries(ctx, rng, (5, 5), "random"),
+              np.concatenate([_entries(ctx, rng, (4, 4), "random"), ctx.identity(4)], axis=1)):
+        _check_elimination(ctx, a)
+    m = Matrix(ctx, _entries(ctx, rng, (4, 4), "random"))
+    assert (m @ m.inverse()).is_identity()
 
 
 def test_product_refuses_another_field_of_the_same_degree():
