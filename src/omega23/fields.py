@@ -229,8 +229,10 @@ class FieldCtx:
         return rest * pow(int(norm[0]), -1, self.p) % self.p
 
     def frobenius(self, a, k: int = 1):
-        """a**(p**k) of every element of an (..., f) array, as one matmul."""
-        return np.asarray(a) @ self.frob[k % self.f] % self.p
+        """a**(p**k) of an element, or of every element of an (..., f) array,
+        as one matmul."""
+        a = np.asarray(a) if np.ndim(a) > 1 else self.coerce(a)
+        return a @ self.frob[k % self.f] % self.p
 
     # -- enumeration and canonical order ------------------------------------
 

@@ -521,25 +521,20 @@ def rref(ctx: FieldCtx, data):
     return a, pivots
 
 
-def _row_block(ctx: FieldCtx, row: np.ndarray) -> np.ndarray:
-    """(f, c*f) F_p block of a reduced (c, f) row: x @ block is x * row.
+def _scaled_row_block(ctx: FieldCtx, row: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """(f, c*f) F_p block of s * row, for a reduced (c, f) row and element s.
 
-    Entry (u, j*f + w) is the t**w coefficient of t**u * row[j], the
-    transpose of the `_block_form` of the row stood up as a column; so a
-    (k, f) column of factors times the block is the (k, c*f) array of
-    their products with the row, entry by entry, flattened. Its sums have
-    f terms below p**2, well inside the `exact_terms` bound.
+    Entry (u, j*f + w) is the t**w coefficient of t**u * s * row[j]: the
+    transpose of the `_block_form` of s * row stood up as a column. So an
+    (r, f) column of factors times the block is the (r, c*f) array of
+    their products with s * row, entry by entry, flattened, and the first
+    row of the block is s * row itself. Every sum here has f terms below
+    p**2, well inside the `exact_terms` bound.
     """
     if ctx.f == 1:
-        return row.reshape(1, -1)
-    return (row @ ctx.mul_table % ctx.p).reshape(ctx.f, -1)
-
-
-def _scaled_row_block(ctx: FieldCtx, row: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """`_row_block` of k * row; its first row is k * row, flattened."""
-    if ctx.f == 1:
-        return row.reshape(1, -1) * k[0] % ctx.p
-    return _row_block(ctx, k[None]) @ _row_block(ctx, row) % ctx.p
+        return row.reshape(1, -1) * s[0] % ctx.p
+    s_block = s @ ctx.mul_table % ctx.p  # row u is t**u * s
+    return s_block @ (row @ ctx.mul_table % ctx.p).reshape(ctx.f, -1) % ctx.p
 
 
 def _subtract_multiples(ctx: FieldCtx, flat, rows, start, factors, block) -> None:
