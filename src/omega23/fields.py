@@ -20,9 +20,6 @@ import itertools
 from functools import lru_cache
 
 import numpy as np
-from sympy import factorint, isprime
-from sympy.polys.domains import ZZ
-from sympy.polys.galoistools import gf_irreducible_p, gf_rem
 
 
 class FieldError(ValueError):
@@ -45,12 +42,65 @@ class BadDegree(FieldError):
 
 
 # ---------------------------------------------------------------------------
+# primality and prime powers, exact without sympy below _MR_EXACT_BELOW
+
+# Strong-probable-prime tests to the first 13 primes prove primality below
+# this bound (Jaeschke, Math. Comp. 61, 1993, for up to 11 bases; Sorenson
+# and Webster, Math. Comp. 86, 2017, for 12 and 13).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
+
+
+def is_prime(n: int) -> bool:
+    """Exact primality: deterministic Miller-Rabin below _MR_EXACT_BELOW,
+    sympy's isprime above it."""
+    if n < 2:
+        return False
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    if n >= _MR_EXACT_BELOW:
+        from sympy import isprime
+
+        return bool(isprime(n))
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _iroot(n: int, k: int) -> int:
+    """floor(n ** (1/k)) for n >= 0, by Newton's method from above."""
+    if n < 2:
+        return n
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+# ---------------------------------------------------------------------------
 # the canonical modulus (galoistools polynomials are big-endian int lists)
 
 
 def _smallest_modulus(p, f):
     if f == 1:
         return [0, 1]
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_irreducible_p
+
     for c0 in range(1, p):  # c0 = 0 would make the candidate divisible by t
         for tail in itertools.product(range(p), repeat=f - 1):
             cand = [c0, *tail, 1]
@@ -87,12 +137,14 @@ class FieldCtx:
             raise FieldError(f"GF({self.p}^{self.f}) is outside the exact int64 range")
         self.modulus = np.array(modulus, dtype=np.int64)
         assert self.modulus.shape == (self.f + 1,) and self.modulus[-1] == 1
-        r = np.zeros((2 * self.f - 1, self.f), dtype=np.int64)
-        big_endian = [int(c) for c in self.modulus[::-1]]
-        for e in range(2 * self.f - 1):
-            vec = gf_rem([1] + [0] * e, big_endian, self.p, ZZ)[::-1]
-            r[e, : len(vec)] = vec
-        self.reduce_table = r
+        # t**(e+1) = t * t**e, with t**f = -(m_0 + m_1 t + ... + m_{f-1} t**(f-1))
+        low = [int(c) for c in self.modulus[:-1]]
+        vec = [1] + [0] * (self.f - 1)
+        rows = []
+        for _ in range(2 * self.f - 1):
+            rows.append(vec)
+            vec = [(prev - vec[-1] * m) % self.p for prev, m in zip([0, *vec[:-1]], low)]
+        r = self.reduce_table = np.array(rows, dtype=np.int64)
         self.mul_table = np.zeros((self.f, self.f, self.f), dtype=np.int64)
         for u in range(self.f):
             for v in range(self.f):
@@ -331,28 +383,38 @@ def poly_str(coeffs) -> str:
     return " + ".join(reversed(terms)) if terms else "0"
 
 
-@lru_cache(maxsize=None)
 def make_field(p: int, f: int = 1) -> FieldCtx:
-    """Construct GF(p**f) with the canonical smallest modulus."""
+    """Construct GF(p**f) with the canonical smallest modulus.
+
+    One (p, f) gives one context object, whatever integer types it comes in.
+    """
     if not isinstance(f, (int, np.integer)) or isinstance(f, bool) or f < 1:
         raise BadDegree(f)
-    if not isinstance(p, (int, np.integer)) or isinstance(p, bool) or not isprime(int(p)):
+    if not isinstance(p, (int, np.integer)) or isinstance(p, bool):
+        raise NonPrime(p)
+    return _make_field(int(p), int(f))
+
+
+@lru_cache(maxsize=None)
+def _make_field(p: int, f: int) -> FieldCtx:
+    if not is_prime(p):
         raise NonPrime(p)
     if p == 2:
         raise EvenCharacteristic()
-    return FieldCtx(int(p), int(f), _smallest_modulus(int(p), int(f)))
+    return FieldCtx(p, f, _smallest_modulus(p, f))
 
 
 def field_from_prime_power(q: int) -> FieldCtx:
-    """Factor q = p**f and build the field; rejects non-prime-powers."""
+    """Split q = p**f by exact f-th roots and build the field; rejects
+    non-prime-powers."""
     q = int(q)
     if q < 3:
         raise FieldError(f"not an odd prime power: {q}")
-    fac = factorint(q)
-    if len(fac) != 1:
-        raise FieldError(f"not a prime power: {q}")
-    [(p, f)] = fac.items()
-    return make_field(int(p), int(f))
+    for f in range(1, q.bit_length()):
+        p = _iroot(q, f)
+        if p**f == q and is_prime(p):
+            return make_field(p, f)
+    raise FieldError(f"not a prime power: {q}")
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ linear dependency among the powers of the matrix, found by one echelon
 basis over F_p on the block form; eigenspace bases come out in reduced
 echelon form so subspace comparisons are plain equality. Element orders
 are computed over F_p from the block form: its minimal polynomial,
-factored with sympy's galoistools.
+factored with sympy's galoistools, which is imported only there.
 
 Everything here is pure and matrices are immutable.
 """
@@ -17,9 +17,6 @@ from functools import lru_cache
 from math import lcm
 
 import numpy as np
-from sympy import divisors, factorint, mobius
-from sympy.polys.domains import ZZ
-from sympy.polys.galoistools import gf_factor, gf_pow_mod
 
 from .fields import FieldCtx, elem_from_json, elem_to_json, make_field
 
@@ -179,6 +176,9 @@ class Poly:
         ctx = self.ctx
         if ctx.f != 1:
             raise LinalgError(f"pow_mod works over a prime field, not GF({ctx.q})")
+        from sympy.polys.domains import ZZ
+        from sympy.polys.galoistools import gf_pow_mod
+
         return _from_big_endian(ctx, gf_pow_mod(_big_endian(self), e, _big_endian(mod), ctx.p, ZZ))
 
     def eval_elem(self, a) -> np.ndarray:
@@ -671,6 +671,9 @@ def factor_poly(ctx: FieldCtx, f: Poly) -> list:
         raise ZeroPolynomial("cannot factor the zero polynomial")
     if ctx.f != 1:
         raise LinalgError(f"factor_poly factors over a prime field, not GF({ctx.q})")
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_factor
+
     return [(_from_big_endian(ctx, g), k) for g, k in gf_factor(_big_endian(f), ctx.p, ZZ)[1]]
 
 
@@ -683,6 +686,8 @@ FACTOR_DIGITS_BUDGET = 120  # upper bound on decimal digits of p**d - 1 we facto
 
 def _cyclotomic_value(e: int, q: int) -> int:
     """Integer value of the e-th cyclotomic polynomial at q."""
+    from sympy import divisors, mobius
+
     num = den = 1
     for m in divisors(e):
         mu = int(mobius(e // m))
@@ -700,6 +705,8 @@ def _factor_qd_minus_1(q: int, d: int) -> dict:
         raise OrderSearchExceeded(
             f"q^d-1 has {len(str(n))} digits, over the budget of {FACTOR_DIGITS_BUDGET}"
         )
+    from sympy import divisors, factorint
+
     out = {}
     for e in divisors(d):
         for prime, exp in factorint(_cyclotomic_value(e, q)).items():

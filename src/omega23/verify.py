@@ -14,7 +14,6 @@ from functools import lru_cache
 from importlib import resources
 
 import numpy as np
-import sympy
 
 from .fields import FieldCtx, elem_to_json, field_from_prime_power, is_square, make_field
 # verify.in_omega stays bound although pairs cache their memberships: the
@@ -571,7 +570,9 @@ class DivisibleByPrimeAtLeast:
     r: int
 
     def check(self, order: int) -> bool:
-        return any(p >= self.r for p in sympy.factorint(order))
+        from sympy import factorint
+
+        return any(p >= self.r for p in factorint(order))
 
     def describe(self) -> str:
         return f"order divisible by a prime >= {self.r}"

@@ -15,11 +15,10 @@ from itertools import product
 
 import numpy as np
 import pytest
-import sympy
 
 from omega23.certify import certify_generation
 from omega23.cli import _enumerate_so
-from omega23.fields import make_field
+from omega23.fields import field_from_prime_power, make_field
 from omega23.forms import (OrthoSpace, in_omega, isotropic_count,
                            omega_order, witt_type)
 from omega23.generators import build_pair, search_a
@@ -33,12 +32,7 @@ GRID_N = (9, 11, 12, 13, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25)
 GRID_Q = (3, 5, 7, 9, 11, 13, 25, 27)
 
 
-def _ctx(q):
-    [(p, f)] = sympy.factorint(q).items()
-    return make_field(int(p), int(f))
-
-
-CTX = {q: _ctx(q) for q in GRID_Q}
+CTX = {q: field_from_prime_power(q) for q in GRID_Q}
 
 
 def _elem_arg(ctx, v):

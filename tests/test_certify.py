@@ -48,6 +48,15 @@ def test_orbit_of_identity_generator():
     assert o.size == 1
 
 
+def test_orbit_accepts_one_field_however_it_was_named():
+    # make_field(3), make_field(3, 1) and make_field(np.int64(3)) are one
+    # context, so generators built from either spelling share a field
+    x = build_pair(9, make_field(3), 2).x
+    for ctx in (make_field(3, 1), make_field(np.int64(3)), make_field(3, np.int64(1))):
+        o = orbit([x, Matrix.identity(ctx, 9)], unit_vector(ctx, 9, 0))
+        assert o.size == orbit([x], unit_vector(CTX3, 9, 0)).size
+
+
 def test_orbit_reaches_first_six_units(pair932):
     o = orbit([pair932.x, pair932.y], unit_vector(CTX3, 9, 0))
     assert o.size <= 3 ** 9 - 1

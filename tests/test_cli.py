@@ -2,7 +2,11 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -388,3 +392,41 @@ def test_json_is_compact_and_sorted(capsys):
     assert ": " not in out and ", " not in out
     doc = json.loads(out)
     assert list(doc) == sorted(doc)
+
+
+# ---------------------------------------------------------------------------
+# start-up: prime-field commands never import sympy
+
+SYMPY_PROBE = """
+import atexit, runpy, sys
+atexit.register(lambda: print("sympy loaded:", "sympy" in sys.modules))
+if len(sys.argv) > 1:
+    runpy.run_module("omega23", run_name="__main__", alter_sys=True)
+else:
+    import omega23.cli
+"""
+
+
+def test_importing_main_module_runs_nothing():
+    # package walkers import every submodule, omega23.__main__ included
+    import importlib
+
+    importlib.import_module("omega23.__main__")
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["certify", "--n", "9", "--q", "3"],
+    ["verify", "--n", "9", "--q", "3", "--suite", "all"],
+], ids=["import", "certify", "verify"])
+def test_prime_field_commands_do_not_import_sympy(argv):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, "-c", SYMPY_PROBE, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[-1] == "sympy loaded: False"
+    if argv:
+        assert check(argv[0], "\n".join(lines[:-1]))["command"] == argv[0]

@@ -3,8 +3,13 @@ import itertools
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_pow_mod, gf_rem
 
 from omega23.fields import (
+    _MR_EXACT_BELOW,
     BadDegree,
     EvenCharacteristic,
     FieldCtx,
@@ -16,6 +21,7 @@ from omega23.fields import (
     field_from_json,
     field_from_prime_power,
     field_to_json,
+    is_prime,
     is_square,
     make_field,
     square_class,
@@ -359,3 +365,94 @@ def test_extension_field_inverse_matches_powering(q):
         ctx.inv(0)
     with pytest.raises(ZeroDivisionError):
         ctx.inv(ctx.zero)
+
+
+# ---------------------------------------------------------------------------
+# primality, prime powers and tables without sympy, checked against sympy
+
+# Strong pseudoprimes to the first k prime bases, k = 1..13 (the least for
+# each k), Carmichael numbers, and the primes around sqrt(2**63).
+HARD_INTEGERS = [
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+    341550071728321, 3825123056546413051, 318665857834031151167461,
+    3317044064679887385961981, 561, 41041,
+    *range(3037000493 - 4, 3037000493 + 5), int(sympy.nextprime(2**33)),
+    _MR_EXACT_BELOW - 1, int(sympy.prevprime(_MR_EXACT_BELOW)),
+    int(sympy.nextprime(_MR_EXACT_BELOW)), int(sympy.nextprime(10**30)) ** 2,
+]
+
+
+def test_is_prime_matches_sympy_below_200000():
+    got = [n for n in range(200_000) if is_prime(n)]
+    assert got == list(sympy.primerange(200_000))
+
+
+@pytest.mark.parametrize("n", HARD_INTEGERS)
+def test_is_prime_matches_sympy_on_pseudoprimes(n):
+    assert is_prime(n) == sympy.isprime(n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=2**80 - 1))
+def test_is_prime_matches_sympy_below_2_80(n):
+    assert is_prime(n) == sympy.isprime(n)
+
+
+def _factorint_field(q):
+    """The prime-power parser as it was, by sympy.factorint."""
+    q = int(q)
+    if q < 3:
+        raise FieldError(f"not an odd prime power: {q}")
+    fac = sympy.factorint(q)
+    if len(fac) != 1:
+        raise FieldError(f"not a prime power: {q}")
+    [(p, f)] = fac.items()
+    return make_field(int(p), int(f))
+
+
+def _outcome(fn, q):
+    try:
+        return fn(q)
+    except FieldError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("qs", [range(-3, 5000), [8, 15, 3**40, 1000003**2, 2**61 - 1]],
+                         ids=["below-5000", "large"])
+def test_field_from_prime_power_matches_factorint(qs):
+    for q in qs:
+        assert _outcome(field_from_prime_power, q) == _outcome(_factorint_field, q), q
+
+
+@pytest.mark.parametrize("p, f", sorted(PINNED_MODULI), ids=lambda v: str(v))
+def test_tables_match_galoistools(p, f):
+    """reduce_table by gf_rem, mul_table from it, and frob[i] with row v
+    the reduced t**(v * p**i), by gf_pow_mod."""
+    ctx = make_field(p, f)
+    big_endian = [int(c) for c in ctx.modulus[::-1]]
+
+    def reduced(vec):
+        out = [0] * f
+        out[: len(vec)] = vec[::-1]
+        return out
+
+    reduce_table = [reduced(gf_rem([1] + [0] * e, big_endian, p, ZZ)) for e in range(2 * f - 1)]
+    assert ctx.reduce_table.tolist() == reduce_table
+    assert ctx.mul_table.tolist() == [[reduce_table[u + v] for v in range(f)] for u in range(f)]
+    frob = [[reduced(gf_pow_mod([1, 0], v * p**i, big_endian, p, ZZ)) for v in range(f)]
+            for i in range(f)]
+    assert ctx.frob.tolist() == frob
+
+
+def test_one_field_is_one_context():
+    ctx = make_field(3)
+    assert make_field(3, 1) is ctx
+    assert make_field(np.int64(3)) is ctx
+    assert make_field(3, np.int64(1)) is ctx
+    assert make_field(np.int32(3), np.int8(1)) is ctx
+    with pytest.raises(BadDegree):
+        make_field(3, True)
+    with pytest.raises(NonPrime, match="got True"):
+        make_field(True, 1)
+    with pytest.raises(NonPrime, match="got 9"):
+        make_field(np.int64(9))

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from omega23.fields import make_field
+from omega23.fields import field_from_prime_power, make_field
 from omega23.generators import WrongCase, build_pair
 from omega23.linalg import Matrix, eigenspace, unit_vector
 from omega23.verify import (
@@ -29,10 +29,7 @@ from omega23.verify import (
 
 
 def _pair(n, q, a=None, force=False):
-    import sympy
-
-    [(p, f)] = sympy.factorint(q).items()
-    return build_pair(n, make_field(int(p), int(f)), a, force=force)
+    return build_pair(n, field_from_prime_power(q), a, force=force)
 
 
 def _names(report):
@@ -316,14 +313,11 @@ D8_FIX_DIMS = {3: 3, 5: 2, 7: 2, 9: 3, 11: 1, 13: 1}
 
 @pytest.mark.parametrize("q", sorted(D8_FIX_DIMS))
 def test_sym_eighth_fixed_space(q):
-    import sympy
-
-    [(p, f)] = sympy.factorint(q).items()
-    ctx = make_field(int(p), int(f))
+    ctx = field_from_prime_power(q)
     u = Matrix.from_rows(ctx, [[1, 1], [0, 1]])
     basis = eigenspace(sym_power_rep(ctx, u, 8), ctx.coerce(1))
     assert len(basis) == D8_FIX_DIMS[q]
-    assert len(basis) >= -(-9 // int(p))
+    assert len(basis) >= -(-9 // ctx.p)
     # the vector t1^8 (first basis monomial) is always fixed
     e0 = np.zeros((9, ctx.f), dtype=np.int64)
     e0[0, 0] = 1
