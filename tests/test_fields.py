@@ -450,6 +450,7 @@ def test_one_field_is_one_context():
     assert make_field(np.int64(3)) is ctx
     assert make_field(3, np.int64(1)) is ctx
     assert make_field(np.int32(3), np.int8(1)) is ctx
+    assert make_field(np.int64(10007), np.int64(2)) is make_field(10007, 2)
     with pytest.raises(BadDegree):
         make_field(3, True)
     with pytest.raises(NonPrime, match="got True"):
