@@ -22,10 +22,6 @@ def case_of(n: int) -> str | None:
     return None
 
 
-def is_supported(n: int) -> bool:
-    return case_of(n) is not None
-
-
 def b_params(n: int) -> tuple[int, int]:
     """(m, r) with n = 3m + 9 + r, r in {0,1,2}, m >= 1."""
     if n < 12:

@@ -88,7 +88,6 @@ def _decode(pid: int, p: int, n: int, f: int) -> np.ndarray:
 class Orbit:
     ctx: FieldCtx
     n: int
-    gens: tuple
     ids: np.ndarray
     parent: np.ndarray
     genlab: np.ndarray
@@ -104,21 +103,6 @@ class Orbit:
 
     def vector(self, pos: int) -> np.ndarray:
         return _decode(int(self.ids[pos]), self.ctx.p, self.n, self.ctx.f)
-
-    def word(self, pos: int) -> tuple:
-        """Generator indices mapping the root to this orbit position."""
-        labels = []
-        while pos > 0:
-            labels.append(int(self.genlab[pos]))
-            pos = int(self.parent[pos])
-        labels.reverse()
-        return tuple(labels)
-
-    def transversal(self, pos: int) -> Matrix:
-        u = Matrix.identity(self.ctx, self.n)
-        for lbl in self.word(pos):
-            u = self.gens[lbl] @ u
-        return u
 
 
 def orbit(gens, v, cap: int = ORBIT_CAP) -> Orbit:
@@ -143,8 +127,7 @@ def orbit(gens, v, cap: int = ORBIT_CAP) -> Orbit:
         flat, vec.reshape(-1), ctx.p, space, cap=cap)
     if status:
         raise OrbitCapExceeded(f"orbit exceeded the cap of {cap} points")
-    return Orbit(ctx=ctx, n=n, gens=gens, ids=ids, parent=parent,
-                 genlab=genlab, visited=visited)
+    return Orbit(ctx=ctx, n=n, ids=ids, parent=parent, genlab=genlab, visited=visited)
 
 
 # ---------------------------------------------------------------------------
@@ -526,7 +509,7 @@ def certify_generation(pair: GenPair, restrict_to_s9: bool = False,
     return CertResult(
         n=space.n,
         q=ctx.q,
-        a=elem_to_json(ctx, pair.a._arr()),
+        a=elem_to_json(ctx, pair.a),
         eps=eps,
         computed_order=computed,
         target_order=target,

@@ -21,7 +21,7 @@ from .fields import (FieldError, elem_to_json, field_from_prime_power,
                      field_to_json, is_square)
 from .forms import (FormsError, OrthoSpace, in_omega, isometry_membership,
                     isotropic_count, is_isometry, omega_order, gram_matrix,
-                    reflection_decomposition, spinor_norm, witt_type)
+                    spinor_norm, witt_type)
 from .generators import (GenError, build_pair, classify, default_a,
                          pair_to_json, pair_to_text, search_a)
 from .linalg import LinalgError, Matrix
@@ -182,9 +182,9 @@ def _cmd_search_a(args) -> int:
         "command": "search-a",
         "params": {"n": args.n, "q": ctx.q},
         "field": field_to_json(ctx),
-        "values": [elem_to_json(ctx, v._arr()) for v in found.values],
+        "values": [elem_to_json(ctx, v) for v in found.values],
         "count": len(found.values),
-        "default": elem_to_json(ctx, dflt._arr()),
+        "default": elem_to_json(ctx, dflt),
         "inequality": {
             "label": found.inequality,
             "lhs": found.lhs,
@@ -243,7 +243,6 @@ def _cmd_spinor(args) -> int:
         "spinor_square": theta.square,
         "in_kernel": member.ok,
         "reasons": list(member.reasons),
-        "reflection_count": len(reflection_decomposition(space, g)),
     }
     text = (f"spinor class {'trivial' if theta.square else 'nontrivial'}; "
             f"det {doc['determinant']}; kernel member: {member.ok}")

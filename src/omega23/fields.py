@@ -10,8 +10,8 @@ Bulk arithmetic runs on per-context numpy tables: products of whole
 arrays of coefficient vectors through the multiplication table (one
 einsum, or a matmul against a block built from it), and inverses through
 the Frobenius matrices, as the norm's inverse times the other
-conjugates. The scalar wrapper class is a convenience on top of the
-same tables.
+conjugates. A single element is one such vector: a reduced (f,) int64
+array.
 """
 
 from __future__ import annotations
@@ -204,11 +204,7 @@ class FieldCtx:
     # -- coercion ----------------------------------------------------------
 
     def coerce(self, x) -> np.ndarray:
-        """Normalize int / sequence / FieldElem to a reduced (f,) vector."""
-        if isinstance(x, FieldElem):
-            if x.ctx != self:
-                raise FieldError("element from a different field")
-            return np.array(x.vec, dtype=np.int64)
+        """Normalize an int or a coefficient sequence to a reduced (f,) vector."""
         if isinstance(x, (int, np.integer)):
             v = self.zero.copy()
             v[0] = int(x) % self.p
@@ -303,69 +299,7 @@ class FieldCtx:
     def elements(self):
         """All field elements in canonical index order."""
         for i in range(self.q):
-            yield FieldElem(self, self.from_index(i))
-
-    def elem(self, x) -> "FieldElem":
-        return FieldElem(self, x)
-
-
-class FieldElem:
-    """Immutable scalar wrapper over a FieldCtx coefficient vector."""
-
-    __slots__ = ("ctx", "vec")
-
-    def __init__(self, ctx: FieldCtx, value):
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "vec", tuple(int(c) for c in ctx.coerce(value)))
-
-    def __setattr__(self, *a):
-        raise AttributeError("FieldElem is immutable")
-
-    def _arr(self):
-        return np.array(self.vec, dtype=np.int64)
-
-    def __add__(self, other):
-        return FieldElem(self.ctx, self.ctx.add(self._arr(), self.ctx.coerce(other)))
-
-    def __sub__(self, other):
-        return FieldElem(self.ctx, self.ctx.sub(self._arr(), self.ctx.coerce(other)))
-
-    def __rsub__(self, other):
-        return FieldElem(self.ctx, self.ctx.sub(self.ctx.coerce(other), self._arr()))
-
-    def __mul__(self, other):
-        return FieldElem(self.ctx, self.ctx.mul(self._arr(), self.ctx.coerce(other)))
-
-    __radd__ = __add__
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return FieldElem(self.ctx, self.ctx.neg(self._arr()))
-
-    def __truediv__(self, other):
-        return self * FieldElem(self.ctx, self.ctx.inv(self.ctx.coerce(other)))
-
-    def __rtruediv__(self, other):
-        return FieldElem(self.ctx, self.ctx.coerce(other)) / self
-
-    def __pow__(self, e: int):
-        return FieldElem(self.ctx, self.ctx.pow(self._arr(), e))
-
-    def __eq__(self, other):
-        if isinstance(other, FieldElem):
-            return self.ctx == other.ctx and self.vec == other.vec
-        if isinstance(other, (int, np.integer)):
-            return self.vec == tuple(int(c) for c in self.ctx.coerce(int(other)))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.ctx.q, self.vec))
-
-    def __bool__(self):
-        return any(self.vec)
-
-    def __repr__(self):
-        return f"FieldElem({poly_str(self.vec)}, q={self.ctx.q})"
+            yield self.from_index(i)
 
 
 def poly_str(coeffs) -> str:

@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from importlib import resources
 
 import numpy as np
 
 from ._dims import CASE_A_DIMS, b_params, case_of, unsupported_message
-from .fields import FieldCtx, FieldElem, elem_to_json, field_to_json, is_square, subfield_degree
+from .fields import FieldCtx, elem_to_json, field_to_json, is_square, subfield_degree
 from .forms import OmegaMembership, OrthoSpace, gram_matrix, in_omega, is_isometry
 from .linalg import Matrix, charpoly, eigenspace, minpoly, poly_from_elems, restrict, unit_vector
 
@@ -211,7 +211,7 @@ def admissible(n: int, ctx: FieldCtx, a) -> AdmissibleResult:
 
 @dataclass(frozen=True)
 class SearchResult:
-    values: tuple[FieldElem, ...]
+    values: tuple[np.ndarray, ...]
     guaranteed: bool
     inequality: str
     lhs: int
@@ -230,7 +230,7 @@ def search_a(n: int, ctx: FieldCtx, all: bool = False) -> SearchResult:
     for i in range(1, ctx.q):
         cand = ctx.from_index(i)
         if admissible(n, ctx, cand):
-            values.append(ctx.elem(cand))
+            values.append(cand)
             if not all:
                 break
     if not values:
@@ -254,23 +254,23 @@ def search_a(n: int, ctx: FieldCtx, all: bool = False) -> SearchResult:
     return SearchResult(tuple(values), lhs > rhs, ineq, lhs, rhs)
 
 
-def default_a(n: int, ctx: FieldCtx) -> FieldElem:
+def default_a(n: int, ctx: FieldCtx) -> np.ndarray:
     """Deterministic default parameter per case."""
     tag = classify(n)
     if tag.case == "A":
         if ctx.f == 1:
-            return ctx.elem(-1)
+            return ctx.coerce(-1)
         if ctx.q == 9:
-            return ctx.elem([0, 1])  # root of t^2 + 1
+            return ctx.coerce([0, 1])  # root of t^2 + 1
         return search_a(n, ctx).values[0]
     if tag.case == "B5":
         for i in range(1, ctx.q):
             cand = ctx.from_index(i)
             if subfield_degree(ctx, cand) == ctx.f:
-                return ctx.elem(cand)
+                return cand
         raise NoAdmissibleParameter(f"no field generator in GF({ctx.q})")
     if ctx.f == 1:
-        return ctx.elem(1)
+        return ctx.coerce(1)
     return search_a(n, ctx).values[0]
 
 
@@ -282,7 +282,8 @@ def default_a(n: int, ctx: FieldCtx) -> FieldElem:
 class GenPair:
     n: int
     ctx: FieldCtx
-    a: FieldElem
+    # read-only (f,) vector; left out of ==, where x and y already tell it apart
+    a: np.ndarray = field(compare=False)
     tag: CaseTag
     x: Matrix
     y: Matrix
@@ -305,8 +306,8 @@ def _require(cond: bool, what: str):
 
 def build_pair(n: int, ctx: FieldCtx, a=None, force: bool = False) -> GenPair:
     tag = classify(n)
-    a_elem = default_a(n, ctx) if a is None else ctx.elem(a)
-    a_vec = a_elem._arr()
+    a_vec = ctx.coerce(default_a(n, ctx) if a is None else a)
+    a_vec.setflags(write=False)
     if not a_vec.any():
         if tag.case == "A":
             raise DivisionByZero("a = 0 is not invertible in the figure entries")
@@ -315,7 +316,8 @@ def build_pair(n: int, ctx: FieldCtx, a=None, force: bool = False) -> GenPair:
         res = admissible(n, ctx, a_vec)
         if not res:
             raise NotAdmissible(
-                f"a={a_elem!r} fails admissibility for n={n}: {', '.join(res.reasons)}"
+                f"a={elem_to_json(ctx, a_vec)} fails admissibility for n={n}: "
+                f"{', '.join(res.reasons)}"
             )
 
     if tag.case == "A":
@@ -355,7 +357,7 @@ def build_pair(n: int, ctx: FieldCtx, a=None, force: bool = False) -> GenPair:
     _require(np.array_equal(y1.det(), ctx.one), "y1 is an even permutation")
     if tag.case == "A":
         _x3_decomposition_check(ctx, n, x, x1, a_vec)
-    pair = GenPair(n=n, ctx=ctx, a=a_elem, tag=tag, x=x, y=y, space=space)
+    pair = GenPair(n=n, ctx=ctx, a=a_vec, tag=tag, x=x, y=y, space=space)
     if not force:
         _require(pair.x_in_omega.ok, "x has trivial spinor norm")
         _require(pair.y_in_omega.ok, "y has trivial spinor norm")
@@ -433,13 +435,13 @@ def tau(pair: GenPair) -> Matrix:
     for _ in range(n - 1):
         expect = expect * tm1
     _require(cp == expect, "charpoly(tau) = (T-1)^n")
-    theta = theta_block(ctx, pair.a._arr(), corrected=pair.tag.case == "B6")
+    theta = theta_block(ctx, pair.a, corrected=pair.tag.case == "B6")
     _require(t == _embed_tail(ctx, n, theta.data), "tau = diag(I, printed block)")
     mp = minpoly(theta)
     _require(mp == tm1 * tm1 * tm1, "minpoly of the block is (T-1)^3")
     s9 = [unit_vector(ctx, n, i) for i in range(n - 9, n)]
     fix = eigenspace(restrict(t, s9), 1)
-    a2 = ctx.mul(pair.a._arr(), pair.a._arr())
+    a2 = ctx.mul(pair.a, pair.a)
     expected_dim = 7 if pair.tag.case == "B6" and np.array_equal(a2, ctx.coerce(3)) else 5
     _require(fix.shape[0] == expected_dim, "fixed-space dimension of tau on S9")
     return t
@@ -511,7 +513,7 @@ def pair_to_json(pair: GenPair) -> dict:
     out.update(
         {
             "n": pair.n,
-            "a": elem_to_json(pair.ctx, pair.a._arr()),
+            "a": elem_to_json(pair.ctx, pair.a),
             "case": pair.tag.case,
             "x": pair.x.to_json(),
             "y": pair.y.to_json(),
@@ -526,7 +528,7 @@ def pair_to_text(pair: GenPair) -> str:
     """Plain-text matrix dump for human diffing."""
     lines = [
         f"n = {pair.n}, q = {pair.ctx.q}, case = {pair.tag.case}, "
-        f"a = {elem_to_json(pair.ctx, pair.a._arr())}, eps = {pair.space.eps}",
+        f"a = {elem_to_json(pair.ctx, pair.a)}, eps = {pair.space.eps}",
     ]
     for name, mat in (("x", pair.x), ("y", pair.y), ("J", pair.space.J)):
         lines.append(f"{name} =")

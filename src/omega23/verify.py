@@ -118,7 +118,7 @@ def _pair_params(pair: GenPair, forced: bool = False) -> dict:
     return {
         "n": pair.n,
         "q": pair.ctx.q,
-        "a": elem_to_json(pair.ctx, pair.a._arr()),
+        "a": elem_to_json(pair.ctx, pair.a),
         "case": pair.tag.case,
         "eps": pair.space.eps,
         "forced": forced,
@@ -161,7 +161,7 @@ def verify_structural(pair: GenPair, forced: bool = False) -> VerificationReport
                 "trivial" if verdict.ok else ",".join(verdict.reasons),
                 "generators/spinor-kernel")
     if pair.tag.case == "A":
-        minus_a_square = is_square(ctx, ctx.neg(pair.a._arr()))
+        minus_a_square = is_square(ctx, ctx.neg(pair.a))
         member = pair.x_in_omega.ok
         rec.add("tail-block-membership-criterion", member == minus_a_square,
                 f"membership iff -a is a square (here {minus_a_square})",
@@ -205,7 +205,7 @@ def verify_caseA_identities(pair: GenPair, forced: bool = False) -> Verification
         raise WrongCase("the case-A battery needs a case-A pair")
     ctx, n = pair.ctx, pair.n
     rec = _Recorder(_pair_params(pair, forced))
-    a = pair.a._arr()
+    a = pair.a
     ainv = ctx.inv(a)
     one = ctx.one
     xy = pair.x @ pair.y
@@ -360,7 +360,7 @@ def verify_caseB_identities(pair: GenPair, forced: bool = False) -> Verification
         raise WrongCase("the case-B battery needs a case-B pair")
     ctx, n = pair.ctx, pair.n
     rec = _Recorder(_pair_params(pair, forced))
-    a = pair.a._arr()
+    a = pair.a
     one = ctx.one
     is_even_family = pair.tag.case == "B6"
     a2 = ctx.mul(a, a)

@@ -18,7 +18,7 @@ import pytest
 
 from omega23.certify import certify_generation
 from omega23.cli import _enumerate_so
-from omega23.fields import field_from_prime_power, make_field
+from omega23.fields import elem_to_json, field_from_prime_power, make_field
 from omega23.forms import (OrthoSpace, in_omega, isotropic_count,
                            omega_order, witt_type)
 from omega23.generators import build_pair, search_a
@@ -33,11 +33,6 @@ GRID_Q = (3, 5, 7, 9, 11, 13, 25, 27)
 
 
 CTX = {q: field_from_prime_power(q) for q in GRID_Q}
-
-
-def _elem_arg(ctx, v):
-    arr = v._arr()
-    return [int(c) for c in arr] if ctx.f > 1 else int(arr[0])
 
 
 # ---------------------------------------------------------------------------
@@ -70,10 +65,10 @@ def test_criterion_2_case_a_identities(acceptance_line):
             ctx = CTX[q]
             for v in search_a(n, ctx, all=True).values:
                 report = verify_caseA_identities(
-                    build_pair(n, ctx, _elem_arg(ctx, v)))
+                    build_pair(n, ctx, elem_to_json(ctx, v)))
                 points += 1
                 if not report.ok:
-                    failures.append((n, q, _elem_arg(ctx, v)))
+                    failures.append((n, q, elem_to_json(ctx, v)))
     elapsed = time.perf_counter() - t0
     status = "PASS" if not failures else "FAIL"
     acceptance_line(2, status,
@@ -292,7 +287,7 @@ def test_criterion_9_parameter_existence(acceptance_line):
     assert len(roots) == 2
     minus_one = ctx9.neg(ctx9.coerce(1))
     for v in roots:
-        assert np.array_equal(ctx9.mul(v._arr(), v._arr()), minus_one)
+        assert np.array_equal(ctx9.mul(v, v), minus_one)
     elapsed = time.perf_counter() - t0
     acceptance_line(9, "PASS",
           f"admissible parameters exist on the whole grid; counting "

@@ -17,6 +17,7 @@ from omega23.certify import (
     BudgetExceeded,
     CertifyError,
     DimensionMismatch,
+    Level,
     Orbit,
     OrbitCapExceeded,
     _RandomElements,
@@ -71,15 +72,20 @@ def test_orbit_q_invariance(pair932):
     base_q = quadratic_value(pair932.space, o.vector(0))
     step = max(1, o.size // 200)
     for pos in range(0, o.size, step):
-        assert quadratic_value(pair932.space, o.vector(pos)) == base_q
+        assert np.array_equal(quadratic_value(pair932.space, o.vector(pos)), base_q)
 
 
 def test_orbit_transversal_maps_root_to_point(pair932):
-    o = orbit([pair932.x, pair932.y], unit_vector(CTX3, 9, 0))
+    lv = Level(unit_vector(CTX3, 9, 0), [pair932.x, pair932.y])
+    lv.recompute(ORBIT_CAP)
+    o = lv.orbit
     rng = random.Random(3)
     for pos in [0, 1, o.size - 1] + [rng.randrange(o.size) for _ in range(12)]:
-        u = o.transversal(pos)
+        u = lv.u(pos)
         assert np.array_equal(u @ unit_vector(CTX3, 9, 0), o.vector(pos))
+        if pos:  # the Schreier vector: u(pos) = gens[genlab[pos]] u(parent[pos])
+            up = lv.u(int(o.parent[pos]))
+            assert u == lv.gens[int(o.genlab[pos])] @ up
 
 
 def test_orbit_discovery_is_deterministic(pair932):

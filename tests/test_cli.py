@@ -210,7 +210,7 @@ def test_search_a_matches_library(capsys):
     assert code == 0
     doc = check("search-a", out)
     found = search_a(9, make_field(11, 1), all=True)
-    assert doc["values"] == [int(v._arr()[0]) for v in found.values]
+    assert doc["values"] == [int(v[0]) for v in found.values]
     assert doc["count"] == len(found.values)
     assert 8 not in doc["values"]
     ineq = doc["inequality"]
@@ -276,6 +276,57 @@ def test_spinor_stdin(capsys, monkeypatch, tmp_path):
                            "--matrix", "-", "--gram", str(gram))
     assert code == 0
     check("spinor", out)
+
+
+def _count_calls(monkeypatch, module, *names):
+    """Wrap each named function of `module` at every omega23 binding of it;
+    returns the live call counts."""
+    counts = dict.fromkeys(names, 0)
+    bound = [m for key, m in sorted(sys.modules.items())
+             if m is not None and key.startswith("omega23")]
+    for name in names:
+        orig = getattr(module, name)
+
+        def wrapper(*args, _name=name, _orig=orig, **kwargs):
+            counts[_name] += 1
+            return _orig(*args, **kwargs)
+
+        for mod in bound:
+            for key, value in list(vars(mod).items()):
+                if value is orig:
+                    monkeypatch.setattr(mod, key, wrapper)
+    return counts
+
+
+def test_spinor_tests_the_isometry_once_and_builds_no_reflection(
+        capsys, monkeypatch, tmp_path):
+    """x r_1 r_2 r_3 at (9, 5): one isometry test, no reflection rebuilt, and
+    the report's bytes are the ones it had with `reflection_count` (7)."""
+    from omega23 import forms
+    from omega23.linalg import vector
+
+    ctx = make_field(5, 1)
+    pair = build_pair(9, ctx)
+    g = pair.x
+    for c in ([1, 0, 0, 0, 0, 0, 0, 0, 0], [1, 1, 0, 0, 0, 0, 0, 0, 0],
+              [0, 0, 1, 0, 0, 1, 0, 0, 0]):
+        g = g @ forms.reflection(pair.space, vector(ctx, c))
+    mat = tmp_path / "g.json"
+    mat.write_text(json.dumps(g.to_json()))
+    counts = _count_calls(monkeypatch, forms, "is_isometry", "reflection")
+    code, out, _ = run_cli(capsys, "spinor", "--q", "5", "--matrix", str(mat))
+    assert code == 0
+    assert counts == {"is_isometry": 1, "reflection": 0}
+    doc = check("spinor", out)
+    assert "reflection_count" not in doc
+    assert out == (
+        '{"command":"spinor","determinant":4,"field":{"f":1,"modulus":[0,1],"p":5},'
+        '"in_kernel":false,"params":{"gram":"case","n":9,"q":5},'
+        '"reasons":["determinant-not-one","spinor-norm-nontrivial"],'
+        '"spinor_square":false}\n')
+    code, out, _ = run_cli(capsys, "spinor", "--q", "5", "--matrix", str(mat),
+                           "--format", "text")
+    assert out == "spinor class nontrivial; det 4; kernel member: False\n"
 
 
 def test_spinor_non_isometry_exits_two(capsys, tmp_path):

@@ -108,7 +108,7 @@ def test_modulus_is_lex_smallest_irreducible(q):
 def test_field_axioms_by_enumeration(q):
     p, f = pf(q)
     ctx = make_field(p, f)
-    elems = [e._arr() for e in ctx.elements()]
+    elems = list(ctx.elements())
     if q > 9:  # full triple loop only for the tiny fields
         elems = elems[:6] + elems[-3:]
     for a in elems:
@@ -128,15 +128,13 @@ def test_field_axioms_by_enumeration(q):
 def test_inverses_and_squares_full_enumeration(q):
     p, f = pf(q)
     ctx = make_field(p, f)
-    squares = set()
-    for e in ctx.elements():
-        squares.add((e * e).vec)
+    squares = {ctx.mul(e, e).tobytes() for e in ctx.elements()}
     n_square = 0
     for e in ctx.elements():
-        if e.vec != ctx.f * (0,):
-            assert (e * (1 / e)).vec == tuple(int(c) for c in ctx.one)
-        flag = is_square(ctx, e._arr())
-        assert flag == (e.vec in squares)
+        if e.any():
+            assert np.array_equal(ctx.mul(e, ctx.inv(e)), ctx.one)
+        flag = is_square(ctx, e)
+        assert flag == (e.tobytes() in squares)
         n_square += flag
     assert n_square == (q + 1) // 2  # zero counts as a square
     assert is_square(ctx, 0)
@@ -146,12 +144,12 @@ def test_inverses_and_squares_full_enumeration(q):
 def test_square_class_multiplicativity(q):
     p, f = pf(q)
     ctx = make_field(p, f)
-    nonzero = [e for e in ctx.elements() if e]
+    nonzero = [e for e in ctx.elements() if e.any()]
     for a in nonzero[: min(12, len(nonzero))]:
         for b in nonzero[: min(12, len(nonzero))]:
-            assert square_class(ctx, (a * b)._arr()) == square_class(
-                ctx, a._arr()
-            ) * square_class(ctx, b._arr())
+            assert square_class(ctx, ctx.mul(a, b)) == square_class(
+                ctx, a
+            ) * square_class(ctx, b)
     with pytest.raises(FieldError):
         square_class(ctx, 0)
     assert SquareClass(False) * SquareClass(False) == SquareClass(True)
@@ -161,7 +159,7 @@ def test_square_class_multiplicativity(q):
 def test_subfield_degree_partition(q):
     p, f = pf(q)
     ctx = make_field(p, f)
-    degs = [subfield_degree(ctx, e._arr()) for e in ctx.elements()]
+    degs = [subfield_degree(ctx, e) for e in ctx.elements()]
     for d in range(1, f + 1):
         if f % d == 0:
             assert sum(1 for x in degs if x % d == 0 and d % x == 0 or x == d) >= 0
@@ -176,7 +174,7 @@ def test_subfield_degree_partition(q):
 def test_frobenius_is_automorphism(q):
     p, f = pf(q)
     ctx = make_field(p, f)
-    elems = [e._arr() for e in ctx.elements()]
+    elems = list(ctx.elements())
     for a in elems:
         for b in elems[::3]:
             assert np.array_equal(
@@ -192,8 +190,8 @@ def test_canonical_order_round_trip():
     ctx = make_field(3, 3)
     seen = []
     for e in ctx.elements():
-        i = ctx.index(e._arr())
-        assert np.array_equal(ctx.from_index(i), e._arr())
+        i = ctx.index(e)
+        assert np.array_equal(ctx.from_index(i), e)
         seen.append(i)
     assert seen == list(range(27))
 
@@ -231,12 +229,6 @@ def test_field_from_prime_power():
     assert field_from_prime_power(10_000_019).f == 1
     assert field_from_prime_power(3 ** 16).modulus.tolist() == [
         1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 0, 1]
-
-
-def test_cross_field_mixing_rejected():
-    a = make_field(3, 2).elem([1, 1])
-    with pytest.raises(FieldError):
-        make_field(5, 2).coerce(a)
 
 
 # The canonical moduli, little-endian, as computed before the modulus search

@@ -102,12 +102,11 @@ def test_case_b6_excluded_squares():
 def test_case_b6_subfield_clause():
     ctx9 = make_field(3, 2)
     # a of multiplicative order 8 generates, a^2 has order 4 so stays out of F_3
-    good = [ctx9.elem(ctx9.from_index(i)) for i in range(1, 9)
+    good = [ctx9.from_index(i) for i in range(1, 9)
             if admissible(12, ctx9, ctx9.from_index(i)).ok]
     assert len(good) == 4
     for a in good:
-        a2 = a * a
-        assert subfield_degree(ctx9, a2._arr()) == 2
+        assert subfield_degree(ctx9, ctx9.mul(a, a)) == 2
 
 
 def test_zero_parameter_rejected():
@@ -128,16 +127,15 @@ def test_search_a_nonempty_whole_grid():
             ctx = field_from_prime_power(q)
             res = search_a(n, ctx)
             assert res.values, (n, q)
-            assert admissible(n, ctx, res.values[0]._arr()).ok
+            assert admissible(n, ctx, res.values[0]).ok
 
 
 def test_search_a_f9_case_a_returns_generator_root():
     ctx = make_field(3, 2)
     res = search_a(9, ctx)
     a = res.values[0]
-    assert a._arr().tolist() == [0, 1]  # the class of t, a square root of -1
-    sq = a * a
-    assert sq == ctx.elem(-1)
+    assert a.tolist() == [0, 1]  # the class of t, a square root of -1
+    assert np.array_equal(ctx.mul(a, a), ctx.coerce(-1))
     # counting inequality is too weak at q=9 even though a witness exists
     assert not res.guaranteed
     assert res.inequality == "case-A-margin"
@@ -176,20 +174,30 @@ def test_search_a_all_counts():
 # --- defaults ---------------------------------------------------------------
 
 def test_default_a_values():
-    assert default_a(9, make_field(5, 1)) == make_field(5, 1).elem(-1)
-    assert default_a(9, make_field(3, 2))._arr().tolist() == [0, 1]
-    assert default_a(15, make_field(7, 1)) == make_field(7, 1).elem(1)
-    assert default_a(12, make_field(11, 1)) == make_field(11, 1).elem(1)
+    assert default_a(9, make_field(5, 1)).tolist() == [4]
+    assert default_a(9, make_field(3, 2)).tolist() == [0, 1]
+    assert default_a(15, make_field(7, 1)).tolist() == [1]
+    assert default_a(12, make_field(11, 1)).tolist() == [1]
     ctx9 = make_field(3, 2)
     b5_default = default_a(15, ctx9)
-    assert subfield_degree(ctx9, b5_default._arr()) == 2
+    assert subfield_degree(ctx9, b5_default) == 2
     for n in GRID_N:
         for q in (3, 9, 13):
             ctx = field_from_prime_power(q)
-            assert admissible(n, ctx, default_a(n, ctx)._arr()).ok
+            assert admissible(n, ctx, default_a(n, ctx)).ok
 
 
 # --- pair construction ------------------------------------------------------
+
+def test_pair_parameter_is_a_read_only_vector():
+    ctx = make_field(3, 2)
+    given = np.array([0, 1], dtype=np.int64)
+    pair = build_pair(9, ctx, given)
+    assert pair.a.tolist() == [0, 1] and not pair.a.flags.writeable
+    given[0] = 2  # the pair keeps its own copy
+    assert pair.a.tolist() == [0, 1]
+    assert build_pair(9, ctx) == pair != build_pair(9, ctx, [0, 2])
+
 
 @pytest.mark.parametrize("n,q", [(9, 3), (9, 9), (11, 5), (13, 7), (17, 3),
                                  (15, 3), (18, 5), (19, 3), (12, 3), (16, 5),
@@ -211,8 +219,11 @@ def test_build_pair_structure(n, q):
 
 def test_build_pair_rejects_inadmissible_without_force():
     ctx = make_field(3, 1)
-    with pytest.raises(NotAdmissible):
+    with pytest.raises(NotAdmissible, match=r"^a=1 fails admissibility for n=9: "
+                                            r"minus-a-not-a-square$"):
         build_pair(9, ctx, 1)
+    with pytest.raises(NotAdmissible, match=r"^a=\[1, 1\] fails admissibility"):
+        build_pair(9, make_field(3, 2), [1, 1])
     pair = build_pair(9, ctx, 1, force=True)
     # x then carries a nontrivial spinor norm: that is exactly the criterion
     verdict = in_omega(pair.space, pair.x)
