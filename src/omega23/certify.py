@@ -127,7 +127,8 @@ def orbit(gens, v, cap: int = ORBIT_CAP) -> Orbit:
         flat, vec.reshape(-1), ctx.p, space, cap=cap)
     if status:
         raise OrbitCapExceeded(f"orbit exceeded the cap of {cap} points")
-    return Orbit(ctx=ctx, n=n, ids=ids, parent=parent, genlab=genlab, visited=visited)
+    return Orbit(ctx=ctx, n=n, ids=ids, parent=parent,
+                 genlab=genlab, visited=visited)
 
 
 # ---------------------------------------------------------------------------

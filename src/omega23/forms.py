@@ -3,9 +3,10 @@
 Gram matrices for the two construction cases, quadratic values,
 reflections, the spinor norm as the discriminant of Wall's form on
 im(1 - g) (one rref and one small determinant), kernel-of-spinor-norm
-membership, Witt type, and the classical group orders. The tests keep a
-constructive reflection decomposition as the spinor norm's independent
-oracle.
+membership, Witt type, and the classical group orders. The constructive
+reflection decomposition (diagonalize first, then Cartan-Dieudonne over
+the orthogonal basis) has no caller in the package: it is the tests'
+independent oracle for the spinor norm.
 
 Spinor-norm convention: theta(r_v) is the square class of Q(v). Some
 texts use the opposite sign convention; reports name this one.
@@ -146,6 +147,110 @@ def reflection(space: OrthoSpace, v) -> Matrix:
 
 def is_isometry(space: OrthoSpace, g: Matrix) -> bool:
     return g.transpose() @ space.J @ g == space.J
+
+
+# ---------------------------------------------------------------------------
+# congruent diagonalization and the constructive reflection decomposition
+
+
+def congruent_diagonalization(space: OrthoSpace):
+    """P with P^T J P diagonal (possible since q is odd); returns (P, diag).
+
+    diag comes back as an (n, f) array of the diagonal entries.
+    """
+    ctx = space.ctx
+    n = space.n
+    s = space.J.data.copy()
+    p_mat = Matrix.identity(ctx, n).data.copy()
+
+    def add_col(dst, src, factor):
+        # column op C_dst += factor * C_src, applied symmetrically to s, once to p
+        s[:, dst] = (s[:, dst] + ctx.scale(factor, s[:, src])) % ctx.p
+        s[dst, :] = (s[dst, :] + ctx.scale(factor, s[src, :])) % ctx.p
+        p_mat[:, dst] = (p_mat[:, dst] + ctx.scale(factor, p_mat[:, src])) % ctx.p
+
+    def swap_cols(i, j):
+        s[:, [i, j]] = s[:, [j, i]]
+        s[[i, j], :] = s[[j, i], :]
+        p_mat[:, [i, j]] = p_mat[:, [j, i]]
+
+    for k in range(n):
+        if not s[k, k].any():
+            # find a nonzero diagonal further down, or create one
+            found = next((i for i in range(k + 1, n) if s[i, i].any()), None)
+            if found is not None:
+                swap_cols(k, found)
+            else:
+                pair = next(
+                    (
+                        (i, j)
+                        for i in range(k, n)
+                        for j in range(i + 1, n)
+                        if s[i, j].any()
+                    ),
+                    None,
+                )
+                if pair is None:
+                    raise FormsError("Gram matrix is singular")
+                i, j = pair
+                add_col(i, j, ctx.one)  # now s[i,i] = 2 s[i,j] != 0
+                if i != k:
+                    swap_cols(k, i)
+        inv = ctx.inv(s[k, k])
+        for j in range(k + 1, n):
+            if s[k, j].any():
+                add_col(j, k, ctx.neg(ctx.mul(s[k, j], inv)))
+    return Matrix(ctx, p_mat), s[np.arange(n), np.arange(n)].copy()
+
+
+def reflection_decomposition(space: OrthoSpace, g: Matrix):
+    """Centers v_1..v_m (m <= 2n) with g = r_{v_1} ... r_{v_m} exactly."""
+    ctx = space.ctx
+    n = space.n
+    if not is_isometry(space, g):
+        raise NotAnIsometry("matrix does not preserve the form")
+    p_mat, diag = congruent_diagonalization(space)
+    p_inv = p_mat.inverse()
+    h = p_inv @ g @ p_mat  # isometry of the diagonal form
+
+    def q_diag(v):
+        half = ctx.inv(ctx.coerce(2))
+        acc = np.einsum("iu,iv,uvw->w", v, ctx.mul(diag, v), ctx.mul_table) % ctx.p
+        return ctx.mul(half, acc)
+
+    def refl_diag(v):
+        qv = q_diag(v)
+        jv = ctx.mul(diag, v)
+        outer = np.einsum("iu,jv,uvw->ijw", v, jv, ctx.mul_table) % ctx.p
+        outer = ctx.scale(ctx.inv(qv), outer)
+        return Matrix(ctx, (Matrix.identity(ctx, n).data - outer) % ctx.p)
+
+    centers_diag = []
+    for i in range(n):
+        e = np.zeros((n, ctx.f), dtype=np.int64)
+        e[i] = ctx.one
+        ge = h @ e
+        if np.array_equal(ge, e):
+            continue
+        v = (ge - e) % ctx.p
+        if q_diag(v).any():
+            centers_diag.append(v)
+            h = refl_diag(v) @ h
+        else:
+            # Q(ge - e) = 0 forces Q(ge + e) = 4 Q(e) != 0
+            u = ge
+            w = (ge + e) % ctx.p
+            centers_diag.append(u)
+            centers_diag.append(w)
+            h = refl_diag(w) @ refl_diag(u) @ h
+    assert h.is_identity()
+    assert len(centers_diag) <= 2 * n
+    centers = [p_mat @ v for v in centers_diag]
+    recon = Matrix.identity(ctx, n)
+    for v in centers:
+        recon = recon @ reflection(space, v)
+    assert recon == g
+    return centers
 
 
 def spinor_norm(space: OrthoSpace, g: Matrix, *, det=None) -> SquareClass:

@@ -209,9 +209,10 @@ def admissible(n: int, ctx: FieldCtx, a) -> AdmissibleResult:
     return AdmissibleResult(not reasons, tuple(reasons))
 
 
-@dataclass(frozen=True)
+# eq=False: `values` holds arrays, whose == is elementwise
+@dataclass(frozen=True, eq=False)
 class SearchResult:
-    values: tuple[np.ndarray, ...]
+    values: tuple[np.ndarray, ...]  # read-only (f,) vectors
     guaranteed: bool
     inequality: str
     lhs: int
@@ -230,6 +231,7 @@ def search_a(n: int, ctx: FieldCtx, all: bool = False) -> SearchResult:
     for i in range(1, ctx.q):
         cand = ctx.from_index(i)
         if admissible(n, ctx, cand):
+            cand.setflags(write=False)
             values.append(cand)
             if not all:
                 break
@@ -255,14 +257,14 @@ def search_a(n: int, ctx: FieldCtx, all: bool = False) -> SearchResult:
 
 
 def default_a(n: int, ctx: FieldCtx) -> np.ndarray:
-    """Deterministic default parameter per case."""
+    """Deterministic default parameter per case, as a fresh (f,) vector."""
     tag = classify(n)
     if tag.case == "A":
         if ctx.f == 1:
             return ctx.coerce(-1)
         if ctx.q == 9:
             return ctx.coerce([0, 1])  # root of t^2 + 1
-        return search_a(n, ctx).values[0]
+        return search_a(n, ctx).values[0].copy()
     if tag.case == "B5":
         for i in range(1, ctx.q):
             cand = ctx.from_index(i)
@@ -271,7 +273,7 @@ def default_a(n: int, ctx: FieldCtx) -> np.ndarray:
         raise NoAdmissibleParameter(f"no field generator in GF({ctx.q})")
     if ctx.f == 1:
         return ctx.coerce(1)
-    return search_a(n, ctx).values[0]
+    return search_a(n, ctx).values[0].copy()
 
 
 # ---------------------------------------------------------------------------

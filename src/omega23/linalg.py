@@ -146,6 +146,31 @@ class Poly:
             out[i : i + other.coeffs.shape[0]] += ctx.scale(self.coeffs[i], other.coeffs)
         return Poly(ctx, out % ctx.p)
 
+    def __divmod__(self, other):
+        if other.is_zero():
+            raise ZeroPolynomial("division by the zero polynomial")
+        ctx = self.ctx
+        r = [c.copy() for c in self.coeffs]
+        q = [ctx.zero.copy() for _ in range(max(self.degree - other.degree + 1, 0))]
+        inv_lead = ctx.inv(other.coeffs[-1])
+        d = other.degree
+        while len(r) - 1 >= d and len(r) > 0:
+            if not r[-1].any():
+                r.pop()
+                continue
+            coef = ctx.mul(r[-1], inv_lead)
+            shift = len(r) - 1 - d
+            q[shift] = coef
+            for i in range(d + 1):
+                r[shift + i] = ctx.sub(r[shift + i], ctx.mul(coef, other.coeffs[i]))
+            r.pop()
+        rem = np.stack(r) if r else np.zeros((0, ctx.f), dtype=np.int64)
+        quo = np.stack(q) if q else np.zeros((0, ctx.f), dtype=np.int64)
+        return Poly(ctx, quo), Poly(ctx, rem)
+
+    def __mod__(self, other):
+        return divmod(self, other)[1]
+
     def pow_mod(self, e: int, mod: "Poly") -> "Poly":
         """self**e modulo mod over a prime field, by galoistools' gf_pow_mod."""
         ctx = self.ctx

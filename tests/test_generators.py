@@ -171,6 +171,17 @@ def test_search_a_all_counts():
     assert len(search_a(15, make_field(3, 3), all=True).values) == 24
 
 
+def test_search_results_compare_and_hash_at_f_above_one():
+    """Results hold read-only (f,) arrays; == and hash() work by identity."""
+    ctx = make_field(3, 2)
+    r1, r2 = search_a(9, ctx, all=True), search_a(9, ctx, all=True)
+    assert r1 == r1 and r1 != r2 and hash(r1) != hash(r2)
+    assert [v.tolist() for v in r1.values] == [v.tolist() for v in r2.values]
+    assert not any(v.flags.writeable for v in r1.values)
+    a = default_a(9, make_field(3, 3))
+    assert a.flags.writeable and np.array_equal(a, search_a(9, make_field(3, 3)).values[0])
+
+
 # --- defaults ---------------------------------------------------------------
 
 def test_default_a_values():

@@ -69,17 +69,21 @@ def _const(ctx, c):
     return poly_from_elems(ctx, [c])
 
 
-def _rem(f, g):
-    """Remainder of f modulo a monic g, by schoolbook long division."""
-    ctx, d = f.ctx, g.degree
-    r = f.coeffs.copy()
-    for k in range(r.shape[0] - 1, d - 1, -1):
-        r[k - d : k + 1] = (r[k - d : k + 1] - ctx.scale(r[k], g.coeffs)) % ctx.p
-    return Poly(ctx, r[:d])
-
-
 # ---------------------------------------------------------------------------
 # polynomial arithmetic
+
+
+@pytest.mark.parametrize("ctx", [F3, F5, F9], ids=lambda c: f"q{c.q}")
+def test_poly_divmod_property(ctx):
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        f = Poly(ctx, rng.integers(0, ctx.p, size=(rng.integers(1, 7), ctx.f)))
+        g = Poly(ctx, rng.integers(0, ctx.p, size=(rng.integers(1, 5), ctx.f)))
+        if g.is_zero():
+            continue
+        q, r = divmod(f, g)
+        assert q * g + r == f
+        assert r.is_zero() or r.degree < g.degree
 
 
 def test_poly_eval_consistency():
@@ -504,7 +508,7 @@ def test_minpoly_divides_charpoly_and_annihilates():
         m = _rand_matrix(F3, 5, rng)
         mp = minpoly(m)
         assert mp.is_monic()
-        assert _rem(charpoly(m), mp).is_zero()
+        assert (charpoly(m) % mp).is_zero()
         assert mp.eval_matrix(m) == Matrix.zeros(F3, 5, 5)
 
 
@@ -562,24 +566,16 @@ def test_factor_poly_and_pow_mod_refuse_extension_fields():
 
 
 def test_pow_mod_matches_repeated_products():
-    """pow_mod against repeated galoistools products and remainders."""
-    from sympy.polys.domains import ZZ
-    from sympy.polys.galoistools import gf_mul, gf_rem
-
-    def big_endian(poly):
-        return [int(c) for c in poly.coeffs[::-1, 0]]
-
     rng = np.random.default_rng(5)
     for _ in range(10):
         mod = Poly(F5, rng.integers(0, 5, size=(int(rng.integers(2, 6)), 1)))
         if mod.degree < 1:
             continue
         base = Poly(F5, rng.integers(0, 5, size=(5, 1)))
-        m, b = big_endian(mod), big_endian(base)
-        acc = gf_rem([1], m, 5, ZZ)
+        acc = poly_one(F5) % mod
         for e in range(30):
-            assert big_endian(base.pow_mod(e, mod)) == acc, e
-            acc = gf_rem(gf_mul(acc, b, 5, ZZ), m, 5, ZZ)
+            assert base.pow_mod(e, mod) == acc, e
+            acc = (acc * base) % mod
 
 
 # ---------------------------------------------------------------------------
@@ -677,7 +673,7 @@ def test_minpoly_is_the_least_monic_annihilator(q, n, kind, seed):
     mp = minpoly(m)
     assert mp.is_monic()
     assert mp.eval_matrix(m) == Matrix.zeros(ctx, n, n)
-    assert _rem(charpoly(m), mp).is_zero()
+    assert (charpoly(m) % mp).is_zero()
     powers = [Matrix.identity(ctx, n)]
     while len(powers) < mp.degree:
         powers.append(powers[-1] @ m)
