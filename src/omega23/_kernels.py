@@ -14,6 +14,12 @@ The search is frontier-batched. All generators' images of the frontier
 are read generator-major and deduplicated once, keeping first
 occurrences, which appends new points in exactly the order a sequential
 pass (generator by generator, point by point) would reach them.
+
+The visited table is one module-level scratch buffer, grown to the
+largest space seen and all -1 between calls: a search resets the slots
+of the points it found before it returns, and drops the buffer if it
+raises. What a caller keeps is O(orbit size): the discovery arrays and
+a sorted index of (code << POS_BITS) | position.
 """
 
 from __future__ import annotations
@@ -24,7 +30,13 @@ import numpy as np
 
 ORBIT_CAP = 5_000_000
 DENSE_CAP = 1 << 22  # largest p^N handled by the dense tables
+POS_BITS = (DENSE_CAP - 1).bit_length()  # a position or a code fits 22 bits
+POS_MASK = (1 << POS_BITS) - 1
 _CHUNK_BITS = 12  # unpacking tables hold at most 2^12 entries
+_FIRST_ROWS = 1024  # discovery arrays start here and double as they fill
+
+_EMPTY = np.empty(0, np.int32)
+_scratch = _EMPTY  # the visited table: all -1 between calls
 
 
 def _digit_bits(p: int) -> int:
@@ -76,11 +88,40 @@ def orbit_bfs(gens: np.ndarray, start: np.ndarray, p: int, space: int,
               cap: int = ORBIT_CAP):
     """Closure of `start` under flattened prime-field generators.
 
-    Returns (status, ids, parent, genlab, visited); status 1 means the cap
+    Returns (status, ids, parent, genlab, index); status 1 means the cap
     was hit before closure. `ids` lists point codes in discovery order,
-    `parent`/`genlab` encode the Schreier forest, `visited` maps a point
-    code to its discovery position (or -1).
+    `parent`/`genlab` encode the Schreier forest, and `index` is the
+    sorted array of (code << POS_BITS) | position, one entry a point.
+
+    The visited table is the shared scratch buffer, so the kernel is not
+    re-entrant.
     """
+    global _scratch
+    assert space <= DENSE_CAP, "space exceeds the dense table cap"
+    if _scratch.size < space:
+        _scratch = np.full(space, -1, np.int32)
+    visited = _scratch[:space]
+    try:
+        status, ids, parent, genlab = _search(gens, start, p, visited, cap)
+        # Overflow past the cap is reset in the search: only ids are set.
+        visited[ids] = -1
+    except BaseException:
+        _scratch = _EMPTY  # slots may be left set: start from a fresh table
+        raise
+    index = np.sort((ids << POS_BITS) | np.arange(ids.size, dtype=np.int64))
+    return status, ids, parent, genlab, index
+
+
+def _grown(a: np.ndarray, count: int, size: int) -> np.ndarray:
+    out = np.empty(size, a.dtype)
+    out[:count] = a[:count]
+    return out
+
+
+def _search(gens, start, p, visited, cap):
+    """The frontier loop: (status, ids, parent, genlab), with visited
+    holding each found point's position and -1 elsewhere."""
+    space = visited.size
     gens = np.ascontiguousarray(gens, dtype=np.int64)
     start = np.ascontiguousarray(start, dtype=np.int64)
     n_coords = start.shape[0]
@@ -89,11 +130,11 @@ def orbit_bfs(gens: np.ndarray, start: np.ndarray, p: int, space: int,
     # p^N <= DENSE_CAP keeps N*bits <= 39 (at p = 3), so a sum of two
     # packed images, below 2^(N*bits), fits an int64 with room to spare.
     assert n_coords * bits <= 48, "packed images exceed 48 bits"
-    visited = np.full(space, -1, np.int32)
     max_pts = cap if cap < space else space
-    ids = np.empty(max_pts, np.int64)
-    parent = np.empty(max_pts, np.int32)
-    genlab = np.empty(max_pts, np.int16)
+    rows = min(max_pts, _FIRST_ROWS)
+    ids = np.empty(rows, np.int64)
+    parent = np.empty(rows, np.int32)
+    genlab = np.empty(rows, np.int16)
 
     m = n_coords // 2
     split = p ** m
@@ -141,12 +182,15 @@ def orbit_bfs(gens: np.ndarray, start: np.ndarray, p: int, space: int,
         new_ids = new_ids[:k]
         first = first[:k]
         visited[new_ids] = count + np.arange(k, dtype=np.int32)
+        if count + k > ids.size:
+            rows = min(max(2 * ids.size, count + k), max_pts)
+            ids, parent, genlab = (_grown(a, count, rows) for a in (ids, parent, genlab))
         ids[count:count + k] = new_ids
         gen, src = np.divmod(first, width)
         parent[count:count + k] = lo + src
         genlab[count:count + k] = gen
         count += k
         if k < total:
-            return 1, ids[:count], parent[:count], genlab[:count], visited
+            return 1, ids[:count], parent[:count], genlab[:count]
         lo = hi
-    return 0, ids[:count], parent[:count], genlab[:count], visited
+    return 0, ids[:count], parent[:count], genlab[:count]

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import resolved_seed
-from ._kernels import DENSE_CAP, ORBIT_CAP, orbit_bfs
+from ._kernels import DENSE_CAP, ORBIT_CAP, POS_BITS, POS_MASK, orbit_bfs
 from .fields import FieldCtx, elem_to_json
 from .forms import OrthoSpace, in_omega, omega_order
 from .generators import GenPair, WrongCase
@@ -91,15 +91,32 @@ class Orbit:
     ids: np.ndarray
     parent: np.ndarray
     genlab: np.ndarray
-    visited: np.ndarray
+    index: np.ndarray  # sorted (code << POS_BITS) | position, one entry a point
 
     @property
     def size(self) -> int:
         return int(self.ids.shape[0])
 
     def position(self, pid: int) -> int:
-        pos = int(self.visited[pid])
-        return pos
+        """Discovery position of a point code; -1 if it is not in the orbit."""
+        if not 0 <= pid < DENSE_CAP:
+            return -1
+        index = self.index
+        at = index.searchsorted(pid << POS_BITS)  # a third of np.searchsorted's call cost
+        if at < index.size:
+            entry = int(index[at])
+            if entry >> POS_BITS == pid:
+                return entry & POS_MASK
+        return -1
+
+    def positions(self, codes) -> np.ndarray:
+        """position() of every code in an int64 array, as one array."""
+        codes = np.asarray(codes, dtype=np.int64)
+        index = self.index
+        entry = index[np.minimum(index.searchsorted(codes << POS_BITS), index.size - 1)]
+        # A code outside [0, DENSE_CAP) can match no entry, even where
+        # its shift wraps around.
+        return np.where(entry >> POS_BITS == codes, entry & POS_MASK, -1)
 
     def vector(self, pos: int) -> np.ndarray:
         return _decode(int(self.ids[pos]), self.ctx.p, self.n, self.ctx.f)
@@ -123,12 +140,12 @@ def orbit(gens, v, cap: int = ORBIT_CAP) -> Orbit:
         raise StateSpaceTooLarge(
             f"p^(n*f) = {space} exceeds the dense table cap {DENSE_CAP}")
     flat = np.stack([_block_form(ctx, g.data) for g in gens])
-    status, ids, parent, genlab, visited = orbit_bfs(
+    status, ids, parent, genlab, index = orbit_bfs(
         flat, vec.reshape(-1), ctx.p, space, cap=cap)
     if status:
         raise OrbitCapExceeded(f"orbit exceeded the cap of {cap} points")
     return Orbit(ctx=ctx, n=n, ids=ids, parent=parent,
-                 genlab=genlab, visited=visited)
+                 genlab=genlab, index=index)
 
 
 # ---------------------------------------------------------------------------

@@ -92,19 +92,90 @@ def _iroot(n: int, k: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# the canonical modulus (galoistools polynomials are big-endian int lists)
+# the canonical modulus
+
+
+def _reduction_rows(p: int, modulus, count: int) -> list:
+    """t**e reduced modulo a monic modulus of degree f over GF(p), for
+    0 <= e < count, as little-endian coefficient lists of length f.
+
+    t**(e+1) = t * t**e, with t**f = -(m_0 + m_1 t + ... + m_{f-1} t**(f-1)).
+    """
+    low = [int(c) for c in modulus[:-1]]
+    vec = [1] + [0] * (len(low) - 1)
+    rows = []
+    for _ in range(count):
+        rows.append(vec)
+        vec = [(prev - vec[-1] * m) % p for prev, m in zip([0, *vec[:-1]], low)]
+    return rows
+
+
+def _coprime(p: int, a: list, b: list) -> bool:
+    """Whether two little-endian polynomials over GF(p) have gcd 1 (Euclid)."""
+
+    def trim(c):
+        while c and c[-1] == 0:
+            c.pop()
+        return c
+
+    a, b = trim([c % p for c in a]), trim([c % p for c in b])
+    while b:
+        lead = pow(b[-1], -1, p)
+        while len(a) >= len(b):
+            k, shift = a[-1] * lead % p, len(a) - len(b)
+            for i, c in enumerate(b):
+                a[shift + i] = (a[shift + i] - k * c) % p
+            trim(a)
+        a, b = b, a
+    return len(a) == 1
+
+
+def _is_irreducible(p: int, modulus) -> bool:
+    """Rabin's test for a monic polynomial m of degree f over GF(p): m is
+    irreducible iff t**(p**f) = t mod m and gcd(t**(p**(f/r)) - t, m) = 1
+    for each prime r | f (Rabin, SIAM J. Comput. 9, 1980). Powers of t
+    are taken in GF(p)[t]/(m) through m's own reduction table."""
+    f = len(modulus) - 1
+    rows = _reduction_rows(p, modulus, max(2 * f - 1, 2))
+
+    def combine(coeffs, table):  # sum of coeffs[e] * table[e]
+        return [sum(c * row[k] for c, row in zip(coeffs, table)) % p for k in range(f)]
+
+    def mul(a, b):
+        prod = [0] * (2 * f - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                prod[i + j] += x * y
+        return combine(prod, rows)
+
+    t = rows[1]
+    t_p, base, e = rows[0], t, p  # t**p by squaring
+    while e:
+        if e & 1:
+            t_p = mul(t_p, base)
+        base = mul(base, base)
+        e >>= 1
+    # a -> a**p is linear: row v of its matrix is t**(p*v)
+    frob = [rows[0]]
+    for _ in range(1, f):
+        frob.append(mul(frob[-1], t_p))
+    powers = [t]  # powers[k] = t**(p**k)
+    for _ in range(f):
+        powers.append(combine(powers[-1], frob))
+    if powers[f] != t:
+        return False
+    primes = [r for r in range(2, f + 1) if f % r == 0 and is_prime(r)]
+    return all(_coprime(p, [a - b for a, b in zip(powers[f // r], t)], list(modulus))
+               for r in primes)
 
 
 def _smallest_modulus(p, f):
     if f == 1:
         return [0, 1]
-    from sympy.polys.domains import ZZ
-    from sympy.polys.galoistools import gf_irreducible_p
-
     for c0 in range(1, p):  # c0 = 0 would make the candidate divisible by t
         for tail in itertools.product(range(p), repeat=f - 1):
             cand = [c0, *tail, 1]
-            if gf_irreducible_p(cand[::-1], p, ZZ):
+            if _is_irreducible(p, cand):
                 return cand
     raise FieldError(f"no irreducible of degree {f} over GF({p})")  # unreachable
 
@@ -137,14 +208,8 @@ class FieldCtx:
             raise FieldError(f"GF({self.p}^{self.f}) is outside the exact int64 range")
         self.modulus = np.array(modulus, dtype=np.int64)
         assert self.modulus.shape == (self.f + 1,) and self.modulus[-1] == 1
-        # t**(e+1) = t * t**e, with t**f = -(m_0 + m_1 t + ... + m_{f-1} t**(f-1))
-        low = [int(c) for c in self.modulus[:-1]]
-        vec = [1] + [0] * (self.f - 1)
-        rows = []
-        for _ in range(2 * self.f - 1):
-            rows.append(vec)
-            vec = [(prev - vec[-1] * m) % self.p for prev, m in zip([0, *vec[:-1]], low)]
-        r = self.reduce_table = np.array(rows, dtype=np.int64)
+        r = self.reduce_table = np.array(
+            _reduction_rows(self.p, self.modulus, 2 * self.f - 1), dtype=np.int64)
         self.mul_table = np.zeros((self.f, self.f, self.f), dtype=np.int64)
         for u in range(self.f):
             for v in range(self.f):

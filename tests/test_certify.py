@@ -3,7 +3,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from omega23.fields import make_field
@@ -167,7 +167,8 @@ def test_orbit_backends_agree(pair932):
     np_ = orbit(gens, v)
     assert ref_ids.size == np_.size
     assert np.array_equal(np.sort(ref_ids), np.sort(np_.ids))
-    assert np.array_equal(ref_visited >= 0, np_.visited >= 0)
+    _assert_equal_arrays(ref_visited >= 0, _dense_table(np_.index, ref_visited.size) >= 0,
+                         "membership")
 
 
 def _orbit_bfs_frontier_py(gens, start, p, space, cap):
@@ -211,11 +212,35 @@ def _orbit_bfs_frontier_py(gens, start, p, space, cap):
     return result(0)
 
 
+def _dense_table(index, space):
+    """The visited table an orbit's sorted index stands for: each point
+    code maps to its discovery position, every other code to -1."""
+    assert np.all(index[1:] > index[:-1]), "index is not strictly sorted"
+    table = np.full(space, -1, np.int32)
+    table[index >> _kernels.POS_BITS] = index & _kernels.POS_MASK
+    return table
+
+
+def _assert_equal_arrays(got, want, name):
+    """Exact equality with a short message: the first differing entry,
+    never a dump of a table that may hold millions of entries."""
+    assert got.shape == want.shape, f"{name}: shape {got.shape} != {want.shape}"
+    diff = np.flatnonzero(got != want)
+    assert diff.size == 0, (
+        f"{name} differs at {diff.size} entries, first at {int(diff[0])}: "
+        f"{got[diff[0]]} != {want[diff[0]]}")
+
+
 def _assert_same_bfs(got, want):
+    """got is the kernel's (status, ids, parent, genlab, index), want a
+    reference's (status, ids, parent, genlab, visited)."""
     assert got[0] == want[0]
-    for a, b in zip(got[1:], want[1:]):
-        assert a.dtype == b.dtype
-        assert np.array_equal(a, b)
+    for name, a, b in zip(("ids", "parent", "genlab"), got[1:4], want[1:4]):
+        assert a.dtype == b.dtype, f"{name}: dtype {a.dtype} != {b.dtype}"
+        _assert_equal_arrays(a, b, name)
+    visited = want[4]
+    _assert_equal_arrays(_dense_table(got[4], visited.size), visited, "visited (code)")
+    assert np.all(_kernels._scratch == -1), "scratch table left dirty"
 
 
 _BFS_PRIMES = (3, 5, 7, 11, 13)
@@ -249,7 +274,10 @@ def test_orbit_bfs_matches_frontier_reference(data, p, f, seed):
 _LARGEST_PRIME = 4194301  # the largest prime below DENSE_CAP = 2^22
 
 
-@settings(derandomize=True, max_examples=12, deadline=None)
+# No explain phase: it reruns a failing example under a line tracer,
+# and at this prime those reruns exhaust memory before any report.
+@settings(derandomize=True, max_examples=12, deadline=None,
+          phases=[p for p in Phase if p is not Phase.explain])
 @given(exps=st.lists(st.sampled_from([(_LARGEST_PRIME - 1) // d for d in
                                       (1, 2, 3, 4, 11, 31, 41, 300, 1271, 4100)]),
                      min_size=1, max_size=3),
@@ -274,6 +302,98 @@ def test_orbit_bfs_unpack_tables_bounded():
             n_coords += 1
             for shift, mask, table in _kernels._unpack_tables(p, n_coords):
                 assert table.size == mask + 1 <= min(1 << 12, p ** n_coords)
+
+
+def test_orbit_position_rejects_codes_outside_the_orbit(pair932):
+    # The all-2 vector's orbit at (9,3, a=2): negative codes used to alias
+    # the table's tail, and codes past 3^9 to raise IndexError.
+    o = orbit([pair932.x, pair932.y], np.full((9, 1), 2))
+    outside = [-1, -2, -(3 ** 9), 3 ** 9, 3 ** 9 + 1, DENSE_CAP, 2 ** 41, 2 ** 62]
+    missing = np.setdiff1d(np.arange(3 ** 9), o.ids)
+    outside += [int(c) for c in missing[:: max(1, missing.size // 50)]]
+    for code in outside + [2 ** 70]:
+        assert o.position(code) == -1, code
+    assert np.all(o.positions(np.array(outside, np.int64)) == -1)
+    for pos in (0, 1, o.size // 2, o.size - 1):
+        assert o.position(int(o.ids[pos])) == pos
+
+
+def test_orbit_positions_match_position(pair932):
+    o = orbit([pair932.x, pair932.y], unit_vector(CTX3, 9, 0))
+    codes = np.concatenate([o.ids, np.arange(-5, 3 ** 9 + 5, 7)])
+    want = [o.position(int(c)) for c in codes]
+    got = o.positions(codes)
+    assert got.dtype == np.int64 and got.tolist() == want
+    assert np.array_equal(o.positions(o.ids), np.arange(o.size))
+
+
+def _bfs_case(cap=ORBIT_CAP):
+    """Two random invertible 5 x 5 matrices over F_5 and a start vector."""
+    rng = np.random.default_rng(7)
+    ctx = make_field(5, 1)
+    gens = []
+    while len(gens) < 2:
+        m = Matrix(ctx, rng.integers(0, 5, size=(5, 5, 1)))
+        if m.det().any():
+            gens.append(_block_form(ctx, m.data))
+    return np.stack(gens), np.array([1, 0, 0, 0, 0]), 5, 5 ** 5, cap
+
+
+def test_orbit_bfs_scratch_clean_after_closure_and_cap():
+    for cap in (ORBIT_CAP, 1, 100):
+        args = _bfs_case(cap)
+        got = orbit_bfs(*args)
+        assert got[0] == (0 if cap == ORBIT_CAP else 1)
+        assert _kernels._scratch.size >= args[3]
+        assert np.all(_kernels._scratch == -1)
+        _assert_same_bfs(got, _orbit_bfs_frontier_py(*args))
+
+
+class _FailingNumpy:
+    """numpy, except that the n-th call of divmod raises."""
+
+    def __init__(self, n):
+        self.left = n
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def divmod(self, *args):
+        self.left -= 1
+        if self.left == 0:
+            raise RuntimeError("injected")
+        return np.divmod(*args)
+
+
+def test_orbit_bfs_scratch_clean_after_exception(monkeypatch):
+    args = _bfs_case()
+    want = _orbit_bfs_frontier_py(*args)
+    assert want[0] == 0 and want[1].size > 100
+    # The second frontier's divmod: the first frontier's points are set.
+    monkeypatch.setattr(_kernels, "np", _FailingNumpy(2))
+    with pytest.raises(RuntimeError, match="injected"):
+        orbit_bfs(*args)
+    monkeypatch.undo()
+    assert np.all(_kernels._scratch == -1)
+    _assert_same_bfs(orbit_bfs(*args), want)
+
+
+def test_levels_recomputed_in_turn_keep_their_positions(pair932):
+    # Both levels' orbits are found in the one scratch table; each must
+    # still answer from its own index after the other is recomputed.
+    levels = [Level(unit_vector(CTX3, 9, k), [pair932.x, pair932.y][: k + 1])
+              for k in (0, 1)]
+    for lv in levels + levels:
+        lv.recompute(ORBIT_CAP)
+    assert levels[0].orbit.size != levels[1].orbit.size
+    probe = np.arange(3 ** 9)
+    for lv in levels:
+        o = lv.orbit
+        want = np.full(3 ** 9, -1)
+        want[o.ids] = np.arange(o.size)
+        assert np.array_equal(o.positions(probe), want)
+        for pos in range(0, o.size, max(1, o.size // 40)):
+            assert o.position(int(o.ids[pos])) == pos
 
 
 def test_orbit_cap(pair932):

@@ -446,7 +446,7 @@ def test_json_is_compact_and_sorted(capsys):
 
 
 # ---------------------------------------------------------------------------
-# start-up: prime-field commands never import sympy
+# start-up: prime-field commands, and verify over GF(9), never import sympy
 
 SYMPY_PROBE = """
 import atexit, runpy, sys
@@ -469,7 +469,8 @@ def test_importing_main_module_runs_nothing():
     [],
     ["certify", "--n", "9", "--q", "3"],
     ["verify", "--n", "9", "--q", "3", "--suite", "all"],
-], ids=["import", "certify", "verify"])
+    ["verify", "--n", "9", "--q", "9", "--suite", "all"],
+], ids=["import", "certify", "verify", "verify-q9"])
 def test_prime_field_commands_do_not_import_sympy(argv):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ,

@@ -232,7 +232,7 @@ def test_field_from_prime_power():
 
 
 # The canonical moduli, little-endian, as computed before the modulus search
-# moved to galoistools: every q the acceptance suite and the claims table use,
+# moved to galoistools, and then to Rabin's test: every q the acceptance suite and the claims table use,
 # plus a grid of larger degrees and characteristics up to 3**20.
 PINNED_MODULI = {
     (3, 1): [0, 1], (5, 1): [0, 1], (7, 1): [0, 1], (11, 1): [0, 1],
@@ -255,6 +255,19 @@ PINNED_MODULI = {
 @pytest.mark.parametrize("p, f", sorted(PINNED_MODULI), ids=lambda v: str(v))
 def test_modulus_is_pinned(p, f):
     assert make_field(p, f).modulus.tolist() == PINNED_MODULI[(p, f)]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_rabin_irreducibility_matches_galoistools(p):
+    # every monic candidate of degree f <= 4, constant term 0 included
+    from sympy.polys.galoistools import gf_irreducible_p
+
+    from omega23.fields import _is_irreducible
+
+    for f in range(1, 5):
+        for tail in itertools.product(range(p), repeat=f):
+            cand = [*tail, 1]
+            assert _is_irreducible(p, cand) == gf_irreducible_p(cand[::-1], p, ZZ), cand
 
 
 def _int64_edge(f):
