@@ -369,13 +369,33 @@ def test_orbit_bfs_scratch_clean_after_exception(monkeypatch):
     args = _bfs_case()
     want = _orbit_bfs_frontier_py(*args)
     assert want[0] == 0 and want[1].size > 100
-    # The second frontier's divmod: the first frontier's points are set.
+    # The second divmod call follows the first frontier's writes to the table.
     monkeypatch.setattr(_kernels, "np", _FailingNumpy(2))
     with pytest.raises(RuntimeError, match="injected"):
         orbit_bfs(*args)
     monkeypatch.undo()
     assert np.all(_kernels._scratch == -1)
     _assert_same_bfs(orbit_bfs(*args), want)
+
+
+def test_orbit_memory_follows_the_orbit():
+    # A one-point orbit in a 3^13-point space: once the scratch table has
+    # grown, a search allocates less than one byte per point of the space,
+    # and the Orbit holds its first 1,024 discovery rows and one index entry.
+    import tracemalloc
+
+    gens, v = [Matrix.identity(CTX3, 13)], unit_vector(CTX3, 13, 0)
+    orbit(gens, v)
+    tracemalloc.start()
+    try:
+        o = orbit(gens, v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert o.size == 1 and peak < 3 ** 13
+    held = [a.nbytes if a.base is None else a.base.nbytes
+            for a in (o.ids, o.parent, o.genlab, o.index)]
+    assert held == [1024 * 8, 1024 * 4, 1024 * 2, 8]
 
 
 def test_levels_recomputed_in_turn_keep_their_positions(pair932):

@@ -6,7 +6,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.polys.domains import ZZ
-from sympy.polys.galoistools import gf_pow_mod, gf_rem
+from sympy.polys.galoistools import gf_irreducible_p, gf_pow_mod, gf_rem
 
 from omega23.fields import (
     _MR_EXACT_BELOW,
@@ -16,6 +16,7 @@ from omega23.fields import (
     FieldError,
     NonPrime,
     SquareClass,
+    _is_irreducible,
     elem_from_json,
     elem_to_json,
     field_from_json,
@@ -232,7 +233,7 @@ def test_field_from_prime_power():
 
 
 # The canonical moduli, little-endian, as computed before the modulus search
-# moved to galoistools, and then to Rabin's test: every q the acceptance suite and the claims table use,
+# moved to galoistools: every q the acceptance suite and the claims table use,
 # plus a grid of larger degrees and characteristics up to 3**20.
 PINNED_MODULI = {
     (3, 1): [0, 1], (5, 1): [0, 1], (7, 1): [0, 1], (11, 1): [0, 1],
@@ -260,10 +261,6 @@ def test_modulus_is_pinned(p, f):
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
 def test_rabin_irreducibility_matches_galoistools(p):
     # every monic candidate of degree f <= 4, constant term 0 included
-    from sympy.polys.galoistools import gf_irreducible_p
-
-    from omega23.fields import _is_irreducible
-
     for f in range(1, 5):
         for tail in itertools.product(range(p), repeat=f):
             cand = [*tail, 1]
