@@ -95,21 +95,6 @@ def _iroot(n: int, k: int) -> int:
 # the canonical modulus
 
 
-def _reduction_rows(p: int, modulus, count: int) -> list:
-    """t**e reduced modulo a monic modulus of degree f over GF(p), for
-    0 <= e < count, as little-endian coefficient lists of length f.
-
-    t**(e+1) = t * t**e, with t**f = -(m_0 + m_1 t + ... + m_{f-1} t**(f-1)).
-    """
-    low = [int(c) for c in modulus[:-1]]
-    vec = [1] + [0] * (len(low) - 1)
-    rows = []
-    for _ in range(count):
-        rows.append(vec)
-        vec = [(prev - vec[-1] * m) % p for prev, m in zip([0, *vec[:-1]], low)]
-    return rows
-
-
 def _coprime(p: int, a: list, b: list) -> bool:
     """Whether two little-endian polynomials over GF(p) have gcd 1 (Euclid)."""
 
@@ -133,40 +118,20 @@ def _coprime(p: int, a: list, b: list) -> bool:
 def _is_irreducible(p: int, modulus) -> bool:
     """Rabin's test for a monic polynomial m of degree f over GF(p): m is
     irreducible iff t**(p**f) = t mod m and gcd(t**(p**(f/r)) - t, m) = 1
-    for each prime r | f (Rabin, SIAM J. Comput. 9, 1980). Powers of t
-    are taken in GF(p)[t]/(m) through m's own reduction table."""
+    for each prime r | f (Rabin, SIAM J. Comput. 9, 1980).
+
+    The powers come from m's own tables: FieldCtx builds its Frobenius
+    matrices for any monic modulus, and row 1 of frob[k] is t**(p**k)
+    in GF(p)[t]/(m), a field or not."""
     f = len(modulus) - 1
-    rows = _reduction_rows(p, modulus, max(2 * f - 1, 2))
-
-    def combine(coeffs, table):  # sum of coeffs[e] * table[e]
-        return [sum(c * row[k] for c, row in zip(coeffs, table)) % p for k in range(f)]
-
-    def mul(a, b):
-        prod = [0] * (2 * f - 1)
-        for i, x in enumerate(a):
-            for j, y in enumerate(b):
-                prod[i + j] += x * y
-        return combine(prod, rows)
-
-    t = rows[1]
-    t_p, base, e = rows[0], t, p  # t**p by squaring
-    while e:
-        if e & 1:
-            t_p = mul(t_p, base)
-        base = mul(base, base)
-        e >>= 1
-    # a -> a**p is linear: row v of its matrix is t**(p*v)
-    frob = [rows[0]]
-    for _ in range(1, f):
-        frob.append(mul(frob[-1], t_p))
-    powers = [t]  # powers[k] = t**(p**k)
-    for _ in range(f):
-        powers.append(combine(powers[-1], frob))
-    if powers[f] != t:
+    if f == 1:
+        return True
+    frob = FieldCtx(p, f, modulus).frob
+    t = frob[0][1]
+    if not np.array_equal(frob[f - 1][1] @ frob[1] % p, t):  # t**(p**f)
         return False
-    primes = [r for r in range(2, f + 1) if f % r == 0 and is_prime(r)]
-    return all(_coprime(p, [a - b for a, b in zip(powers[f // r], t)], list(modulus))
-               for r in primes)
+    return all(_coprime(p, (frob[f // r][1] - t).tolist(), list(modulus))
+               for r in range(2, f + 1) if f % r == 0 and is_prime(r))
 
 
 def _smallest_modulus(p, f):
@@ -208,8 +173,14 @@ class FieldCtx:
             raise FieldError(f"GF({self.p}^{self.f}) is outside the exact int64 range")
         self.modulus = np.array(modulus, dtype=np.int64)
         assert self.modulus.shape == (self.f + 1,) and self.modulus[-1] == 1
-        r = self.reduce_table = np.array(
-            _reduction_rows(self.p, self.modulus, 2 * self.f - 1), dtype=np.int64)
+        # t**(e+1) = t * t**e, with t**f = -(m_0 + m_1 t + ... + m_{f-1} t**(f-1))
+        low = [int(c) for c in self.modulus[:-1]]
+        vec = [1] + [0] * (self.f - 1)
+        rows = []
+        for _ in range(2 * self.f - 1):
+            rows.append(vec)
+            vec = [(prev - vec[-1] * m) % self.p for prev, m in zip([0, *vec[:-1]], low)]
+        r = self.reduce_table = np.array(rows, dtype=np.int64)
         self.mul_table = np.zeros((self.f, self.f, self.f), dtype=np.int64)
         for u in range(self.f):
             for v in range(self.f):
