@@ -10,10 +10,12 @@ whole frontier is two lookups and an add: every digit of the sum is at
 most 2p − 2 < 2^bits, so no field carries into the next. Chunk tables
 then reduce the digits mod p and rebuild the base-p code.
 
-The search is frontier-batched. All generators' images of the frontier
-are read generator-major and deduplicated once, keeping first
-occurrences, which appends new points in exactly the order a sequential
-pass (generator by generator, point by point) would reach them.
+Each frontier is closed one generator at a time: map the whole frontier
+through the generator's tables, keep the images whose visited slot is
+still -1, and append them in frontier order. That is the order a
+sequential pass (generator by generator, point by point) reaches them,
+with no dedup: the generators must be injective (invertible mod p), and
+a frontier repeats no point, so one generator's new images are distinct.
 
 The visited table is one module-level scratch buffer, grown to the
 largest space seen and all -1 between calls: a search resets the slots
@@ -43,20 +45,20 @@ def _digit_bits(p: int) -> int:
     return (2 * p - 2).bit_length()
 
 
-def _packed_images(p: int, lo_digit: int, n_digits: int, gens: np.ndarray) -> list:
-    """Per generator, the images of all p^n_digits vectors that are zero
-    outside digits lo_digit … lo_digit + n_digits − 1, listed by the code
-    of that slice, with their digits packed at _digit_bits(p) bits each.
-    The product runs in float64, exactly: its sums stay below N·p² < 2^53."""
-    n_coords = gens.shape[1]
-    codes = np.arange(p ** n_digits, dtype=np.int64)
-    vecs = np.zeros((codes.size, n_coords))
-    for k in range(n_digits):
-        vecs[:, lo_digit + k] = codes % p
-        codes //= p
-    weights = np.left_shift(1, _digit_bits(p) * np.arange(n_coords, dtype=np.int64))
-    return [((vecs @ g.T).astype(np.int64) % p) @ weights
-            for g in gens.astype(np.float64)]
+def _packed_images(p: int, lo_digit: int, n_digits: int, gens: np.ndarray) -> np.ndarray:
+    """Row gi: generator gi's images of all p^n_digits vectors that are
+    zero outside digits lo_digit … lo_digit + n_digits − 1, listed by the
+    code of that slice, with their digits packed at _digit_bits(p) bits
+    each. Only the slice's columns of each generator enter the product,
+    which runs in float64, exactly: its sums stay below n_digits·p² < 2^53."""
+    # Row c: the base-p digits of c, least significant first.
+    grid = np.indices((p,) * n_digits, dtype=np.float64)
+    digits = grid.reshape(n_digits, p ** n_digits)[::-1].T
+    cols = gens[:, :, lo_digit:lo_digit + n_digits].astype(np.float64)
+    images = (digits @ cols.transpose(0, 2, 1)).astype(np.int64)
+    images -= p * (images // p)  # mod p; numpy vectorizes // but not %
+    weights = np.left_shift(1, _digit_bits(p) * np.arange(gens.shape[1], dtype=np.int64))
+    return images @ weights
 
 
 @lru_cache(maxsize=None)
@@ -89,9 +91,12 @@ def orbit_bfs(gens: np.ndarray, start: np.ndarray, p: int, space: int,
     """Closure of `start` under flattened prime-field generators.
 
     Returns (status, ids, parent, genlab, index); status 1 means the cap
-    was hit before closure. `ids` lists point codes in discovery order,
-    `parent`/`genlab` encode the Schreier forest, and `index` is the
-    sorted array of (code << POS_BITS) | position, one entry a point.
+    was hit before closure, and a cap below 1 is hit before the start
+    point is kept, with all arrays empty. `ids` lists point codes in
+    discovery order, `parent`/`genlab` encode the Schreier forest, and
+    `index` is the sorted array of (code << POS_BITS) | position, one
+    entry a point. A generator that is not injective can make a point
+    appear twice.
 
     The visited table is the shared scratch buffer, so the kernel is not
     re-entrant.
@@ -103,7 +108,6 @@ def orbit_bfs(gens: np.ndarray, start: np.ndarray, p: int, space: int,
     visited = _scratch[:space]
     try:
         status, ids, parent, genlab = _search(gens, start, p, visited, cap)
-        # Overflow past the cap is reset in the search: only ids are set.
         visited[ids] = -1
     except BaseException:
         _scratch = _EMPTY  # slots may be left set: start from a fresh table
@@ -125,12 +129,13 @@ def _search(gens, start, p, visited, cap):
     gens = np.ascontiguousarray(gens, dtype=np.int64)
     start = np.ascontiguousarray(start, dtype=np.int64)
     n_coords = start.shape[0]
-    n_gens = gens.shape[0]
     bits = _digit_bits(p)
     # p^N <= DENSE_CAP keeps N*bits <= 39 (at p = 3), so a sum of two
     # packed images, below 2^(N*bits), fits an int64 with room to spare.
     assert n_coords * bits <= 48, "packed images exceed 48 bits"
     max_pts = cap if cap < space else space
+    if max_pts < 1:  # no room even for the start point
+        return 1, np.empty(0, np.int64), np.empty(0, np.int32), np.empty(0, np.int16)
     rows = min(max_pts, _FIRST_ROWS)
     ids = np.empty(rows, np.int64)
     parent = np.empty(rows, np.int32)
@@ -153,44 +158,31 @@ def _search(gens, start, p, visited, cap):
     lo = 0
     while lo < count:
         hi = count
-        width = hi - lo
-        frontier = ids[lo:hi]
-        f_hi, f_lo = np.divmod(frontier, split)
-        cand = np.empty(n_gens * width, np.int64)
-        for gi in range(n_gens):
+        f_hi, f_lo = np.divmod(ids[lo:hi], split)
+        for gi in range(gens.shape[0]):
             packed = hi_img[gi][f_hi] + lo_img[gi][f_lo]
-            out = cand[gi * width:(gi + 1) * width]
             if unpack is None:
-                np.remainder(packed, p, out=out)
-                continue
-            (shift, mask, table), *rest = unpack
-            np.take(table, (packed >> shift) & mask, out=out)
-            for shift, mask, table in rest:
-                out += table[(packed >> shift) & mask]
-        where = np.flatnonzero(visited[cand] < 0)
-        fresh = cand[where]
-        # First occurrence of each fresh code: the smallest position that
-        # names it, found by a min-scatter into its own visited slot.
-        pos = np.arange(where.size, dtype=np.int32)
-        visited[fresh] = np.iinfo(np.int32).max
-        np.minimum.at(visited, fresh, pos)
-        first = where[visited[fresh] == pos]
-        total = first.size
-        k = min(total, max_pts - count)
-        new_ids = cand[first]
-        visited[new_ids[k:]] = -1
-        new_ids = new_ids[:k]
-        first = first[:k]
-        visited[new_ids] = count + np.arange(k, dtype=np.int32)
-        if count + k > ids.size:
-            rows = min(max(2 * ids.size, count + k), max_pts)
-            ids, parent, genlab = (_grown(a, count, rows) for a in (ids, parent, genlab))
-        ids[count:count + k] = new_ids
-        gen, src = np.divmod(first, width)
-        parent[count:count + k] = lo + src
-        genlab[count:count + k] = gen
-        count += k
-        if k < total:
-            return 1, ids[:count], parent[:count], genlab[:count]
+                img = packed % p
+            else:
+                (shift, mask, table), *rest = unpack
+                img = table[(packed >> shift) & mask]
+                for shift, mask, table in rest:
+                    img += table[(packed >> shift) & mask]
+            # A generator is injective and a frontier repeats no point,
+            # so the new images of one generator are already distinct.
+            fresh = np.flatnonzero(visited[img] < 0)
+            k = min(fresh.size, max_pts - count)
+            where = fresh[:k]
+            if count + k > ids.size:
+                rows = min(max(2 * ids.size, count + k), max_pts)
+                ids, parent, genlab = (_grown(a, count, rows) for a in (ids, parent, genlab))
+            new_ids = ids[count:count + k]
+            np.take(img, where, out=new_ids)
+            visited[new_ids] = count + np.arange(k, dtype=np.int32)
+            parent[count:count + k] = lo + where
+            genlab[count:count + k] = gi
+            count += k
+            if k < fresh.size:
+                return 1, ids[:count], parent[:count], genlab[:count]
         lo = hi
     return 0, ids[:count], parent[:count], genlab[:count]

@@ -123,7 +123,9 @@ class Orbit:
 
 
 def orbit(gens, v, cap: int = ORBIT_CAP) -> Orbit:
-    """Breadth-first closure of the vector v under the given matrices."""
+    """Breadth-first closure of the vector v under the given invertible
+    matrices. A cap below 1 holds not even v, so it raises
+    OrbitCapExceeded."""
     gens = tuple(gens)
     if not gens:
         raise CertifyError("orbit needs at least one generator")
@@ -142,6 +144,11 @@ def orbit(gens, v, cap: int = ORBIT_CAP) -> Orbit:
     flat = np.stack([_block_form(ctx, g.data) for g in gens])
     status, ids, parent, genlab, index = orbit_bfs(
         flat, vec.reshape(-1), ctx.p, space, cap=cap)
+    codes = index >> POS_BITS
+    if not np.all(codes[1:] > codes[:-1]):
+        # The kernel relies on injective generators; a point found twice
+        # shows a singular one. Without such a repeat the closure is exact.
+        raise CertifyError("generators must be invertible")
     if status:
         raise OrbitCapExceeded(f"orbit exceeded the cap of {cap} points")
     return Orbit(ctx=ctx, n=n, ids=ids, parent=parent,

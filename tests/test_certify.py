@@ -97,7 +97,8 @@ def test_orbit_discovery_is_deterministic(pair932):
 
 def _orbit_bfs_py(gens, start, p, space, cap):
     """Reference BFS, point-major order: the independent oracle for the
-    frontier-batched production kernel `_kernels.orbit_bfs`."""
+    production kernel `_kernels.orbit_bfs`, which closes each frontier
+    one generator at a time."""
     n_coords = start.shape[0]
     n_gens = gens.shape[0]
     visited = np.full(space, -1, np.int32)
@@ -187,13 +188,18 @@ def _orbit_bfs_frontier_py(gens, start, p, space, cap):
         vec = [(pt // p ** k) % p for k in range(n_coords)]
         return code([sum(a * b for a, b in zip(row, vec)) % p for row in g])
 
-    ids, parent, genlab = [code(int(d) for d in start)], [-1], [-1]
-    visited[ids[0]] = 0
+    ids, parent, genlab = [], [], []
 
     def result(status):
         return (status, np.array(ids, np.int64), np.array(parent, np.int32),
                 np.array(genlab, np.int16), visited)
 
+    if max_pts < 1:  # the cap cannot hold the start point
+        return result(1)
+    ids.append(code(int(d) for d in start))
+    parent.append(-1)
+    genlab.append(-1)
+    visited[ids[0]] = 0
     lo = 0
     while lo < len(ids):
         hi = len(ids)
@@ -340,13 +346,88 @@ def _bfs_case(cap=ORBIT_CAP):
 
 
 def test_orbit_bfs_scratch_clean_after_closure_and_cap():
-    for cap in (ORBIT_CAP, 1, 100):
+    # A cap below 1 cannot hold the start point: status 1, nothing kept.
+    for cap in (ORBIT_CAP, 1, 100, 0, -1):
         args = _bfs_case(cap)
         got = orbit_bfs(*args)
         assert got[0] == (0 if cap == ORBIT_CAP else 1)
         assert _kernels._scratch.size >= args[3]
         assert np.all(_kernels._scratch == -1)
         _assert_same_bfs(got, _orbit_bfs_frontier_py(*args))
+
+
+def test_orbit_bfs_cap_at_a_generator_boundary():
+    # Generator 0 fills the room exactly and generator 1 still has a new
+    # image: the search stops there with status 1.
+    gens, start, p, space, _ = _bfs_case()
+    genlab = _orbit_bfs_frontier_py(gens, start, p, space, ORBIT_CAP)[3]
+    last = next(j for j in range(1, genlab.size - 1)
+                if genlab[j] == 0 and genlab[j + 1] == 1)
+    args = (gens, start, p, space, last + 1)
+    want = _orbit_bfs_frontier_py(*args)
+    assert want[0] == 1 and want[1].size == last + 1 and want[3][-1] == 0
+    _assert_same_bfs(orbit_bfs(*args), want)
+
+
+@pytest.mark.parametrize("layout, named", [
+    ("g g", {-1, 0}),
+    ("1 g h", {-1, 1, 2}),
+    ("g 1 h g", {-1, 0, 2}),
+])
+def test_orbit_bfs_repeated_and_identity_generators(layout, named):
+    # A copy or the identity finds nothing new, so genlab never names it.
+    gens, start, p, space, _ = _bfs_case()
+    by_name = {"g": gens[0], "h": gens[1], "1": np.eye(5, dtype=np.int64)}
+    names = layout.split()
+    stack = np.stack([by_name[n] for n in names])
+    plain = np.stack([by_name[n] for n in dict.fromkeys(names) if n != "1"])
+    for cap in (ORBIT_CAP, 100):
+        args = (stack, start, p, space, cap)
+        got = orbit_bfs(*args)
+        _assert_same_bfs(got, _orbit_bfs_frontier_py(*args))
+        assert set(got[3].tolist()) <= named
+    want = orbit_bfs(plain, start, p, space, ORBIT_CAP)[1]
+    got = orbit_bfs(stack, start, p, space, ORBIT_CAP)[1]
+    assert np.array_equal(np.sort(got), np.sort(want))
+
+
+def test_orbit_refuses_a_singular_generator_that_merges_points():
+    # Over F_3, (x, y) -> (0, 2x) sends the second frontier, (0, 1) and
+    # (0, 2), both to the new point 0: the kernel lists it twice.
+    swap = Matrix(CTX3, [[0, 1], [1, 0]])
+    singular = Matrix(CTX3, [[0, 0], [2, 0]])
+    with pytest.raises(CertifyError, match="invertible"):
+        orbit([swap, singular], unit_vector(CTX3, 2, 0))
+    assert np.all(_kernels._scratch == -1)
+
+
+def _packed_images_dense(p, lo_digit, n_digits, gens):
+    """The table build as it was: the zero-padded p^d x N block of slice
+    vectors times the whole generator."""
+    n_coords = gens.shape[1]
+    codes = np.arange(p ** n_digits, dtype=np.int64)
+    vecs = np.zeros((codes.size, n_coords))
+    for k in range(n_digits):
+        vecs[:, lo_digit + k] = codes % p
+        codes //= p
+    weights = np.left_shift(1, _kernels._digit_bits(p) * np.arange(n_coords, dtype=np.int64))
+    return np.stack([((vecs @ g.T).astype(np.int64) % p) @ weights
+                     for g in gens.astype(np.float64)])
+
+
+@pytest.mark.parametrize("p, n_coords", [(3, 9), (3, 11), (3, 12), (3, 13), (5, 9)])
+def test_packed_images_match_the_dense_product(p, n_coords):
+    # (p, N) of every certify desk point; the all-(p - 1) generator gives
+    # the largest sums the float product must hold exactly.
+    rng = np.random.default_rng(p * n_coords)
+    gens = np.concatenate([rng.integers(0, p, size=(3, n_coords, n_coords)),
+                           np.full((1, n_coords, n_coords), p - 1)])
+    m = n_coords // 2
+    for lo_digit, n_digits in ((0, m), (m, n_coords - m)):
+        got = _kernels._packed_images(p, lo_digit, n_digits, gens)
+        want = _packed_images_dense(p, lo_digit, n_digits, gens)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
 
 
 class _FailingNumpy:
@@ -419,6 +500,16 @@ def test_levels_recomputed_in_turn_keep_their_positions(pair932):
 def test_orbit_cap(pair932):
     with pytest.raises(OrbitCapExceeded):
         orbit([pair932.x, pair932.y], unit_vector(CTX3, 9, 0), cap=100)
+
+
+@pytest.mark.parametrize("cap", [0, -1])
+def test_orbit_cap_below_one(pair932, cap):
+    # Not even the start point fits, so a one-point orbit is refused too.
+    v = unit_vector(CTX3, 9, 0)
+    for gens in ([pair932.x, pair932.y], [Matrix.identity(CTX3, 9)]):
+        with pytest.raises(OrbitCapExceeded):
+            orbit(gens, v, cap=cap)
+        assert np.all(_kernels._scratch == -1)
 
 
 def test_orbit_dimension_mismatch(pair932):
@@ -644,6 +735,13 @@ def test_certify_forced_pair_documents_outcome():
     res = certify_generation(build_pair(9, CTX3, 1, force=True), seed=53251)
     assert res.computed_order == 2 * res.target_order
     assert res.verdict == "Inconclusive"
+
+
+@pytest.mark.parametrize("cap", [0, -1])
+def test_certify_cap_below_one_inconclusive(pair932, cap):
+    res = certify_generation(pair932, seed=1, cap=cap)
+    assert res.verdict == "Inconclusive"
+    assert res.computed_order == 1 and res.orbit_sizes == ()
 
 
 def test_certify_budget_inconclusive(pair932):
