@@ -14,8 +14,12 @@ Each frontier is closed one generator at a time: map the whole frontier
 through the generator's tables, keep the images whose visited slot is
 still -1, and append them in frontier order. That is the order a
 sequential pass (generator by generator, point by point) reaches them,
-with no dedup: the generators must be injective (invertible mod p), and
-a frontier repeats no point, so one generator's new images are distinct.
+with no dedup: for injective generators (invertible mod p) a frontier
+repeats no point, so one generator's new images are distinct. The
+discovery arrays never hold more than p^N entries. A singular generator
+can list a point twice; a search that fills all p^N entries either
+repeats a code that way or has found every point of the space, which is
+then the exact closure. The caller refuses any repeated code.
 
 The visited table is one module-level scratch buffer, grown to the
 largest space seen and all -1 between calls: a search resets the slots
@@ -30,7 +34,6 @@ from functools import lru_cache
 
 import numpy as np
 
-ORBIT_CAP = 5_000_000
 DENSE_CAP = 1 << 22  # largest p^N handled by the dense tables
 POS_BITS = (DENSE_CAP - 1).bit_length()  # a position or a code fits 22 bits
 POS_MASK = (1 << POS_BITS) - 1
@@ -86,17 +89,14 @@ def _unpack_tables(p: int, n_coords: int) -> tuple:
     return tuple(chunks)
 
 
-def orbit_bfs(gens: np.ndarray, start: np.ndarray, p: int, space: int,
-              cap: int = ORBIT_CAP):
+def orbit_bfs(gens: np.ndarray, start: np.ndarray, p: int, space: int):
     """Closure of `start` under flattened prime-field generators.
 
-    Returns (status, ids, parent, genlab, index); status 1 means the cap
-    was hit before closure, and a cap below 1 is hit before the start
-    point is kept, with all arrays empty. `ids` lists point codes in
-    discovery order, `parent`/`genlab` encode the Schreier forest, and
-    `index` is the sorted array of (code << POS_BITS) | position, one
-    entry a point. A generator that is not injective can make a point
-    appear twice.
+    Returns (ids, parent, genlab, index). `ids` lists point codes in
+    discovery order, at most `space` of them, `parent`/`genlab` encode
+    the Schreier forest, and `index` is the sorted array of
+    (code << POS_BITS) | position, one entry a point. A generator that
+    is not injective can make a point appear twice.
 
     The visited table is the shared scratch buffer, so the kernel is not
     re-entrant.
@@ -107,13 +107,13 @@ def orbit_bfs(gens: np.ndarray, start: np.ndarray, p: int, space: int,
         _scratch = np.full(space, -1, np.int32)
     visited = _scratch[:space]
     try:
-        status, ids, parent, genlab = _search(gens, start, p, visited, cap)
+        ids, parent, genlab = _search(gens, start, p, visited)
         visited[ids] = -1
     except BaseException:
         _scratch = _EMPTY  # slots may be left set: start from a fresh table
         raise
     index = np.sort((ids << POS_BITS) | np.arange(ids.size, dtype=np.int64))
-    return status, ids, parent, genlab, index
+    return ids, parent, genlab, index
 
 
 def _grown(a: np.ndarray, count: int, size: int) -> np.ndarray:
@@ -122,8 +122,8 @@ def _grown(a: np.ndarray, count: int, size: int) -> np.ndarray:
     return out
 
 
-def _search(gens, start, p, visited, cap):
-    """The frontier loop: (status, ids, parent, genlab), with visited
+def _search(gens, start, p, visited):
+    """The frontier loop: (ids, parent, genlab), with visited
     holding each found point's position and -1 elsewhere."""
     space = visited.size
     gens = np.ascontiguousarray(gens, dtype=np.int64)
@@ -133,10 +133,7 @@ def _search(gens, start, p, visited, cap):
     # p^N <= DENSE_CAP keeps N*bits <= 39 (at p = 3), so a sum of two
     # packed images, below 2^(N*bits), fits an int64 with room to spare.
     assert n_coords * bits <= 48, "packed images exceed 48 bits"
-    max_pts = cap if cap < space else space
-    if max_pts < 1:  # no room even for the start point
-        return 1, np.empty(0, np.int64), np.empty(0, np.int32), np.empty(0, np.int16)
-    rows = min(max_pts, _FIRST_ROWS)
+    rows = min(space, _FIRST_ROWS)
     ids = np.empty(rows, np.int64)
     parent = np.empty(rows, np.int32)
     genlab = np.empty(rows, np.int16)
@@ -168,13 +165,13 @@ def _search(gens, start, p, visited, cap):
                 img = table[(packed >> shift) & mask]
                 for shift, mask, table in rest:
                     img += table[(packed >> shift) & mask]
-            # A generator is injective and a frontier repeats no point,
-            # so the new images of one generator are already distinct.
+            # An injective generator maps a frontier, which repeats no
+            # point, to distinct images, so the new ones need no dedup.
             fresh = np.flatnonzero(visited[img] < 0)
-            k = min(fresh.size, max_pts - count)
+            k = min(fresh.size, space - count)
             where = fresh[:k]
             if count + k > ids.size:
-                rows = min(max(2 * ids.size, count + k), max_pts)
+                rows = min(max(2 * ids.size, count + k), space)
                 ids, parent, genlab = (_grown(a, count, rows) for a in (ids, parent, genlab))
             new_ids = ids[count:count + k]
             np.take(img, where, out=new_ids)
@@ -182,7 +179,5 @@ def _search(gens, start, p, visited, cap):
             parent[count:count + k] = lo + where
             genlab[count:count + k] = gi
             count += k
-            if k < fresh.size:
-                return 1, ids[:count], parent[:count], genlab[:count]
         lo = hi
-    return 0, ids[:count], parent[:count], genlab[:count]
+    return ids[:count], parent[:count], genlab[:count]

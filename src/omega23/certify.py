@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import resolved_seed
-from ._kernels import DENSE_CAP, ORBIT_CAP, POS_BITS, POS_MASK, orbit_bfs
+from ._kernels import DENSE_CAP, POS_BITS, POS_MASK, orbit_bfs
 from .fields import FieldCtx, elem_to_json
 from .forms import OrthoSpace, in_omega, omega_order
 from .generators import GenPair, WrongCase
@@ -38,10 +38,6 @@ class CertifyError(Exception):
 
 
 class DimensionMismatch(CertifyError):
-    pass
-
-
-class OrbitCapExceeded(CertifyError):
     pass
 
 
@@ -64,23 +60,6 @@ _PRA_BURN_IN = 64
 
 
 # ---------------------------------------------------------------------------
-# point ids of flattened vectors in F_p^{nf}
-
-
-def _encode(vec: np.ndarray, powers: np.ndarray) -> int:
-    return int(np.asarray(vec, dtype=np.int64).reshape(-1) @ powers)
-
-
-def _decode(pid: int, p: int, n: int, f: int) -> np.ndarray:
-    digits = np.empty(n * f, dtype=np.int64)
-    t = pid
-    for k in range(n * f):
-        digits[k] = t % p
-        t //= p
-    return digits.reshape(n, f)
-
-
-# ---------------------------------------------------------------------------
 # orbits
 
 
@@ -92,6 +71,7 @@ class Orbit:
     parent: np.ndarray
     genlab: np.ndarray
     index: np.ndarray  # sorted (code << POS_BITS) | position, one entry a point
+    powers: np.ndarray  # p^k for each of the n·f coordinates of F_p^{nf}
 
     @property
     def size(self) -> int:
@@ -118,14 +98,21 @@ class Orbit:
         # its shift wraps around.
         return np.where(entry >> POS_BITS == codes, entry & POS_MASK, -1)
 
+    def code(self, vec) -> int:
+        """The base-p point code of an (n, f) vector over F_q, flattened
+        to F_p^{nf}: digit k has weight p^k."""
+        return int(np.asarray(vec, dtype=np.int64).reshape(-1) @ self.powers)
+
     def vector(self, pos: int) -> np.ndarray:
-        return _decode(int(self.ids[pos]), self.ctx.p, self.n, self.ctx.f)
+        """The vector at a discovery position; code() inverts it."""
+        digits = int(self.ids[pos]) // self.powers % self.ctx.p
+        return digits.reshape(self.n, self.ctx.f)
 
 
-def orbit(gens, v, cap: int = ORBIT_CAP) -> Orbit:
+def orbit(gens, v) -> Orbit:
     """Breadth-first closure of the vector v under the given invertible
-    matrices. A cap below 1 holds not even v, so it raises
-    OrbitCapExceeded."""
+    matrices. A singular generator is refused when it makes a point
+    appear twice."""
     gens = tuple(gens)
     if not gens:
         raise CertifyError("orbit needs at least one generator")
@@ -142,17 +129,15 @@ def orbit(gens, v, cap: int = ORBIT_CAP) -> Orbit:
         raise StateSpaceTooLarge(
             f"p^(n*f) = {space} exceeds the dense table cap {DENSE_CAP}")
     flat = np.stack([_block_form(ctx, g.data) for g in gens])
-    status, ids, parent, genlab, index = orbit_bfs(
-        flat, vec.reshape(-1), ctx.p, space, cap=cap)
+    ids, parent, genlab, index = orbit_bfs(flat, vec.reshape(-1), ctx.p, space)
     codes = index >> POS_BITS
     if not np.all(codes[1:] > codes[:-1]):
         # The kernel relies on injective generators; a point found twice
-        # shows a singular one. Without such a repeat the closure is exact.
+        # shows a singular one. Without such a repeat the closure is exact:
+        # the search stops at closure or with every point of the space.
         raise CertifyError("generators must be invertible")
-    if status:
-        raise OrbitCapExceeded(f"orbit exceeded the cap of {cap} points")
-    return Orbit(ctx=ctx, n=n, ids=ids, parent=parent,
-                 genlab=genlab, index=index)
+    return Orbit(ctx=ctx, n=n, ids=ids, parent=parent, genlab=genlab,
+                 index=index, powers=ctx.p ** np.arange(n * ctx.f, dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -181,8 +166,8 @@ class Level:
         self._u_inv = {}
         self._gen_inv = {}
 
-    def recompute(self, cap):
-        self.orbit = orbit(self.gens, self.base_vec, cap=cap)
+    def recompute(self):
+        self.orbit = orbit(self.gens, self.base_vec)
         self.base_id = int(self.orbit.ids[0])
         one = Matrix.identity(self.orbit.ctx, self.orbit.n)
         self._u = {0: one}
@@ -235,15 +220,9 @@ class StabilizerChain:
 
 def _sift_from(levels, g: Matrix, start: int):
     """Sift through levels[start:]. Returns (residue or None, stuck level)."""
-    ctx = g.ctx
-    powers = None
     for i in range(start, len(levels)):
         lv = levels[i]
-        img = g @ lv.base_vec
-        if powers is None:
-            powers = ctx.p ** np.arange(img.size, dtype=np.int64)
-        pid = _encode(img, powers)
-        pos = lv.orbit.position(pid)
+        pos = lv.orbit.position(lv.orbit.code(g @ lv.base_vec))
         if pos < 0:
             return g, i
         g = lv.u_inv(pos) @ g
@@ -291,10 +270,9 @@ class _RandomElements:
 
 
 class _ChainBuilder:
-    def __init__(self, gens, seed, cap, budget_seconds):
+    def __init__(self, gens, seed, budget_seconds):
         self.gens = tuple(gens)
         self.seed = seed
-        self.cap = cap
         self.levels = []
         self.deadline = (
             time.monotonic() + budget_seconds if budget_seconds else None)
@@ -331,7 +309,7 @@ class _ChainBuilder:
         else:
             lv = self.levels[idx]
             lv.gens.append(residue)
-        lv.recompute(self.cap)
+        lv.recompute()
 
     def feed(self, g: Matrix) -> bool:
         """Sift g; absorb a nontrivial residue. True if the chain grew."""
@@ -344,21 +322,15 @@ class _ChainBuilder:
 
     def verify_schreier(self) -> bool:
         """Deterministic closure test; absorbs the first bad residue."""
-        powers = None
         for i in range(len(self.levels) - 1, -1, -1):
             lv = self.levels[i]
-            ctx = lv.orbit.ctx
-            if powers is None:
-                powers = ctx.p ** np.arange(
-                    lv.orbit.n * ctx.f, dtype=np.int64)
             for pos in range(lv.orbit.size):
                 if pos % 1024 == 0:
                     self._check_budget()
                 u_pt = lv.u(pos)
                 for s in lv.gens:
                     w = s @ u_pt
-                    pid = _encode(w @ lv.base_vec, powers)
-                    pos2 = lv.orbit.position(pid)
+                    pos2 = lv.orbit.position(lv.orbit.code(w @ lv.base_vec))
                     schreier = lv.u_inv(pos2) @ w
                     if schreier.is_identity():
                         continue
@@ -408,7 +380,6 @@ class _ChainBuilder:
 
 
 def stabilizer_chain(gens, target: int | None = None, seed: int | None = None,
-                     cap: int = ORBIT_CAP,
                      budget_seconds: float | None = None) -> StabilizerChain:
     """Randomized Schreier-Sims with sound termination.
 
@@ -423,7 +394,7 @@ def stabilizer_chain(gens, target: int | None = None, seed: int | None = None,
     seed = resolved_seed(seed)
     if not gens:
         return StabilizerChain(base=(), levels=(), order=1, verified=True, seed=seed)
-    builder = _ChainBuilder(gens, seed, cap, budget_seconds)
+    builder = _ChainBuilder(gens, seed, budget_seconds)
     return builder.build(target)
 
 
@@ -469,18 +440,17 @@ def _restricted_space(pair: GenPair) -> OrthoSpace:
 
 def certify_generation(pair: GenPair, restrict_to_s9: bool = False,
                        seed: int | None = None,
-                       budget_seconds: float | None = None,
-                       cap: int = ORBIT_CAP) -> CertResult:
+                       budget_seconds: float | None = None) -> CertResult:
     """Compare the order of the generated group against the closed formula.
 
     Full mode certifies <x, y> against the ambient group's order; restricted
     mode (even/odd tail families only) certifies the action of <y, tau> on
     the distinguished 9-dimensional subspace against the 9-dimensional
     target. Verdicts: Generates (orders equal), ProperSubgroup (computed
-    order properly divides the target), Inconclusive (budget or table caps
-    hit, or - without pre-verified containment - an order incompatible
-    with the target; the certificate then carries the best exact or
-    partial order known, never a wrong one).
+    order properly divides the target), Inconclusive (budget exhausted, a
+    state space past DENSE_CAP, or - without pre-verified containment - an
+    order incompatible with the target; the certificate then carries the
+    best exact or partial order known, never a wrong one).
     """
     t0 = time.perf_counter()
     seed = resolved_seed(seed)
@@ -510,7 +480,6 @@ def certify_generation(pair: GenPair, restrict_to_s9: bool = False,
             gens,
             target=target if contained else None,
             seed=seed,
-            cap=cap,
             budget_seconds=budget_seconds,
         )
         computed = chain.order
@@ -528,7 +497,7 @@ def certify_generation(pair: GenPair, restrict_to_s9: bool = False,
         computed = stop.partial_order
         base_size = stop.base_size
         orbit_sizes = stop.orbit_sizes
-    except (OrbitCapExceeded, StateSpaceTooLarge):
+    except StateSpaceTooLarge:
         pass
 
     return CertResult(

@@ -39,8 +39,9 @@ EXIT_INCONCLUSIVE = 3
 # acceptance grid's largest point, n = 25 at q = 27, needs 1875.
 MAX_MATRIX_ENTRIES = 1 << 22
 
+# OSError: an unreadable --matrix/--gram file or an unwritable --output.
 _BUILD_ERRORS = (FieldError, FormsError, GenError, LinalgError, VerifyError,
-                 CertifyError, ValueError)
+                 CertifyError, ValueError, OSError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -54,7 +55,7 @@ def _diag(kind: str, detail: str):
           file=sys.stderr)
 
 
-def _parse_a(ctx, text: str | None):
+def _parse_a(text: str | None):
     if text is None:
         return None
     parts = text.split(",")
@@ -99,7 +100,7 @@ def _pair_params(args, ctx, a_parsed):
 
 def _cmd_generate(args) -> int:
     ctx = field_from_prime_power(args.q)
-    a = _parse_a(ctx, args.a)
+    a = _parse_a(args.a)
     pair = _build_pair(args, ctx, a)
     doc = {
         "command": "generate",
@@ -119,7 +120,7 @@ def _report_lines(report) -> list:
 
 def _cmd_verify(args) -> int:
     ctx = field_from_prime_power(args.q)
-    a = _parse_a(ctx, args.a)
+    a = _parse_a(args.a)
     pair = _build_pair(args, ctx, a)
     reports = []
     if args.suite in ("structural", "all"):
@@ -148,7 +149,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_certify(args) -> int:
     ctx = field_from_prime_power(args.q)
-    a = _parse_a(ctx, args.a)
+    a = _parse_a(args.a)
     pair = _build_pair(args, ctx, a)
     result = certify_generation(
         pair,
@@ -199,8 +200,11 @@ def _cmd_search_a(args) -> int:
 
 
 def _load_matrix(ctx, path: str) -> Matrix:
-    raw = sys.stdin.read() if path == "-" else open(path, encoding="utf-8").read()
-    obj = json.loads(raw)
+    if path == "-":
+        obj = json.load(sys.stdin)
+    else:
+        with open(path, encoding="utf-8") as fh:
+            obj = json.load(fh)
     if isinstance(obj, dict):
         return Matrix.from_json(ctx, obj)
     return Matrix.from_rows(ctx, [[ctx.coerce(e) for e in row] for row in obj])

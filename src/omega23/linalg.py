@@ -297,9 +297,6 @@ class Matrix:
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols} over GF({self.ctx.q}))"
 
-    def entry(self, i: int, j: int) -> np.ndarray:
-        return self.data[i, j].copy()
-
     def _same_shape(self, other, op: str) -> np.ndarray:
         """other's data, once other is a matrix over this field of this shape."""
         if not isinstance(other, Matrix):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import numpy as np
@@ -11,7 +12,7 @@ from omega23.forms import gram_matrix, in_omega, is_isometry, omega_order, quadr
 from omega23.generators import WrongCase, build_pair
 from omega23.linalg import Matrix, _block_form, unit_vector
 from omega23 import _kernels
-from omega23._kernels import DENSE_CAP, ORBIT_CAP, orbit_bfs
+from omega23._kernels import DENSE_CAP, POS_BITS, orbit_bfs
 from omega23 import certify as certify_mod
 from omega23.certify import (
     BudgetExceeded,
@@ -19,7 +20,6 @@ from omega23.certify import (
     DimensionMismatch,
     Level,
     Orbit,
-    OrbitCapExceeded,
     _RandomElements,
     StateSpaceTooLarge,
     certify_generation,
@@ -77,7 +77,7 @@ def test_orbit_q_invariance(pair932):
 
 def test_orbit_transversal_maps_root_to_point(pair932):
     lv = Level(unit_vector(CTX3, 9, 0), [pair932.x, pair932.y])
-    lv.recompute(ORBIT_CAP)
+    lv.recompute()
     o = lv.orbit
     rng = random.Random(3)
     for pos in [0, 1, o.size - 1] + [rng.randrange(o.size) for _ in range(12)]:
@@ -95,17 +95,18 @@ def test_orbit_discovery_is_deterministic(pair932):
     assert np.array_equal(a.parent, b.parent)
 
 
-def _orbit_bfs_py(gens, start, p, space, cap):
+def _orbit_bfs_py(gens, start, p, space):
     """Reference BFS, point-major order: the independent oracle for the
     production kernel `_kernels.orbit_bfs`, which closes each frontier
-    one generator at a time."""
+    one generator at a time. It marks each point as it is found, so it
+    lists no point twice, singular generators included: its points are
+    the exact closure."""
     n_coords = start.shape[0]
     n_gens = gens.shape[0]
     visited = np.full(space, -1, np.int32)
-    max_pts = cap if cap < space else space
-    ids = np.empty(max_pts, np.int64)
-    parent = np.empty(max_pts, np.int32)
-    genlab = np.empty(max_pts, np.int16)
+    ids = np.empty(space, np.int64)
+    parent = np.empty(space, np.int32)
+    genlab = np.empty(space, np.int16)
 
     sid = 0
     mult = 1
@@ -137,15 +138,13 @@ def _orbit_bfs_py(gens, start, p, space, cap):
                 nid += img[k] * mult
                 mult *= p
             if visited[nid] < 0:
-                if count >= max_pts:
-                    return 1, count, ids[:count], parent[:count], genlab[:count], visited
                 visited[nid] = count
                 ids[count] = nid
                 parent[count] = head
                 genlab[count] = gi
                 count += 1
         head += 1
-    return 0, count, ids[:count], parent[:count], genlab[:count], visited
+    return ids[:count], visited
 
 
 def _point_major_orbit(gens, v):
@@ -155,10 +154,7 @@ def _point_major_orbit(gens, v):
         np.stack([_block_form(ctx, g.data) for g in gens]), dtype=np.int64)
     start = np.ascontiguousarray(np.asarray(v, dtype=np.int64).reshape(-1) % ctx.p)
     space = ctx.p ** (gens[0].rows * ctx.f)
-    status, count, ids, parent, genlab, visited = _orbit_bfs_py(
-        flat, start, ctx.p, space, ORBIT_CAP)
-    assert status == 0 and count == ids.size
-    return ids, visited
+    return _orbit_bfs_py(flat, start, ctx.p, space)
 
 
 def test_orbit_backends_agree(pair932):
@@ -172,14 +168,18 @@ def test_orbit_backends_agree(pair932):
                          "membership")
 
 
-def _orbit_bfs_frontier_py(gens, start, p, space, cap):
+def _orbit_bfs_frontier_py(gens, start, p, space):
     """Plain-Python frontier-batched BFS: for each frontier, for each
-    generator, for each frontier position, append the image if it is new.
-    The exact discovery order `_kernels.orbit_bfs` must reproduce."""
+    generator, append the image of each frontier position that was new
+    before that generator's pass, in frontier order, never past `space`
+    points. The exact discovery order `_kernels.orbit_bfs` must reproduce.
+    Returns (ids, parent, genlab, index): index is the sorted
+    (code << POS_BITS) | position of every listed point. A singular
+    generator can send two frontier points to one new point, which is
+    then listed twice."""
     n_coords = start.shape[0]
     rows = [[[int(e) for e in row] for row in g] for g in gens]
     visited = np.full(space, -1, np.int32)
-    max_pts = min(cap, space)
 
     def code(vec):
         return sum(d * p ** k for k, d in enumerate(vec))
@@ -188,34 +188,24 @@ def _orbit_bfs_frontier_py(gens, start, p, space, cap):
         vec = [(pt // p ** k) % p for k in range(n_coords)]
         return code([sum(a * b for a, b in zip(row, vec)) % p for row in g])
 
-    ids, parent, genlab = [], [], []
-
-    def result(status):
-        return (status, np.array(ids, np.int64), np.array(parent, np.int32),
-                np.array(genlab, np.int16), visited)
-
-    if max_pts < 1:  # the cap cannot hold the start point
-        return result(1)
-    ids.append(code(int(d) for d in start))
-    parent.append(-1)
-    genlab.append(-1)
+    ids = [code(int(d) for d in start)]
+    parent, genlab = [-1], [-1]
     visited[ids[0]] = 0
     lo = 0
     while lo < len(ids):
         hi = len(ids)
         for gi, g in enumerate(rows):
-            for pos in range(lo, hi):
-                nid = image(g, ids[pos])
-                if visited[nid] >= 0:
-                    continue
-                if len(ids) >= max_pts:
-                    return result(1)
+            images = [(pos, image(g, ids[pos])) for pos in range(lo, hi)]
+            new = [(pos, nid) for pos, nid in images if visited[nid] < 0]
+            for pos, nid in new[:space - len(ids)]:
                 visited[nid] = len(ids)
                 ids.append(nid)
                 parent.append(pos)
                 genlab.append(gi)
         lo = hi
-    return result(0)
+    index = sorted((c << POS_BITS) | pos for pos, c in enumerate(ids))
+    return (np.array(ids, np.int64), np.array(parent, np.int32),
+            np.array(genlab, np.int16), np.array(index, np.int64))
 
 
 def _dense_table(index, space):
@@ -238,14 +228,12 @@ def _assert_equal_arrays(got, want, name):
 
 
 def _assert_same_bfs(got, want):
-    """got is the kernel's (status, ids, parent, genlab, index), want a
-    reference's (status, ids, parent, genlab, visited)."""
-    assert got[0] == want[0]
-    for name, a, b in zip(("ids", "parent", "genlab"), got[1:4], want[1:4]):
+    """got is the kernel's (ids, parent, genlab, index), want the frontier
+    reference's."""
+    assert len(got) == len(want) == 4
+    for name, a, b in zip(("ids", "parent", "genlab", "index"), got, want):
         assert a.dtype == b.dtype, f"{name}: dtype {a.dtype} != {b.dtype}"
         _assert_equal_arrays(a, b, name)
-    visited = want[4]
-    _assert_equal_arrays(_dense_table(got[4], visited.size), visited, "visited (code)")
     assert np.all(_kernels._scratch == -1), "scratch table left dirty"
 
 
@@ -263,18 +251,26 @@ def test_orbit_bfs_matches_frontier_reference(data, p, f, seed):
         n_max += 1
     n = n_max - data.draw(st.integers(0, n_max - 1), label="n_max - n")
     n_gens = data.draw(st.integers(1, 4), label="generators")
+    # The first n_singular generators have a zero column: rank-deficient,
+    # so they can list a point twice and fill the discovery arrays.
+    n_singular = data.draw(st.integers(0, n_gens), label="singular generators")
     space = p ** (n * f)
-    cap = data.draw(st.one_of(st.just(ORBIT_CAP), st.integers(1, space)), label="cap")
     rng = np.random.default_rng(seed)
     gens = []
     while len(gens) < n_gens:
-        m = Matrix(ctx, rng.integers(0, p, size=(n, n, f)))
-        if m.det().any():
-            gens.append(_block_form(ctx, m.data))
+        entries = rng.integers(0, p, size=(n, n, f))
+        if len(gens) < n_singular:
+            entries[:, rng.integers(n)] = 0
+        elif not Matrix(ctx, entries).det().any():
+            continue
+        gens.append(_block_form(ctx, entries))
     gens = np.stack(gens)
     start = rng.integers(0, p, size=n * f)
-    want = _orbit_bfs_frontier_py(gens, start, p, space, cap)
-    _assert_same_bfs(orbit_bfs(gens, start, p, space, cap), want)
+    got = orbit_bfs(gens, start, p, space)
+    _assert_same_bfs(got, _orbit_bfs_frontier_py(gens, start, p, space))
+    ids = got[0]
+    if np.unique(ids).size == ids.size:  # what orbit() accepts is the closure
+        assert np.array_equal(np.sort(ids), np.sort(_orbit_bfs_py(gens, start, p, space)[0]))
 
 
 _LARGEST_PRIME = 4194301  # the largest prime below DENSE_CAP = 2^22
@@ -284,21 +280,19 @@ _LARGEST_PRIME = 4194301  # the largest prime below DENSE_CAP = 2^22
 # and at this prime those reruns exhaust memory before any report.
 @settings(derandomize=True, max_examples=12, deadline=None,
           phases=[p for p in Phase if p is not Phase.explain])
-@given(exps=st.lists(st.sampled_from([(_LARGEST_PRIME - 1) // d for d in
-                                      (1, 2, 3, 4, 11, 31, 41, 300, 1271, 4100)]),
-                     min_size=1, max_size=3),
-       base=st.integers(2, _LARGEST_PRIME - 1), start=st.integers(1, _LARGEST_PRIME - 1),
-       cap=st.integers(1, 3000))
-def test_orbit_bfs_prime_field_line(exps, base, start, cap):
+@given(orders=st.lists(st.sampled_from((1, 2, 3, 4, 11, 31, 41, 300, 1271, 4100)),
+                       min_size=1, max_size=3).filter(lambda ds: math.lcm(*ds) < 15_000),
+       base=st.integers(2, _LARGEST_PRIME - 1), start=st.integers(1, _LARGEST_PRIME - 1))
+def test_orbit_bfs_prime_field_line(orders, base, start):
     """N = 1 at the largest prime the dense table admits: digits are
-    wider than the unpacking tables, and every orbit here hits the cap or
-    closes under scalars of small order."""
+    wider than the unpacking tables, and every orbit here closes under
+    scalars whose orders divide `orders`, with an lcm under 15,000."""
     p = _LARGEST_PRIME
-    assert p < DENSE_CAP < 2 * p
-    gens = np.array([[[pow(base, e, p)]] for e in exps], np.int64)
+    assert p < DENSE_CAP < 2 * p and (p - 1) % math.lcm(*orders) == 0
+    gens = np.array([[[pow(base, (p - 1) // d, p)]] for d in orders], np.int64)
     start = np.array([start], np.int64)
-    want = _orbit_bfs_frontier_py(gens, start, p, p, cap)
-    _assert_same_bfs(orbit_bfs(gens, start, p, p, cap), want)
+    want = _orbit_bfs_frontier_py(gens, start, p, p)
+    _assert_same_bfs(orbit_bfs(gens, start, p, p), want)
 
 
 def test_orbit_bfs_unpack_tables_bounded():
@@ -333,7 +327,7 @@ def test_orbit_positions_match_position(pair932):
     assert np.array_equal(o.positions(o.ids), np.arange(o.size))
 
 
-def _bfs_case(cap=ORBIT_CAP):
+def _bfs_case():
     """Two random invertible 5 x 5 matrices over F_5 and a start vector."""
     rng = np.random.default_rng(7)
     ctx = make_field(5, 1)
@@ -342,31 +336,26 @@ def _bfs_case(cap=ORBIT_CAP):
         m = Matrix(ctx, rng.integers(0, 5, size=(5, 5, 1)))
         if m.det().any():
             gens.append(_block_form(ctx, m.data))
-    return np.stack(gens), np.array([1, 0, 0, 0, 0]), 5, 5 ** 5, cap
+    return np.stack(gens), np.array([1, 0, 0, 0, 0]), 5, 5 ** 5
+
+
+# Over F_3, (x, y) -> (0, y) and (x, y) -> (x + y, x + 2y) from (1, 0):
+# the projection sends the fourth frontier, (1, 2) and (2, 2), both to
+# the new point (0, 2), so that point is listed twice and the ninth entry
+# fills all 3^2 rows. The fifth frontier's two new images, (2, 1) twice,
+# find no room.
+_CLAMP_CASE = (np.array([[[0, 0], [0, 1]], [[1, 1], [1, 2]]], np.int64),
+               np.array([1, 0]), 3, 3 ** 2)
 
 
 def test_orbit_bfs_scratch_clean_after_closure_and_cap():
-    # A cap below 1 cannot hold the start point: status 1, nothing kept.
-    for cap in (ORBIT_CAP, 1, 100, 0, -1):
-        args = _bfs_case(cap)
+    # The space's size is the only cap: a closed search and one that
+    # fills the discovery arrays both leave the table all -1.
+    for args in (_bfs_case(), _CLAMP_CASE):
         got = orbit_bfs(*args)
-        assert got[0] == (0 if cap == ORBIT_CAP else 1)
         assert _kernels._scratch.size >= args[3]
-        assert np.all(_kernels._scratch == -1)
         _assert_same_bfs(got, _orbit_bfs_frontier_py(*args))
-
-
-def test_orbit_bfs_cap_at_a_generator_boundary():
-    # Generator 0 fills the room exactly and generator 1 still has a new
-    # image: the search stops there with status 1.
-    gens, start, p, space, _ = _bfs_case()
-    genlab = _orbit_bfs_frontier_py(gens, start, p, space, ORBIT_CAP)[3]
-    last = next(j for j in range(1, genlab.size - 1)
-                if genlab[j] == 0 and genlab[j + 1] == 1)
-    args = (gens, start, p, space, last + 1)
-    want = _orbit_bfs_frontier_py(*args)
-    assert want[0] == 1 and want[1].size == last + 1 and want[3][-1] == 0
-    _assert_same_bfs(orbit_bfs(*args), want)
+    assert got[0].tolist() == [1, 0, 4, 3, 2, 7, 8, 6, 6]  # 5 = (2, 1) is missing
 
 
 @pytest.mark.parametrize("layout, named", [
@@ -376,29 +365,29 @@ def test_orbit_bfs_cap_at_a_generator_boundary():
 ])
 def test_orbit_bfs_repeated_and_identity_generators(layout, named):
     # A copy or the identity finds nothing new, so genlab never names it.
-    gens, start, p, space, _ = _bfs_case()
+    gens, start, p, space = _bfs_case()
     by_name = {"g": gens[0], "h": gens[1], "1": np.eye(5, dtype=np.int64)}
     names = layout.split()
     stack = np.stack([by_name[n] for n in names])
     plain = np.stack([by_name[n] for n in dict.fromkeys(names) if n != "1"])
-    for cap in (ORBIT_CAP, 100):
-        args = (stack, start, p, space, cap)
-        got = orbit_bfs(*args)
-        _assert_same_bfs(got, _orbit_bfs_frontier_py(*args))
-        assert set(got[3].tolist()) <= named
-    want = orbit_bfs(plain, start, p, space, ORBIT_CAP)[1]
-    got = orbit_bfs(stack, start, p, space, ORBIT_CAP)[1]
-    assert np.array_equal(np.sort(got), np.sort(want))
+    got = orbit_bfs(stack, start, p, space)
+    _assert_same_bfs(got, _orbit_bfs_frontier_py(stack, start, p, space))
+    assert set(got[2].tolist()) <= named
+    want = orbit_bfs(plain, start, p, space)[0]
+    assert np.array_equal(np.sort(got[0]), np.sort(want))
 
 
 def test_orbit_refuses_a_singular_generator_that_merges_points():
     # Over F_3, (x, y) -> (0, 2x) sends the second frontier, (0, 1) and
-    # (0, 2), both to the new point 0: the kernel lists it twice.
+    # (0, 2), both to the new point 0: the kernel lists it twice. The
+    # clamp case lists (0, 2) twice and fills the discovery arrays.
     swap = Matrix(CTX3, [[0, 1], [1, 0]])
     singular = Matrix(CTX3, [[0, 0], [2, 0]])
-    with pytest.raises(CertifyError, match="invertible"):
-        orbit([swap, singular], unit_vector(CTX3, 2, 0))
-    assert np.all(_kernels._scratch == -1)
+    clamped = [Matrix(CTX3, g.tolist()) for g in _CLAMP_CASE[0]]
+    for gens in ([swap, singular], clamped):
+        with pytest.raises(CertifyError, match="invertible"):
+            orbit(gens, unit_vector(CTX3, 2, 0))
+        assert np.all(_kernels._scratch == -1)
 
 
 def _packed_images_dense(p, lo_digit, n_digits, gens):
@@ -431,27 +420,21 @@ def test_packed_images_match_the_dense_product(p, n_coords):
 
 
 class _FailingNumpy:
-    """numpy, except that the n-th call of divmod raises."""
-
-    def __init__(self, n):
-        self.left = n
+    """numpy, except that the first call made while the kernel's scratch
+    table holds more than the start point raises: a search fails with a
+    dirty table, whichever numpy function it calls next."""
 
     def __getattr__(self, name):
-        return getattr(np, name)
-
-    def divmod(self, *args):
-        self.left -= 1
-        if self.left == 0:
+        if np.count_nonzero(_kernels._scratch != -1) > 1:
             raise RuntimeError("injected")
-        return np.divmod(*args)
+        return getattr(np, name)
 
 
 def test_orbit_bfs_scratch_clean_after_exception(monkeypatch):
     args = _bfs_case()
     want = _orbit_bfs_frontier_py(*args)
-    assert want[0] == 0 and want[1].size > 100
-    # The second divmod call follows the first frontier's writes to the table.
-    monkeypatch.setattr(_kernels, "np", _FailingNumpy(2))
+    assert want[0].size > 100
+    monkeypatch.setattr(_kernels, "np", _FailingNumpy())
     with pytest.raises(RuntimeError, match="injected"):
         orbit_bfs(*args)
     monkeypatch.undo()
@@ -485,7 +468,7 @@ def test_levels_recomputed_in_turn_keep_their_positions(pair932):
     levels = [Level(unit_vector(CTX3, 9, k), [pair932.x, pair932.y][: k + 1])
               for k in (0, 1)]
     for lv in levels + levels:
-        lv.recompute(ORBIT_CAP)
+        lv.recompute()
     assert levels[0].orbit.size != levels[1].orbit.size
     probe = np.arange(3 ** 9)
     for lv in levels:
@@ -495,21 +478,6 @@ def test_levels_recomputed_in_turn_keep_their_positions(pair932):
         assert np.array_equal(o.positions(probe), want)
         for pos in range(0, o.size, max(1, o.size // 40)):
             assert o.position(int(o.ids[pos])) == pos
-
-
-def test_orbit_cap(pair932):
-    with pytest.raises(OrbitCapExceeded):
-        orbit([pair932.x, pair932.y], unit_vector(CTX3, 9, 0), cap=100)
-
-
-@pytest.mark.parametrize("cap", [0, -1])
-def test_orbit_cap_below_one(pair932, cap):
-    # Not even the start point fits, so a one-point orbit is refused too.
-    v = unit_vector(CTX3, 9, 0)
-    for gens in ([pair932.x, pair932.y], [Matrix.identity(CTX3, 9)]):
-        with pytest.raises(OrbitCapExceeded):
-            orbit(gens, v, cap=cap)
-        assert np.all(_kernels._scratch == -1)
 
 
 def test_orbit_dimension_mismatch(pair932):
@@ -735,13 +703,6 @@ def test_certify_forced_pair_documents_outcome():
     res = certify_generation(build_pair(9, CTX3, 1, force=True), seed=53251)
     assert res.computed_order == 2 * res.target_order
     assert res.verdict == "Inconclusive"
-
-
-@pytest.mark.parametrize("cap", [0, -1])
-def test_certify_cap_below_one_inconclusive(pair932, cap):
-    res = certify_generation(pair932, seed=1, cap=cap)
-    assert res.verdict == "Inconclusive"
-    assert res.computed_order == 1 and res.orbit_sizes == ()
 
 
 def test_certify_budget_inconclusive(pair932):

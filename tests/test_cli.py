@@ -399,6 +399,25 @@ def test_usage_errors_exit_two(capsys, argv):
     assert set(diag) == {"error", "detail"} and diag["detail"]
 
 
+@pytest.mark.parametrize("case", ["missing-matrix", "missing-gram", "unwritable-output"])
+def test_file_errors_exit_two(capsys, tmp_path, case):
+    # A file that cannot be read or written is a usage error, not a failed
+    # check: exit 2 and one JSON line on stderr, no traceback.
+    mat = tmp_path / "g.json"
+    mat.write_text(json.dumps([[0, 1], [1, 0]]))
+    missing = str(tmp_path / "missing" / "x.json")
+    argv = {
+        "missing-matrix": ("spinor", "--q", "5", "--matrix", missing),
+        "missing-gram": ("spinor", "--q", "5", "--matrix", str(mat), "--gram", missing),
+        "unwritable-output": ("generate", "--n", "9", "--q", "3", "--output", missing),
+    }[case]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1
+    diag = json.loads(err)
+    assert diag["error"] == "FileNotFoundError" and "x.json" in diag["detail"]
+
+
 def test_backend_env_is_ignored(capsys, monkeypatch):
     monkeypatch.setenv("OMEGA23_BACKEND", "numbaa")
     code, out, err = run_cli(capsys, "certify", "--n", "9", "--q", "3")
