@@ -3,9 +3,9 @@
 Breadth-first orbit closure over F_p^N with a dense visited table, no
 matrix products. A point's code is its base-p number, digit k of weight
 p^k; split it as hi·p^m + lo with m = ⌊N/2⌋. Since a generator g is
-linear, g(v) = g(hi part) + g(lo part), so each call tabulates, per
-generator, the images of every hi half and every lo half with their N
-digits packed into one int64 at `bits` bits a digit. The image of a
+linear, g(v) = g(hi part) + g(lo part), so the kernel tabulates, once
+per generator, the images of every hi half and every lo half with their
+N digits packed into one int64 at `bits` bits a digit. The image of a
 whole frontier is two lookups and an add: every digit of the sum is at
 most 2p − 2 < 2^bits, so no field carries into the next. Chunk tables
 then reduce the digits mod p and rebuild the base-p code.
@@ -89,7 +89,7 @@ def _unpack_tables(p: int, n_coords: int) -> tuple:
     return tuple(chunks)
 
 
-def orbit_bfs(gens: np.ndarray, start: np.ndarray, p: int, space: int):
+def orbit_bfs(gens: np.ndarray, start: np.ndarray, p: int, space: int, tables=None):
     """Closure of `start` under flattened prime-field generators.
 
     Returns (ids, parent, genlab, index). `ids` lists point codes in
@@ -97,6 +97,10 @@ def orbit_bfs(gens: np.ndarray, start: np.ndarray, p: int, space: int):
     the Schreier forest, and `index` is the sorted array of
     (code << POS_BITS) | position, one entry a point. A generator that
     is not injective can make a point appear twice.
+
+    `tables`, if given, is a caller's cache (lo rows, hi rows) of the
+    image tables of a prefix of `gens`, one row a generator; the search
+    appends the rows of the others.
 
     The visited table is the shared scratch buffer, so the kernel is not
     re-entrant.
@@ -107,7 +111,7 @@ def orbit_bfs(gens: np.ndarray, start: np.ndarray, p: int, space: int):
         _scratch = np.full(space, -1, np.int32)
     visited = _scratch[:space]
     try:
-        ids, parent, genlab = _search(gens, start, p, visited)
+        ids, parent, genlab = _search(gens, start, p, visited, tables)
         visited[ids] = -1
     except BaseException:
         _scratch = _EMPTY  # slots may be left set: start from a fresh table
@@ -122,7 +126,7 @@ def _grown(a: np.ndarray, count: int, size: int) -> np.ndarray:
     return out
 
 
-def _search(gens, start, p, visited):
+def _search(gens, start, p, visited, tables):
     """The frontier loop: (ids, parent, genlab), with visited
     holding each found point's position and -1 elsewhere."""
     space = visited.size
@@ -140,8 +144,11 @@ def _search(gens, start, p, visited):
 
     m = n_coords // 2
     split = p ** m
-    lo_img = _packed_images(p, 0, m, gens)
-    hi_img = _packed_images(p, m, n_coords - m, gens)
+    lo_img, hi_img = ([], []) if tables is None else tables
+    fresh_gens = gens[len(lo_img):]
+    if fresh_gens.size:
+        lo_img.extend(_packed_images(p, 0, m, fresh_gens))
+        hi_img.extend(_packed_images(p, m, n_coords - m, fresh_gens))
     # At N = 1 a digit's table would outgrow the visited table (and its
     # field is wider than 12 bits from p = 2049 on): reduce by arithmetic.
     unpack = _unpack_tables(p, n_coords) if n_coords > 1 else None

@@ -6,21 +6,25 @@ can never exceed the generated group's order), or a run of trivial sifts
 followed by a full deterministic Schreier-generator verification. Budget
 or table-size exhaustion yields Inconclusive, never a wrong order.
 
-Vectors over F_{p^f} are flattened to F_p^{nf} through the regular
-representation of the field (the block form `linalg._block_form` that
-`Matrix @` multiplies through), so the orbit kernel (`_kernels.orbit_bfs`)
-works on base-p point codes over F_p: it maps a whole frontier through
-per-generator image tables of half-vectors, with no matrix product per
-point. Its discovery order fixes the Schreier trees, and so the
-transversals, the residues and the later base vectors: the same seed
+Inside the chain a group element is the (nf, nf) int64 F_p block form of
+its matrix over F_{p^f} (`linalg._block_form`, an injective ring map), so
+a product is A.dot(B) % p (exact as p^(nf) <= DENSE_CAP; `dot` skips the
+dispatch of `@`, a sixth of a 13 x 13 product); matrices over F_q meet it
+only at `orbit`, `stabilizer_chain` and `StabilizerChain.sift`.
+The orbit kernel (`_kernels.orbit_bfs`) maps a whole frontier of base-p
+point codes through per-generator image tables, which each level keeps
+between recomputes. Its discovery order fixes the Schreier trees, and so
+the transversals, the residues and the later base vectors: the same seed
 gives the same chain on every machine.
 """
 
 from __future__ import annotations
 
+import math
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -46,11 +50,9 @@ class StateSpaceTooLarge(CertifyError):
 
 
 class BudgetExceeded(CertifyError):
-    def __init__(self, message, partial_order=1, base_size=0, orbit_sizes=()):
+    def __init__(self, message, orbit_sizes=()):
         super().__init__(message)
-        self.partial_order = partial_order
-        self.base_size = base_size
-        self.orbit_sizes = tuple(orbit_sizes)
+        self.orbit_sizes = tuple(orbit_sizes)  # of the chain built so far
 
 
 TRIVIAL_SIFT_RUN = 64
@@ -98,13 +100,8 @@ class Orbit:
         # its shift wraps around.
         return np.where(entry >> POS_BITS == codes, entry & POS_MASK, -1)
 
-    def code(self, vec) -> int:
-        """The base-p point code of an (n, f) vector over F_q, flattened
-        to F_p^{nf}: digit k has weight p^k."""
-        return int(np.asarray(vec, dtype=np.int64).reshape(-1) @ self.powers)
-
     def vector(self, pos: int) -> np.ndarray:
-        """The vector at a discovery position; code() inverts it."""
+        """The (n, f) vector at a discovery position: the point code's base-p digits."""
         digits = int(self.ids[pos]) // self.powers % self.ctx.p
         return digits.reshape(self.n, self.ctx.f)
 
@@ -116,28 +113,60 @@ def orbit(gens, v) -> Orbit:
     gens = tuple(gens)
     if not gens:
         raise CertifyError("orbit needs at least one generator")
-    ctx = gens[0].ctx
-    n = gens[0].rows
-    for g in gens:
-        if g.rows != n or g.cols != n or g.ctx is not ctx:
-            raise DimensionMismatch("generators must be square, same size, same field")
+    ctx, n = _shape_of(gens)
     vec = np.asarray(v, dtype=np.int64) % ctx.p
     if vec.shape != (n, ctx.f):
         raise DimensionMismatch(f"vector shape {vec.shape} does not match ({n}, {ctx.f})")
-    space = ctx.p ** (n * ctx.f)
+    return _orbit(ctx, np.stack([_block_form(ctx, g.data) for g in gens]), vec)
+
+
+def _orbit(ctx: FieldCtx, flat: np.ndarray, vec: np.ndarray, tables=None) -> Orbit:
+    """orbit() under (k, nf, nf) block forms, with orbit_bfs's table cache."""
+    space = ctx.p ** vec.size
     if space > DENSE_CAP:
         raise StateSpaceTooLarge(
             f"p^(n*f) = {space} exceeds the dense table cap {DENSE_CAP}")
-    flat = np.stack([_block_form(ctx, g.data) for g in gens])
-    ids, parent, genlab, index = orbit_bfs(flat, vec.reshape(-1), ctx.p, space)
+    ids, parent, genlab, index = orbit_bfs(flat, vec.reshape(-1), ctx.p, space, tables)
     codes = index >> POS_BITS
     if not np.all(codes[1:] > codes[:-1]):
         # The kernel relies on injective generators; a point found twice
         # shows a singular one. Without such a repeat the closure is exact:
         # the search stops at closure or with every point of the space.
         raise CertifyError("generators must be invertible")
-    return Orbit(ctx=ctx, n=n, ids=ids, parent=parent, genlab=genlab,
-                 index=index, powers=ctx.p ** np.arange(n * ctx.f, dtype=np.int64))
+    return Orbit(ctx=ctx, n=vec.shape[0], ids=ids, parent=parent, genlab=genlab,
+                 index=index, powers=ctx.p ** np.arange(vec.size, dtype=np.int64))
+
+
+def _shape_of(gens) -> tuple:
+    """(field, n) of square matrices that share one size and one field."""
+    ctx, n = gens[0].ctx, gens[0].rows
+    for g in gens:
+        if g.rows != n or g.cols != n or g.ctx is not ctx:
+            raise DimensionMismatch("generators must be square, same size, same field")
+    return ctx, n
+
+
+def _matrix(ctx: FieldCtx, b: np.ndarray) -> Matrix:
+    """The matrix over F_q with block form b: its column j, the image of
+    e_j, is column j*f of b, unflattened."""
+    n = b.shape[1] // ctx.f
+    return Matrix._reduced(ctx, b[:, ::ctx.f].reshape(n, ctx.f, n).transpose(0, 2, 1))
+
+
+def _inverse(ctx: FieldCtx, b: np.ndarray) -> np.ndarray:
+    return _block_form(ctx, _matrix(ctx, b).inverse().data)
+
+
+@lru_cache(maxsize=None)
+def _eye(size: int) -> np.ndarray:
+    eye = np.eye(size, dtype=np.int64)
+    eye.setflags(write=False)
+    return eye
+
+
+def _is_identity(b: np.ndarray) -> bool:
+    # products are C-contiguous int64, so equal bytes mean equal entries
+    return b.tobytes() == _eye(b.shape[0]).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -145,35 +174,42 @@ def orbit(gens, v) -> Orbit:
 
 
 class Level:
-    """One link: a base vector, its generators, and the orbit machinery.
-
-    The orbit's parent/genlab arrays are its Schreier vector. A coset
-    representative u(pos), and its inverse, is built on first use by
-    walking the Schreier tree up to the nearest memoized ancestor
-    (Seress, Permutation Group Algorithms, 2003, ch. 4); each memo keeps
-    at most _TRANSVERSAL_CACHE_LIMIT matrices and walks without storing
-    past that.
+    """One link: a unit base vector e_j, its generators, and the orbit
+    machinery. Group elements are (nf, nf) F_p block forms; g maps e_j
+    to column j*f of g. The orbit's parent/genlab arrays are its Schreier
+    vector. A coset representative u(pos), and its inverse, is built on
+    first use by walking the Schreier tree up to the nearest memoized
+    ancestor (Seress, Permutation Group Algorithms, 2003, ch. 4); each
+    memo keeps at most _TRANSVERSAL_CACHE_LIMIT elements and walks without
+    storing past that. `tables` caches the kernel's image tables of the
+    generators, so a recompute after an append tabulates only the new one.
     """
 
-    __slots__ = ("base_vec", "base_id", "gens", "orbit", "_u", "_u_inv", "_gen_inv")
+    __slots__ = ("ctx", "base_vec", "base_col", "gens", "orbit", "tables", "_u", "_u_inv", "_gen_inv")
 
-    def __init__(self, base_vec, gens):
+    def __init__(self, ctx: FieldCtx, base_vec, gens):
+        self.ctx = ctx
         self.base_vec = base_vec
-        self.base_id = None
+        self.base_col = int(np.flatnonzero(base_vec.reshape(-1))[0])
         self.gens = list(gens)
         self.orbit = None
+        self.tables = ([], [])
         self._u = {}
         self._u_inv = {}
         self._gen_inv = {}
 
     def recompute(self):
-        self.orbit = orbit(self.gens, self.base_vec)
-        self.base_id = int(self.orbit.ids[0])
-        one = Matrix.identity(self.orbit.ctx, self.orbit.n)
+        self.orbit = _orbit(self.ctx, np.stack(self.gens), self.base_vec, self.tables)
+        one = _eye(self.orbit.powers.size)
         self._u = {0: one}
         self._u_inv = {0: one}
 
-    def _walk(self, pos: int, memo: dict, step) -> Matrix:
+    def position(self, g: np.ndarray) -> int:
+        """The orbit position of g's image of the base vector; -1 if none."""
+        o = self.orbit
+        return o.position(int(o.powers @ g[:, self.base_col]))
+
+    def _walk(self, pos: int, memo: dict, step) -> np.ndarray:
         path = []
         while pos not in memo:
             path.append(pos)
@@ -186,18 +222,18 @@ class Level:
                 memo[at] = m
         return m
 
-    def _inv_gen(self, lbl: int) -> Matrix:
+    def _inv_gen(self, lbl: int) -> np.ndarray:
         got = self._gen_inv.get(lbl)
         if got is None:
-            got = self._gen_inv[lbl] = self.gens[lbl].inverse()
+            got = self._gen_inv[lbl] = _inverse(self.ctx, self.gens[lbl])
         return got
 
-    def u(self, pos: int) -> Matrix:
+    def u(self, pos: int) -> np.ndarray:
         """The transversal element mapping the base vector to orbit[pos]."""
-        return self._walk(pos, self._u, lambda m, lbl: self.gens[lbl] @ m)
+        return self._walk(pos, self._u, lambda m, lbl: self.gens[lbl].dot(m) % self.ctx.p)
 
-    def u_inv(self, pos: int) -> Matrix:
-        return self._walk(pos, self._u_inv, lambda m, lbl: m @ self._inv_gen(lbl))
+    def u_inv(self, pos: int) -> np.ndarray:
+        return self._walk(pos, self._u_inv, lambda m, lbl: m.dot(self._inv_gen(lbl)) % self.ctx.p)
 
 
 @dataclass(frozen=True)
@@ -214,40 +250,37 @@ class StabilizerChain:
 
     def sift(self, g: Matrix):
         """Residue after dividing out transversal elements; None if identity."""
-        residue, _ = _sift_from(self.levels, g, 0)
-        return residue
+        residue, _ = _sift_from(self.levels, _block_form(g.ctx, g.data), 0)
+        return None if residue is None else _matrix(g.ctx, residue)
 
 
-def _sift_from(levels, g: Matrix, start: int):
-    """Sift through levels[start:]. Returns (residue or None, stuck level)."""
+def _sift_from(levels, g: np.ndarray, start: int):
+    """Sift a block form through levels[start:]: (residue or None, stuck level)."""
     for i in range(start, len(levels)):
         lv = levels[i]
-        pos = lv.orbit.position(lv.orbit.code(g @ lv.base_vec))
+        pos = lv.position(g)
         if pos < 0:
             return g, i
-        g = lv.u_inv(pos) @ g
-    return (None if g.is_identity() else g), len(levels)
+        g = lv.u_inv(pos).dot(g) % lv.ctx.p
+    return (None if _is_identity(g) else g), len(levels)
 
 
 class _RandomElements:
-    """Product-replacement stream over the generating set."""
+    """Product-replacement stream over block-form generators."""
 
-    def __init__(self, gens, seed):
+    def __init__(self, ctx: FieldCtx, gens, seed):
+        self.p = ctx.p
         self.rng = random.Random(seed)
-        inverses = [g.inverse() for g in gens]
-        slots, slot_invs = list(gens), list(inverses)
-        while len(slots) < _PRA_SLOTS:
-            k = len(slots) % len(gens)
-            slots.append(gens[k])
-            slot_invs.append(inverses[k])
-        self.slots = slots
-        self.slot_invs = slot_invs  # slot_invs[i] is slots[i]'s inverse
-        self.acc = Matrix.identity(gens[0].ctx, gens[0].rows)
+        inverses = [_inverse(ctx, g) for g in gens]
+        cycle = range(max(len(gens), _PRA_SLOTS))
+        self.slots = [gens[i % len(gens)] for i in cycle]
+        self.slot_invs = [inverses[i % len(gens)] for i in cycle]  # slots[i]'s inverse
+        self.acc = _eye(gens[0].shape[0])
         for _ in range(_PRA_BURN_IN):
             self._step()
 
     def _step(self):
-        rng = self.rng
+        rng, p = self.rng, self.p
         slots, invs = self.slots, self.slot_invs
         i = rng.randrange(len(slots))
         j = rng.randrange(len(slots) - 1)
@@ -257,61 +290,55 @@ class _RandomElements:
         if rng.random() < 0.5:
             other, other_inv = other_inv, other
         if rng.random() < 0.5:
-            slots[i] = slots[i] @ other
-            invs[i] = other_inv @ invs[i]
+            slots[i] = slots[i].dot(other) % p
+            invs[i] = other_inv.dot(invs[i]) % p
         else:
-            slots[i] = other @ slots[i]
-            invs[i] = invs[i] @ other_inv
-        self.acc = self.acc @ slots[i]
+            slots[i] = other.dot(slots[i]) % p
+            invs[i] = invs[i].dot(other_inv) % p
+        self.acc = self.acc.dot(slots[i]) % p
 
-    def __next__(self) -> Matrix:
+    def __next__(self) -> np.ndarray:
         self._step()
         return self.acc
 
 
 class _ChainBuilder:
     def __init__(self, gens, seed, budget_seconds):
-        self.gens = tuple(gens)
+        self.gens = gens  # matrices over F_q
+        self.ctx, self.n = _shape_of(gens)
         self.seed = seed
         self.levels = []
-        self.deadline = (
-            time.monotonic() + budget_seconds if budget_seconds else None)
+        if budget_seconds is not None and not budget_seconds >= 0:  # NaN would never pass
+            raise CertifyError(f"budget {budget_seconds} is not a number of seconds >= 0")
+        self.deadline = None if budget_seconds is None else time.monotonic() + budget_seconds
 
     def order(self) -> int:
-        out = 1
-        for lv in self.levels:
-            out *= lv.orbit.size
-        return out
+        return math.prod(lv.orbit.size for lv in self.levels)
 
     def _check_budget(self):
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            raise BudgetExceeded(
-                "time budget exhausted",
-                partial_order=self.order(),
-                base_size=len(self.levels),
-                orbit_sizes=[lv.orbit.size for lv in self.levels],
-            )
+        if self.deadline is not None and time.monotonic() >= self.deadline:
+            raise BudgetExceeded("time budget exhausted",
+                                 [lv.orbit.size for lv in self.levels])
 
-    def _new_base_vector(self, g: Matrix):
-        ctx = g.ctx
-        for j in range(g.cols):
-            col = g.data[:, j]
-            ej = unit_vector(ctx, g.rows, j)
-            if not np.array_equal(col, ej):
+    def _new_base_vector(self, g: np.ndarray):
+        f = self.ctx.f
+        for j in range(self.n):
+            ej = unit_vector(self.ctx, self.n, j)
+            if not np.array_equal(g[:, j * f], ej.reshape(-1)):
                 return ej
         raise CertifyError("identity residue cannot open a level")
 
-    def _absorb(self, residue: Matrix, idx: int):
+    def _absorb(self, residue: np.ndarray, idx: int):
         """Add a residue stuck at level idx, opening a new level past the end."""
         if idx == len(self.levels):
-            lv = Level(self._new_base_vector(residue), [residue])
+            lv = Level(self.ctx, self._new_base_vector(residue), [residue])
             self.levels.append(lv)
         else:
             lv = self.levels[idx]
             lv.gens.append(residue)
         lv.recompute()
 
-    def feed(self, g: Matrix) -> bool:
+    def feed(self, g: np.ndarray) -> bool:
         """Sift g; absorb a nontrivial residue. True if the chain grew."""
         residue, idx = _sift_from(self.levels, g, 0)
         if residue is None:
@@ -329,10 +356,9 @@ class _ChainBuilder:
                     self._check_budget()
                 u_pt = lv.u(pos)
                 for s in lv.gens:
-                    w = s @ u_pt
-                    pos2 = lv.orbit.position(lv.orbit.code(w @ lv.base_vec))
-                    schreier = lv.u_inv(pos2) @ w
-                    if schreier.is_identity():
+                    w = s.dot(u_pt) % self.ctx.p
+                    schreier = lv.u_inv(lv.position(w)).dot(w) % self.ctx.p
+                    if _is_identity(schreier):
                         continue
                     residue, idx = _sift_from(self.levels, schreier, i + 1)
                     if residue is not None:
@@ -341,11 +367,12 @@ class _ChainBuilder:
         return True
 
     def build(self, target) -> StabilizerChain:
-        for g in self.gens:
+        flat = [_block_form(self.ctx, g.data) for g in self.gens]
+        for g, b in zip(self.gens, flat):
             if not g.det().any():
                 raise CertifyError("generators must be invertible")
-            self.feed(g)
-        stream = _RandomElements(self.gens, self.seed)
+            self.feed(b)
+        stream = _RandomElements(self.ctx, flat, self.seed)
         trivial_run = 0
         verified = False
         while True:
@@ -368,8 +395,8 @@ class _ChainBuilder:
                         verified = True
                         break
                     trivial_run = 0
-        for lv in self.levels:
-            lv.gens = tuple(lv.gens)
+        for lv in self.levels:  # freeze; the finished chain needs no image tables
+            lv.gens, lv.tables = tuple(lv.gens), None
         return StabilizerChain(
             base=tuple(lv.base_vec for lv in self.levels),
             levels=tuple(self.levels),
@@ -417,25 +444,9 @@ class CertResult:
     elapsed_ms: float
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "q": self.q,
-            "a": self.a,
-            "eps": self.eps,
-            "computed_order": str(self.computed_order),
-            "target_order": str(self.target_order),
-            "verdict": self.verdict,
-            "seed": self.seed,
-            "base_size": self.base_size,
-            "orbit_sizes": list(self.orbit_sizes),
-            "elapsed_ms": self.elapsed_ms,
-        }
-
-
-def _restricted_space(pair: GenPair) -> OrthoSpace:
-    k = pair.n - 9
-    j9 = Matrix(pair.ctx, pair.space.J.data[k:, k:])
-    return OrthoSpace(n=9, ctx=pair.ctx, J=j9, eps="circ")
+        return {**asdict(self), "computed_order": str(self.computed_order),
+                "target_order": str(self.target_order),
+                "orbit_sizes": list(self.orbit_sizes)}
 
 
 def certify_generation(pair: GenPair, restrict_to_s9: bool = False,
@@ -458,33 +469,22 @@ def certify_generation(pair: GenPair, restrict_to_s9: bool = False,
     if restrict_to_s9:
         if pair.tag.case == "A":
             raise WrongCase("restricted certification needs an S9 tail family")
-        y9, t9, _ = _s9_restrictions(pair)
-        gens = (y9, t9)
-        space = _restricted_space(pair)
-        target = omega_order(9, "circ", ctx.q)
-        eps = "circ"
+        gens = _s9_restrictions(pair)[:2]  # y and tau on the 9-dimensional subspace
+        k = pair.n - 9
+        space = OrthoSpace(n=9, ctx=ctx, J=Matrix(ctx, pair.space.J.data[k:, k:]), eps="circ")
         contained = all(in_omega(space, g).ok for g in gens)
     else:
         gens = (pair.x, pair.y)
         space = pair.space
-        target = omega_order(pair.n, pair.space.eps, ctx.q)
-        eps = pair.space.eps
         contained = pair.x_in_omega.ok and pair.y_in_omega.ok
+    target = omega_order(space.n, space.eps, ctx.q)
 
     verdict = "Inconclusive"
-    computed = 1
-    base_size = 0
-    orbit_sizes = ()
+    orbit_sizes = ()  # of the chain, or of the partial chain a budget stops
     try:
-        chain = stabilizer_chain(
-            gens,
-            target=target if contained else None,
-            seed=seed,
-            budget_seconds=budget_seconds,
-        )
-        computed = chain.order
-        base_size = len(chain.base)
-        orbit_sizes = chain.orbit_sizes
+        orbit_sizes = stabilizer_chain(gens, target if contained else None, seed,
+                                       budget_seconds).orbit_sizes
+        computed = math.prod(orbit_sizes)
         if contained and target % computed != 0:
             raise CertifyError(
                 "computed order does not divide the target despite verified "
@@ -494,8 +494,6 @@ def certify_generation(pair: GenPair, restrict_to_s9: bool = False,
         elif computed < target and target % computed == 0:
             verdict = "ProperSubgroup"
     except BudgetExceeded as stop:
-        computed = stop.partial_order
-        base_size = stop.base_size
         orbit_sizes = stop.orbit_sizes
     except StateSpaceTooLarge:
         pass
@@ -504,12 +502,12 @@ def certify_generation(pair: GenPair, restrict_to_s9: bool = False,
         n=space.n,
         q=ctx.q,
         a=elem_to_json(ctx, pair.a),
-        eps=eps,
-        computed_order=computed,
+        eps=space.eps,
+        computed_order=math.prod(orbit_sizes),
         target_order=target,
         verdict=verdict,
         seed=seed,
-        base_size=base_size,
+        base_size=len(orbit_sizes),
         orbit_sizes=orbit_sizes,
         elapsed_ms=(time.perf_counter() - t0) * 1000.0,
     )

@@ -64,6 +64,13 @@ def _parse_a(text: str | None):
     return [int(c) for c in parts]
 
 
+def _budget(text: str) -> float:
+    """--budget in seconds: a number >= 0 (NaN is not); 0 is exhausted at once."""
+    if not float(text) >= 0:
+        raise argparse.ArgumentTypeError(f"budget {text!r} is not a number of seconds >= 0")
+    return float(text)
+
+
 def _emit(doc: dict, text: str | None, args) -> None:
     if args.format == "json":
         payload = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
@@ -76,22 +83,18 @@ def _emit(doc: dict, text: str | None, args) -> None:
         sys.stdout.write(payload)
 
 
-def _build_pair(args, ctx, a):
-    """build_pair, refused before any allocation above MAX_MATRIX_ENTRIES."""
+def _build_pair(args):
+    """(pair, report params) of a pair command: build_pair, refused
+    before any allocation above MAX_MATRIX_ENTRIES."""
+    ctx = field_from_prime_power(args.q)
+    a = _parse_a(args.a)
     entries = args.n * args.n * ctx.f
     if entries > MAX_MATRIX_ENTRIES:
         raise GenError(f"n*n*f = {entries} matrix entries exceed the CLI bound "
                        f"MAX_MATRIX_ENTRIES = {MAX_MATRIX_ENTRIES}")
-    return build_pair(args.n, ctx, a, force=args.force)
-
-
-def _pair_params(args, ctx, a_parsed):
-    return {
-        "n": args.n,
-        "q": ctx.q,
-        "a": "default" if a_parsed is None else a_parsed,
-        "force": bool(getattr(args, "force", False)),
-    }
+    params = {"n": args.n, "q": ctx.q, "a": "default" if a is None else a,
+              "force": bool(args.force)}
+    return build_pair(args.n, ctx, a, force=args.force), params
 
 
 # ---------------------------------------------------------------------------
@@ -99,12 +102,10 @@ def _pair_params(args, ctx, a_parsed):
 
 
 def _cmd_generate(args) -> int:
-    ctx = field_from_prime_power(args.q)
-    a = _parse_a(args.a)
-    pair = _build_pair(args, ctx, a)
+    pair, params = _build_pair(args)
     doc = {
         "command": "generate",
-        "params": _pair_params(args, ctx, a),
+        "params": params,
         "pair": pair_to_json(pair),
     }
     _emit(doc, pair_to_text(pair), args)
@@ -119,9 +120,7 @@ def _report_lines(report) -> list:
 
 
 def _cmd_verify(args) -> int:
-    ctx = field_from_prime_power(args.q)
-    a = _parse_a(args.a)
-    pair = _build_pair(args, ctx, a)
+    pair, params = _build_pair(args)
     reports = []
     if args.suite in ("structural", "all"):
         reports.append(verify_structural(pair, forced=args.force))
@@ -135,8 +134,7 @@ def _cmd_verify(args) -> int:
     ok = all(r.ok for r in reports)
     doc = {
         "command": "verify",
-        "params": {**_pair_params(args, ctx, a), "suite": args.suite,
-                   "claims": bool(args.claims)},
+        "params": {**params, "suite": args.suite, "claims": bool(args.claims)},
         "ok": ok,
         "reports": [r.to_json() for r in reports],
     }
@@ -148,9 +146,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    ctx = field_from_prime_power(args.q)
-    a = _parse_a(args.a)
-    pair = _build_pair(args, ctx, a)
+    pair, params = _build_pair(args)
     result = certify_generation(
         pair,
         restrict_to_s9=args.restrict_s9,
@@ -159,8 +155,7 @@ def _cmd_certify(args) -> int:
     )
     doc = {
         "command": "certify",
-        "params": {**_pair_params(args, ctx, a),
-                   "restrict_s9": bool(args.restrict_s9),
+        "params": {**params, "restrict_s9": bool(args.restrict_s9),
                    "seed": resolved_seed(args.seed)},
         "certificate": result.to_json(),
     }
@@ -390,7 +385,7 @@ def _build_parser() -> _Parser:
     c.add_argument("--force", action="store_true")
     c.add_argument("--restrict-s9", action="store_true", dest="restrict_s9")
     c.add_argument("--seed", type=int, default=None)
-    c.add_argument("--budget", type=float, default=None,
+    c.add_argument("--budget", type=_budget, default=None,
                    help="wall-clock budget in seconds")
     c.set_defaults(fn=_cmd_certify)
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from omega23.fields import make_field
+from omega23.fields import field_from_prime_power, make_field
 from omega23.forms import gram_matrix, in_omega, is_isometry, omega_order, quadratic_value
 from omega23.generators import WrongCase, build_pair
 from omega23.linalg import Matrix, _block_form, unit_vector
@@ -30,6 +30,19 @@ from omega23.certify import (
 
 CTX3 = make_field(3, 1)
 CTX5 = make_field(5, 1)
+
+
+def _flat(m):
+    return _block_form(m.ctx, m.data)
+
+
+def _view(ctx, b):
+    """The matrix over F_q that a chain element b (an F_p block form)
+    stands for, read off as b's images of the unit vectors e_j."""
+    n = b.shape[0] // ctx.f
+    cols = [(b @ unit_vector(ctx, n, j).reshape(-1) % ctx.p).reshape(n, ctx.f)
+            for j in range(n)]
+    return Matrix(ctx, np.stack(cols, axis=1))
 
 
 @pytest.fixture(scope="module")
@@ -76,16 +89,17 @@ def test_orbit_q_invariance(pair932):
 
 
 def test_orbit_transversal_maps_root_to_point(pair932):
-    lv = Level(unit_vector(CTX3, 9, 0), [pair932.x, pair932.y])
+    gens = [pair932.x, pair932.y]
+    lv = Level(CTX3, unit_vector(CTX3, 9, 0), [_flat(g) for g in gens])
     lv.recompute()
     o = lv.orbit
     rng = random.Random(3)
     for pos in [0, 1, o.size - 1] + [rng.randrange(o.size) for _ in range(12)]:
-        u = lv.u(pos)
+        u = _view(CTX3, lv.u(pos))
         assert np.array_equal(u @ unit_vector(CTX3, 9, 0), o.vector(pos))
         if pos:  # the Schreier vector: u(pos) = gens[genlab[pos]] u(parent[pos])
-            up = lv.u(int(o.parent[pos]))
-            assert u == lv.gens[int(o.genlab[pos])] @ up
+            up = _view(CTX3, lv.u(int(o.parent[pos])))
+            assert u == gens[int(o.genlab[pos])] @ up
 
 
 def test_orbit_discovery_is_deterministic(pair932):
@@ -465,7 +479,7 @@ def test_orbit_memory_follows_the_orbit():
 def test_levels_recomputed_in_turn_keep_their_positions(pair932):
     # Both levels' orbits are found in the one scratch table; each must
     # still answer from its own index after the other is recomputed.
-    levels = [Level(unit_vector(CTX3, 9, k), [pair932.x, pair932.y][: k + 1])
+    levels = [Level(CTX3, unit_vector(CTX3, 9, k), [_flat(pair932.x), _flat(pair932.y)][: k + 1])
               for k in (0, 1)]
     for lv in levels + levels:
         lv.recompute()
@@ -491,6 +505,19 @@ def test_orbit_state_space_cap():
     pair = build_pair(25, CTX3, 1)
     with pytest.raises(StateSpaceTooLarge):
         orbit([pair.x], unit_vector(CTX3, 25, 0))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(data=st.data(), q=st.sampled_from([5, 9, 27]), n=st.integers(1, 4))
+def test_block_form_round_trip(data, q, n):
+    # the chain's edge conversion: block form -> Matrix -> block form
+    ctx = field_from_prime_power(q)
+    size = n * n * ctx.f
+    entries = data.draw(st.lists(st.integers(0, ctx.p - 1), min_size=size, max_size=size))
+    b = _block_form(ctx, np.array(entries, np.int64).reshape(n, n, ctx.f))
+    m = certify_mod._matrix(ctx, b)
+    assert m == _view(ctx, b)
+    assert np.array_equal(_block_form(ctx, m.data), b)
 
 
 # --- stabilizer chains -------------------------------------------------------
@@ -567,6 +594,21 @@ def test_chain_sifts_generator_products(pair932, chain932):
         assert chain932.sift(g) is None
 
 
+def test_chain_sift_takes_and_returns_matrices(pair932, chain932):
+    assert chain932.sift(pair932.x @ pair932.y) is None
+    outsider = build_pair(9, CTX3, 1, force=True).x
+    residue = chain932.sift(outsider)
+    assert isinstance(residue, Matrix) and residue.ctx is CTX3
+    flat_residue, stuck = certify_mod._sift_from(chain932.levels, _flat(outsider), 0)
+    assert residue == _view(CTX3, flat_residue) and not residue.is_identity()
+    assert 0 < stuck < len(chain932.levels)
+    for b in chain932.base[:stuck]:  # the levels it passed fixed their base vectors
+        assert np.array_equal(residue @ b, b)
+    empty = stabilizer_chain([], seed=1)
+    assert empty.sift(Matrix.identity(CTX3, 3)) is None
+    assert empty.sift(pair932.x) == pair932.x
+
+
 def test_chain_rejects_outsider(chain932):
     # the forced parameter's involution has nontrivial spinor norm, so it
     # lies outside the certified kernel subgroup and cannot sift away
@@ -581,11 +623,25 @@ def test_chain_budget_exhaustion(pair932):
                          budget_seconds=1e-9)
 
 
+def test_chain_zero_budget_is_exhausted_at_once(pair932):
+    with pytest.raises(BudgetExceeded) as stop:
+        stabilizer_chain([pair932.x, pair932.y], seed=1, budget_seconds=0)
+    assert stop.value.orbit_sizes == ()
+    res = certify_generation(pair932, seed=1, budget_seconds=0)
+    assert res.verdict == "Inconclusive" and res.computed_order == 1
+
+
+@pytest.mark.parametrize("budget", [math.nan, -1.0])
+def test_chain_refuses_a_budget_that_is_not_a_duration(pair932, budget):
+    with pytest.raises(CertifyError, match="seconds >= 0"):
+        stabilizer_chain([pair932.x, pair932.y], seed=1, budget_seconds=budget)
+
+
 def test_chain_transversals_sampled(chain932):
     rng = random.Random(23)
     for lv in chain932.levels:
         for pos in {0, lv.orbit.size - 1, rng.randrange(lv.orbit.size)}:
-            u = lv.u(pos)
+            u = _view(lv.ctx, lv.u(pos))
             assert np.array_equal(u @ lv.base_vec, lv.orbit.vector(pos))
 
 
@@ -601,6 +657,39 @@ def test_chain_pinned_base_and_sizes(pair932, chain932):
     assert len(chain932.base) == len(expected)
     for got, want in zip(chain932.base, expected):
         assert np.array_equal(got, want)
+
+
+# A primitive element of F_9 = F_3[t]/(t^2 + 1) (1 + t) and of
+# F_27 = F_3[t]/(t^3 + 2t + 1) (t), as coefficient lists.
+_PRIMITIVE = {9: [1, 1], 27: [0, 1, 0]}
+
+
+@pytest.mark.parametrize("targeted", [False, True], ids=["targetless", "targeted"])
+@pytest.mark.parametrize("q, group, sizes, base", [
+    (9, "GL", (80, 72), (1, 0)),
+    (9, "SL", (80, 9), (0, 1)),
+    (27, "GL", (728, 702), (1, 0)),
+    (27, "SL", (728, 27), (0, 1)),
+])
+def test_chain_over_extension_fields(q, group, sizes, base, targeted):
+    # Standard generators of GL_2(q) (diag(1, w) and [[-1, 1], [-1, 0]])
+    # and SL_2(q) (diag(w, 1/w) and the same), w primitive. diag(1, w)
+    # fixes e_0, so the GL chain opens at e_1: column f of its block
+    # form. Sizes and bases are those of the Matrix-product chain.
+    ctx = field_from_prime_power(q)
+    w, one, zero = ctx.coerce(_PRIMITIVE[q]), ctx.one, ctx.zero
+    assert [ctx.pow(w, e).tolist() == one.tolist() for e in range(1, q)].index(True) == q - 2
+    diag = [[one, zero], [zero, w]] if group == "GL" else [[w, zero], [zero, ctx.inv(w)]]
+    gens = [Matrix.from_rows(ctx, diag),
+            Matrix.from_rows(ctx, [[ctx.neg(one), one], [ctx.neg(one), zero]])]
+    order = (q * q - 1) * (q * q - q) if group == "GL" else q * (q * q - 1)
+    ch = stabilizer_chain(gens, target=order if targeted else None, seed=5)
+    assert ch.order == order and ch.verified is not targeted
+    assert ch.orbit_sizes == sizes
+    assert len(ch.base) == len(base)
+    for got, k in zip(ch.base, base):
+        assert np.array_equal(got, unit_vector(ctx, 2, k))
+    assert ch.sift(gens[0] @ gens[1].inverse()) is None
 
 
 @pytest.fixture(scope="module")
@@ -622,7 +711,7 @@ def test_lazy_transversals_invert_and_map_to_base(chain95):
     for lv in chain.levels:
         size = lv.orbit.size
         for pos in {0, size - 1, size // 2} | {rng.randrange(size) for _ in range(6)}:
-            u, u_inv = lv.u(pos), lv.u_inv(pos)
+            u, u_inv = _view(CTX5, lv.u(pos)), _view(CTX5, lv.u_inv(pos))
             assert (u_inv @ u).is_identity()
             assert np.array_equal(u @ lv.base_vec, lv.orbit.vector(pos))
             assert np.array_equal(u_inv @ lv.orbit.vector(pos), lv.base_vec)
@@ -651,10 +740,10 @@ def test_memo_cap_keeps_the_chain(pair932, chain932, monkeypatch):
 
 def test_random_elements_keep_inverses_and_stream(pair932):
     gens = (pair932.x, pair932.y)
-    stream = _RandomElements(gens, 17)
-    drawn = [next(stream) for _ in range(20)]
+    stream = _RandomElements(CTX3, [_flat(g) for g in gens], 17)
+    drawn = [_view(CTX3, next(stream)) for _ in range(20)]
     for slot, inv in zip(stream.slots, stream.slot_invs):
-        assert (slot @ inv).is_identity()
+        assert (_view(CTX3, slot) @ _view(CTX3, inv)).is_identity()
     # the stream a product replacement with explicit inversion gives
     rng = random.Random(17)
     slots = [gens[k % 2] for k in range(10)]

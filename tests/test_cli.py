@@ -154,6 +154,14 @@ def test_certify_budget_exhaustion_exits_three(capsys):
     assert check("certify", out)["certificate"]["verdict"] == "Inconclusive"
 
 
+def test_certify_zero_budget_exits_three(capsys):
+    # a zero budget is exhausted at once, not read as "no budget"
+    code, out, _ = run_cli(capsys, "certify", "--n", "9", "--q", "3", "--budget", "0")
+    assert code == 3
+    cert = check("certify", out)["certificate"]
+    assert cert["verdict"] == "Inconclusive" and cert["computed_order"] == "1"
+
+
 def test_certify_forced_pair_inconclusive(capsys):
     # the non-admissible point lands outside the kernel: the closure doubles
     code, out, _ = run_cli(capsys, "certify", "--n", "9", "--q", "3",
@@ -390,6 +398,8 @@ def test_oracle_wrong_parity_exits_two(capsys):
                  id="removed-backend-option"),
     pytest.param(("verify", "--n", "9", "--q", "8589934609"),  # nextprime(2**33)
                  id="field-outside-int64-range"),
+    pytest.param(("certify", "--n", "9", "--q", "3", "--budget", "nan"), id="nan-budget"),
+    pytest.param(("certify", "--n", "9", "--q", "3", "--budget", "-1"), id="negative-budget"),
 ])
 def test_usage_errors_exit_two(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
