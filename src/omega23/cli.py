@@ -64,13 +64,6 @@ def _parse_a(text: str | None):
     return [int(c) for c in parts]
 
 
-def _budget(text: str) -> float:
-    """--budget in seconds: a number >= 0 (NaN is not); 0 is exhausted at once."""
-    if not float(text) >= 0:
-        raise argparse.ArgumentTypeError(f"budget {text!r} is not a number of seconds >= 0")
-    return float(text)
-
-
 def _emit(doc: dict, text: str | None, args) -> None:
     if args.format == "json":
         payload = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
@@ -146,6 +139,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_certify(args) -> int:
+    if args.budget is not None and not args.budget >= 0:  # NaN too; refused before any work
+        raise CertifyError(f"budget {args.budget} is not a number of seconds >= 0")
     pair, params = _build_pair(args)
     result = certify_generation(
         pair,
@@ -385,7 +380,7 @@ def _build_parser() -> _Parser:
     c.add_argument("--force", action="store_true")
     c.add_argument("--restrict-s9", action="store_true", dest="restrict_s9")
     c.add_argument("--seed", type=int, default=None)
-    c.add_argument("--budget", type=_budget, default=None,
+    c.add_argument("--budget", type=float, default=None,
                    help="wall-clock budget in seconds")
     c.set_defaults(fn=_cmd_certify)
 
