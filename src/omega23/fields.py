@@ -95,24 +95,40 @@ def _iroot(n: int, k: int) -> int:
 # the canonical modulus
 
 
-def _coprime(p: int, a: list, b: list) -> bool:
-    """Whether two little-endian polynomials over GF(p) have gcd 1 (Euclid)."""
+def _poly_trim(c: list) -> list:
+    """Drop the zero leading coefficients of a little-endian list, in place."""
+    while c and c[-1] == 0:
+        c.pop()
+    return c
 
-    def trim(c):
-        while c and c[-1] == 0:
-            c.pop()
-        return c
 
-    a, b = trim([c % p for c in a]), trim([c % p for c in b])
+def _poly_divmod(p: int, a: list, b: list) -> tuple:
+    """Quotient and remainder of little-endian a by b over GF(p).
+
+    b is reduced, with a nonzero leading coefficient; both results come
+    reduced and trimmed, so 0 is [] and 1 is [1].
+    """
+    a = _poly_trim([c % p for c in a])
+    quo = [0] * max(len(a) - len(b) + 1, 0)
+    lead = pow(b[-1], -1, p)
+    while len(a) >= len(b):
+        k, shift = a[-1] * lead % p, len(a) - len(b)
+        quo[shift] = k
+        for i, c in enumerate(b):
+            a[shift + i] = (a[shift + i] - k * c) % p
+        _poly_trim(a)
+    return quo, a
+
+
+def _poly_gcd(p: int, a: list, b: list) -> list:
+    """Monic gcd of two little-endian polynomials over GF(p), by Euclid; [] if both are 0."""
+    a, b = _poly_trim([c % p for c in a]), _poly_trim([c % p for c in b])
     while b:
-        lead = pow(b[-1], -1, p)
-        while len(a) >= len(b):
-            k, shift = a[-1] * lead % p, len(a) - len(b)
-            for i, c in enumerate(b):
-                a[shift + i] = (a[shift + i] - k * c) % p
-            trim(a)
-        a, b = b, a
-    return len(a) == 1
+        a, b = b, _poly_divmod(p, a, b)[1]
+    if a:
+        lead = pow(a[-1], -1, p)
+        a = [c * lead % p for c in a]
+    return a
 
 
 def _is_irreducible(p: int, modulus) -> bool:
@@ -130,7 +146,7 @@ def _is_irreducible(p: int, modulus) -> bool:
     t = frob[0][1]
     if not np.array_equal(frob[f - 1][1] @ frob[1] % p, t):  # t**(p**f)
         return False
-    return all(_coprime(p, (frob[f // r][1] - t).tolist(), list(modulus))
+    return all(len(_poly_gcd(p, (frob[f // r][1] - t).tolist(), list(modulus))) == 1
                for r in range(2, f + 1) if f % r == 0 and is_prime(r))
 
 

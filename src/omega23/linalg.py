@@ -5,20 +5,23 @@ the det(T*I - M) sign convention; a minimal polynomial is the first
 linear dependency among the powers of the matrix, found by one echelon
 basis over F_p on the block form; eigenspace bases come out in reduced
 echelon form so subspace comparisons are plain equality. Element orders
-are computed over F_p from the block form: its minimal polynomial,
-factored with sympy's galoistools, which is imported only there.
+are computed over F_p from the block form: its minimal polynomial is
+split into squarefree parts and then by distinct degree, with no
+factoring into irreducibles, and the order of t modulo each part comes
+from powers of the part's companion matrix. sympy is imported only to
+factor p**d - 1 and in `factor_poly` and `Poly.pow_mod`, which wrap its
+galoistools and which `element_order` no longer calls.
 
 Everything here is pure and matrices are immutable.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import lcm
 
 import numpy as np
 
-from .fields import FieldCtx, elem_from_json, elem_to_json, make_field
+from .fields import FieldCtx, _poly_divmod, _poly_gcd, elem_from_json, elem_to_json, make_field
 
 
 class LinalgError(ValueError):
@@ -739,12 +742,17 @@ def element_order(m: Matrix) -> int:
     """Exact multiplicative order, computed over F_p from the block form.
 
     The block form is an injective ring homomorphism, so m and its block
-    form B have the same order. For each irreducible factor g of B's
-    minimal polynomial (`minpoly` of B over F_p, factored with
-    `factor_poly`) with multiplicity e, the
-    order of t mod g divides p**deg(g) - 1 and is found with
-    `Poly.pow_mod`, memoized per (p, g); the order is the lcm of those
-    orders times the least power of p that is at least the largest e.
+    form B have the same order: the order of t modulo mp, the `minpoly`
+    of B over F_p. Write mp = prod a_e**e with squarefree, pairwise
+    coprime a_e (`_squarefree_split`). The order of t modulo each
+    irreducible factor is prime to p, so the order of t modulo mp is the
+    order of t modulo the radical prod a_e, times the least power of p
+    that is at least the largest e. `_distinct_degree_split` splits the
+    radical into g_d, the products of its degree-d irreducibles, and the
+    order of t modulo g_d divides p**d - 1 (`_order_of_t`). No factor is
+    split further (Celler and Leedham-Green, "Calculating the order of
+    an invertible matrix", 1997). Every product is an int64 matmul of
+    side at most deg mp <= n*f, inside the bound `minpoly` enforces.
     """
     if m.rows != m.cols:
         raise NotSquare("element_order needs a square matrix")
@@ -753,32 +761,132 @@ def element_order(m: Matrix) -> int:
     mp = minpoly(Matrix._reduced(fp, _block_form(m.ctx, m.data)[:, :, None]))
     if not mp.coeffs[0].any():
         raise Singular("matrix is singular, no multiplicative order")
+    radical, top = [1], 1
+    for part, e in _squarefree_split(p, mp.coeffs[:, 0].tolist()):
+        radical, top = _poly_mul(p, radical, part), max(top, e)
     order = 1
-    for g, mult in factor_poly(fp, mp):
-        part = _order_of_t_mod(p, tuple(_big_endian(g)))
-        ppow = 1
-        while ppow < mult:
-            ppow *= p
-        order = lcm(order, part * ppow)
-    return order
+    # by increasing d, so the least d whose p**d - 1 is over the budget raises
+    for g, d in _distinct_degree_split(p, radical):
+        order = lcm(order, _order_of_t(p, g, d))
+    ppow = 1
+    while ppow < top:
+        ppow *= p
+    return order * ppow
 
 
-@lru_cache(maxsize=4096)
-def _order_of_t_mod(p: int, g: tuple) -> int:
-    """Order of t modulo a monic irreducible g over F_p, given big-endian.
+# Polynomials over F_p from here on are little-endian lists of reduced ints
+# with no trailing zeros, as `fields._poly_divmod` and `_poly_gcd` take them.
 
-    It divides p**deg(g) - 1 and is found with `Poly.pow_mod`. The claims
-    table meets the same few factors again and again (472 factors, 138
-    distinct (p, g)), so the result is memoized.
+
+def _poly_mul(p: int, a: list, b: list) -> list:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return [c % p for c in out]
+
+
+def _squarefree_split(p: int, f: list) -> list:
+    """Squarefree parts (a_e, e) of a monic f over F_p: f = prod a_e**e.
+
+    Musser's algorithm, as in von zur Gathen and Gerhard, ch. 14:
+    g = gcd(f, f') keeps the factors whose multiplicity is divisible by p
+    whole and the others once less, and peeling h = f/g against g sorts
+    the others by multiplicity. What is left of g is a p-th power, whose
+    p-th root is every p-th coefficient; its multiplicities count p times.
+    A constant f has no parts.
     """
-    fp = make_field(p, 1)
-    g = _from_big_endian(fp, list(g))
-    t = poly_t(fp)
-    part = p**g.degree - 1
-    for prime in _factor_qd_minus_1(p, g.degree):
-        while part % prime == 0 and t.pow_mod(part // prime, g).is_one():
-            part //= prime
-    return part
+    parts, scale = [], 1
+    while len(f) > 1:
+        g = _poly_gcd(p, f, [i * c for i, c in enumerate(f)][1:])  # f itself when f' = 0
+        h = _poly_divmod(p, f, g)[0]
+        e = 1
+        while len(h) > 1:
+            common = _poly_gcd(p, g, h)
+            part = _poly_divmod(p, h, common)[0]
+            if len(part) > 1:
+                parts.append((part, e * scale))
+            g, h, e = _poly_divmod(p, g, common)[0], common, e + 1
+        f, scale = g[::p], scale * p
+    return parts
+
+
+def _distinct_degree_split(p: int, f: list) -> list:
+    """(g_d, d) for a monic squarefree f over F_p, by increasing d.
+
+    g_d is the product of f's irreducible factors of degree d, found as
+    gcd(t**(p**d) - t, f) with the lower degrees divided out (Zassenhaus).
+    Frobenius is F_p-linear, so h**p mod f is the Berlekamp matrix of f,
+    whose column j is t**(p*j) mod f, times h; reduced modulo what is
+    left of f it is h**p modulo that. Once 2d exceeds the degree of what
+    is left, that is one irreducible.
+    """
+    out = []
+    n = len(f) - 1
+    if n >= 2:
+        step = _mat_pow(_companion(p, f), p, p)  # column j is t**(p + j) mod f
+        frob = np.empty((n, n), dtype=np.int64)
+        v = np.zeros(n, dtype=np.int64)
+        v[0] = 1
+        for j in range(n):
+            frob[:, j] = v
+            v = step.dot(v) % p
+        h, d = [0, 1], 1
+        while 2 * d < len(f):
+            v[:] = 0
+            v[: len(h)] = h
+            h = _poly_divmod(p, frob.dot(v).tolist(), f)[1]
+            t_off = h + [0] * (2 - len(h))
+            t_off[1] = (t_off[1] - 1) % p
+            g = _poly_gcd(p, f, t_off)
+            if len(g) > 1:
+                out.append((g, d))
+                f = _poly_divmod(p, f, g)[0]
+                h = _poly_divmod(p, h, f)[1]
+            d += 1
+    if len(f) > 1:
+        out.append((f, len(f) - 1))
+    return out
+
+
+def _companion(p: int, g: list) -> np.ndarray:
+    """Companion matrix of a monic g: column j is t**(j + 1) mod g."""
+    k = len(g) - 1
+    c = np.zeros((k, k), dtype=np.int64)
+    c[1:, :-1] = np.eye(k - 1, dtype=np.int64)
+    c[:, -1] = [-x % p for x in g[:-1]]
+    return c
+
+
+def _mat_pow(a: np.ndarray, e: int, p: int) -> np.ndarray:
+    """a**e mod p for e >= 1, by repeated squaring."""
+    out = None
+    while True:
+        if e & 1:
+            out = a if out is None else out.dot(a) % p
+        e >>= 1
+        if not e:
+            return out
+        a = a.dot(a) % p
+
+
+def _order_of_t(p: int, g: list, d: int) -> int:
+    """Order of t modulo g, a monic squarefree product of degree-d irreducibles.
+
+    It divides N = p**d - 1. For each r**k exactly dividing N, the r-part
+    of the order is r**j for the least j with (C**(N / r**k))**(r**j) = 1,
+    C the companion matrix of g.
+    """
+    c = _companion(p, g)
+    one = np.eye(len(c), dtype=np.int64)
+    n = p**d - 1
+    order = 1
+    for r, k in _factor_qd_minus_1(p, d).items():
+        y = _mat_pow(c, n // r**k, p)
+        while not np.array_equal(y, one):
+            y = _mat_pow(y, r, p)
+            order *= r
+    return order
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,14 @@ from functools import lru_cache
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from sympy.polys import galoistools
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_ddf_zassenhaus, gf_irreducible_p, gf_sqf_list
 from sympy.polys.matrices import DomainMatrix
 
+from omega23 import linalg, verify
 from omega23.fields import FieldCtx, field_from_prime_power, make_field
 from omega23.generators import build_pair
 from omega23.linalg import (
@@ -21,6 +25,8 @@ from omega23.linalg import (
     Poly,
     Singular,
     ZeroPolynomial,
+    _distinct_degree_split,
+    _squarefree_split,
     charpoly,
     eigenspace,
     element_order,
@@ -39,7 +45,7 @@ from omega23.linalg import (
     vector,
     word_str,
 )
-from omega23.verify import _cached_pair, evaluate_claim_word, load_claims
+from omega23.verify import Claim, ExactOrder, _cached_pair, evaluate_claim_word, load_claims
 from test_fields import _int64_edge
 
 F3 = make_field(3, 1)
@@ -709,6 +715,180 @@ def test_order_certificates_on_the_large_claim_rows():
         for r in sympy.primefactors(o):
             assert not m.pow(o // r).is_identity(), (claim.id, r)
     assert large == 60
+
+
+# ---------------------------------------------------------------------------
+# the splits behind element_order, against galoistools
+
+
+def _pl_product(p, factors):
+    """Little-endian product over F_p of (polynomial, multiplicity) pairs."""
+    out = [1]
+    for g, mult in factors:
+        for _ in range(mult):
+            nxt = [0] * (len(out) + len(g) - 1)
+            for i, a in enumerate(out):
+                for j, b in enumerate(g):
+                    nxt[i + j] = (nxt[i + j] + a * b) % p
+            out = nxt
+    return out
+
+
+@st.composite
+def _monic_products(draw):
+    """(p, f): f a monic product of random monic factors with multiplicities
+    up to 2p + 1, of degree at most 30; in one draw of three, f(t**p) of such
+    a product, whose derivative is zero."""
+    p = draw(st.sampled_from([3, 5, 7, 11]))
+    frobenius = draw(st.integers(0, 2)) == 0
+    budget = 30 // p if frobenius else 30
+    factors = []
+    for _ in range(draw(st.integers(0, 4))):
+        deg = draw(st.integers(1, 4))
+        mult = draw(st.integers(1, 2 * p + 1))
+        if deg * mult > budget:
+            continue
+        budget -= deg * mult
+        coeffs = draw(st.lists(st.integers(0, p - 1), min_size=deg, max_size=deg))
+        factors.append((coeffs + [1], mult))
+    f = _pl_product(p, factors)
+    if frobenius:
+        spread = [0] * (p * (len(f) - 1) + 1)
+        spread[::p] = f
+        f = spread
+    return p, f
+
+
+def _little(big):
+    return [int(c) for c in big[::-1]]
+
+
+split_case = settings(derandomize=True, max_examples=150, deadline=None)
+
+
+@split_case
+@given(case=_monic_products())
+@example(case=(3, [1]))
+@example(case=(5, [2, 1]))
+@example(case=(3, [1, 0, 0, 1]))  # t**3 + 1 = (t + 1)**3
+@example(case=(3, _pl_product(3, [([1, 0, 1], 3), ([1, 1], 4)])))
+def test_squarefree_split_matches_gf_sqf_list(case):
+    p, f = case
+    theirs = sorted((_little(g), e) for g, e in gf_sqf_list(f[::-1], p, ZZ)[1])
+    assert sorted(_squarefree_split(p, f)) == theirs
+
+
+@split_case
+@given(case=_monic_products())
+@example(case=(3, [1]))
+@example(case=(7, [3, 1]))
+@example(case=(11, _pl_product(11, [([1, 0, 1], 1), ([3, 1, 0, 1], 1), ([2, 1], 1)])))
+def test_distinct_degree_split_matches_gf_ddf_zassenhaus(case):
+    """Split each squarefree part of f, as galoistools finds them."""
+    p, f = case
+    parts = [g for g, _ in gf_sqf_list(f[::-1], p, ZZ)[1]] or [[1]]
+    for big in parts:
+        theirs = [(_little(g), d) for g, d in gf_ddf_zassenhaus(big, p, ZZ)]
+        assert _distinct_degree_split(p, _little(big)) == theirs
+
+
+def _jordan_blocks(ctx, blocks):
+    """Block diagonal matrix of Jordan blocks, given as (eigenvalue, size) pairs."""
+    n = sum(k for _, k in blocks)
+    m = np.zeros((n, n, 1), dtype=np.int64)
+    start = 0
+    for lam, k in blocks:
+        idx = np.arange(start, start + k)
+        m[idx, idx, 0] = lam
+        m[idx[:-1], idx[1:], 0] = 1
+        start += k
+    return Matrix(ctx, m)
+
+
+def _companion(ctx, le):
+    """Companion matrix over F_p of the monic little-endian polynomial le."""
+    return Matrix(ctx, linalg._companion(ctx.p, le)[:, :, None])
+
+
+@pytest.mark.parametrize("blocks,order", [
+    ([(1, 3)], 3), ([(1, 4)], 9), ([(1, 9)], 9), ([(1, 10)], 27), ([(2, 4)], 18),
+    ([(1, 3), (2, 4)], 18),
+])
+def test_element_order_of_jordan_blocks_over_f3(blocks, order):
+    """An eigenvalue of multiplicity k gives the least 3**a >= k. Sizes 3 and 9
+    take the p-th-root branch of the squarefree split; in the last case the
+    multiplicity 4 is found before the multiplicity 3 and still rules."""
+    m = _jordan_blocks(F3, blocks)
+    assert element_order(m) == order == _brute_order(m, 100)
+
+
+def test_element_order_of_a_cubed_irreducible_quadratic_over_f3():
+    """minpoly (t**2 + 1)**3 has zero derivative over F_3; t has order 4 mod t**2 + 1."""
+    cube = _pl_product(3, [([1, 0, 1], 3)])
+    m = _companion(F3, cube)
+    assert [int(c) for c in minpoly(m).coeffs[:, 0]] == cube
+    assert element_order(m) == 12 == _brute_order(m, 100)
+
+
+# ---------------------------------------------------------------------------
+# the factoring budget for p**d - 1
+
+
+BUDGET_MESSAGE = "q^d-1 has 121 digits, over the budget of 120"
+G30 = [2, 1] + [0] * 28 + [1]  # t**30 + t + 2, irreducible over F_10007
+
+
+def test_order_budget_refuses_an_irreducible_of_degree_30():
+    """10007**30 - 1 has 121 decimal digits, one over the budget."""
+    assert gf_irreducible_p(G30[::-1], 10007, ZZ) and len(str(10007**30 - 1)) == 121
+    with pytest.raises(OrderSearchExceeded) as info:
+        element_order(_companion(make_field(10007, 1), G30))
+    assert str(info.value) == BUDGET_MESSAGE
+
+
+def test_order_claims_report_an_over_budget_row(monkeypatch):
+    m = _companion(make_field(10007, 1), G30)
+    monkeypatch.setattr(verify, "evaluate_claim_word", lambda pair, word: m)
+    claim = Claim(id="over-budget", n=9, q=3, a=None, force=False, word="xy",
+                  expectation=ExactOrder(2), paper_ref="none")
+    (row,) = verify.verify_order_claims([claim]).checks
+    assert (row.status, row.actual) == ("fail", f"error: {BUDGET_MESSAGE}")
+
+
+def test_order_budget_names_the_least_degree():
+    """Over p = 100000007, p**15 - 1 has 121 digits and p**16 - 1 has 129. With
+    the degree-16 factor once and the degree-15 one twice, the degree-15
+    factor, in the later multiplicity class, is the one named."""
+    p = 100_000_007
+    g15, g16 = [4, 1] + [0] * 13 + [1], [20, 1] + [0] * 14 + [1]
+    assert all(gf_irreducible_p(g[::-1], p, ZZ) for g in (g15, g16))
+    ctx = make_field(p, 1)
+    a, b = _companion(ctx, g16).data, _companion(ctx, _pl_product(p, [(g15, 2)])).data
+    m = np.zeros((46, 46, 1), dtype=np.int64)
+    m[:16, :16], m[16:, 16:] = a, b
+    with pytest.raises(OrderSearchExceeded) as info:
+        element_order(Matrix(ctx, m))
+    assert str(info.value) == BUDGET_MESSAGE
+
+
+def test_element_order_needs_no_galoistools(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("element_order called a polynomial factorizer")
+
+    monkeypatch.setattr(linalg, "factor_poly", refuse)
+    monkeypatch.setattr(Poly, "pow_mod", refuse)
+    for name in ("gf_factor", "gf_factor_sqf", "gf_sqf_list", "gf_ddf_zassenhaus",
+                 "gf_pow_mod"):
+        monkeypatch.setattr(galoistools, name, refuse)
+    expected = {"caseA-mono-ord156": 156, "caseA-del-perm-e-a08": 1787743516,
+                "caseA-del-unip-n17-q07": 7, "caseB5-monS-q27-a04": 9842,
+                "caseB6-monS-q09-a05": 728}
+    for claim in load_claims():
+        if claim.id in expected:
+            a_key = tuple(claim.a) if isinstance(claim.a, list) else claim.a
+            pair = _cached_pair(claim.n, claim.q, a_key, claim.force)
+            assert element_order(evaluate_claim_word(pair, claim.word)) == expected.pop(claim.id)
+    assert not expected
 
 
 def test_element_order_rejects_singular_and_nonsquare():
