@@ -6,11 +6,13 @@ can never exceed the generated group's order), or a run of trivial sifts
 followed by a full deterministic Schreier-generator verification. Budget
 or table-size exhaustion yields Inconclusive, never a wrong order.
 
-Inside the chain a group element is the (nf, nf) int64 F_p block form of
-its matrix over F_{p^f} (`linalg._block_form`, an injective ring map), so
-a product is A.dot(B) % p (exact as p^(nf) <= DENSE_CAP; `dot` skips the
-dispatch of `@`, a sixth of a 13 x 13 product); matrices over F_q meet it
-only at `orbit`, `stabilizer_chain` and `StabilizerChain.sift`.
+Inside the chain a group element is the (nf, nf) int64 F_p block form
+that a `Matrix` over F_{p^f} holds (`Matrix.blocks`, an injective ring
+map), so a product is A.dot(B) % p (exact as p^(nf) <= DENSE_CAP; `dot`
+skips the dispatch of `@`, a sixth of a 13 x 13 product). The chain reads
+`g.blocks` at `orbit`, `stabilizer_chain` and `StabilizerChain.sift`, and
+wraps a block form back into a Matrix only to invert it or to return a
+residue.
 The orbit kernel (`_kernels.orbit_bfs`) maps a whole frontier of base-p
 point codes through per-generator image tables, which each level keeps
 between recomputes. Its discovery order fixes the Schreier trees, and so
@@ -24,7 +26,6 @@ import math
 import random
 import time
 from dataclasses import asdict, dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -33,7 +34,7 @@ from ._kernels import DENSE_CAP, POS_BITS, POS_MASK, orbit_bfs
 from .fields import FieldCtx, elem_to_json
 from .forms import OrthoSpace, in_omega, omega_order
 from .generators import GenPair, WrongCase
-from .linalg import Matrix, _block_form, unit_vector
+from .linalg import Matrix, _eye, unit_vector
 from .verify import _s9_restrictions
 
 
@@ -117,7 +118,7 @@ def orbit(gens, v) -> Orbit:
     vec = np.asarray(v, dtype=np.int64) % ctx.p
     if vec.shape != (n, ctx.f):
         raise DimensionMismatch(f"vector shape {vec.shape} does not match ({n}, {ctx.f})")
-    return _orbit(ctx, np.stack([_block_form(ctx, g.data) for g in gens]), vec)
+    return _orbit(ctx, np.stack([g.blocks for g in gens]), vec)
 
 
 def _orbit(ctx: FieldCtx, flat: np.ndarray, vec: np.ndarray, tables=None) -> Orbit:
@@ -146,42 +147,19 @@ def _shape_of(gens) -> tuple:
     return ctx, n
 
 
-def _matrix(ctx: FieldCtx, b: np.ndarray) -> Matrix:
-    """The matrix over F_q with block form b: its column j, the image of
-    e_j, is column j*f of b, unflattened."""
-    n = b.shape[1] // ctx.f
-    return Matrix._reduced(ctx, b[:, ::ctx.f].reshape(n, ctx.f, n).transpose(0, 2, 1))
-
-
-def _inverse(ctx: FieldCtx, b: np.ndarray) -> np.ndarray:
-    return _block_form(ctx, _matrix(ctx, b).inverse().data)
-
-
-@lru_cache(maxsize=None)
-def _eye(size: int) -> np.ndarray:
-    eye = np.eye(size, dtype=np.int64)
-    eye.setflags(write=False)
-    return eye
-
-
-def _is_identity(b: np.ndarray) -> bool:
-    # products are C-contiguous int64, so equal bytes mean equal entries
-    return b.tobytes() == _eye(b.shape[0]).tobytes()
-
-
 # ---------------------------------------------------------------------------
 # stabilizer chain
 
 
 class Level:
     """One link: a unit base vector e_j, its generators, and the orbit
-    machinery. Group elements are (nf, nf) F_p block forms; g maps e_j
-    to column j*f of g. The orbit's parent/genlab arrays are its Schreier
-    vector. A coset representative u(pos), and its inverse, is built on
-    first use by walking the Schreier tree up to the nearest memoized
-    ancestor (Seress, Permutation Group Algorithms, 2003, ch. 4); each
-    memo keeps at most _TRANSVERSAL_CACHE_LIMIT elements and walks without
-    storing past that. `tables` caches the kernel's image tables of the
+    machinery. Group elements are (nf, nf) F_p block forms, as
+    `Matrix.blocks` holds them; g maps e_j to column j*f of g. The
+    orbit's parent/genlab arrays are its Schreier vector. A coset
+    representative u(pos), and its inverse, is built on first use by
+    walking the Schreier tree up to the nearest memoized ancestor (Seress,
+    Permutation Group Algorithms, 2003, ch. 4); each memo keeps at most
+    _TRANSVERSAL_CACHE_LIMIT elements and walks without storing past that. `tables` caches the kernel's image tables of the
     generators, so a recompute after an append tabulates only the new one.
     """
 
@@ -225,7 +203,8 @@ class Level:
     def _inv_gen(self, lbl: int) -> np.ndarray:
         got = self._gen_inv.get(lbl)
         if got is None:
-            got = self._gen_inv[lbl] = _inverse(self.ctx, self.gens[lbl])
+            got = Matrix._from_blocks(self.ctx, self.gens[lbl]).inverse().blocks
+            self._gen_inv[lbl] = got
         return got
 
     def u(self, pos: int) -> np.ndarray:
@@ -250,8 +229,8 @@ class StabilizerChain:
 
     def sift(self, g: Matrix):
         """Residue after dividing out transversal elements; None if identity."""
-        residue, _ = _sift_from(self.levels, _block_form(g.ctx, g.data), 0)
-        return None if residue is None else _matrix(g.ctx, residue)
+        residue, _ = _sift_from(self.levels, g.blocks, 0)
+        return None if residue is None else Matrix._from_blocks(g.ctx, residue)
 
 
 def _sift_from(levels, g: np.ndarray, start: int):
@@ -262,7 +241,8 @@ def _sift_from(levels, g: np.ndarray, start: int):
         if pos < 0:
             return g, i
         g = lv.u_inv(pos).dot(g) % lv.ctx.p
-    return (None if _is_identity(g) else g), len(levels)
+    # products are C-contiguous int64, so equal bytes mean equal entries
+    return (None if g.tobytes() == _eye(len(g)).tobytes() else g), len(levels)
 
 
 class _RandomElements:
@@ -271,7 +251,7 @@ class _RandomElements:
     def __init__(self, ctx: FieldCtx, gens, seed):
         self.p = ctx.p
         self.rng = random.Random(seed)
-        inverses = [_inverse(ctx, g) for g in gens]
+        inverses = [Matrix._from_blocks(ctx, g).inverse().blocks for g in gens]
         cycle = range(max(len(gens), _PRA_SLOTS))
         self.slots = [gens[i % len(gens)] for i in cycle]
         self.slot_invs = [inverses[i % len(gens)] for i in cycle]  # slots[i]'s inverse
@@ -358,7 +338,7 @@ class _ChainBuilder:
                 for s in lv.gens:
                     w = s.dot(u_pt) % self.ctx.p
                     schreier = lv.u_inv(lv.position(w)).dot(w) % self.ctx.p
-                    if _is_identity(schreier):
+                    if schreier.tobytes() == _eye(len(schreier)).tobytes():
                         continue
                     residue, idx = _sift_from(self.levels, schreier, i + 1)
                     if residue is not None:
@@ -367,7 +347,7 @@ class _ChainBuilder:
         return True
 
     def build(self, target) -> StabilizerChain:
-        flat = [_block_form(self.ctx, g.data) for g in self.gens]
+        flat = [g.blocks for g in self.gens]
         for g, b in zip(self.gens, flat):
             if not g.det().any():
                 raise CertifyError("generators must be invertible")

@@ -34,9 +34,9 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
 
-# Largest n*n*f int64 coefficient array (one generator matrix) that
+# Largest (n*f) x (n*f) int64 F_p block form (one generator matrix) that
 # `generate`, `verify` and `certify` build: 2^22 entries, 32 MiB. The
-# acceptance grid's largest point, n = 25 at q = 27, needs 1875.
+# acceptance grid's largest point, n = 25 at q = 27, needs 75^2 = 5625.
 MAX_MATRIX_ENTRIES = 1 << 22
 
 # OSError: an unreadable --matrix/--gram file or an unwritable --output.
@@ -81,9 +81,9 @@ def _build_pair(args):
     before any allocation above MAX_MATRIX_ENTRIES."""
     ctx = field_from_prime_power(args.q)
     a = _parse_a(args.a)
-    entries = args.n * args.n * ctx.f
+    entries = (args.n * ctx.f) ** 2
     if entries > MAX_MATRIX_ENTRIES:
-        raise GenError(f"n*n*f = {entries} matrix entries exceed the CLI bound "
+        raise GenError(f"(n*f)^2 = {entries} matrix entries exceed the CLI bound "
                        f"MAX_MATRIX_ENTRIES = {MAX_MATRIX_ENTRIES}")
     params = {"n": args.n, "q": ctx.q, "a": "default" if a is None else a,
               "force": bool(args.force)}
@@ -200,22 +200,18 @@ def _load_matrix(ctx, path: str) -> Matrix:
     return Matrix.from_rows(ctx, [[ctx.coerce(e) for e in row] for row in obj])
 
 
-def _eps_of_gram(ctx, j: Matrix) -> str:
-    n = j.rows
-    if n % 2:
-        return "circ"
-    d = j.det()
-    sign = ctx.coerce((-1) ** (n // 2))
-    disc = ctx.mul(sign, d)
-    return "plus" if is_square(ctx, disc) else "minus"
-
-
 def _cmd_spinor(args) -> int:
     ctx = field_from_prime_power(args.q)
     g = _load_matrix(ctx, args.matrix)
     if args.gram:
         j = _load_matrix(ctx, args.gram)
-        space = OrthoSpace(n=j.rows, ctx=ctx, J=j, eps=_eps_of_gram(ctx, j))
+        gram_det = j.det()
+        if not gram_det.any():
+            raise FormsError("Gram matrix is singular: the form is degenerate "
+                             "and has no spinor norm")
+        disc = ctx.mul(ctx.coerce((-1) ** (j.rows // 2)), gram_det)
+        eps = "circ" if j.rows % 2 else "plus" if is_square(ctx, disc) else "minus"
+        space = OrthoSpace(n=j.rows, ctx=ctx, J=j, eps=eps)
     else:
         # gram_matrix takes "B" for both of the B5 and B6 layouts
         space = gram_matrix("A" if classify(g.rows).case == "A" else "B", g.rows, ctx)

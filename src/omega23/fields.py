@@ -204,7 +204,6 @@ class FieldCtx:
         self.zero = np.zeros(self.f, dtype=np.int64)
         self.one = np.zeros(self.f, dtype=np.int64)
         self.one[0] = 1
-        self._identities = {}
         # frob[i] is the matrix of a -> a**(p**i) on coefficient rows:
         # row v of frob[1] is t**(p*v), and the rest are its matmul powers
         frob = [np.eye(self.f, dtype=np.int64)]
@@ -228,16 +227,6 @@ class FieldCtx:
         forms' sums over a vector all check it.
         """
         return self._exact_terms[table]
-
-    def identity(self, n: int) -> np.ndarray:
-        """The read-only (n, n, f) identity array, built once per n."""
-        got = self._identities.get(n)
-        if got is None:
-            got = np.zeros((n, n, self.f), dtype=np.int64)
-            got[np.arange(n), np.arange(n), 0] = 1
-            got.setflags(write=False)
-            self._identities[n] = got
-        return got
 
     def __eq__(self, other):
         return other is self or (

@@ -273,7 +273,7 @@ def spinor_norm(space: OrthoSpace, g: Matrix, *, det=None) -> SquareClass:
         if not is_isometry(space, g):
             raise NotAnIsometry("matrix does not preserve the form")
         det = g.det()
-    m = Matrix(ctx, (ctx.identity(space.n) - g.data) % ctx.p)
+    m = Matrix.identity(ctx, space.n) - g
     piv = rref(ctx, m.data)[1]
     # g is a product of rank(1 - g) reflections, up to an even number more
     assert np.array_equal(det, ctx.coerce((-1) ** len(piv)))
@@ -281,7 +281,8 @@ def spinor_norm(space: OrthoSpace, g: Matrix, *, det=None) -> SquareClass:
         return SquareClass(True)
     chi = (m.transpose() @ space.J).data[np.ix_(piv, piv)]
     disc = Matrix(ctx, chi).det()
-    assert disc.any(), "Wall's form is degenerate"
+    if not disc.any():
+        raise FormsError("Wall's form is degenerate: the Gram matrix is singular")
     return square_class(ctx, disc)
 
 

@@ -1,5 +1,10 @@
 """Exact dense polynomial and matrix algebra over a FieldCtx.
 
+A Matrix holds one array, its reduced F_p block form (`_block_form`), and
+its (rows, cols, f) coefficients `data` are a read-only view of it. A
+product is one int64 matmul of the left block form against the right
+factor's entry columns, a transpose moves blocks, and sums act on the
+blocks; elimination, determinants, traces, scaling and JSON read `data`.
 Characteristic polynomials use the division-free Berkowitz scheme with
 the det(T*I - M) sign convention; a minimal polynomial is the first
 linear dependency among the powers of the matrix, found by one echelon
@@ -17,6 +22,7 @@ Everything here is pure and matrices are immutable.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import lcm
 
 import numpy as np
@@ -197,14 +203,14 @@ class Poly:
         """Horner evaluation at a square matrix: acc -> m @ acc + c*I."""
         if m.rows != m.cols:
             raise NotSquare("a polynomial is evaluated at a square matrix")
-        ctx = self.ctx
-        blocks = _block_form(ctx, m.data)
-        diag = np.arange(m.rows)
-        acc = np.zeros(m.data.shape, dtype=np.int64)
+        ctx, n = self.ctx, m.rows
+        diag = np.arange(n)
+        acc = np.zeros((n * ctx.f, n), dtype=np.int64)  # entry columns
         for c in self.coeffs[::-1]:
-            acc = _product(ctx, blocks, acc)
-            acc[diag, diag] = (acc[diag, diag] + c) % ctx.p
-        return Matrix._reduced(ctx, acc)
+            acc = _product(ctx, m.blocks, acc)
+            entries = _entries_of(acc, ctx.f)
+            entries[diag, diag] = (entries[diag, diag] + c) % ctx.p
+        return Matrix(ctx, _entries_of(acc, ctx.f))
 
     def to_json(self):
         return [elem_to_json(self.ctx, c) for c in self.coeffs]
@@ -234,65 +240,72 @@ def poly_from_elems(ctx: FieldCtx, elems) -> Poly:
 
 
 # ---------------------------------------------------------------------------
-# matrices (immutable view over an (rows, cols, f) int64 array)
+# matrices (immutable; one array, the reduced F_p block form)
 
 
 class Matrix:
-    __slots__ = ("ctx", "data")
+    """A matrix over F_{p^f}, held as its F_p block form (`_block_form`);
+    `data`, the (rows, cols, f) coefficients, is a read-only view of it."""
+
+    __slots__ = ("ctx", "blocks")
 
     def __init__(self, ctx: FieldCtx, data):
         object.__setattr__(self, "ctx", ctx)
         d = np.asarray(data, dtype=np.int64)
         if d.ndim == 2:  # prime-field style entries
-            d = d[:, :, None] if ctx.f == 1 else _lift_entries(ctx, d)
+            d = d[:, :, None] * ctx.one
         if d.ndim != 3 or d.shape[2] != ctx.f:
             raise LinalgError(f"bad matrix data shape {d.shape}")
-        d = np.ascontiguousarray(d % ctx.p)
-        d.setflags(write=False)
-        object.__setattr__(self, "data", d)
+        b = np.ascontiguousarray(_block_form(ctx, d % ctx.p))
+        b.setflags(write=False)
+        object.__setattr__(self, "blocks", b)
 
     def __setattr__(self, *a):
         raise AttributeError("Matrix is immutable")
 
+    @staticmethod
+    def _from_blocks(ctx: FieldCtx, blocks: np.ndarray) -> "Matrix":
+        """Wrap a reduced C-contiguous block form, which is made read-only."""
+        m = object.__new__(Matrix)
+        blocks.setflags(write=False)
+        object.__setattr__(m, "ctx", ctx)
+        object.__setattr__(m, "blocks", blocks)
+        return m
+
+    @property
+    def data(self) -> np.ndarray:
+        """The read-only (rows, cols, f) coefficient array."""
+        return _entries_of(self.blocks[:, ::self.ctx.f], self.ctx.f)
+
     @property
     def rows(self) -> int:
-        return self.data.shape[0]
+        return self.blocks.shape[0] // self.ctx.f
 
     @property
     def cols(self) -> int:
-        return self.data.shape[1]
+        return self.blocks.shape[1] // self.ctx.f
 
     @staticmethod
     def identity(ctx: FieldCtx, n: int) -> "Matrix":
-        return Matrix._reduced(ctx, ctx.identity(n))
+        return Matrix._from_blocks(ctx, _eye(n * ctx.f))
 
     @staticmethod
     def zeros(ctx: FieldCtx, r: int, c: int) -> "Matrix":
-        return Matrix(ctx, np.zeros((r, c, ctx.f), dtype=np.int64))
+        return Matrix._from_blocks(ctx, np.zeros((r * ctx.f, c * ctx.f), dtype=np.int64))
 
     @staticmethod
     def from_rows(ctx: FieldCtx, rows) -> "Matrix":
         d = np.stack([np.stack([ctx.coerce(e) for e in row]) for row in rows])
         return Matrix(ctx, d)
 
-    @staticmethod
-    def _reduced(ctx: FieldCtx, data: np.ndarray) -> "Matrix":
-        """Wrap (rows, cols, f) data whose entries are already below p."""
-        m = object.__new__(Matrix)
-        d = np.ascontiguousarray(data)
-        d.setflags(write=False)
-        object.__setattr__(m, "ctx", ctx)
-        object.__setattr__(m, "data", d)
-        return m
-
-    # data is always a C-contiguous int64 array, so equal shapes and equal
-    # bytes mean equal entries; comparing bytes skips numpy's per-call setup
+    # the block form is injective, so equal shapes and equal bytes mean
+    # equal entries; comparing bytes skips numpy's per-call setup
     def __eq__(self, other):
         return (
             isinstance(other, Matrix)
             and self.ctx == other.ctx
-            and self.data.shape == other.data.shape
-            and self.data.tobytes() == other.data.tobytes()
+            and self.blocks.shape == other.blocks.shape
+            and self.blocks.tobytes() == other.blocks.tobytes()
         )
 
     __hash__ = None
@@ -301,43 +314,52 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols} over GF({self.ctx.q}))"
 
     def _same_shape(self, other, op: str) -> np.ndarray:
-        """other's data, once other is a matrix over this field of this shape."""
+        """other's block form, once other is a matrix over this field of this shape."""
         if not isinstance(other, Matrix):
             raise LinalgError(f"matrix {op} needs a matrix operand")
         if not (other.ctx is self.ctx or other.ctx == self.ctx):
             raise LinalgError("matrices over different fields")
-        if other.data.shape != self.data.shape:
+        if other.blocks.shape != self.blocks.shape:
             raise LinalgError(f"shape mismatch in matrix {op}")
-        return other.data
+        return other.blocks
 
+    # the block form is F_p-linear, so sums act on the blocks directly
     def __add__(self, other):
-        return Matrix(self.ctx, (self.data + self._same_shape(other, "sum")) % self.ctx.p)
+        b = self._same_shape(other, "sum")
+        return Matrix._from_blocks(self.ctx, (self.blocks + b) % self.ctx.p)
 
     def __sub__(self, other):
-        return Matrix(self.ctx, (self.data - self._same_shape(other, "difference")) % self.ctx.p)
+        b = self._same_shape(other, "difference")
+        return Matrix._from_blocks(self.ctx, (self.blocks - b) % self.ctx.p)
 
     def __neg__(self):
-        return Matrix(self.ctx, (-self.data) % self.ctx.p)
+        return Matrix._from_blocks(self.ctx, -self.blocks % self.ctx.p)
 
     def scale(self, k) -> "Matrix":
         return Matrix(self.ctx, self.ctx.scale(self.ctx.coerce(k), self.data))
 
     def __matmul__(self, other):
         ctx = self.ctx
+        f = ctx.f
         if isinstance(other, Matrix):
             if not (other.ctx is ctx or other.ctx == ctx):
                 raise LinalgError("matrices over different fields")
             if self.cols != other.rows:
                 raise LinalgError("shape mismatch in matrix product")
-            return Matrix._reduced(ctx, _product(ctx, _block_form(ctx, self.data), other.data))
+            cols = _product(ctx, self.blocks, other.blocks[:, ::f])
+            return Matrix._from_blocks(ctx, _block_form(ctx, _entries_of(cols, f)))
         v = np.asarray(other, dtype=np.int64) % ctx.p  # (cols, f) vector
-        if v.shape != (self.cols, ctx.f):
+        if v.shape != (self.cols, f):
             raise LinalgError(
-                f"vector shape {v.shape} does not match ({self.cols}, {ctx.f})")
-        return _product(ctx, _block_form(ctx, self.data), v)
+                f"vector shape {v.shape} does not match ({self.cols}, {f})")
+        return _product(ctx, self.blocks, v.reshape(-1)).reshape(-1, f)
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.ctx, np.swapaxes(self.data, 0, 1))
+        # block (i, j) moves to (j, i); each block is multiplication by the
+        # same entry, so it is not itself transposed
+        f = self.ctx.f
+        b = self.blocks.reshape(self.rows, f, self.cols, f).transpose(2, 1, 0, 3)
+        return Matrix._from_blocks(self.ctx, np.ascontiguousarray(b).reshape(self.cols * f, -1))
 
     def trace(self) -> np.ndarray:
         if self.rows != self.cols:
@@ -345,8 +367,8 @@ class Matrix:
         return self.data[np.arange(self.rows), np.arange(self.rows)].sum(axis=0) % self.ctx.p
 
     def is_identity(self) -> bool:
-        return (self.rows == self.cols
-                and self.data.tobytes() == self.ctx.identity(self.rows).tobytes())
+        b = self.blocks
+        return b.shape[0] == b.shape[1] and b.tobytes() == _eye(b.shape[0]).tobytes()
 
     def pow(self, e: int) -> "Matrix":
         if self.rows != self.cols:
@@ -365,18 +387,18 @@ class Matrix:
         if self.rows != self.cols:
             raise NotSquare("inverse needs a square matrix")
         n = self.rows
-        aug = np.concatenate([self.data, self.ctx.identity(n)], axis=1)
+        aug = np.concatenate([self.data, Matrix.identity(self.ctx, n).data], axis=1)
         red, pivots = rref(self.ctx, aug)
         if pivots != list(range(n)):
             raise Singular("matrix is not invertible")
-        return Matrix._reduced(self.ctx, red[:, n:])
+        return Matrix(self.ctx, red[:, n:])
 
     def det(self) -> np.ndarray:
         """Determinant by elimination; returns an (f,) element vector."""
         if self.rows != self.cols:
             raise NotSquare("determinant needs a square matrix")
         ctx, n, f = self.ctx, self.rows, self.ctx.f
-        a = self.data.copy()
+        a = self.data.copy()  # C order, so flat is a view
         flat = a.reshape(n, n * f)
         swaps = 0
         for col in range(n):
@@ -399,11 +421,12 @@ class Matrix:
         return len(rref(self.ctx, self.data)[1])
 
     def to_json(self) -> dict:
+        d = self.data
         return {
             "rows": self.rows,
             "cols": self.cols,
             "entries": [
-                [elem_to_json(self.ctx, self.data[i, j]) for j in range(self.cols)]
+                [elem_to_json(self.ctx, d[i, j]) for j in range(self.cols)]
                 for i in range(self.rows)
             ],
         }
@@ -420,13 +443,22 @@ class Matrix:
         return Matrix(ctx, d)
 
 
+@lru_cache(maxsize=None)
+def _eye(size: int) -> np.ndarray:
+    """The read-only identity of side size: the block form of I_n when size = n*f."""
+    eye = np.eye(size, dtype=np.int64)
+    eye.setflags(write=False)
+    return eye
+
+
 def _block_form(ctx: FieldCtx, data: np.ndarray) -> np.ndarray:
     """F_p block form of a reduced (r, k, f) array: an (r*f, k*f) array below p.
 
     Entry (i*f + w, j*f + v) is the t**w coefficient of data[i, j] * t**v,
     so the block form applied to a column of (k*f,) coordinate vectors,
-    flattened entry by entry, is the product by data over F_{p^f}. For
-    f = 1 it is data itself, reshaped.
+    flattened entry by entry, is the product by data over F_{p^f}, and
+    column j*f holds column j of data. An injective ring homomorphism;
+    for f = 1 it is data itself, reshaped.
     """
     r, k, f = data.shape
     if f == 1:
@@ -435,40 +467,30 @@ def _block_form(ctx: FieldCtx, data: np.ndarray) -> np.ndarray:
     return blocks.reshape(r * f, k * f)
 
 
-def _product(ctx: FieldCtx, blocks: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact product of a left factor in block form and a reduced right factor.
+def _entries_of(cols: np.ndarray, f: int) -> np.ndarray:
+    """The (r, c, f) view of (r*f, c) entry columns: column j, flattened."""
+    return cols.reshape(cols.shape[0] // f, f, cols.shape[1]).transpose(0, 2, 1)
 
-    The right factor is a (k, f) vector or a (k, c, f) matrix. One int64
-    matmul of the (r*f, k*f) block form against it as (k*f,) or (k*f, c),
-    reduced once, gives the reduced (r, f) or (r, c, f) product; for f = 1
-    this is (A @ B) % p. Each output sum has k*f terms below p**2, so the
-    result is exact while k * f * p**2 < 2**63; past that it raises.
-    `minpoly` of an n x n matrix, and so `element_order`, has the same
-    bound with k*f = n*f.
+
+def _product(ctx: FieldCtx, blocks: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Exact product of a left factor in block form and a right factor's
+    entry columns: a flattened (k, f) vector, or (k*f, c) with column j the
+    flattened column j, as columns j*f of a block form hold it.
+
+    One int64 matmul, reduced once, gives the product in the same layout;
+    for f = 1 this is (A @ B) % p. Each output sum has k*f terms below
+    p**2, so the result is exact while k * f * p**2 < 2**63; past that it
+    raises. `minpoly` of an n x n matrix, and so `element_order`, has the
+    same bound with k*f = n*f.
     """
     _require_exact(ctx, blocks.shape[1])
-    f = ctx.f
-    if b.ndim == 2:
-        return (blocks @ b.reshape(-1) % ctx.p).reshape(-1, f)
-    k, c, _ = b.shape
-    prod = blocks @ b.transpose(0, 2, 1).reshape(k * f, c)
-    # reduce straight into an (r, c, f) array that owns its memory, so a
-    # stored product carries no view of a temporary
-    out = np.empty((prod.shape[0] // f, c, f), dtype=np.int64)
-    np.remainder(prod.reshape(out.shape[0], f, c), ctx.p, out=out.transpose(0, 2, 1))
-    return out
+    return blocks @ cols % ctx.p
 
 
 def _require_exact(ctx: FieldCtx, terms: int) -> None:
     """Refuse an int64 sum of `terms` products of residues mod p that could wrap."""
     if terms > ctx.exact_terms():
         raise LinalgError(f"a sum of {terms} products mod {ctx.p} can leave the int64 range")
-
-
-def _lift_entries(ctx: FieldCtx, d):
-    out = np.zeros((d.shape[0], d.shape[1], ctx.f), dtype=np.int64)
-    out[:, :, 0] = d
-    return out
 
 
 def vector(ctx: FieldCtx, entries) -> np.ndarray:
@@ -586,21 +608,20 @@ def charpoly(m: Matrix) -> Poly:
     ctx = m.ctx
     n, f = m.rows, ctx.f
     a = m.data
-    blocks = _block_form(ctx, a)
     # big-endian coefficient list, as (k, f) array; starts as the constant 1
     c = ctx.one[None, :].copy()
     for r in range(1, n + 1):
         # [sub; row] = a[:r, :r-1]: one product gives sub.w and row.w
-        stacked = blocks[: r * f, : (r - 1) * f]
+        stacked = m.blocks[: r * f, : (r - 1) * f]
         # transfer column: [1, -d, -(row.col), -(row.M.col), ...]
         t = np.zeros((r + 1, f), dtype=np.int64)
         t[0] = ctx.one
         t[1] = ctx.neg(a[r - 1, r - 1])
-        w = a[: r - 1, r - 1]
+        w = a[: r - 1, r - 1].reshape(-1)
         for k in range(2, r + 1):
             sw = _product(ctx, stacked, w)
-            t[k] = ctx.neg(sw[r - 1])
-            w = sw[: r - 1]
+            t[k] = ctx.neg(sw[(r - 1) * f:])
+            w = sw[: (r - 1) * f]
         new = np.zeros((r + 1, f), dtype=np.int64)
         for j in range(t.shape[0]):
             if t[j].any():
@@ -629,7 +650,7 @@ def minpoly(m: Matrix) -> Poly:
     ctx = m.ctx
     n, f, p = m.rows, ctx.f, ctx.p
     _require_exact(ctx, n * f)
-    blocks = _block_form(ctx, m.data)
+    blocks = m.blocks
     width = n * n * f
     rows = np.zeros((n * f, width + (n + 1) * f), dtype=np.int64)
     pivots = []
@@ -699,19 +720,25 @@ def _cyclotomic_value(e: int, q: int) -> int:
     return num // den
 
 
-def _factor_qd_minus_1(q: int, d: int) -> dict:
-    n = q**d - 1
-    if len(str(n)) > FACTOR_DIGITS_BUDGET:
+def _factor_qd_minus_1(q: int, d: int) -> tuple:
+    """(prime, exponent) pairs of q**d - 1, refused past the digit budget."""
+    digits = len(str(q**d - 1))
+    if digits > FACTOR_DIGITS_BUDGET:
         raise OrderSearchExceeded(
-            f"q^d-1 has {len(str(n))} digits, over the budget of {FACTOR_DIGITS_BUDGET}"
+            f"q^d-1 has {digits} digits, over the budget of {FACTOR_DIGITS_BUDGET}"
         )
+    return _factored_qd_minus_1(q, d)
+
+
+@lru_cache(maxsize=None)
+def _factored_qd_minus_1(q: int, d: int) -> tuple:
     from sympy import divisors, factorint
 
     out = {}
     for e in divisors(d):
         for prime, exp in factorint(_cyclotomic_value(e, q)).items():
             out[prime] = out.get(prime, 0) + exp
-    return out
+    return tuple(out.items())
 
 
 def _echelon_add(rows: np.ndarray, pivots: list, x: np.ndarray, p: int, width: int):
@@ -758,7 +785,7 @@ def element_order(m: Matrix) -> int:
         raise NotSquare("element_order needs a square matrix")
     p = m.ctx.p
     fp = make_field(p, 1)
-    mp = minpoly(Matrix._reduced(fp, _block_form(m.ctx, m.data)[:, :, None]))
+    mp = minpoly(Matrix._from_blocks(fp, m.blocks))
     if not mp.coeffs[0].any():
         raise Singular("matrix is singular, no multiplicative order")
     radical, top = [1], 1
@@ -881,7 +908,7 @@ def _order_of_t(p: int, g: list, d: int) -> int:
     one = np.eye(len(c), dtype=np.int64)
     n = p**d - 1
     order = 1
-    for r, k in _factor_qd_minus_1(p, d).items():
+    for r, k in _factor_qd_minus_1(p, d):
         y = _mat_pow(c, n // r**k, p)
         while not np.array_equal(y, one):
             y = _mat_pow(y, r, p)
@@ -896,12 +923,11 @@ def _order_of_t(p: int, g: list, d: int) -> int:
 def restrict(m: Matrix, basis) -> Matrix:
     """Matrix of m's action on span(basis), in the given basis order."""
     ctx = m.ctx
-    cols = [np.asarray(b, dtype=np.int64) % ctx.p for b in basis]
-    k = len(cols)
-    b = np.stack(cols, axis=1)  # (n, k, f)
-    mb = _product(ctx, _block_form(ctx, m.data), b)
-    aug = np.concatenate([b, mb], axis=1)  # (n, 2k, f)
-    red, pivots = rref(ctx, aug)
+    # a flattened (n, f) vector is one entry column
+    b = np.stack([np.asarray(v, dtype=np.int64).reshape(-1) % ctx.p for v in basis], axis=1)
+    k = b.shape[1]
+    aug = np.concatenate([b, _product(ctx, m.blocks, b)], axis=1)  # [b | m b]
+    red, pivots = rref(ctx, _entries_of(aug, ctx.f))
     if len([p for p in pivots if p < k]) < k:
         raise DependentBasis("basis vectors are linearly dependent")
     if any(p >= k for p in pivots):

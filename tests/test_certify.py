@@ -515,7 +515,7 @@ def test_block_form_round_trip(data, q, n):
     size = n * n * ctx.f
     entries = data.draw(st.lists(st.integers(0, ctx.p - 1), min_size=size, max_size=size))
     b = _block_form(ctx, np.array(entries, np.int64).reshape(n, n, ctx.f))
-    m = certify_mod._matrix(ctx, b)
+    m = Matrix._from_blocks(ctx, b)
     assert m == _view(ctx, b)
     assert np.array_equal(_block_form(ctx, m.data), b)
 

@@ -194,18 +194,22 @@ def test_oversized_dimension_refused_before_building(capsys, monkeypatch, comman
         raise AssertionError("build_pair reached past the matrix-size bound")
 
     monkeypatch.setattr("omega23.cli.build_pair", unreachable)
-    code, out, err = run_cli(capsys, command, "--n", "100000", "--q", "3")
-    assert code == 2 and out == ""
-    diag = json.loads(err)
-    assert diag["error"] == "GenError"
-    assert "MAX_MATRIX_ENTRIES" in diag["detail"]
+    # n = 1000 at q = 81 = 3^4 has n*n*f = 4,000,000 <= 2^22 coefficients,
+    # but its block form has (n*f)^2 = 16,000,000 entries
+    for n, q in (("100000", "3"), ("1000", "81")):
+        code, out, err = run_cli(capsys, command, "--n", n, "--q", q)
+        assert code == 2 and out == ""
+        diag = json.loads(err)
+        assert diag["error"] == "GenError"
+        assert "MAX_MATRIX_ENTRIES" in diag["detail"]
 
 
 def test_matrix_bound_admits_acceptance_grid():
     from omega23.cli import MAX_MATRIX_ENTRIES
 
-    # the largest grid point of tests/test_acceptance.py: n = 25, q = 27 = 3^3
-    assert 25 * 25 * 3 <= MAX_MATRIX_ENTRIES
+    # the largest grid point of tests/test_acceptance.py: n = 25, q = 27 = 3^3,
+    # whose (n*f) x (n*f) block form has 75^2 entries
+    assert (25 * 3) ** 2 <= MAX_MATRIX_ENTRIES
     assert 100000 * 100000 > MAX_MATRIX_ENTRIES
 
 
@@ -335,6 +339,23 @@ def test_spinor_tests_the_isometry_once_and_builds_no_reflection(
     code, out, _ = run_cli(capsys, "spinor", "--q", "5", "--matrix", str(mat),
                            "--format", "text")
     assert out == "spinor class nontrivial; det 4; kernel member: False\n"
+
+
+@pytest.mark.parametrize("matrix, gram", [
+    ([[0, 1, 0], [1, 0, 0], [0, 0, 1]], [[0, 0, 0], [0, 0, 0], [0, 0, 1]]),
+    ([[1, 0], [0, 1]], [[0, 0], [0, 0]]),
+], ids=["degenerate-wall-form", "zero-gram"])
+def test_spinor_singular_gram_exits_two(capsys, tmp_path, matrix, gram):
+    """A singular Gram matrix has no spinor norm: refused with exit 2 and
+    one JSON line, whether or not the matrix preserves it."""
+    mat, jfile = tmp_path / "g.json", tmp_path / "j.json"
+    mat.write_text(json.dumps(matrix))
+    jfile.write_text(json.dumps(gram))
+    code, out, err = run_cli(capsys, "spinor", "--q", "3",
+                             "--matrix", str(mat), "--gram", str(jfile))
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "FormsError"
+    assert "singular" in json.loads(err)["detail"]
 
 
 def test_spinor_non_isometry_exits_two(capsys, tmp_path):

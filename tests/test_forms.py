@@ -292,6 +292,17 @@ def test_spinor_norm_rejects_non_isometry():
         spinor_norm(space, shear)
 
 
+def test_spinor_norm_refuses_a_degenerate_wall_form():
+    """Over a singular Gram matrix Wall's form can be degenerate; that is a
+    FormsError, which `python -O` keeps, not an assert."""
+    space = OrthoSpace(n=3, ctx=F3, J=Matrix.from_rows(F3, [[0, 0, 0], [0, 0, 0], [0, 0, 1]]),
+                       eps="circ")
+    swap = Matrix.from_rows(F3, [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+    assert is_isometry(space, swap)
+    with pytest.raises(FormsError, match="degenerate"):
+        spinor_norm(space, swap)
+
+
 def test_in_omega_reasons():
     space = _identity_space(F5, 3)
     assert in_omega(space, Matrix.identity(F5, 3)).ok

@@ -197,6 +197,8 @@ seed_st = st.integers(0, 2**32 - 1)
 
 @product_case
 @given(q=q_st, r=dim_st, k=dim_st, c=dim_st, fill=fill_st, seed=seed_st)
+@example(q=27, r=2, k=4, c=3, fill="random", seed=1)  # c = f: a right factor of f columns
+@example(q=81, r=5, k=4, c=4, fill="max", seed=2)
 def test_product_matches_einsum_reference(q, r, k, c, fill, seed):
     ctx = field_from_prime_power(q)
     rng = np.random.default_rng(seed)
@@ -211,6 +213,23 @@ def test_product_matches_einsum_reference(q, r, k, c, fill, seed):
     if ctx.f == 1:
         ref = (_sympy(a) * _sympy(b)).applyfunc(lambda e: e % ctx.p)
         assert prod.data[:, :, 0].tolist() == ref.tolist()
+    # a matrix holds only its block form: the other operations and the
+    # `data` view against the same operations on entries
+    a2, sq = _entries(ctx, rng, (r, k), fill), _entries(ctx, rng, (r, r), fill)
+    s = _entries(ctx, rng, (), "random")
+    ma, ma2 = Matrix(ctx, a), Matrix(ctx, a2)
+    assert ma.data.shape == (r, k, ctx.f) and not ma.data.flags.writeable
+    assert np.array_equal(ma.data, a) and Matrix(ctx, ma.data) == ma
+    assert np.array_equal(ma.transpose().data, np.swapaxes(a, 0, 1))
+    assert np.array_equal((ma + ma2).data, (a + a2) % ctx.p)
+    assert np.array_equal((ma - ma2).data, (a - a2) % ctx.p)
+    assert np.array_equal((-ma).data, -a % ctx.p)
+    assert np.array_equal(ma.scale(s).data,
+                          np.einsum("u,ijv,uvw->ijw", s, a, ctx.mul_table) % ctx.p)
+    assert np.array_equal(Matrix(ctx, sq).trace(),
+                          sq[np.arange(r), np.arange(r)].sum(axis=0) % ctx.p)
+    for m in (prod, ma.transpose(), ma + ma2, ma - ma2, -ma, ma.scale(s)):
+        assert Matrix(ctx, m.data) == m
 
 
 @product_case
@@ -406,7 +425,7 @@ def test_elimination_matches_python_reference_at_workload_sizes(q, n, shape):
         a = _entries(ctx, rng, (n, n), "random")
         a[rng.random((n, n)) < 0.3] = 0  # zeros on the diagonal force row swaps
     if shape == "augmented":
-        a = np.concatenate([a, ctx.identity(n)], axis=1)
+        a = np.concatenate([a, Matrix.identity(ctx, n).data], axis=1)
     _check_elimination(ctx, a)
 
 
@@ -419,7 +438,8 @@ def test_elimination_exact_at_the_largest_prime(f):
     rng = np.random.default_rng(f)
     for a in (_entries(ctx, rng, (5, 5), "max") - np.eye(5, dtype=np.int64)[:, :, None],
               _entries(ctx, rng, (5, 5), "random"),
-              np.concatenate([_entries(ctx, rng, (4, 4), "random"), ctx.identity(4)], axis=1)):
+              np.concatenate([_entries(ctx, rng, (4, 4), "random"),
+                              Matrix.identity(ctx, 4).data], axis=1)):
         _check_elimination(ctx, a)
     m = Matrix(ctx, _entries(ctx, rng, (4, 4), "random"))
     assert (m @ m.inverse()).is_identity()
