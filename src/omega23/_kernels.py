@@ -8,14 +8,18 @@ per generator, the images of every hi half and every lo half with their
 N digits packed into one int64 at `bits` bits a digit. The image of a
 whole frontier is two lookups and an add: every digit of the sum is at
 most 2p − 2 < 2^bits, so no field carries into the next. Chunk tables
-then reduce the digits mod p and rebuild the base-p code.
+then reduce the digits mod p and rebuild the base-p code. Tables cost
+more than a small orbit: a frontier of at most _SMALL_FRONTIER points
+is decoded to digits and mapped through all generators by one int64
+matmul instead, so the tables are built only when the first larger
+frontier appears, and a search that never sees one builds none.
 
-Each frontier is closed one generator at a time: map the whole frontier
-through the generator's tables, keep the images whose visited slot is
-still -1, and append them in frontier order. That is the order a
-sequential pass (generator by generator, point by point) reaches them,
-with no dedup: for injective generators (invertible mod p) a frontier
-repeats no point, so one generator's new images are distinct. The
+Each frontier is closed one generator at a time: take the frontier's
+images under the generator, keep those whose visited slot is -1 before
+the generator appends anything, and append them in frontier order. That
+is the order a sequential pass (generator by generator, point by point)
+reaches them, with no dedup: for injective generators (invertible mod p)
+a frontier repeats no point, so one generator's new images are distinct. The
 discovery arrays never hold more than p^N entries. A singular generator
 can list a point twice; a search that fills all p^N entries either
 repeats a code that way or has found every point of the space, which is
@@ -24,8 +28,9 @@ then the exact closure. The caller refuses any repeated code.
 The visited table is one module-level scratch buffer, grown to the
 largest space seen and all -1 between calls: a search resets the slots
 of the points it found before it returns, and drops the buffer if it
-raises. What a caller keeps is O(orbit size): the discovery arrays and
-a sorted index of (code << POS_BITS) | position.
+raises. What a caller keeps is O(orbit size): the discovery arrays, cut
+to the orbit's size once they have grown, and a sorted index of
+(code << POS_BITS) | position.
 """
 
 from __future__ import annotations
@@ -39,6 +44,8 @@ POS_BITS = (DENSE_CAP - 1).bit_length()  # a position or a code fits 22 bits
 POS_MASK = (1 << POS_BITS) - 1
 _CHUNK_BITS = 12  # unpacking tables hold at most 2^12 entries
 _FIRST_ROWS = 1024  # discovery arrays start here and double as they fill
+_SMALL_FRONTIER = 16  # frontiers up to this many points are mapped without tables
+_GRID_CACHE_MAX = 4096  # digit grids up to this many rows are kept between calls
 
 _EMPTY = np.empty(0, np.int32)
 _scratch = _EMPTY  # the visited table: all -1 between calls
@@ -54,14 +61,26 @@ def _packed_images(p: int, lo_digit: int, n_digits: int, gens: np.ndarray) -> np
     code of that slice, with their digits packed at _digit_bits(p) bits
     each. Only the slice's columns of each generator enter the product,
     which runs in float64, exactly: its sums stay below n_digits·p² < 2^53."""
-    # Row c: the base-p digits of c, least significant first.
-    grid = np.indices((p,) * n_digits, dtype=np.float64)
-    digits = grid.reshape(n_digits, p ** n_digits)[::-1].T
+    if p ** n_digits <= _GRID_CACHE_MAX:
+        digits = _cached_digit_grid(p, n_digits)
+    else:
+        digits = _digit_grid(p, n_digits)
     cols = gens[:, :, lo_digit:lo_digit + n_digits].astype(np.float64)
     images = (digits @ cols.transpose(0, 2, 1)).astype(np.int64)
     images -= p * (images // p)  # mod p; numpy vectorizes // but not %
     weights = np.left_shift(1, _digit_bits(p) * np.arange(gens.shape[1], dtype=np.int64))
     return images @ weights
+
+
+def _digit_grid(p: int, n_digits: int) -> np.ndarray:
+    """Row c: the base-p digits of c, least significant first, as floats."""
+    grid = np.indices((p,) * n_digits, dtype=np.float64)
+    digits = np.ascontiguousarray(grid.reshape(n_digits, p ** n_digits)[::-1].T)
+    digits.setflags(write=False)
+    return digits
+
+
+_cached_digit_grid = lru_cache(maxsize=None)(_digit_grid)
 
 
 @lru_cache(maxsize=None)
@@ -99,8 +118,8 @@ def orbit_bfs(gens: np.ndarray, start: np.ndarray, p: int, space: int, tables=No
     is not injective can make a point appear twice.
 
     `tables`, if given, is a caller's cache (lo rows, hi rows) of the
-    image tables of a prefix of `gens`, one row a generator; the search
-    appends the rows of the others.
+    image tables of a prefix of `gens`, one row a generator; a search
+    that needs tables appends the rows of the others.
 
     The visited table is the shared scratch buffer, so the kernel is not
     re-entrant.
@@ -120,10 +139,16 @@ def orbit_bfs(gens: np.ndarray, start: np.ndarray, p: int, space: int, tables=No
     return ids, parent, genlab, index
 
 
-def _grown(a: np.ndarray, count: int, size: int) -> np.ndarray:
-    out = np.empty(size, a.dtype)
-    out[:count] = a[:count]
-    return out
+def _grown(ids, parent, genlab, count: int, need: int, space: int) -> tuple:
+    """The discovery arrays, doubled (at least to `need` rows, at most to
+    `space`), with their first `count` rows copied."""
+    rows = min(max(2 * ids.size, need), space)
+    out = []
+    for a in (ids, parent, genlab):
+        b = np.empty(rows, a.dtype)
+        b[:count] = a[:count]
+        out.append(b)
+    return tuple(out)
 
 
 def _search(gens, start, p, visited, tables):
@@ -142,18 +167,14 @@ def _search(gens, start, p, visited, tables):
     parent = np.empty(rows, np.int32)
     genlab = np.empty(rows, np.int16)
 
+    powers = p ** np.arange(n_coords, dtype=np.int64)
+    gens_t = gens.transpose(0, 2, 1)
     m = n_coords // 2
     split = p ** m
     lo_img, hi_img = ([], []) if tables is None else tables
-    fresh_gens = gens[len(lo_img):]
-    if fresh_gens.size:
-        lo_img.extend(_packed_images(p, 0, m, fresh_gens))
-        hi_img.extend(_packed_images(p, m, n_coords - m, fresh_gens))
-    # At N = 1 a digit's table would outgrow the visited table (and its
-    # field is wider than 12 bits from p = 2049 on): reduce by arithmetic.
-    unpack = _unpack_tables(p, n_coords) if n_coords > 1 else None
+    tabulated = False
 
-    sid = int(start @ (p ** np.arange(n_coords, dtype=np.int64)))
+    sid = int(start @ powers)
     ids[0] = sid
     parent[0] = -1
     genlab[0] = -1
@@ -162,6 +183,21 @@ def _search(gens, start, p, visited, tables):
     lo = 0
     while lo < count:
         hi = count
+        if hi - lo <= _SMALL_FRONTIER:
+            count, ids, parent, genlab = _close_small(
+                gens_t, powers, p, visited, lo, hi, ids, parent, genlab)
+            lo = hi
+            continue
+        if not tabulated:  # the first large frontier
+            fresh_gens = gens[len(lo_img):]
+            if fresh_gens.size:
+                lo_img.extend(_packed_images(p, 0, m, fresh_gens))
+                hi_img.extend(_packed_images(p, m, n_coords - m, fresh_gens))
+            # At N = 1 a digit's table would outgrow the visited table (and
+            # its field is wider than 12 bits from p = 2049 on): reduce by
+            # arithmetic.
+            unpack = _unpack_tables(p, n_coords) if n_coords > 1 else None
+            tabulated = True
         f_hi, f_lo = np.divmod(ids[lo:hi], split)
         for gi in range(gens.shape[0]):
             packed = hi_img[gi][f_hi] + lo_img[gi][f_lo]
@@ -178,8 +214,7 @@ def _search(gens, start, p, visited, tables):
             k = min(fresh.size, space - count)
             where = fresh[:k]
             if count + k > ids.size:
-                rows = min(max(2 * ids.size, count + k), space)
-                ids, parent, genlab = (_grown(a, count, rows) for a in (ids, parent, genlab))
+                ids, parent, genlab = _grown(ids, parent, genlab, count, count + k, space)
             new_ids = ids[count:count + k]
             np.take(img, where, out=new_ids)
             visited[new_ids] = count + np.arange(k, dtype=np.int32)
@@ -187,4 +222,44 @@ def _search(gens, start, p, visited, tables):
             genlab[count:count + k] = gi
             count += k
         lo = hi
+    if ids.size > _FIRST_ROWS:  # a grown orbit keeps exactly its rows
+        return ids[:count].copy(), parent[:count].copy(), genlab[:count].copy()
     return ids[:count], parent[:count], genlab[:count]
+
+
+def _close_small(gens_t, powers, p, visited, lo, hi, ids, parent, genlab):
+    """Close the frontier ids[lo:hi] with no image tables: decode its
+    points to digits, map them through every generator in one matmul, and
+    then append, generator by generator, the images whose visited slot is
+    -1 before that generator appends anything, in frontier order. That
+    slot is -1 exactly when it was before the frontier and no earlier
+    generator appended the point, so a generator's own repeats (a singular
+    one's) are kept, as the table path keeps them. The matmul's sums of N
+    products below p² stay far inside int64, as p^N <= DENSE_CAP. Returns
+    (count, ids, parent, genlab); the arrays are new when they had to grow."""
+    digits = ids[lo:hi, None] // powers % p
+    codes = digits @ gens_t % p @ powers  # row gi: generator gi's images
+    free = (visited[codes] < 0).tolist()
+    images = codes.tolist()
+    taken = set()
+    new_ids, new_parent, new_genlab = [], [], []
+    for gi, (row, row_free) in enumerate(zip(images, free)):
+        fresh = [(at, c) for at, (c, f) in enumerate(zip(row, row_free))
+                 if f and c not in taken]
+        for at, c in fresh:
+            taken.add(c)
+            new_ids.append(c)
+            new_parent.append(lo + at)
+            new_genlab.append(gi)
+    count = hi
+    # Clamping the whole frontier's list clamps each generator's in turn:
+    # once the space is full, no later generator appends anything.
+    k = min(len(new_ids), visited.size - count)
+    if k:
+        if count + k > ids.size:
+            ids, parent, genlab = _grown(ids, parent, genlab, count, count + k, visited.size)
+        ids[count:count + k] = new_ids[:k]
+        parent[count:count + k] = new_parent[:k]
+        genlab[count:count + k] = new_genlab[:k]
+        visited[ids[count:count + k]] = np.arange(count, count + k, dtype=np.int32)
+    return count + k, ids, parent, genlab

@@ -9,14 +9,17 @@ or table-size exhaustion yields Inconclusive, never a wrong order.
 Inside the chain a group element is the (nf, nf) int64 F_p block form
 that a `Matrix` over F_{p^f} holds (`Matrix.blocks`, an injective ring
 map), so a product is A.dot(B) % p (exact as p^(nf) <= DENSE_CAP; `dot`
-skips the dispatch of `@`, a sixth of a 13 x 13 product). The chain reads
-`g.blocks` at `orbit`, `stabilizer_chain` and `StabilizerChain.sift`, and
-wraps a block form back into a Matrix only to invert it or to return a
-residue.
-The orbit kernel (`_kernels.orbit_bfs`) maps a whole frontier of base-p
-point codes through per-generator image tables, which each level keeps
-between recomputes. Its discovery order fixes the Schreier trees, and so
-the transversals, the residues and the later base vectors: the same seed
+skips the dispatch of `@`, a sixth of a 13 x 13 product), and an inverse
+one Gauss-Jordan elimination over F_p (`linalg._block_inverse`). The
+chain reads `g.blocks` at `orbit`, `stabilizer_chain` and
+`StabilizerChain.sift`, and wraps a block form back into a Matrix only to
+return a residue.
+The orbit kernel (`_kernels.orbit_bfs`) maps a frontier of base-p point
+codes through all generators by one matmul while it is small, and
+through per-generator image tables once it is not. A level keeps the
+tables it has built between recomputes; a level whose orbit stays small
+builds none. The discovery order fixes the Schreier trees, and so the
+transversals, the residues and the later base vectors: the same seed
 gives the same chain on every machine.
 """
 
@@ -34,7 +37,7 @@ from ._kernels import DENSE_CAP, POS_BITS, POS_MASK, orbit_bfs
 from .fields import FieldCtx, elem_to_json
 from .forms import OrthoSpace, in_omega, omega_order
 from .generators import GenPair, WrongCase
-from .linalg import Matrix, _eye, unit_vector
+from .linalg import Matrix, _block_inverse, _eye, unit_vector
 from .verify import _s9_restrictions
 
 
@@ -159,8 +162,11 @@ class Level:
     representative u(pos), and its inverse, is built on first use by
     walking the Schreier tree up to the nearest memoized ancestor (Seress,
     Permutation Group Algorithms, 2003, ch. 4); each memo keeps at most
-    _TRANSVERSAL_CACHE_LIMIT elements and walks without storing past that. `tables` caches the kernel's image tables of the
-    generators, so a recompute after an append tabulates only the new one.
+    _TRANSVERSAL_CACHE_LIMIT elements and walks without storing past that.
+    `tables` caches the kernel's image tables of a prefix of the
+    generators: empty until an orbit search meets a frontier too large to
+    close without them, after which a recompute tabulates only the
+    generators appended since.
     """
 
     __slots__ = ("ctx", "base_vec", "base_col", "gens", "orbit", "tables", "_u", "_u_inv", "_gen_inv")
@@ -203,7 +209,7 @@ class Level:
     def _inv_gen(self, lbl: int) -> np.ndarray:
         got = self._gen_inv.get(lbl)
         if got is None:
-            got = Matrix._from_blocks(self.ctx, self.gens[lbl]).inverse().blocks
+            got = _block_inverse(self.gens[lbl], self.ctx.p)
             self._gen_inv[lbl] = got
         return got
 
@@ -251,7 +257,7 @@ class _RandomElements:
     def __init__(self, ctx: FieldCtx, gens, seed):
         self.p = ctx.p
         self.rng = random.Random(seed)
-        inverses = [Matrix._from_blocks(ctx, g).inverse().blocks for g in gens]
+        inverses = [_block_inverse(g, self.p) for g in gens]
         cycle = range(max(len(gens), _PRA_SLOTS))
         self.slots = [gens[i % len(gens)] for i in cycle]
         self.slot_invs = [inverses[i % len(gens)] for i in cycle]  # slots[i]'s inverse

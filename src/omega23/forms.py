@@ -275,8 +275,10 @@ def spinor_norm(space: OrthoSpace, g: Matrix, *, det=None) -> SquareClass:
         det = g.det()
     m = Matrix.identity(ctx, space.n) - g
     piv = rref(ctx, m.data)[1]
-    # g is a product of rank(1 - g) reflections, up to an even number more
-    assert np.array_equal(det, ctx.coerce((-1) ** len(piv)))
+    # Over a nondegenerate form g is a product of rank(1 - g) reflections,
+    # up to an even number more; OrthoSpace admits a singular Gram matrix.
+    if not np.array_equal(det, ctx.coerce((-1) ** len(piv))):
+        raise FormsError("the form is degenerate: det(g) is not (-1)^rank(1 - g)")
     if not piv:
         return SquareClass(True)
     chi = (m.transpose() @ space.J).data[np.ix_(piv, piv)]

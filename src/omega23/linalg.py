@@ -565,6 +565,32 @@ def _subtract_multiples(ctx: FieldCtx, flat, rows, start, factors, block) -> Non
     flat[rows, start:] = (flat[rows, start:] - prod) % ctx.p
 
 
+def _block_inverse(a: np.ndarray, p: int) -> np.ndarray:
+    """Inverse over F_p of a reduced square int64 array, C-contiguous.
+
+    For a block form this is the block form of the inverse, as `_block_form`
+    is an injective ring map. Gauss-Jordan on [a | I]: per column a pivot
+    scan, one inverse by Python's pow, one row scale and one rank-1 update.
+    Each entry takes one product below p**2 at a time, exact for p < 2**31.
+    """
+    n = a.shape[0]
+    aug = np.concatenate([a, _eye(n)], axis=1)
+    for col in range(n):
+        factors = aug[:, col].tolist()
+        piv = next((r for r in range(col, n) if factors[r]), None)
+        if piv is None:
+            raise Singular("matrix is not invertible")
+        if piv != col:
+            aug[[col, piv]] = aug[[piv, col]]
+            factors[col], factors[piv] = factors[piv], factors[col]
+        row = aug[col] * pow(factors[col], -1, p) % p
+        factors[col] = 0
+        aug -= np.multiply.outer(factors, row)
+        aug %= p
+        aug[col] = row
+    return np.ascontiguousarray(aug[:, n:])
+
+
 def kernel_basis(ctx: FieldCtx, m: Matrix):
     """Basis of the right kernel, rows in reduced echelon form."""
     red, pivots = rref(ctx, m.data)

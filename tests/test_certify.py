@@ -476,6 +476,51 @@ def test_orbit_memory_follows_the_orbit():
     assert held == [1024 * 8, 1024 * 4, 1024 * 2, 8]
 
 
+def test_grown_orbit_holds_exactly_its_rows(pair932):
+    # Past the first 1,024 rows the discovery arrays double; the orbit
+    # keeps copies cut to its size, not views of the doubled arrays.
+    o = orbit([pair932.x, pair932.y], unit_vector(CTX3, 9, 0))
+    assert o.size > 1024
+    for a in (o.ids, o.parent, o.genlab, o.index):
+        assert a.base is None and a.shape == (o.size,)
+
+
+def _swap_singular_case():
+    """Over F_3, the swap and (x, y) -> (0, 2x) from (1, 0): the second
+    frontier, (0, 1) and (0, 2), goes to the new point 0 twice."""
+    gens = np.array([[[0, 1], [1, 0]], [[0, 0], [2, 0]]], np.int64)
+    return gens, np.array([1, 0]), 3, 3 ** 2
+
+
+@pytest.mark.parametrize("case", ["bfs", "clamp", "swap-singular", "unit-932"])
+def test_orbit_bfs_frontier_paths_agree(case, pair932, monkeypatch):
+    """Frontiers closed without tables (threshold above the space) and
+    with them (threshold 0) give the same arrays, the frontier reference's,
+    and leave the scratch table clean: singular repeats and the clamp at
+    a full space included."""
+    args = {
+        "bfs": _bfs_case,
+        "clamp": lambda: _CLAMP_CASE,
+        "swap-singular": _swap_singular_case,
+        "unit-932": lambda: (np.stack([_flat(pair932.x), _flat(pair932.y)]),
+                             unit_vector(CTX3, 9, 0).reshape(-1), 3, 3 ** 9),
+    }[case]()
+    want = _orbit_bfs_frontier_py(*args)
+    for threshold in (0, args[3] + 1):
+        monkeypatch.setattr(_kernels, "_SMALL_FRONTIER", threshold)
+        _assert_same_bfs(orbit_bfs(*args), want)
+
+
+def test_small_orbit_builds_no_image_tables():
+    # A 3-cycle of coordinates moves e_0 through a 3-point orbit, one
+    # point a frontier: the level never tabulates its generator.
+    cycle = np.eye(9, dtype=np.int64)[[2, 0, 1, 3, 4, 5, 6, 7, 8]]
+    lv = Level(CTX3, unit_vector(CTX3, 9, 0), [cycle])
+    lv.recompute()
+    assert lv.orbit.size == 3
+    assert lv.tables == ([], [])
+
+
 def test_levels_recomputed_in_turn_keep_their_positions(pair932):
     # Both levels' orbits are found in the one scratch table; each must
     # still answer from its own index after the other is recomputed.

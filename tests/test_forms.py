@@ -1,7 +1,11 @@
 """Bilinear forms, reflections, spinor norms, and group orders."""
 
+import os
+import subprocess
+import sys
 from itertools import product
 from math import gcd
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -301,6 +305,36 @@ def test_spinor_norm_refuses_a_degenerate_wall_form():
     assert is_isometry(space, swap)
     with pytest.raises(FormsError, match="degenerate"):
         spinor_norm(space, swap)
+
+
+_DEGENERATE_SHEAR = """
+from omega23.fields import make_field
+from omega23.forms import FormsError, OrthoSpace, is_isometry, spinor_norm
+from omega23.linalg import Matrix
+F3 = make_field(3, 1)
+space = OrthoSpace(n=3, ctx=F3, J=Matrix.from_rows(F3, [[0, 0, 0], [0, 0, 0], [0, 0, 1]]),
+                   eps="circ")
+shear = Matrix.from_rows(F3, [[1, 1, 0], [0, 1, 0], [0, 0, 1]])
+assert is_isometry(space, shear)
+try:
+    spinor_norm(space, shear)
+except FormsError as err:
+    assert "degenerate" in str(err)
+    print("FormsError")
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_spinor_norm_refuses_a_degenerate_form_with_asserts_stripped(flags):
+    """The shear is an isometry of diag(0, 0, 1) with det 1 and rank(1 - g)
+    = 1, which no nondegenerate form allows: a FormsError, under -O too."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, *flags, "-c", _DEGENERATE_SHEAR], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "FormsError"
 
 
 def test_in_omega_reasons():

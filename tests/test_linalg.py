@@ -138,6 +138,24 @@ def test_singular_inverse_raises():
         m.inverse()
 
 
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(data=st.data(), q=st.sampled_from([3, 5, 7, 9, 25, 27]), n=st.integers(1, 6),
+       seed=st.integers(0, 2**32 - 1))
+def test_block_inverse_is_the_block_form_of_the_inverse(data, q, n, seed):
+    ctx = field_from_prime_power(q)
+    m = _rand_invertible(ctx, n, np.random.default_rng(seed))
+    got = linalg._block_inverse(m.blocks, ctx.p)
+    want = m.inverse().blocks
+    assert got.dtype == want.dtype and got.flags.c_contiguous
+    assert got.tobytes() == want.tobytes()
+    # a zero column makes the matrix singular, wherever it sits
+    col = data.draw(st.integers(0, n - 1), label="zero column")
+    entries = m.data.copy()
+    entries[:, col] = 0
+    with pytest.raises(Singular):
+        linalg._block_inverse(Matrix(ctx, entries).blocks, ctx.p)
+
+
 def test_rank_rref_kernel():
     # rows 2 and 3 are 2x and 3x row 1 mod 5: rank 1, kernel dimension 2
     m = Matrix.from_rows(F5, [[1, 2, 3], [2, 4, 1], [3, 6, 4]])
