@@ -131,12 +131,26 @@ def orbit_bfs(gens: np.ndarray, start: np.ndarray, p: int, space: int, tables=No
     visited = _scratch[:space]
     try:
         ids, parent, genlab = _search(gens, start, p, visited, tables)
-        visited[ids] = -1
+        index = _index(visited, ids)
     except BaseException:
         _scratch = _EMPTY  # slots may be left set: start from a fresh table
         raise
-    index = np.sort((ids << POS_BITS) | np.arange(ids.size, dtype=np.int64))
     return ids, parent, genlab, index
+
+
+def _index(visited, ids):
+    """The sorted (code << POS_BITS) | position of every listed point,
+    with the visited table reset to all -1. An orbit of an eighth of the
+    space or more reads its codes off the table in order, which costs
+    less than a sort there, unless a code was listed twice."""
+    if 8 * ids.size >= visited.size:
+        codes = np.flatnonzero(visited >= 0)
+        if codes.size == ids.size:
+            index = (codes << POS_BITS) | visited[codes]
+            visited.fill(-1)
+            return index
+    visited[ids] = -1
+    return np.sort((ids << POS_BITS) | np.arange(ids.size, dtype=np.int64))
 
 
 def _grown(ids, parent, genlab, count: int, need: int, space: int) -> tuple:
