@@ -9,21 +9,24 @@ N digits packed into one int64 at `bits` bits a digit. The image of a
 whole frontier is two lookups and an add: every digit of the sum is at
 most 2p − 2 < 2^bits, so no field carries into the next. Chunk tables
 then reduce the digits mod p and rebuild the base-p code. Tables cost
-more than a small orbit: a frontier of at most _SMALL_FRONTIER points
-is decoded to digits and mapped through all generators by one int64
-matmul instead, so the tables are built only when the first larger
-frontier appears, and a search that never sees one builds none.
+more than a small orbit: a frontier of at most _SMALL_FRONTIER points,
+and every frontier at N = 1, where a digit's chunk table would outgrow
+the visited table, is decoded to digits and mapped through all
+generators by one int64 matmul instead. So the tables are built only
+when the first larger frontier appears, and a search that never sees
+one builds none.
 
-Each frontier is closed one generator at a time: take the frontier's
-images under the generator, keep those whose visited slot is -1 before
-the generator appends anything, and append them in frontier order. That
-is the order a sequential pass (generator by generator, point by point)
-reaches them, with no dedup: for injective generators (invertible mod p)
-a frontier repeats no point, so one generator's new images are distinct. The
-discovery arrays never hold more than p^N entries. A singular generator
-can list a point twice; a search that fills all p^N entries either
-repeats a code that way or has found every point of the space, which is
-then the exact closure. The caller refuses any repeated code.
+Either way, each frontier is then closed by one loop, one generator at
+a time: take the frontier's images under the generator, keep those
+whose visited slot is -1 before the generator appends anything, and
+append them in frontier order. That is the order a sequential pass
+(generator by generator, point by point) reaches them, with no dedup:
+for injective generators (invertible mod p) a frontier repeats no
+point, so one generator's new images are distinct. The discovery arrays
+never hold more than p^N entries. A singular generator can list a point
+twice; a search that fills all p^N entries either repeats a code that
+way or has found every point of the space, which is then the exact
+closure. The caller refuses any repeated code.
 
 The visited table is one module-level scratch buffer, grown to the
 largest space seen and all -1 between calls: a search resets the slots
@@ -186,7 +189,7 @@ def _search(gens, start, p, visited, tables):
     m = n_coords // 2
     split = p ** m
     lo_img, hi_img = ([], []) if tables is None else tables
-    tabulated = False
+    unpack = None  # set once the image tables exist
 
     sid = int(start @ powers)
     ids[0] = sid
@@ -197,31 +200,19 @@ def _search(gens, start, p, visited, tables):
     lo = 0
     while lo < count:
         hi = count
-        if hi - lo <= _SMALL_FRONTIER:
-            count, ids, parent, genlab = _close_small(
-                gens_t, powers, p, visited, lo, hi, ids, parent, genlab)
-            lo = hi
-            continue
-        if not tabulated:  # the first large frontier
-            fresh_gens = gens[len(lo_img):]
-            if fresh_gens.size:
-                lo_img.extend(_packed_images(p, 0, m, fresh_gens))
-                hi_img.extend(_packed_images(p, m, n_coords - m, fresh_gens))
-            # At N = 1 a digit's table would outgrow the visited table (and
-            # its field is wider than 12 bits from p = 2049 on): reduce by
-            # arithmetic.
-            unpack = _unpack_tables(p, n_coords) if n_coords > 1 else None
-            tabulated = True
-        f_hi, f_lo = np.divmod(ids[lo:hi], split)
-        for gi in range(gens.shape[0]):
-            packed = hi_img[gi][f_hi] + lo_img[gi][f_lo]
-            if unpack is None:
-                img = packed % p
-            else:
-                (shift, mask, table), *rest = unpack
-                img = table[(packed >> shift) & mask]
-                for shift, mask, table in rest:
-                    img += table[(packed >> shift) & mask]
+        if hi - lo <= _SMALL_FRONTIER or n_coords == 1:
+            # Row gi: generator gi's images of the decoded frontier. Its
+            # sums of N products below p² stay far inside int64.
+            images = ids[lo:hi, None] // powers % p @ gens_t % p @ powers
+        else:
+            if unpack is None:  # the first large frontier
+                fresh_gens = gens[len(lo_img):]
+                if fresh_gens.size:
+                    lo_img.extend(_packed_images(p, 0, m, fresh_gens))
+                    hi_img.extend(_packed_images(p, m, n_coords - m, fresh_gens))
+                unpack = _unpack_tables(p, n_coords)
+            images = _table_images(ids[lo:hi], split, hi_img, lo_img, unpack)
+        for gi, img in enumerate(images):
             # An injective generator maps a frontier, which repeats no
             # point, to distinct images, so the new ones need no dedup.
             fresh = np.flatnonzero(visited[img] < 0)
@@ -241,39 +232,15 @@ def _search(gens, start, p, visited, tables):
     return ids[:count], parent[:count], genlab[:count]
 
 
-def _close_small(gens_t, powers, p, visited, lo, hi, ids, parent, genlab):
-    """Close the frontier ids[lo:hi] with no image tables: decode its
-    points to digits, map them through every generator in one matmul, and
-    then append, generator by generator, the images whose visited slot is
-    -1 before that generator appends anything, in frontier order. That
-    slot is -1 exactly when it was before the frontier and no earlier
-    generator appended the point, so a generator's own repeats (a singular
-    one's) are kept, as the table path keeps them. The matmul's sums of N
-    products below p² stay far inside int64, as p^N <= DENSE_CAP. Returns
-    (count, ids, parent, genlab); the arrays are new when they had to grow."""
-    digits = ids[lo:hi, None] // powers % p
-    codes = digits @ gens_t % p @ powers  # row gi: generator gi's images
-    free = (visited[codes] < 0).tolist()
-    images = codes.tolist()
-    taken = set()
-    new_ids, new_parent, new_genlab = [], [], []
-    for gi, (row, row_free) in enumerate(zip(images, free)):
-        fresh = [(at, c) for at, (c, f) in enumerate(zip(row, row_free))
-                 if f and c not in taken]
-        for at, c in fresh:
-            taken.add(c)
-            new_ids.append(c)
-            new_parent.append(lo + at)
-            new_genlab.append(gi)
-    count = hi
-    # Clamping the whole frontier's list clamps each generator's in turn:
-    # once the space is full, no later generator appends anything.
-    k = min(len(new_ids), visited.size - count)
-    if k:
-        if count + k > ids.size:
-            ids, parent, genlab = _grown(ids, parent, genlab, count, count + k, visited.size)
-        ids[count:count + k] = new_ids[:k]
-        parent[count:count + k] = new_parent[:k]
-        genlab[count:count + k] = new_genlab[:k]
-        visited[ids[count:count + k]] = np.arange(count, count + k, dtype=np.int32)
-    return count + k, ids, parent, genlab
+def _table_images(frontier, split, hi_img, lo_img, unpack):
+    """Each generator's images of the frontier in turn, from its hi and
+    lo image tables: two gathers and an add, then the chunk tables reduce
+    the packed digits mod p back to a code."""
+    f_hi, f_lo = np.divmod(frontier, split)
+    (shift, mask, table), *rest = unpack
+    for hi_rows, lo_rows in zip(hi_img, lo_img):
+        packed = hi_rows[f_hi] + lo_rows[f_lo]
+        img = table[(packed >> shift) & mask]
+        for shift_k, mask_k, table_k in rest:
+            img += table_k[(packed >> shift_k) & mask_k]
+        yield img

@@ -14,9 +14,10 @@ one Gauss-Jordan elimination over F_p (`linalg._block_inverse`). The
 chain reads `g.blocks` at `orbit`, `stabilizer_chain` and
 `StabilizerChain.sift`, and wraps a block form back into a Matrix only to
 return a residue.
-The orbit kernel (`_kernels.orbit_bfs`) maps a frontier of base-p point
-codes through all generators by one matmul while it is small, and
-through per-generator image tables once it is not. A level keeps the
+The orbit kernel (`_kernels.orbit_bfs`) computes a frontier's images
+by one matmul on its decoded base-p digits while it is small (always
+at N = 1), and from per-generator image tables once it is not; either
+way one loop appends them, generator by generator. A level keeps the
 tables it has built between recomputes; a level whose orbit stays small
 builds none. The discovery order fixes the Schreier trees, and so the
 transversals, the residues and the later base vectors: the same seed
@@ -36,9 +37,8 @@ from . import resolved_seed
 from ._kernels import DENSE_CAP, POS_BITS, POS_MASK, orbit_bfs
 from .fields import FieldCtx, elem_to_json
 from .forms import OrthoSpace, in_omega, omega_order
-from .generators import GenPair, WrongCase
+from .generators import GenPair, WrongCase, s9_restrictions
 from .linalg import Matrix, _block_inverse, _eye, unit_vector
-from .verify import _s9_restrictions
 
 
 class CertifyError(Exception):
@@ -455,7 +455,7 @@ def certify_generation(pair: GenPair, restrict_to_s9: bool = False,
     if restrict_to_s9:
         if pair.tag.case == "A":
             raise WrongCase("restricted certification needs an S9 tail family")
-        gens = _s9_restrictions(pair)[:2]  # y and tau on the 9-dimensional subspace
+        gens = s9_restrictions(pair)[:2]  # y and tau on the 9-dimensional subspace
         k = pair.n - 9
         space = OrthoSpace(n=9, ctx=ctx, J=Matrix(ctx, pair.space.J.data[k:, k:]), eps="circ")
         contained = all(in_omega(space, g).ok for g in gens)

@@ -17,15 +17,15 @@ import numpy as np
 
 from . import resolved_seed
 from .certify import CertifyError, certify_generation
-from .fields import (FieldError, elem_to_json, field_from_prime_power,
-                     field_to_json, is_square)
+from .fields import (elem_to_json, field_from_prime_power, field_to_json,
+                     is_square)
 from .forms import (FormsError, OrthoSpace, in_omega, isometry_membership,
                     isotropic_count, is_isometry, omega_order, gram_matrix,
                     spinor_norm, witt_type)
 from .generators import (GenError, build_pair, classify, default_a,
                          pair_to_json, pair_to_text, search_a)
-from .linalg import LinalgError, Matrix
-from .verify import (VerifyError, load_claims, verify_caseA_identities,
+from .linalg import Matrix
+from .verify import (load_claims, verify_caseA_identities,
                      verify_caseB_identities, verify_order_claims,
                      verify_structural)
 
@@ -39,9 +39,9 @@ EXIT_INCONCLUSIVE = 3
 # acceptance grid's largest point, n = 25 at q = 27, needs 75^2 = 5625.
 MAX_MATRIX_ENTRIES = 1 << 22
 
-# OSError: an unreadable --matrix/--gram file or an unwritable --output.
-_BUILD_ERRORS = (FieldError, FormsError, GenError, LinalgError, VerifyError,
-                 CertifyError, ValueError, OSError)
+# Every package error but CertifyError is a ValueError. OSError: an
+# unreadable --matrix/--gram file or an unwritable --output.
+_BUILD_ERRORS = (CertifyError, ValueError, OSError)
 
 
 class _Parser(argparse.ArgumentParser):

@@ -424,13 +424,25 @@ def theta_block(ctx: FieldCtx, a, corrected: bool) -> Matrix:
     return Matrix(ctx, base)
 
 
+def s9_restrictions(pair: GenPair):
+    """(y|S9, tau|S9, tau, [x, y]) with tau = [x, y]^24 and S9 the span of
+    the last nine unit vectors, unchecked: `tau` and the case-B battery
+    check them against the printed blocks, and certify acts on S9 by
+    y|S9 and tau|S9."""
+    ctx, n = pair.ctx, pair.n
+    s9 = [unit_vector(ctx, n, i) for i in range(n - 9, n)]
+    g = commutator(pair.x, pair.y)
+    tau_full = g.pow(24)
+    return restrict(pair.y, s9), restrict(tau_full, s9), tau_full, g
+
+
 def tau(pair: GenPair) -> Matrix:
     """[x,y]^24, verified against the printed block structure."""
     if pair.tag.case == "A":
         raise WrongCase("tau is defined for the case-B pairs")
     ctx = pair.ctx
     n = pair.n
-    t = commutator(pair.x, pair.y).pow(24)
+    _, t9, t, _ = s9_restrictions(pair)
     cp = charpoly(t)
     tm1 = poly_from_elems(ctx, [ctx.coerce(-1), ctx.one])
     expect = tm1
@@ -441,8 +453,7 @@ def tau(pair: GenPair) -> Matrix:
     _require(t == _embed_tail(ctx, n, theta.data), "tau = diag(I, printed block)")
     mp = minpoly(theta)
     _require(mp == tm1 * tm1 * tm1, "minpoly of the block is (T-1)^3")
-    s9 = [unit_vector(ctx, n, i) for i in range(n - 9, n)]
-    fix = eigenspace(restrict(t, s9), 1)
+    fix = eigenspace(t9, 1)
     a2 = ctx.mul(pair.a, pair.a)
     expected_dim = 7 if pair.tag.case == "B6" and np.array_equal(a2, ctx.coerce(3)) else 5
     _require(fix.shape[0] == expected_dim, "fixed-space dimension of tau on S9")

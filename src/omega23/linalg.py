@@ -96,9 +96,6 @@ class Poly:
     def is_zero(self) -> bool:
         return self.coeffs.shape[0] == 0
 
-    def is_one(self) -> bool:
-        return self.degree == 0 and np.array_equal(self.coeffs[0], self.ctx.one)
-
     def is_monic(self) -> bool:
         return self.degree >= 0 and np.array_equal(self.coeffs[-1], self.ctx.one)
 

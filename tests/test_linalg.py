@@ -16,6 +16,7 @@ from omega23 import linalg, verify
 from omega23.fields import FieldCtx, field_from_prime_power, make_field
 from omega23.generators import build_pair
 from omega23.linalg import (
+    DependentBasis,
     LinalgError,
     Matrix,
     NotInvariant,
@@ -961,6 +962,9 @@ def test_restrict_action_and_invariance_check():
     with pytest.raises(NotInvariant):
         restrict(Matrix.from_rows(F5, [[0, 1, 0], [0, 0, 1], [1, 0, 0]]),
                  [unit_vector(F5, 3, 0)])
+    # an invariant span, but its third vector is the sum of the first two
+    with pytest.raises(DependentBasis):
+        restrict(m, basis + [basis[0] + basis[1]])
 
 
 # ---------------------------------------------------------------------------
