@@ -217,12 +217,14 @@ def _search(gens, start, p, visited, tables):
             # point, to distinct images, so the new ones need no dedup.
             fresh = np.flatnonzero(visited[img] < 0)
             k = min(fresh.size, space - count)
+            if not k:
+                continue
             where = fresh[:k]
             if count + k > ids.size:
                 ids, parent, genlab = _grown(ids, parent, genlab, count, count + k, space)
             new_ids = ids[count:count + k]
             np.take(img, where, out=new_ids)
-            visited[new_ids] = count + np.arange(k, dtype=np.int32)
+            visited[new_ids] = np.arange(count, count + k, dtype=np.int32)
             parent[count:count + k] = lo + where
             genlab[count:count + k] = gi
             count += k
