@@ -239,10 +239,10 @@ def _table_images(frontier, split, hi_img, lo_img, unpack):
     lo image tables: two gathers and an add, then the chunk tables reduce
     the packed digits mod p back to a code."""
     f_hi, f_lo = np.divmod(frontier, split)
-    (shift, mask, table), *rest = unpack
+    (_, mask, table), *rest = unpack  # the first chunk starts at bit 0
     for hi_rows, lo_rows in zip(hi_img, lo_img):
         packed = hi_rows[f_hi] + lo_rows[f_lo]
-        img = table[(packed >> shift) & mask]
+        img = table[packed & mask]
         for shift_k, mask_k, table_k in rest:
             img += table_k[(packed >> shift_k) & mask_k]
         yield img

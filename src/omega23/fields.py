@@ -163,6 +163,10 @@ def _smallest_modulus(p, f):
 
 # ---------------------------------------------------------------------------
 
+# Inverses a context keeps for f > 1: every nonzero element of the fields
+# the paper's pairs use (q <= 27), a bounded few of a large one.
+_INVERSE_CACHE_LIMIT = 4096
+
 
 class FieldCtx:
     """Field context: modulus plus precomputed reduction, multiplication
@@ -216,6 +220,7 @@ class FieldCtx:
             for _ in range(1, self.f):
                 frob.append(frob[-1] @ step % self.p)
         self.frob = np.stack(frob)
+        self._inverses = {}  # element bytes -> read-only inverse, f > 1
 
     def exact_terms(self, table: bool = False) -> int:
         """How many products of residues an int64 sum holds without wrapping.
@@ -306,16 +311,25 @@ class FieldCtx:
 
         The norm N(a) = a * a**p * ... * a**(p**(f-1)) lies in F_p, where
         Python's modular inverse inverts it; for f = 1 that is all there is.
+        For f > 1 the context keeps up to _INVERSE_CACHE_LIMIT inverses and
+        hands them out read-only.
         """
         a = self.coerce(a)
         if not a.any():
             raise ZeroDivisionError("inverse of zero field element")
         if self.f == 1:
             return np.array([pow(int(a[0]), -1, self.p)], dtype=np.int64)
-        rest = self.product(a @ self.frob[1:] % self.p)
-        norm = self.mul(a, rest)
-        assert not norm[1:].any(), "the norm of an element lies in F_p"
-        return rest * pow(int(norm[0]), -1, self.p) % self.p
+        key = a.tobytes()
+        out = self._inverses.get(key)
+        if out is None:
+            rest = self.product(a @ self.frob[1:] % self.p)
+            norm = self.mul(a, rest)
+            assert not norm[1:].any(), "the norm of an element lies in F_p"
+            out = rest * pow(int(norm[0]), -1, self.p) % self.p
+            out.setflags(write=False)
+            if len(self._inverses) < _INVERSE_CACHE_LIMIT:
+                self._inverses[key] = out
+        return out
 
     def frobenius(self, a, k: int = 1):
         """a**(p**k) of an element, or of every element of an (..., f) array,

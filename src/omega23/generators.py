@@ -17,7 +17,7 @@ from importlib import resources
 
 import numpy as np
 
-from ._dims import CASE_A_DIMS, b_params, case_of, unsupported_message
+from ._dims import b_params, case_of, unsupported_message
 from .fields import FieldCtx, elem_to_json, field_to_json, is_square, subfield_degree
 from .forms import OmegaMembership, OrthoSpace, gram_matrix, in_omega, is_isometry
 from .linalg import Matrix, charpoly, eigenspace, minpoly, poly_from_elems, restrict, unit_vector

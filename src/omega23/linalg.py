@@ -17,7 +17,8 @@ from powers of the part's companion matrix. sympy is imported only to
 factor p**d - 1 and in `factor_poly` and `Poly.pow_mod`, which wrap its
 galoistools and which `element_order` no longer calls.
 
-Everything here is pure and matrices are immutable.
+Everything here is pure and matrices are immutable; a matrix keeps its
+determinant and inverse once computed.
 """
 
 from __future__ import annotations
@@ -242,9 +243,15 @@ def poly_from_elems(ctx: FieldCtx, elems) -> Poly:
 
 class Matrix:
     """A matrix over F_{p^f}, held as its F_p block form (`_block_form`);
-    `data`, the (rows, cols, f) coefficients, is a read-only view of it."""
+    `data`, the (rows, cols, f) coefficients, is a read-only view of it.
 
-    __slots__ = ("ctx", "blocks")
+    A matrix is immutable, so `det()` and `inverse()` each eliminate once
+    and keep the result: the determinant as a read-only (f,) array, the
+    inverse as a Matrix that does not point back at this one. A failure
+    (NotSquare, Singular) is not kept and raises again on every call.
+    """
+
+    __slots__ = ("ctx", "blocks", "_det", "_inv")
 
     def __init__(self, ctx: FieldCtx, data):
         object.__setattr__(self, "ctx", ctx)
@@ -256,6 +263,8 @@ class Matrix:
         b = np.ascontiguousarray(_block_form(ctx, d % ctx.p))
         b.setflags(write=False)
         object.__setattr__(self, "blocks", b)
+        object.__setattr__(self, "_det", None)
+        object.__setattr__(self, "_inv", None)
 
     def __setattr__(self, *a):
         raise AttributeError("Matrix is immutable")
@@ -267,6 +276,8 @@ class Matrix:
         blocks.setflags(write=False)
         object.__setattr__(m, "ctx", ctx)
         object.__setattr__(m, "blocks", blocks)
+        object.__setattr__(m, "_det", None)
+        object.__setattr__(m, "_inv", None)
         return m
 
     @property
@@ -368,30 +379,46 @@ class Matrix:
         return b.shape[0] == b.shape[1] and b.tobytes() == _eye(b.shape[0]).tobytes()
 
     def pow(self, e: int) -> "Matrix":
+        """self**e by repeated squaring from the first factor, so pow(1) is
+        self and pow(-1) its kept inverse; pow(0) is the identity."""
         if self.rows != self.cols:
             raise NotSquare("powers need a square matrix")
-        base = self if e >= 0 else self.inverse()
+        if e == 0:
+            return Matrix.identity(self.ctx, self.rows)
+        base = self if e > 0 else self.inverse()
         e = abs(e)
-        result = Matrix.identity(self.ctx, self.rows)
-        while e:
+        result = None
+        while True:
             if e & 1:
-                result = result @ base
-            base = base @ base
+                result = base if result is None else result @ base
             e >>= 1
-        return result
+            if not e:
+                return result
+            base = base @ base
 
     def inverse(self) -> "Matrix":
-        if self.rows != self.cols:
-            raise NotSquare("inverse needs a square matrix")
-        n = self.rows
-        aug = np.concatenate([self.data, Matrix.identity(self.ctx, n).data], axis=1)
-        red, pivots = rref(self.ctx, aug)
-        if pivots != list(range(n)):
-            raise Singular("matrix is not invertible")
-        return Matrix(self.ctx, red[:, n:])
+        """The inverse, by one rref of [self | I] on the first call."""
+        if self._inv is None:
+            if self.rows != self.cols:
+                raise NotSquare("inverse needs a square matrix")
+            n = self.rows
+            aug = np.concatenate([self.data, Matrix.identity(self.ctx, n).data], axis=1)
+            red, pivots = rref(self.ctx, aug)
+            if pivots != list(range(n)):
+                raise Singular("matrix is not invertible")
+            object.__setattr__(self, "_inv", Matrix(self.ctx, red[:, n:]))
+        return self._inv
 
     def det(self) -> np.ndarray:
-        """Determinant by elimination; returns an (f,) element vector."""
+        """Determinant as a read-only (f,) element vector, by elimination
+        on the first call."""
+        if self._det is None:
+            d = self._eliminate_det()
+            d.setflags(write=False)
+            object.__setattr__(self, "_det", d)
+        return self._det
+
+    def _eliminate_det(self) -> np.ndarray:
         if self.rows != self.cols:
             raise NotSquare("determinant needs a square matrix")
         ctx, n, f = self.ctx, self.rows, self.ctx.f
@@ -1073,7 +1100,9 @@ def evaluate_word(word, x: Matrix, y: Matrix) -> Matrix:
 
 
 def _eval_expr(expr: WordExpr, x: Matrix, y: Matrix, y_inv: Matrix) -> Matrix:
-    result = Matrix.identity(x.ctx, x.rows)
+    """The product of the terms' powers, from the first one: a lone letter
+    is the generator object itself, so its kept inverse is reused."""
+    result = None
     for atom, e in expr.terms:
         if atom == "x":
             m = x
@@ -1087,5 +1116,6 @@ def _eval_expr(expr: WordExpr, x: Matrix, y: Matrix, y_inv: Matrix) -> Matrix:
             u = _eval_expr(atom[0], x, y, y_inv)
             v = _eval_expr(atom[1], x, y, y_inv)
             m = u.inverse() @ v.inverse() @ u @ v
-        result = result @ m.pow(e)
-    return result
+        m = m.pow(e)
+        result = m if result is None else result @ m
+    return Matrix.identity(x.ctx, x.rows) if result is None else result

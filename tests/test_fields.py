@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_irreducible_p, gf_pow_mod, gf_rem
 
+from omega23 import fields
 from omega23.fields import (
     _MR_EXACT_BELOW,
     BadDegree,
@@ -367,6 +368,32 @@ def test_extension_field_inverse_matches_powering(q):
         ctx.inv(0)
     with pytest.raises(ZeroDivisionError):
         ctx.inv(ctx.zero)
+
+
+@pytest.mark.parametrize("q", [9, 27, 3**5])
+def test_kept_inverses_invert_every_nonzero_element(q):
+    """Twice over every nonzero element, so the second round reads what the
+    first kept; a write to a returned inverse does not reach the next."""
+    ctx = field_from_prime_power(q)
+    for _ in range(2):
+        for i in range(1, q):
+            a = ctx.from_index(i)
+            got = ctx.inv(a)
+            assert ctx.mul(a, got).tolist() == ctx.one.tolist()
+            try:
+                got[0] = (got[0] + 1) % ctx.p
+            except ValueError:  # handed out read-only
+                pass
+
+
+def test_kept_inverses_stop_at_the_cap():
+    ctx = make_field(1009, 2)
+    limit = fields._INVERSE_CACHE_LIMIT
+    for i in range(1, limit + 101):
+        ctx.inv(ctx.from_index(i))
+    assert len(ctx._inverses) == limit
+    a = ctx.from_index(limit + 100)  # not kept, still right
+    assert ctx.mul(a, ctx.inv(a)).tolist() == ctx.one.tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Polynomials, matrices, orders, and the word language."""
 
+import gc
 from functools import lru_cache
 
 import numpy as np
@@ -137,6 +138,60 @@ def test_singular_inverse_raises():
     assert not m.det().any()
     with pytest.raises(Singular):
         m.inverse()
+
+
+# det() and inverse() keep their first result on the matrix
+
+memo_case = settings(derandomize=True, max_examples=40, deadline=None)
+memo_q_st = st.sampled_from([3, 5, 9, 25, 27])
+
+
+@memo_case
+@given(q=memo_q_st, n=st.integers(1, 6),
+       kind=st.sampled_from(["random", "sparse", "anti-triangular", "low-rank"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_kept_det_and_inverse_equal_a_fresh_elimination(q, n, kind, seed):
+    """Two matrices of one shape, each asked twice, give what the Python
+    reference and a rebuilt copy give; a write to a returned det reaches
+    neither a later det() nor the inverse's source."""
+    ctx = field_from_prime_power(q)
+    rng = np.random.default_rng(seed)
+    for a in (_shaped(ctx, rng, n, n, kind), _shaped(ctx, rng, n, n, "random")):
+        m = Matrix(ctx, a)
+        _, _, ref_det, ref_inv = _ref_elimination(ctx, a)
+        for _ in range(2):
+            rebuilt = Matrix(ctx, m.data.copy())
+            assert tuple(m.det().tolist()) == tuple(rebuilt.det().tolist()) == ref_det
+            if ref_inv is None:
+                continue
+            inv = m.inverse()
+            assert inv == rebuilt.inverse()
+            assert inv.data.tolist() == [[list(x) for x in row] for row in ref_inv]
+            assert inv is m.inverse()
+            assert not any(r is m for r in gc.get_referents(inv))
+        d = m.det()
+        try:
+            d[0] = (d[0] + 1) % ctx.p
+        except ValueError:  # handed out read-only
+            pass
+        assert tuple(m.det().tolist()) == ref_det
+
+
+@memo_case
+@given(q=memo_q_st, n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_a_failed_inverse_or_det_raises_on_every_call(q, n, seed):
+    ctx = field_from_prime_power(q)
+    rng = np.random.default_rng(seed)
+    singular = Matrix(ctx, _shaped(ctx, rng, n, n, "low-rank"))  # rank < n
+    wide = Matrix(ctx, _shaped(ctx, rng, n, n + 1, "random"))
+    for _ in range(2):
+        with pytest.raises(Singular):
+            singular.inverse()
+        assert not singular.det().any()
+        with pytest.raises(NotSquare):
+            wide.det()
+        with pytest.raises(NotSquare):
+            wide.inverse()
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -992,6 +1047,18 @@ def test_word_evaluation_identities():
     assert evaluate_word("(xy)^3", x, y) == (x @ y).pow(3)
     assert evaluate_word("[x,y^2]", x, y) == (
         x.inverse() @ y.inverse() @ y.inverse() @ x @ y @ y)
+
+
+def test_word_letters_are_the_generators_themselves():
+    """A lone letter to the first power is the generator object, and y^-1
+    its kept inverse, so a commutator inverts nothing twice."""
+    pair = build_pair(9, F5, 2, force=True)
+    x, y = pair.x, pair.y
+    assert evaluate_word("x", x, y) is x
+    assert evaluate_word("Y", x, y) is y.inverse()
+    assert evaluate_word("y^-1", x, y) is y.inverse()
+    assert x.pow(1) is x and x.pow(-1) is x.inverse()
+    assert x.pow(0) == Matrix.identity(F5, 9)
 
 
 @pytest.mark.parametrize("bad", ["", "z", "(xy", "[x y]", "x^", "xy)", "[x,]"])
