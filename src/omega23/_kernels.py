@@ -48,7 +48,6 @@ POS_MASK = (1 << POS_BITS) - 1
 _CHUNK_BITS = 12  # unpacking tables hold at most 2^12 entries
 _FIRST_ROWS = 1024  # discovery arrays start here and double as they fill
 _SMALL_FRONTIER = 16  # frontiers up to this many points are mapped without tables
-_GRID_CACHE_MAX = 4096  # digit grids up to this many rows are kept between calls
 
 _EMPTY = np.empty(0, np.int32)
 _scratch = _EMPTY  # the visited table: all -1 between calls
@@ -64,10 +63,7 @@ def _packed_images(p: int, lo_digit: int, n_digits: int, gens: np.ndarray) -> np
     code of that slice, with their digits packed at _digit_bits(p) bits
     each. Only the slice's columns of each generator enter the product,
     which runs in float64, exactly: its sums stay below n_digits·p² < 2^53."""
-    if p ** n_digits <= _GRID_CACHE_MAX:
-        digits = _cached_digit_grid(p, n_digits)
-    else:
-        digits = _digit_grid(p, n_digits)
+    digits = _digit_grid(p, n_digits)
     cols = gens[:, :, lo_digit:lo_digit + n_digits].astype(np.float64)
     images = (digits @ cols.transpose(0, 2, 1)).astype(np.int64)
     images -= p * (images // p)  # mod p; numpy vectorizes // but not %
@@ -75,15 +71,16 @@ def _packed_images(p: int, lo_digit: int, n_digits: int, gens: np.ndarray) -> np
     return images @ weights
 
 
+@lru_cache(maxsize=None)
 def _digit_grid(p: int, n_digits: int) -> np.ndarray:
-    """Row c: the base-p digits of c, least significant first, as floats."""
+    """Row c: the base-p digits of c, least significant first, as floats.
+    Every grid is kept: as p^N <= DENSE_CAP, a grid of at most ceil(N/2)
+    digits has at most sqrt(p * DENSE_CAP) rows (24,649 rows, 0.4 MB, at
+    p = 157 and N = 3)."""
     grid = np.indices((p,) * n_digits, dtype=np.float64)
     digits = np.ascontiguousarray(grid.reshape(n_digits, p ** n_digits)[::-1].T)
     digits.setflags(write=False)
     return digits
-
-
-_cached_digit_grid = lru_cache(maxsize=None)(_digit_grid)
 
 
 @lru_cache(maxsize=None)

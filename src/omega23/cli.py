@@ -19,10 +19,9 @@ from . import resolved_seed
 from .certify import CertifyError, certify_generation
 from .fields import (elem_to_json, field_from_prime_power, field_to_json,
                      is_square)
-from .forms import (FormsError, OrthoSpace, in_omega, isometry_membership,
-                    isotropic_count, is_isometry, omega_order, gram_matrix,
-                    spinor_norm, witt_type)
-from .generators import (GenError, build_pair, classify, default_a,
+from .forms import (FormsError, OrthoSpace, in_omega, isotropic_count,
+                    omega_order, gram_matrix, witt_type)
+from .generators import (GenError, build_pair, default_a,
                          pair_to_json, pair_to_text, search_a)
 from .linalg import Matrix
 from .verify import (load_claims, verify_caseA_identities,
@@ -213,28 +212,26 @@ def _cmd_spinor(args) -> int:
         eps = "circ" if j.rows % 2 else "plus" if is_square(ctx, disc) else "minus"
         space = OrthoSpace(n=j.rows, ctx=ctx, J=j, eps=eps)
     else:
-        # gram_matrix takes "B" for both of the B5 and B6 layouts
-        space = gram_matrix("A" if classify(g.rows).case == "A" else "B", g.rows, ctx)
+        space = gram_matrix(g.rows, ctx)
     if g.rows != space.n or g.cols != space.n:
         raise FormsError(
             f"matrix is {g.rows}x{g.cols}, Gram is {space.n}x{space.n}")
-    if not is_isometry(space, g):
+    member = in_omega(space, g)
+    if "not-an-isometry" in member.reasons:
         raise FormsError("matrix does not preserve the form; "
                          "spinor norm is undefined")
-    det = g.det()
-    theta = spinor_norm(space, g, det=det)
-    member = isometry_membership(ctx, det, theta)
+    spinor_square = "spinor-norm-nontrivial" not in member.reasons
     doc = {
         "command": "spinor",
         "params": {"q": ctx.q, "n": space.n,
                    "gram": "user" if args.gram else "case"},
         "field": field_to_json(ctx),
-        "determinant": elem_to_json(ctx, det),
-        "spinor_square": theta.square,
+        "determinant": elem_to_json(ctx, g.det()),
+        "spinor_square": spinor_square,
         "in_kernel": member.ok,
         "reasons": list(member.reasons),
     }
-    text = (f"spinor class {'trivial' if theta.square else 'nontrivial'}; "
+    text = (f"spinor class {'trivial' if spinor_square else 'nontrivial'}; "
             f"det {doc['determinant']}; kernel member: {member.ok}")
     _emit(doc, text, args)
     return EXIT_OK

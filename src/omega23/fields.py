@@ -427,37 +427,6 @@ def subfield_degree(ctx: FieldCtx, a) -> int:
     raise FieldError("unreachable: element not fixed by full Frobenius orbit")
 
 
-class SquareClass:
-    """Coset of the squares in the multiplicative group; xor under product."""
-
-    __slots__ = ("square",)
-
-    def __init__(self, square: bool):
-        object.__setattr__(self, "square", bool(square))
-
-    def __setattr__(self, *a):
-        raise AttributeError("SquareClass is immutable")
-
-    def __mul__(self, other):
-        return SquareClass(self.square == other.square)
-
-    def __eq__(self, other):
-        return isinstance(other, SquareClass) and self.square == other.square
-
-    def __hash__(self):
-        return hash(("SquareClass", self.square))
-
-    def __repr__(self):
-        return "SquareClass(square)" if self.square else "SquareClass(nonsquare)"
-
-
-def square_class(ctx: FieldCtx, a) -> SquareClass:
-    a = ctx.coerce(a)
-    if not a.any():
-        raise FieldError("zero has no square class")
-    return SquareClass(is_square(ctx, a))
-
-
 # ---------------------------------------------------------------------------
 # JSON forms
 
@@ -471,15 +440,15 @@ def elem_to_json(ctx: FieldCtx, a):
 
 
 def elem_from_json(ctx: FieldCtx, v) -> np.ndarray:
-    if isinstance(v, (int, np.integer)):
-        return ctx.coerce(int(v))
-    if isinstance(v, (list, tuple)):
-        if ctx.f == 1 and len(v) == 1:
-            return ctx.coerce(int(v[0]))
-        if len(v) != ctx.f:
-            raise FieldError(f"element list has length {len(v)}, expected {ctx.f}")
-        return ctx.coerce(list(v))
-    raise FieldError(f"bad element JSON: {v!r}")
+    """An int, or a list of f integer coefficients; anything else (a float,
+    a string, a bool) is refused rather than truncated."""
+    listed = isinstance(v, (list, tuple))
+    coeffs = v if listed else [v]
+    if not all(isinstance(c, (int, np.integer)) and not isinstance(c, bool) for c in coeffs):
+        raise FieldError(f"bad element JSON: {v!r}")
+    if listed and len(v) != ctx.f:
+        raise FieldError(f"element list has length {len(v)}, expected {ctx.f}")
+    return ctx.coerce([int(c) % ctx.p for c in coeffs])
 
 
 def field_to_json(ctx: FieldCtx) -> dict:

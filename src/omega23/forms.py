@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._dims import case_of, unsupported_message
-from .fields import FieldCtx, SquareClass, square_class
+from .fields import FieldCtx, is_square
 from .linalg import Matrix, rref
 
 
@@ -66,36 +66,30 @@ class OrthoSpace:
             raise FormsError("Gram matrix must be symmetric")
 
 
-def gram_matrix(case: str, n: int, ctx: FieldCtx) -> OrthoSpace:
-    """The construction's Gram matrix for the given case and dimension."""
+def gram_matrix(n: int, ctx: FieldCtx) -> OrthoSpace:
+    """The construction's Gram matrix in dimension n: case A's for n in
+    (9, 11, 13, 17), otherwise case B's, which the B5 and B6 layouts share."""
+    case = case_of(n)
+    if case is None:
+        raise UnsupportedDimension(unsupported_message(n))
+    d = np.zeros((n, n, ctx.f), dtype=np.int64)
     if case == "A":
-        if n not in (9, 11, 13, 17):
-            raise UnsupportedDimension(
-                f"case A covers n in (9, 11, 13, 17), got {n}"
-            )
-        d = np.zeros((n, n, ctx.f), dtype=np.int64)
         for i in range(n - 3):
             d[i, i, 0] = 1
         d[n - 3, n - 1, 0] = 1
         d[n - 2, n - 2, 0] = 1
         d[n - 1, n - 3, 0] = 1
-        j = Matrix(ctx, d)
         eps = "circ"
         expected_det = ctx.coerce(-1)
-    elif case == "B":
-        if case_of(n) not in ("B5", "B6"):
-            raise UnsupportedDimension(unsupported_message(n))
-        d = np.zeros((n, n, ctx.f), dtype=np.int64)
+    else:
         for i in range(n - 8):
             d[i, i, 0] = 1
         for i in range(4):
             d[n - 8 + i, n - 4 + i, 0] = 1
             d[n - 4 + i, n - 8 + i, 0] = 1
-        j = Matrix(ctx, d)
         eps = "circ" if n % 2 else witt_type(n, ctx.q)
         expected_det = ctx.coerce(1)
-    else:
-        raise FormsError(f"unknown case {case!r}")
+    j = Matrix(ctx, d)
     assert np.array_equal(j.det(), expected_det)
     return OrthoSpace(n=n, ctx=ctx, J=j, eps=eps)
 
@@ -253,39 +247,38 @@ def reflection_decomposition(space: OrthoSpace, g: Matrix):
     return centers
 
 
-def spinor_norm(space: OrthoSpace, g: Matrix, *, det=None) -> SquareClass:
-    """theta(g): the discriminant of Wall's form on im(1 - g).
+def spinor_norm(space: OrthoSpace, g: Matrix) -> np.ndarray:
+    """Wall's discriminant of g: the determinant of Wall's form on im(1 - g).
 
     Wall's form is chi(u, v) = B(u, w) for v = (1 - g) w on V = im(1 - g);
     it is well defined and nondegenerate because V is the orthogonal
-    complement of ker(1 - g), and theta(g) is the square class of its
-    determinant (G. E. Wall, Publ. IHES 1, 1959; H. Zassenhaus, Arch.
-    Math. 13, 1962). With M = 1 - g and pivot columns `piv` of rref(M),
-    the columns M e_i, i in piv, are a basis of V with preimages e_i, so
-    chi on that basis is (M^T J)[piv, piv]. For a reflection r_v this is
-    the 1x1 form Q(v), the convention above.
+    complement of ker(1 - g), and the spinor norm theta(g) is the square
+    class of its determinant (G. E. Wall, Publ. IHES 1, 1959; H.
+    Zassenhaus, Arch. Math. 13, 1962), which `is_square` reads. With
+    M = 1 - g and pivot columns `piv` of rref(M), the columns M e_i,
+    i in piv, are a basis of V with preimages e_i, so chi on that basis is
+    (M^T J)[piv, piv]. For a reflection r_v the class is that of Q(v), the
+    convention above.
 
-    `det` is g's determinant when the caller has already checked that g
-    is an isometry (as `in_omega` does); otherwise both are computed here.
+    Returns the determinant as an (f,) array, 1 when g = 1, and raises
+    NotAnIsometry when g does not preserve the form.
     """
     ctx = space.ctx
-    if det is None:
-        if not is_isometry(space, g):
-            raise NotAnIsometry("matrix does not preserve the form")
-        det = g.det()
+    if not is_isometry(space, g):
+        raise NotAnIsometry("matrix does not preserve the form")
     m = Matrix.identity(ctx, space.n) - g
     piv = rref(ctx, m.data)[1]
     # Over a nondegenerate form g is a product of rank(1 - g) reflections,
     # up to an even number more; OrthoSpace admits a singular Gram matrix.
-    if not np.array_equal(det, ctx.coerce((-1) ** len(piv))):
+    if not np.array_equal(g.det(), ctx.coerce((-1) ** len(piv))):
         raise FormsError("the form is degenerate: det(g) is not (-1)^rank(1 - g)")
     if not piv:
-        return SquareClass(True)
+        return ctx.coerce(1)
     chi = (m.transpose() @ space.J).data[np.ix_(piv, piv)]
     disc = Matrix(ctx, chi).det()
     if not disc.any():
         raise FormsError("Wall's form is degenerate: the Gram matrix is singular")
-    return square_class(ctx, disc)
+    return disc
 
 
 @dataclass(frozen=True)
@@ -297,23 +290,18 @@ class OmegaMembership:
         return self.ok
 
 
-def isometry_membership(ctx: FieldCtx, det, theta: SquareClass) -> OmegaMembership:
-    """Membership of an isometry in the kernel Omega, from its determinant
-    and spinor norm, with reason codes on failure."""
-    reasons = []
-    if not np.array_equal(det, ctx.one):
-        reasons.append("determinant-not-one")
-    if not theta.square:
-        reasons.append("spinor-norm-nontrivial")
-    return OmegaMembership(not reasons, tuple(reasons))
-
-
 def in_omega(space: OrthoSpace, g: Matrix) -> OmegaMembership:
     """Isometry + det 1 + trivial spinor norm, with reason codes on failure."""
-    if not is_isometry(space, g):
+    try:
+        disc = spinor_norm(space, g)
+    except NotAnIsometry:
         return OmegaMembership(False, ("not-an-isometry",))
-    det = g.det()
-    return isometry_membership(space.ctx, det, spinor_norm(space, g, det=det))
+    reasons = []
+    if not np.array_equal(g.det(), space.ctx.one):
+        reasons.append("determinant-not-one")
+    if not is_square(space.ctx, disc):
+        reasons.append("spinor-norm-nontrivial")
+    return OmegaMembership(not reasons, tuple(reasons))
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ import numpy as np
 
 from ._dims import b_params, case_of, unsupported_message
 from .fields import FieldCtx, elem_to_json, field_to_json, is_square, subfield_degree
-from .forms import OmegaMembership, OrthoSpace, gram_matrix, in_omega, is_isometry
+from .forms import OmegaMembership, OrthoSpace, gram_matrix, in_omega
 from .linalg import Matrix, charpoly, eigenspace, minpoly, poly_from_elems, restrict, unit_vector
 
 
@@ -327,7 +327,6 @@ def build_pair(n: int, ctx: FieldCtx, a=None, force: bool = False) -> GenPair:
         y1 = _perm_matrix(ctx, n, _Y1_CYCLES_A[n])
         x2 = _embed_tail(ctx, n, _instantiate(ctx, "xbar", a_vec))
         y2 = _embed_tail(ctx, n, _instantiate(ctx, "ybar", a_vec))
-        space = gram_matrix("A", n, ctx)
     else:
         m, r = tag.m, tag.r
         nu1 = _nu1_cycles(r, n % 2 == 0)
@@ -342,7 +341,6 @@ def build_pair(n: int, ctx: FieldCtx, a=None, force: bool = False) -> GenPair:
         _check_sl4_block(ctx, xt)
         x2 = _embed_tail(ctx, n, xt)
         y2 = _embed_tail(ctx, n, _instantiate(ctx, "ytilde", a_vec))
-        space = gram_matrix("B", n, ctx)
 
     _require(x1 @ x2 == x2 @ x1, "x1 and x2 must commute")
     _require(y1 @ y2 == y2 @ y1, "y1 and y2 must commute")
@@ -352,14 +350,15 @@ def build_pair(n: int, ctx: FieldCtx, a=None, force: bool = False) -> GenPair:
     _require(x @ x == ident, "x^2 = I")
     _require(y @ y @ y == ident, "y^3 = I")
     _require(y != ident, "y != I")
-    _require(is_isometry(space, x), "x preserves the form")
-    _require(is_isometry(space, y), "y preserves the form")
-    _require(np.array_equal(x.det(), ctx.one), "det x = 1")
-    _require(np.array_equal(y.det(), ctx.one), "det y = 1")
+    pair = GenPair(n=n, ctx=ctx, a=a_vec, tag=tag, x=x, y=y, space=gram_matrix(n, ctx))
+    x_reasons, y_reasons = pair.x_in_omega.reasons, pair.y_in_omega.reasons
+    _require("not-an-isometry" not in x_reasons, "x preserves the form")
+    _require("not-an-isometry" not in y_reasons, "y preserves the form")
+    _require("determinant-not-one" not in x_reasons, "det x = 1")
+    _require("determinant-not-one" not in y_reasons, "det y = 1")
     _require(np.array_equal(y1.det(), ctx.one), "y1 is an even permutation")
     if tag.case == "A":
         _x3_decomposition_check(ctx, n, x, x1, a_vec)
-    pair = GenPair(n=n, ctx=ctx, a=a_vec, tag=tag, x=x, y=y, space=space)
     if not force:
         _require(pair.x_in_omega.ok, "x has trivial spinor norm")
         _require(pair.y_in_omega.ok, "y has trivial spinor norm")

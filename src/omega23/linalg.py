@@ -344,7 +344,7 @@ class Matrix:
         return Matrix._from_blocks(self.ctx, -self.blocks % self.ctx.p)
 
     def scale(self, k) -> "Matrix":
-        return Matrix(self.ctx, self.ctx.scale(self.ctx.coerce(k), self.data))
+        return Matrix(self.ctx, self.ctx.scale(k, self.data))
 
     def __matmul__(self, other):
         ctx = self.ctx

@@ -18,7 +18,7 @@ import numpy as np
 from .fields import FieldCtx, elem_to_json, field_from_prime_power, is_square, make_field
 # verify.in_omega stays bound although pairs cache their memberships: the
 # tracer test in perfbench/check_bench.py looks it up here
-from .forms import in_omega, is_isometry  # noqa: F401
+from .forms import in_omega  # noqa: F401
 from .generators import (
     GenPair,
     WrongCase,
@@ -145,8 +145,8 @@ def verify_structural(pair: GenPair, forced: bool = False) -> VerificationReport
             "generators/order-three")
     rec.add("y-nontrivial", pair.y != ident, "y != I",
             "y != I" if pair.y != ident else "y == I", "generators/order-three")
-    for name, g in (("x", pair.x), ("y", pair.y)):
-        iso = is_isometry(pair.space, g)
+    for name, g, verdict in (("x", pair.x, pair.x_in_omega), ("y", pair.y, pair.y_in_omega)):
+        iso = "not-an-isometry" not in verdict.reasons
         rec.add(f"{name}-preserves-form", iso, "gram matrix preserved",
                 "preserved" if iso else "violated", "generators/isometry")
         det = g.det()
@@ -156,7 +156,6 @@ def verify_structural(pair: GenPair, forced: bool = False) -> VerificationReport
             # covered below: x sits in the spinor kernel iff -a is a square,
             # so an unconditional row would misreport forced parameters
             continue
-        verdict = pair.y_in_omega if name == "y" else pair.x_in_omega
         rec.add(f"{name}-spinor-trivial", verdict.ok, "trivial spinor class",
                 "trivial" if verdict.ok else ",".join(verdict.reasons),
                 "generators/spinor-kernel")

@@ -658,7 +658,7 @@ def test_chain_rejects_outsider(chain932):
     # the forced parameter's involution has nontrivial spinor norm, so it
     # lies outside the certified kernel subgroup and cannot sift away
     outsider = build_pair(9, CTX3, 1, force=True).x
-    assert not in_omega(gram_matrix("A", 9, CTX3), outsider).ok
+    assert not in_omega(gram_matrix(9, CTX3), outsider).ok
     assert chain932.sift(outsider) is not None
 
 

@@ -290,28 +290,8 @@ def test_spinor_stdin(capsys, monkeypatch, tmp_path):
     check("spinor", out)
 
 
-def _count_calls(monkeypatch, module, *names):
-    """Wrap each named function of `module` at every omega23 binding of it;
-    returns the live call counts."""
-    counts = dict.fromkeys(names, 0)
-    bound = [m for key, m in sorted(sys.modules.items())
-             if m is not None and key.startswith("omega23")]
-    for name in names:
-        orig = getattr(module, name)
-
-        def wrapper(*args, _name=name, _orig=orig, **kwargs):
-            counts[_name] += 1
-            return _orig(*args, **kwargs)
-
-        for mod in bound:
-            for key, value in list(vars(mod).items()):
-                if value is orig:
-                    monkeypatch.setattr(mod, key, wrapper)
-    return counts
-
-
 def test_spinor_tests_the_isometry_once_and_builds_no_reflection(
-        capsys, monkeypatch, tmp_path):
+        capsys, count_calls, tmp_path):
     """x r_1 r_2 r_3 at (9, 5): one isometry test, no reflection rebuilt, and
     the report's bytes are the ones it had with `reflection_count` (7)."""
     from omega23 import forms
@@ -325,7 +305,7 @@ def test_spinor_tests_the_isometry_once_and_builds_no_reflection(
         g = g @ forms.reflection(pair.space, vector(ctx, c))
     mat = tmp_path / "g.json"
     mat.write_text(json.dumps(g.to_json()))
-    counts = _count_calls(monkeypatch, forms, "is_isometry", "reflection")
+    counts = count_calls(forms, "is_isometry", "reflection")
     code, out, _ = run_cli(capsys, "spinor", "--q", "5", "--matrix", str(mat))
     assert code == 0
     assert counts == {"is_isometry": 1, "reflection": 0}
@@ -421,9 +401,13 @@ def test_oracle_wrong_parity_exits_two(capsys):
                  id="field-outside-int64-range"),
     pytest.param(("certify", "--n", "9", "--q", "3", "--budget", "nan"), id="nan-budget"),
     pytest.param(("certify", "--n", "9", "--q", "3", "--budget", "-1"), id="negative-budget"),
+    pytest.param(("spinor", "--q", "5", "--gram", "{m}", "--matrix", "{m}"),
+                 id="fractional-matrix-entry"),
 ])
-def test_usage_errors_exit_two(capsys, argv):
-    code, out, err = run_cli(capsys, *argv)
+def test_usage_errors_exit_two(capsys, tmp_path, argv):
+    m = tmp_path / "m.json"  # a 1x1 matrix whose one entry is 1.9, not an integer
+    m.write_text(json.dumps({"rows": 1, "cols": 1, "entries": [[[1.9]]]}))
+    code, out, err = run_cli(capsys, *(arg.format(m=m) for arg in argv))
     assert code == 2
     assert out == ""
     diag = json.loads(err)

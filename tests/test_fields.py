@@ -16,7 +16,6 @@ from omega23.fields import (
     FieldCtx,
     FieldError,
     NonPrime,
-    SquareClass,
     _is_irreducible,
     elem_from_json,
     elem_to_json,
@@ -26,7 +25,6 @@ from omega23.fields import (
     is_prime,
     is_square,
     make_field,
-    square_class,
     subfield_degree,
 )
 
@@ -144,17 +142,13 @@ def test_inverses_and_squares_full_enumeration(q):
 
 @pytest.mark.parametrize("q", [9, 25, 27, 49, 81])
 def test_square_class_multiplicativity(q):
+    """ab is a square exactly when a and b are both squares or both not."""
     p, f = pf(q)
     ctx = make_field(p, f)
     nonzero = [e for e in ctx.elements() if e.any()]
     for a in nonzero[: min(12, len(nonzero))]:
         for b in nonzero[: min(12, len(nonzero))]:
-            assert square_class(ctx, ctx.mul(a, b)) == square_class(
-                ctx, a
-            ) * square_class(ctx, b)
-    with pytest.raises(FieldError):
-        square_class(ctx, 0)
-    assert SquareClass(False) * SquareClass(False) == SquareClass(True)
+            assert is_square(ctx, ctx.mul(a, b)) == (is_square(ctx, a) == is_square(ctx, b))
 
 
 @pytest.mark.parametrize("q", [3, 9, 27, 81, 25, 49])
@@ -209,12 +203,22 @@ def test_json_forms():
     assert np.array_equal(elem_from_json(ctx9, [1, 2]), ctx9.coerce([1, 2]))
     with pytest.raises(FieldError):
         elem_from_json(ctx9, [1, 2, 0])
+    assert np.array_equal(elem_from_json(ctx9, [np.int64(4), 2**70]), ctx9.coerce([1, 2**70 % 3]))
 
     hdr = field_to_json(ctx9)
     assert hdr == {"p": 3, "f": 2, "modulus": [1, 0, 1]}
     assert field_from_json(hdr) == ctx9
     with pytest.raises(FieldError):
         field_from_json({"p": 3, "f": 2, "modulus": [2, 0, 1]})
+
+
+@pytest.mark.parametrize("v", [[1.5, 2], [2, 1.0], [2.7], 2.7, "1", ["1", 0], True, [True, 0],
+                               np.float64(2.0)])
+def test_elem_from_json_refuses_non_integers(v):
+    """Floats, strings and bools are refused, not truncated or read as ints."""
+    ctx9 = make_field(3, 2)
+    with pytest.raises(FieldError, match="bad element JSON"):
+        elem_from_json(ctx9, v)
 
 
 def test_field_from_prime_power():

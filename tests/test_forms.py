@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from omega23.fields import (SquareClass, field_from_prime_power, is_square, make_field,
-                            square_class)
+from omega23._dims import case_of
+from omega23.fields import field_from_prime_power, is_square, make_field
 from omega23.forms import (
     DimensionMismatch,
     FormsError,
@@ -69,20 +69,18 @@ def _rand_isometry(space, rng, factors=4):
 
 
 def test_gram_matrix_shapes_and_eps():
-    a = gram_matrix("A", 9, F3)
+    a = gram_matrix(9, F3)
     assert a.n == 9 and a.eps == "circ"
     assert a.J == a.J.transpose()
-    b6 = gram_matrix("B", 12, F7)
+    b6 = gram_matrix(12, F7)
     assert b6.n == 12 and b6.eps in ("plus", "minus")
-    b5 = gram_matrix("B", 15, F7)
+    b5 = gram_matrix(15, F7)
     assert b5.n == 15 and b5.eps == "circ"
 
 
 def test_gram_matrix_rejects_wrong_dimensions():
     with pytest.raises(UnsupportedDimension):
-        gram_matrix("A", 15, F3)
-    with pytest.raises(UnsupportedDimension):
-        gram_matrix("B", 14, F3)
+        gram_matrix(14, F3)
 
 
 def test_orthospace_requires_symmetry():
@@ -115,7 +113,7 @@ def test_orthospace_refuses_sums_that_can_leave_int64():
 
 def test_bilinear_symmetric_and_quadratic_scaling():
     rng = np.random.default_rng(2)
-    space = gram_matrix("A", 9, F5)
+    space = gram_matrix(9, F5)
     for _ in range(20):
         v = vector(F5, [int(c) for c in rng.integers(0, 5, size=9)])
         w = vector(F5, [int(c) for c in rng.integers(0, 5, size=9)])
@@ -169,7 +167,7 @@ def test_reflection_isotropic_center_rejected():
 def test_reflection_decomposition_reconstructs():
     rng = np.random.default_rng(6)
     for ctx in (F3, F7):
-        space = gram_matrix("A", 9, ctx)
+        space = gram_matrix(9, ctx)
         for _ in range(5):
             g = _rand_isometry(space, rng, factors=5)
             centers = reflection_decomposition(space, g)
@@ -197,19 +195,18 @@ def test_spinor_norm_of_reflection_is_center_value():
     for _ in range(20):
         v = _rand_anisotropic(space, rng)
         r = reflection(space, v)
-        theta = spinor_norm(space, r)
-        assert theta.square == is_square(F7, quadratic_value(space, v))
+        assert is_square(F7, spinor_norm(space, r)) == is_square(F7, quadratic_value(space, v))
 
 
 @pytest.mark.parametrize("ctx", [F3, F5, F7, F9], ids=lambda c: f"q{c.q}")
 def test_spinor_norm_multiplicative(ctx):
     rng = np.random.default_rng(ctx.q)
-    space = gram_matrix("A", 9, ctx)
+    space = gram_matrix(9, ctx)
     for _ in range(50):
         g = _rand_isometry(space, rng, factors=int(rng.integers(1, 6)))
         h = _rand_isometry(space, rng, factors=int(rng.integers(1, 6)))
-        assert (spinor_norm(space, g @ h)
-                == spinor_norm(space, g) * spinor_norm(space, h))
+        gh_sq, g_sq, h_sq = (is_square(ctx, spinor_norm(space, m)) for m in (g @ h, g, h))
+        assert gh_sq == (g_sq == h_sq)
 
 
 # Wall's form against the reflection decomposition
@@ -220,17 +217,18 @@ seed_st = st.integers(0, 2**32 - 1)
 
 
 def _oracle_spinor_norm(space, g):
-    """Product of the square classes Q(v) over the centers of a decomposition."""
-    out = SquareClass(True)
+    """Whether the product of the Q(v) over the centers of a decomposition is
+    a square: an even count of nonsquare Q(v)."""
+    square = True
     for v in reflection_decomposition(space, g):
-        out = out * square_class(space.ctx, quadratic_value(space, v))
-    return out
+        square ^= not is_square(space.ctx, quadratic_value(space, v))
+    return square
 
 
 def _check_spinor_norm(space, g):
-    """Wall's discriminant equals the oracle, and det g = (-1)**rank(1 - g)."""
+    """Wall's discriminant has the oracle's square class, and det g = (-1)**rank(1 - g)."""
     ctx = space.ctx
-    theta = spinor_norm(space, g)
+    theta = is_square(ctx, spinor_norm(space, g))
     assert theta == _oracle_spinor_norm(space, g)
     rank = (Matrix.identity(ctx, space.n) - g).rank()
     assert g.det().tolist() == ctx.coerce((-1) ** rank).tolist()
@@ -264,8 +262,8 @@ def test_spinor_norm_matches_reflection_oracle_on_reflection_products(
     ctx = field_from_prime_power(q)
     rng = np.random.default_rng(seed)
     space = {"diag": lambda: _rand_space(ctx, n, rng),
-             "A": lambda: gram_matrix("A", 9, ctx),
-             "B": lambda: gram_matrix("B", 12 if n % 2 else 15, ctx)}[shape]()
+             "A": lambda: gram_matrix(9, ctx),
+             "B": lambda: gram_matrix(12 if n % 2 else 15, ctx)}[shape]()
     g = Matrix.identity(ctx, space.n)
     for _ in range(factors):
         g = g @ reflection(space, _rand_center(space, rng))
@@ -282,11 +280,11 @@ def test_spinor_norm_matches_reflection_oracle_on_pair_words(q, n, word, seed):
     ctx = field_from_prime_power(q)
     pair = build_pair(n, ctx)
     g = evaluate_word(parse_word(word), pair.x, pair.y)
-    assert _check_spinor_norm(pair.space, g).square
+    assert _check_spinor_norm(pair.space, g)
     rng = np.random.default_rng(seed)
     v = _rand_center(pair.space, rng)
     theta = _check_spinor_norm(pair.space, g @ reflection(pair.space, v))
-    assert theta.square == is_square(ctx, quadratic_value(pair.space, v))
+    assert theta == is_square(ctx, quadratic_value(pair.space, v))
 
 
 def test_spinor_norm_rejects_non_isometry():
@@ -342,6 +340,7 @@ def test_spinor_norm_refuses_a_determinant_no_nondegenerate_form_allows():
 def test_in_omega_reasons():
     space = _identity_space(F5, 3)
     assert in_omega(space, Matrix.identity(F5, 3)).ok
+    assert spinor_norm(space, Matrix.identity(F5, 3)).tolist() == [1]
     rng = np.random.default_rng(10)
     r = reflection(space, _rand_anisotropic(space, rng))
     res = in_omega(space, r)
@@ -359,7 +358,8 @@ def test_in_omega_reasons():
     ("A", 9, F3), ("A", 11, F5), ("B", 12, F7), ("B", 15, F9),
 ])
 def test_congruent_diagonalization(case, n, ctx):
-    space = gram_matrix(case, n, ctx)
+    assert case_of(n)[0] == case
+    space = gram_matrix(n, ctx)
     p_mat, diag = congruent_diagonalization(space)
     assert p_mat.det().any()
     s = p_mat.transpose() @ space.J @ p_mat

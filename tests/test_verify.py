@@ -52,6 +52,18 @@ def test_structural_battery_green(n, q):
     assert "x-preserves-form" in names and "y-preserves-form" in names
 
 
+@pytest.mark.parametrize("n,q", [(9, 3), (12, 5)])
+def test_pair_and_structural_battery_test_each_generator_once(count_calls, n, q):
+    """build_pair and verify_structural share one membership per generator:
+    one isometry test and one in_omega call each, not one per consumer."""
+    from omega23 import forms
+
+    counts = count_calls(forms, "is_isometry", "in_omega")
+    report = verify_structural(_pair(n, q))
+    assert report.ok, _failing(report)
+    assert counts == {"is_isometry": 2, "in_omega": 2}
+
+
 def test_structural_battery_forced_nonsquare_parameter():
     # -a a non-square: x lands outside the kernel of the spinor norm, and the
     # membership check must still come out consistent rather than failing.
