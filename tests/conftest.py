@@ -1,4 +1,4 @@
-"""Shared test plumbing: the acceptance verdict board.
+"""Shared test plumbing: the acceptance verdict board and a call counter.
 
 Acceptance tests record one line per criterion; the hook below prints
 them after the run summary, outside pytest's output capture, so the

@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from omega23 import forms
 from omega23.fields import field_from_prime_power, make_field
 from omega23.generators import WrongCase, build_pair
 from omega23.linalg import Matrix, eigenspace, unit_vector
@@ -56,8 +57,6 @@ def test_structural_battery_green(n, q):
 def test_pair_and_structural_battery_test_each_generator_once(count_calls, n, q):
     """build_pair and verify_structural share one membership per generator:
     one isometry test and one in_omega call each, not one per consumer."""
-    from omega23 import forms
-
     counts = count_calls(forms, "is_isometry", "in_omega")
     report = verify_structural(_pair(n, q))
     assert report.ok, _failing(report)
