@@ -17,8 +17,8 @@ import numpy as np
 
 from . import resolved_seed
 from .certify import CertifyError, certify_generation
-from .fields import (elem_to_json, field_from_prime_power, field_to_json,
-                     is_square)
+from .fields import (elem_from_json, elem_to_json, field_from_prime_power,
+                     field_to_json, is_square)
 from .forms import (FormsError, OrthoSpace, in_omega, isotropic_count,
                     omega_order, gram_matrix, witt_type)
 from .generators import (GenError, build_pair, default_a,
@@ -196,7 +196,7 @@ def _load_matrix(ctx, path: str) -> Matrix:
             obj = json.load(fh)
     if isinstance(obj, dict):
         return Matrix.from_json(ctx, obj)
-    return Matrix.from_rows(ctx, [[ctx.coerce(e) for e in row] for row in obj])
+    return Matrix.from_rows(ctx, [[elem_from_json(ctx, e) for e in row] for row in obj])
 
 
 def _cmd_spinor(args) -> int:

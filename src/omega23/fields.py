@@ -8,10 +8,10 @@ makes every field reproducible from (p, f) alone.
 
 Bulk arithmetic runs on per-context numpy tables: products of whole
 arrays of coefficient vectors through the multiplication table (one
-einsum, or a matmul against a block built from it), and inverses through
-the Frobenius matrices, as the norm's inverse times the other
-conjugates. A single element is one such vector: a reduced (f,) int64
-array.
+einsum, or a matmul against a block built from it; over F_p a product is
+a * b % p), and inverses through the Frobenius matrices, as the norm's
+inverse times the other conjugates. A single element is one such vector:
+a reduced (f,) int64 array.
 """
 
 from __future__ import annotations
@@ -227,9 +227,9 @@ class FieldCtx:
 
         A product is two residues below p, times a mul_table entry if
         `table` (below p, and 1 when f = 1). This is the one int64 bound
-        of the package: the tables, block products, minimal polynomials
-        (n*f terms for an n x n matrix, so element orders too) and the
-        forms' sums over a vector all check it.
+        of the package: the tables, block products, characteristic and
+        minimal polynomials ((n-1)*f and n*f terms for an n x n matrix),
+        element orders (n*f) and the forms' sums over a vector all check it.
         """
         return self._exact_terms[table]
 
@@ -277,14 +277,20 @@ class FieldCtx:
         return (-np.asarray(a)) % self.p
 
     def mul(self, a, b):
+        if self.f == 1:
+            return np.asarray(a) * np.asarray(b) % self.p
         return (
             np.einsum("...u,...v,uvw->...w", np.asarray(a), np.asarray(b), self.mul_table)
             % self.p
         )
 
     def scale(self, k, a):
-        """Product of a scalar element k with an (..., f) array."""
-        return np.einsum("u,...v,uvw->...w", self.coerce(k), np.asarray(a), self.mul_table) % self.p
+        """Product of a scalar element k with an (..., f) array: one matmul
+        by k's (f, f) multiplication matrix, whose row u is t**u * k."""
+        k = self.coerce(k)
+        if self.f == 1:
+            return np.asarray(a) * k % self.p
+        return np.asarray(a) @ (k @ self.mul_table % self.p) % self.p
 
     def product(self, a):
         """Product of the k elements of a nonempty (k, f) array, taken

@@ -5,17 +5,18 @@ its (rows, cols, f) coefficients `data` are a read-only view of it. A
 product is one int64 matmul of the left block form against the right
 factor's entry columns, a transpose moves blocks, and sums act on the
 blocks; elimination, determinants, traces, scaling and JSON read `data`.
-Characteristic polynomials use the division-free Berkowitz scheme with
-the det(T*I - M) sign convention; a minimal polynomial is the first
-linear dependency among the powers of the matrix, found by one echelon
-basis over F_p on the block form; eigenspace bases come out in reduced
-echelon form so subspace comparisons are plain equality. Element orders
-are computed over F_p from the block form: its minimal polynomial is
-split into squarefree parts and then by distinct degree, with no
-factoring into irreducibles, and the order of t modulo each part comes
-from powers of the part's companion matrix. sympy is imported only to
-factor p**d - 1 and in `factor_poly` and `Poly.pow_mod`, which wrap its
-galoistools and which `element_order` no longer calls.
+A characteristic polynomial, det(T*I - M), comes from a Hessenberg form
+similar to M and its recurrence, in O(n**3) over every F_q; a minimal
+polynomial is the first linear dependency among the powers of the
+matrix, found by one echelon basis over F_p on the block form; eigenspace
+bases come out in reduced echelon form so subspace comparisons are plain
+equality. Element orders are computed over F_p from the block form: its
+characteristic polynomial is split into squarefree parts and its radical
+by distinct degree, with no factoring into irreducibles; the order of t
+modulo each part comes from powers of the part's companion matrix, and
+the unipotent part's order from p-th powers of the block form. sympy is
+imported only to factor p**d - 1 and in `factor_poly` and `Poly.pow_mod`,
+which wrap its galoistools and which `element_order` does not call.
 
 Everything here is pure and matrices are immutable; a matrix keeps its
 determinant and inverse once computed.
@@ -504,8 +505,8 @@ def _product(ctx: FieldCtx, blocks: np.ndarray, cols: np.ndarray) -> np.ndarray:
     One int64 matmul, reduced once, gives the product in the same layout;
     for f = 1 this is (A @ B) % p. Each output sum has k*f terms below
     p**2, so the result is exact while k * f * p**2 < 2**63; past that it
-    raises. `minpoly` of an n x n matrix, and so `element_order`, has the
-    same bound with k*f = n*f.
+    raises. `minpoly` and `element_order` of an n x n matrix have the same
+    bound with k*f = n*f, and `charpoly` with k*f = (n - 1)*f.
     """
     _require_exact(ctx, blocks.shape[1])
     return blocks @ cols % ctx.p
@@ -652,34 +653,59 @@ def subspace_equal(ctx: FieldCtx, rows_a, rows_b) -> bool:
 
 
 def charpoly(m: Matrix) -> Poly:
-    """det(T*I - M) by the Berkowitz division-free scheme."""
+    """det(T*I - M), from a Hessenberg form similar to M (Cohen, *A Course
+    in Computational Algebraic Number Theory*, 1993, Alg. 2.2.9).
+
+    Column k is reduced by one similarity: the first nonzero entry at or
+    below row k + 1 is swapped to row k + 1 (rows and columns), that row
+    is scaled by its inverse and cleared from the rows below it, and the
+    inverse operations on columns fold into one product: column k + 1
+    becomes columns k + 1, k + 2, ... weighted by column k's old entries
+    from row k + 1 down. So every subdiagonal entry ends up 0 or 1, and
+    p_j, the charpoly of the leading j x j block, is
+    T*p_(j-1) - sum of h[r, j-1]*p_r over r from the last zero of the
+    subdiagonal up to j - 1. Every int64 sum has at most (n-1)*f products
+    below p**2; past that bound the matrix is refused.
+    """
     if m.rows != m.cols:
         raise NotSquare("charpoly needs a square matrix")
     ctx = m.ctx
     n, f = m.rows, ctx.f
-    a = m.data
-    # big-endian coefficient list, as (k, f) array; starts as the constant 1
-    c = ctx.one[None, :].copy()
-    for r in range(1, n + 1):
-        # [sub; row] = a[:r, :r-1]: one product gives sub.w and row.w
-        stacked = m.blocks[: r * f, : (r - 1) * f]
-        # transfer column: [1, -d, -(row.col), -(row.M.col), ...]
-        t = np.zeros((r + 1, f), dtype=np.int64)
-        t[0] = ctx.one
-        t[1] = ctx.neg(a[r - 1, r - 1])
-        w = a[: r - 1, r - 1].reshape(-1)
-        for k in range(2, r + 1):
-            sw = _product(ctx, stacked, w)
-            t[k] = ctx.neg(sw[(r - 1) * f:])
-            w = sw[: (r - 1) * f]
-        new = np.zeros((r + 1, f), dtype=np.int64)
-        for j in range(t.shape[0]):
-            if t[j].any():
-                upper = min(c.shape[0], r + 1 - j)
-                if upper > 0:
-                    new[j : j + upper] += ctx.scale(t[j], c[:upper])
-        c = new % ctx.p
-    return Poly(ctx, c[::-1])  # to little-endian
+    _require_exact(ctx, (n - 1) * f)
+    a = m.data.copy()  # C order, so flat is a view
+    flat = a.reshape(n, n * f)
+    for k in range(n - 1):
+        nonzero = a[k + 1:, k].any(axis=1).nonzero()[0]
+        if not nonzero.size:
+            continue
+        if nonzero[0]:
+            piv = k + 1 + nonzero[0]
+            a[[k + 1, piv]] = a[[piv, k + 1]]
+            a[:, [k + 1, piv]] = a[:, [piv, k + 1]]
+        weights = a[k + 1:, k].copy()  # the pivot first
+        block = _scaled_row_block(ctx, a[k + 1, k:], ctx.inv(weights[0]))
+        flat[k + 1, k * f:] = block[0]
+        if nonzero.size > 1:  # a zero weight leaves its row as it is
+            _subtract_multiples(ctx, flat, slice(k + 2, None), k * f, weights[1:], block)
+        # column k + 1 becomes the columns from k + 1 on weighted by
+        # `weights`: the transpose of the row weights times their transpose
+        flat[:, (k + 1) * f:(k + 2) * f] = _product(
+            ctx, _block_form(ctx, weights[None]), flat[:, (k + 1) * f:].T).T
+    # column j of polys holds p_j, coefficient i of T in row i
+    polys = np.zeros((n + 1, n + 1, f), dtype=np.int64)
+    polys[0, 0] = ctx.one
+    unit = a[np.arange(1, n), np.arange(n - 1)].any(axis=1).tolist()  # the subdiagonal
+    start = 0
+    for j in range(1, n + 1):
+        if j > 1 and not unit[j - 2]:
+            start = j - 1
+        col = a[start:j, j - 1]
+        polys[1:, j] = polys[:-1, j - 1]
+        # the diagonal term apart, so the sum has at most n - 1 products
+        rest = _product(ctx, _block_form(ctx, col[None, :-1]),
+                        polys[:, start:j - 1].reshape(n + 1, (j - 1 - start) * f).T).T
+        polys[:, j] = (polys[:, j] - ctx.scale(col[-1], polys[:, j - 1]) - rest) % ctx.p
+    return Poly(ctx, polys[:, n])
 
 
 def minpoly(m: Matrix) -> Poly:
@@ -819,35 +845,41 @@ def element_order(m: Matrix) -> int:
     """Exact multiplicative order, computed over F_p from the block form.
 
     The block form is an injective ring homomorphism, so m and its block
-    form B have the same order: the order of t modulo mp, the `minpoly`
-    of B over F_p. Write mp = prod a_e**e with squarefree, pairwise
-    coprime a_e (`_squarefree_split`). The order of t modulo each
-    irreducible factor is prime to p, so the order of t modulo mp is the
-    order of t modulo the radical prod a_e, times the least power of p
-    that is at least the largest e. `_distinct_degree_split` splits the
-    radical into g_d, the products of its degree-d irreducibles, and the
-    order of t modulo g_d divides p**d - 1 (`_order_of_t`). No factor is
-    split further (Celler and Leedham-Green, "Calculating the order of
-    an invertible matrix", 1997). Every product is an int64 matmul of
-    side at most deg mp <= n*f, inside the bound `minpoly` enforces.
+    form B have the same order: m0 * p**k, where m0 is the order of B's
+    semisimple part and p**k that of its unipotent part (Celler and
+    Leedham-Green, "Calculating the order of an invertible matrix", 1997).
+    The charpoly cp of B over F_p has the irreducible factors of B's
+    minimal polynomial, so m0 is the order of t modulo the radical of cp.
+    `_squarefree_split` gives the radical as the product of cp's
+    squarefree parts, `_distinct_degree_split` splits it into g_d, the
+    products of its degree-d irreducibles, and the order of t modulo g_d
+    divides p**d - 1 (`_order_of_t`). No factor is split further. If cp
+    is squarefree, B is semisimple and k = 0; otherwise p**k is the least
+    power of p with (B**m0)**(p**k) = 1, which is below p*N as no Jordan
+    block is longer than N = n*f. Every product is an int64 matmul of side
+    at most N, and N products below p**2 must fit in an int64 sum.
     """
     if m.rows != m.cols:
         raise NotSquare("element_order needs a square matrix")
-    p = m.ctx.p
+    p, size = m.ctx.p, m.blocks.shape[0]
     fp = make_field(p, 1)
-    mp = minpoly(Matrix._from_blocks(fp, m.blocks))
-    if not mp.coeffs[0].any():
+    _require_exact(fp, size)
+    cp = charpoly(Matrix._from_blocks(fp, m.blocks))
+    if not cp.coeffs[0].any():
         raise Singular("matrix is singular, no multiplicative order")
     radical, top = [1], 1
-    for part, e in _squarefree_split(p, mp.coeffs[:, 0].tolist()):
+    for part, e in _squarefree_split(p, cp.coeffs[:, 0].tolist()):
         radical, top = _poly_mul(p, radical, part), max(top, e)
     order = 1
     # by increasing d, so the least d whose p**d - 1 is over the budget raises
     for g, d in _distinct_degree_split(p, radical):
         order = lcm(order, _order_of_t(p, g, d))
-    ppow = 1
-    while ppow < top:
-        ppow *= p
+    if top == 1:
+        return order
+    unipotent, one, ppow = _mat_pow(m.blocks, order, p), _eye(size), 1
+    while not np.array_equal(unipotent, one):
+        assert ppow < size, "the unipotent part's order is at least p*N"
+        unipotent, ppow = _mat_pow(unipotent, p, p), ppow * p
     return order * ppow
 
 

@@ -414,6 +414,19 @@ def test_usage_errors_exit_two(capsys, tmp_path, argv):
     assert set(diag) == {"error", "detail"} and diag["detail"]
 
 
+@pytest.mark.parametrize("q,entry", [(5, True), (9, [1.5, 2])], ids=["bool", "fractional"])
+def test_nested_list_matrix_entries_are_read_as_element_json(capsys, tmp_path, q, entry):
+    # a matrix file may also be a plain nested list; its entries are read
+    # as element JSON too, so a bool or a float is refused, not coerced
+    mat, gram = tmp_path / "g.json", tmp_path / "j.json"
+    mat.write_text(json.dumps([[entry]]))
+    gram.write_text(json.dumps([[1]]))
+    code, out, err = run_cli(capsys, "spinor", "--q", str(q),
+                             "--matrix", str(mat), "--gram", str(gram))
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "FieldError"
+
+
 @pytest.mark.parametrize("case", ["missing-matrix", "missing-gram", "unwritable-output"])
 def test_file_errors_exit_two(capsys, tmp_path, case):
     # A file that cannot be read or written is a usage error, not a failed

@@ -327,7 +327,7 @@ def test_restrict_matches_einsum_reference(q, n, data, seed):
 
 
 @product_case
-@given(q=st.sampled_from([3, 5, 7]), n=st.integers(1, 7), seed=seed_st)
+@given(q=st.sampled_from([3, 5, 7]), n=st.integers(1, 12), seed=seed_st)
 def test_charpoly_matches_sympy_at_prime_q(q, n, seed):
     ctx = make_field(q, 1)
     a = np.random.default_rng(seed).integers(0, q, size=(n, n, 1))
@@ -761,6 +761,58 @@ def _structured(ctx, kind, n, rng):
 kind_st = st.sampled_from(["random", "unipotent-heavy", "derogatory"])
 
 
+def _hessenberg_kinds(ctx, kind, n, rng):
+    """Zero below the subdiagonal, with one subdiagonal entry zero; or
+    random with entry (1, 0) zero and (n - 1, 0) one, so that reducing
+    column 0 swaps rows and columns 1 and n - 1."""
+    a = _entries(ctx, rng, (n, n), "random")
+    if kind == "hessenberg-split":
+        a[np.tril_indices(n, -2)] = 0
+        if n > 1:
+            i = int(rng.integers(1, n))
+            a[i, i - 1] = 0
+    elif n > 2:
+        a[1, 0], a[n - 1, 0] = 0, ctx.one
+    return Matrix(ctx, a)
+
+
+def _sympy_norm(ctx, chi, lam):
+    """prod_(i<f) Frob**i(chi) for chi over F_q, by sympy alone: the
+    resultant in t of the monic modulus m(t) and chi(lam, t) is the product
+    of chi(lam, a) over the roots a, a**p, ..., a**(p**(f-1)) of m."""
+    t = sympy.Symbol("t")
+    expr = sum(int(c) * t**j * lam**k
+               for k, coef in enumerate(chi.coeffs) for j, c in enumerate(coef))
+    modulus = sum(int(c) * t**j for j, c in enumerate(ctx.modulus))
+    res = sympy.resultant(sympy.Poly(modulus, t, lam, modulus=ctx.p),
+                          sympy.Poly(expr, t, lam, modulus=ctx.p))
+    return [int(c) % ctx.p for c in sympy.Poly(res.as_expr(), lam).all_coeffs()]
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(q=st.sampled_from([9, 25, 27]), n=st.sampled_from(range(1, 11)),
+       kind=st.sampled_from(["random", "unipotent-heavy", "derogatory",
+                             "hessenberg-split", "swap"]),
+       seed=seed_st)
+@example(q=27, n=10, kind="hessenberg-split", seed=3)
+@example(q=9, n=7, kind="swap", seed=4)
+def test_charpoly_over_extension_fields_matches_sympy(q, n, kind, seed):
+    """sympy's charpoly of the F_p block form is the norm of the F_q charpoly:
+    the block form of m is similar over the algebraic closure to the sum of
+    the f Frobenius conjugates of m."""
+    ctx = field_from_prime_power(q)
+    rng = np.random.default_rng(seed)
+    if kind in ("hessenberg-split", "swap"):
+        m = _hessenberg_kinds(ctx, kind, n, rng)
+    else:
+        m = _structured(ctx, kind, n, rng)
+    chi = charpoly(m)
+    assert chi.degree == n and chi.is_monic()
+    lam = sympy.Symbol("lam")
+    block_cp = sympy.Matrix(m.blocks.tolist()).charpoly(lam).all_coeffs()
+    assert [int(c) % ctx.p for c in block_cp] == _sympy_norm(ctx, chi, lam)
+
+
 @product_case
 @given(q=st.sampled_from([3, 5, 7, 9, 25, 27, 49, 81, 125]), n=st.integers(1, 8),
        kind=kind_st, seed=seed_st)
@@ -809,6 +861,24 @@ def test_order_certificates_on_the_large_claim_rows():
         for r in sympy.primefactors(o):
             assert not m.pow(o // r).is_identity(), (claim.id, r)
     assert large == 60
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(q=st.sampled_from([3, 5, 7, 9, 25, 27]), n=st.sampled_from(range(1, 10)), kind=kind_st,
+       seed=seed_st)
+def test_element_order_past_the_brute_force_cap(q, n, kind, seed):
+    """k = element_order(m) is the order, by a check that knows nothing of how
+    k was found: m**k = 1 and m**(k/r) != 1 for every prime r | k."""
+    ctx = field_from_prime_power(q)
+    m = _structured(ctx, kind, n, np.random.default_rng(seed))
+    if not m.det().any():
+        with pytest.raises(Singular):
+            element_order(m)
+        return
+    k = element_order(m)
+    assert m.pow(k).is_identity()
+    for r in sympy.factorint(k):
+        assert not m.pow(k // r).is_identity(), r
 
 
 # ---------------------------------------------------------------------------
@@ -965,6 +1035,21 @@ def test_order_budget_names_the_least_degree():
     assert str(info.value) == BUDGET_MESSAGE
 
 
+PINNED_CLAIM_ORDERS = {"caseA-mono-ord156": 156, "caseA-del-perm-e-a08": 1787743516,
+                       "caseA-del-unip-n17-q07": 7, "caseB5-monS-q27-a04": 9842,
+                       "caseB6-monS-q09-a05": 728}
+
+
+def _pinned_claim_orders():
+    orders = {}
+    for claim in load_claims():
+        if claim.id in PINNED_CLAIM_ORDERS:
+            a_key = tuple(claim.a) if isinstance(claim.a, list) else claim.a
+            pair = _cached_pair(claim.n, claim.q, a_key, claim.force)
+            orders[claim.id] = element_order(evaluate_claim_word(pair, claim.word))
+    return orders
+
+
 def test_element_order_needs_no_galoistools(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("element_order called a polynomial factorizer")
@@ -974,15 +1059,15 @@ def test_element_order_needs_no_galoistools(monkeypatch):
     for name in ("gf_factor", "gf_factor_sqf", "gf_sqf_list", "gf_ddf_zassenhaus",
                  "gf_pow_mod"):
         monkeypatch.setattr(galoistools, name, refuse)
-    expected = {"caseA-mono-ord156": 156, "caseA-del-perm-e-a08": 1787743516,
-                "caseA-del-unip-n17-q07": 7, "caseB5-monS-q27-a04": 9842,
-                "caseB6-monS-q09-a05": 728}
-    for claim in load_claims():
-        if claim.id in expected:
-            a_key = tuple(claim.a) if isinstance(claim.a, list) else claim.a
-            pair = _cached_pair(claim.n, claim.q, a_key, claim.force)
-            assert element_order(evaluate_claim_word(pair, claim.word)) == expected.pop(claim.id)
-    assert not expected
+    assert _pinned_claim_orders() == PINNED_CLAIM_ORDERS
+
+
+def test_element_order_needs_no_minpoly(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("element_order called minpoly")
+
+    monkeypatch.setattr(linalg, "minpoly", refuse)
+    assert _pinned_claim_orders() == PINNED_CLAIM_ORDERS
 
 
 def test_element_order_rejects_singular_and_nonsquare():
@@ -1003,6 +1088,25 @@ def test_products_refuse_sums_that_can_leave_int64():
         Matrix.identity(ctx, 3) @ Matrix.identity(ctx, 3)
     with pytest.raises(LinalgError):
         element_order(Matrix.identity(ctx, 3))
+
+
+def test_charpoly_int64_range_at_p_2_31_minus_1():
+    """charpoly's sums have at most n - 1 products below p**2: at p = 2**31 - 1
+    two fit in int64, so n = 3 is exact and n = 4 is refused."""
+    p = 2**31 - 1
+    ctx = make_field(p, 1)
+    top = np.full((4, 4), p - 1, dtype=np.int64)
+    assert charpoly(Matrix(ctx, top[:3, :3])).coeffs[:, 0].tolist() == [0, 0, 3, 1]
+    with pytest.raises(LinalgError):
+        charpoly(Matrix(ctx, top))
+    # dense 3 x 3 matrices whose every sum of three products would wrap
+    lam = sympy.Symbol("lam")
+    rng = np.random.default_rng(31)
+    for _ in range(5):
+        a = rng.integers(p - 1000, p, size=(3, 3, 1))
+        ref = sympy.Poly(_sympy(a).charpoly(lam).as_expr(), lam)
+        expected = [int(c) % p for c in reversed(ref.all_coeffs())]
+        assert charpoly(Matrix(ctx, a)).coeffs[:, 0].tolist() == expected
 
 
 # ---------------------------------------------------------------------------
