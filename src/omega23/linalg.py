@@ -876,8 +876,8 @@ def element_order(m: Matrix) -> int:
         order = lcm(order, _order_of_t(p, g, d))
     if top == 1:
         return order
-    unipotent, one, ppow = _mat_pow(m.blocks, order, p), _eye(size), 1
-    while not np.array_equal(unipotent, one):
+    unipotent, ppow = _mat_pow(m.blocks, order, p), 1
+    while not np.array_equal(unipotent, _eye(size)):
         assert ppow < size, "the unipotent part's order is at least p*N"
         unipotent, ppow = _mat_pow(unipotent, p, p), ppow * p
     return order * ppow
