@@ -20,7 +20,7 @@ import numpy as np
 from ._dims import b_params, case_of, unsupported_message
 from .fields import FieldCtx, elem_to_json, field_to_json, is_square, subfield_degree
 from .forms import OmegaMembership, OrthoSpace, gram_matrix, in_omega
-from .linalg import Matrix, charpoly, eigenspace, minpoly, poly_from_elems, restrict, unit_vector
+from .linalg import Matrix, Poly, restrict, unit_vector
 
 
 class GenError(ValueError):
@@ -168,15 +168,13 @@ class AdmissibleResult:
 def _exclusion_value(ctx: FieldCtx, n: int, a_vec):
     """Case-A exclusion polynomial value at a, or None when there is none."""
     if n == 9:
-        poly = poly_from_elems(ctx, [ctx.coerce(-1), ctx.coerce(-1), ctx.one])
+        poly = Poly(ctx, [-1, -1, 1])
     elif n == 11:
-        lin = poly_from_elems(ctx, [ctx.coerce(-1), ctx.one])
-        cub = poly_from_elems(ctx, [ctx.one, ctx.one, ctx.coerce(2), ctx.one])
-        return ctx.mul(lin.eval_elem(a_vec), cub.eval_elem(a_vec))
+        poly = Poly(ctx, [-1, 1]) * Poly(ctx, [1, 1, 2, 1])
     elif n == 13:
         return None
     elif n == 17:
-        poly = poly_from_elems(ctx, [ctx.one, ctx.coerce(-1), ctx.one, ctx.zero, ctx.one])
+        poly = Poly(ctx, [1, -1, 1, 0, 1])
     else:
         raise WrongCase(f"n={n} is not a case-A dimension")
     return poly.eval_elem(a_vec)
@@ -425,38 +423,13 @@ def theta_block(ctx: FieldCtx, a, corrected: bool) -> Matrix:
 
 def s9_restrictions(pair: GenPair):
     """(y|S9, tau|S9, tau, [x, y]) with tau = [x, y]^24 and S9 the span of
-    the last nine unit vectors, unchecked: `tau` and the case-B battery
-    check them against the printed blocks, and certify acts on S9 by
-    y|S9 and tau|S9."""
+    the last nine unit vectors, unchecked: the case-B battery checks them
+    against the printed blocks, and certify acts on S9 by y|S9 and tau|S9."""
     ctx, n = pair.ctx, pair.n
     s9 = [unit_vector(ctx, n, i) for i in range(n - 9, n)]
     g = commutator(pair.x, pair.y)
     tau_full = g.pow(24)
     return restrict(pair.y, s9), restrict(tau_full, s9), tau_full, g
-
-
-def tau(pair: GenPair) -> Matrix:
-    """[x,y]^24, verified against the printed block structure."""
-    if pair.tag.case == "A":
-        raise WrongCase("tau is defined for the case-B pairs")
-    ctx = pair.ctx
-    n = pair.n
-    _, t9, t, _ = s9_restrictions(pair)
-    cp = charpoly(t)
-    tm1 = poly_from_elems(ctx, [ctx.coerce(-1), ctx.one])
-    expect = tm1
-    for _ in range(n - 1):
-        expect = expect * tm1
-    _require(cp == expect, "charpoly(tau) = (T-1)^n")
-    theta = theta_block(ctx, pair.a, corrected=pair.tag.case == "B6")
-    _require(t == _embed_tail(ctx, n, theta.data), "tau = diag(I, printed block)")
-    mp = minpoly(theta)
-    _require(mp == tm1 * tm1 * tm1, "minpoly of the block is (T-1)^3")
-    fix = eigenspace(t9, 1)
-    a2 = ctx.mul(pair.a, pair.a)
-    expected_dim = 7 if pair.tag.case == "B6" and np.array_equal(a2, ctx.coerce(3)) else 5
-    _require(fix.shape[0] == expected_dim, "fixed-space dimension of tau on S9")
-    return t
 
 
 @dataclass(frozen=True)

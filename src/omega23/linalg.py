@@ -77,7 +77,9 @@ class Poly:
         object.__setattr__(self, "ctx", ctx)
         c = np.asarray(coeffs, dtype=np.int64)
         if c.ndim == 1:  # list of prime-field ints
-            c = np.stack([ctx.coerce(int(v)) for v in c]) if c.size else c.reshape(0, ctx.f)
+            c = c[:, None] * ctx.one
+        if c.ndim != 2 or c.shape[1] != ctx.f:
+            raise LinalgError(f"bad polynomial coefficient shape {c.shape}")
         c = c % ctx.p
         k = c.shape[0]
         while k > 0 and not c[k - 1].any():
@@ -210,9 +212,6 @@ class Poly:
             entries = _entries_of(acc, ctx.f)
             entries[diag, diag] = (entries[diag, diag] + c) % ctx.p
         return Matrix(ctx, _entries_of(acc, ctx.f))
-
-    def to_json(self):
-        return [elem_to_json(self.ctx, c) for c in self.coeffs]
 
 
 def _big_endian(poly: Poly) -> list:

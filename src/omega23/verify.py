@@ -12,6 +12,7 @@ import time
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
+from math import comb
 
 import numpy as np
 
@@ -183,13 +184,6 @@ _SIGMA = {9: 1, 11: 0, 13: 0, 17: 0}
 _KAPPA = {9: 3, 11: 2, 13: 4, 17: 4}
 
 
-def _poly_t_power_minus_one(ctx: FieldCtx, k: int) -> Poly:
-    coeffs = np.zeros((k + 1, ctx.f), dtype=np.int64)
-    coeffs[0] = ctx.coerce(-1)
-    coeffs[k] = ctx.one
-    return Poly(ctx, coeffs)
-
-
 def _unit_index(ctx: FieldCtx, vec) -> int | None:
     """Index k when vec == e_k exactly (coefficient one), else None."""
     nz = np.nonzero(vec.any(axis=-1))[0]
@@ -213,7 +207,7 @@ def verify_caseA_identities(pair: GenPair, forced: bool = False) -> Verification
     expect_cp = (
         poly_from_elems(ctx, [a, one])
         * poly_from_elems(ctx, [ainv, one])
-        * _poly_t_power_minus_one(ctx, n - 2)
+        * Poly(ctx, [-1] + [0] * (n - 3) + [1])
     )
     actual_cp = charpoly(xy)
     rec.add("product-charpoly", actual_cp == expect_cp,
@@ -225,14 +219,9 @@ def verify_caseA_identities(pair: GenPair, forced: bool = False) -> Verification
 
     # (2) minimal polynomial of (xy)^(n-2), keyed on a geometric selector sum
     w = xy.pow(n - 2)
-    selector = ctx.zero.copy()
-    term = one.copy()
-    minus_a = ctx.neg(a)
-    for _ in range(2 * n - 4):
-        selector = ctx.add(selector, term)
-        term = ctx.mul(term, minus_a)
+    selector = Poly(ctx, [1] * (2 * n - 4)).eval_elem(ctx.neg(a))
     a_pow = ctx.pow(a, n - 2)
-    two_factor = poly_from_elems(ctx, [ctx.coerce(-1), one]) * poly_from_elems(ctx, [a_pow, one])
+    two_factor = Poly(ctx, [-1, 1]) * poly_from_elems(ctx, [a_pow, one])
     if not selector.any():
         expect_mp = two_factor
         branch = "degenerate"
@@ -335,14 +324,9 @@ _B6_TR_YT = [-224, 0, 6784, 0, -2176]
 _B6_TR_Y2T = [-288, 0, -5504, 0, 1920]
 
 
-def _eval_int_poly(ctx: FieldCtx, coeffs, a) -> np.ndarray:
-    acc = ctx.zero.copy()
-    power = ctx.one.copy()
-    for c in coeffs:
-        if c:
-            acc = ctx.add(acc, ctx.mul(ctx.coerce(c), power))
-        power = ctx.mul(power, a)
-    return acc
+def _t_minus_one_power(ctx: FieldCtx, k: int) -> Poly:
+    """(T-1)^k from its binomial coefficients, reduced mod p."""
+    return Poly(ctx, [(-1) ** (k - i) * comb(k, i) % ctx.p for i in range(k + 1)])
 
 
 def verify_caseB_identities(pair: GenPair, forced: bool = False) -> VerificationReport:
@@ -360,10 +344,7 @@ def verify_caseB_identities(pair: GenPair, forced: bool = False) -> Verification
 
     # (1) the 24th commutator power: unipotent with a printed tail block
     cp = charpoly(tau_full)
-    tm1 = poly_from_elems(ctx, [ctx.coerce(-1), one])
-    expect_cp = poly_one(ctx)
-    for _ in range(n):
-        expect_cp = expect_cp * tm1
+    expect_cp = _t_minus_one_power(ctx, n)
     rec.add("tau-charpoly-unipotent", cp == expect_cp, "(T-1)^n",
             "match" if cp == expect_cp else "mismatch", "caseB/tau-charpoly")
     theta = theta_block(ctx, a, corrected=is_even_family)
@@ -374,7 +355,7 @@ def verify_caseB_identities(pair: GenPair, forced: bool = False) -> Verification
             "diag(1, printed 8x8 block)",
             "match" if (block_ok and ident_col) else "mismatch", "caseB/tau-block")
     mp = minpoly(theta)
-    cube = tm1 * tm1 * tm1
+    cube = _t_minus_one_power(ctx, 3)
     rec.add("tau-block-minpoly", mp == cube, "(T-1)^3",
             "match" if mp == cube else "mismatch", "caseB/tau-minpoly")
     fix_dim = eigenspace(t9, 1).shape[0]
@@ -456,7 +437,7 @@ def verify_caseB_identities(pair: GenPair, forced: bool = False) -> Verification
                                   ("second", elements_m2, det_forms[1])):
         cols = np.stack([e @ s_vec for e in elements], axis=1)
         det = Matrix(ctx, cols).det()
-        expect = _eval_int_poly(ctx, form, a)
+        expect = Poly(ctx, form).eval_elem(a)
         rec.add(f"spanning-det-{label}", np.array_equal(det, expect),
                 _fmt(ctx, expect), _fmt(ctx, det), "caseB/spanning-dets")
 
@@ -477,7 +458,7 @@ def verify_caseB_identities(pair: GenPair, forced: bool = False) -> Verification
             ("trace-long-product", long_product.trace(), _B5_TR_LONG),
         ]
     for name, actual, form in trace_checks:
-        expect = _eval_int_poly(ctx, form, a)
+        expect = Poly(ctx, form).eval_elem(a)
         rec.add(name, np.array_equal(actual, expect), _fmt(ctx, expect),
                 _fmt(ctx, actual), "caseB/restricted-traces")
 
@@ -496,7 +477,7 @@ def verify_caseB_identities(pair: GenPair, forced: bool = False) -> Verification
                         ctx.neg(ctx.sub(a12, one)), ctx.neg(ctx.sub(ctx.add(a12, a6), one)),
                         one, one]
         f_poly = Poly(ctx, np.stack(f_coeffs))
-        expect3 = poly_from_elems(ctx, [ctx.coerce(-1), one]) * f_poly
+        expect3 = Poly(ctx, [-1, 1]) * f_poly
         rec.add("cube-charpoly", cp3 == expect3,
                 "(T-1) times the printed degree-8 factor",
                 "match" if cp3 == expect3 else "mismatch", "caseB/cube-charpoly")
@@ -696,20 +677,18 @@ def sym_power_rep(ctx: FieldCtx, g: Matrix, d: int) -> Matrix:
         raise VerifyError("the degree must be at least 1")
     if g.rows != 2 or g.cols != 2:
         raise VerifyError("expected a 2x2 matrix")
-    lin1 = (g.data[0, 0], g.data[1, 0])  # image of t1
-    lin2 = (g.data[0, 1], g.data[1, 1])  # image of t2
+    if g.ctx != ctx:
+        raise VerifyError(f"the matrix is over GF({g.ctx.q}), not GF({ctx.q})")
+    # the images of t1 and t2 with t1 set to 1, so the power of T is the degree in t2
+    lin1, lin2 = poly_from_elems(ctx, g.data[:, 0]), poly_from_elems(ctx, g.data[:, 1])
+    pow1, pow2 = [poly_one(ctx)], [poly_one(ctx)]
+    for _ in range(d):
+        pow1.append(pow1[-1] * lin1)
+        pow2.append(pow2[-1] * lin2)
     out = np.zeros((d + 1, d + 1, ctx.f), dtype=np.int64)
     for j in range(d + 1):
-        # expand (image of t1)^(d-j) * (image of t2)^j; index = degree in t2
-        coeffs = [ctx.one.copy()]
-        for lin in [lin1] * (d - j) + [lin2] * j:
-            nxt = [ctx.zero.copy() for _ in range(len(coeffs) + 1)]
-            for i, c in enumerate(coeffs):
-                nxt[i] = ctx.add(nxt[i], ctx.mul(c, lin[0]))
-                nxt[i + 1] = ctx.add(nxt[i + 1], ctx.mul(c, lin[1]))
-            coeffs = nxt
-        for i in range(d + 1):
-            out[i, j] = coeffs[i]
+        coeffs = (pow1[d - j] * pow2[j]).coeffs  # (image of t1)^(d-j) (image of t2)^j
+        out[: coeffs.shape[0], j] = coeffs
     return Matrix(ctx, out)
 
 
@@ -719,16 +698,10 @@ def _subfield_data(p: int, f2: int):
     ctx2 = make_field(p, f2)
     base = make_field(p, f2 // 2)
     rho = None
+    modulus = Poly(ctx2, base.modulus)
     for i in range(ctx2.q):
         cand = ctx2.from_index(i)
-        acc = ctx2.zero.copy()
-        power = ctx2.one.copy()
-        for k in range(base.f + 1):
-            coeff = int(base.modulus[k])
-            if coeff:
-                acc = ctx2.add(acc, ctx2.scale(ctx2.coerce(coeff), power))
-            power = ctx2.mul(power, cand)
-        if not acc.any():
+        if not modulus.eval_elem(cand).any():
             rho = cand
             break
     if rho is None:

@@ -22,9 +22,9 @@ from omega23.generators import (
     default_a,
     pair_to_json,
     pair_to_text,
+    s9_restrictions,
     search_a,
     special_subspaces,
-    tau,
     theta_block,
     x3_block,
     _figures,
@@ -258,32 +258,22 @@ def test_build_pair_unsupported_dimension():
 
 # --- tau and subspaces ------------------------------------------------------
 
-def test_tau_wrong_case():
+def test_special_subspaces_wrong_case():
     pair = build_pair(9, make_field(3, 1))
-    with pytest.raises(WrongCase):
-        tau(pair)
     with pytest.raises(WrongCase):
         special_subspaces(pair)
 
 
 @pytest.mark.parametrize("n,q", [(15, 3), (12, 5), (16, 3), (18, 3), (20, 3)])
 def test_tau_block_structure(n, q):
+    # tau = [x, y]^24 is diag(I_(n-8), theta) on the whole space, theta the
+    # printed block; the case-B battery compares only the restriction to S9
     ctx = field_from_prime_power(q)
     pair = build_pair(n, ctx)
-    t = tau(pair)
-    # the commutator orientation is pinned by the block comparison inside tau;
-    # double-check the top-left identity block here
-    for i in range(n - 8):
-        for j in range(n):
-            expect = ctx.one if i == j else ctx.zero
-            assert np.array_equal(t.data[i, j], expect)
-
-
-def test_tau_forced_exceptional_fix_dim():
-    ctx = make_field(13, 1)
-    pair = build_pair(12, ctx, 4, force=True)  # a^2 = 3
-    t = tau(pair)  # tau itself asserts the 7-dimensional fixed space
-    assert t == t  # reached without TranscriptionError
+    theta = theta_block(ctx, pair.a, corrected=pair.tag.case == "B6")
+    expect = Matrix.identity(ctx, n).data.copy()
+    expect[n - 8:, n - 8:] = theta.data
+    assert s9_restrictions(pair)[2] == Matrix(ctx, expect)
 
 
 def test_commutator_orientations_differ():

@@ -94,6 +94,17 @@ def test_poly_divmod_property(ctx):
         assert r.is_zero() or r.degree < g.degree
 
 
+def test_poly_refuses_coefficients_of_the_wrong_width():
+    # (k,) prime-field ints and (k, f) field elements are the only shapes
+    assert Poly(F9, [1, 2]) == Poly(F9, [[1, 0], [2, 0]])
+    for bad in (np.ones((3, 1), np.int64), np.ones((3, 3), np.int64),
+                np.ones((2, 2, 2), np.int64), np.int64(1)):
+        with pytest.raises(LinalgError, match="bad polynomial coefficient shape"):
+            Poly(F9, bad)
+    with pytest.raises(LinalgError):
+        Poly(F3, np.ones((3, 2), np.int64))
+
+
 def test_poly_eval_consistency():
     t = poly_t(F5)
     f = t * t + t + poly_one(F5)  # t^2 + t + 1

@@ -345,6 +345,14 @@ def test_hermitian_fixed_space_dimension(p, f):
     assert len(basis) == 3
 
 
+def test_sym_power_and_hermitian_rep_refuse_a_matrix_over_another_field():
+    g = Matrix.from_rows(make_field(5, 2), [[1, 1], [0, 1]])
+    with pytest.raises(VerifyError, match=r"over GF\(25\), not GF\(9\)"):
+        sym_power_rep(make_field(3, 2), g, 2)
+    with pytest.raises(VerifyError, match=r"over GF\(25\), not GF\(9\)"):
+        hermitian_rep(make_field(3, 2), g)
+
+
 def test_hermitian_rep_needs_even_degree():
     with pytest.raises(WrongExtensionDegree):
         hermitian_rep(make_field(5, 1), Matrix.identity(make_field(5, 1), 2))
