@@ -131,22 +131,45 @@ def _poly_gcd(p: int, a: list, b: list) -> list:
     return a
 
 
+def _poly_mul(p: int, a: list, b: list) -> list:
+    """Product of two little-endian polynomials over GF(p), reduced, not trimmed."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return [c % p for c in out]
+
+
 def _is_irreducible(p: int, modulus) -> bool:
     """Rabin's test for a monic polynomial m of degree f over GF(p): m is
     irreducible iff t**(p**f) = t mod m and gcd(t**(p**(f/r)) - t, m) = 1
     for each prime r | f (Rabin, SIAM J. Comput. 9, 1980).
 
-    The powers come from m's own tables: FieldCtx builds its Frobenius
-    matrices for any monic modulus, and row 1 of frob[k] is t**(p**k)
-    in GF(p)[t]/(m), a field or not."""
+    a -> a**p is GF(p)-linear on GF(p)[t]/(m), a field or not, and row v of
+    its (f, f) matrix on coefficient rows is t**(p*v). So t**p comes from
+    repeated squaring of polynomials, and each t**(p**k) from the one
+    before by a vector-matrix product."""
     f = len(modulus) - 1
     if f == 1:
         return True
-    frob = FieldCtx(p, f, modulus).frob
-    t = frob[0][1]
-    if not np.array_equal(frob[f - 1][1] @ frob[1] % p, t):  # t**(p**f)
+    m = [int(c) for c in modulus]
+    mulmod = lambda a, b: _poly_divmod(p, _poly_mul(p, a, b), m)[1]
+    t_p = [0, 1]  # t**p, from the bits of p below the top one: square, then times t
+    for bit in bin(p)[3:]:
+        t_p = mulmod(t_p, t_p)
+        if bit == "1":
+            t_p = _poly_divmod(p, [0, *t_p], m)[1]
+    rows = [[1]]
+    for _ in range(1, f):
+        rows.append(mulmod(rows[-1], t_p))
+    frob = np.array([r + [0] * (f - len(r)) for r in rows], dtype=np.int64)
+    powers = [np.array([0, 1] + [0] * (f - 2), dtype=np.int64)]  # t**(p**k)
+    for _ in range(f):
+        powers.append(powers[-1] @ frob % p)
+    t = powers[0]
+    if not np.array_equal(powers[f], t):
         return False
-    return all(len(_poly_gcd(p, (frob[f // r][1] - t).tolist(), list(modulus))) == 1
+    return all(len(_poly_gcd(p, (powers[f // r] - t).tolist(), m)) == 1
                for r in range(2, f + 1) if f % r == 0 and is_prime(r))
 
 

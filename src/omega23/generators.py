@@ -345,9 +345,13 @@ def build_pair(n: int, ctx: FieldCtx, a=None, force: bool = False) -> GenPair:
     x = x1 @ x2
     y = y1 @ y2
     ident = Matrix.identity(ctx, n)
+    y2 = y @ y
     _require(x @ x == ident, "x^2 = I")
-    _require(y @ y @ y == ident, "y^3 = I")
+    _require(y2 @ y == ident, "y^3 = I")
     _require(y != ident, "y != I")
+    # the two checks prove x^-1 = x and y^-1 = y^2
+    x._keep_inverse(x.blocks)
+    y._keep_inverse(y2.blocks)
     pair = GenPair(n=n, ctx=ctx, a=a_vec, tag=tag, x=x, y=y, space=gram_matrix(n, ctx))
     x_reasons, y_reasons = pair.x_in_omega.reasons, pair.y_in_omega.reasons
     _require("not-an-isometry" not in x_reasons, "x preserves the form")

@@ -25,11 +25,13 @@ determinant and inverse once computed.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import lcm
+from math import lcm, prod
 
 import numpy as np
 
-from .fields import FieldCtx, _poly_divmod, _poly_gcd, elem_from_json, elem_to_json, make_field
+from .fields import (
+    FieldCtx, _poly_divmod, _poly_gcd, _poly_mul, elem_from_json, elem_to_json, make_field,
+)
 
 
 class LinalgError(ValueError):
@@ -409,6 +411,11 @@ class Matrix:
             object.__setattr__(self, "_inv", Matrix(self.ctx, red[:, n:]))
         return self._inv
 
+    def _keep_inverse(self, blocks: np.ndarray) -> None:
+        """Keep a proved inverse, given by its reduced block form, as a new
+        Matrix: it is never self and keeps nothing of its own yet."""
+        object.__setattr__(self, "_inv", Matrix._from_blocks(self.ctx, blocks))
+
     def det(self) -> np.ndarray:
         """Determinant as a read-only (f,) element vector, by elimination
         on the first call."""
@@ -780,19 +787,17 @@ def factor_poly(ctx: FieldCtx, f: Poly) -> list:
 FACTOR_DIGITS_BUDGET = 120  # upper bound on decimal digits of p**d - 1 we factor
 
 
+@lru_cache(maxsize=None)
 def _cyclotomic_value(e: int, q: int) -> int:
-    """Integer value of the e-th cyclotomic polynomial at q."""
-    from sympy import divisors, mobius
-
-    num = den = 1
-    for m in divisors(e):
-        mu = int(mobius(e // m))
-        if mu == 1:
-            num *= q**m - 1
-        elif mu == -1:
-            den *= q**m - 1
-    assert num % den == 0
-    return num // den
+    """Integer value of the e-th cyclotomic polynomial at q: q**e - 1 is the
+    product of Phi_d(q) over the divisors d of e, so dividing it exactly by
+    Phi_d(q) for every proper divisor d leaves Phi_e(q)."""
+    value = q**e - 1
+    for d in range(1, e // 2 + 1):
+        if e % d == 0:
+            value, rest = divmod(value, _cyclotomic_value(d, q))
+            assert rest == 0
+    return value
 
 
 def _factor_qd_minus_1(q: int, d: int) -> tuple:
@@ -807,12 +812,13 @@ def _factor_qd_minus_1(q: int, d: int) -> tuple:
 
 @lru_cache(maxsize=None)
 def _factored_qd_minus_1(q: int, d: int) -> tuple:
-    from sympy import divisors, factorint
+    from sympy import factorint
 
     out = {}
-    for e in divisors(d):
-        for prime, exp in factorint(_cyclotomic_value(e, q)).items():
-            out[prime] = out.get(prime, 0) + exp
+    for e in range(1, d + 1):
+        if d % e == 0:
+            for prime, exp in factorint(_cyclotomic_value(e, q)).items():
+                out[prime] = out.get(prime, 0) + exp
     return tuple(out.items())
 
 
@@ -884,14 +890,6 @@ def element_order(m: Matrix) -> int:
 
 # Polynomials over F_p from here on are little-endian lists of reduced ints
 # with no trailing zeros, as `fields._poly_divmod` and `_poly_gcd` take them.
-
-
-def _poly_mul(p: int, a: list, b: list) -> list:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return [c % p for c in out]
 
 
 def _squarefree_split(p: int, f: list) -> list:
@@ -983,18 +981,27 @@ def _order_of_t(p: int, g: list, d: int) -> int:
 
     It divides N = p**d - 1. For each r**k exactly dividing N, the r-part
     of the order is r**j for the least j with (C**(N / r**k))**(r**j) = 1,
-    C the companion matrix of g.
+    C the companion matrix of g. The powers C**(N / r**k) come from one
+    power tree (von zur Gathen and Gerhard, ch. 10): the prime powers are
+    split into halves, and each half gets its node's power raised to the
+    product of the other half, so about log2 of their number
+    exponentiations lead to each leaf.
     """
-    c = _companion(p, g)
-    one = np.eye(len(c), dtype=np.int64)
-    n = p**d - 1
-    order = 1
-    for r, k in _factor_qd_minus_1(p, d):
-        y = _mat_pow(c, n // r**k, p)
-        while not np.array_equal(y, one):
+    return _order_below(_companion(p, g), _factor_qd_minus_1(p, d), p)
+
+
+def _order_below(y: np.ndarray, parts: tuple, p: int) -> int:
+    """The order of y, given that it divides the product of the r**k in parts."""
+    if len(parts) == 1:
+        r, order = parts[0][0], 1
+        while not np.array_equal(y, _eye(len(y))):
             y = _mat_pow(y, r, p)
             order *= r
-    return order
+        return order
+    half = len(parts) // 2
+    left, right = parts[:half], parts[half:]
+    return (_order_below(_mat_pow(y, prod(r**k for r, k in right), p), left, p)
+            * _order_below(_mat_pow(y, prod(r**k for r, k in left), p), right, p))
 
 
 # ---------------------------------------------------------------------------
@@ -1127,12 +1134,13 @@ def parse_word(text: str) -> WordExpr:
 def evaluate_word(word, x: Matrix, y: Matrix) -> Matrix:
     """Evaluate a word in the two generators; [u,v] = u^-1 v^-1 u v."""
     expr = parse_word(word) if isinstance(word, str) else word
-    return _eval_expr(expr, x, y, y.inverse())
+    return _eval_expr(expr, x, y)
 
 
-def _eval_expr(expr: WordExpr, x: Matrix, y: Matrix, y_inv: Matrix) -> Matrix:
+def _eval_expr(expr: WordExpr, x: Matrix, y: Matrix) -> Matrix:
     """The product of the terms' powers, from the first one: a lone letter
-    is the generator object itself, so its kept inverse is reused."""
+    is the generator object itself, so its kept inverse is reused, and Y
+    is y's inverse, taken only where it occurs."""
     result = None
     for atom, e in expr.terms:
         if atom == "x":
@@ -1140,12 +1148,12 @@ def _eval_expr(expr: WordExpr, x: Matrix, y: Matrix, y_inv: Matrix) -> Matrix:
         elif atom == "y":
             m = y
         elif atom == "Y":
-            m = y_inv
+            m = y.inverse()
         elif isinstance(atom, WordExpr):
-            m = _eval_expr(atom, x, y, y_inv)
+            m = _eval_expr(atom, x, y)
         else:
-            u = _eval_expr(atom[0], x, y, y_inv)
-            v = _eval_expr(atom[1], x, y, y_inv)
+            u = _eval_expr(atom[0], x, y)
+            v = _eval_expr(atom[1], x, y)
             m = u.inverse() @ v.inverse() @ u @ v
         m = m.pow(e)
         result = m if result is None else result @ m

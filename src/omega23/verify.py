@@ -329,13 +329,20 @@ def _t_minus_one_power(ctx: FieldCtx, k: int) -> Poly:
     return Poly(ctx, [(-1) ** (k - i) * comb(k, i) % ctx.p for i in range(k + 1)])
 
 
+def _tail_line(ctx: FieldCtx) -> np.ndarray:
+    """e_(n-8) - e_(n-7) in the coordinates of S9."""
+    s_vec = np.zeros((9, ctx.f), dtype=np.int64)
+    s_vec[0] = ctx.one
+    s_vec[1] = ctx.neg(ctx.one)
+    return s_vec
+
+
 def verify_caseB_identities(pair: GenPair, forced: bool = False) -> VerificationReport:
     if pair.tag.case == "A":
         raise WrongCase("the case-B battery needs a case-B pair")
     ctx, n = pair.ctx, pair.n
     rec = _Recorder(_pair_params(pair, forced))
     a = pair.a
-    one = ctx.one
     is_even_family = pair.tag.case == "B6"
     a2 = ctx.mul(a, a)
     exceptional = is_even_family and np.array_equal(a2, ctx.coerce(3))
@@ -405,9 +412,7 @@ def verify_caseB_identities(pair: GenPair, forced: bool = False) -> Verification
                 "holds" if ok3 else "violated", "caseB/action-order")
 
     # (3) the distinguished eigenvector of [y, tau] on the tail
-    s_vec = np.zeros((9, ctx.f), dtype=np.int64)
-    s_vec[0] = one
-    s_vec[1] = ctx.neg(one)
+    s_vec = _tail_line(ctx)
     if exceptional:
         rec.skip("commutator-fixline", "undefined when a^2 = 3 in the even family",
                  "caseB/eigenvector")
@@ -424,6 +429,23 @@ def verify_caseB_identities(pair: GenPair, forced: bool = False) -> Verification
              "informational: opposite bracket orientation recorded for the record",
              "caseB/eigenvector", actual=f"dim {v1_alt.shape[0]}, same line: {alt_matches}")
 
+    # (4), (5) and in characteristic 3 the cube charpoly: closed forms in a
+    _closed_form_checks(rec, pair, y9, t9)
+    if ctx.p != 3:
+        rec.skip("cube-charpoly", "requires characteristic 3", "caseB/cube-charpoly")
+    return rec.report()
+
+
+def _closed_form_checks(rec: _Recorder, pair: GenPair, y9: Matrix, t9: Matrix,
+                        suffix: str = "") -> None:
+    """The case-B rows that are closed forms in a, each name followed by
+    suffix: the determinants of the two spanning matrices, the restricted
+    traces and, in characteristic 3 only, the cube charpoly."""
+    ctx, a = pair.ctx, pair.a
+    one = ctx.one
+    is_even_family = pair.tag.case == "B6"
+    s_vec = _tail_line(ctx)
+
     # (4) determinants of the two spanning matrices
     y2 = y9 @ y9
     ty2 = t9 @ y2
@@ -438,7 +460,7 @@ def verify_caseB_identities(pair: GenPair, forced: bool = False) -> Verification
         cols = np.stack([e @ s_vec for e in elements], axis=1)
         det = Matrix(ctx, cols).det()
         expect = Poly(ctx, form).eval_elem(a)
-        rec.add(f"spanning-det-{label}", np.array_equal(det, expect),
+        rec.add(f"spanning-det-{label}{suffix}", np.array_equal(det, expect),
                 _fmt(ctx, expect), _fmt(ctx, det), "caseB/spanning-dets")
 
     # (5) restricted traces
@@ -459,7 +481,7 @@ def verify_caseB_identities(pair: GenPair, forced: bool = False) -> Verification
         ]
     for name, actual, form in trace_checks:
         expect = Poly(ctx, form).eval_elem(a)
-        rec.add(name, np.array_equal(actual, expect), _fmt(ctx, expect),
+        rec.add(name + suffix, np.array_equal(actual, expect), _fmt(ctx, expect),
                 _fmt(ctx, actual), "caseB/restricted-traces")
 
     # cube charpoly identity, specific to characteristic 3
@@ -478,28 +500,20 @@ def verify_caseB_identities(pair: GenPair, forced: bool = False) -> Verification
                         one, one]
         f_poly = Poly(ctx, np.stack(f_coeffs))
         expect3 = Poly(ctx, [-1, 1]) * f_poly
-        rec.add("cube-charpoly", cp3 == expect3,
+        rec.add("cube-charpoly" + suffix, cp3 == expect3,
                 "(T-1) times the printed degree-8 factor",
                 "match" if cp3 == expect3 else "mismatch", "caseB/cube-charpoly")
-    else:
-        rec.skip("cube-charpoly", "requires characteristic 3", "caseB/cube-charpoly")
-    return rec.report()
 
 
 def verify_caseB_closed_forms_all_a(n: int, ctx: FieldCtx) -> VerificationReport:
-    """Determinant and trace closed forms for every nonzero parameter."""
+    """Determinant and trace closed forms for every nonzero parameter: the
+    battery's closed-form rows alone, on a forced pair per parameter."""
     rec = _Recorder({"n": n, "q": ctx.q, "battery": "closed-forms-all-a"})
-    wanted = {"spanning-det-first", "spanning-det-second", "trace-yt-squared",
-              "trace-y2t-squared", "trace-yt", "trace-long-product", "cube-charpoly"}
     for i in range(1, ctx.q):
         a = ctx.from_index(i)
         pair = build_pair(n, ctx, a, force=True)
-        sub = verify_caseB_identities(pair, forced=True)
-        for entry in sub.checks:
-            if entry.name in wanted and entry.status != "skip":
-                rec.checks.append(CheckEntry(
-                    f"{entry.name}[a={elem_to_json(ctx, a)}]", entry.status,
-                    entry.expected, entry.actual, entry.paper_ref))
+        y9, t9 = s9_restrictions(pair)[:2]
+        _closed_form_checks(rec, pair, y9, t9, f"[a={elem_to_json(ctx, a)}]")
     return rec.report()
 
 

@@ -9,6 +9,7 @@ from omega23.generators import (
     CaseTag,
     DivisionByZero,
     GenError,
+    GenPair,
     NoAdmissibleParameter,
     NotAdmissible,
     TranscriptionError,
@@ -31,6 +32,7 @@ from omega23.generators import (
     _nongen_bound,
 )
 from omega23.linalg import Matrix, restrict, unit_vector
+from omega23.verify import verify_structural
 
 GRID_N = [9, 11, 12, 13] + [n for n in range(15, 26) if n != 14]
 GRID_Q = [3, 5, 7, 9, 11, 13, 25, 27]
@@ -226,6 +228,37 @@ def test_build_pair_structure(n, q):
     assert np.array_equal(pair.y.det(), ctx.one)
     assert in_omega(pair.space, pair.x).ok
     assert in_omega(pair.space, pair.y).ok
+
+
+# case A, B5 and B6 over prime and extension fields, and one forced pair
+@pytest.mark.parametrize("n,q,a,force", [
+    (9, 3, None, False), (11, 25, None, False), (13, 7, None, False),
+    (15, 27, None, False), (18, 5, None, False), (12, 9, None, False),
+    (16, 3, None, False), (9, 3, 1, True),
+])
+def test_build_pair_keeps_the_generators_inverses(n, q, a, force):
+    ctx = field_from_prime_power(q)
+    pair = build_pair(n, ctx, a, force=force)
+    assert pair.x._inv is not None and pair.y._inv is not None
+    for g in (pair.x, pair.y):
+        kept = g.inverse()
+        assert kept == Matrix(ctx, g.data).inverse()
+        assert kept is not g
+        assert kept._inv is None and kept._det is None
+    assert pair.x.inverse().blocks is pair.x.blocks
+
+
+def test_a_pair_from_its_constructor_keeps_no_inverse():
+    """verify_structural forms x^2 and y^3 itself: it trusts no kept inverse."""
+    ctx = make_field(5, 1)
+    built = build_pair(9, ctx)
+    x, y = Matrix(ctx, built.x.data), Matrix(ctx, built.y.data)
+    fields = dict(n=9, ctx=ctx, a=built.a, tag=built.tag, space=built.space)
+    pair = GenPair(x=x, y=y, **fields)
+    assert pair.x._inv is None and pair.y._inv is None
+    assert verify_structural(pair).ok
+    swapped = {c.name: c.status for c in verify_structural(GenPair(x=y, y=x, **fields)).checks}
+    assert swapped["x-squared-identity"] == swapped["y-cubed-identity"] == "fail"
 
 
 def test_build_pair_rejects_inadmissible_without_force():

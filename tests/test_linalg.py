@@ -1046,6 +1046,71 @@ def test_order_budget_names_the_least_degree():
     assert str(info.value) == BUDGET_MESSAGE
 
 
+def test_order_of_t_keeps_the_digit_budget():
+    with pytest.raises(OrderSearchExceeded) as info:
+        linalg._order_of_t(10007, G30, 30)
+    assert str(info.value) == BUDGET_MESSAGE
+
+
+# ---------------------------------------------------------------------------
+# the order helpers against independent references
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 13, 19, 25, 27])
+def test_cyclotomic_value_matches_sympy(q):
+    for e in range(1, 81):
+        assert linalg._cyclotomic_value(e, q) == sympy.cyclotomic_poly(e, q), e
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 13, 19, 25, 27])
+def test_factored_qd_minus_1_multiplies_back(q):
+    for d in range(1, 25):
+        parts = linalg._factored_qd_minus_1(q, d)
+        assert all(sympy.isprime(r) and k >= 1 for r, k in parts)
+        assert len({r for r, _ in parts}) == len(parts)
+        assert np.prod([sympy.Integer(r) ** k for r, k in parts]) == q**d - 1
+
+
+def _order_of_t_per_prime(p, g, d):
+    """One full exponentiation per prime power r**k || p**d - 1, as element
+    orders were computed before the power tree."""
+    c = linalg._companion(p, g)
+    one = np.eye(len(c), dtype=np.int64)
+    n = p**d - 1
+    order = 1
+    for r, k in linalg._factor_qd_minus_1(p, d):
+        y = linalg._mat_pow(c, n // r**k, p)
+        while not np.array_equal(y, one):
+            y = linalg._mat_pow(y, r, p)
+            order *= r
+    return order
+
+
+@st.composite
+def _degree_d_products(draw):
+    """(p, g, d): g a product of one to three distinct monic irreducibles of
+    degree d over F_p other than t, found by rejection from a drawn seed."""
+    p = draw(st.sampled_from([3, 5, 7, 11, 13]))
+    d = draw(st.integers(1, 6))
+    count = draw(st.integers(1, 3 if d > 1 else min(3, p - 1)))  # F_3 has two such t + c
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    found = []
+    while len(found) < count:
+        cand = [int(rng.integers(1, p)), *map(int, rng.integers(0, p, size=d - 1)), 1]
+        if cand not in found and gf_irreducible_p(cand[::-1], p, ZZ):
+            found.append(cand)
+    return p, _pl_product(p, [(g, 1) for g in found]), d
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(case=_degree_d_products())
+@example(case=(3, [2, 1], 1))  # t + 2: order 1
+@example(case=(13, [1, 0, 0, 0, 0, 1, 1], 6))  # the modulus of GF(13**6)
+def test_order_of_t_tree_matches_the_per_prime_loop(case):
+    p, g, d = case
+    assert linalg._order_of_t(p, g, d) == _order_of_t_per_prime(p, g, d)
+
+
 PINNED_CLAIM_ORDERS = {"caseA-mono-ord156": 156, "caseA-del-perm-e-a08": 1787743516,
                        "caseA-del-unip-n17-q07": 7, "caseB5-monS-q27-a04": 9842,
                        "caseB6-monS-q09-a05": 728}
@@ -1173,6 +1238,14 @@ def test_word_letters_are_the_generators_themselves():
     assert evaluate_word("Y", x, y) is y.inverse()
     assert evaluate_word("y^-1", x, y) is y.inverse()
     assert x.pow(1) is x and x.pow(-1) is x.inverse()
+
+
+def test_word_evaluation_inverts_y_only_for_a_y_inverse():
+    pair = build_pair(9, F5, 2, force=True)
+    x, y = (Matrix(F5, g.data) for g in (pair.x, pair.y))  # nothing kept
+    evaluate_word("(xy)^3(xy^2)^7", x, y)
+    assert y._inv is None
+    assert evaluate_word("xY", x, y) == x @ y.pow(2) and y._inv is not None
 
 
 @pytest.mark.parametrize("bad", ["", "z", "(xy", "[x y]", "x^", "xy)", "[x,]"])
