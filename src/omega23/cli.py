@@ -115,12 +115,12 @@ def _cmd_verify(args) -> int:
     pair, params = _build_pair(args)
     reports = []
     if args.suite in ("structural", "all"):
-        reports.append(verify_structural(pair, forced=args.force))
+        reports.append(verify_structural(pair))
     if args.suite in ("case", "all"):
         if pair.tag.case == "A":
-            reports.append(verify_caseA_identities(pair, forced=args.force))
+            reports.append(verify_caseA_identities(pair))
         else:
-            reports.append(verify_caseB_identities(pair, forced=args.force))
+            reports.append(verify_caseB_identities(pair))
     if args.claims:
         reports.append(verify_order_claims(load_claims()))
     ok = all(r.ok for r in reports)

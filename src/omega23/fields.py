@@ -4,7 +4,10 @@ Elements are little-endian coefficient vectors over the prime field,
 reduced modulo a fixed monic irreducible polynomial in t. The modulus
 is the lexicographically smallest monic irreducible of degree f, where
 tuples (c0, c1, ..., c_{f-1}) are compared constant term first. That
-makes every field reproducible from (p, f) alone.
+makes every field reproducible from (p, f) alone. A candidate is
+irreducible iff its distinct-degree split is the candidate alone; the
+split and the Frobenius tables take t**p from one Berlekamp matrix
+(`_frobenius_matrix`), and the reduction table is powers of t.
 
 Bulk arithmetic runs on per-context numpy tables: products of whole
 arrays of coefficient vectors through the multiplication table (one
@@ -140,51 +143,101 @@ def _poly_mul(p: int, a: list, b: list) -> list:
     return [c % p for c in out]
 
 
-def _is_irreducible(p: int, modulus) -> bool:
-    """Rabin's test for a monic polynomial m of degree f over GF(p): m is
-    irreducible iff t**(p**f) = t mod m and gcd(t**(p**(f/r)) - t, m) = 1
-    for each prime r | f (Rabin, SIAM J. Comput. 9, 1980).
+def _companion(p: int, g: list) -> np.ndarray:
+    """Companion matrix of a monic g: column j is t**(j + 1) mod g, so it multiplies by t."""
+    k = len(g) - 1
+    c = np.zeros((k, k), dtype=np.int64)
+    c[1:, :-1] = np.eye(k - 1, dtype=np.int64)
+    c[:, -1] = [-x % p for x in g[:-1]]
+    return c
 
-    a -> a**p is GF(p)-linear on GF(p)[t]/(m), a field or not, and row v of
-    its (f, f) matrix on coefficient rows is t**(p*v). So t**p comes from
-    repeated squaring of polynomials, and each t**(p**k) from the one
-    before by a vector-matrix product."""
-    f = len(modulus) - 1
-    if f == 1:
-        return True
+
+def _mat_pow(a: np.ndarray, e: int, p: int) -> np.ndarray:
+    """a**e mod p for e >= 1, by repeated squaring."""
+    out = None
+    while True:
+        if e & 1:
+            out = a if out is None else out.dot(a) % p
+        e >>= 1
+        if not e:
+            return out
+        a = a.dot(a) % p
+
+
+def _power_rows(a: np.ndarray, k: int, p: int) -> np.ndarray:
+    """(k, n) array whose row i is a**i applied to the unit column e_0, mod p."""
+    rows = [np.eye(len(a), dtype=np.int64)[0]]
+    for _ in range(k - 1):
+        rows.append(a.dot(rows[-1]) % p)
+    return np.stack(rows)
+
+
+def _frobenius_matrix(p: int, m: list) -> np.ndarray:
+    """Berlekamp matrix of a monic m over GF(p): column j is t**(p*j) mod m,
+    so it maps h to h**p mod m, as a -> a**p is GF(p)-linear on GF(p)[t]/(m),
+    a field or not. Column j is (C**p)**j applied to 1, C the companion matrix."""
+    return _power_rows(_mat_pow(_companion(p, m), p, p), len(m) - 1, p).T
+
+
+def _distinct_degree_split(p: int, f: list) -> list:
+    """(g_d, d) for a monic f over F_p, by increasing d.
+
+    For a squarefree f, g_d is the product of f's irreducible factors of
+    degree d, found as gcd(t**(p**d) - t, f) with the lower degrees divided
+    out (Zassenhaus; von zur Gathen and Gerhard, ch. 14). h**p mod f is
+    `_frobenius_matrix(p, f)` times h, and reduced modulo what is left of f
+    it is h**p modulo that. Once 2d exceeds the degree of what is left,
+    that is one irreducible. So f of degree n is irreducible iff its split
+    is [(f, n)], squarefree or not: a reducible f has an irreducible factor
+    of least degree d <= n/2, and the first nontrivial gcd comes at that d.
+    """
+    out = []
+    if len(f) > 2:
+        frob = _frobenius_matrix(p, f)
+        h, d = [0, 1], 1
+        while 2 * d < len(f):
+            col = np.array(h, dtype=np.int64)
+            h = _poly_divmod(p, frob[:, : len(h)].dot(col).tolist(), f)[1]
+            t_off = h + [0] * (2 - len(h))
+            t_off[1] = (t_off[1] - 1) % p
+            g = _poly_gcd(p, f, t_off)
+            if len(g) > 1:
+                out.append((g, d))
+                f = _poly_divmod(p, f, g)[0]
+                h = _poly_divmod(p, h, f)[1]
+            d += 1
+    if len(f) > 1:
+        out.append((f, len(f) - 1))
+    return out
+
+
+def _is_irreducible(p: int, modulus) -> bool:
+    """Whether a monic polynomial over GF(p) is irreducible: its distinct-degree split is itself."""
     m = [int(c) for c in modulus]
-    mulmod = lambda a, b: _poly_divmod(p, _poly_mul(p, a, b), m)[1]
-    t_p = [0, 1]  # t**p, from the bits of p below the top one: square, then times t
-    for bit in bin(p)[3:]:
-        t_p = mulmod(t_p, t_p)
-        if bit == "1":
-            t_p = _poly_divmod(p, [0, *t_p], m)[1]
-    rows = [[1]]
-    for _ in range(1, f):
-        rows.append(mulmod(rows[-1], t_p))
-    frob = np.array([r + [0] * (f - len(r)) for r in rows], dtype=np.int64)
-    powers = [np.array([0, 1] + [0] * (f - 2), dtype=np.int64)]  # t**(p**k)
-    for _ in range(f):
-        powers.append(powers[-1] @ frob % p)
-    t = powers[0]
-    if not np.array_equal(powers[f], t):
-        return False
-    return all(len(_poly_gcd(p, (powers[f // r] - t).tolist(), m)) == 1
-               for r in range(2, f + 1) if f % r == 0 and is_prime(r))
+    return _distinct_degree_split(p, m) == [(m, len(m) - 1)]
 
 
 def _smallest_modulus(p, f):
     if f == 1:
         return [0, 1]
-    for c0 in range(1, p):  # c0 = 0 would make the candidate divisible by t
-        for tail in itertools.product(range(p), repeat=f - 1):
-            cand = [c0, *tail, 1]
-            if _is_irreducible(p, cand):
-                return cand
-    raise FieldError(f"no irreducible of degree {f} over GF({p})")  # unreachable
+    # c0 = 0 would make a candidate divisible by t; every degree has an irreducible
+    candidates = ([c0, *tail, 1] for c0 in range(1, p)
+                  for tail in itertools.product(range(p), repeat=f - 1))
+    return next(c for c in candidates if _is_irreducible(p, c))
 
 
 # ---------------------------------------------------------------------------
+
+
+def _exact_range(p: int, f: int) -> dict:
+    """FieldCtx.exact_terms for both values of `table`; refuses GF(p**f)
+    when the f*f table products that mul and scale sum overflow an int64."""
+    terms = {table: (2**63 - 1) // (p - 1) ** (3 if table and f > 1 else 2)
+             for table in (False, True)}
+    if f**2 > terms[True]:
+        raise FieldError(f"GF({p}^{f}) is outside the exact int64 range")
+    return terms
+
 
 # Inverses a context keeps for f > 1: every nonzero element of the fields
 # the paper's pairs use (q <= 27), a bounded few of a large one.
@@ -207,39 +260,19 @@ class FieldCtx:
         self.p = int(p)
         self.f = int(f)
         self.q = self.p**self.f
-        self._exact_terms = {
-            table: (2**63 - 1) // (self.p - 1) ** (3 if table and self.f > 1 else 2)
-            for table in (False, True)
-        }
-        # mul and scale sum f*f products a_u * b_v * mul_table[u, v, w]
-        if self.f**2 > self.exact_terms(table=True):
-            raise FieldError(f"GF({self.p}^{self.f}) is outside the exact int64 range")
+        self._exact_terms = _exact_range(self.p, self.f)
         self.modulus = np.array(modulus, dtype=np.int64)
         assert self.modulus.shape == (self.f + 1,) and self.modulus[-1] == 1
-        # t**(e+1) = t * t**e, with t**f = -(m_0 + m_1 t + ... + m_{f-1} t**(f-1))
-        low = [int(c) for c in self.modulus[:-1]]
-        vec = [1] + [0] * (self.f - 1)
-        rows = []
-        for _ in range(2 * self.f - 1):
-            rows.append(vec)
-            vec = [(prev - vec[-1] * m) % self.p for prev, m in zip([0, *vec[:-1]], low)]
-        r = self.reduce_table = np.array(rows, dtype=np.int64)
-        self.mul_table = np.zeros((self.f, self.f, self.f), dtype=np.int64)
-        for u in range(self.f):
-            for v in range(self.f):
-                self.mul_table[u, v] = r[u + v]
-        self.zero = np.zeros(self.f, dtype=np.int64)
-        self.one = np.zeros(self.f, dtype=np.int64)
-        self.one[0] = 1
-        # frob[i] is the matrix of a -> a**(p**i) on coefficient rows:
-        # row v of frob[1] is t**(p*v), and the rest are its matmul powers
+        m = [int(c) for c in self.modulus]
+        # the companion matrix multiplies by t, so row e is t**e
+        r = self.reduce_table = _power_rows(_companion(self.p, m), 2 * self.f - 1, self.p)
+        self.mul_table = r[np.add.outer(np.arange(self.f), np.arange(self.f))]
+        self.zero, self.one = np.zeros(self.f, dtype=np.int64), r[0].copy()
+        # frob[i] is the matrix of a -> a**(p**i) on coefficient rows: frob[1]
+        # is the Berlekamp matrix transposed, and the rest are its matmul powers
         frob = [np.eye(self.f, dtype=np.int64)]
         if self.f > 1:
-            t_p = self.pow(self.coerce([0, 1]), self.p)
-            rows = [self.one]
-            for _ in range(1, self.f):
-                rows.append(self.mul(rows[-1], t_p))
-            step = np.stack(rows)
+            step = _frobenius_matrix(self.p, m).T
             for _ in range(1, self.f):
                 frob.append(frob[-1] @ step % self.p)
         self.frob = np.stack(frob)
@@ -419,6 +452,7 @@ def _make_field(p: int, f: int) -> FieldCtx:
         raise NonPrime(p)
     if p == 2:
         raise EvenCharacteristic()
+    _exact_range(p, f)  # before the modulus search, whose products need it too
     return FieldCtx(p, f, _smallest_modulus(p, f))
 
 

@@ -255,22 +255,11 @@ def search_a(n: int, ctx: FieldCtx, all: bool = False) -> SearchResult:
 
 
 def default_a(n: int, ctx: FieldCtx) -> np.ndarray:
-    """Deterministic default parameter per case, as a fresh (f,) vector."""
-    tag = classify(n)
-    if tag.case == "A":
-        if ctx.f == 1:
-            return ctx.coerce(-1)
-        if ctx.q == 9:
-            return ctx.coerce([0, 1])  # root of t^2 + 1
-        return search_a(n, ctx).values[0].copy()
-    if tag.case == "B5":
-        for i in range(1, ctx.q):
-            cand = ctx.from_index(i)
-            if subfield_degree(ctx, cand) == ctx.f:
-                return cand
-        raise NoAdmissibleParameter(f"no field generator in GF({ctx.q})")
+    """Deterministic default parameter per case, as a fresh (f,) vector:
+    over a prime field -1 in case A and 1 otherwise, else the first
+    admissible value."""
     if ctx.f == 1:
-        return ctx.coerce(1)
+        return ctx.coerce(-1 if classify(n).case == "A" else 1)
     return search_a(n, ctx).values[0].copy()
 
 
@@ -288,6 +277,21 @@ class GenPair:
     x: Matrix
     y: Matrix
     space: OrthoSpace
+    # whether build_pair skipped the admissibility and spinor-kernel checks
+    forced: bool = field(default=False, compare=False)
+
+    # x^2, y^2 = y^-1 and y^3, as products, each formed at most once
+    @cached_property
+    def x_squared(self) -> Matrix:
+        return self.x @ self.x
+
+    @cached_property
+    def y_squared(self) -> Matrix:
+        return self.y @ self.y
+
+    @cached_property
+    def y_cubed(self) -> Matrix:
+        return self.y_squared @ self.y
 
     # spinor-kernel membership of each generator, computed at most once
     @cached_property
@@ -342,17 +346,15 @@ def build_pair(n: int, ctx: FieldCtx, a=None, force: bool = False) -> GenPair:
 
     _require(x1 @ x2 == x2 @ x1, "x1 and x2 must commute")
     _require(y1 @ y2 == y2 @ y1, "y1 and y2 must commute")
-    x = x1 @ x2
-    y = y1 @ y2
-    ident = Matrix.identity(ctx, n)
-    y2 = y @ y
-    _require(x @ x == ident, "x^2 = I")
-    _require(y2 @ y == ident, "y^3 = I")
+    pair = GenPair(n=n, ctx=ctx, a=a_vec, tag=tag, x=x1 @ x2, y=y1 @ y2,
+                   space=gram_matrix(n, ctx), forced=bool(force))
+    x, y, ident = pair.x, pair.y, Matrix.identity(ctx, n)
+    _require(pair.x_squared == ident, "x^2 = I")
+    _require(pair.y_cubed == ident, "y^3 = I")
     _require(y != ident, "y != I")
     # the two checks prove x^-1 = x and y^-1 = y^2
     x._keep_inverse(x.blocks)
-    y._keep_inverse(y2.blocks)
-    pair = GenPair(n=n, ctx=ctx, a=a_vec, tag=tag, x=x, y=y, space=gram_matrix(n, ctx))
+    y._keep_inverse(pair.y_squared.blocks)
     x_reasons, y_reasons = pair.x_in_omega.reasons, pair.y_in_omega.reasons
     _require("not-an-isometry" not in x_reasons, "x preserves the form")
     _require("not-an-isometry" not in y_reasons, "y preserves the form")

@@ -12,7 +12,8 @@ matrix, found by one echelon basis over F_p on the block form; eigenspace
 bases come out in reduced echelon form so subspace comparisons are plain
 equality. Element orders are computed over F_p from the block form: its
 characteristic polynomial is split into squarefree parts and its radical
-by distinct degree, with no factoring into irreducibles; the order of t
+by distinct degree (`fields._distinct_degree_split`, which also tests the
+field moduli), with no factoring into irreducibles; the order of t
 modulo each part comes from powers of the part's companion matrix, and
 the unipotent part's order from p-th powers of the block form. sympy is
 imported only to factor p**d - 1 and in `factor_poly` and `Poly.pow_mod`,
@@ -30,7 +31,8 @@ from math import lcm, prod
 import numpy as np
 
 from .fields import (
-    FieldCtx, _poly_divmod, _poly_gcd, _poly_mul, elem_from_json, elem_to_json, make_field,
+    FieldCtx, _companion, _distinct_degree_split, _mat_pow, _poly_divmod, _poly_gcd, _poly_mul,
+    elem_from_json, elem_to_json, make_field,
 )
 
 
@@ -917,65 +919,6 @@ def _squarefree_split(p: int, f: list) -> list:
     return parts
 
 
-def _distinct_degree_split(p: int, f: list) -> list:
-    """(g_d, d) for a monic squarefree f over F_p, by increasing d.
-
-    g_d is the product of f's irreducible factors of degree d, found as
-    gcd(t**(p**d) - t, f) with the lower degrees divided out (Zassenhaus).
-    Frobenius is F_p-linear, so h**p mod f is the Berlekamp matrix of f,
-    whose column j is t**(p*j) mod f, times h; reduced modulo what is
-    left of f it is h**p modulo that. Once 2d exceeds the degree of what
-    is left, that is one irreducible.
-    """
-    out = []
-    n = len(f) - 1
-    if n >= 2:
-        step = _mat_pow(_companion(p, f), p, p)  # column j is t**(p + j) mod f
-        frob = np.empty((n, n), dtype=np.int64)
-        v = np.zeros(n, dtype=np.int64)
-        v[0] = 1
-        for j in range(n):
-            frob[:, j] = v
-            v = step.dot(v) % p
-        h, d = [0, 1], 1
-        while 2 * d < len(f):
-            v[:] = 0
-            v[: len(h)] = h
-            h = _poly_divmod(p, frob.dot(v).tolist(), f)[1]
-            t_off = h + [0] * (2 - len(h))
-            t_off[1] = (t_off[1] - 1) % p
-            g = _poly_gcd(p, f, t_off)
-            if len(g) > 1:
-                out.append((g, d))
-                f = _poly_divmod(p, f, g)[0]
-                h = _poly_divmod(p, h, f)[1]
-            d += 1
-    if len(f) > 1:
-        out.append((f, len(f) - 1))
-    return out
-
-
-def _companion(p: int, g: list) -> np.ndarray:
-    """Companion matrix of a monic g: column j is t**(j + 1) mod g."""
-    k = len(g) - 1
-    c = np.zeros((k, k), dtype=np.int64)
-    c[1:, :-1] = np.eye(k - 1, dtype=np.int64)
-    c[:, -1] = [-x % p for x in g[:-1]]
-    return c
-
-
-def _mat_pow(a: np.ndarray, e: int, p: int) -> np.ndarray:
-    """a**e mod p for e >= 1, by repeated squaring."""
-    out = None
-    while True:
-        if e & 1:
-            out = a if out is None else out.dot(a) % p
-        e >>= 1
-        if not e:
-            return out
-        a = a.dot(a) % p
-
-
 def _order_of_t(p: int, g: list, d: int) -> int:
     """Order of t modulo g, a monic squarefree product of degree-d irreducibles.
 
@@ -991,10 +934,12 @@ def _order_of_t(p: int, g: list, d: int) -> int:
 
 
 def _order_below(y: np.ndarray, parts: tuple, p: int) -> int:
-    """The order of y, given that it divides the product of the r**k in parts."""
+    """The order of y, which divides the product of the r**k in parts; LinalgError if not."""
     if len(parts) == 1:
-        r, order = parts[0][0], 1
+        (r, k), order = parts[0], 1
         while not np.array_equal(y, _eye(len(y))):
+            if order == r**k:
+                raise LinalgError(f"the order of the matrix does not divide {r}**{k}")
             y = _mat_pow(y, r, p)
             order *= r
         return order

@@ -115,14 +115,14 @@ class _Recorder:
         return VerificationReport(self.params, tuple(self.checks), elapsed)
 
 
-def _pair_params(pair: GenPair, forced: bool = False) -> dict:
+def _pair_params(pair: GenPair) -> dict:
     return {
         "n": pair.n,
         "q": pair.ctx.q,
         "a": elem_to_json(pair.ctx, pair.a),
         "case": pair.tag.case,
         "eps": pair.space.eps,
-        "forced": forced,
+        "forced": pair.forced,
     }
 
 
@@ -134,16 +134,14 @@ def _fmt(ctx: FieldCtx, value) -> str:
 # structural battery
 
 
-def verify_structural(pair: GenPair, forced: bool = False) -> VerificationReport:
+def verify_structural(pair: GenPair) -> VerificationReport:
     ctx, n = pair.ctx, pair.n
-    rec = _Recorder(_pair_params(pair, forced))
+    rec = _Recorder(_pair_params(pair))
     ident = Matrix.identity(ctx, n)
-    xx = pair.x @ pair.x
-    rec.add("x-squared-identity", xx == ident, "I", "I" if xx == ident else "not I",
-            "generators/involution")
-    ycube = pair.y @ pair.y @ pair.y
-    rec.add("y-cubed-identity", ycube == ident, "I", "I" if ycube == ident else "not I",
-            "generators/order-three")
+    for name, power, ref in (("x-squared-identity", pair.x_squared, "generators/involution"),
+                             ("y-cubed-identity", pair.y_cubed, "generators/order-three")):
+        is_one = power == ident
+        rec.add(name, is_one, "I", "I" if is_one else "not I", ref)
     rec.add("y-nontrivial", pair.y != ident, "y != I",
             "y != I" if pair.y != ident else "y == I", "generators/order-three")
     for name, g, verdict in (("x", pair.x, pair.x_in_omega), ("y", pair.y, pair.y_in_omega)):
@@ -193,11 +191,11 @@ def _unit_index(ctx: FieldCtx, vec) -> int | None:
     return k if np.array_equal(vec[k], ctx.one) else None
 
 
-def verify_caseA_identities(pair: GenPair, forced: bool = False) -> VerificationReport:
+def verify_caseA_identities(pair: GenPair) -> VerificationReport:
     if pair.tag.case != "A":
         raise WrongCase("the case-A battery needs a case-A pair")
     ctx, n = pair.ctx, pair.n
-    rec = _Recorder(_pair_params(pair, forced))
+    rec = _Recorder(_pair_params(pair))
     a = pair.a
     ainv = ctx.inv(a)
     one = ctx.one
@@ -239,7 +237,7 @@ def verify_caseA_identities(pair: GenPair, forced: bool = False) -> Verification
             "caseA/bireflection")
 
     # (4) transitivity: BFS along exact basis-vector images under x, y, y^2
-    y2 = pair.y @ pair.y
+    y2 = pair.y_squared
     gens = {"x": pair.x, "y": pair.y, "y2": y2}
     units = [unit_vector(ctx, n, i) for i in range(n)]
     reached = {0}
@@ -337,11 +335,11 @@ def _tail_line(ctx: FieldCtx) -> np.ndarray:
     return s_vec
 
 
-def verify_caseB_identities(pair: GenPair, forced: bool = False) -> VerificationReport:
+def verify_caseB_identities(pair: GenPair) -> VerificationReport:
     if pair.tag.case == "A":
         raise WrongCase("the case-B battery needs a case-B pair")
     ctx, n = pair.ctx, pair.n
-    rec = _Recorder(_pair_params(pair, forced))
+    rec = _Recorder(_pair_params(pair))
     a = pair.a
     is_even_family = pair.tag.case == "B6"
     a2 = ctx.mul(a, a)

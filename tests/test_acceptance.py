@@ -91,8 +91,7 @@ def test_criterion_3_case_b_identities(acceptance_line):
             if not report.ok:
                 failures.append((n, q))
     # exceptional fixed dimension 7 at the a^2 = 3 point
-    report = verify_caseB_identities(
-        build_pair(12, CTX[13], 4, force=True), forced=True)
+    report = verify_caseB_identities(build_pair(12, CTX[13], 4, force=True))
     battery_points += 1
     if not report.ok:
         failures.append((12, 13, 4))

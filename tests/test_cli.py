@@ -414,6 +414,13 @@ def test_usage_errors_exit_two(capsys, tmp_path, argv):
     assert set(diag) == {"error", "detail"} and diag["detail"]
 
 
+def test_extension_field_outside_int64_is_refused_before_its_modulus_search(capsys):
+    # q = 3100000027**2: the search for GF(q)'s modulus would enumerate range(p)
+    code, out, err = run_cli(capsys, "generate", "--n", "9", "--q", "9610000167400000729")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "FieldError"
+
+
 @pytest.mark.parametrize("q,entry", [(5, True), (9, [1.5, 2])], ids=["bool", "fractional"])
 def test_nested_list_matrix_entries_are_read_as_element_json(capsys, tmp_path, q, entry):
     # a matrix file may also be a plain nested list; its entries are read

@@ -272,6 +272,16 @@ def test_rabin_irreducibility_matches_galoistools(p):
             assert _is_irreducible(p, cand) == gf_irreducible_p(cand[::-1], p, ZZ), cand
 
 
+@pytest.mark.parametrize("p, degrees", [(3, (5, 6)), (5, (5,))])
+def test_split_irreducibility_matches_galoistools_at_degrees_5_and_6(p, degrees):
+    # degree 6 is the first with two prime divisors, and every degree mixes
+    # in candidates that are not squarefree
+    for f in degrees:
+        for tail in itertools.product(range(p), repeat=f):
+            cand = [*tail, 1]
+            assert _is_irreducible(p, cand) == gf_irreducible_p(cand[::-1], p, ZZ), cand
+
+
 def _int64_edge(f):
     """(largest, smallest) prime p whose GF(p^f) tables do / do not fit int64."""
     # f*f products below p**2 (f = 1) or p**3 (f > 1) must sum below 2**63
@@ -307,6 +317,16 @@ def test_make_field_refuses_tables_that_leave_int64(f):
         assert ctx.mul(a, b).tolist() == _reference_mul(ctx, a, b)
     with pytest.raises(FieldError):
         make_field(int(outside), f)
+
+
+def test_make_field_refuses_before_the_modulus_search(monkeypatch):
+    # over GF(p^2) with p past 3*10**9 the search would first enumerate range(p)
+    def refuse(p, f):
+        raise AssertionError("the modulus search ran")
+
+    monkeypatch.setattr(fields, "_smallest_modulus", refuse)
+    with pytest.raises(FieldError, match="int64"):
+        make_field(3100000027, 2)
 
 
 def test_make_field_refuses_the_wrapping_prime_field():

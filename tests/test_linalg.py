@@ -1111,6 +1111,12 @@ def test_order_of_t_tree_matches_the_per_prime_loop(case):
     assert linalg._order_of_t(p, g, d) == _order_of_t_per_prime(p, g, d)
 
 
+def test_order_below_refuses_an_order_outside_its_parts():
+    # 2 has order 4 mod 5, which does not divide 3**1: an error, not a spin
+    with pytest.raises(LinalgError):
+        linalg._order_below(np.array([[2]]), ((3, 1),), 5)
+
+
 PINNED_CLAIM_ORDERS = {"caseA-mono-ord156": 156, "caseA-del-perm-e-a08": 1787743516,
                        "caseA-del-unip-n17-q07": 7, "caseB5-monS-q27-a04": 9842,
                        "caseB6-monS-q09-a05": 728}

@@ -66,7 +66,7 @@ def test_pair_and_structural_battery_test_each_generator_once(count_calls, n, q)
 def test_structural_battery_forced_nonsquare_parameter():
     # -a a non-square: x lands outside the kernel of the spinor norm, and the
     # membership check must still come out consistent rather than failing.
-    report = verify_structural(_pair(9, 3, 1, force=True), forced=True)
+    report = verify_structural(_pair(9, 3, 1, force=True))
     assert report.ok, _failing(report)
     assert report.params["forced"] is True
     by_name = {c.name: c for c in report.checks}
@@ -137,7 +137,7 @@ def test_caseB_battery_rejects_caseA_pair():
 def test_caseB_forced_exceptional_point():
     # a^2 = 3 in the even-dimensional family: the tail fixed space jumps to 7
     # and the commutator fixed-line check is skipped.
-    report = verify_caseB_identities(_pair(12, 13, 4, force=True), forced=True)
+    report = verify_caseB_identities(_pair(12, 13, 4, force=True))
     assert report.ok, _failing(report)
     by_name = {c.name: c for c in report.checks}
     assert "7" in by_name["tau-tail-fixdim"].actual
