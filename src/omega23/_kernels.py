@@ -12,15 +12,17 @@ then reduce the digits mod p and rebuild the base-p code. Tables cost
 more than a small orbit: a frontier of at most _SMALL_FRONTIER points,
 and every frontier at N = 1, where a digit's chunk table would outgrow
 the visited table, is decoded to digits and mapped through all
-generators by one int64 matmul instead. So the tables are built only
-when the first larger frontier appears, and a search that never sees
-one builds none.
+generators by one int64 matmul instead. So a search tabulates all of
+its generators when its first larger frontier appears, and a search
+that never sees one builds no tables.
 
 Either way, each frontier is then closed by one loop, one generator at
 a time: take the frontier's images under the generator, keep those
 whose visited slot is -1 before the generator appends anything, and
-append them in frontier order. That is the order a sequential pass
-(generator by generator, point by point) reaches them, with no dedup:
+append them, as one chunk, in frontier order; the chunks appended
+while closing a frontier make up the next. That is the order a
+sequential pass (generator by generator, point by point) reaches them,
+with no dedup:
 for injective generators (invertible mod p) a frontier repeats no
 point, so one generator's new images are distinct. The discovery arrays
 never hold more than p^N entries. A singular generator can list a point
@@ -31,9 +33,9 @@ closure. The caller refuses any repeated code.
 The visited table is one module-level scratch buffer, grown to the
 largest space seen and all -1 between calls: a search resets the slots
 of the points it found before it returns, and drops the buffer if it
-raises. What a caller keeps is O(orbit size): the discovery arrays, cut
-to the orbit's size once they have grown, and a sorted index of
-(code << POS_BITS) | position.
+raises. What a caller keeps is O(orbit size): the discovery arrays,
+each one concatenation of its chunks and so exactly the orbit's size,
+and a sorted index of (code << POS_BITS) | position.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ DENSE_CAP = 1 << 22  # largest p^N handled by the dense tables
 POS_BITS = (DENSE_CAP - 1).bit_length()  # a position or a code fits 22 bits
 POS_MASK = (1 << POS_BITS) - 1
 _CHUNK_BITS = 12  # unpacking tables hold at most 2^12 entries
-_FIRST_ROWS = 1024  # discovery arrays start here and double as they fill
 _SMALL_FRONTIER = 16  # frontiers up to this many points are mapped without tables
 
 _EMPTY = np.empty(0, np.int32)
@@ -108,7 +109,7 @@ def _unpack_tables(p: int, n_coords: int) -> tuple:
     return tuple(chunks)
 
 
-def orbit_bfs(gens: np.ndarray, start: np.ndarray, p: int, space: int, tables=None):
+def orbit_bfs(gens: np.ndarray, start: np.ndarray, p: int, space: int):
     """Closure of `start` under flattened prime-field generators.
 
     Returns (ids, parent, genlab, index). `ids` lists point codes in
@@ -116,10 +117,6 @@ def orbit_bfs(gens: np.ndarray, start: np.ndarray, p: int, space: int, tables=No
     the Schreier forest, and `index` is the sorted array of
     (code << POS_BITS) | position, one entry a point. A generator that
     is not injective can make a point appear twice.
-
-    `tables`, if given, is a caller's cache (lo rows, hi rows) of the
-    image tables of a prefix of `gens`, one row a generator; a search
-    that needs tables appends the rows of the others.
 
     The visited table is the shared scratch buffer, so the kernel is not
     re-entrant.
@@ -130,7 +127,7 @@ def orbit_bfs(gens: np.ndarray, start: np.ndarray, p: int, space: int, tables=No
         _scratch = np.full(space, -1, np.int32)
     visited = _scratch[:space]
     try:
-        ids, parent, genlab = _search(gens, start, p, visited, tables)
+        ids, parent, genlab = _search(gens, start, p, visited)
         index = _index(visited, ids)
     except BaseException:
         _scratch = _EMPTY  # slots may be left set: start from a fresh table
@@ -153,19 +150,7 @@ def _index(visited, ids):
     return np.sort((ids << POS_BITS) | np.arange(ids.size, dtype=np.int64))
 
 
-def _grown(ids, parent, genlab, count: int, need: int, space: int) -> tuple:
-    """The discovery arrays, doubled (at least to `need` rows, at most to
-    `space`), with their first `count` rows copied."""
-    rows = min(max(2 * ids.size, need), space)
-    out = []
-    for a in (ids, parent, genlab):
-        b = np.empty(rows, a.dtype)
-        b[:count] = a[:count]
-        out.append(b)
-    return tuple(out)
-
-
-def _search(gens, start, p, visited, tables):
+def _search(gens, start, p, visited):
     """The frontier loop: (ids, parent, genlab), with visited
     holding each found point's position and -1 elsewhere."""
     space = visited.size
@@ -176,39 +161,32 @@ def _search(gens, start, p, visited, tables):
     # p^N <= DENSE_CAP keeps N*bits <= 39 (at p = 3), so a sum of two
     # packed images, below 2^(N*bits), fits an int64 with room to spare.
     assert n_coords * bits <= 48, "packed images exceed 48 bits"
-    rows = min(space, _FIRST_ROWS)
-    ids = np.empty(rows, np.int64)
-    parent = np.empty(rows, np.int32)
-    genlab = np.empty(rows, np.int16)
-
     powers = p ** np.arange(n_coords, dtype=np.int64)
     gens_t = gens.transpose(0, 2, 1)
     m = n_coords // 2
     split = p ** m
-    lo_img, hi_img = ([], []) if tables is None else tables
-    unpack = None  # set once the image tables exist
+    tables = None  # (hi rows, lo rows, unpacking tables), from the first large frontier
 
     sid = int(start @ powers)
-    ids[0] = sid
-    parent[0] = -1
-    genlab[0] = -1
     visited[sid] = 0
+    # One chunk a generator a frontier: codes, parents and generator labels.
+    ids = [np.array([sid], np.int64)]
+    parent = [np.array([-1], np.int32)]
+    genlab = [np.array([-1], np.int16)]
     count = 1
-    lo = 0
+    lo, first = 0, 0  # the frontier's first position and first chunk
     while lo < count:
-        hi = count
-        if hi - lo <= _SMALL_FRONTIER or n_coords == 1:
+        frontier = np.concatenate(ids[first:])
+        first = len(ids)
+        if frontier.size <= _SMALL_FRONTIER or n_coords == 1:
             # Row gi: generator gi's images of the decoded frontier. Its
             # sums of N products below p² stay far inside int64.
-            images = ids[lo:hi, None] // powers % p @ gens_t % p @ powers
+            images = frontier[:, None] // powers % p @ gens_t % p @ powers
         else:
-            if unpack is None:  # the first large frontier
-                fresh_gens = gens[len(lo_img):]
-                if fresh_gens.size:
-                    lo_img.extend(_packed_images(p, 0, m, fresh_gens))
-                    hi_img.extend(_packed_images(p, m, n_coords - m, fresh_gens))
-                unpack = _unpack_tables(p, n_coords)
-            images = _table_images(ids[lo:hi], split, hi_img, lo_img, unpack)
+            if tables is None:
+                tables = (_packed_images(p, m, n_coords - m, gens),
+                          _packed_images(p, 0, m, gens), _unpack_tables(p, n_coords))
+            images = _table_images(frontier, split, *tables)
         for gi, img in enumerate(images):
             # An injective generator maps a frontier, which repeats no
             # point, to distinct images, so the new ones need no dedup.
@@ -217,18 +195,14 @@ def _search(gens, start, p, visited, tables):
             if not k:
                 continue
             where = fresh[:k]
-            if count + k > ids.size:
-                ids, parent, genlab = _grown(ids, parent, genlab, count, count + k, space)
-            new_ids = ids[count:count + k]
-            np.take(img, where, out=new_ids)
+            new_ids = img[where]
             visited[new_ids] = np.arange(count, count + k, dtype=np.int32)
-            parent[count:count + k] = lo + where
-            genlab[count:count + k] = gi
+            ids.append(new_ids)
+            parent.append((lo + where).astype(np.int32))
+            genlab.append(np.full(k, gi, np.int16))
             count += k
-        lo = hi
-    if ids.size > _FIRST_ROWS:  # a grown orbit keeps exactly its rows
-        return ids[:count].copy(), parent[:count].copy(), genlab[:count].copy()
-    return ids[:count], parent[:count], genlab[:count]
+        lo += frontier.size
+    return np.concatenate(ids), np.concatenate(parent), np.concatenate(genlab)
 
 
 def _table_images(frontier, split, hi_img, lo_img, unpack):

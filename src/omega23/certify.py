@@ -17,9 +17,10 @@ return a residue.
 The orbit kernel (`_kernels.orbit_bfs`) computes a frontier's images
 by one matmul on its decoded base-p digits while it is small (always
 at N = 1), and from per-generator image tables once it is not; either
-way one loop appends them, generator by generator. A level keeps the
-tables it has built between recomputes; a level whose orbit stays small
-builds none. The discovery order fixes the Schreier trees, and so the
+way one loop appends them, generator by generator. A level holds its
+generators with their inverses: an input generator's inverse is the one
+its Matrix keeps, and a residue's is one elimination when it is
+absorbed. The discovery order fixes the Schreier trees, and so the
 transversals, the residues and the later base vectors: the same seed
 gives the same chain on every machine.
 """
@@ -124,13 +125,13 @@ def orbit(gens, v) -> Orbit:
     return _orbit(ctx, np.stack([g.blocks for g in gens]), vec)
 
 
-def _orbit(ctx: FieldCtx, flat: np.ndarray, vec: np.ndarray, tables=None) -> Orbit:
-    """orbit() under (k, nf, nf) block forms, with orbit_bfs's table cache."""
+def _orbit(ctx: FieldCtx, flat: np.ndarray, vec: np.ndarray) -> Orbit:
+    """orbit() under (k, nf, nf) block forms."""
     space = ctx.p ** vec.size
     if space > DENSE_CAP:
         raise StateSpaceTooLarge(
             f"p^(n*f) = {space} exceeds the dense table cap {DENSE_CAP}")
-    ids, parent, genlab, index = orbit_bfs(flat, vec.reshape(-1), ctx.p, space, tables)
+    ids, parent, genlab, index = orbit_bfs(flat, vec.reshape(-1), ctx.p, space)
     codes = index >> POS_BITS
     if not np.all(codes[1:] > codes[:-1]):
         # The kernel relies on injective generators; a point found twice
@@ -155,7 +156,8 @@ def _shape_of(gens) -> tuple:
 
 
 class Level:
-    """One link: a unit base vector e_j, its generators, and the orbit
+    """One link: a unit base vector e_j, its generators and their
+    inverses (invs[i] is the inverse of gens[i]), and the orbit
     machinery. Group elements are (nf, nf) F_p block forms, as
     `Matrix.blocks` holds them; g maps e_j to column j*f of g. The
     orbit's parent/genlab arrays are its Schreier vector. A coset
@@ -163,27 +165,22 @@ class Level:
     walking the Schreier tree up to the nearest memoized ancestor (Seress,
     Permutation Group Algorithms, 2003, ch. 4); each memo keeps at most
     _TRANSVERSAL_CACHE_LIMIT elements and walks without storing past that.
-    `tables` caches the kernel's image tables of a prefix of the
-    generators: empty until an orbit search meets a frontier too large to
-    close without them, after which a recompute tabulates only the
-    generators appended since.
     """
 
-    __slots__ = ("ctx", "base_vec", "base_col", "gens", "orbit", "tables", "_u", "_u_inv", "_gen_inv")
+    __slots__ = ("ctx", "base_vec", "base_col", "gens", "invs", "orbit", "_u", "_u_inv")
 
-    def __init__(self, ctx: FieldCtx, base_vec, gens):
+    def __init__(self, ctx: FieldCtx, base_vec):
         self.ctx = ctx
         self.base_vec = base_vec
         self.base_col = int(np.flatnonzero(base_vec.reshape(-1))[0])
-        self.gens = list(gens)
+        self.gens = []
+        self.invs = []
         self.orbit = None
-        self.tables = ([], [])
         self._u = {}
         self._u_inv = {}
-        self._gen_inv = {}
 
     def recompute(self):
-        self.orbit = _orbit(self.ctx, np.stack(self.gens), self.base_vec, self.tables)
+        self.orbit = _orbit(self.ctx, np.stack(self.gens), self.base_vec)
         one = _eye(self.orbit.powers.size)
         self._u = {0: one}
         self._u_inv = {0: one}
@@ -206,19 +203,12 @@ class Level:
                 memo[at] = m
         return m
 
-    def _inv_gen(self, lbl: int) -> np.ndarray:
-        got = self._gen_inv.get(lbl)
-        if got is None:
-            got = _block_inverse(self.gens[lbl], self.ctx.p)
-            self._gen_inv[lbl] = got
-        return got
-
     def u(self, pos: int) -> np.ndarray:
         """The transversal element mapping the base vector to orbit[pos]."""
         return self._walk(pos, self._u, lambda m, lbl: self.gens[lbl].dot(m) % self.ctx.p)
 
     def u_inv(self, pos: int) -> np.ndarray:
-        return self._walk(pos, self._u_inv, lambda m, lbl: m.dot(self._inv_gen(lbl)) % self.ctx.p)
+        return self._walk(pos, self._u_inv, lambda m, lbl: m.dot(self.invs[lbl]) % self.ctx.p)
 
 
 @dataclass(frozen=True)
@@ -252,12 +242,12 @@ def _sift_from(levels, g: np.ndarray, start: int):
 
 
 class _RandomElements:
-    """Product-replacement stream over block-form generators."""
+    """Product-replacement stream over block-form generators, given with
+    their inverses."""
 
-    def __init__(self, ctx: FieldCtx, gens, seed):
+    def __init__(self, ctx: FieldCtx, gens, inverses, seed):
         self.p = ctx.p
         self.rng = random.Random(seed)
-        inverses = [_block_inverse(g, self.p) for g in gens]
         cycle = range(max(len(gens), _PRA_SLOTS))
         self.slots = [gens[i % len(gens)] for i in cycle]
         self.slot_invs = [inverses[i % len(gens)] for i in cycle]  # slots[i]'s inverse
@@ -314,23 +304,24 @@ class _ChainBuilder:
                 return ej
         raise CertifyError("identity residue cannot open a level")
 
-    def _absorb(self, residue: np.ndarray, idx: int):
-        """Add a residue stuck at level idx, opening a new level past the end."""
+    def _absorb(self, residue: np.ndarray, idx: int, inverse=None):
+        """Add a residue stuck at level idx, with its inverse, opening a new
+        level past the end."""
         if idx == len(self.levels):
-            lv = Level(self.ctx, self._new_base_vector(residue), [residue])
-            self.levels.append(lv)
-        else:
-            lv = self.levels[idx]
-            lv.gens.append(residue)
+            self.levels.append(Level(self.ctx, self._new_base_vector(residue)))
+        lv = self.levels[idx]
+        lv.gens.append(residue)
+        lv.invs.append(_block_inverse(residue, self.ctx.p) if inverse is None else inverse)
         lv.recompute()
 
-    def feed(self, g: np.ndarray) -> bool:
-        """Sift g; absorb a nontrivial residue. True if the chain grew."""
+    def feed(self, g: np.ndarray, inverse=None) -> bool:
+        """Sift g; absorb a nontrivial residue. True if the chain grew.
+        g's inverse, if given, is kept when g itself is the residue."""
         residue, idx = _sift_from(self.levels, g, 0)
         if residue is None:
             return False
         self._check_budget()
-        self._absorb(residue, idx)
+        self._absorb(residue, idx, inverse if residue is g else None)
         return True
 
     def verify_schreier(self) -> bool:
@@ -353,12 +344,13 @@ class _ChainBuilder:
         return True
 
     def build(self, target) -> StabilizerChain:
+        if not all(g.det().any() for g in self.gens):
+            raise CertifyError("generators must be invertible")
         flat = [g.blocks for g in self.gens]
-        for g, b in zip(self.gens, flat):
-            if not g.det().any():
-                raise CertifyError("generators must be invertible")
-            self.feed(b)
-        stream = _RandomElements(self.ctx, flat, self.seed)
+        inverses = [g.inverse().blocks for g in self.gens]
+        for b, b_inv in zip(flat, inverses):
+            self.feed(b, b_inv)
+        stream = _RandomElements(self.ctx, flat, inverses, self.seed)
         trivial_run = 0
         verified = False
         while True:
@@ -381,8 +373,8 @@ class _ChainBuilder:
                         verified = True
                         break
                     trivial_run = 0
-        for lv in self.levels:  # freeze; the finished chain needs no image tables
-            lv.gens, lv.tables = tuple(lv.gens), None
+        for lv in self.levels:  # freeze
+            lv.gens, lv.invs = tuple(lv.gens), tuple(lv.invs)
         return StabilizerChain(
             base=tuple(lv.base_vec for lv in self.levels),
             levels=tuple(self.levels),

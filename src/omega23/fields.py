@@ -19,7 +19,6 @@ a reduced (f,) int64 array.
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 
 import numpy as np
@@ -220,9 +219,11 @@ def _is_irreducible(p: int, modulus) -> bool:
 def _smallest_modulus(p, f):
     if f == 1:
         return [0, 1]
-    # c0 = 0 would make a candidate divisible by t; every degree has an irreducible
-    candidates = ([c0, *tail, 1] for c0 in range(1, p)
-                  for tail in itertools.product(range(p), repeat=f - 1))
+    # c0 = 0 would make a candidate divisible by t; every degree has an
+    # irreducible. Tail number t is its base-p digits, most significant
+    # first, so the tails run in lexicographic order and none is stored.
+    candidates = ([c0, *(t // p ** k % p for k in range(f - 2, -1, -1)), 1]
+                  for c0 in range(1, p) for t in range(p ** (f - 1)))
     return next(c for c in candidates if _is_irreducible(p, c))
 
 

@@ -395,14 +395,6 @@ def _x3_decomposition_check(ctx: FieldCtx, n: int, x: Matrix, x1: Matrix, a_vec)
     _require(np.array_equal(perm_part.det(), ctx.one), "permutation part of x is even")
 
 
-def x3_block(ctx: FieldCtx, a) -> Matrix:
-    """The 3x3 tail block of x-bar (the only spinor-norm carrier in case A)."""
-    a_vec = ctx.coerce(a)
-    if not a_vec.any():
-        raise DivisionByZero("a = 0 is not invertible in the figure entries")
-    return Matrix(ctx, _instantiate(ctx, "xbar", a_vec)[6:, 6:])
-
-
 # ---------------------------------------------------------------------------
 # tau and the distinguished subspaces
 
@@ -449,9 +441,6 @@ class SpecialSubspaces:
 
     def E(self, ell: int) -> tuple:
         return tuple(unit_vector(self.ctx, self.n, i) for i in range(ell))
-
-    def S(self, ell: int) -> tuple:
-        return tuple(unit_vector(self.ctx, self.n, i) for i in range(self.n - ell, self.n))
 
 
 _A_SPECIAL = {

@@ -104,9 +104,6 @@ class Poly:
     def is_zero(self) -> bool:
         return self.coeffs.shape[0] == 0
 
-    def is_monic(self) -> bool:
-        return self.degree >= 0 and np.array_equal(self.coeffs[-1], self.ctx.one)
-
     def __eq__(self, other):
         return (
             isinstance(other, Poly)
@@ -229,10 +226,6 @@ def _from_big_endian(ctx: FieldCtx, big: list) -> Poly:
 
 def poly_one(ctx: FieldCtx) -> Poly:
     return Poly(ctx, ctx.one[None, :])
-
-
-def poly_t(ctx: FieldCtx) -> Poly:
-    return Poly(ctx, np.stack([ctx.zero, ctx.one]))
 
 
 def poly_from_elems(ctx: FieldCtx, elems) -> Poly:
@@ -642,18 +635,6 @@ def kernel_basis(ctx: FieldCtx, m: Matrix):
     # canonicalize: echelonize the basis rows themselves
     flat, _ = rref(ctx, stacked)
     return flat
-
-
-def subspace_equal(ctx: FieldCtx, rows_a, rows_b) -> bool:
-    a = np.asarray(rows_a)
-    b = np.asarray(rows_b)
-    if a.shape[0] != b.shape[0]:
-        return False
-    if a.shape[0] == 0:
-        return True
-    ra, pa = rref(ctx, a)
-    rb, pb = rref(ctx, b)
-    return pa == pb and np.array_equal(ra[: len(pa)], rb[: len(pb)])
 
 
 # ---------------------------------------------------------------------------

@@ -552,9 +552,11 @@ class DivisibleByPrimeAtLeast:
     r: int
 
     def check(self, order: int) -> bool:
-        from sympy import factorint
-
-        return any(p >= self.r for p in factorint(order))
+        # a prime factor >= r is left once every factor below r is removed
+        for d in range(2, self.r):
+            while order % d == 0:
+                order //= d
+        return order > 1
 
     def describe(self) -> str:
         return f"order divisible by a prime >= {self.r}"

@@ -11,7 +11,7 @@ from omega23.fields import field_from_prime_power, make_field
 from omega23.forms import gram_matrix, in_omega, is_isometry, omega_order, quadratic_value
 from omega23.generators import WrongCase, build_pair
 from omega23.linalg import Matrix, _block_form, unit_vector
-from omega23 import _kernels
+from omega23 import _kernels, linalg
 from omega23._kernels import DENSE_CAP, POS_BITS, orbit_bfs
 from omega23 import certify as certify_mod
 from omega23.certify import (
@@ -43,6 +43,15 @@ def _view(ctx, b):
     cols = [(b @ unit_vector(ctx, n, j).reshape(-1) % ctx.p).reshape(n, ctx.f)
             for j in range(n)]
     return Matrix(ctx, np.stack(cols, axis=1))
+
+
+def _level(k, gens):
+    """A level on e_k of F_3^9 whose generators are the given matrices,
+    held with their inverses."""
+    lv = Level(CTX3, unit_vector(CTX3, 9, k))
+    lv.gens += [_flat(g) for g in gens]
+    lv.invs += [_flat(g.inverse()) for g in gens]
+    return lv
 
 
 @pytest.fixture(scope="module")
@@ -90,7 +99,7 @@ def test_orbit_q_invariance(pair932):
 
 def test_orbit_transversal_maps_root_to_point(pair932):
     gens = [pair932.x, pair932.y]
-    lv = Level(CTX3, unit_vector(CTX3, 9, 0), [_flat(g) for g in gens])
+    lv = _level(0, gens)
     lv.recompute()
     o = lv.orbit
     rng = random.Random(3)
@@ -459,7 +468,7 @@ def test_orbit_bfs_scratch_clean_after_exception(monkeypatch):
 def test_orbit_memory_follows_the_orbit():
     # A one-point orbit in a 3^13-point space: once the scratch table has
     # grown, a search allocates less than one byte per point of the space,
-    # and the Orbit holds its first 1,024 discovery rows and one index entry.
+    # and the Orbit holds one discovery row and one index entry.
     import tracemalloc
 
     gens, v = [Matrix.identity(CTX3, 13)], unit_vector(CTX3, 13, 0)
@@ -473,12 +482,12 @@ def test_orbit_memory_follows_the_orbit():
     assert o.size == 1 and peak < 3 ** 13
     held = [a.nbytes if a.base is None else a.base.nbytes
             for a in (o.ids, o.parent, o.genlab, o.index)]
-    assert held == [1024 * 8, 1024 * 4, 1024 * 2, 8]
+    assert held == [8, 4, 2, 8]
 
 
 def test_grown_orbit_holds_exactly_its_rows(pair932):
-    # Past the first 1,024 rows the discovery arrays double; the orbit
-    # keeps copies cut to its size, not views of the doubled arrays.
+    # An orbit of many frontiers keeps arrays that own their data and
+    # have exactly its size, not views of larger discovery arrays.
     o = orbit([pair932.x, pair932.y], unit_vector(CTX3, 9, 0))
     assert o.size > 1024
     for a in (o.ids, o.parent, o.genlab, o.index):
@@ -511,21 +520,30 @@ def test_orbit_bfs_frontier_paths_agree(case, pair932, monkeypatch):
         _assert_same_bfs(orbit_bfs(*args), want)
 
 
-def test_small_orbit_builds_no_image_tables():
+def test_small_orbit_builds_no_image_tables(pair932, monkeypatch):
     # A 3-cycle of coordinates moves e_0 through a 3-point orbit, one
-    # point a frontier: the level never tabulates its generator.
+    # point a frontier: the search never tabulates its generator. The
+    # orbit of (x, y) meets larger frontiers and tabulates both
+    # generators once, by one lo call and one hi call.
+    calls = []
+    packed = _kernels._packed_images
+
+    def counted(p, lo_digit, n_digits, gens):
+        calls.append((lo_digit, n_digits, len(gens)))
+        return packed(p, lo_digit, n_digits, gens)
+
+    monkeypatch.setattr(_kernels, "_packed_images", counted)
     cycle = np.eye(9, dtype=np.int64)[[2, 0, 1, 3, 4, 5, 6, 7, 8]]
-    lv = Level(CTX3, unit_vector(CTX3, 9, 0), [cycle])
-    lv.recompute()
-    assert lv.orbit.size == 3
-    assert lv.tables == ([], [])
+    assert orbit([_view(CTX3, cycle)], unit_vector(CTX3, 9, 0)).size == 3
+    assert calls == []
+    assert orbit([pair932.x, pair932.y], unit_vector(CTX3, 9, 0)).size > _kernels._SMALL_FRONTIER
+    assert sorted(calls) == [(0, 4, 2), (4, 5, 2)]
 
 
 def test_levels_recomputed_in_turn_keep_their_positions(pair932):
     # Both levels' orbits are found in the one scratch table; each must
     # still answer from its own index after the other is recomputed.
-    levels = [Level(CTX3, unit_vector(CTX3, 9, k), [_flat(pair932.x), _flat(pair932.y)][: k + 1])
-              for k in (0, 1)]
+    levels = [_level(k, [pair932.x, pair932.y][: k + 1]) for k in (0, 1)]
     for lv in levels + levels:
         lv.recompute()
     assert levels[0].orbit.size != levels[1].orbit.size
@@ -785,7 +803,8 @@ def test_memo_cap_keeps_the_chain(pair932, chain932, monkeypatch):
 
 def test_random_elements_keep_inverses_and_stream(pair932):
     gens = (pair932.x, pair932.y)
-    stream = _RandomElements(CTX3, [_flat(g) for g in gens], 17)
+    stream = _RandomElements(CTX3, [_flat(g) for g in gens],
+                             [_flat(g.inverse()) for g in gens], 17)
     drawn = [_view(CTX3, next(stream)) for _ in range(20)]
     for slot, inv in zip(stream.slots, stream.slot_invs):
         assert (_view(CTX3, slot) @ _view(CTX3, inv)).is_identity()
@@ -804,6 +823,20 @@ def test_random_elements_keep_inverses_and_stream(pair932):
         if step >= 64:
             expected.append(acc)
     assert drawn == expected
+
+
+def test_chain_generators_are_born_with_their_inverses(pair932, count_calls):
+    # The (9,3, a = 2) certificate at seed 1 absorbs x and y as themselves,
+    # with the inverses their matrices keep: only the other residues are
+    # inverted by elimination, and the random stream inverts nothing.
+    counts = count_calls(linalg, "_block_inverse")
+    chain = stabilizer_chain([pair932.x, pair932.y], target=omega_order(9, "circ", 3), seed=1)
+    assert counts["_block_inverse"] == sum(len(lv.gens) for lv in chain.levels) - 2
+    one = np.eye(9, dtype=np.int64)
+    for lv in chain.levels:
+        assert len(lv.invs) == len(lv.gens)
+        for g, g_inv in zip(lv.gens, lv.invs):
+            assert np.array_equal(g.dot(g_inv) % 3, one)
 
 
 # --- certification -----------------------------------------------------------

@@ -263,6 +263,20 @@ def test_modulus_is_pinned(p, f):
     assert make_field(p, f).modulus.tolist() == PINNED_MODULI[(p, f)]
 
 
+def test_modulus_search_holds_no_residue_list():
+    # t^2 + t + 1 is the first candidate at this p; the search reaches it
+    # without listing the p residues of the tail
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        modulus = fields._smallest_modulus(1321109, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert modulus == [1, 1, 1] and peak < 1 << 20
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
 def test_rabin_irreducibility_matches_galoistools(p):
     # every monic candidate of degree f <= 4, constant term 0 included

@@ -27,7 +27,6 @@ from omega23.generators import (
     search_a,
     special_subspaces,
     theta_block,
-    x3_block,
     _figures,
     _nongen_bound,
 )
@@ -118,7 +117,7 @@ def test_zero_parameter_rejected():
     with pytest.raises(ZeroParameter):
         build_pair(15, ctx, 0)
     with pytest.raises(DivisionByZero):
-        x3_block(ctx, 0)
+        build_pair(9, ctx, 0)
 
 
 # --- parameter search -------------------------------------------------------
@@ -330,7 +329,7 @@ def test_subspace_split_dimensions():
         assert dim_a + dim_b + 12 == n
         assert len(sub.C) == 12
         assert len(sub.S9) == 9
-        assert len(sub.E(3)) == 3 and len(sub.S(5)) == 5
+        assert len(sub.E(3)) == 3
 
 
 def test_subspaces_invariant_under_commutator():

@@ -221,6 +221,18 @@ def test_expectation_semantics():
     assert DivisibleByOneOf((13, 73)).check(146) and not DivisibleByOneOf((13, 73)).check(77)
 
 
+def test_prime_at_least_matches_factorint():
+    from sympy import factorint
+
+    rs = sorted({c.expectation.r for c in load_claims()
+                 if isinstance(c.expectation, DivisibleByPrimeAtLeast)})
+    assert rs == [2, 13, 15, 17, 19, 21, 41, 43]
+    for r in rs:
+        check = DivisibleByPrimeAtLeast(r).check
+        for order in range(1, 3001):
+            assert check(order) == any(p >= r for p in factorint(order)), (r, order)
+
+
 def test_verify_order_claims_subset():
     subset = [c for c in load_claims() if c.id.startswith("caseA-mono")]
     assert len(subset) == 4
