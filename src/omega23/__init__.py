@@ -8,19 +8,12 @@ group orders with a randomized stabilizer chain.
 
 from __future__ import annotations
 
-import os
-
 DEFAULT_SEED = 53251
 
 
 def resolved_seed(seed: int | None = None) -> int:
-    """Explicit seed wins, then OMEGA23_SEED, then the package default."""
-    if seed is not None:
-        return int(seed)
-    env = os.environ.get("OMEGA23_SEED")
-    if env is not None:
-        return int(env)
-    return DEFAULT_SEED
+    """An explicit seed, or the package default."""
+    return DEFAULT_SEED if seed is None else int(seed)
 
 
 __all__ = ["DEFAULT_SEED", "resolved_seed"]

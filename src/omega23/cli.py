@@ -19,8 +19,8 @@ from . import resolved_seed
 from .certify import CertifyError, certify_generation
 from .fields import (elem_from_json, elem_to_json, field_from_prime_power,
                      field_to_json, is_square)
-from .forms import (FormsError, OrthoSpace, in_omega, isotropic_count,
-                    omega_order, gram_matrix, witt_type)
+from .forms import (FormsError, OrthoSpace, _digit_chunks, in_omega,
+                    isotropic_count, omega_order, gram_matrix, witt_type)
 from .generators import (GenError, build_pair, default_a,
                          pair_to_json, pair_to_text, search_a)
 from .linalg import Matrix
@@ -237,25 +237,9 @@ def _cmd_spinor(args) -> int:
     return EXIT_OK
 
 
-def _batched_dets(mats: np.ndarray, p: int) -> np.ndarray:
-    n = mats.shape[1]
-    if n == 1:
-        return mats[:, 0, 0] % p
-    if n == 2:
-        return (mats[:, 0, 0] * mats[:, 1, 1]
-                - mats[:, 0, 1] * mats[:, 1, 0]) % p
-    if n == 3:
-        a = mats
-        return (
-            a[:, 0, 0] * (a[:, 1, 1] * a[:, 2, 2] - a[:, 1, 2] * a[:, 2, 1])
-            - a[:, 0, 1] * (a[:, 1, 0] * a[:, 2, 2] - a[:, 1, 2] * a[:, 2, 0])
-            + a[:, 0, 2] * (a[:, 1, 0] * a[:, 2, 1] - a[:, 1, 1] * a[:, 2, 0])
-        ) % p
-    raise FormsError("brute-force enumeration supports n <= 3 only")
-
-
 def _enumerate_so(ctx, n: int):
-    """All determinant-one isometries of the identity form, batched."""
+    """All determinant-one isometries of the identity form: the isometries
+    by one batched test per chunk, then their determinants one by one."""
     if ctx.f != 1:
         raise FormsError("brute-force enumeration supports prime fields only")
     p = ctx.p
@@ -263,20 +247,14 @@ def _enumerate_so(ctx, n: int):
     if total > 10 ** 8:
         raise FormsError(f"q^(n^2) = {total} exceeds the enumeration cap")
     out = []
-    chunk = 1 << 15
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        digits = np.empty((idx.size, n * n), dtype=np.int64)
-        t = idx.copy()
-        for k in range(n * n):
-            digits[:, k] = t % p
-            t //= p
+    for digits in _digit_chunks(p, n * n, 1 << 15):
         mats = digits.reshape(-1, n, n)
         gram = np.einsum("mki,mkj->mij", mats, mats) % p
         iso = np.all(gram == np.eye(n, dtype=np.int64), axis=(1, 2))
-        det1 = _batched_dets(mats, p) == 1
-        for m in mats[iso & det1]:
-            out.append(Matrix(ctx, m[:, :, None]))
+        for m in mats[iso]:
+            g = Matrix(ctx, m[:, :, None])
+            if np.array_equal(g.det(), ctx.one):
+                out.append(g)
     return out
 
 

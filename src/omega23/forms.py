@@ -316,6 +316,19 @@ def witt_type(n: int, q: int) -> str:
     return "plus" if k % 2 == 0 else "minus"
 
 
+def _digit_chunks(p: int, width: int, chunk: int):
+    """The base-p digit rows of 0, 1, ..., p**width - 1, least significant
+    digit first, as (rows, width) int64 arrays of at most `chunk` rows."""
+    total = p**width
+    for start in range(0, total, chunk):
+        rest = np.arange(start, min(start + chunk, total), dtype=np.int64)
+        digits = np.empty((rest.size, width), dtype=np.int64)
+        for k in range(width):
+            digits[:, k] = rest % p
+            rest //= p
+        yield digits
+
+
 def isotropic_count(space: OrthoSpace) -> int:
     """Number of nonzero isotropic vectors, by brute-force enumeration."""
     ctx = space.ctx
@@ -325,16 +338,9 @@ def isotropic_count(space: OrthoSpace) -> int:
         raise TooLarge(f"q^n = {total} exceeds the enumeration cap 10^8")
     # count solutions of v^T J v = 0 in chunks; subtract the zero vector
     count = 0
-    chunk = 1 << 14
     j = space.J.data
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        digits = np.empty((idx.size, n * ctx.f), dtype=np.int64)
-        rest = idx.copy()
-        for k in range(n * ctx.f):
-            digits[:, k] = rest % ctx.p
-            rest //= ctx.p
-        vecs = digits.reshape(idx.size, n, ctx.f)
+    for digits in _digit_chunks(ctx.p, n * ctx.f, 1 << 14):
+        vecs = digits.reshape(-1, n, ctx.f)
         jv = np.einsum("iju,bjv,uvw->biw", j, vecs, ctx.mul_table) % ctx.p
         qv = np.einsum("biu,biv,uvw->bw", vecs, jv, ctx.mul_table) % ctx.p
         count += int((~qv.any(axis=1)).sum())

@@ -20,7 +20,7 @@ import numpy as np
 from ._dims import b_params, case_of, unsupported_message
 from .fields import FieldCtx, elem_to_json, field_to_json, is_square, subfield_degree
 from .forms import OmegaMembership, OrthoSpace, gram_matrix, in_omega
-from .linalg import Matrix, Poly, restrict, unit_vector
+from .linalg import Matrix, Poly, commutator, restrict, unit_vector
 
 
 class GenError(ValueError):
@@ -84,7 +84,7 @@ def classify(n: int) -> CaseTag:
 
 @lru_cache(maxsize=1)
 def _figures() -> dict:
-    raw = resources.files("omega23").joinpath("data/figures.json").read_text()
+    raw = resources.files("omega23").joinpath("data/figures.json").read_text(encoding="utf-8")
     blob = json.loads(raw)
     canon = json.dumps(blob["figures"], sort_keys=True, separators=(",", ":"))
     digest = hashlib.sha256(canon.encode()).hexdigest()
@@ -397,18 +397,6 @@ def _x3_decomposition_check(ctx: FieldCtx, n: int, x: Matrix, x1: Matrix, a_vec)
 
 # ---------------------------------------------------------------------------
 # tau and the distinguished subspaces
-
-# [u,v] evaluated as u^-1 v^-1 u v reproduces the printed 8x8 block; the
-# reversed orientation yields its inverse-conjugate and is reported, not used.
-COMMUTATOR_ORIENTATION = "inverse-first"
-
-
-def commutator(u: Matrix, v: Matrix, orientation: str = COMMUTATOR_ORIENTATION) -> Matrix:
-    if orientation == "inverse-first":
-        return u.inverse() @ v.inverse() @ u @ v
-    if orientation == "plain-first":
-        return u @ v @ u.inverse() @ v.inverse()
-    raise GenError(f"unknown commutator orientation {orientation!r}")
 
 
 def theta_block(ctx: FieldCtx, a, corrected: bool) -> Matrix:

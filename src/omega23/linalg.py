@@ -376,22 +376,17 @@ class Matrix:
         return b.shape[0] == b.shape[1] and b.tobytes() == _eye(b.shape[0]).tobytes()
 
     def pow(self, e: int) -> "Matrix":
-        """self**e by repeated squaring from the first factor, so pow(1) is
-        self and pow(-1) its kept inverse; pow(0) is the identity."""
+        """self**e by repeated squaring of the block form; pow(1) is self,
+        pow(-1) its kept inverse and pow(0) the identity."""
         if self.rows != self.cols:
             raise NotSquare("powers need a square matrix")
         if e == 0:
             return Matrix.identity(self.ctx, self.rows)
         base = self if e > 0 else self.inverse()
-        e = abs(e)
-        result = None
-        while True:
-            if e & 1:
-                result = base if result is None else result @ base
-            e >>= 1
-            if not e:
-                return result
-            base = base @ base
+        if abs(e) == 1:
+            return base
+        _require_exact(self.ctx, self.blocks.shape[0])
+        return Matrix._from_blocks(self.ctx, _mat_pow(base.blocks, abs(e), self.ctx.p))
 
     def inverse(self) -> "Matrix":
         """The inverse, by one rref of [self | I] on the first call."""
@@ -842,10 +837,11 @@ def element_order(m: Matrix) -> int:
     squarefree parts, `_distinct_degree_split` splits it into g_d, the
     products of its degree-d irreducibles, and the order of t modulo g_d
     divides p**d - 1 (`_order_of_t`). No factor is split further. If cp
-    is squarefree, B is semisimple and k = 0; otherwise p**k is the least
-    power of p with (B**m0)**(p**k) = 1, which is below p*N as no Jordan
-    block is longer than N = n*f. Every product is an int64 matmul of side
-    at most N, and N products below p**2 must fit in an int64 sum.
+    is squarefree, B is semisimple and k = 0; otherwise `_order_below`
+    finds p**k, the order of B**m0, which divides the least power of p at
+    or above N = n*f, as no Jordan block is longer than N. Every product
+    is an int64 matmul of side at most N, and N products below p**2 must
+    fit in an int64 sum.
     """
     if m.rows != m.cols:
         raise NotSquare("element_order needs a square matrix")
@@ -864,11 +860,10 @@ def element_order(m: Matrix) -> int:
         order = lcm(order, _order_of_t(p, g, d))
     if top == 1:
         return order
-    unipotent, ppow = _mat_pow(m.blocks, order, p), 1
-    while not np.array_equal(unipotent, _eye(size)):
-        assert ppow < size, "the unipotent part's order is at least p*N"
-        unipotent, ppow = _mat_pow(unipotent, p, p), ppow * p
-    return order * ppow
+    k = 0
+    while p**k < size:
+        k += 1
+    return order * _order_below(_mat_pow(m.blocks, order, p), ((p, k),), p)
 
 
 # Polynomials over F_p from here on are little-endian lists of reduced ints
@@ -1057,6 +1052,11 @@ def parse_word(text: str) -> WordExpr:
     return expr
 
 
+def commutator(u: Matrix, v: Matrix) -> Matrix:
+    """[u, v] = u^-1 v^-1 u v, the bracket that reproduces the printed 8x8 block."""
+    return u.inverse() @ v.inverse() @ u @ v
+
+
 def evaluate_word(word, x: Matrix, y: Matrix) -> Matrix:
     """Evaluate a word in the two generators; [u,v] = u^-1 v^-1 u v."""
     expr = parse_word(word) if isinstance(word, str) else word
@@ -1078,9 +1078,7 @@ def _eval_expr(expr: WordExpr, x: Matrix, y: Matrix) -> Matrix:
         elif isinstance(atom, WordExpr):
             m = _eval_expr(atom, x, y)
         else:
-            u = _eval_expr(atom[0], x, y)
-            v = _eval_expr(atom[1], x, y)
-            m = u.inverse() @ v.inverse() @ u @ v
+            m = commutator(_eval_expr(atom[0], x, y), _eval_expr(atom[1], x, y))
         m = m.pow(e)
         result = m if result is None else result @ m
     return Matrix.identity(x.ctx, x.rows) if result is None else result

@@ -24,7 +24,6 @@ from .generators import (
     GenPair,
     WrongCase,
     build_pair,
-    commutator,
     s9_restrictions,
     theta_block,
     special_subspaces,
@@ -34,6 +33,7 @@ from .linalg import (
     Matrix,
     Poly,
     charpoly,
+    commutator,
     eigenspace,
     element_order,
     evaluate_word,
@@ -420,7 +420,7 @@ def verify_caseB_identities(pair: GenPair) -> VerificationReport:
         ok = v1.shape[0] == 1 and np.array_equal(v1[0], s_vec)
         rec.add("commutator-fixline", ok, "line spanned by e_(n-8) - e_(n-7)",
                 f"dim {v1.shape[0]}", "caseB/eigenvector")
-    c_alt = commutator(y9, t9, "plain-first")
+    c_alt = commutator(y9.inverse(), t9.inverse())  # y t y^-1 t^-1
     v1_alt = eigenspace(c_alt, 1)
     alt_matches = v1_alt.shape[0] == 1 and np.array_equal(v1_alt[0], s_vec)
     rec.skip("commutator-fixline-alternate-orientation",
@@ -630,9 +630,9 @@ class Claim:
 
 def load_claims(path=None) -> tuple:
     if path is None:
-        raw = resources.files("omega23").joinpath("data/claims.jsonl").read_text()
+        raw = resources.files("omega23").joinpath("data/claims.jsonl").read_text(encoding="utf-8")
     else:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = fh.read()
     rows = []
     for line in raw.splitlines():

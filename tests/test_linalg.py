@@ -1158,11 +1158,27 @@ def test_products_refuse_sums_that_can_leave_int64():
     ctx = make_field(p, 1)
     top = np.full((2, 2), p - 1, dtype=np.int64)
     assert (Matrix(ctx, top) @ Matrix(ctx, top)).data[:, :, 0].tolist() == [[2, 2], [2, 2]]
+    assert Matrix(ctx, top).pow(2).data[:, :, 0].tolist() == [[2, 2], [2, 2]]
     assert element_order(Matrix(ctx, top[:1, :1])) == 2
     with pytest.raises(LinalgError):
         Matrix.identity(ctx, 3) @ Matrix.identity(ctx, 3)
     with pytest.raises(LinalgError):
+        Matrix.identity(ctx, 3).pow(2)
+    with pytest.raises(LinalgError):
         element_order(Matrix.identity(ctx, 3))
+
+
+@pytest.mark.parametrize("q, s", [(3, 2), (3, 3), (3, 4), (3, 9), (3, 10), (9, 2), (9, 3), (9, 4)])
+def test_unipotent_jordan_block_order(q, s):
+    """J_s(1) has order 3**ceil(log3 s). Its block form has side N = s*f and
+    element_order looks for p**k up to the least power of 3 at or above N,
+    which is the order itself at every (q, s) here but (9, 2) and (9, 3)."""
+    ctx = field_from_prime_power(q)
+    jordan = Matrix.from_rows(ctx, [[int(j in (i, i + 1)) for j in range(s)] for i in range(s)])
+    expected = 1
+    while expected < s:
+        expected *= 3
+    assert element_order(jordan) == expected
 
 
 def test_charpoly_int64_range_at_p_2_31_minus_1():

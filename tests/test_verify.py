@@ -1,5 +1,9 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -195,6 +199,34 @@ def test_load_claims_table():
     assert "caseA-mono-ord156" in ids
     assert "caseA-mono-ord41" in ids
     assert "caseA-del-ord41" in ids
+
+
+LOCALE_PROBE = """
+import json, sys
+from omega23.generators import _figures
+from omega23.verify import load_claims
+[claim] = load_claims(sys.argv[1])
+print(json.dumps([claim.paper_ref, len(_figures())]))
+"""
+
+
+def test_data_files_are_read_as_utf8_under_an_ascii_locale(tmp_path):
+    """Claims and figure files are UTF-8 whatever the locale's encoding:
+    under LC_ALL=C without UTF-8 mode the default text encoding is ASCII."""
+    row = load_claims()[0].to_json()
+    row["paper_ref"] = "\u00a73"
+    path = tmp_path / "claims.jsonl"
+    path.write_text(json.dumps(row, ensure_ascii=False) + "\n", encoding="utf-8")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "LC_ALL": "C",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env.pop("PYTHONUTF8", None)
+    env.pop("PYTHONIOENCODING", None)
+    proc = subprocess.run([sys.executable, "-X", "utf8=0", "-c", LOCALE_PROBE, str(path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    ref, figures = json.loads(proc.stdout)
+    assert ref == "\u00a73" and figures > 0
 
 
 def test_claim_round_trip():
