@@ -9,7 +9,16 @@ removed) in `<group>.jsonl` beside this script. The groups are:
 - sweep:  `verify_caseB_closed_forms_all_a` at n in (12, 15) over GRID_Q;
 - forced: the tail-family battery of the forced pair (12, 13, a = 4);
 - oracle: `omega23 oracle` JSON, omega-order at n = 3, q in (3, 5), and
-          witt-type at n in (2, 4, 6), q in (3, 5, 7).
+          witt-type at n in (2, 4, 6), q in (3, 5, 7);
+- cli:    `omega23 generate` at (n, q) in (9, 3), (12, 9), (15, 27),
+          `omega23 search-a` at (9, 9), (12, 25), (15, 27), and `omega23
+          spinor` of x at (9, 5) and of the forced (9, 3, a = 1) x, whose
+          spinor class is nontrivial, each in JSON and in text;
+- certify: `omega23 certify` of the forced (9, 3, a = 1) pair at seed
+          53251, in JSON and in text: computed order twice the target,
+          inconclusive.
+
+A JSON document is stored as itself, a text document as one JSON string.
 
 Only the items named on the command line are rewritten; a group name
 names all of its items:
@@ -49,12 +58,32 @@ def _forced():
     return verify_caseB_identities(build_pair(12, field_from_prime_power(13), 4, force=True)).to_json()
 
 
-def _oracle(what: str, n: int, q: int):
+def _cli(argv: list, stdin: str = None):
+    """A thunk running `omega23 <argv>`: its JSON document, or its text
+    output as a string under --format text. stdin, if given, is what the
+    command reads from standard input."""
     def run():
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            cli_main(["oracle", "--what", what, "--n", str(n), "--q", str(q)])
-        return json.loads(out.getvalue())
+        out, saved = io.StringIO(), sys.stdin
+        if stdin is not None:
+            sys.stdin = io.StringIO(stdin)
+        try:
+            with contextlib.redirect_stdout(out):
+                cli_main(argv)
+        finally:
+            sys.stdin = saved
+        return out.getvalue() if "text" in argv else json.loads(out.getvalue())
+    return run
+
+
+def _oracle(what: str, n: int, q: int):
+    return _cli(["oracle", "--what", what, "--n", str(n), "--q", str(q)])
+
+
+def _spinor_of_x(q: int, a, force: bool, fmt: str):
+    def run():
+        x = build_pair(9, field_from_prime_power(q), a, force=force).x
+        return _cli(["spinor", "--q", str(q), "--matrix", "-", "--format", fmt],
+                    json.dumps(x.to_json()))()
     return run
 
 
@@ -70,11 +99,24 @@ def items() -> dict:
     oracle = {f"oracle-omega-order-n3-q{q}": _oracle("omega-order", 3, q) for q in (3, 5)}
     oracle.update({f"oracle-witt-type-n{n}-q{q}": _oracle("witt-type", n, q)
                    for n in (2, 4, 6) for q in (3, 5, 7)})
+    cli = {}
+    for fmt in ("json", "text"):
+        for cmd, points in (("generate", ((9, 3), (12, 9), (15, 27))),
+                            ("search-a", ((9, 9), (12, 25), (15, 27)))):
+            cli.update({f"{cmd}-n{n}-q{q}-{fmt}": _cli([cmd, "--n", str(n), "--q", str(q),
+                                                       "--format", fmt])
+                        for n, q in points})
+        cli[f"spinor-x-n9-q5-{fmt}"] = _spinor_of_x(5, None, False, fmt)
+        cli[f"spinor-x-forced-n9-q3-a1-{fmt}"] = _spinor_of_x(3, 1, True, fmt)
     return {
         "caseA": case_a,
         "sweep": {f"sweep-n{n}-q{q}": _sweep(n, q) for n in (12, 15) for q in GRID_Q},
         "forced": {"forced-n12-q13-a4": _forced},
         "oracle": oracle,
+        "cli": cli,
+        "certify": {f"certify-forced-n9-q3-a1-seed53251-{fmt}": _cli(
+            ["certify", "--n", "9", "--q", "3", "--a", "1", "--force", "--seed", "53251",
+             "--format", fmt]) for fmt in ("json", "text")},
     }
 
 
