@@ -72,14 +72,26 @@ def _packed_images(p: int, lo_digit: int, n_digits: int, gens: np.ndarray) -> np
     return images @ weights
 
 
+def _digit_chunks(p: int, width: int, chunk: int):
+    """The base-p digit rows of 0, 1, ..., p**width - 1, least significant
+    digit first, as (rows, width) int64 arrays of at most `chunk` rows."""
+    total = p**width
+    for start in range(0, total, chunk):
+        rest = np.arange(start, min(start + chunk, total), dtype=np.int64)
+        digits = np.empty((rest.size, width), dtype=np.int64)
+        for k in range(width):
+            digits[:, k] = rest % p
+            rest //= p
+        yield digits
+
+
 @lru_cache(maxsize=None)
 def _digit_grid(p: int, n_digits: int) -> np.ndarray:
-    """Row c: the base-p digits of c, least significant first, as floats.
-    Every grid is kept: as p^N <= DENSE_CAP, a grid of at most ceil(N/2)
-    digits has at most sqrt(p * DENSE_CAP) rows (24,649 rows, 0.4 MB, at
-    p = 157 and N = 3)."""
-    grid = np.indices((p,) * n_digits, dtype=np.float64)
-    digits = np.ascontiguousarray(grid.reshape(n_digits, p ** n_digits)[::-1].T)
+    """Row c: the base-p digits of c, least significant first, as floats:
+    `_digit_chunks` in one chunk. Every grid is kept: as p^N <= DENSE_CAP,
+    a grid of at most ceil(N/2) digits has at most sqrt(p * DENSE_CAP)
+    rows (24,649 rows, 0.4 MB, at p = 157 and N = 3)."""
+    digits = next(_digit_chunks(p, n_digits, p ** n_digits)).astype(np.float64)
     digits.setflags(write=False)
     return digits
 

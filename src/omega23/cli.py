@@ -19,7 +19,8 @@ from . import resolved_seed
 from .certify import CertifyError, certify_generation
 from .fields import (elem_from_json, elem_to_json, field_from_prime_power,
                      field_to_json, is_square)
-from .forms import (FormsError, OrthoSpace, _digit_chunks, in_omega,
+from ._kernels import _digit_chunks
+from .forms import (FormsError, OrthoSpace, in_omega,
                     isotropic_count, omega_order, gram_matrix, witt_type)
 from .generators import (GenError, build_pair, default_a,
                          pair_to_json, pair_to_text, search_a)

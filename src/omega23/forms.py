@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._dims import case_of, unsupported_message
+from ._kernels import _digit_chunks
 from .fields import FieldCtx, is_square
 from .linalg import Matrix, rref
 
@@ -314,19 +315,6 @@ def witt_type(n: int, q: int) -> str:
         return "circ"
     k = (n * (q - 1)) // 4
     return "plus" if k % 2 == 0 else "minus"
-
-
-def _digit_chunks(p: int, width: int, chunk: int):
-    """The base-p digit rows of 0, 1, ..., p**width - 1, least significant
-    digit first, as (rows, width) int64 arrays of at most `chunk` rows."""
-    total = p**width
-    for start in range(0, total, chunk):
-        rest = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        digits = np.empty((rest.size, width), dtype=np.int64)
-        for k in range(width):
-            digits[:, k] = rest % p
-            rest //= p
-        yield digits
 
 
 def isotropic_count(space: OrthoSpace) -> int:

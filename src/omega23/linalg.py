@@ -6,21 +6,23 @@ product is one int64 matmul of the left block form against the right
 factor's entry columns, a transpose moves blocks, and sums act on the
 blocks; elimination, determinants, traces, scaling and JSON read `data`.
 A characteristic polynomial, det(T*I - M), comes from a Hessenberg form
-similar to M and its recurrence, in O(n**3) over every F_q; a minimal
-polynomial is the first linear dependency among the powers of the
-matrix, found by one echelon basis over F_p on the block form; eigenspace
-bases come out in reduced echelon form so subspace comparisons are plain
-equality. Element orders are computed over F_p from the block form: its
-characteristic polynomial is split into squarefree parts and its radical
-by distinct degree (`fields._distinct_degree_split`, which also tests the
-field moduli), with no factoring into irreducibles; the order of t
-modulo each part comes from powers of the part's companion matrix, and
-the unipotent part's order from p-th powers of the block form. sympy is
-imported only to factor p**d - 1 and in `factor_poly` and `Poly.pow_mod`,
-which wrap its galoistools and which `element_order` does not call.
+similar to M and its recurrence, in O(n**3) over every F_q; every other
+linear-dependency question is one `rref`: a minimal polynomial is the
+first dependency among the powers of the matrix, and kernel and
+eigenspace bases come out in reduced echelon form, so subspace
+comparisons are plain equality. Element orders are computed over F_p
+from the block form: its characteristic polynomial is split into
+squarefree parts and its radical by distinct degree
+(`fields._distinct_degree_split`, which also tests the field moduli),
+with no factoring into irreducibles; the order of t modulo each part
+comes from powers of the part's companion matrix, and the unipotent
+part's order from p-th powers of the block form. sympy is imported only
+to factor p**d - 1 and in `factor_poly` and `Poly.pow_mod`, which wrap
+its galoistools and which `element_order` does not call.
 
 Everything here is pure and matrices are immutable; a matrix keeps its
-determinant and inverse once computed.
+determinant and inverse once computed, and a kept inverse keeps its
+source as its own inverse.
 """
 
 from __future__ import annotations
@@ -244,8 +246,9 @@ class Matrix:
 
     A matrix is immutable, so `det()` and `inverse()` each eliminate once
     and keep the result: the determinant as a read-only (f,) array, the
-    inverse as a Matrix that does not point back at this one. A failure
-    (NotSquare, Singular) is not kept and raises again on every call.
+    inverse as a Matrix whose own kept inverse is a new Matrix on this
+    one's blocks, so no reference cycle forms. A failure (NotSquare,
+    Singular) is not kept and raises again on every call.
     """
 
     __slots__ = ("ctx", "blocks", "_det", "_inv")
@@ -398,13 +401,16 @@ class Matrix:
             red, pivots = rref(self.ctx, aug)
             if pivots != list(range(n)):
                 raise Singular("matrix is not invertible")
-            object.__setattr__(self, "_inv", Matrix(self.ctx, red[:, n:]))
+            self._keep_inverse(np.ascontiguousarray(_block_form(self.ctx, red[:, n:])))
         return self._inv
 
     def _keep_inverse(self, blocks: np.ndarray) -> None:
         """Keep a proved inverse, given by its reduced block form, as a new
-        Matrix: it is never self and keeps nothing of its own yet."""
-        object.__setattr__(self, "_inv", Matrix._from_blocks(self.ctx, blocks))
+        Matrix whose own kept inverse is a new Matrix on self's blocks:
+        neither is ever self."""
+        inv = Matrix._from_blocks(self.ctx, blocks)
+        object.__setattr__(inv, "_inv", Matrix._from_blocks(self.ctx, self.blocks))
+        object.__setattr__(self, "_inv", inv)
 
     def det(self) -> np.ndarray:
         """Determinant as a read-only (f,) element vector, by elimination
@@ -612,24 +618,21 @@ def _block_inverse(a: np.ndarray, p: int) -> np.ndarray:
     return np.ascontiguousarray(aug[:, n:])
 
 
-def kernel_basis(ctx: FieldCtx, m: Matrix):
-    """Basis of the right kernel, rows in reduced echelon form."""
-    red, pivots = rref(ctx, m.data)
-    n = m.cols
-    free = [c for c in range(n) if c not in pivots]
-    rows = []
-    for fc in free:
-        v = np.zeros((n, ctx.f), dtype=np.int64)
-        v[fc] = ctx.one
-        for r, pc in enumerate(pivots):
-            v[pc] = ctx.neg(red[r, fc])
-        rows.append(v)
-    if not rows:
-        return np.zeros((0, n, ctx.f), dtype=np.int64)
-    stacked = np.stack(rows)
-    # canonicalize: echelonize the basis rows themselves
-    flat, _ = rref(ctx, stacked)
-    return flat
+def kernel_basis(m: Matrix) -> np.ndarray:
+    """Basis of the right kernel, rows in reduced echelon form.
+
+    One rref of m with its columns reversed, where the kernel vector of a
+    free column is 1 there, 0 at the other free columns and nonzero
+    elsewhere only at pivot columns before it. Read in the original order,
+    the latest free column first, these vectors are the reduced basis.
+    """
+    ctx, c = m.ctx, m.cols
+    red, pivots = rref(ctx, m.data[:, ::-1])
+    free = [j for j in range(c - 1, -1, -1) if j not in pivots]
+    basis = np.zeros((len(free), c, ctx.f), dtype=np.int64)
+    basis[np.arange(len(free)), free] = ctx.one
+    basis[:, pivots] = -red[:len(pivots), free].transpose(1, 0, 2) % ctx.p
+    return np.ascontiguousarray(basis[:, ::-1])
 
 
 # ---------------------------------------------------------------------------
@@ -695,39 +698,24 @@ def charpoly(m: Matrix) -> Poly:
 def minpoly(m: Matrix) -> Poly:
     """Monic minimal polynomial: the first dependency among I, m, m**2, ...
 
-    Columns v, v + f, v + 2f, ... of B**k, B the block form, hold t**v * m**k
-    entry by entry, so the F_q-span of I, m, ..., m**k is the F_p-span of
-    those f slices per power. The rows [B**k[:, v::f] | e_(k, v)] are
-    echelonized over F_p in the order (k, v). The first row (k, 0) that
-    reduces to zero writes m**k in the lower powers: its reduced coordinate
-    tail, read as k + 1 elements of F_q, is the monic minimal polynomial. A
-    row (k, v > 0) cannot depend on the rows before it, as t**v is a unit.
-    At most n*f rows are stored, so every int64 sum has at most n*f terms
-    below p**2, the bound `_product` enforces for this matrix.
+    One rref of the (n*n, n + 1) array whose column k holds the entries of
+    m**k. Once m**k depends on the lower powers, so does every higher
+    power, so the pivots are the columns 0, ..., k - 1, and column k of
+    the reduced array holds the c_i with m**k = sum of c_i * m**i: the
+    polynomial is T**k - sum of c_i * T**i. Each power is one `@`, which
+    refuses a matrix whose n*f-term int64 sums could wrap.
     """
     if m.rows != m.cols:
         raise NotSquare("minpoly needs a square matrix")
-    ctx = m.ctx
-    n, f, p = m.rows, ctx.f, ctx.p
-    _require_exact(ctx, n * f)
-    blocks = m.blocks
-    width = n * n * f
-    rows = np.zeros((n * f, width + (n + 1) * f), dtype=np.int64)
-    pivots = []
-    power = np.eye(n * f, dtype=np.int64)
-    for k in range(n + 1):
-        for v in range(f):
-            x = np.zeros(rows.shape[1], dtype=np.int64)
-            x[:width] = power[:, v::f].ravel()
-            x[width + k * f + v] = 1
-            dep = _echelon_add(rows, pivots, x, p, width)
-            if dep is not None:
-                assert v == 0, "t**v * m**k depends on lower rows while m**k does not"
-                mp = Poly(ctx, dep[width : width + (k + 1) * f].reshape(k + 1, f))
-                assert mp.eval_matrix(m) == Matrix.zeros(ctx, n, n)
-                return mp
-        power = power @ blocks % p
-    raise AssertionError("no dependency among the first n + 1 powers")
+    ctx, n = m.ctx, m.rows
+    powers = [Matrix.identity(ctx, n), m]
+    while len(powers) <= n:
+        powers.append(powers[-1] @ m)
+    red, pivots = rref(ctx, np.stack([w.data.reshape(n * n, ctx.f) for w in powers], axis=1))
+    k = len(pivots)
+    mp = Poly(ctx, np.concatenate([-red[:k, k], ctx.one[None]]))
+    assert mp.eval_matrix(m) == Matrix.zeros(ctx, n, n)
+    return mp
 
 
 def eigenspace(m: Matrix, lam):
@@ -736,7 +724,7 @@ def eigenspace(m: Matrix, lam):
         raise NotSquare("eigenspace needs a square matrix")
     ctx = m.ctx
     shifted = m - Matrix.identity(ctx, m.rows).scale(ctx.coerce(lam))
-    return kernel_basis(ctx, shifted)
+    return kernel_basis(shifted)
 
 
 # ---------------------------------------------------------------------------
@@ -798,30 +786,6 @@ def _factored_qd_minus_1(q: int, d: int) -> tuple:
             for prime, exp in factorint(_cyclotomic_value(e, q)).items():
                 out[prime] = out.get(prime, 0) + exp
     return tuple(out.items())
-
-
-def _echelon_add(rows: np.ndarray, pivots: list, x: np.ndarray, p: int, width: int):
-    """Add x to the basis rows[:len(pivots)], kept fully reduced on its pivots.
-
-    One product x[pivots] @ rows clears every pivot of x. If the first
-    `width` entries of the result vanish, x depended on the basis and the
-    reduced x is returned; otherwise it is normalized, cleared from the
-    other rows and stored as the next row, and None is returned. Each sum
-    has at most len(pivots) terms below p**2.
-    """
-    k = len(pivots)
-    if k:
-        x = (x - x[pivots] @ rows[:k]) % p
-    nonzero = np.flatnonzero(x[:width])
-    if nonzero.size == 0:
-        return x
-    lead = int(nonzero[0])
-    x = x * pow(int(x[lead]), -1, p) % p
-    if k:
-        rows[:k] = (rows[:k] - np.outer(rows[:k, lead], x)) % p
-    rows[k] = x
-    pivots.append(lead)
-    return None
 
 
 def element_order(m: Matrix) -> int:

@@ -228,13 +228,13 @@ def test_rank_rref_kernel():
     # rows 2 and 3 are 2x and 3x row 1 mod 5: rank 1, kernel dimension 2
     m = Matrix.from_rows(F5, [[1, 2, 3], [2, 4, 1], [3, 6, 4]])
     assert m.rank() == 1
-    ker = kernel_basis(F5, m)
+    ker = kernel_basis(m)
     assert len(ker) == 2
     for v in ker:
         prod = np.einsum("ijf,jf->if", m.data, np.asarray(v)) % 5
         assert not prod.any()
     full = Matrix.from_rows(F5, [[1, 0], [1, 1]])
-    assert full.rank() == 2 and len(kernel_basis(F5, full)) == 0
+    assert full.rank() == 2 and len(kernel_basis(full)) == 0
 
 
 def test_json_round_trip():
@@ -534,6 +534,59 @@ def test_product_refuses_another_field_of_the_same_degree():
     assert Matrix.identity(F9, 3) @ Matrix.identity(twin, 3) == Matrix.identity(F9, 3)
 
 
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(q=st.sampled_from([3, 5, 7, 9, 25, 27]), data=st.data(), seed=seed_st)
+def test_kernel_basis_is_the_reduced_echelon_basis_of_the_kernel(q, data, seed):
+    """m = A B through k < c dimensions, so its rank is below c. With no rref
+    in the oracle: the rows are in reduced echelon form, m annihilates each,
+    there are c - rank of them (rank by sympy over F_p on the block form,
+    which has f times the rank over F_q), and q**rows is the number of
+    kernel vectors found by trying all q**c <= 729 of them."""
+    ctx = field_from_prime_power(q)
+    c = data.draw(st.integers(1, max(c for c in range(1, 7) if q**c <= 729)), label="c")
+    r = data.draw(st.integers(1, 6), label="r")
+    k = data.draw(st.integers(0, c - 1), label="inner dimension")
+    rng = np.random.default_rng(seed)
+    a = _einsum_product(ctx, _entries(ctx, rng, (r, k), "random"),
+                        _entries(ctx, rng, (k, c), "random"))
+    m = Matrix(ctx, a)
+    basis = kernel_basis(m)
+    assert basis.shape[1:] == (c, ctx.f)
+    leads = [int(np.flatnonzero(row.any(axis=1))[0]) for row in basis]
+    assert leads == sorted(set(leads))
+    for i, lead in enumerate(leads):
+        assert np.array_equal(basis[i, lead], ctx.one)
+        assert not np.delete(basis[:, lead], i, axis=0).any()
+    assert not _einsum_product(ctx, a, basis.transpose(1, 0, 2)).any()
+    block_rank = DomainMatrix.from_Matrix(sympy.Matrix(m.blocks.tolist())).convert_to(
+        sympy.GF(ctx.p)).rank()
+    assert len(basis) * ctx.f == (c * ctx.f - block_rank)
+    vecs = np.indices((ctx.p,) * (c * ctx.f)).reshape(c * ctx.f, -1).T.reshape(-1, c, ctx.f)
+    images = np.einsum("iju,bjv,uvw->biw", a, vecs, ctx.mul_table) % ctx.p
+    assert int((~images.any(axis=(1, 2))).sum()) == q ** len(basis)
+
+
+def test_kernel_basis_and_minpoly_are_one_rref_each(count_calls):
+    rng = np.random.default_rng(7)
+    counts = count_calls(linalg, "rref")
+    m = _rand_matrix(F9, 5, rng)
+    kernel_basis(m)
+    assert counts["rref"] == 1
+    minpoly(m)
+    assert counts["rref"] == 2
+
+
+def test_the_inverse_of_an_inverse_is_kept(count_calls):
+    """m.inverse() eliminates once and keeps m's blocks as the inverse's own
+    inverse, on a new Matrix, so no reference cycle forms."""
+    m = _rand_invertible(F9, 5, np.random.default_rng(8))
+    counts = count_calls(linalg, "rref")
+    back = m.inverse().inverse()
+    assert counts["rref"] == 1
+    assert back == m and back is not m and back.blocks is m.blocks
+    assert back._inv is None
+
+
 def test_product_refuses_a_vector_of_the_wrong_shape():
     m = Matrix.identity(F9, 3)
     with pytest.raises(LinalgError):
@@ -821,20 +874,23 @@ def test_charpoly_over_extension_fields_matches_sympy(q, n, kind, seed):
 @given(q=st.sampled_from([3, 5, 7, 9, 25, 27, 49, 81, 125]), n=st.integers(1, 8),
        kind=kind_st, seed=seed_st)
 def test_minpoly_is_the_least_monic_annihilator(q, n, kind, seed):
-    """An oracle that shares nothing with minpoly's echelon basis: mp is monic,
+    """An oracle that shares nothing with minpoly's rref: mp is monic,
     mp(m) = 0 by Horner, mp divides charpoly(m), and I, m, ..., m**(deg mp - 1)
-    are independent over F_q (rank by rref of their stacked entries)."""
+    are independent over F_q. Columns v, v + f, ... of B**k, B the block form,
+    hold t**v * m**k, so independence over F_q is rank deg * f over F_p of
+    the rows B**k[:, v::f] for k < deg and v < f, by sympy's DomainMatrix."""
     ctx = field_from_prime_power(q)
     m = _structured(ctx, kind, n, np.random.default_rng(seed))
     mp = minpoly(m)
     assert _is_monic(mp)
     assert mp.eval_matrix(m) == Matrix.zeros(ctx, n, n)
     assert (charpoly(m) % mp).is_zero()
-    powers = [Matrix.identity(ctx, n)]
-    while len(powers) < mp.degree:
-        powers.append(powers[-1] @ m)
-    stacked = np.stack([w.data.reshape(n * n, ctx.f) for w in powers])
-    assert len(rref(ctx, stacked)[1]) == mp.degree
+    f, power, rows = ctx.f, np.eye(n * ctx.f, dtype=np.int64), []
+    for _ in range(mp.degree):
+        rows.extend(power[:, v::f].ravel().tolist() for v in range(f))
+        power = power @ m.blocks % ctx.p
+    gf = DomainMatrix.from_Matrix(sympy.Matrix(rows)).convert_to(sympy.GF(ctx.p))
+    assert gf.rank() == mp.degree * f
 
 
 @product_case
@@ -1166,6 +1222,10 @@ def test_products_refuse_sums_that_can_leave_int64():
         Matrix.identity(ctx, 3).pow(2)
     with pytest.raises(LinalgError):
         element_order(Matrix.identity(ctx, 3))
+    # (p - 1) J with J all ones: its square is 2J, so T**2 + 2T
+    assert minpoly(Matrix(ctx, top)).coeffs[:, 0].tolist() == [0, 2, 1]
+    with pytest.raises(LinalgError):
+        minpoly(Matrix.identity(ctx, 3))
 
 
 @pytest.mark.parametrize("q, s", [(3, 2), (3, 3), (3, 4), (3, 9), (3, 10), (9, 2), (9, 3), (9, 4)])
