@@ -16,7 +16,10 @@ removed) in `<group>.jsonl` beside this script. The groups are:
           spinor class is nontrivial, each in JSON and in text;
 - certify: `omega23 certify` of the forced (9, 3, a = 1) pair at seed
           53251, in JSON and in text: computed order twice the target,
-          inconclusive.
+          inconclusive; and `omega23 certify --restrict-s9` at seed 53251,
+          in JSON and in text, of the default pairs at (12, 3) (B6) and
+          (15, 3) (B5), which generate, at (16, 5), which generates, and at
+          (15, 7), inconclusive past the dense-table cap.
 
 A JSON document is stored as itself, a text document as one JSON string.
 
@@ -108,15 +111,20 @@ def items() -> dict:
                         for n, q in points})
         cli[f"spinor-x-n9-q5-{fmt}"] = _spinor_of_x(5, None, False, fmt)
         cli[f"spinor-x-forced-n9-q3-a1-{fmt}"] = _spinor_of_x(3, 1, True, fmt)
+    certify = {f"certify-forced-n9-q3-a1-seed53251-{fmt}": _cli(
+        ["certify", "--n", "9", "--q", "3", "--a", "1", "--force", "--seed", "53251",
+         "--format", fmt]) for fmt in ("json", "text")}
+    for fmt in ("json", "text"):
+        certify.update({f"certify-restricted-n{n}-q{q}-seed53251-{fmt}": _cli(
+            ["certify", "--n", str(n), "--q", str(q), "--restrict-s9", "--seed", "53251",
+             "--format", fmt]) for n, q in ((12, 3), (15, 3), (16, 5), (15, 7))})
     return {
         "caseA": case_a,
         "sweep": {f"sweep-n{n}-q{q}": _sweep(n, q) for n in (12, 15) for q in GRID_Q},
         "forced": {"forced-n12-q13-a4": _forced},
         "oracle": oracle,
         "cli": cli,
-        "certify": {f"certify-forced-n9-q3-a1-seed53251-{fmt}": _cli(
-            ["certify", "--n", "9", "--q", "3", "--a", "1", "--force", "--seed", "53251",
-             "--format", fmt]) for fmt in ("json", "text")},
+        "certify": certify,
     }
 
 

@@ -3,8 +3,9 @@
 The golden files hold what the benchmark references lack: the
 monomial-family battery at every admissible a, the all-a closed-form
 sweeps, the forced (12, 13, a = 4) tail-family report, `omega23 oracle`,
-`generate`, `search-a` and `spinor` documents in JSON and in text, and
-the forced (9, 3, a = 1) certificate at seed 53251.
+`generate`, `search-a` and `spinor` documents in JSON and in text, the
+forced (9, 3, a = 1) certificate at seed 53251, and the certificates
+restricted to S9 at (12, 3), (15, 3), (16, 5) and (15, 7), seed 53251.
 `tests/golden/make_golden.py` defines the items and writes them; here
 each one is recomputed and its canonical JSON, timing keys removed, must
 equal the stored line byte for byte.
@@ -33,4 +34,4 @@ def test_golden_output(group, item):
 def test_every_golden_item_is_stored():
     assert {g: sorted(STORED[g]) for g in ITEMS} == {g: sorted(t) for g, t in ITEMS.items()}
     assert {g: len(t) for g, t in ITEMS.items()} == {
-        "caseA": 71, "sweep": 16, "forced": 1, "oracle": 11, "cli": 16, "certify": 2}
+        "caseA": 71, "sweep": 16, "forced": 1, "oracle": 11, "cli": 16, "certify": 10}
