@@ -20,7 +20,7 @@ import numpy as np
 from ._dims import b_params, case_of, unsupported_message
 from .fields import FieldCtx, elem_to_json, field_to_json, is_square, subfield_degree
 from .forms import OmegaMembership, OrthoSpace, gram_matrix, in_omega
-from .linalg import Matrix, Poly, commutator, restrict, unit_vector
+from .linalg import Matrix, Poly, commutator, restrict
 
 
 class GenError(ValueError):
@@ -411,8 +411,7 @@ def s9_restrictions(pair: GenPair):
     """(y|S9, tau|S9, tau, [x, y]) with tau = [x, y]^24 and S9 the span of
     the last nine unit vectors, unchecked: the case-B battery checks them
     against the printed blocks, and certify acts on S9 by y|S9 and tau|S9."""
-    ctx, n = pair.ctx, pair.n
-    s9 = [unit_vector(ctx, n, i) for i in range(n - 9, n)]
+    s9 = range(pair.n - 9, pair.n)
     g = commutator(pair.x, pair.y)
     tau_full = g.pow(24)
     return restrict(pair.y, s9), restrict(tau_full, s9), tau_full, g
@@ -420,17 +419,15 @@ def s9_restrictions(pair: GenPair):
 
 @dataclass(frozen=True)
 class SpecialSubspaces:
-    n: int
-    ctx: FieldCtx
+    """The tail S9 and the splitting into A- and B-summands and C, each a
+    coordinate subspace held as its tuple of 0-based coordinates."""
     S9: tuple
-    A_summands: tuple  # tuple of bases (each a tuple of vectors); empty at n=12
+    A_summands: tuple  # tuple of coordinate tuples; empty at n=12
     B_summands: tuple
     C: tuple  # empty at n=12
 
-    def E(self, ell: int) -> tuple:
-        return tuple(unit_vector(self.ctx, self.n, i) for i in range(ell))
 
-
+# the paper's 1-based coordinates of the A-summands
 _A_SPECIAL = {
     15: [[1, 3, 4]],
     16: [[1, 5], [2, 4]],
@@ -448,28 +445,19 @@ _A_GENERIC = {
 def special_subspaces(pair: GenPair) -> SpecialSubspaces:
     if pair.tag.case == "A":
         raise WrongCase("the distinguished subspaces belong to the case-B pairs")
-    ctx, n = pair.ctx, pair.n
-    e = lambda i: unit_vector(ctx, n, i - 1)  # 1-based
-    s9 = tuple(unit_vector(ctx, n, i) for i in range(n - 9, n))
+    n = pair.n
+    s9 = tuple(range(n - 9, n))
     if n == 12:
-        return SpecialSubspaces(n, ctx, s9, (), (), ())
+        return SpecialSubspaces(s9, (), (), ())
     m, r = pair.tag.m, pair.tag.r
-    a_lists = _A_SPECIAL.get(n, _A_GENERIC[r])
-    a_summands = tuple(tuple(e(i) for i in lst) for lst in a_lists)
-    b_summands = tuple(
-        tuple(e(i) for i in (5 + 4 * r + 3 * j, 9 + 4 * r + 3 * j, 10 + 4 * r + 3 * j))
-        for j in range(m - 3 - r)
-    )
-    c_basis = tuple(e(i) for i in [n - 13, n - 10, n - 9] + list(range(n - 8, n + 1)))
-    dim_a = sum(len(b) for b in a_summands)
-    dim_b = sum(len(b) for b in b_summands)
-    _require(dim_a + dim_b + 12 == n, "dimension bookkeeping of the splitting")
-    stacked = np.stack([v for grp in (*a_summands, *b_summands, (c_basis)) for v in grp])
-    _require(
-        Matrix(ctx, np.swapaxes(stacked, 0, 1)).rank() == n,
-        "the splitting spans the whole space",
-    )
-    return SpecialSubspaces(n, ctx, s9, a_summands, b_summands, c_basis)
+    zero_based = lambda lists: tuple(tuple(i - 1 for i in lst) for lst in lists)
+    a_summands = zero_based(_A_SPECIAL.get(n, _A_GENERIC[r]))
+    b_summands = zero_based(
+        (5 + 4 * r + 3 * j, 9 + 4 * r + 3 * j, 10 + 4 * r + 3 * j) for j in range(m - 3 - r))
+    (c,) = zero_based([[n - 13, n - 10, n - 9, *range(n - 8, n + 1)]])
+    coords = sorted(i for grp in (*a_summands, *b_summands, c) for i in grp)
+    _require(coords == list(range(n)), "the summands and C partition the coordinates")
+    return SpecialSubspaces(s9, a_summands, b_summands, c)
 
 
 # ---------------------------------------------------------------------------

@@ -890,22 +890,26 @@ def _order_below(y: np.ndarray, parts: tuple, p: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# restriction to an invariant subspace
+# restriction to an invariant coordinate subspace
 
 
-def restrict(m: Matrix, basis) -> Matrix:
-    """Matrix of m's action on span(basis), in the given basis order."""
-    ctx = m.ctx
-    # a flattened (n, f) vector is one entry column
-    b = np.stack([np.asarray(v, dtype=np.int64).reshape(-1) % ctx.p for v in basis], axis=1)
-    k = b.shape[1]
-    aug = np.concatenate([b, _product(ctx, m.blocks, b)], axis=1)  # [b | m b]
-    red, pivots = rref(ctx, _entries_of(aug, ctx.f))
-    if len([p for p in pivots if p < k]) < k:
-        raise DependentBasis("basis vectors are linearly dependent")
-    if any(p >= k for p in pivots):
+def restrict(m: Matrix, coords) -> Matrix:
+    """m's action on the span of the e_i, i in coords (0-based): m[coords, coords]
+    in the given order, once m's columns at coords vanish outside those rows."""
+    n, f = m.rows, m.ctx.f
+    if m.cols != n:
+        raise NotSquare("restriction needs a square matrix")
+    coords = list(coords)
+    if not all(0 <= i < n for i in coords):
+        raise LinalgError(f"coordinates must lie in 0..{n - 1}")
+    if len(set(coords)) < len(coords):
+        raise DependentBasis("a coordinate is listed twice")
+    # the rows and columns of each coordinate's f x f block
+    idx = (np.asarray(coords, dtype=np.intp)[:, None] * f + np.arange(f)).reshape(-1)
+    cols = m.blocks[:, idx]
+    if np.delete(cols, idx, axis=0).any():
         raise NotInvariant("span is not invariant under the matrix")
-    return Matrix(ctx, red[:k, k:])
+    return Matrix._from_blocks(m.ctx, np.ascontiguousarray(cols[idx]))
 
 
 # ---------------------------------------------------------------------------

@@ -277,19 +277,15 @@ def test_modulus_search_holds_no_residue_list():
     assert modulus == [1, 1, 1] and peak < 1 << 20
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
-def test_rabin_irreducibility_matches_galoistools(p):
-    # every monic candidate of degree f <= 4, constant term 0 included
-    for f in range(1, 5):
-        for tail in itertools.product(range(p), repeat=f):
-            cand = [*tail, 1]
-            assert _is_irreducible(p, cand) == gf_irreducible_p(cand[::-1], p, ZZ), cand
-
-
-@pytest.mark.parametrize("p, degrees", [(3, (5, 6)), (5, (5,))])
-def test_split_irreducibility_matches_galoistools_at_degrees_5_and_6(p, degrees):
-    # degree 6 is the first with two prime divisors, and every degree mixes
-    # in candidates that are not squarefree
+@pytest.mark.parametrize("p, degrees", [
+    *[pytest.param(p, (1, 2, 3, 4), id=f"p{p}-f1,2,3,4") for p in (2, 3, 5, 7, 11, 13)],
+    pytest.param(3, (5, 6), id="p3-f5,6"),
+    pytest.param(5, (5,), id="p5-f5"),
+])
+def test_split_irreducibility_matches_galoistools(p, degrees):
+    # every monic candidate of each degree f, constant term 0 included;
+    # degree 6 is the first with two prime divisors, and every degree past 1
+    # mixes in candidates that are not squarefree
     for f in degrees:
         for tail in itertools.product(range(p), repeat=f):
             cand = [*tail, 1]

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from omega23 import generators
 from omega23.fields import make_field, field_from_prime_power, subfield_degree, is_square
 from omega23.forms import in_omega, is_isometry, quadratic_value
 from omega23.generators import (
@@ -327,12 +328,19 @@ def test_subspace_split_dimensions():
         ctx = make_field(3, 1)
         pair = build_pair(n, ctx)
         sub = special_subspaces(pair)
-        dim_a = sum(len(b) for b in sub.A_summands)
-        dim_b = sum(len(b) for b in sub.B_summands)
-        assert dim_a + dim_b + 12 == n
+        coords = [i for grp in sub.A_summands + sub.B_summands + (sub.C,) for i in grp]
+        assert sorted(coords) == list(range(n))
         assert len(sub.C) == 12
-        assert len(sub.S9) == 9
-        assert len(sub.E(3)) == 3
+        assert sub.S9 == tuple(range(n - 9, n))
+
+
+def test_special_subspaces_refuse_a_coordinate_listed_twice(monkeypatch):
+    # n = 18 takes its A-summand from the generic table, at r = 0
+    pair = build_pair(18, make_field(3, 1))
+    special_subspaces(pair)
+    monkeypatch.setattr(generators, "_A_GENERIC", {0: [[1, 2, 3, 4, 6, 7, 7]]})
+    with pytest.raises(TranscriptionError, match="partition"):
+        special_subspaces(pair)
 
 
 def test_subspaces_invariant_under_commutator():

@@ -15,7 +15,7 @@ from sympy.polys.matrices import DomainMatrix
 
 from omega23 import linalg, verify
 from omega23.fields import FieldCtx, field_from_prime_power, make_field
-from omega23.generators import build_pair
+from omega23.generators import build_pair, s9_restrictions
 from omega23.linalg import (
     DependentBasis,
     LinalgError,
@@ -311,23 +311,27 @@ def test_product_matches_einsum_reference(q, r, k, c, fill, seed):
 
 
 @product_case
-@given(q=q_st, n=st.integers(2, 7), data=st.data(), seed=seed_st)
-def test_restrict_matches_einsum_reference(q, n, data, seed):
-    """m = P U P^-1 with U block upper triangular: the first k columns of P
-    span an invariant subspace on which m acts as U's top-left block."""
+@given(q=st.sampled_from([3, 5, 7, 9, 25, 27]), n=st.integers(1, 12), data=st.data(),
+       seed=seed_st)
+def test_restrict_to_coordinates_matches_einsum_reference(q, n, data, seed):
+    """m's columns at a shuffled coordinate subset vanish outside it, so
+    m E = E R for E the unit columns at those coordinates and R the
+    restriction; one nonzero entry outside the block breaks invariance."""
     ctx = field_from_prime_power(q)
-    k = data.draw(st.integers(1, n - 1))
+    coords = data.draw(st.permutations(range(n)))[:data.draw(st.integers(1, n))]
+    outside = [i for i in range(n) if i not in coords]
     rng = np.random.default_rng(seed)
-    p_mat = _rand_invertible(ctx, n, rng)
-    u = _entries(ctx, rng, (n, n), "random")
-    u[k:, :k] = 0
-    m = p_mat @ Matrix(ctx, u) @ p_mat.inverse()
-    basis = [p_mat.data[:, j] for j in range(k)]
-    res = restrict(m, basis)
-    assert np.array_equal(res.data, u[:k, :k])
-    cols = np.stack(basis, axis=1)
-    assert np.array_equal(_einsum_product(ctx, m.data, cols),
-                          _einsum_product(ctx, cols, res.data))
+    m = _entries(ctx, rng, (n, n), "random")
+    m[np.ix_(outside, coords)] = 0
+    res = restrict(Matrix(ctx, m), coords)
+    units = np.zeros((n, len(coords), ctx.f), dtype=np.int64)
+    units[coords, range(len(coords)), 0] = 1
+    assert np.array_equal(_einsum_product(ctx, m, units), _einsum_product(ctx, units, res.data))
+    if outside:
+        m[data.draw(st.sampled_from(outside)), data.draw(st.sampled_from(coords))] = (
+            ctx.from_index(data.draw(st.integers(1, q - 1))))
+        with pytest.raises(NotInvariant):
+            restrict(Matrix(ctx, m), coords)
 
 
 @product_case
@@ -585,6 +589,17 @@ def test_the_inverse_of_an_inverse_is_kept(count_calls):
     assert counts["rref"] == 1
     assert back == m and back is not m and back.blocks is m.blocks
     assert back._inv is None
+
+
+@pytest.mark.parametrize("q", [3, 25])
+def test_coordinate_restrictions_eliminate_nothing(count_calls, q):
+    """y|S9 and tau|S9 are slices of y and of tau, as is a "|S9" claim word."""
+    pair = build_pair(15, field_from_prime_power(q))
+    counts = count_calls(linalg, "rref")
+    s9_restrictions(pair)
+    assert counts["rref"] == 0
+    evaluate_claim_word(pair, "y|S9")
+    assert counts["rref"] == 0
 
 
 def test_product_refuses_a_vector_of_the_wrong_shape():
@@ -1266,15 +1281,19 @@ def test_charpoly_int64_range_at_p_2_31_minus_1():
 
 def test_restrict_action_and_invariance_check():
     m = Matrix.from_rows(F5, [[2, 1, 0], [0, 2, 0], [0, 0, 3]])
-    basis = [unit_vector(F5, 3, 0), unit_vector(F5, 3, 1)]
-    r = restrict(m, basis)
-    assert r == Matrix.from_rows(F5, [[2, 1], [0, 2]])
+    assert restrict(m, [0, 1]) == Matrix.from_rows(F5, [[2, 1], [0, 2]])
+    assert restrict(m, (1, 0)) == Matrix.from_rows(F5, [[2, 0], [1, 2]])  # in the given order
     with pytest.raises(NotInvariant):
-        restrict(Matrix.from_rows(F5, [[0, 1, 0], [0, 0, 1], [1, 0, 0]]),
-                 [unit_vector(F5, 3, 0)])
-    # an invariant span, but its third vector is the sum of the first two
+        restrict(Matrix.from_rows(F5, [[0, 1, 0], [0, 0, 1], [1, 0, 0]]), [0])
+    # an invariant span, but e_0 is listed twice, so the listed vectors are dependent
     with pytest.raises(DependentBasis):
-        restrict(m, basis + [basis[0] + basis[1]])
+        restrict(m, [0, 1, 0])
+    # numpy would read -1 as the last coordinate
+    for bad in ([-1], [0, 3]):
+        with pytest.raises(LinalgError, match="coordinates must lie in 0..2"):
+            restrict(m, bad)
+    with pytest.raises(NotSquare):
+        restrict(Matrix.zeros(F5, 2, 3), [0])
 
 
 # ---------------------------------------------------------------------------
