@@ -24,8 +24,8 @@ while closing a frontier make up the next. That is the order a
 sequential pass (generator by generator, point by point) reaches them,
 with no dedup:
 for injective generators (invertible mod p) a frontier repeats no
-point, so one generator's new images are distinct. The discovery arrays
-never hold more than p^N entries. A singular generator can list a point
+point, so one generator's new images are distinct. A search never
+lists more than p^N points. A singular generator can list a point
 twice; a search that fills all p^N entries either repeats a code that
 way or has found every point of the space, which is then the exact
 closure. The caller refuses any repeated code.
@@ -33,9 +33,9 @@ closure. The caller refuses any repeated code.
 The visited table is one module-level scratch buffer, grown to the
 largest space seen and all -1 between calls: a search resets the slots
 of the points it found before it returns, and drops the buffer if it
-raises. What a caller keeps is O(orbit size): the discovery arrays,
-each one concatenation of its chunks and so exactly the orbit's size,
-and a sorted index of (code << POS_BITS) | position.
+raises. What a caller keeps is 14 bytes a point: the Schreier vector
+(int32 parents, int16 generator labels) and a sorted int64 index of
+(code << POS_BITS) | position, which holds every code.
 """
 
 from __future__ import annotations
@@ -124,11 +124,10 @@ def _unpack_tables(p: int, n_coords: int) -> tuple:
 def orbit_bfs(gens: np.ndarray, start: np.ndarray, p: int, space: int):
     """Closure of `start` under flattened prime-field generators.
 
-    Returns (ids, parent, genlab, index). `ids` lists point codes in
-    discovery order, at most `space` of them, `parent`/`genlab` encode
-    the Schreier forest, and `index` is the sorted array of
-    (code << POS_BITS) | position, one entry a point. A generator that
-    is not injective can make a point appear twice.
+    Returns (parent, genlab, index), one entry for each of at most `space`
+    points: the Schreier forest, in discovery order, and the sorted array
+    of (code << POS_BITS) | position. A generator that is not injective
+    can make a point appear twice, at two positions.
 
     The visited table is the shared scratch buffer, so the kernel is not
     re-entrant.
@@ -136,34 +135,41 @@ def orbit_bfs(gens: np.ndarray, start: np.ndarray, p: int, space: int):
     global _scratch
     assert space <= DENSE_CAP, "space exceeds the dense table cap"
     if _scratch.size < space:
+        _scratch = _EMPTY  # never hold the old and the new table at once
         _scratch = np.full(space, -1, np.int32)
     visited = _scratch[:space]
     try:
-        ids, parent, genlab = _search(gens, start, p, visited)
-        index = _index(visited, ids)
+        chunks, parent, genlab = _search(gens, start, p, visited)
+        index = _index(visited, chunks, parent.size)
     except BaseException:
         _scratch = _EMPTY  # slots may be left set: start from a fresh table
         raise
-    return ids, parent, genlab, index
+    return parent, genlab, index
 
 
-def _index(visited, ids):
-    """The sorted (code << POS_BITS) | position of every listed point,
-    with the visited table reset to all -1. An orbit of an eighth of the
-    space or more reads its codes off the table in order, which costs
-    less than a sort there, unless a code was listed twice."""
-    if 8 * ids.size >= visited.size:
-        codes = np.flatnonzero(visited >= 0)
-        if codes.size == ids.size:
-            index = (codes << POS_BITS) | visited[codes]
+def _index(visited, chunks, count):
+    """The sorted (code << POS_BITS) | position of the `count` points in
+    the code chunks, built in place, with the visited table reset to -1.
+    An orbit of an eighth of the space or more reads its codes off the
+    table in order, which costs less than a sort, unless one is repeated."""
+    if 8 * count >= visited.size:
+        index = np.flatnonzero(visited >= 0)
+        if index.size == count:
+            pos = visited[index]
+            index <<= POS_BITS
+            index |= pos
             visited.fill(-1)
             return index
-    visited[ids] = -1
-    return np.sort((ids << POS_BITS) | np.arange(ids.size, dtype=np.int64))
+    index = np.concatenate(chunks)
+    visited[index] = -1
+    index <<= POS_BITS
+    index |= np.arange(count, dtype=np.int64)
+    index.sort()
+    return index
 
 
 def _search(gens, start, p, visited):
-    """The frontier loop: (ids, parent, genlab), with visited
+    """The frontier loop: (code chunks, parent, genlab), with visited
     holding each found point's position and -1 elsewhere."""
     space = visited.size
     gens = np.ascontiguousarray(gens, dtype=np.int64)
@@ -182,14 +188,14 @@ def _search(gens, start, p, visited):
     sid = int(start @ powers)
     visited[sid] = 0
     # One chunk a generator a frontier: codes, parents and generator labels.
-    ids = [np.array([sid], np.int64)]
+    codes = [np.array([sid], np.int64)]
     parent = [np.array([-1], np.int32)]
     genlab = [np.array([-1], np.int16)]
     count = 1
     lo, first = 0, 0  # the frontier's first position and first chunk
     while lo < count:
-        frontier = np.concatenate(ids[first:])
-        first = len(ids)
+        frontier = np.concatenate(codes[first:])
+        first = len(codes)
         if frontier.size <= _SMALL_FRONTIER or n_coords == 1:
             # Row gi: generator gi's images of the decoded frontier. Its
             # sums of N products below p² stay far inside int64.
@@ -207,14 +213,14 @@ def _search(gens, start, p, visited):
             if not k:
                 continue
             where = fresh[:k]
-            new_ids = img[where]
-            visited[new_ids] = np.arange(count, count + k, dtype=np.int32)
-            ids.append(new_ids)
+            new_codes = img[where]
+            visited[new_codes] = np.arange(count, count + k, dtype=np.int32)
+            codes.append(new_codes)
             parent.append((lo + where).astype(np.int32))
             genlab.append(np.full(k, gi, np.int16))
             count += k
         lo += frontier.size
-    return np.concatenate(ids), np.concatenate(parent), np.concatenate(genlab)
+    return codes, np.concatenate(parent), np.concatenate(genlab)
 
 
 def _table_images(frontier, split, hi_img, lo_img, unpack):

@@ -1,10 +1,12 @@
 """Exact group-order certification.
 
-Randomized Schreier-Sims on the natural action on F_q^n, with two sound
-exits: reaching a pre-verified target order (the product of orbit sizes
-can never exceed the generated group's order), or a run of trivial sifts
-followed by a full deterministic Schreier-generator verification. Budget
-or table-size exhaustion yields Inconclusive, never a wrong order.
+Randomized Schreier-Sims on the natural action on F_q^n, with two exits.
+Reaching a pre-verified target order is sound: the product of orbit
+sizes never exceeds the generated group's order. A run of trivial sifts
+followed by `verify_schreier` is not: that test covers the Schreier
+generators of each level's own generators only, not the deeper levels',
+and passes S3 = <(0 1), (1 2)> at order 4 without random sifts. Budget
+or table-size exhaustion yields Inconclusive.
 
 Inside the chain a group element is the (nf, nf) int64 F_p block form
 that a `Matrix` over F_{p^f} holds (`Matrix.blocks`, an injective ring
@@ -17,12 +19,13 @@ return a residue.
 The orbit kernel (`_kernels.orbit_bfs`) computes a frontier's images
 by one matmul on its decoded base-p digits while it is small (always
 at N = 1), and from per-generator image tables once it is not; either
-way one loop appends them, generator by generator. A level holds its
-generators with their inverses: an input generator's inverse is the one
-its Matrix keeps, and a residue's is one elimination when it is
-absorbed. The discovery order fixes the Schreier trees, and so the
-transversals, the residues and the later base vectors: the same seed
-gives the same chain on every machine.
+way one loop appends them, generator by generator. An orbit keeps its
+Schreier vector and the sorted index of its codes, 14 bytes a point. A
+level holds its generators with their inverses: an input generator's
+inverse is the one its Matrix keeps, and a residue's is one elimination
+when it is absorbed. The discovery order fixes the Schreier trees, and
+so the transversals, the residues and the later base vectors: the same
+seed gives the same chain on every machine.
 """
 
 from __future__ import annotations
@@ -72,9 +75,6 @@ _PRA_BURN_IN = 64
 
 @dataclass(frozen=True)
 class Orbit:
-    ctx: FieldCtx
-    n: int
-    ids: np.ndarray
     parent: np.ndarray
     genlab: np.ndarray
     index: np.ndarray  # sorted (code << POS_BITS) | position, one entry a point
@@ -82,7 +82,7 @@ class Orbit:
 
     @property
     def size(self) -> int:
-        return int(self.ids.shape[0])
+        return int(self.index.size)
 
     def position(self, pid: int) -> int:
         """Discovery position of a point code; -1 if it is not in the orbit."""
@@ -105,11 +105,6 @@ class Orbit:
         # its shift wraps around.
         return np.where(entry >> POS_BITS == codes, entry & POS_MASK, -1)
 
-    def vector(self, pos: int) -> np.ndarray:
-        """The (n, f) vector at a discovery position: the point code's base-p digits."""
-        digits = int(self.ids[pos]) // self.powers % self.ctx.p
-        return digits.reshape(self.n, self.ctx.f)
-
 
 def orbit(gens, v) -> Orbit:
     """Breadth-first closure of the vector v under the given invertible
@@ -131,15 +126,15 @@ def _orbit(ctx: FieldCtx, flat: np.ndarray, vec: np.ndarray) -> Orbit:
     if space > DENSE_CAP:
         raise StateSpaceTooLarge(
             f"p^(n*f) = {space} exceeds the dense table cap {DENSE_CAP}")
-    ids, parent, genlab, index = orbit_bfs(flat, vec.reshape(-1), ctx.p, space)
+    parent, genlab, index = orbit_bfs(flat, vec.reshape(-1), ctx.p, space)
     codes = index >> POS_BITS
     if not np.all(codes[1:] > codes[:-1]):
         # The kernel relies on injective generators; a point found twice
         # shows a singular one. Without such a repeat the closure is exact:
         # the search stops at closure or with every point of the space.
         raise CertifyError("generators must be invertible")
-    return Orbit(ctx=ctx, n=vec.shape[0], ids=ids, parent=parent, genlab=genlab,
-                 index=index, powers=ctx.p ** np.arange(vec.size, dtype=np.int64))
+    return Orbit(parent=parent, genlab=genlab, index=index,
+                 powers=ctx.p ** np.arange(vec.size, dtype=np.int64))
 
 
 def _shape_of(gens) -> tuple:
@@ -325,7 +320,8 @@ class _ChainBuilder:
         return True
 
     def verify_schreier(self) -> bool:
-        """Deterministic closure test; absorbs the first bad residue."""
+        """Test the Schreier generators of each level's own generators only,
+        so an incomplete chain can pass; absorb the first bad residue."""
         for i in range(len(self.levels) - 1, -1, -1):
             lv = self.levels[i]
             for pos in range(lv.orbit.size):
@@ -392,8 +388,9 @@ def stabilizer_chain(gens, target: int | None = None, seed: int | None = None,
     divides it, e.g. by containment in a known group), the build stops as
     soon as the chain order reaches the target: the product of orbit sizes
     never exceeds the generated order. Without a target, a run of 64
-    trivial random sifts is always followed by the full deterministic
-    Schreier-generator verification, so the returned order is exact.
+    trivial random sifts is always followed by `verify_schreier`, which
+    tests each level's own generators only: the order is then a lower
+    bound that neither found a way past, not a proven one.
     """
     gens = tuple(gens)
     seed = resolved_seed(seed)

@@ -444,9 +444,6 @@ class Matrix:
         detv = ctx.product(np.concatenate([ctx.one[None], a[np.arange(n), np.arange(n)]]))
         return ctx.neg(detv) if swaps % 2 else detv
 
-    def rank(self) -> int:
-        return len(rref(self.ctx, self.data)[1])
-
     def to_json(self) -> dict:
         d = self.data
         return {

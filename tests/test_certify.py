@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -12,7 +13,7 @@ from omega23.forms import gram_matrix, in_omega, is_isometry, omega_order, quadr
 from omega23.generators import WrongCase, build_pair
 from omega23.linalg import Matrix, _block_form, unit_vector
 from omega23 import _kernels, linalg
-from omega23._kernels import DENSE_CAP, POS_BITS, orbit_bfs
+from omega23._kernels import DENSE_CAP, POS_BITS, POS_MASK, orbit_bfs
 from omega23 import certify as certify_mod
 from omega23.certify import (
     BudgetExceeded,
@@ -54,6 +55,24 @@ def _level(k, gens):
     return lv
 
 
+def _discovery_codes(orbit_or_index):
+    """The point codes in discovery order, rebuilt from an orbit's sorted
+    index of (code << POS_BITS) | position, whose positions must be
+    0 … size − 1, each once."""
+    index = getattr(orbit_or_index, "index", orbit_or_index)
+    positions = index & POS_MASK
+    assert np.array_equal(np.sort(positions), np.arange(index.size)), "positions"
+    codes = np.empty(index.size, np.int64)
+    codes[positions] = index >> POS_BITS
+    return codes
+
+
+def _vector(ctx, n, code):
+    """The (n, f) vector whose base-p code is `code`: its digits."""
+    digits = int(code) // ctx.p ** np.arange(n * ctx.f, dtype=np.int64) % ctx.p
+    return digits.reshape(n, ctx.f)
+
+
 @pytest.fixture(scope="module")
 def pair932():
     return build_pair(9, CTX3, 2)
@@ -91,10 +110,11 @@ def test_orbit_reaches_first_six_units(pair932):
 
 def test_orbit_q_invariance(pair932):
     o = orbit([pair932.x, pair932.y], unit_vector(CTX3, 9, 0))
-    base_q = quadratic_value(pair932.space, o.vector(0))
+    codes = _discovery_codes(o)
+    base_q = quadratic_value(pair932.space, _vector(CTX3, 9, codes[0]))
     step = max(1, o.size // 200)
     for pos in range(0, o.size, step):
-        assert np.array_equal(quadratic_value(pair932.space, o.vector(pos)), base_q)
+        assert np.array_equal(quadratic_value(pair932.space, _vector(CTX3, 9, codes[pos])), base_q)
 
 
 def test_orbit_transversal_maps_root_to_point(pair932):
@@ -102,10 +122,11 @@ def test_orbit_transversal_maps_root_to_point(pair932):
     lv = _level(0, gens)
     lv.recompute()
     o = lv.orbit
+    codes = _discovery_codes(o)
     rng = random.Random(3)
     for pos in [0, 1, o.size - 1] + [rng.randrange(o.size) for _ in range(12)]:
         u = _view(CTX3, lv.u(pos))
-        assert np.array_equal(u @ unit_vector(CTX3, 9, 0), o.vector(pos))
+        assert np.array_equal(u @ unit_vector(CTX3, 9, 0), _vector(CTX3, 9, codes[pos]))
         if pos:  # the Schreier vector: u(pos) = gens[genlab[pos]] u(parent[pos])
             up = _view(CTX3, lv.u(int(o.parent[pos])))
             assert u == gens[int(o.genlab[pos])] @ up
@@ -114,7 +135,7 @@ def test_orbit_transversal_maps_root_to_point(pair932):
 def test_orbit_discovery_is_deterministic(pair932):
     a = orbit([pair932.x, pair932.y], unit_vector(CTX3, 9, 0))
     b = orbit([pair932.x, pair932.y], unit_vector(CTX3, 9, 0))
-    assert np.array_equal(a.ids, b.ids)
+    assert np.array_equal(_discovery_codes(a), _discovery_codes(b))
     assert np.array_equal(a.parent, b.parent)
 
 
@@ -186,7 +207,7 @@ def test_orbit_backends_agree(pair932):
     ref_ids, ref_visited = _point_major_orbit(gens, v)
     np_ = orbit(gens, v)
     assert ref_ids.size == np_.size
-    assert np.array_equal(np.sort(ref_ids), np.sort(np_.ids))
+    assert np.array_equal(np.sort(ref_ids), np.sort(_discovery_codes(np_)))
     _assert_equal_arrays(ref_visited >= 0, _dense_table(np_.index, ref_visited.size) >= 0,
                          "membership")
 
@@ -251,9 +272,11 @@ def _assert_equal_arrays(got, want, name):
 
 
 def _assert_same_bfs(got, want):
-    """got is the kernel's (ids, parent, genlab, index), want the frontier
-    reference's."""
-    assert len(got) == len(want) == 4
+    """got is the kernel's (parent, genlab, index), want the frontier
+    reference's (ids, parent, genlab, index): the kernel's discovery
+    order, rebuilt from its index, is compared too."""
+    assert len(got) == 3 and len(want) == 4
+    got = (_discovery_codes(got[2]), *got)
     for name, a, b in zip(("ids", "parent", "genlab", "index"), got, want):
         assert a.dtype == b.dtype, f"{name}: dtype {a.dtype} != {b.dtype}"
         _assert_equal_arrays(a, b, name)
@@ -291,7 +314,7 @@ def test_orbit_bfs_matches_frontier_reference(data, p, f, seed):
     start = rng.integers(0, p, size=n * f)
     got = orbit_bfs(gens, start, p, space)
     _assert_same_bfs(got, _orbit_bfs_frontier_py(gens, start, p, space))
-    ids = got[0]
+    ids = _discovery_codes(got[2])
     if np.unique(ids).size == ids.size:  # what orbit() accepts is the closure
         assert np.array_equal(np.sort(ids), np.sort(_orbit_bfs_py(gens, start, p, space)[0]))
 
@@ -332,22 +355,24 @@ def test_orbit_position_rejects_codes_outside_the_orbit(pair932):
     # the table's tail, and codes past 3^9 to raise IndexError.
     o = orbit([pair932.x, pair932.y], np.full((9, 1), 2))
     outside = [-1, -2, -(3 ** 9), 3 ** 9, 3 ** 9 + 1, DENSE_CAP, 2 ** 41, 2 ** 62]
-    missing = np.setdiff1d(np.arange(3 ** 9), o.ids)
+    codes = _discovery_codes(o)
+    missing = np.setdiff1d(np.arange(3 ** 9), codes)
     outside += [int(c) for c in missing[:: max(1, missing.size // 50)]]
     for code in outside + [2 ** 70]:
         assert o.position(code) == -1, code
     assert np.all(o.positions(np.array(outside, np.int64)) == -1)
     for pos in (0, 1, o.size // 2, o.size - 1):
-        assert o.position(int(o.ids[pos])) == pos
+        assert o.position(int(codes[pos])) == pos
 
 
 def test_orbit_positions_match_position(pair932):
     o = orbit([pair932.x, pair932.y], unit_vector(CTX3, 9, 0))
-    codes = np.concatenate([o.ids, np.arange(-5, 3 ** 9 + 5, 7)])
+    found = _discovery_codes(o)
+    codes = np.concatenate([found, np.arange(-5, 3 ** 9 + 5, 7)])
     want = [o.position(int(c)) for c in codes]
     got = o.positions(codes)
     assert got.dtype == np.int64 and got.tolist() == want
-    assert np.array_equal(o.positions(o.ids), np.arange(o.size))
+    assert np.array_equal(o.positions(found), np.arange(o.size))
 
 
 def _bfs_case():
@@ -378,7 +403,7 @@ def test_orbit_bfs_scratch_clean_after_closure_and_cap():
         got = orbit_bfs(*args)
         assert _kernels._scratch.size >= args[3]
         _assert_same_bfs(got, _orbit_bfs_frontier_py(*args))
-    assert got[0].tolist() == [1, 0, 4, 3, 2, 7, 8, 6, 6]  # 5 = (2, 1) is missing
+    assert _discovery_codes(got[2]).tolist() == [1, 0, 4, 3, 2, 7, 8, 6, 6]  # 5 = (2, 1) is missing
 
 
 @pytest.mark.parametrize("layout, named", [
@@ -395,9 +420,9 @@ def test_orbit_bfs_repeated_and_identity_generators(layout, named):
     plain = np.stack([by_name[n] for n in dict.fromkeys(names) if n != "1"])
     got = orbit_bfs(stack, start, p, space)
     _assert_same_bfs(got, _orbit_bfs_frontier_py(stack, start, p, space))
-    assert set(got[2].tolist()) <= named
-    want = orbit_bfs(plain, start, p, space)[0]
-    assert np.array_equal(np.sort(got[0]), np.sort(want))
+    assert set(got[1].tolist()) <= named
+    want = _discovery_codes(orbit_bfs(plain, start, p, space)[2])
+    assert np.array_equal(np.sort(_discovery_codes(got[2])), np.sort(want))
 
 
 def test_orbit_refuses_a_singular_generator_that_merges_points():
@@ -468,7 +493,7 @@ def test_orbit_bfs_scratch_clean_after_exception(monkeypatch):
 def test_orbit_memory_follows_the_orbit():
     # A one-point orbit in a 3^13-point space: once the scratch table has
     # grown, a search allocates less than one byte per point of the space,
-    # and the Orbit holds one discovery row and one index entry.
+    # and the Orbit holds one Schreier-vector row and one index entry.
     import tracemalloc
 
     gens, v = [Matrix.identity(CTX3, 13)], unit_vector(CTX3, 13, 0)
@@ -481,17 +506,46 @@ def test_orbit_memory_follows_the_orbit():
         tracemalloc.stop()
     assert o.size == 1 and peak < 3 ** 13
     held = [a.nbytes if a.base is None else a.base.nbytes
-            for a in (o.ids, o.parent, o.genlab, o.index)]
-    assert held == [8, 4, 2, 8]
+            for a in (o.parent, o.genlab, o.index)]
+    assert held == [4, 2, 8]
+
+
+def test_orbit_holds_fourteen_bytes_a_point():
+    # At (11,3) the orbit of e_0 has 59,292 points. It keeps an int32
+    # parent, an int16 label and an int64 index entry a point, nothing
+    # more, and the search's traced peak stays under 31 bytes a point
+    # once the scratch table has grown (it was 35.2 while the orbit also
+    # kept its codes in discovery order).
+    import tracemalloc
+
+    pair = build_pair(11, CTX3, 2)
+    gens, v = [pair.x, pair.y], unit_vector(CTX3, 11, 0)
+    orbit(gens, v)
+    tracemalloc.start()
+    try:
+        o = orbit(gens, v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert o.size == 59292
+    arrays = [getattr(o, f.name) for f in dataclasses.fields(o)]
+    held = sum(a.nbytes if a.base is None else a.base.nbytes
+               for a in arrays if isinstance(a, np.ndarray))
+    assert held == 14 * o.size + o.powers.nbytes  # powers: one p^k a coordinate
+    assert peak < 31 * o.size, peak / o.size
 
 
 def test_grown_orbit_holds_exactly_its_rows(pair932):
-    # An orbit of many frontiers keeps arrays that own their data and
-    # have exactly its size, not views of larger discovery arrays.
+    # An orbit of many frontiers keeps arrays that have exactly its size
+    # and pin exactly their own bytes, not views of larger discovery
+    # arrays. (An index read off the visited table is np.flatnonzero's
+    # result: a view of an (size, 1) array of the same bytes.)
     o = orbit([pair932.x, pair932.y], unit_vector(CTX3, 9, 0))
     assert o.size > 1024
-    for a in (o.ids, o.parent, o.genlab, o.index):
-        assert a.base is None and a.shape == (o.size,)
+    for a in (o.parent, o.genlab, o.index):
+        owner = a if a.base is None else a.base
+        assert owner.base is None and owner.nbytes == a.nbytes
+        assert a.shape == (o.size,)
 
 
 def _swap_singular_case():
@@ -550,11 +604,12 @@ def test_levels_recomputed_in_turn_keep_their_positions(pair932):
     probe = np.arange(3 ** 9)
     for lv in levels:
         o = lv.orbit
+        codes = _discovery_codes(o)
         want = np.full(3 ** 9, -1)
-        want[o.ids] = np.arange(o.size)
+        want[codes] = np.arange(o.size)
         assert np.array_equal(o.positions(probe), want)
         for pos in range(0, o.size, max(1, o.size // 40)):
-            assert o.position(int(o.ids[pos])) == pos
+            assert o.position(int(codes[pos])) == pos
 
 
 def test_orbit_dimension_mismatch(pair932):
@@ -625,6 +680,32 @@ def test_chain_enumerated_small_group():
     assert len(elems) == omega_order(3, "circ", 3) == 12
     ch = stabilizer_chain(elems, seed=7)
     assert ch.order == 12
+
+
+def _permutation(images):
+    """The permutation matrix over F_3 that sends e_j to e_images[j]."""
+    n = len(images)
+    return Matrix(CTX3, [[int(images[j] == i) for j in range(n)] for i in range(n)])
+
+
+@pytest.mark.xfail(strict=True, reason="verify_schreier tests the Schreier "
+                   "generators of each level's own generators only")
+@pytest.mark.parametrize("images, order", [
+    (((1, 0, 2), (0, 2, 1)), 6),         # S3 = <(0 1), (1 2)>: stops at 4
+    (((1, 2, 3, 0), (0, 2, 1, 3)), 24),  # S4 = <(0 1 2 3), (1 2)>: stops at 8
+], ids=["S3", "S4"])
+def test_schreier_check_alone_completes_the_chain(images, order):
+    # No random phase: the generators are fed, then the deterministic
+    # check runs until it absorbs nothing. The second generator fixes
+    # level 0's base vector, so it opens level 1 and is never among
+    # level 0's generators, whose Schreier generators alone are tested.
+    gens = tuple(_permutation(g) for g in images)
+    builder = certify_mod._ChainBuilder(gens, seed=1, budget_seconds=None)
+    for g in gens:
+        builder.feed(g.blocks, g.inverse().blocks)
+    while not builder.verify_schreier():
+        pass
+    assert builder.order() == order
 
 
 def test_chain_order_matches_formula(chain932):
@@ -703,9 +784,10 @@ def test_chain_refuses_a_budget_that_is_not_a_duration(pair932, budget):
 def test_chain_transversals_sampled(chain932):
     rng = random.Random(23)
     for lv in chain932.levels:
+        codes = _discovery_codes(lv.orbit)
         for pos in {0, lv.orbit.size - 1, rng.randrange(lv.orbit.size)}:
             u = _view(lv.ctx, lv.u(pos))
-            assert np.array_equal(u @ lv.base_vec, lv.orbit.vector(pos))
+            assert np.array_equal(u @ lv.base_vec, _vector(lv.ctx, 9, codes[pos]))
 
 
 SIZES_932 = (6480, 2214, 756, 234, 72, 30, 4, 3)
@@ -773,11 +855,13 @@ def test_lazy_transversals_invert_and_map_to_base(chain95):
     rng = random.Random(29)
     for lv in chain.levels:
         size = lv.orbit.size
+        codes = _discovery_codes(lv.orbit)
         for pos in {0, size - 1, size // 2} | {rng.randrange(size) for _ in range(6)}:
             u, u_inv = _view(CTX5, lv.u(pos)), _view(CTX5, lv.u_inv(pos))
+            point = _vector(CTX5, 9, codes[pos])
             assert (u_inv @ u).is_identity()
-            assert np.array_equal(u @ lv.base_vec, lv.orbit.vector(pos))
-            assert np.array_equal(u_inv @ lv.orbit.vector(pos), lv.base_vec)
+            assert np.array_equal(u @ lv.base_vec, point)
+            assert np.array_equal(u_inv @ point, lv.base_vec)
 
 
 def test_targeted_build_memoizes_few_transversals(chain95):

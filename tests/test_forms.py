@@ -35,7 +35,7 @@ from omega23.forms import (
     witt_type,
 )
 from omega23.generators import build_pair
-from omega23.linalg import Matrix, evaluate_word, parse_word, vector
+from omega23.linalg import Matrix, evaluate_word, parse_word, rref, vector
 
 F3 = make_field(3, 1)
 F5 = make_field(5, 1)
@@ -230,7 +230,7 @@ def _check_spinor_norm(space, g):
     ctx = space.ctx
     theta = is_square(ctx, spinor_norm(space, g))
     assert theta == _oracle_spinor_norm(space, g)
-    rank = (Matrix.identity(ctx, space.n) - g).rank()
+    rank = len(rref(ctx, (Matrix.identity(ctx, space.n) - g).data)[1])
     assert g.det().tolist() == ctx.coerce((-1) ** rank).tolist()
     return theta
 
