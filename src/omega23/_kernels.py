@@ -22,13 +22,13 @@ whose visited slot is -1 before the generator appends anything, and
 append them, as one chunk, in frontier order; the chunks appended
 while closing a frontier make up the next. That is the order a
 sequential pass (generator by generator, point by point) reaches them,
-with no dedup:
-for injective generators (invertible mod p) a frontier repeats no
-point, so one generator's new images are distinct. A search never
-lists more than p^N points. A singular generator can list a point
-twice; a search that fills all p^N entries either repeats a code that
-way or has found every point of the space, which is then the exact
-closure. The caller refuses any repeated code.
+with no dedup, because the generators must be invertible mod p: an
+injective generator maps a frontier, which repeats no point, to
+distinct images, so a search lists each point of the orbit once. The
+kernel does not check this precondition. `certify.orbit` and
+`certify.stabilizer_chain` refuse a singular generator before any
+search, and every other generator a chain passes in is a product of
+those and their inverses.
 
 The visited table is one module-level scratch buffer, grown to the
 largest space seen and all -1 between calls: a search resets the slots
@@ -126,8 +126,8 @@ def orbit_bfs(gens: np.ndarray, start: np.ndarray, p: int, space: int):
 
     Returns (parent, genlab, index), one entry for each of at most `space`
     points: the Schreier forest, in discovery order, and the sorted array
-    of (code << POS_BITS) | position. A generator that is not injective
-    can make a point appear twice, at two positions.
+    of (code << POS_BITS) | position. The generators must be invertible
+    mod p (see the module docstring).
 
     The visited table is the shared scratch buffer, so the kernel is not
     re-entrant.
@@ -151,15 +151,14 @@ def _index(visited, chunks, count):
     """The sorted (code << POS_BITS) | position of the `count` points in
     the code chunks, built in place, with the visited table reset to -1.
     An orbit of an eighth of the space or more reads its codes off the
-    table in order, which costs less than a sort, unless one is repeated."""
+    table in order, which costs less than a sort."""
     if 8 * count >= visited.size:
         index = np.flatnonzero(visited >= 0)
-        if index.size == count:
-            pos = visited[index]
-            index <<= POS_BITS
-            index |= pos
-            visited.fill(-1)
-            return index
+        pos = visited[index]
+        index <<= POS_BITS
+        index |= pos
+        visited.fill(-1)
+        return index
     index = np.concatenate(chunks)
     visited[index] = -1
     index <<= POS_BITS
@@ -171,7 +170,6 @@ def _index(visited, chunks, count):
 def _search(gens, start, p, visited):
     """The frontier loop: (code chunks, parent, genlab), with visited
     holding each found point's position and -1 elsewhere."""
-    space = visited.size
     gens = np.ascontiguousarray(gens, dtype=np.int64)
     start = np.ascontiguousarray(start, dtype=np.int64)
     n_coords = start.shape[0]
@@ -208,11 +206,10 @@ def _search(gens, start, p, visited):
         for gi, img in enumerate(images):
             # An injective generator maps a frontier, which repeats no
             # point, to distinct images, so the new ones need no dedup.
-            fresh = np.flatnonzero(visited[img] < 0)
-            k = min(fresh.size, space - count)
+            where = np.flatnonzero(visited[img] < 0)
+            k = where.size
             if not k:
                 continue
-            where = fresh[:k]
             new_codes = img[where]
             visited[new_codes] = np.arange(count, count + k, dtype=np.int32)
             codes.append(new_codes)

@@ -42,7 +42,7 @@ from ._kernels import DENSE_CAP, POS_BITS, POS_MASK, orbit_bfs
 from .fields import FieldCtx, elem_to_json
 from .forms import OrthoSpace, in_omega, omega_order
 from .generators import GenPair, WrongCase, s9_restrictions
-from .linalg import Matrix, _block_inverse, _eye, unit_vector
+from .linalg import Matrix, Singular, _block_inverse, _eye, unit_vector
 
 
 class CertifyError(Exception):
@@ -64,7 +64,7 @@ class BudgetExceeded(CertifyError):
 
 
 TRIVIAL_SIFT_RUN = 64
-_TRANSVERSAL_CACHE_LIMIT = 65536
+_TRANSVERSAL_CACHE_BYTES = 16 << 20  # of each transversal memo
 _PRA_SLOTS = 10
 _PRA_BURN_IN = 64
 
@@ -107,13 +107,14 @@ class Orbit:
 
 
 def orbit(gens, v) -> Orbit:
-    """Breadth-first closure of the vector v under the given invertible
-    matrices. A singular generator is refused when it makes a point
-    appear twice."""
+    """Breadth-first closure of the vector v under the given matrices,
+    which must be invertible: a singular one is refused before any search."""
     gens = tuple(gens)
     if not gens:
         raise CertifyError("orbit needs at least one generator")
     ctx, n = _shape_of(gens)
+    if not all(g.det().any() for g in gens):
+        raise CertifyError("generators must be invertible")
     vec = np.asarray(v, dtype=np.int64) % ctx.p
     if vec.shape != (n, ctx.f):
         raise DimensionMismatch(f"vector shape {vec.shape} does not match ({n}, {ctx.f})")
@@ -127,12 +128,6 @@ def _orbit(ctx: FieldCtx, flat: np.ndarray, vec: np.ndarray) -> Orbit:
         raise StateSpaceTooLarge(
             f"p^(n*f) = {space} exceeds the dense table cap {DENSE_CAP}")
     parent, genlab, index = orbit_bfs(flat, vec.reshape(-1), ctx.p, space)
-    codes = index >> POS_BITS
-    if not np.all(codes[1:] > codes[:-1]):
-        # The kernel relies on injective generators; a point found twice
-        # shows a singular one. Without such a repeat the closure is exact:
-        # the search stops at closure or with every point of the space.
-        raise CertifyError("generators must be invertible")
     return Orbit(parent=parent, genlab=genlab, index=index,
                  powers=ctx.p ** np.arange(vec.size, dtype=np.int64))
 
@@ -158,8 +153,9 @@ class Level:
     orbit's parent/genlab arrays are its Schreier vector. A coset
     representative u(pos), and its inverse, is built on first use by
     walking the Schreier tree up to the nearest memoized ancestor (Seress,
-    Permutation Group Algorithms, 2003, ch. 4); each memo keeps at most
-    _TRANSVERSAL_CACHE_LIMIT elements and walks without storing past that.
+    Permutation Group Algorithms, 2003, ch. 4); each memo keeps elements
+    while they fit in _TRANSVERSAL_CACHE_BYTES and walks without storing
+    past that.
     """
 
     __slots__ = ("ctx", "base_vec", "base_col", "gens", "invs", "orbit", "_u", "_u_inv")
@@ -194,7 +190,7 @@ class Level:
         genlab = self.orbit.genlab
         for at in reversed(path):
             m = step(m, int(genlab[at]))
-            if len(memo) < _TRANSVERSAL_CACHE_LIMIT:
+            if (len(memo) + 1) * m.nbytes <= _TRANSVERSAL_CACHE_BYTES:
                 memo[at] = m
         return m
 
@@ -340,10 +336,11 @@ class _ChainBuilder:
         return True
 
     def build(self, target) -> StabilizerChain:
-        if not all(g.det().any() for g in self.gens):
-            raise CertifyError("generators must be invertible")
         flat = [g.blocks for g in self.gens]
-        inverses = [g.inverse().blocks for g in self.gens]
+        try:
+            inverses = [g.inverse().blocks for g in self.gens]
+        except Singular as err:
+            raise CertifyError("generators must be invertible") from err
         for b, b_inv in zip(flat, inverses):
             self.feed(b, b_inv)
         stream = _RandomElements(self.ctx, flat, inverses, self.seed)

@@ -297,26 +297,19 @@ def test_orbit_bfs_matches_frontier_reference(data, p, f, seed):
         n_max += 1
     n = n_max - data.draw(st.integers(0, n_max - 1), label="n_max - n")
     n_gens = data.draw(st.integers(1, 4), label="generators")
-    # The first n_singular generators have a zero column: rank-deficient,
-    # so they can list a point twice and fill the discovery arrays.
-    n_singular = data.draw(st.integers(0, n_gens), label="singular generators")
     space = p ** (n * f)
     rng = np.random.default_rng(seed)
     gens = []
     while len(gens) < n_gens:
         entries = rng.integers(0, p, size=(n, n, f))
-        if len(gens) < n_singular:
-            entries[:, rng.integers(n)] = 0
-        elif not Matrix(ctx, entries).det().any():
-            continue
-        gens.append(_block_form(ctx, entries))
+        if Matrix(ctx, entries).det().any():
+            gens.append(_block_form(ctx, entries))
     gens = np.stack(gens)
     start = rng.integers(0, p, size=n * f)
     got = orbit_bfs(gens, start, p, space)
     _assert_same_bfs(got, _orbit_bfs_frontier_py(gens, start, p, space))
     ids = _discovery_codes(got[2])
-    if np.unique(ids).size == ids.size:  # what orbit() accepts is the closure
-        assert np.array_equal(np.sort(ids), np.sort(_orbit_bfs_py(gens, start, p, space)[0]))
+    assert np.array_equal(np.sort(ids), np.sort(_orbit_bfs_py(gens, start, p, space)[0]))
 
 
 _LARGEST_PRIME = 4194301  # the largest prime below DENSE_CAP = 2^22
@@ -388,22 +381,26 @@ def _bfs_case():
 
 
 # Over F_3, (x, y) -> (0, y) and (x, y) -> (x + y, x + 2y) from (1, 0):
-# the projection sends the fourth frontier, (1, 2) and (2, 2), both to
-# the new point (0, 2), so that point is listed twice and the ninth entry
-# fills all 3^2 rows. The fifth frontier's two new images, (2, 1) twice,
-# find no room.
+# the projection sends (1, 2) and (2, 2) both to (0, 2), so a search
+# would list that point twice. `orbit` refuses the projection first.
 _CLAMP_CASE = (np.array([[[0, 0], [0, 1]], [[1, 1], [1, 2]]], np.int64),
                np.array([1, 0]), 3, 3 ** 2)
 
+# Over F_3, the companion matrix of the primitive x^2 + x + 2 (a Singer
+# cycle) moves (1, 0) through all 8 nonzero points, one a frontier.
+_SINGER_CASE = (np.array([[[0, 1], [1, 2]]], np.int64), np.array([1, 0]), 3, 3 ** 2)
+
 
 def test_orbit_bfs_scratch_clean_after_closure_and_cap():
-    # The space's size is the only cap: a closed search and one that
-    # fills the discovery arrays both leave the table all -1.
-    for args in (_bfs_case(), _CLAMP_CASE):
+    # The space's size is the only cap, and invertible generators reach
+    # at most its p^N - 1 nonzero points: both searches here do, from
+    # frontiers past the table threshold and from one-point frontiers,
+    # and leave the table all -1.
+    for args in (_bfs_case(), _SINGER_CASE):
         got = orbit_bfs(*args)
-        assert _kernels._scratch.size >= args[3]
+        assert _kernels._scratch.size >= args[3] and got[2].size == args[3] - 1
         _assert_same_bfs(got, _orbit_bfs_frontier_py(*args))
-    assert _discovery_codes(got[2]).tolist() == [1, 0, 4, 3, 2, 7, 8, 6, 6]  # 5 = (2, 1) is missing
+    assert _discovery_codes(got[2]).tolist() == [1, 3, 7, 8, 2, 6, 5, 4]
 
 
 @pytest.mark.parametrize("layout, named", [
@@ -426,9 +423,9 @@ def test_orbit_bfs_repeated_and_identity_generators(layout, named):
 
 
 def test_orbit_refuses_a_singular_generator_that_merges_points():
-    # Over F_3, (x, y) -> (0, 2x) sends the second frontier, (0, 1) and
-    # (0, 2), both to the new point 0: the kernel lists it twice. The
-    # clamp case lists (0, 2) twice and fills the discovery arrays.
+    # Over F_3, (x, y) -> (0, 2x) sends (0, 1) and (0, 2) both to 0, and
+    # the clamp case merges two points too: a search would list each
+    # merged point twice.
     swap = Matrix(CTX3, [[0, 1], [1, 0]])
     singular = Matrix(CTX3, [[0, 0], [2, 0]])
     clamped = [Matrix(CTX3, g.tolist()) for g in _CLAMP_CASE[0]]
@@ -436,6 +433,37 @@ def test_orbit_refuses_a_singular_generator_that_merges_points():
         with pytest.raises(CertifyError, match="invertible"):
             orbit(gens, unit_vector(CTX3, 2, 0))
         assert np.all(_kernels._scratch == -1)
+
+
+# Over F_3 from (1, 0): the projection (x, y) -> (x, 0) fixes it, a
+# one-point "orbit", and next to the swap, (x, y) -> (y, 0) reaches
+# three points. Neither lists a point twice, so only a check on the
+# generators themselves refuses them.
+_SINGULAR_GENS = {
+    "projection": [[[1, 0], [0, 0]]],
+    "swap-and-shift": [[[0, 1], [1, 0]], [[0, 1], [0, 0]]],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SINGULAR_GENS))
+def test_orbit_refuses_every_singular_generator_before_any_search(case, count_calls):
+    counts = count_calls(_kernels, "orbit_bfs")
+    gens = [Matrix(CTX3, g) for g in _SINGULAR_GENS[case]]
+    with pytest.raises(CertifyError, match="invertible"):
+        orbit(gens, unit_vector(CTX3, 2, 0))
+    assert counts["orbit_bfs"] == 0
+    swap = Matrix(CTX3, [[0, 1], [1, 0]])
+    assert orbit([swap], unit_vector(CTX3, 2, 0)).size == 2
+    assert counts["orbit_bfs"] == 1  # the spy sees the searches that do run
+
+
+@pytest.mark.parametrize("case", sorted(_SINGULAR_GENS))
+def test_chain_refuses_a_singular_generator_before_any_search(case, count_calls):
+    counts = count_calls(_kernels, "orbit_bfs")
+    gens = [Matrix(CTX3, g) for g in _SINGULAR_GENS[case]]
+    with pytest.raises(CertifyError, match="invertible"):
+        stabilizer_chain(gens, seed=1)
+    assert counts["orbit_bfs"] == 0
 
 
 def _packed_images_dense(p, lo_digit, n_digits, gens):
@@ -548,23 +576,13 @@ def test_grown_orbit_holds_exactly_its_rows(pair932):
         assert a.shape == (o.size,)
 
 
-def _swap_singular_case():
-    """Over F_3, the swap and (x, y) -> (0, 2x) from (1, 0): the second
-    frontier, (0, 1) and (0, 2), goes to the new point 0 twice."""
-    gens = np.array([[[0, 1], [1, 0]], [[0, 0], [2, 0]]], np.int64)
-    return gens, np.array([1, 0]), 3, 3 ** 2
-
-
-@pytest.mark.parametrize("case", ["bfs", "clamp", "swap-singular", "unit-932"])
+@pytest.mark.parametrize("case", ["bfs", "unit-932"])
 def test_orbit_bfs_frontier_paths_agree(case, pair932, monkeypatch):
     """Frontiers closed without tables (threshold above the space) and
     with them (threshold 0) give the same arrays, the frontier reference's,
-    and leave the scratch table clean: singular repeats and the clamp at
-    a full space included."""
+    and leave the scratch table clean."""
     args = {
         "bfs": _bfs_case,
-        "clamp": lambda: _CLAMP_CASE,
-        "swap-singular": _swap_singular_case,
         "unit-932": lambda: (np.stack([_flat(pair932.x), _flat(pair932.y)]),
                              unit_vector(CTX3, 9, 0).reshape(-1), 3, 3 ** 9),
     }[case]()
@@ -873,7 +891,8 @@ def test_targeted_build_memoizes_few_transversals(chain95):
 
 
 def test_memo_cap_keeps_the_chain(pair932, chain932, monkeypatch):
-    monkeypatch.setattr(certify_mod, "_TRANSVERSAL_CACHE_LIMIT", 100)
+    budget = 100 * 9 * 9 * 8  # 100 of the (9, 9) int64 block forms
+    monkeypatch.setattr(certify_mod, "_TRANSVERSAL_CACHE_BYTES", budget)
     capped = stabilizer_chain([pair932.x, pair932.y], target=None, seed=53251)
     assert capped.verified
     assert capped.order == chain932.order
@@ -881,8 +900,15 @@ def test_memo_cap_keeps_the_chain(pair932, chain932, monkeypatch):
     for u, v in zip(capped.base, chain932.base):
         assert np.array_equal(u, v)
     for lv in capped.levels:
-        assert len(lv._u) <= 100 and len(lv._u_inv) <= 100
+        for memo in (lv._u, lv._u_inv):
+            assert sum(m.nbytes for m in memo.values()) <= budget
     assert capped.levels[0].orbit.size > 100
+    assert len(capped.levels[0]._u) == 100  # the budget, not the orbit, stops it
+    # Under the real budget every memo of the chain holds every orbit
+    # point, which the Schreier check walks: the largest is 6,480 block
+    # forms of 648 bytes, 4.2 MB.
+    for lv in chain932.levels:
+        assert len(lv._u) == len(lv._u_inv) == lv.orbit.size
 
 
 def test_random_elements_keep_inverses_and_stream(pair932):
