@@ -1,7 +1,7 @@
 """Prime-field orbit kernel.
 
-Breadth-first orbit closure over F_p^N with a dense visited table, no
-matrix products. A point's code is its base-p number, digit k of weight
+Breadth-first orbit closure over F_p^N with a dense one-byte seen table,
+no matrix products. A point's code is its base-p number, digit k of weight
 p^k; split it as hi·p^m + lo with m = ⌊N/2⌋. Since a generator g is
 linear, g(v) = g(hi part) + g(lo part), so the kernel tabulates, once
 per generator, the images of every hi half and every lo half with their
@@ -11,14 +11,14 @@ most 2p − 2 < 2^bits, so no field carries into the next. Chunk tables
 then reduce the digits mod p and rebuild the base-p code. Tables cost
 more than a small orbit: a frontier of at most _SMALL_FRONTIER points,
 and every frontier at N = 1, where a digit's chunk table would outgrow
-the visited table, is decoded to digits and mapped through all
+the seen table, is decoded to digits and mapped through all
 generators by one int64 matmul instead. So a search tabulates all of
 its generators when its first larger frontier appears, and a search
 that never sees one builds no tables.
 
 Either way, each frontier is then closed by one loop, one generator at
 a time: take the frontier's images under the generator, keep those
-whose visited slot is -1 before the generator appends anything, and
+whose seen slot is 0 before the generator appends anything, and
 append them, as one chunk, in frontier order; the chunks appended
 while closing a frontier make up the next. That is the order a
 sequential pass (generator by generator, point by point) reaches them,
@@ -30,12 +30,15 @@ kernel does not check this precondition. `certify.orbit` and
 search, and every other generator a chain passes in is a product of
 those and their inverses.
 
-The visited table is one module-level scratch buffer, grown to the
-largest space seen and all -1 between calls: a search resets the slots
-of the points it found before it returns, and drops the buffer if it
-raises. What a caller keeps is 14 bytes a point: the Schreier vector
-(int32 parents, int16 generator labels) and a sorted int64 index of
-(code << POS_BITS) | position, which holds every code.
+The seen table is one module-level uint8 scratch buffer, a byte a point
+of the largest space searched, 1 at each point found and all 0 between
+calls: it holds no positions. A search resets the slots of the points
+it found before it returns, and drops the buffer if it raises. What a
+caller keeps is 14 bytes a point: the Schreier vector (int32 parents,
+int16 generator labels) and a sorted int64 index of
+(code << POS_BITS) | position, which holds every code. The index is
+built by one path for every orbit: join the code chunks, OR each code's
+discovery position in below it, and sort.
 """
 
 from __future__ import annotations
@@ -50,8 +53,8 @@ POS_MASK = (1 << POS_BITS) - 1
 _CHUNK_BITS = 12  # unpacking tables hold at most 2^12 entries
 _SMALL_FRONTIER = 16  # frontiers up to this many points are mapped without tables
 
-_EMPTY = np.empty(0, np.int32)
-_scratch = _EMPTY  # the visited table: all -1 between calls
+_EMPTY = np.empty(0, np.uint8)
+_scratch = _EMPTY  # the seen table: all 0 between calls
 
 
 def _digit_bits(p: int) -> int:
@@ -101,7 +104,7 @@ def _unpack_tables(p: int, n_coords: int) -> tuple:
     """(shift, mask, table) per chunk of packed digits: table[field]
     is the chunk's digits, each reduced mod p, as a base-p code at its
     own weight. Each table is at most 2^_CHUNK_BITS entries and never
-    more than p^n_coords, the size of the visited table."""
+    more than p^n_coords, the size of the seen table."""
     bits = _digit_bits(p)
     # From N = 2 on, p <= 2048 and 2^bits <= 4p - 4 <= p^2: one digit fits.
     assert n_coords >= 2 and 1 << bits <= min(1 << _CHUNK_BITS, p ** n_coords)
@@ -129,47 +132,40 @@ def orbit_bfs(gens: np.ndarray, start: np.ndarray, p: int, space: int):
     of (code << POS_BITS) | position. The generators must be invertible
     mod p (see the module docstring).
 
-    The visited table is the shared scratch buffer, so the kernel is not
+    The seen table is the shared scratch buffer, so the kernel is not
     re-entrant.
     """
     global _scratch
     assert space <= DENSE_CAP, "space exceeds the dense table cap"
     if _scratch.size < space:
         _scratch = _EMPTY  # never hold the old and the new table at once
-        _scratch = np.full(space, -1, np.int32)
-    visited = _scratch[:space]
+        _scratch = np.zeros(space, np.uint8)
+    seen = _scratch[:space]
     try:
-        chunks, parent, genlab = _search(gens, start, p, visited)
-        index = _index(visited, chunks, parent.size)
+        chunks, parent, genlab = _search(gens, start, p, seen)
+        index = _index(seen, chunks, parent.size)
     except BaseException:
         _scratch = _EMPTY  # slots may be left set: start from a fresh table
         raise
     return parent, genlab, index
 
 
-def _index(visited, chunks, count):
+def _index(seen, chunks, count):
     """The sorted (code << POS_BITS) | position of the `count` points in
-    the code chunks, built in place, with the visited table reset to -1.
-    An orbit of an eighth of the space or more reads its codes off the
-    table in order, which costs less than a sort."""
-    if 8 * count >= visited.size:
-        index = np.flatnonzero(visited >= 0)
-        pos = visited[index]
-        index <<= POS_BITS
-        index |= pos
-        visited.fill(-1)
-        return index
+    the code chunks, built in place, with their seen slots reset to 0.
+    The chunk list is emptied once joined, so no chunk outlives the join."""
     index = np.concatenate(chunks)
-    visited[index] = -1
+    chunks.clear()
+    seen[index] = 0
     index <<= POS_BITS
     index |= np.arange(count, dtype=np.int64)
     index.sort()
     return index
 
 
-def _search(gens, start, p, visited):
-    """The frontier loop: (code chunks, parent, genlab), with visited
-    holding each found point's position and -1 elsewhere."""
+def _search(gens, start, p, seen):
+    """The frontier loop: (code chunks, parent, genlab), with seen
+    1 at each found point and 0 elsewhere."""
     gens = np.ascontiguousarray(gens, dtype=np.int64)
     start = np.ascontiguousarray(start, dtype=np.int64)
     n_coords = start.shape[0]
@@ -184,7 +180,7 @@ def _search(gens, start, p, visited):
     tables = None  # (hi rows, lo rows, unpacking tables), from the first large frontier
 
     sid = int(start @ powers)
-    visited[sid] = 0
+    seen[sid] = 1
     # One chunk a generator a frontier: codes, parents and generator labels.
     codes = [np.array([sid], np.int64)]
     parent = [np.array([-1], np.int32)]
@@ -206,12 +202,12 @@ def _search(gens, start, p, visited):
         for gi, img in enumerate(images):
             # An injective generator maps a frontier, which repeats no
             # point, to distinct images, so the new ones need no dedup.
-            where = np.flatnonzero(visited[img] < 0)
+            where = np.flatnonzero(seen[img] == 0)
             k = where.size
             if not k:
                 continue
             new_codes = img[where]
-            visited[new_codes] = np.arange(count, count + k, dtype=np.int32)
+            seen[new_codes] = 1
             codes.append(new_codes)
             parent.append((lo + where).astype(np.int32))
             genlab.append(np.full(k, gi, np.int16))

@@ -280,7 +280,7 @@ def _assert_same_bfs(got, want):
     for name, a, b in zip(("ids", "parent", "genlab", "index"), got, want):
         assert a.dtype == b.dtype, f"{name}: dtype {a.dtype} != {b.dtype}"
         _assert_equal_arrays(a, b, name)
-    assert np.all(_kernels._scratch == -1), "scratch table left dirty"
+    assert np.all(_kernels._scratch == 0), "scratch table left dirty"
 
 
 _BFS_PRIMES = (3, 5, 7, 11, 13)
@@ -395,7 +395,7 @@ def test_orbit_bfs_scratch_clean_after_closure_and_cap():
     # The space's size is the only cap, and invertible generators reach
     # at most its p^N - 1 nonzero points: both searches here do, from
     # frontiers past the table threshold and from one-point frontiers,
-    # and leave the table all -1.
+    # and leave the table all 0.
     for args in (_bfs_case(), _SINGER_CASE):
         got = orbit_bfs(*args)
         assert _kernels._scratch.size >= args[3] and got[2].size == args[3] - 1
@@ -432,7 +432,7 @@ def test_orbit_refuses_a_singular_generator_that_merges_points():
     for gens in ([swap, singular], clamped):
         with pytest.raises(CertifyError, match="invertible"):
             orbit(gens, unit_vector(CTX3, 2, 0))
-        assert np.all(_kernels._scratch == -1)
+        assert np.all(_kernels._scratch == 0)
 
 
 # Over F_3 from (1, 0): the projection (x, y) -> (x, 0) fixes it, a
@@ -501,7 +501,7 @@ class _FailingNumpy:
     dirty table, whichever numpy function it calls next."""
 
     def __getattr__(self, name):
-        if np.count_nonzero(_kernels._scratch != -1) > 1:
+        if np.count_nonzero(_kernels._scratch != 0) > 1:
             raise RuntimeError("injected")
         return getattr(np, name)
 
@@ -514,7 +514,7 @@ def test_orbit_bfs_scratch_clean_after_exception(monkeypatch):
     with pytest.raises(RuntimeError, match="injected"):
         orbit_bfs(*args)
     monkeypatch.undo()
-    assert np.all(_kernels._scratch == -1)
+    assert np.all(_kernels._scratch == 0)
     _assert_same_bfs(orbit_bfs(*args), want)
 
 
@@ -538,12 +538,24 @@ def test_orbit_memory_follows_the_orbit():
     assert held == [4, 2, 8]
 
 
+def test_scratch_table_is_one_byte_an_entry(monkeypatch):
+    # The seen table holds no positions: one uint8 a point of the space,
+    # all 0 again once a search returns. It starts empty here, so this
+    # search grows it to exactly its space.
+    monkeypatch.setattr(_kernels, "_scratch", _kernels._EMPTY)
+    orbit([Matrix.identity(CTX3, 13)], unit_vector(CTX3, 13, 0))
+    table = _kernels._scratch
+    assert table.dtype == np.uint8 and table.nbytes == 3 ** 13
+    assert not table.any()
+
+
 def test_orbit_holds_fourteen_bytes_a_point():
     # At (11,3) the orbit of e_0 has 59,292 points. It keeps an int32
     # parent, an int16 label and an int64 index entry a point, nothing
-    # more, and the search's traced peak stays under 31 bytes a point
+    # more, and the search's traced peak stays under 24 bytes a point
     # once the scratch table has grown (it was 35.2 while the orbit also
-    # kept its codes in discovery order).
+    # kept its codes in discovery order, and 27.4 while the scratch table
+    # held an int32 position a point).
     import tracemalloc
 
     pair = build_pair(11, CTX3, 2)
@@ -560,14 +572,14 @@ def test_orbit_holds_fourteen_bytes_a_point():
     held = sum(a.nbytes if a.base is None else a.base.nbytes
                for a in arrays if isinstance(a, np.ndarray))
     assert held == 14 * o.size + o.powers.nbytes  # powers: one p^k a coordinate
-    assert peak < 31 * o.size, peak / o.size
+    assert peak < 24 * o.size, peak / o.size
 
 
 def test_grown_orbit_holds_exactly_its_rows(pair932):
     # An orbit of many frontiers keeps arrays that have exactly its size
     # and pin exactly their own bytes, not views of larger discovery
-    # arrays. (An index read off the visited table is np.flatnonzero's
-    # result: a view of an (size, 1) array of the same bytes.)
+    # arrays. (The index is the search's code chunks joined by one
+    # concatenate and sorted in place, so it owns its bytes.)
     o = orbit([pair932.x, pair932.y], unit_vector(CTX3, 9, 0))
     assert o.size > 1024
     for a in (o.parent, o.genlab, o.index):

@@ -152,6 +152,14 @@ def test_singular_inverse_raises():
         m.inverse()
 
 
+def test_identity_block_is_one_read_only_array_a_size():
+    eye = linalg._eye(9)
+    assert eye is linalg._eye(9)
+    assert np.array_equal(eye, np.eye(9, dtype=np.int64))
+    with pytest.raises(ValueError):
+        eye[0, 0] = 0
+
+
 # det() and inverse() keep their first result on the matrix
 
 memo_case = settings(derandomize=True, max_examples=40, deadline=None)
