@@ -28,7 +28,10 @@ distinct images, so a search lists each point of the orbit once. The
 kernel does not check this precondition. `certify.orbit` and
 `certify.stabilizer_chain` refuse a singular generator before any
 search, and every other generator a chain passes in is a product of
-those and their inverses.
+those and their inverses. When a frontier is joined, the joined codes
+and parents replace its chunks, so the search holds one array a closed
+layer. A chunk's labels are all its generator's, so they are kept as
+one (size, label) run, expanded once after the index is built.
 
 The seen table is one module-level uint8 scratch buffer, a byte a point
 of the largest space searched, 1 at each point found and all 0 between
@@ -37,8 +40,9 @@ it found before it returns, and drops the buffer if it raises. What a
 caller keeps is 14 bytes a point: the Schreier vector (int32 parents,
 int16 generator labels) and a sorted int64 index of
 (code << POS_BITS) | position, which holds every code. The index is
-built by one path for every orbit: join the code chunks, OR each code's
-discovery position in below it, and sort.
+built by one path for every orbit: each code layer becomes its own
+entries in place, its codes shifted up and their discovery positions
+ORed in below, then the layers are joined and the result sorted.
 """
 
 from __future__ import annotations
@@ -142,30 +146,37 @@ def orbit_bfs(gens: np.ndarray, start: np.ndarray, p: int, space: int):
         _scratch = np.zeros(space, np.uint8)
     seen = _scratch[:space]
     try:
-        chunks, parent, genlab = _search(gens, start, p, seen)
-        index = _index(seen, chunks, parent.size)
+        layers, parent, runs = _search(gens, start, p, seen)
+        index = _index(seen, layers)
     except BaseException:
         _scratch = _EMPTY  # slots may be left set: start from a fresh table
         raise
+    sizes, labels = zip(*runs)
+    genlab = np.repeat(np.array(labels, np.int16), sizes)
     return parent, genlab, index
 
 
-def _index(seen, chunks, count):
-    """The sorted (code << POS_BITS) | position of the `count` points in
-    the code chunks, built in place, with their seen slots reset to 0.
-    The chunk list is emptied once joined, so no chunk outlives the join."""
-    index = np.concatenate(chunks)
-    chunks.clear()
-    seen[index] = 0
-    index <<= POS_BITS
-    index |= np.arange(count, dtype=np.int64)
+def _index(seen, layers):
+    """The sorted (code << POS_BITS) | position of the points in the code
+    layers, with their seen slots reset to 0. Each layer array becomes its
+    own entries in place, so the only join is of finished entries; the
+    layer list is emptied once joined, so no layer outlives the join."""
+    pos = 0
+    for layer in layers:
+        seen[layer] = 0
+        layer <<= POS_BITS
+        layer |= np.arange(pos, pos + layer.size, dtype=np.int64)
+        pos += layer.size
+    index = np.concatenate(layers)
+    layers.clear()
     index.sort()
     return index
 
 
 def _search(gens, start, p, seen):
-    """The frontier loop: (code chunks, parent, genlab), with seen
-    1 at each found point and 0 elsewhere."""
+    """The frontier loop: (code layers, parent, label runs), with seen 1
+    at each found point and 0 elsewhere. Each layer is one array of codes,
+    in discovery order; each run is (size, generator label) of one chunk."""
     gens = np.ascontiguousarray(gens, dtype=np.int64)
     start = np.ascontiguousarray(start, dtype=np.int64)
     n_coords = start.shape[0]
@@ -181,14 +192,17 @@ def _search(gens, start, p, seen):
 
     sid = int(start @ powers)
     seen[sid] = 1
-    # One chunk a generator a frontier: codes, parents and generator labels.
+    # One array a closed layer, then one chunk a generator of the layer
+    # being found: codes and parents.
     codes = [np.array([sid], np.int64)]
     parent = [np.array([-1], np.int32)]
-    genlab = [np.array([-1], np.int16)]
+    runs = [(1, -1)]
     count = 1
     lo, first = 0, 0  # the frontier's first position and first chunk
     while lo < count:
-        frontier = np.concatenate(codes[first:])
+        # The joined frontier replaces its chunks, which are not kept with it.
+        codes[first:] = [frontier := np.concatenate(codes[first:])]
+        parent[first:] = [np.concatenate(parent[first:])]
         first = len(codes)
         if frontier.size <= _SMALL_FRONTIER or n_coords == 1:
             # Row gi: generator gi's images of the decoded frontier. Its
@@ -210,10 +224,10 @@ def _search(gens, start, p, seen):
             seen[new_codes] = 1
             codes.append(new_codes)
             parent.append((lo + where).astype(np.int32))
-            genlab.append(np.full(k, gi, np.int16))
+            runs.append((k, gi))
             count += k
         lo += frontier.size
-    return codes, np.concatenate(parent), np.concatenate(genlab)
+    return codes, np.concatenate(parent), runs
 
 
 def _table_images(frontier, split, hi_img, lo_img, unpack):

@@ -1,16 +1,17 @@
 """Generator pairs: an involution x and an order-3 element y per (n, q, a).
 
 The 9x9 seed matrices live in data/figures.json (symbolic [num, den,
-a-power] entries, checksummed); everything else is permutation plumbing
-around them. Construction re-verifies every structural invariant it can
-and raises TranscriptionError on any mismatch, so a corrupted data file
-cannot produce a silently wrong pair.
+a-power] entries, with a CRC-32 of their canonical JSON checked at
+load); everything else is permutation plumbing around them.
+Construction re-verifies every structural invariant it can and raises
+TranscriptionError on any mismatch, so a corrupted data file cannot
+produce a silently wrong pair.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
+import zlib
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from importlib import resources
@@ -87,8 +88,10 @@ def _figures() -> dict:
     raw = resources.files("omega23").joinpath("data/figures.json").read_text(encoding="utf-8")
     blob = json.loads(raw)
     canon = json.dumps(blob["figures"], sort_keys=True, separators=(",", ":"))
-    digest = hashlib.sha256(canon.encode()).hexdigest()
-    if digest != blob["sha256"]:
+    # The file also records the SHA-256 of these bytes, which the tests
+    # check; loading checks the CRC-32, as zlib is already loaded by numpy
+    # and hashlib would load OpenSSL.
+    if zlib.crc32(canon.encode()) != blob["crc32"]:
         raise TranscriptionError("figure data file failed its checksum")
     return blob["figures"]
 

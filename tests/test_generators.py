@@ -1,4 +1,12 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
+import types
+import zlib
+from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -67,6 +75,47 @@ def test_figure_checksum_loads():
     assert set(figs) >= {"xbar", "ybar", "xtilde", "ytilde", "theta0",
                          "theta_correction_even_dim"}
     assert len(figs["theta0"]) == 8
+
+
+def test_figure_file_matches_both_checksums():
+    # Loading checks the CRC-32; the SHA-256 the file also records is
+    # checked here, over the same canonical bytes.
+    blob = json.loads(resources.files("omega23").joinpath("data/figures.json")
+                      .read_text(encoding="utf-8"))
+    canon = json.dumps(blob["figures"], sort_keys=True, separators=(",", ":")).encode()
+    assert hashlib.sha256(canon).hexdigest() == blob["sha256"]
+    assert zlib.crc32(canon) == blob["crc32"]
+
+
+def test_edited_figure_entry_is_refused(monkeypatch):
+    def edited(raw):
+        blob = json.loads(raw)
+        blob["figures"]["theta0"][0][0][0] += 1
+        return blob
+
+    monkeypatch.setattr(generators, "json", types.SimpleNamespace(loads=edited, dumps=json.dumps))
+    _figures.cache_clear()
+    try:
+        with pytest.raises(TranscriptionError, match="checksum"):
+            _figures()
+    finally:
+        _figures.cache_clear()
+
+
+def test_figure_checksum_loads_no_openssl():
+    # The check runs on zlib, which numpy has already loaded; hashlib
+    # would load OpenSSL's _hashlib, about 3.5 MB resident.
+    probe = ("import sys, omega23.cli\n"
+             "from omega23 import generators\n"
+             "generators._figures()\n"
+             "print('_hashlib' in sys.modules)")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
 
 
 # --- admissibility ----------------------------------------------------------
