@@ -366,8 +366,7 @@ def _build_parser() -> _Parser:
                     help="JSON file with the matrix; '-' reads stdin")
     sp.add_argument("--gram", default=None,
                     help="JSON file with a Gram matrix (default: case Gram)")
-    sp.add_argument("--format", choices=("json", "text"), default="json")
-    sp.add_argument("--output", default=None)
+    common(sp, with_pair=False)
     sp.set_defaults(fn=_cmd_spinor)
 
     o = sub.add_parser("oracle", description="brute-force cross-checks")

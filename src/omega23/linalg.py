@@ -913,137 +913,77 @@ def restrict(m: Matrix, coords) -> Matrix:
 # word expressions over two generators
 
 
-class WordExpr:
-    """Parsed word over letters x, y, Y(=y^-1) with powers and commutators."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms):
-        object.__setattr__(self, "terms", tuple(terms))
-
-    def __setattr__(self, *a):
-        raise AttributeError("WordExpr is immutable")
-
-    def __repr__(self):
-        return f"WordExpr({word_str(self)!r})"
-
-
-def word_str(expr: WordExpr) -> str:
-    parts = []
-    for atom, e in expr.terms:
-        if isinstance(atom, str):
-            s = atom
-        elif isinstance(atom, WordExpr):
-            s = "(" + word_str(atom) + ")"
-        else:
-            s = "[" + word_str(atom[0]) + "," + word_str(atom[1]) + "]"
-        parts.append(s if e == 1 else f"{s}^{e}")
-    return "".join(parts)
-
-
-def parse_word(text: str) -> WordExpr:
-    pos = 0
-
-    def skip_ws():
-        nonlocal pos
-        while pos < len(text) and text[pos].isspace():
-            pos += 1
-
-    def parse_sequence(stop_chars):
-        nonlocal pos
-        terms = []
-        while True:
-            skip_ws()
-            if pos >= len(text) or text[pos] in stop_chars:
-                break
-            terms.append(parse_term())
-        if not terms:
-            raise ParseError("empty word", pos)
-        return WordExpr(terms)
-
-    def parse_term():
-        nonlocal pos
-        atom = parse_atom()
-        skip_ws()
-        e = 1
-        if pos < len(text) and text[pos] == "^":
-            pos += 1
-            skip_ws()
-            sign = 1
-            if pos < len(text) and text[pos] == "-":
-                sign = -1
-                pos += 1
-            start = pos
-            while pos < len(text) and text[pos].isdigit():
-                pos += 1
-            if pos == start:
-                raise ParseError("expected an integer exponent after '^'", pos)
-            e = sign * int(text[start:pos])
-        return (atom, e)
-
-    def parse_atom():
-        nonlocal pos
-        skip_ws()
-        if pos >= len(text):
-            raise ParseError("unexpected end of word", pos)
-        ch = text[pos]
-        if ch in "xyY":
-            pos += 1
-            return ch
-        if ch == "(":
-            pos += 1
-            inner = parse_sequence(")")
-            if pos >= len(text) or text[pos] != ")":
-                raise ParseError("unclosed '('", pos)
-            pos += 1
-            return inner
-        if ch == "[":
-            pos += 1
-            left = parse_sequence(",")
-            if pos >= len(text) or text[pos] != ",":
-                raise ParseError("expected ',' in commutator", pos)
-            pos += 1
-            right = parse_sequence("]")
-            if pos >= len(text) or text[pos] != "]":
-                raise ParseError("unclosed '['", pos)
-            pos += 1
-            return (left, right)
-        raise ParseError(f"unexpected character {ch!r}", pos)
-
-    expr = parse_sequence("")
-    skip_ws()
-    if pos != len(text):
-        raise ParseError(f"unexpected character {text[pos]!r}", pos)
-    return expr
-
-
 def commutator(u: Matrix, v: Matrix) -> Matrix:
     """[u, v] = u^-1 v^-1 u v, the bracket that reproduces the printed 8x8 block."""
     return u.inverse() @ v.inverse() @ u @ v
 
 
-def evaluate_word(word, x: Matrix, y: Matrix) -> Matrix:
-    """Evaluate a word in the two generators; [u,v] = u^-1 v^-1 u v."""
-    expr = parse_word(word) if isinstance(word, str) else word
-    return _eval_expr(expr, x, y)
+def evaluate_word(word: str, x: Matrix, y: Matrix) -> Matrix:
+    """Evaluate a word over letters x, y, Y (= y^-1) with integer powers,
+    parentheses and commutators [u,v] = u^-1 v^-1 u v, multiplying as it
+    parses. The product of the terms' powers is taken from the first one: a
+    lone letter is the generator object itself, so its kept inverse is
+    reused, and Y is y's inverse, taken only where it occurs. A malformed
+    word raises ParseError at the offending position."""
+    pos = 0
 
+    def skip_ws():
+        nonlocal pos
+        while pos < len(word) and word[pos].isspace():
+            pos += 1
 
-def _eval_expr(expr: WordExpr, x: Matrix, y: Matrix) -> Matrix:
-    """The product of the terms' powers, from the first one: a lone letter
-    is the generator object itself, so its kept inverse is reused, and Y
-    is y's inverse, taken only where it occurs."""
-    result = None
-    for atom, e in expr.terms:
-        if atom == "x":
-            m = x
-        elif atom == "y":
-            m = y
-        elif atom == "Y":
-            m = y.inverse()
-        elif isinstance(atom, WordExpr):
-            m = _eval_expr(atom, x, y)
-        else:
-            m = commutator(_eval_expr(atom[0], x, y), _eval_expr(atom[1], x, y))
-        m = m.pow(e)
-        result = m if result is None else result @ m
-    return Matrix.identity(x.ctx, x.rows) if result is None else result
+    def sequence(stop="", unclosed=""):
+        """The product of the terms up to `stop`, which it consumes."""
+        nonlocal pos
+        result = None
+        while True:
+            skip_ws()
+            if pos == len(word) or word[pos] == stop:
+                break
+            m = term()
+            result = m if result is None else result @ m
+        if result is None:
+            raise ParseError("empty word", pos)
+        if stop:
+            if pos == len(word):
+                raise ParseError(unclosed, pos)
+            pos += 1
+        return result
+
+    def term():
+        nonlocal pos
+        m = atom()
+        skip_ws()
+        if pos == len(word) or word[pos] != "^":
+            return m
+        pos += 1
+        skip_ws()
+        sign = 1
+        if pos < len(word) and word[pos] == "-":
+            sign = -1
+            pos += 1
+        start = pos
+        while pos < len(word) and word[pos].isdigit():
+            pos += 1
+        if pos == start:
+            raise ParseError("expected an integer exponent after '^'", pos)
+        return m.pow(sign * int(word[start:pos]))
+
+    def atom():
+        nonlocal pos
+        ch = word[pos]  # sequence saw a character here
+        pos += 1
+        if ch == "x":
+            return x
+        if ch == "y":
+            return y
+        if ch == "Y":
+            return y.inverse()
+        if ch == "(":
+            return sequence(")", "unclosed '('")
+        if ch == "[":
+            u = sequence(",", "expected ',' in commutator")
+            return commutator(u, sequence("]", "unclosed '['"))
+        raise ParseError(f"unexpected character {ch!r}", pos - 1)
+
+    return sequence()

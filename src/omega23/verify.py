@@ -38,7 +38,6 @@ from .linalg import (
     element_order,
     evaluate_word,
     minpoly,
-    parse_word,
     poly_from_elems,
     poly_one,
     restrict,
@@ -261,7 +260,7 @@ def verify_caseA_identities(pair: GenPair) -> VerificationReport:
             "match" if seeds_ok else "mismatch", "caseA/transitivity")
 
     # (5) the fixed line of the distinguishing element, plus tail actions of y
-    g_word = evaluate_word(parse_word(_V1_WORDS[n]), pair.x, pair.y)
+    g_word = evaluate_word(_V1_WORDS[n], pair.x, pair.y)
     v1 = eigenspace(g_word, 1)
     target = _V1_TARGETS[n] - 1
     line_ok = v1.shape[0] == 1 and _unit_index(ctx, v1[0]) == target
@@ -519,9 +518,6 @@ class ExactOrder:
     def describe(self) -> str:
         return f"order = {self.k}"
 
-    def to_json(self) -> dict:
-        return {"type": "ExactOrder", "k": self.k}
-
 
 @dataclass(frozen=True)
 class DivisibleBy:
@@ -532,9 +528,6 @@ class DivisibleBy:
 
     def describe(self) -> str:
         return f"order divisible by {self.r}"
-
-    def to_json(self) -> dict:
-        return {"type": "DivisibleBy", "r": self.r}
 
 
 @dataclass(frozen=True)
@@ -551,9 +544,6 @@ class DivisibleByPrimeAtLeast:
     def describe(self) -> str:
         return f"order divisible by a prime >= {self.r}"
 
-    def to_json(self) -> dict:
-        return {"type": "DivisibleByPrimeAtLeast", "r": self.r}
-
 
 @dataclass(frozen=True)
 class DivisibleByOneOf:
@@ -564,9 +554,6 @@ class DivisibleByOneOf:
 
     def describe(self) -> str:
         return f"order divisible by one of {sorted(self.options)}"
-
-    def to_json(self) -> dict:
-        return {"type": "DivisibleByOneOf", "options": sorted(self.options)}
 
 
 def expectation_from_json(blob: dict):
@@ -587,7 +574,7 @@ class Claim:
     id: str
     n: int
     q: int
-    a: object  # int | list | None (None = default parameter)
+    a: object  # int | tuple | None (None = default parameter)
     force: bool
     word: str
     expectation: object
@@ -595,27 +582,17 @@ class Claim:
 
     @classmethod
     def from_json(cls, blob: dict) -> "Claim":
+        a = blob.get("a")
         return cls(
             id=blob["id"],
             n=int(blob["n"]),
             q=int(blob["q"]),
-            a=blob.get("a"),
+            a=tuple(a) if isinstance(a, list) else a,
             force=bool(blob.get("force", False)),
             word=blob["word"],
             expectation=expectation_from_json(blob["expectation"]),
             paper_ref=blob["paper_ref"],
         )
-
-    def to_json(self) -> dict:
-        out = {"id": self.id, "n": self.n, "q": self.q}
-        if self.a is not None:
-            out["a"] = self.a
-        if self.force:
-            out["force"] = True
-        out["word"] = self.word
-        out["expectation"] = self.expectation.to_json()
-        out["paper_ref"] = self.paper_ref
-        return out
 
 
 def load_claims(path=None) -> tuple:
@@ -633,17 +610,15 @@ def load_claims(path=None) -> tuple:
 
 
 @lru_cache(maxsize=512)
-def _cached_pair(n: int, q: int, a_key, force: bool) -> GenPair:
-    ctx = field_from_prime_power(q)
-    a = list(a_key) if isinstance(a_key, tuple) else a_key
-    return build_pair(n, ctx, a, force=force)
+def _cached_pair(n: int, q: int, a, force: bool) -> GenPair:
+    return build_pair(n, field_from_prime_power(q), a, force=force)
 
 
 def evaluate_claim_word(pair: GenPair, word: str) -> Matrix:
     """Evaluate the claim word; a "|S9" suffix restricts to the tail block."""
     restricted = word.endswith("|S9")
     core = word[: -len("|S9")] if restricted else word
-    value = evaluate_word(parse_word(core), pair.x, pair.y)
+    value = evaluate_word(core, pair.x, pair.y)
     if restricted:
         value = restrict(value, range(pair.n - 9, pair.n))
     return value
@@ -653,8 +628,7 @@ def verify_order_claims(claims) -> VerificationReport:
     rec = _Recorder({"battery": "order-claims", "rows": len(claims)})
     for claim in sorted(claims, key=lambda c: c.id):
         try:
-            a_key = tuple(claim.a) if isinstance(claim.a, list) else claim.a
-            pair = _cached_pair(claim.n, claim.q, a_key, claim.force)
+            pair = _cached_pair(claim.n, claim.q, claim.a, claim.force)
             value = evaluate_claim_word(pair, claim.word)
             order = element_order(value)
             rec.add(claim.id, claim.expectation.check(order), claim.expectation.describe(),

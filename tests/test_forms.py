@@ -35,7 +35,7 @@ from omega23.forms import (
     witt_type,
 )
 from omega23.generators import build_pair
-from omega23.linalg import Matrix, evaluate_word, parse_word, rref, vector
+from omega23.linalg import Matrix, evaluate_word, rref, vector
 
 F3 = make_field(3, 1)
 F5 = make_field(5, 1)
@@ -279,7 +279,7 @@ def test_spinor_norm_matches_reflection_oracle_on_pair_words(q, n, word, seed):
     norm follows the reflection's center."""
     ctx = field_from_prime_power(q)
     pair = build_pair(n, ctx)
-    g = evaluate_word(parse_word(word), pair.x, pair.y)
+    g = evaluate_word(word, pair.x, pair.y)
     assert _check_spinor_norm(pair.space, g)
     rng = np.random.default_rng(seed)
     v = _rand_center(pair.space, rng)

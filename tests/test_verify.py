@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from omega23 import forms
+from omega23 import forms, generators
 from omega23.fields import field_from_prime_power, make_field
 from omega23.generators import WrongCase, build_pair
 from omega23.linalg import Matrix, eigenspace, unit_vector
@@ -20,6 +20,7 @@ from omega23.verify import (
     ExactOrder,
     VerifyError,
     WrongExtensionDegree,
+    _cached_pair,
     evaluate_claim_word,
     expectation_from_json,
     hermitian_rep,
@@ -213,11 +214,12 @@ print(json.dumps([claim.paper_ref, len(_figures())]))
 def test_data_files_are_read_as_utf8_under_an_ascii_locale(tmp_path):
     """Claims and figure files are UTF-8 whatever the locale's encoding:
     under LC_ALL=C without UTF-8 mode the default text encoding is ASCII."""
-    row = load_claims()[0].to_json()
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    shipped = Path(src, "omega23", "data", "claims.jsonl").read_text(encoding="utf-8")
+    row = json.loads(shipped.splitlines()[0])
     row["paper_ref"] = "\u00a73"
     path = tmp_path / "claims.jsonl"
     path.write_text(json.dumps(row, ensure_ascii=False) + "\n", encoding="utf-8")
-    src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "LC_ALL": "C",
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     env.pop("PYTHONUTF8", None)
@@ -229,19 +231,14 @@ def test_data_files_are_read_as_utf8_under_an_ascii_locale(tmp_path):
     assert ref == "\u00a73" and figures > 0
 
 
-def test_claim_round_trip():
-    for claim in load_claims():
-        assert Claim.from_json(claim.to_json()) == claim
-
-
 def test_expectation_json():
-    for exp in (
-        ExactOrder(156),
-        DivisibleBy(41),
-        DivisibleByPrimeAtLeast(43),
-        DivisibleByOneOf((13, 73)),
+    for blob, exp in (
+        ({"type": "ExactOrder", "k": 156}, ExactOrder(156)),
+        ({"type": "DivisibleBy", "r": 41}, DivisibleBy(41)),
+        ({"type": "DivisibleByPrimeAtLeast", "r": 43}, DivisibleByPrimeAtLeast(43)),
+        ({"type": "DivisibleByOneOf", "options": [13, 73]}, DivisibleByOneOf((13, 73))),
     ):
-        assert expectation_from_json(exp.to_json()) == exp
+        assert expectation_from_json(blob) == exp
     with pytest.raises(VerifyError):
         expectation_from_json({"type": "Nonsense"})
 
@@ -273,6 +270,18 @@ def test_verify_order_claims_subset():
     assert [c.name for c in report.checks] == sorted(c.id for c in subset)
     by_name = {c.name: c for c in report.checks}
     assert by_name["caseA-mono-ord156"].actual == "order = 156"
+
+
+def test_order_claims_build_each_distinct_pair_once(count_calls):
+    """The pair cache keys on (n, q, a, force), with a list parameter read as
+    a tuple: the 134 rows build the 130 distinct pairs once each."""
+    claims = load_claims()
+    assert len(claims) == 134
+    _cached_pair.cache_clear()
+    counts = count_calls(generators, "build_pair")
+    report = verify_order_claims(claims)
+    assert report.ok, _failing(report)
+    assert counts == {"build_pair": 130}
 
 
 def test_verify_order_claims_error_row():
