@@ -42,7 +42,7 @@ from ._kernels import DENSE_CAP, POS_BITS, POS_MASK, orbit_bfs
 from .fields import FieldCtx, elem_to_json
 from .forms import OrthoSpace, in_omega, omega_order
 from .generators import GenPair, WrongCase, s9_restrictions
-from .linalg import Matrix, Singular, _block_inverse, _eye, unit_vector
+from .linalg import Matrix, Singular, _block_inverse, _eye, restrict, unit_vector
 
 
 class CertifyError(Exception):
@@ -442,8 +442,7 @@ def certify_generation(pair: GenPair, restrict_to_s9: bool = False,
         if pair.tag.case == "A":
             raise WrongCase("restricted certification needs an S9 tail family")
         gens = s9_restrictions(pair)[:2]  # y and tau on the 9-dimensional subspace
-        k = pair.n - 9
-        space = OrthoSpace(n=9, ctx=ctx, J=Matrix(ctx, pair.space.J.data[k:, k:]), eps="circ")
+        space = OrthoSpace(restrict(pair.space.J, range(pair.n - 9, pair.n)))
         contained = all(in_omega(space, g).ok for g in gens)
     else:
         gens = (pair.x, pair.y)

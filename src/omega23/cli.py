@@ -18,7 +18,7 @@ import numpy as np
 from . import resolved_seed
 from .certify import CertifyError, certify_generation
 from .fields import (elem_from_json, elem_to_json, field_from_prime_power,
-                     field_to_json, is_square)
+                     field_to_json)
 from ._kernels import _digit_chunks
 from .forms import (FormsError, OrthoSpace, in_omega,
                     isotropic_count, omega_order, gram_matrix, witt_type)
@@ -205,13 +205,10 @@ def _cmd_spinor(args) -> int:
     g = _load_matrix(ctx, args.matrix)
     if args.gram:
         j = _load_matrix(ctx, args.gram)
-        gram_det = j.det()
-        if not gram_det.any():
+        if not j.det().any():
             raise FormsError("Gram matrix is singular: the form is degenerate "
                              "and has no spinor norm")
-        disc = ctx.mul(ctx.coerce((-1) ** (j.rows // 2)), gram_det)
-        eps = "circ" if j.rows % 2 else "plus" if is_square(ctx, disc) else "minus"
-        space = OrthoSpace(n=j.rows, ctx=ctx, J=j, eps=eps)
+        space = OrthoSpace(j)
     else:
         space = gram_matrix(g.rows, ctx)
     if g.rows != space.n or g.cols != space.n:
@@ -265,7 +262,7 @@ def _cmd_oracle(args) -> int:
     if args.what == "omega-order":
         if n % 2 == 0:
             raise FormsError("the order oracle enumerates odd dimensions")
-        space = OrthoSpace(n=n, ctx=ctx, J=Matrix.identity(ctx, n), eps="circ")
+        space = OrthoSpace(Matrix.identity(ctx, n))
         so = _enumerate_so(ctx, n)
         kernel = [g for g in so if in_omega(space, g).ok]
         formula = omega_order(n, "circ", ctx.q)
@@ -284,7 +281,7 @@ def _cmd_oracle(args) -> int:
     else:
         if n % 2:
             raise FormsError("the type oracle classifies even dimensions")
-        space = OrthoSpace(n=n, ctx=ctx, J=Matrix.identity(ctx, n), eps="plus")
+        space = OrthoSpace(Matrix.identity(ctx, n))
         count = isotropic_count(space)
         q, m = ctx.q, n // 2
         plus_count = (q ** m - 1) * (q ** (m - 1) + 1)

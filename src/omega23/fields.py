@@ -400,24 +400,15 @@ class FieldCtx:
         a = np.asarray(a) if np.ndim(a) > 1 else self.coerce(a)
         return a @ self.frob[k % self.f] % self.p
 
-    # -- enumeration and canonical order ------------------------------------
-
-    def index(self, a) -> int:
-        """Canonical integer index: sum c_i * p**i."""
-        a = self.coerce(a)
-        return int(sum(int(c) * self.p**i for i, c in enumerate(a)))
+    # -- canonical order ----------------------------------------------------
 
     def from_index(self, i: int) -> np.ndarray:
+        """The element of canonical index i = sum c_k * p**k."""
         v = self.zero.copy()
         for k in range(self.f):
             v[k] = i % self.p
             i //= self.p
         return v
-
-    def elements(self):
-        """All field elements in canonical index order."""
-        for i in range(self.q):
-            yield self.from_index(i)
 
 
 def poly_str(coeffs) -> str:

@@ -3,7 +3,11 @@
 Gram matrices for the two construction cases, quadratic values,
 reflections, the spinor norm as the discriminant of Wall's form on
 im(1 - g) (one rref and one small determinant), kernel-of-spinor-norm
-membership, Witt type, and the classical group orders. The constructive
+membership, Witt type, and the classical group orders. A space is its
+Gram matrix: `OrthoSpace.eps` reads the type off det J by the
+discriminant rule, the one place the package computes a type;
+`witt_type(n, q)` is the closed form for a det-1 form that the type
+oracle and the tests check it against. The constructive
 reflection decomposition (diagonalize first, then Cartan-Dieudonne over
 the orthogonal basis) has no caller in the package: it is the tests'
 independent oracle for the spinor norm.
@@ -15,6 +19,7 @@ texts use the opposite sign convention; reports name this one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -50,14 +55,14 @@ class TooLarge(FormsError):
 
 @dataclass(frozen=True)
 class OrthoSpace:
-    n: int
-    ctx: FieldCtx
+    """A quadratic space, given by its symmetric Gram matrix J alone."""
+
     J: Matrix
-    eps: str  # "circ" | "plus" | "minus"
 
     def __post_init__(self):
-        if self.J.rows != self.n or self.J.cols != self.n:
-            raise DimensionMismatch("Gram matrix shape does not match n")
+        if self.J.rows != self.J.cols:
+            raise DimensionMismatch(
+                f"Gram matrix is {self.J.rows}x{self.J.cols}, not square")
         # the sums over a vector here (bilinear values, the spinor norm's
         # quadratic values, the isotropic census) have n*f*f table products
         if self.n * self.ctx.f**2 > self.ctx.exact_terms(table=True):
@@ -65,6 +70,27 @@ class OrthoSpace:
                 f"sums over {self.n}-vectors in GF({self.ctx.q}) can leave the int64 range")
         if self.J != self.J.transpose():
             raise FormsError("Gram matrix must be symmetric")
+
+    @property
+    def n(self) -> int:
+        return self.J.rows
+
+    @property
+    def ctx(self) -> FieldCtx:
+        return self.J.ctx
+
+    @cached_property
+    def eps(self) -> str:
+        """Witt type: circ in odd dimension; otherwise plus exactly when the
+        discriminant (-1)^(n/2) det J is a square, else minus (Kleidman and
+        Liebeck, LMS LN 129, section 2.5). A degenerate even form has none."""
+        if self.n % 2:
+            return "circ"
+        det = self.J.det()
+        if not det.any():
+            raise FormsError("Gram matrix is singular: the form has no type")
+        disc = self.ctx.mul(self.ctx.coerce((-1) ** (self.n // 2)), det)
+        return "plus" if is_square(self.ctx, disc) else "minus"
 
 
 def gram_matrix(n: int, ctx: FieldCtx) -> OrthoSpace:
@@ -80,7 +106,6 @@ def gram_matrix(n: int, ctx: FieldCtx) -> OrthoSpace:
         d[n - 3, n - 1, 0] = 1
         d[n - 2, n - 2, 0] = 1
         d[n - 1, n - 3, 0] = 1
-        eps = "circ"
         expected_det = ctx.coerce(-1)
     else:
         for i in range(n - 8):
@@ -88,11 +113,10 @@ def gram_matrix(n: int, ctx: FieldCtx) -> OrthoSpace:
         for i in range(4):
             d[n - 8 + i, n - 4 + i, 0] = 1
             d[n - 4 + i, n - 8 + i, 0] = 1
-        eps = "circ" if n % 2 else witt_type(n, ctx.q)
         expected_det = ctx.coerce(1)
     j = Matrix(ctx, d)
     assert np.array_equal(j.det(), expected_det)
-    return OrthoSpace(n=n, ctx=ctx, J=j, eps=eps)
+    return OrthoSpace(j)
 
 
 def _check_vec(space: OrthoSpace, v) -> np.ndarray:

@@ -113,9 +113,6 @@ class Poly:
             and np.array_equal(self.coeffs, other.coeffs)
         )
 
-    def __hash__(self):
-        return hash((self.ctx.q, self.coeffs.tobytes(), self.coeffs.shape))
-
     def __repr__(self):
         if self.is_zero():
             return "Poly(0)"
@@ -136,19 +133,6 @@ class Poly:
         return "Poly(" + " + ".join(terms) + ")"
 
     # -- arithmetic
-
-    def _pad(self, k):
-        out = np.zeros((k, self.ctx.f), dtype=np.int64)
-        out[: self.coeffs.shape[0]] = self.coeffs
-        return out
-
-    def __add__(self, other):
-        k = max(self.coeffs.shape[0], other.coeffs.shape[0], 1)
-        return Poly(self.ctx, (self._pad(k) + other._pad(k)) % self.ctx.p)
-
-    def __sub__(self, other):
-        k = max(self.coeffs.shape[0], other.coeffs.shape[0], 1)
-        return Poly(self.ctx, (self._pad(k) - other._pad(k)) % self.ctx.p)
 
     def __mul__(self, other):
         if self.is_zero() or other.is_zero():
@@ -224,16 +208,6 @@ def _big_endian(poly: Poly) -> list:
 
 def _from_big_endian(ctx: FieldCtx, big: list) -> Poly:
     return Poly(ctx, np.array(big[::-1], dtype=np.int64).reshape(-1, 1))
-
-
-def poly_one(ctx: FieldCtx) -> Poly:
-    return Poly(ctx, ctx.one[None, :])
-
-
-def poly_from_elems(ctx: FieldCtx, elems) -> Poly:
-    """Build from an iterable of coercible coefficients, little-endian."""
-    rows = [ctx.coerce(e) for e in elems]
-    return Poly(ctx, np.stack(rows) if rows else np.zeros((0, ctx.f), dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from importlib import resources
 from math import comb
@@ -38,8 +38,6 @@ from .linalg import (
     element_order,
     evaluate_word,
     minpoly,
-    poly_from_elems,
-    poly_one,
     restrict,
     rref,
     unit_vector,
@@ -66,15 +64,6 @@ class CheckEntry:
     actual: str
     paper_ref: str
 
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "status": self.status,
-            "expected": self.expected,
-            "actual": self.actual,
-            "paper_ref": self.paper_ref,
-        }
-
 
 @dataclass(frozen=True)
 class VerificationReport:
@@ -89,7 +78,7 @@ class VerificationReport:
     def to_json(self) -> dict:
         return {
             "params": self.params,
-            "checks": [c.to_json() for c in self.checks],
+            "checks": [asdict(c) for c in self.checks],
             "timing_ms": self.timing_ms,
         }
 
@@ -202,8 +191,8 @@ def verify_caseA_identities(pair: GenPair) -> VerificationReport:
 
     # (1) characteristic polynomial and trace of xy
     expect_cp = (
-        poly_from_elems(ctx, [a, one])
-        * poly_from_elems(ctx, [ainv, one])
+        Poly(ctx, [a, one])
+        * Poly(ctx, [ainv, one])
         * Poly(ctx, [-1] + [0] * (n - 3) + [1])
     )
     actual_cp = charpoly(xy)
@@ -218,12 +207,12 @@ def verify_caseA_identities(pair: GenPair) -> VerificationReport:
     w = xy.pow(n - 2)
     selector = Poly(ctx, [1] * (2 * n - 4)).eval_elem(ctx.neg(a))
     a_pow = ctx.pow(a, n - 2)
-    two_factor = Poly(ctx, [-1, 1]) * poly_from_elems(ctx, [a_pow, one])
+    two_factor = Poly(ctx, [-1, 1]) * Poly(ctx, [a_pow, one])
     if not selector.any():
         expect_mp = two_factor
         branch = "degenerate"
     else:
-        expect_mp = two_factor * poly_from_elems(ctx, [ctx.inv(a_pow), one])
+        expect_mp = two_factor * Poly(ctx, [ctx.inv(a_pow), one])
         branch = "generic"
     actual_mp = minpoly(w)
     rec.add("power-minpoly-two-case", actual_mp == expect_mp,
@@ -634,8 +623,8 @@ def verify_order_claims(claims) -> VerificationReport:
             rec.add(claim.id, claim.expectation.check(order), claim.expectation.describe(),
                     f"order = {order}", claim.paper_ref)
         except (ValueError, ArithmeticError) as exc:
-            rec.checks.append(CheckEntry(claim.id, "fail", claim.expectation.describe(),
-                                         f"error: {exc}", claim.paper_ref))
+            rec.add(claim.id, False, claim.expectation.describe(), f"error: {exc}",
+                    claim.paper_ref)
     return rec.report()
 
 
@@ -656,8 +645,8 @@ def sym_power_rep(ctx: FieldCtx, g: Matrix, d: int) -> Matrix:
     if g.ctx != ctx:
         raise VerifyError(f"the matrix is over GF({g.ctx.q}), not GF({ctx.q})")
     # the images of t1 and t2 with t1 set to 1, so the power of T is the degree in t2
-    lin1, lin2 = poly_from_elems(ctx, g.data[:, 0]), poly_from_elems(ctx, g.data[:, 1])
-    pow1, pow2 = [poly_one(ctx)], [poly_one(ctx)]
+    lin1, lin2 = Poly(ctx, g.data[:, 0]), Poly(ctx, g.data[:, 1])
+    pow1, pow2 = [Poly(ctx, [1])], [Poly(ctx, [1])]
     for _ in range(d):
         pow1.append(pow1[-1] * lin1)
         pow2.append(pow2[-1] * lin2)

@@ -199,7 +199,7 @@ def test_criterion_6_oracles(acceptance_line):
     # brute-force group orders and the index-two containment
     for q, so_expect in ((3, 24), (5, 120)):
         ctx = CTX[q]
-        space = OrthoSpace(n=3, ctx=ctx, J=Matrix.identity(ctx, 3), eps="circ")
+        space = OrthoSpace(Matrix.identity(ctx, 3))
         so = _enumerate_so(ctx, 3)
         kernel = [g for g in so if in_omega(space, g).ok]
         assert len(so) == so_expect
@@ -212,8 +212,7 @@ def test_criterion_6_oracles(acceptance_line):
     for n in (2, 4, 6):
         for q in (3, 5, 7):
             ctx = CTX[q]
-            space = OrthoSpace(n=n, ctx=ctx, J=Matrix.identity(ctx, n),
-                               eps="plus")
+            space = OrthoSpace(Matrix.identity(ctx, n))
             count = isotropic_count(space)
             m = n // 2
             classified = {

@@ -690,7 +690,7 @@ def test_chain_cyclic_subgroup(pair932):
 def _omega3_elements():
     from omega23.forms import OrthoSpace
 
-    space = OrthoSpace(n=3, ctx=CTX3, J=Matrix.identity(CTX3, 3), eps="circ")
+    space = OrthoSpace(Matrix.identity(CTX3, 3))
     cols = list(itertools.product(range(3), repeat=3))
     out = []
     for c1 in cols:

@@ -36,6 +36,7 @@ from omega23.forms import (
 )
 from omega23.generators import build_pair
 from omega23.linalg import Matrix, evaluate_word, rref, vector
+from test_acceptance import GRID_N, GRID_Q
 
 F3 = make_field(3, 1)
 F5 = make_field(5, 1)
@@ -43,10 +44,8 @@ F7 = make_field(7, 1)
 F9 = make_field(3, 2)
 
 
-def _identity_space(ctx, n, eps=None):
-    if eps is None:
-        eps = "circ" if n % 2 else witt_type(n, ctx.q)
-    return OrthoSpace(n=n, ctx=ctx, J=Matrix.identity(ctx, n), eps=eps)
+def _identity_space(ctx, n):
+    return OrthoSpace(Matrix.identity(ctx, n))
 
 
 def _rand_anisotropic(space, rng):
@@ -76,6 +75,11 @@ def test_gram_matrix_shapes_and_eps():
     assert b6.n == 12 and b6.eps in ("plus", "minus")
     b5 = gram_matrix(15, F7)
     assert b5.n == 15 and b5.eps == "circ"
+    # the type every report names is the closed form's, at each grid point
+    for n, q in product(GRID_N, GRID_Q):
+        ctx = field_from_prime_power(q)
+        space = gram_matrix(n, ctx)
+        assert (space.n, space.ctx, space.eps) == (n, ctx, witt_type(n, q)), (n, q)
 
 
 def test_gram_matrix_rejects_wrong_dimensions():
@@ -85,8 +89,20 @@ def test_gram_matrix_rejects_wrong_dimensions():
 
 def test_orthospace_requires_symmetry():
     with pytest.raises(FormsError):
-        OrthoSpace(n=2, ctx=F3, J=Matrix.from_rows(F3, [[0, 1], [2, 0]]),
-                   eps="plus")
+        OrthoSpace(Matrix.from_rows(F3, [[0, 1], [2, 0]]))
+
+
+def test_orthospace_requires_a_square_gram_matrix():
+    with pytest.raises(DimensionMismatch):
+        OrthoSpace(Matrix.zeros(F3, 2, 3))
+
+
+def test_degenerate_even_form_has_no_type():
+    """eps is read only on demand, so a degenerate space still builds."""
+    space = OrthoSpace(Matrix.from_rows(F3, [[1, 0], [0, 0]]))
+    with pytest.raises(FormsError, match="singular"):
+        space.eps
+    assert OrthoSpace(Matrix.zeros(F3, 3, 3)).eps == "circ"
 
 
 def _reference_bilinear(ctx, v, w):
@@ -249,7 +265,7 @@ def _rand_space(ctx, n, rng):
     for i in range(n):
         while not d[i, i].any():
             d[i, i] = rng.integers(0, ctx.p, size=ctx.f)
-    return OrthoSpace(n=n, ctx=ctx, J=Matrix(ctx, d), eps="circ" if n % 2 else "plus")
+    return OrthoSpace(Matrix(ctx, d))
 
 
 @spinor_case
@@ -297,8 +313,7 @@ def test_spinor_norm_rejects_non_isometry():
 def test_spinor_norm_refuses_a_degenerate_wall_form():
     """Over a singular Gram matrix Wall's form can be degenerate; that is a
     FormsError, which `python -O` keeps, not an assert."""
-    space = OrthoSpace(n=3, ctx=F3, J=Matrix.from_rows(F3, [[0, 0, 0], [0, 0, 0], [0, 0, 1]]),
-                       eps="circ")
+    space = OrthoSpace(Matrix.from_rows(F3, [[0, 0, 0], [0, 0, 0], [0, 0, 1]]))
     swap = Matrix.from_rows(F3, [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
     assert is_isometry(space, swap)
     with pytest.raises(FormsError, match="degenerate"):
@@ -310,8 +325,7 @@ from omega23.fields import make_field
 from omega23.forms import FormsError, OrthoSpace, spinor_norm
 from omega23.linalg import Matrix
 F3 = make_field(3, 1)
-space = OrthoSpace(n=3, ctx=F3, J=Matrix.from_rows(F3, [[0, 0, 0], [0, 0, 0], [0, 0, 1]]),
-                   eps="circ")
+space = OrthoSpace(Matrix.from_rows(F3, [[0, 0, 0], [0, 0, 0], [0, 0, 1]]))
 try:
     spinor_norm(space, Matrix.from_rows(F3, [[1, 1, 0], [0, 1, 0], [0, 0, 1]]))
 except FormsError:
@@ -322,8 +336,7 @@ except FormsError:
 def test_spinor_norm_refuses_a_determinant_no_nondegenerate_form_allows():
     """The shear is an isometry of diag(0, 0, 1) with det 1 and
     rank(1 - g) = 1: a FormsError, also under `python -O`."""
-    space = OrthoSpace(n=3, ctx=F3, J=Matrix.from_rows(F3, [[0, 0, 0], [0, 0, 0], [0, 0, 1]]),
-                       eps="circ")
+    space = OrthoSpace(Matrix.from_rows(F3, [[0, 0, 0], [0, 0, 0], [0, 0, 1]]))
     shear = Matrix.from_rows(F3, [[1, 1, 0], [0, 1, 0], [0, 0, 1]])
     assert is_isometry(space, shear)
     with pytest.raises(FormsError, match="degenerate"):
@@ -384,11 +397,12 @@ def test_isotropic_count_hand_values():
 @pytest.mark.parametrize("ctx", [F3, F5, F7], ids=lambda c: f"q{c.q}")
 def test_witt_type_matches_isotropic_census(n, ctx):
     q, m = ctx.q, n // 2
-    count = isotropic_count(_identity_space(ctx, n, eps="plus"))
+    space = _identity_space(ctx, n)
+    count = isotropic_count(space)
     plus_count = (q**m - 1) * (q**(m - 1) + 1)
     minus_count = (q**m + 1) * (q**(m - 1) - 1)
     classified = {plus_count: "plus", minus_count: "minus"}[count]
-    assert classified == witt_type(n, q)
+    assert classified == witt_type(n, q) == space.eps
 
 
 def test_witt_type_parity_rule():
