@@ -21,8 +21,8 @@ from .fields import (elem_from_json, elem_to_json, field_from_prime_power,
                      field_to_json)
 from ._kernels import _digit_chunks
 from .forms import (FormsError, OrthoSpace, in_omega,
-                    isotropic_count, omega_order, gram_matrix, witt_type)
-from .generators import (GenError, build_pair, default_a,
+                    isotropic_count, omega_order, witt_type)
+from .generators import (GenError, build_pair, default_a, gram_matrix,
                          pair_to_json, pair_to_text, search_a)
 from .linalg import Matrix
 from .verify import (load_claims, verify_caseA_identities,
@@ -139,8 +139,6 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    if args.budget is not None and not args.budget >= 0:  # NaN too; refused before any work
-        raise CertifyError(f"budget {args.budget} is not a number of seconds >= 0")
     pair, params = _build_pair(args)
     result = certify_generation(
         pair,
@@ -259,6 +257,9 @@ def _enumerate_so(ctx, n: int):
 def _cmd_oracle(args) -> int:
     ctx = field_from_prime_power(args.q)
     n = args.n
+    least = 3 if args.what == "omega-order" else 2
+    if n < least:
+        raise FormsError(f"the {args.what} oracle needs n >= {least}, got {n}")
     if args.what == "omega-order":
         if n % 2 == 0:
             raise FormsError("the order oracle enumerates odd dimensions")

@@ -314,12 +314,7 @@ class FieldCtx:
             return v
         v = np.asarray(x, dtype=np.int64)
         if v.shape != (self.f,):
-            if v.ndim == 1 and v.shape[0] < self.f:
-                w = self.zero.copy()
-                w[: v.shape[0]] = v
-                v = w
-            else:
-                raise FieldError(f"bad element shape {v.shape} for f={self.f}")
+            raise FieldError(f"bad element shape {v.shape} for f={self.f}")
         return v % self.p
 
     # -- arithmetic on (..., f) arrays --------------------------------------

@@ -1,9 +1,9 @@
 """Orthogonal geometry over odd finite fields.
 
-Gram matrices for the two construction cases, quadratic values,
-reflections, the spinor norm as the discriminant of Wall's form on
-im(1 - g) (one rref and one small determinant), kernel-of-spinor-norm
-membership, Witt type, and the classical group orders. A space is its
+The geometry of any quadratic space: quadratic values, reflections,
+the spinor norm as the discriminant of Wall's form on im(1 - g) (one
+rref and one small determinant), kernel-of-spinor-norm membership, Witt
+type, and the classical group orders. A space is its
 Gram matrix: `OrthoSpace.eps` reads the type off det J by the
 discriminant rule, the one place the package computes a type;
 `witt_type(n, q)` is the closed form for a det-1 form that the type
@@ -23,7 +23,6 @@ from functools import cached_property
 
 import numpy as np
 
-from ._dims import case_of, unsupported_message
 from ._kernels import _digit_chunks
 from .fields import FieldCtx, is_square
 from .linalg import Matrix, rref
@@ -91,32 +90,6 @@ class OrthoSpace:
             raise FormsError("Gram matrix is singular: the form has no type")
         disc = self.ctx.mul(self.ctx.coerce((-1) ** (self.n // 2)), det)
         return "plus" if is_square(self.ctx, disc) else "minus"
-
-
-def gram_matrix(n: int, ctx: FieldCtx) -> OrthoSpace:
-    """The construction's Gram matrix in dimension n: case A's for n in
-    (9, 11, 13, 17), otherwise case B's, which the B5 and B6 layouts share."""
-    case = case_of(n)
-    if case is None:
-        raise UnsupportedDimension(unsupported_message(n))
-    d = np.zeros((n, n, ctx.f), dtype=np.int64)
-    if case == "A":
-        for i in range(n - 3):
-            d[i, i, 0] = 1
-        d[n - 3, n - 1, 0] = 1
-        d[n - 2, n - 2, 0] = 1
-        d[n - 1, n - 3, 0] = 1
-        expected_det = ctx.coerce(-1)
-    else:
-        for i in range(n - 8):
-            d[i, i, 0] = 1
-        for i in range(4):
-            d[n - 8 + i, n - 4 + i, 0] = 1
-            d[n - 4 + i, n - 8 + i, 0] = 1
-        expected_det = ctx.coerce(1)
-    j = Matrix(ctx, d)
-    assert np.array_equal(j.det(), expected_det)
-    return OrthoSpace(j)
 
 
 def _check_vec(space: OrthoSpace, v) -> np.ndarray:

@@ -1,5 +1,8 @@
 """Generator pairs: an involution x and an order-3 element y per (n, q, a).
 
+`classify` is the construction's one dimension rule (case A, or the B5
+and B6 tail layouts with n = 3m + 9 + r), and `gram_matrix` is the form
+each case preserves; an unsupported n raises `Unsupported` from both.
 The 9x9 seed matrices live in data/figures.json (symbolic [num, den,
 a-power] entries, with a CRC-32 of their canonical JSON checked at
 load); everything else is permutation plumbing around them.
@@ -18,9 +21,8 @@ from importlib import resources
 
 import numpy as np
 
-from ._dims import b_params, case_of, unsupported_message
 from .fields import FieldCtx, elem_to_json, field_to_json, is_square, subfield_degree
-from .forms import OmegaMembership, OrthoSpace, gram_matrix, in_omega
+from .forms import OmegaMembership, OrthoSpace, in_omega
 from .linalg import Matrix, Poly, commutator, restrict
 
 
@@ -30,7 +32,9 @@ class GenError(ValueError):
 
 class Unsupported(GenError):
     def __init__(self, n):
-        super().__init__(unsupported_message(n))
+        super().__init__(
+            f"dimension {n} is not supported: n must be odd and >= 9, "
+            "or even and >= 12 (excluding 14)")
         self.n = n
 
 
@@ -70,13 +74,44 @@ class CaseTag:
 
 
 def classify(n: int) -> CaseTag:
-    case = case_of(n)
-    if case is None:
-        raise Unsupported(n)
-    if case == "A":
+    """The construction's one dimension rule: case A for n in (9, 11, 13,
+    17); otherwise n = 3m + 9 + r with r in {0, 1, 2}, laid out as B6 for
+    n in (12, 16, 20) and as B5 for n in (15, 18, 19) or n >= 21."""
+    if n in (9, 11, 13, 17):
         return CaseTag("A")
-    m, r = b_params(n)
+    if n in (12, 16, 20):
+        case = "B6"
+    elif n in (15, 18, 19) or n >= 21:
+        case = "B5"
+    else:
+        raise Unsupported(n)
+    m, r = divmod(n - 9, 3)
     return CaseTag(case, m, r)
+
+
+def gram_matrix(n: int, ctx: FieldCtx) -> OrthoSpace:
+    """The construction's Gram matrix in dimension n: case A's, I_(n-3) plus
+    the 3x3 antidiagonal, or case B's, I_(n-8) plus the pairing of two
+    4-dimensional blocks, which the B5 and B6 layouts share."""
+    case = classify(n).case
+    d = np.zeros((n, n, ctx.f), dtype=np.int64)
+    if case == "A":
+        for i in range(n - 3):
+            d[i, i, 0] = 1
+        d[n - 3, n - 1, 0] = 1
+        d[n - 2, n - 2, 0] = 1
+        d[n - 1, n - 3, 0] = 1
+        expected_det = ctx.coerce(-1)
+    else:
+        for i in range(n - 8):
+            d[i, i, 0] = 1
+        for i in range(4):
+            d[n - 8 + i, n - 4 + i, 0] = 1
+            d[n - 4 + i, n - 8 + i, 0] = 1
+        expected_det = ctx.coerce(1)
+    j = Matrix(ctx, d)
+    assert np.array_equal(j.det(), expected_det)
+    return OrthoSpace(j)
 
 
 # ---------------------------------------------------------------------------

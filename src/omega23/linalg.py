@@ -277,6 +277,9 @@ class Matrix:
 
     @staticmethod
     def from_rows(ctx: FieldCtx, rows) -> "Matrix":
+        widths = {len(row) for row in rows}
+        if len(widths) != 1 or 0 in widths:
+            raise LinalgError("a matrix needs one or more rows of one positive length")
         d = np.stack([np.stack([ctx.coerce(e) for e in row]) for row in rows])
         return Matrix(ctx, d)
 
@@ -435,10 +438,8 @@ class Matrix:
         entries = obj["entries"]
         if len(entries) != rows or any(len(r) != cols for r in entries):
             raise LinalgError("entry grid does not match declared shape")
-        d = np.stack(
-            [np.stack([elem_from_json(ctx, v) for v in row]) for row in entries]
-        )
-        return Matrix(ctx, d)
+        return Matrix.from_rows(
+            ctx, [[elem_from_json(ctx, v) for v in row] for row in entries])
 
 
 @lru_cache(maxsize=None)

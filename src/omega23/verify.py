@@ -584,12 +584,8 @@ class Claim:
         )
 
 
-def load_claims(path=None) -> tuple:
-    if path is None:
-        raw = resources.files("omega23").joinpath("data/claims.jsonl").read_text(encoding="utf-8")
-    else:
-        with open(path, encoding="utf-8") as fh:
-            raw = fh.read()
+def load_claims() -> tuple:
+    raw = resources.files("omega23").joinpath("data/claims.jsonl").read_text(encoding="utf-8")
     rows = []
     for line in raw.splitlines():
         line = line.strip()

@@ -9,8 +9,8 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from omega23.fields import field_from_prime_power, make_field
-from omega23.forms import gram_matrix, in_omega, is_isometry, omega_order, quadratic_value
-from omega23.generators import WrongCase, build_pair
+from omega23.forms import in_omega, is_isometry, omega_order, quadratic_value
+from omega23.generators import WrongCase, build_pair, gram_matrix
 from omega23.linalg import Matrix, _block_form, unit_vector
 from omega23 import _kernels, linalg
 from omega23._kernels import DENSE_CAP, POS_BITS, POS_MASK, orbit_bfs

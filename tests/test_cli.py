@@ -162,6 +162,15 @@ def test_certify_zero_budget_exits_three(capsys):
     assert cert["verdict"] == "Inconclusive" and cert["computed_order"] == "1"
 
 
+@pytest.mark.parametrize("budget", ["nan", "-1"])
+def test_certify_refuses_a_budget_that_is_not_seconds(capsys, budget):
+    code, out, err = run_cli(capsys, "certify", "--n", "9", "--q", "3",
+                             "--budget", budget)
+    assert code == 2 and out == ""
+    detail = f"budget {float(budget)} is not a number of seconds >= 0"
+    assert err == json.dumps({"detail": detail, "error": "CertifyError"}) + "\n"
+
+
 def test_certify_forced_pair_inconclusive(capsys):
     # the non-admissible point lands outside the kernel: the closure doubles
     code, out, _ = run_cli(capsys, "certify", "--n", "9", "--q", "3",
@@ -382,6 +391,39 @@ def test_oracle_wrong_parity_exits_two(capsys):
     code, _, err = run_cli(capsys, "oracle", "--what", "witt-type",
                            "--n", "3", "--q", "3")
     assert code == 2 and "even" in json.loads(err)["detail"]
+
+
+@pytest.mark.parametrize("argv, kind", [
+    (("oracle", "--what", "witt-type", "--n", "0", "--q", "3"), "FormsError"),
+    (("oracle", "--what", "witt-type", "--n", "-2", "--q", "3"), "FormsError"),
+    (("oracle", "--what", "omega-order", "--n", "-1", "--q", "3"), "FormsError"),
+    (("oracle", "--what", "omega-order", "--n", "1", "--q", "3"), "FormsError"),
+    (("spinor", "--q", "3", "--matrix", "{empty_list}"), "LinalgError"),
+    (("spinor", "--q", "3", "--matrix", "{empty_object}"), "LinalgError"),
+    (("spinor", "--q", "3", "--matrix", "{ragged_list}"), "LinalgError"),
+    (("generate", "--n", "15", "--q", "27", "--a", "1,2"), "FieldError"),
+], ids=["witt-type-n0", "witt-type-n-2", "omega-order-n-1", "omega-order-n1",
+        "empty-list-matrix", "empty-object-matrix", "ragged-list-matrix", "short-a"])
+def test_malformed_input_is_refused_by_name(capsys, tmp_path, argv, kind):
+    files = {"empty_list": [], "empty_object": {"rows": 0, "cols": 0, "entries": []},
+             "ragged_list": [[1, 2], [3]]}
+    for name, obj in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(obj))
+    paths = {name: tmp_path / f"{name}.json" for name in files}
+    code, out, err = run_cli(capsys, *(arg.format(**paths) for arg in argv))
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == kind
+
+
+def test_spinor_unsupported_dimension_without_gram(capsys, tmp_path):
+    mat = tmp_path / "g.json"
+    mat.write_text(json.dumps([[int(i == j) for j in range(10)] for i in range(10)]))
+    code, out, err = run_cli(capsys, "spinor", "--q", "3", "--matrix", str(mat))
+    assert code == 2 and out == ""
+    assert json.loads(err) == {
+        "error": "Unsupported",
+        "detail": "dimension 10 is not supported: n must be odd and >= 9, "
+                  "or even and >= 12 (excluding 14)"}
 
 
 # ---------------------------------------------------------------------------

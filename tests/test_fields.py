@@ -209,6 +209,13 @@ def test_json_forms():
         field_from_json({"p": 3, "f": 2, "modulus": [2, 0, 1]})
 
 
+def test_coerce_needs_exactly_f_coefficients():
+    ctx = make_field(3, 3)
+    for short_or_long in ([1, 2], [1, 2, 0, 0]):
+        with pytest.raises(FieldError):
+            ctx.coerce(short_or_long)
+
+
 @pytest.mark.parametrize("v", [[1.5, 2], [2, 1.0], [2.7], 2.7, "1", ["1", 0], True, [True, 0],
                                np.float64(2.0)])
 def test_elem_from_json_refuses_non_integers(v):

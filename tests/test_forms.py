@@ -12,7 +12,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from omega23._dims import case_of
 from omega23.fields import field_from_prime_power, is_square, make_field
 from omega23.forms import (
     DimensionMismatch,
@@ -20,10 +19,8 @@ from omega23.forms import (
     IsotropicCenter,
     NotAnIsometry,
     OrthoSpace,
-    UnsupportedDimension,
     bilinear_value,
     congruent_diagonalization,
-    gram_matrix,
     in_omega,
     is_isometry,
     isotropic_count,
@@ -34,7 +31,7 @@ from omega23.forms import (
     spinor_norm,
     witt_type,
 )
-from omega23.generators import build_pair
+from omega23.generators import Unsupported, build_pair, classify, gram_matrix
 from omega23.linalg import Matrix, evaluate_word, rref, vector
 from test_acceptance import GRID_N, GRID_Q
 
@@ -83,7 +80,7 @@ def test_gram_matrix_shapes_and_eps():
 
 
 def test_gram_matrix_rejects_wrong_dimensions():
-    with pytest.raises(UnsupportedDimension):
+    with pytest.raises(Unsupported):
         gram_matrix(14, F3)
 
 
@@ -371,7 +368,7 @@ def test_in_omega_reasons():
     ("A", 9, F3), ("A", 11, F5), ("B", 12, F7), ("B", 15, F9),
 ])
 def test_congruent_diagonalization(case, n, ctx):
-    assert case_of(n)[0] == case
+    assert classify(n).case[0] == case
     space = gram_matrix(n, ctx)
     p_mat, diag = congruent_diagonalization(space)
     assert p_mat.det().any()

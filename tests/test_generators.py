@@ -68,6 +68,33 @@ def test_classify_unsupported(n):
     assert f"dimension {n} is not supported" in str(exc.value)
 
 
+def _gram_layout(n, head, tail):
+    j = np.zeros((n, n), dtype=np.int64)
+    j[:head, :head] = np.eye(head, dtype=np.int64)
+    j[head:, head:] = tail
+    return j
+
+
+def test_gram_matrix_follows_classify():
+    ctx = make_field(3, 1)
+    anti3 = np.fliplr(np.eye(3, dtype=np.int64))
+    swap4 = np.block([[np.zeros((4, 4), np.int64), np.eye(4, dtype=np.int64)],
+                      [np.eye(4, dtype=np.int64), np.zeros((4, 4), np.int64)]])
+    for n in range(-3, 41):
+        try:
+            case = classify(n).case
+        except Unsupported as exc:
+            with pytest.raises(Unsupported) as gram_exc:
+                generators.gram_matrix(n, ctx)
+            assert str(gram_exc.value) == str(exc)
+            continue
+        j = generators.gram_matrix(n, ctx).J.data[:, :, 0]
+        layout_a = _gram_layout(n, n - 3, anti3)
+        assert np.array_equal(j, layout_a) == (case == "A"), n
+        if case != "A":
+            assert np.array_equal(j, _gram_layout(n, n - 8, swap4)), n
+
+
 # --- figure data ------------------------------------------------------------
 
 def test_figure_checksum_loads():

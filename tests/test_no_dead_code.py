@@ -1,12 +1,14 @@
-"""Dead-code gate: every function, class and method in `src/omega23` is
-referred to somewhere in `src/`, or is allowlisted with a reason.
+"""Dead-code gate: every function, class, method and module-level name in
+`src/omega23` is referred to somewhere in `src/`, or is allowlisted with
+a reason.
 
 The scan is syntactic. A definition is a top-level function or class of
-a module, or a method of such a class that is not a dunder. A reference
-is an `ast.Name`, an `ast.Attribute` or an import alias with the same
-bare name anywhere in `src/omega23`, its own definition excluded (a
-definition is not a `Name`). So a name shared by two definitions keeps
-both alive; the gate catches names nothing mentions at all.
+a module, a method of such a class that is not a dunder, or a name a
+module-level assignment binds that is not a dunder. A reference is an
+`ast.Name` read (`Load` context), an `ast.Attribute` or an import alias
+with the same bare name anywhere in `src/omega23`, its own definition
+excluded (a definition is not a read). So a name shared by two
+definitions keeps both alive; the gate catches names nothing reads.
 """
 
 import ast
@@ -37,6 +39,10 @@ ALLOWED = {
 REASONS = {"public", "hook", "tracer", "direction"}
 
 
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 def _scan():
     """(qualified name -> bare name of every definition, referenced bare names)."""
     defined, used = {}, set()
@@ -47,11 +53,16 @@ def _scan():
                 defined[f"{path.stem}.{node.name}"] = node.name
             if isinstance(node, ast.ClassDef):
                 for item in node.body:
-                    if (isinstance(item, ast.FunctionDef)
-                            and not (item.name.startswith("__") and item.name.endswith("__"))):
+                    if isinstance(item, ast.FunctionDef) and not _is_dunder(item.name):
                         defined[f"{path.stem}.{node.name}.{item.name}"] = item.name
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for name in (t.id for target in targets for t in ast.walk(target)
+                             if isinstance(t, ast.Name)):
+                    if not _is_dunder(name):
+                        defined[f"{path.stem}.{name}"] = name
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)

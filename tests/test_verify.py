@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -203,32 +204,36 @@ def test_load_claims_table():
 
 
 LOCALE_PROBE = """
-import json, sys
+import json
+import omega23
 from omega23.generators import _figures
 from omega23.verify import load_claims
-[claim] = load_claims(sys.argv[1])
-print(json.dumps([claim.paper_ref, len(_figures())]))
+[claim] = load_claims()
+print(json.dumps([claim.paper_ref, len(_figures()), omega23.__file__]))
 """
 
 
 def test_data_files_are_read_as_utf8_under_an_ascii_locale(tmp_path):
     """Claims and figure files are UTF-8 whatever the locale's encoding:
-    under LC_ALL=C without UTF-8 mode the default text encoding is ASCII."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    shipped = Path(src, "omega23", "data", "claims.jsonl").read_text(encoding="utf-8")
-    row = json.loads(shipped.splitlines()[0])
+    under LC_ALL=C without UTF-8 mode the default text encoding is ASCII.
+    The probe imports a copy of the package whose claims table is one
+    row with a non-ASCII paper reference."""
+    package = Path(__file__).resolve().parents[1] / "src" / "omega23"
+    copy = tmp_path / "omega23"
+    shutil.copytree(package, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    claims = copy / "data" / "claims.jsonl"
+    row = json.loads(claims.read_text(encoding="utf-8").splitlines()[0])
     row["paper_ref"] = "\u00a73"
-    path = tmp_path / "claims.jsonl"
-    path.write_text(json.dumps(row, ensure_ascii=False) + "\n", encoding="utf-8")
-    env = {**os.environ, "LC_ALL": "C",
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    claims.write_text(json.dumps(row, ensure_ascii=False) + "\n", encoding="utf-8")
+    env = {**os.environ, "LC_ALL": "C", "PYTHONPATH": str(tmp_path)}
     env.pop("PYTHONUTF8", None)
     env.pop("PYTHONIOENCODING", None)
-    proc = subprocess.run([sys.executable, "-X", "utf8=0", "-c", LOCALE_PROBE, str(path)],
+    proc = subprocess.run([sys.executable, "-X", "utf8=0", "-c", LOCALE_PROBE],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    ref, figures = json.loads(proc.stdout)
+    ref, figures, imported = json.loads(proc.stdout)
     assert ref == "\u00a73" and figures > 0
+    assert Path(imported).parent == copy
 
 
 def test_expectation_json():
