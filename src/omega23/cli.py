@@ -257,12 +257,11 @@ def _enumerate_so(ctx, n: int):
 def _cmd_oracle(args) -> int:
     ctx = field_from_prime_power(args.q)
     n = args.n
-    least = 3 if args.what == "omega-order" else 2
-    if n < least:
-        raise FormsError(f"the {args.what} oracle needs n >= {least}, got {n}")
     if args.what == "omega-order":
         if n % 2 == 0:
             raise FormsError("the order oracle enumerates odd dimensions")
+        if n < 3:
+            raise FormsError(f"the {args.what} oracle needs n >= 3, got {n}")
         space = OrthoSpace(Matrix.identity(ctx, n))
         so = _enumerate_so(ctx, n)
         kernel = [g for g in so if in_omega(space, g).ok]
@@ -282,6 +281,8 @@ def _cmd_oracle(args) -> int:
     else:
         if n % 2:
             raise FormsError("the type oracle classifies even dimensions")
+        if n < 2:
+            raise FormsError(f"the {args.what} oracle needs n >= 2, got {n}")
         space = OrthoSpace(Matrix.identity(ctx, n))
         count = isotropic_count(space)
         q, m = ctx.q, n // 2

@@ -498,7 +498,7 @@ def elem_from_json(ctx: FieldCtx, v) -> np.ndarray:
         raise FieldError(f"bad element JSON: {v!r}")
     if listed and len(v) != ctx.f:
         raise FieldError(f"element list has length {len(v)}, expected {ctx.f}")
-    return ctx.coerce([int(c) % ctx.p for c in coeffs])
+    return ctx.coerce([int(c) % ctx.p for c in v] if listed else int(v))
 
 
 def field_to_json(ctx: FieldCtx) -> dict:

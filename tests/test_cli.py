@@ -290,6 +290,23 @@ def test_spinor_user_gram_nested_list(capsys, tmp_path):
     assert "determinant-not-one" in doc["reasons"]
 
 
+@pytest.mark.parametrize("obj", [
+    [[0, 1], [1, 0]],
+    {"rows": 2, "cols": 2, "entries": [[0, 1], [1, 0]]},
+], ids=["nested-list", "rows-cols-entries"])
+def test_spinor_reads_int_entries_over_an_extension_field(capsys, tmp_path, obj):
+    """A bare int entry is the prime-field element, over F_9 as over F_p."""
+    mat = tmp_path / "g.json"
+    gram = tmp_path / "j.json"
+    mat.write_text(json.dumps(obj))
+    gram.write_text(json.dumps([[1, 0], [0, 1]]))
+    code, out, err = run_cli(capsys, "spinor", "--q", "9",
+                             "--matrix", str(mat), "--gram", str(gram))
+    assert code == 0, err
+    doc = check("spinor", out)
+    assert doc["params"]["q"] == 9 and doc["in_kernel"] is False
+
+
 def test_spinor_stdin(capsys, monkeypatch, tmp_path):
     gram = tmp_path / "j.json"
     gram.write_text(json.dumps([[1, 0], [0, 1]]))
@@ -391,6 +408,17 @@ def test_oracle_wrong_parity_exits_two(capsys):
     code, _, err = run_cli(capsys, "oracle", "--what", "witt-type",
                            "--n", "3", "--q", "3")
     assert code == 2 and "even" in json.loads(err)["detail"]
+
+
+@pytest.mark.parametrize("what, n, detail", [
+    ("omega-order", "2", "the order oracle enumerates odd dimensions"),
+    ("witt-type", "1", "the type oracle classifies even dimensions"),
+    ("witt-type", "-1", "the type oracle classifies even dimensions"),
+])
+def test_oracle_parity_is_checked_before_the_bound(capsys, what, n, detail):
+    code, _, err = run_cli(capsys, "oracle", "--what", what, "--n", n, "--q", "3")
+    assert code == 2
+    assert json.loads(err) == {"detail": detail, "error": "FormsError"}
 
 
 @pytest.mark.parametrize("argv, kind", [

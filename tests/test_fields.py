@@ -198,6 +198,7 @@ def test_json_forms():
     ctx9 = make_field(3, 2)
     assert elem_to_json(ctx9, [1, 2]) == [1, 2]
     assert np.array_equal(elem_from_json(ctx9, [1, 2]), ctx9.coerce([1, 2]))
+    assert np.array_equal(elem_from_json(ctx9, 5), ctx9.coerce(5))
     with pytest.raises(FieldError):
         elem_from_json(ctx9, [1, 2, 0])
     assert np.array_equal(elem_from_json(ctx9, [np.int64(4), 2**70]), ctx9.coerce([1, 2**70 % 3]))
