@@ -17,8 +17,7 @@ import numpy as np
 
 from . import resolved_seed
 from .certify import CertifyError, certify_generation
-from .fields import (elem_from_json, elem_to_json, field_from_prime_power,
-                     field_to_json)
+from .fields import elem_to_json, field_from_prime_power, field_to_json
 from ._kernels import _digit_chunks
 from .forms import (FormsError, OrthoSpace, in_omega,
                     isotropic_count, omega_order, witt_type)
@@ -64,11 +63,11 @@ def _parse_a(text: str | None):
     return [int(c) for c in parts]
 
 
-def _emit(doc: dict, text: str | None, args) -> None:
+def _emit(doc: dict, text: str, args) -> None:
     if args.format == "json":
         payload = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
     else:
-        payload = (text if text is not None else json.dumps(doc, indent=2)) + "\n"
+        payload = text + "\n"
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(payload)
@@ -189,13 +188,9 @@ def _cmd_search_a(args) -> int:
 
 def _load_matrix(ctx, path: str) -> Matrix:
     if path == "-":
-        obj = json.load(sys.stdin)
-    else:
-        with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
-    if isinstance(obj, dict):
-        return Matrix.from_json(ctx, obj)
-    return Matrix.from_rows(ctx, [[elem_from_json(ctx, e) for e in row] for row in obj])
+        return Matrix.from_json(ctx, json.load(sys.stdin))
+    with open(path, encoding="utf-8") as fh:
+        return Matrix.from_json(ctx, json.load(fh))
 
 
 def _cmd_spinor(args) -> int:

@@ -458,25 +458,31 @@ def s9_restrictions(pair: GenPair):
 @dataclass(frozen=True)
 class SpecialSubspaces:
     """The tail S9 and the splitting into A- and B-summands and C, each a
-    coordinate subspace held as its tuple of 0-based coordinates."""
+    coordinate subspace held as its tuple of 0-based coordinates, with the
+    action of [x, y] on the summands: coordinate i goes to action[i]."""
     S9: tuple
     A_summands: tuple  # tuple of coordinate tuples; empty at n=12
     B_summands: tuple
     C: tuple  # empty at n=12
+    action: dict
 
 
-# the paper's 1-based coordinates of the A-summands
+# the paper's 1-based cycles of [x, y] on each A-summand, one list per
+# summand; a 1-cycle marks a fixed coordinate
 _A_SPECIAL = {
-    15: [[1, 3, 4]],
-    16: [[1, 5], [2, 4]],
-    19: [[1, 2, 4, 5], [3, 7, 8]],
-    20: [[1, 2, 6, 8], [3, 4, 5, 9]],
-    23: [[1, 2, 3, 4, 5, 6, 8, 9], [7, 11, 12]],
+    15: [[(1,), (3, 4)]],
+    16: [[(1, 5)], [(2, 4)]],
+    19: [[(1, 5, 4, 2)], [(3, 8, 7)]],
+    20: [[(1, 6, 8, 2)], [(3, 4, 9, 5)]],
+    23: [[(1, 6, 5, 3, 4, 9, 8, 2)], [(7, 12, 11)]],
 }
-_A_GENERIC = {
-    0: [[1, 2, 3, 4, 6, 7]],
-    1: [[1, 2, 4, 5], [3, 6, 7, 8, 10, 11]],
-    2: [[1, 2, 3, 4, 5, 6, 8, 9], [7, 10, 11, 12, 14, 15]],
+_A_GENERIC = {  # by n % 6
+    0: [[(1, 4, 3, 2, 7, 6)]],
+    1: [[(1, 5, 4, 2)], [(3, 8, 7), (6, 11, 10)]],
+    2: [[(1, 6, 8, 2), (3, 4, 9, 5)], [(7, 12, 11, 10, 15, 14)]],
+    3: [[(1,), (2, 7, 6), (3, 4)]],
+    4: [[(1, 5), (2, 4)], [(3, 8, 7, 6, 11, 10)]],
+    5: [[(1, 6, 5, 3, 4, 9, 8, 2)], [(7, 12, 11), (10, 15, 14)]],
 }
 
 
@@ -486,16 +492,23 @@ def special_subspaces(pair: GenPair) -> SpecialSubspaces:
     n = pair.n
     s9 = tuple(range(n - 9, n))
     if n == 12:
-        return SpecialSubspaces(s9, (), (), ())
+        return SpecialSubspaces(s9, (), (), (), {})
     m, r = pair.tag.m, pair.tag.r
-    zero_based = lambda lists: tuple(tuple(i - 1 for i in lst) for lst in lists)
-    a_summands = zero_based(_A_SPECIAL.get(n, _A_GENERIC[r]))
-    b_summands = zero_based(
-        (5 + 4 * r + 3 * j, 9 + 4 * r + 3 * j, 10 + 4 * r + 3 * j) for j in range(m - 3 - r))
-    (c,) = zero_based([[n - 13, n - 10, n - 9, *range(n - 8, n + 1)]])
+    action = {}
+
+    def summand(cycles) -> tuple:
+        for cyc in cycles:
+            action.update((src - 1, cyc[(k + 1) % len(cyc)] - 1) for k, src in enumerate(cyc))
+        return tuple(sorted(src - 1 for cyc in cycles for src in cyc))
+
+    a_summands = tuple(map(summand, _A_SPECIAL.get(n, _A_GENERIC[n % 6])))
+    # B-summand j is one 3-cycle of [x, y]
+    b_summands = tuple(summand([(5 + 4 * r + 3 * j, 10 + 4 * r + 3 * j, 9 + 4 * r + 3 * j)])
+                       for j in range(m - 3 - r))
+    c = (n - 14, n - 11, n - 10, *s9)  # the paper's n-13, n-10, n-9 and S9
     coords = sorted(i for grp in (*a_summands, *b_summands, c) for i in grp)
     _require(coords == list(range(n)), "the summands and C partition the coordinates")
-    return SpecialSubspaces(s9, a_summands, b_summands, c)
+    return SpecialSubspaces(s9, a_summands, b_summands, c, action)
 
 
 # ---------------------------------------------------------------------------

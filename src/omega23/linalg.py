@@ -433,10 +433,18 @@ class Matrix:
         }
 
     @staticmethod
-    def from_json(ctx: FieldCtx, obj: dict) -> "Matrix":
-        rows, cols = int(obj["rows"]), int(obj["cols"])
-        entries = obj["entries"]
-        if len(entries) != rows or any(len(r) != cols for r in entries):
+    def from_json(ctx: FieldCtx, obj) -> "Matrix":
+        """A matrix file's JSON: the {"rows", "cols", "entries"} object of
+        `to_json`, or the bare nested list of element JSON."""
+        entries = obj
+        if isinstance(obj, dict):
+            if not {"rows", "cols", "entries"} <= obj.keys():
+                raise LinalgError("a matrix object needs rows, cols and entries")
+            entries = obj["entries"]
+        if not isinstance(entries, list) or not all(isinstance(r, list) for r in entries):
+            raise LinalgError("matrix entries must be a list of lists")
+        if isinstance(obj, dict) and (len(entries) != int(obj["rows"])
+                                      or any(len(r) != int(obj["cols"]) for r in entries)):
             raise LinalgError("entry grid does not match declared shape")
         return Matrix.from_rows(
             ctx, [[elem_from_json(ctx, v) for v in row] for row in entries])
@@ -738,18 +746,15 @@ def _cyclotomic_value(e: int, q: int) -> int:
     return value
 
 
+@lru_cache(maxsize=None)
 def _factor_qd_minus_1(q: int, d: int) -> tuple:
-    """(prime, exponent) pairs of q**d - 1, refused past the digit budget."""
+    """(prime, exponent) pairs of q**d - 1, refused past the digit budget;
+    a refusal is not cached, so it is raised again on every call."""
     digits = len(str(q**d - 1))
     if digits > FACTOR_DIGITS_BUDGET:
         raise OrderSearchExceeded(
             f"q^d-1 has {digits} digits, over the budget of {FACTOR_DIGITS_BUDGET}"
         )
-    return _factored_qd_minus_1(q, d)
-
-
-@lru_cache(maxsize=None)
-def _factored_qd_minus_1(q: int, d: int) -> tuple:
     from sympy import factorint
 
     out = {}

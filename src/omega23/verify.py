@@ -283,22 +283,6 @@ def verify_caseA_identities(pair: GenPair) -> VerificationReport:
 # ---------------------------------------------------------------------------
 # case-B identity battery
 
-_CYCLES_SPECIAL = {
-    15: [(3, 4)],
-    16: [(1, 5), (2, 4)],
-    19: [(1, 5, 4, 2), (3, 8, 7)],
-    20: [(1, 6, 8, 2), (3, 4, 9, 5)],
-    23: [(1, 6, 5, 3, 4, 9, 8, 2), (7, 12, 11)],
-}
-_CYCLES_GENERIC = {
-    0: [(1, 4, 3, 2, 7, 6)],
-    1: [(1, 5, 4, 2), (3, 8, 7), (6, 11, 10)],
-    2: [(1, 6, 8, 2), (3, 4, 9, 5), (7, 12, 11, 10, 15, 14)],
-    3: [(2, 7, 6), (3, 4)],
-    4: [(1, 5), (2, 4), (3, 8, 7, 6, 11, 10)],
-    5: [(1, 6, 5, 3, 4, 9, 8, 2), (7, 12, 11), (10, 15, 14)],
-}
-
 # closed forms as integer polynomials in a (ascending powers)
 _B5_DET1 = [0] * 10 + [-(2**35) * 3, 0, -(2**35) * 4]
 _B5_DET2 = [0] * 10 + [(2**35) * 3, 0, -(2**35) * 28]
@@ -367,17 +351,9 @@ def verify_caseB_identities(pair: GenPair) -> VerificationReport:
                  "caseB/action")
     else:
         sub = special_subspaces(pair)
-        cycles = list(_CYCLES_SPECIAL.get(n, _CYCLES_GENERIC[n % 6]))
-        m, r = pair.tag.m, pair.tag.r
-        for j in range(m - 3 - r):
-            cycles.append((5 + 4 * r + 3 * j, 10 + 4 * r + 3 * j, 9 + 4 * r + 3 * j))
-        # column i of g is e_image[i]: the 1-based cycles move their
-        # coordinates, and g fixes every other coordinate of the summands
-        image = {i: i for grp in sub.A_summands + sub.B_summands for i in grp}
-        image.update((src - 1, cyc[(pos + 1) % len(cyc)] - 1)
-                     for cyc in cycles for pos, src in enumerate(cyc))
+        # column i of g is e_j for each (i, j) of the listed action
         d = g.data
-        ok = all(_unit_index(ctx, d[:, i]) == j for i, j in image.items())
+        ok = all(_unit_index(ctx, d[:, i]) == j for i, j in sub.action.items())
         rec.add("commutator-cycle-action", ok, "listed permutation action",
                 "match" if ok else "mismatch", "caseB/action")
         ok24 = all(restrict(g, coords).pow(24).is_identity() for coords in sub.A_summands)

@@ -430,11 +430,22 @@ def test_oracle_parity_is_checked_before_the_bound(capsys, what, n, detail):
     (("spinor", "--q", "3", "--matrix", "{empty_object}"), "LinalgError"),
     (("spinor", "--q", "3", "--matrix", "{ragged_list}"), "LinalgError"),
     (("generate", "--n", "15", "--q", "27", "--a", "1,2"), "FieldError"),
+    (("spinor", "--q", "3", "--matrix", "{no_entries}"), "LinalgError"),
+    (("spinor", "--q", "3", "--matrix", "{top_int}"), "LinalgError"),
+    (("spinor", "--q", "3", "--matrix", "{bare_row}"), "LinalgError"),
+    (("spinor", "--q", "3", "--matrix", "{int_entries}"), "LinalgError"),
+    (("spinor", "--q", "3", "--matrix", "{flat_entries}"), "LinalgError"),
+    (("spinor", "--q", "3", "--matrix", "{top_string}"), "LinalgError"),
 ], ids=["witt-type-n0", "witt-type-n-2", "omega-order-n-1", "omega-order-n1",
-        "empty-list-matrix", "empty-object-matrix", "ragged-list-matrix", "short-a"])
+        "empty-list-matrix", "empty-object-matrix", "ragged-list-matrix", "short-a",
+        "object-without-entries", "top-level-int", "row-not-a-list", "int-entries",
+        "entry-row-not-a-list", "top-level-string"])
 def test_malformed_input_is_refused_by_name(capsys, tmp_path, argv, kind):
     files = {"empty_list": [], "empty_object": {"rows": 0, "cols": 0, "entries": []},
-             "ragged_list": [[1, 2], [3]]}
+             "ragged_list": [[1, 2], [3]], "no_entries": {"rows": 1, "cols": 1},
+             "top_int": 5, "bare_row": [[1], 2],
+             "int_entries": {"rows": 1, "cols": 1, "entries": 5},
+             "flat_entries": {"rows": 1, "cols": 1, "entries": [5]}, "top_string": "abc"}
     for name, obj in files.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(obj))
     paths = {name: tmp_path / f"{name}.json" for name in files}

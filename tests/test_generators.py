@@ -410,11 +410,48 @@ def test_subspace_split_dimensions():
         assert sub.S9 == tuple(range(n - 9, n))
 
 
+CASE_B_N = [n for n in range(15, 41) if classify(n).case != "A"]
+
+# the A-summands' 0-based coordinates: the dimensions with their own layout,
+# then one n of each class mod 6 (18, 25, 26, 21, 22, 29)
+A_SUMMANDS_PINNED = {
+    15: ((0, 2, 3),),
+    16: ((0, 4), (1, 3)),
+    19: ((0, 1, 3, 4), (2, 6, 7)),
+    20: ((0, 1, 5, 7), (2, 3, 4, 8)),
+    23: ((0, 1, 2, 3, 4, 5, 7, 8), (6, 10, 11)),
+    18: ((0, 1, 2, 3, 5, 6),),
+    25: ((0, 1, 3, 4), (2, 5, 6, 7, 9, 10)),
+    26: ((0, 1, 2, 3, 4, 5, 7, 8), (6, 9, 10, 11, 13, 14)),
+    21: ((0, 1, 2, 3, 5, 6),),
+    22: ((0, 1, 3, 4), (2, 5, 6, 7, 9, 10)),
+    29: ((0, 1, 2, 3, 4, 5, 7, 8), (6, 9, 10, 11, 13, 14)),
+}
+
+
+@pytest.mark.parametrize("n", sorted(A_SUMMANDS_PINNED))
+def test_a_summands_are_pinned(n):
+    pair = build_pair(n, make_field(3, 1))
+    assert special_subspaces(pair).A_summands == A_SUMMANDS_PINNED[n]
+
+
+@pytest.mark.parametrize("n", CASE_B_N)
+def test_commutator_action_permutes_each_summand(n):
+    sub = special_subspaces(build_pair(n, make_field(3, 1)))
+    summands = sub.A_summands + sub.B_summands
+    assert sorted(sub.action) == sorted(i for grp in summands for i in grp)
+    for grp in summands:
+        assert sorted(sub.action[i] for i in grp) == list(grp)
+    for grp in sub.B_summands:  # a permutation of 3 points with no fixed point is a 3-cycle
+        assert len(grp) == 3 and all(sub.action[i] != i for i in grp)
+    assert sorted(i for grp in summands + (sub.C,) for i in grp) == list(range(n))
+
+
 def test_special_subspaces_refuse_a_coordinate_listed_twice(monkeypatch):
     # n = 18 takes its A-summand from the generic table, at r = 0
     pair = build_pair(18, make_field(3, 1))
     special_subspaces(pair)
-    monkeypatch.setattr(generators, "_A_GENERIC", {0: [[1, 2, 3, 4, 6, 7, 7]]})
+    monkeypatch.setattr(generators, "_A_GENERIC", {0: [[(1, 4, 3, 2, 7, 6), (7,)]]})
     with pytest.raises(TranscriptionError, match="partition"):
         special_subspaces(pair)
 

@@ -1127,7 +1127,7 @@ def test_cyclotomic_value_matches_sympy(q):
 @pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 13, 19, 25, 27])
 def test_factored_qd_minus_1_multiplies_back(q):
     for d in range(1, 25):
-        parts = linalg._factored_qd_minus_1(q, d)
+        parts = linalg._factor_qd_minus_1(q, d)
         assert all(sympy.isprime(r) and k >= 1 for r, k in parts)
         assert len({r for r, _ in parts}) == len(parts)
         assert np.prod([sympy.Integer(r) ** k for r, k in parts]) == q**d - 1

@@ -9,6 +9,10 @@ module-level assignment binds that is not a dunder. A reference is an
 with the same bare name anywhere in `src/omega23`, its own definition
 excluded (a definition is not a read). So a name shared by two
 definitions keeps both alive; the gate catches names nothing reads.
+
+A second gate flags an import that its module never reads: a name an
+`import` or `from ... import` binds (`__future__` imports excluded) with
+no `ast.Name` read in the same module.
 """
 
 import ast
@@ -37,6 +41,11 @@ ALLOWED = {
     "linalg.vector": ("public", "coerces scalars to an (n, f) vector"),
 }
 REASONS = {"public", "hook", "tracer", "direction"}
+
+# module.name -> (reason, note) for an import its module does not read
+IMPORTS_ALLOWED = {
+    "verify.in_omega": ("tracer", "the tracer patches in_omega in every module that binds it"),
+}
 
 
 def _is_dunder(name: str) -> bool:
@@ -79,11 +88,33 @@ def test_every_definition_is_referenced_or_allowlisted():
     assert ALLOWED.keys() - unreferenced == set(), "stale allowlist entries"
 
 
+def _unread_imports():
+    """module.name of every name a module imports and never reads."""
+    unread = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        bound = {(alias.asname or alias.name).split(".")[0]
+                 for node in ast.walk(tree)
+                 if isinstance(node, (ast.Import, ast.ImportFrom))
+                 and getattr(node, "module", None) != "__future__"
+                 for alias in node.names}
+        reads = {node.id for node in ast.walk(tree)
+                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unread |= {f"{path.stem}.{name}" for name in bound - reads}
+    return unread
+
+
+def test_every_import_is_read_or_allowlisted():
+    unread = _unread_imports()
+    assert unread - IMPORTS_ALLOWED.keys() == set(), "imported, never read, not allowlisted"
+    assert IMPORTS_ALLOWED.keys() - unread == set(), "stale allowlist entries"
+
+
 def test_every_allowlist_reason_holds():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     tracer = (ROOT / "perfbench" / "tracer.py").read_text(encoding="utf-8")
     roadmap = (ROOT / "ROADMAP.md").read_text(encoding="utf-8")
-    for qualified, (reason, note) in ALLOWED.items():
+    for qualified, (reason, note) in {**ALLOWED, **IMPORTS_ALLOWED}.items():
         assert reason in REASONS and note, qualified
         module, *owner, name = qualified.split(".")
         if reason == "public":
