@@ -421,14 +421,20 @@ def poly_str(coeffs) -> str:
     return " + ".join(reversed(terms)) if terms else "0"
 
 
+def is_json_int(v) -> bool:
+    """Whether v is an integer: an int or a numpy integer, and not a bool
+    (JSON's true and false load as bools, which are ints to isinstance)."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 def make_field(p: int, f: int = 1) -> FieldCtx:
     """Construct GF(p**f) with the canonical smallest modulus.
 
     One (p, f) gives one context object, whatever integer types it comes in.
     """
-    if not isinstance(f, (int, np.integer)) or isinstance(f, bool) or f < 1:
+    if not is_json_int(f) or f < 1:
         raise BadDegree(f)
-    if not isinstance(p, (int, np.integer)) or isinstance(p, bool):
+    if not is_json_int(p):
         raise NonPrime(p)
     return _make_field(int(p), int(f))
 
@@ -494,7 +500,7 @@ def elem_from_json(ctx: FieldCtx, v) -> np.ndarray:
     a string, a bool) is refused rather than truncated."""
     listed = isinstance(v, (list, tuple))
     coeffs = v if listed else [v]
-    if not all(isinstance(c, (int, np.integer)) and not isinstance(c, bool) for c in coeffs):
+    if not all(map(is_json_int, coeffs)):
         raise FieldError(f"bad element JSON: {v!r}")
     if listed and len(v) != ctx.f:
         raise FieldError(f"element list has length {len(v)}, expected {ctx.f}")
@@ -506,7 +512,14 @@ def field_to_json(ctx: FieldCtx) -> dict:
 
 
 def field_from_json(header: dict) -> FieldCtx:
-    ctx = make_field(int(header["p"]), int(header["f"]))
-    if [int(c) for c in header["modulus"]] != [int(c) for c in ctx.modulus]:
+    """The field of a `field_to_json` header. A missing key, a p or f that
+    `make_field` refuses, and a modulus that is not the canonical one as a
+    list of integers each raise FieldError."""
+    if not isinstance(header, dict) or not {"p", "f", "modulus"} <= header.keys():
+        raise FieldError("a field header needs p, f and modulus")
+    ctx = make_field(header["p"], header["f"])
+    modulus = header["modulus"]
+    if (not isinstance(modulus, list) or not all(map(is_json_int, modulus))
+            or [int(c) for c in modulus] != [int(c) for c in ctx.modulus]):
         raise FieldError("modulus in header does not match canonical modulus")
     return ctx

@@ -5,9 +5,10 @@ the spinor norm as the discriminant of Wall's form on im(1 - g) (one
 rref and one small determinant), kernel-of-spinor-norm membership, Witt
 type, and the classical group orders. A space is its
 Gram matrix: `OrthoSpace.eps` reads the type off det J by the
-discriminant rule, the one place the package computes a type;
-`witt_type(n, q)` is the closed form for a det-1 form that the type
-oracle and the tests check it against. The constructive
+discriminant rule, the one place the package computes a type.
+`witt_type(n, q)` is the closed form for a det-1 form: the type oracle
+compares the isotropic census with it and never reads `OrthoSpace.eps`,
+and only tests/test_forms.py compares `eps` with both. The constructive
 reflection decomposition (diagonalize first, then Cartan-Dieudonne over
 the orthogonal basis) has no caller in the package: it is the tests'
 independent oracle for the spinor norm.

@@ -73,11 +73,22 @@ class CaseTag:
     r: int | None = None
 
 
+# case A by n: the 1-based cycles of x1 and of y1, and the exclusion
+# polynomial in a as ascending integer coefficients (n = 13 has none)
+_CASE_A = {
+    9: ([], [], [-1, -1, 1]),
+    # (a - 1)(a^3 + 2a^2 + a + 1)
+    11: ([(1, 3), (2, 4)], [], [-1, 0, -1, 1, 1]),
+    13: ([(1, 2), (4, 5)], [(2, 3, 4)], None),
+    17: ([(1, 3), (2, 4), (5, 6), (8, 9)], [(3, 4, 5), (6, 7, 8)], [1, -1, 1, 0, 1]),
+}
+
+
 def classify(n: int) -> CaseTag:
     """The construction's one dimension rule: case A for n in (9, 11, 13,
     17); otherwise n = 3m + 9 + r with r in {0, 1, 2}, laid out as B6 for
     n in (12, 16, 20) and as B5 for n in (15, 18, 19) or n >= 21."""
-    if n in (9, 11, 13, 17):
+    if n in _CASE_A:
         return CaseTag("A")
     if n in (12, 16, 20):
         case = "B6"
@@ -177,11 +188,6 @@ def _embed_tail(ctx: FieldCtx, n: int, block: np.ndarray) -> Matrix:
     return Matrix(ctx, d)
 
 
-# case-A permutation parts, 1-based cycles
-_X1_CYCLES_A = {9: [], 11: [(1, 3), (2, 4)], 13: [(1, 2), (4, 5)], 17: [(1, 3), (2, 4), (5, 6), (8, 9)]}
-_Y1_CYCLES_A = {9: [], 11: [], 13: [(2, 3, 4)], 17: [(3, 4, 5), (6, 7, 8)]}
-
-
 def _nu1_cycles(r: int, n_even: bool):
     if r == 0:
         return [(1, 2)] if n_even else []
@@ -203,21 +209,6 @@ class AdmissibleResult:
         return self.ok
 
 
-def _exclusion_value(ctx: FieldCtx, n: int, a_vec):
-    """Case-A exclusion polynomial value at a, or None when there is none."""
-    if n == 9:
-        poly = Poly(ctx, [-1, -1, 1])
-    elif n == 11:
-        poly = Poly(ctx, [-1, 1]) * Poly(ctx, [1, 1, 2, 1])
-    elif n == 13:
-        return None
-    elif n == 17:
-        poly = Poly(ctx, [1, -1, 1, 0, 1])
-    else:
-        raise WrongCase(f"n={n} is not a case-A dimension")
-    return poly.eval_elem(a_vec)
-
-
 def admissible(n: int, ctx: FieldCtx, a) -> AdmissibleResult:
     """Parameter test for the given dimension; reasons name failed clauses."""
     tag = classify(n)
@@ -230,8 +221,8 @@ def admissible(n: int, ctx: FieldCtx, a) -> AdmissibleResult:
             reasons.append("a-generates-proper-subfield")
         if not is_square(ctx, ctx.neg(a_vec)):
             reasons.append("minus-a-not-a-square")
-        excl = _exclusion_value(ctx, n, a_vec)
-        if excl is not None and not excl.any():
+        _, _, excl = _CASE_A[n]
+        if excl is not None and not Poly(ctx, excl).eval_elem(a_vec).any():
             reasons.append("exclusion-polynomial-vanishes")
     elif tag.case == "B5":
         if subfield_degree(ctx, a_vec) != ctx.f:
@@ -307,16 +298,30 @@ def default_a(n: int, ctx: FieldCtx) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GenPair:
-    n: int
-    ctx: FieldCtx
-    # read-only (f,) vector; left out of ==, where x and y already tell it apart
-    a: np.ndarray = field(compare=False)
-    tag: CaseTag
+    """The generators x and y; n and the field are read off x, and the case
+    and the form off the dimension rule."""
     x: Matrix
     y: Matrix
-    space: OrthoSpace
+    # read-only (f,) vector; left out of ==, where x and y already tell it apart
+    a: np.ndarray = field(compare=False)
     # whether build_pair skipped the admissibility and spinor-kernel checks
     forced: bool = field(default=False, compare=False)
+
+    @property
+    def n(self) -> int:
+        return self.x.rows
+
+    @property
+    def ctx(self) -> FieldCtx:
+        return self.x.ctx
+
+    @cached_property
+    def tag(self) -> CaseTag:
+        return classify(self.n)
+
+    @cached_property
+    def space(self) -> OrthoSpace:
+        return gram_matrix(self.n, self.ctx)
 
     # x^2, y^2 = y^-1 and y^3, as products, each formed at most once
     @cached_property
@@ -363,8 +368,9 @@ def build_pair(n: int, ctx: FieldCtx, a=None, force: bool = False) -> GenPair:
             )
 
     if tag.case == "A":
-        x1 = _perm_matrix(ctx, n, _X1_CYCLES_A[n])
-        y1 = _perm_matrix(ctx, n, _Y1_CYCLES_A[n])
+        x1_cycles, y1_cycles, _ = _CASE_A[n]
+        x1 = _perm_matrix(ctx, n, x1_cycles)
+        y1 = _perm_matrix(ctx, n, y1_cycles)
         x2 = _embed_tail(ctx, n, _instantiate(ctx, "xbar", a_vec))
         y2 = _embed_tail(ctx, n, _instantiate(ctx, "ybar", a_vec))
     else:
@@ -384,8 +390,7 @@ def build_pair(n: int, ctx: FieldCtx, a=None, force: bool = False) -> GenPair:
 
     _require(x1 @ x2 == x2 @ x1, "x1 and x2 must commute")
     _require(y1 @ y2 == y2 @ y1, "y1 and y2 must commute")
-    pair = GenPair(n=n, ctx=ctx, a=a_vec, tag=tag, x=x1 @ x2, y=y1 @ y2,
-                   space=gram_matrix(n, ctx), forced=bool(force))
+    pair = GenPair(x1 @ x2, y1 @ y2, a_vec, bool(force))
     x, y, ident = pair.x, pair.y, Matrix.identity(ctx, n)
     _require(pair.x_squared == ident, "x^2 = I")
     _require(pair.y_cubed == ident, "y^3 = I")

@@ -34,7 +34,7 @@ import numpy as np
 
 from .fields import (
     FieldCtx, _companion, _distinct_degree_split, _mat_pow, _poly_divmod, _poly_gcd, _poly_mul,
-    elem_from_json, elem_to_json, make_field,
+    elem_from_json, elem_to_json, is_json_int, make_field,
 )
 
 
@@ -440,11 +440,13 @@ class Matrix:
         if isinstance(obj, dict):
             if not {"rows", "cols", "entries"} <= obj.keys():
                 raise LinalgError("a matrix object needs rows, cols and entries")
+            if not (is_json_int(obj["rows"]) and is_json_int(obj["cols"])):
+                raise LinalgError("a matrix object's rows and cols must be integers")
             entries = obj["entries"]
         if not isinstance(entries, list) or not all(isinstance(r, list) for r in entries):
             raise LinalgError("matrix entries must be a list of lists")
-        if isinstance(obj, dict) and (len(entries) != int(obj["rows"])
-                                      or any(len(r) != int(obj["cols"]) for r in entries)):
+        if isinstance(obj, dict) and (len(entries) != obj["rows"]
+                                      or any(len(r) != obj["cols"] for r in entries)):
             raise LinalgError("entry grid does not match declared shape")
         return Matrix.from_rows(
             ctx, [[elem_from_json(ctx, v) for v in row] for row in entries])

@@ -158,16 +158,16 @@ def verify_structural(pair: GenPair) -> VerificationReport:
 # ---------------------------------------------------------------------------
 # case-A identity battery
 
-_V1_WORDS = {9: "[x,y]", 11: "(xy^2)^3xy", 13: "(xy^2)^2xy", 17: "(xy^2)^6xy"}
-_V1_TARGETS = {9: 1, 11: 3, 13: 2, 17: 6}
-_SEED_IMAGES = {
-    9: (("y", 1, 2), ("y", 2, 3), ("x", 3, 4), ("y", 4, 5)),
-    11: (("x", 1, 3), ("y", 3, 4), ("y", 4, 5), ("x", 4, 2)),
-    13: (("x", 1, 2), ("y", 2, 3), ("y", 3, 4), ("x", 4, 5)),
-    17: (("x", 1, 3), ("y", 3, 4), ("y", 4, 5), ("x", 4, 2)),
+# the case-A battery's printed constants by n: the distinguishing word and
+# the 1-based index k of its fixed line <e_k>, the seed unit images
+# (generator, 1-based source, 1-based image), and sigma and kappa of the
+# commutator traces
+_A_BATTERY = {
+    9: ("[x,y]", 1, (("y", 1, 2), ("y", 2, 3), ("x", 3, 4), ("y", 4, 5)), 1, 3),
+    11: ("(xy^2)^3xy", 3, (("x", 1, 3), ("y", 3, 4), ("y", 4, 5), ("x", 4, 2)), 0, 2),
+    13: ("(xy^2)^2xy", 2, (("x", 1, 2), ("y", 2, 3), ("y", 3, 4), ("x", 4, 5)), 0, 4),
+    17: ("(xy^2)^6xy", 6, (("x", 1, 3), ("y", 3, 4), ("y", 4, 5), ("x", 4, 2)), 0, 4),
 }
-_SIGMA = {9: 1, 11: 0, 13: 0, 17: 0}
-_KAPPA = {9: 3, 11: 2, 13: 4, 17: 4}
 
 
 def _unit_index(ctx: FieldCtx, vec) -> int | None:
@@ -183,6 +183,7 @@ def verify_caseA_identities(pair: GenPair) -> VerificationReport:
     if pair.tag.case != "A":
         raise WrongCase("the case-A battery needs a case-A pair")
     ctx, n = pair.ctx, pair.n
+    word, fixline, seed_images, sigma, kappa = _A_BATTERY[n]
     rec = _Recorder(_pair_params(pair))
     a = pair.a
     ainv = ctx.inv(a)
@@ -243,15 +244,15 @@ def verify_caseA_identities(pair: GenPair) -> VerificationReport:
             f"reached {len(reached & wanted)} of {n - 3}", "caseA/transitivity")
     seeds_ok = all(
         _unit_index(ctx, cols[g][:, src - 1]) == dst - 1
-        for (g, src, dst) in _SEED_IMAGES[n]
+        for (g, src, dst) in seed_images
     )
     rec.add("transitivity-seed-images", seeds_ok, "listed unit images",
             "match" if seeds_ok else "mismatch", "caseA/transitivity")
 
     # (5) the fixed line of the distinguishing element, plus tail actions of y
-    g_word = evaluate_word(_V1_WORDS[n], pair.x, pair.y)
+    g_word = evaluate_word(word, pair.x, pair.y)
     v1 = eigenspace(g_word, 1)
-    target = _V1_TARGETS[n] - 1
+    target = fixline - 1
     line_ok = v1.shape[0] == 1 and _unit_index(ctx, v1[0]) == target
     rec.add("fixline-of-distinguishing-element", line_ok,
             f"<e_{target + 1}>", f"dim {v1.shape[0]}", "caseA/fixline")
@@ -269,11 +270,11 @@ def verify_caseA_identities(pair: GenPair) -> VerificationReport:
     # (6) commutator traces with the dimension-keyed constants
     h = commutator(pair.x, pair.y)
     base = ctx.add(ctx.add(one, ctx.mul(a, a)), ctx.mul(ainv, ainv))
-    expect_t1 = ctx.add(base, ctx.coerce(_SIGMA[n]))
+    expect_t1 = ctx.add(base, ctx.coerce(sigma))
     rec.add("commutator-trace", np.array_equal(h.trace(), expect_t1),
             _fmt(ctx, expect_t1), _fmt(ctx, h.trace()), "caseA/commutator-trace")
     expect_t2 = ctx.sub(ctx.sub(ctx.mul(base, base), ctx.mul(ctx.coerce(4), a)),
-                        ctx.coerce(_KAPPA[n]))
+                        ctx.coerce(kappa))
     h2 = h @ h
     rec.add("commutator-square-trace", np.array_equal(h2.trace(), expect_t2),
             _fmt(ctx, expect_t2), _fmt(ctx, h2.trace()), "caseA/commutator-trace")

@@ -436,16 +436,25 @@ def test_oracle_parity_is_checked_before_the_bound(capsys, what, n, detail):
     (("spinor", "--q", "3", "--matrix", "{int_entries}"), "LinalgError"),
     (("spinor", "--q", "3", "--matrix", "{flat_entries}"), "LinalgError"),
     (("spinor", "--q", "3", "--matrix", "{top_string}"), "LinalgError"),
+    *((("spinor", "--q", "3", "--matrix", f"{{{name}}}", "--gram", f"{{{name}}}"), "LinalgError")
+      for name in ("rows_null", "rows_list", "rows_float", "rows_bool", "rows_string",
+                   "cols_float")),
 ], ids=["witt-type-n0", "witt-type-n-2", "omega-order-n-1", "omega-order-n1",
         "empty-list-matrix", "empty-object-matrix", "ragged-list-matrix", "short-a",
         "object-without-entries", "top-level-int", "row-not-a-list", "int-entries",
-        "entry-row-not-a-list", "top-level-string"])
+        "entry-row-not-a-list", "top-level-string", "rows-null", "rows-list", "rows-float",
+        "rows-bool", "rows-string", "cols-float"])
 def test_malformed_input_is_refused_by_name(capsys, tmp_path, argv, kind):
     files = {"empty_list": [], "empty_object": {"rows": 0, "cols": 0, "entries": []},
              "ragged_list": [[1, 2], [3]], "no_entries": {"rows": 1, "cols": 1},
              "top_int": 5, "bare_row": [[1], 2],
              "int_entries": {"rows": 1, "cols": 1, "entries": 5},
-             "flat_entries": {"rows": 1, "cols": 1, "entries": [5]}, "top_string": "abc"}
+             "flat_entries": {"rows": 1, "cols": 1, "entries": [5]}, "top_string": "abc",
+             # rows and cols must be JSON integers, not read as 1 or left to int()
+             **{f"rows_{kind}": {"rows": v, "cols": 1, "entries": [[1]]} for kind, v in
+                (("null", None), ("list", [1]), ("float", 1.5), ("bool", True),
+                 ("string", "1"))},
+             "cols_float": {"rows": 1, "cols": 1.5, "entries": [[1]]}}
     for name, obj in files.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(obj))
     paths = {name: tmp_path / f"{name}.json" for name in files}

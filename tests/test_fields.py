@@ -210,6 +210,24 @@ def test_json_forms():
         field_from_json({"p": 3, "f": 2, "modulus": [2, 0, 1]})
 
 
+@pytest.mark.parametrize("header", [
+    {"p": 3.7, "f": 1, "modulus": [0, 1]},
+    {"p": "3", "f": True, "modulus": [0, 1]},
+    {"p": 3, "f": 1, "modulus": [0.2, 1.9]},
+    {"p": None, "f": 1, "modulus": [0, 1]},
+    {"p": 3, "f": 1},
+    {"p": 3, "f": 1, "modulus": "01"},
+    {"p": 3, "f": 1, "modulus": [False, True]},
+    [3, 1, [0, 1]],
+], ids=["float-p", "string-p-bool-f", "float-modulus", "null-p", "no-modulus",
+        "string-modulus", "bool-modulus", "not-an-object"])
+def test_field_from_json_refuses_a_non_integer_or_missing_value(header):
+    """Every value must be a JSON integer, as in an element, not truncated."""
+    assert field_from_json({"p": 3, "f": 1, "modulus": [0, 1]}) == make_field(3, 1)
+    with pytest.raises(FieldError):
+        field_from_json(header)
+
+
 def test_coerce_needs_exactly_f_coefficients():
     ctx = make_field(3, 3)
     for short_or_long in ([1, 2], [1, 2, 0, 0]):

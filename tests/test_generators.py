@@ -39,7 +39,7 @@ from omega23.generators import (
     _nongen_bound,
 )
 from omega23.linalg import Matrix, restrict, unit_vector
-from omega23.verify import verify_structural
+from omega23.verify import _A_BATTERY, verify_structural
 
 GRID_N = [9, 11, 12, 13] + [n for n in range(15, 26) if n != 14]
 GRID_Q = [3, 5, 7, 9, 11, 13, 25, 27]
@@ -66,6 +66,20 @@ def test_classify_unsupported(n):
     with pytest.raises(Unsupported) as exc:
         classify(n)
     assert f"dimension {n} is not supported" in str(exc.value)
+
+
+def test_case_a_is_the_keys_of_its_two_tables():
+    """The construction's and the battery's case-A tables list the same
+    dimensions, and classify puts exactly those in case A."""
+    assert generators._CASE_A.keys() == _A_BATTERY.keys()
+    case_a = set()
+    for n in range(-3, 41):
+        try:
+            if classify(n).case == "A":
+                case_a.add(n)
+        except Unsupported:
+            pass
+    assert case_a == generators._CASE_A.keys()
 
 
 def _gram_layout(n, head, tail):
@@ -331,12 +345,33 @@ def test_a_pair_from_its_constructor_keeps_no_inverse():
     ctx = make_field(5, 1)
     built = build_pair(9, ctx)
     x, y = Matrix(ctx, built.x.data), Matrix(ctx, built.y.data)
-    fields = dict(n=9, ctx=ctx, a=built.a, tag=built.tag, space=built.space)
-    pair = GenPair(x=x, y=y, **fields)
+    pair = GenPair(x, y, built.a)
     assert pair.x._inv is None and pair.y._inv is None
     assert verify_structural(pair).ok
-    swapped = {c.name: c.status for c in verify_structural(GenPair(x=y, y=x, **fields)).checks}
+    swapped = {c.name: c.status for c in verify_structural(GenPair(y, x, built.a)).checks}
     assert swapped["x-squared-identity"] == swapped["y-cubed-identity"] == "fail"
+
+
+@pytest.mark.parametrize("n,q", [(9, 3), (12, 3), (15, 9)])
+def test_a_pair_reads_its_dimension_field_case_and_form_off_x(n, q):
+    ctx = field_from_prime_power(q)
+    built = build_pair(n, ctx)
+    pair = GenPair(Matrix(ctx, built.x.data), Matrix(ctx, built.y.data), built.a)
+    assert (pair.n, pair.ctx, pair.tag) == (built.n, built.ctx, built.tag) == (n, ctx, classify(n))
+    assert pair.space.J == built.space.J
+    assert pair.space.eps == built.space.eps
+    assert pair == built
+
+
+def test_a_pair_in_an_unsupported_dimension_has_no_case_or_form():
+    ctx = make_field(3, 1)
+    ident = Matrix.identity(ctx, 10)
+    pair = GenPair(ident, ident, ctx.one)
+    assert (pair.n, pair.ctx) == (10, ctx)
+    with pytest.raises(Unsupported):
+        pair.tag
+    with pytest.raises(Unsupported):
+        pair.space
 
 
 def test_build_pair_rejects_inadmissible_without_force():

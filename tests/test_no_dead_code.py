@@ -4,11 +4,14 @@ a reason.
 
 The scan is syntactic. A definition is a top-level function or class of
 a module, a method of such a class that is not a dunder, or a name a
-module-level assignment binds that is not a dunder. A reference is an
-`ast.Name` read (`Load` context), an `ast.Attribute` or an import alias
-with the same bare name anywhere in `src/omega23`, its own definition
-excluded (a definition is not a read). So a name shared by two
-definitions keeps both alive; the gate catches names nothing reads.
+module-level assignment binds that is not a dunder. A module-level name
+is read where its own module reads it as an `ast.Name` (`Load` context),
+where another module imports it from its module (`from .mod import
+name`), or where another module reads an `ast.Attribute` of that name.
+A method is read where any module reads an attribute of its name, or
+its own module a Name. A definition is not a read. So a module-level
+name that another module defines and reads as a Name does not keep it
+alive: the gate catches every definition its own readers do not reach.
 
 A second gate flags an import that its module never reads: a name an
 `import` or `from ... import` binds (`__future__` imports excluded) with
@@ -35,6 +38,7 @@ ALLOWED = {
     "forms.reflection_decomposition": ("tracer", "an isometry as reflections"),
     "certify.Orbit.positions": ("direction", "C: batched sifting looks up many codes at once"),
     "certify.StabilizerChain.sift": ("public", "sift a Matrix through a built chain"),
+    "certify.orbit": ("public", "the orbit of a vector under Matrix generators"),
     "verify.verify_caseB_closed_forms_all_a": ("public", "acceptance criterion 3"),
     "verify.hermitian_rep": ("public", "acceptance criterion 5"),
     "fields.field_from_json": ("public", "reads a report's field header back"),
@@ -52,40 +56,62 @@ def _is_dunder(name: str) -> bool:
     return name.startswith("__") and name.endswith("__")
 
 
-def _scan():
-    """(qualified name -> bare name of every definition, referenced bare names)."""
-    defined, used = {}, set()
-    for path in sorted(SRC.glob("*.py")):
+def _unreferenced(src=SRC):
+    """Qualified name of every definition in src that nothing reads."""
+    defined = set()  # qualified names: module.name or module.Class.method
+    names, attrs = {}, {}  # module -> bare names it reads as a Name, as an attribute
+    imported = set()  # module.name of every name another module imports from it
+    for path in sorted(src.glob("*.py")):
+        module = path.stem
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defined[f"{path.stem}.{node.name}"] = node.name
+                defined.add(f"{module}.{node.name}")
             if isinstance(node, ast.ClassDef):
-                for item in node.body:
-                    if isinstance(item, ast.FunctionDef) and not _is_dunder(item.name):
-                        defined[f"{path.stem}.{node.name}.{item.name}"] = item.name
+                defined.update(f"{module}.{node.name}.{item.name}" for item in node.body
+                               if isinstance(item, ast.FunctionDef)
+                               and not _is_dunder(item.name))
             if isinstance(node, (ast.Assign, ast.AnnAssign)):
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                for name in (t.id for target in targets for t in ast.walk(target)
-                             if isinstance(t, ast.Name)):
-                    if not _is_dunder(name):
-                        defined[f"{path.stem}.{name}"] = name
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-            elif isinstance(node, ast.alias):
-                used.add(node.name)
-    return defined, used
+                defined.update(f"{module}.{t.id}" for target in targets for t in ast.walk(target)
+                               if isinstance(t, ast.Name) and not _is_dunder(t.id))
+        walked = list(ast.walk(tree))
+        names[module] = {node.id for node in walked
+                         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        attrs[module] = {node.attr for node in walked if isinstance(node, ast.Attribute)}
+        # package-relative imports: `from . import name` imports from __init__
+        imported.update(f"{node.module or '__init__'}.{alias.name}" for node in walked
+                        if isinstance(node, ast.ImportFrom) and node.level == 1
+                        for alias in node.names)
+
+    def read(qualified):
+        module, *owner, name = qualified.split(".")
+        if name in names[module]:
+            return True
+        if owner:
+            return any(name in a for a in attrs.values())
+        return qualified in imported or any(name in a for m, a in attrs.items() if m != module)
+
+    return {q for q in defined if not read(q)}
 
 
 def test_every_definition_is_referenced_or_allowlisted():
-    defined, used = _scan()
-    unreferenced = {q for q, name in defined.items() if name not in used}
+    unreferenced = _unreferenced()
     assert unreferenced - ALLOWED.keys() == set(), "no reference in src/ and not allowlisted"
     # An entry that is referenced again, or gone, must leave the list.
     assert ALLOWED.keys() - unreferenced == set(), "stale allowlist entries"
+
+
+def test_a_name_read_only_in_another_module_is_flagged(tmp_path):
+    """A table that nothing reads stays flagged although another module
+    defines a table of the same name and reads it."""
+    for path in SRC.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text(encoding="utf-8"), encoding="utf-8")
+    assert _unreferenced(tmp_path) == _unreferenced()
+    certify = tmp_path / "certify.py"
+    certify.write_text(certify.read_text(encoding="utf-8") + "\n_CASE_A = {}\n",
+                       encoding="utf-8")
+    assert _unreferenced(tmp_path) - _unreferenced() == {"certify._CASE_A"}
 
 
 def _unread_imports():
