@@ -1,12 +1,13 @@
 """Exact group-order certification.
 
-Randomized Schreier-Sims on the natural action on F_q^n, with two exits.
-Reaching a pre-verified target order is sound: the product of orbit
-sizes never exceeds the generated group's order. A run of trivial sifts
-followed by `verify_schreier` is not: that test covers the Schreier
-generators of each level's own generators only, not the deeper levels',
-and passes S3 = <(0 1), (1 2)> at order 4 without random sifts. Budget
-or table-size exhaustion yields Inconclusive.
+Randomized Schreier-Sims on the natural action on F_q^n. A chain's order,
+the product of its orbit sizes, is a lower bound on the generated group's;
+a verdict names the upper bound it proves, and the one proved today is
+containment in Omega. So Generates needs both generators in Omega and a
+chain that reaches |Omega|, and every other outcome is Inconclusive. A run
+of trivial sifts followed by `verify_schreier` proves no bound: that test
+covers only the Schreier generators of each level's own generators, and
+passes S3 = <(0 1), (1 2)> at order 4 without random sifts.
 
 Inside the chain a group element is the (nf, nf) int64 F_p block form
 that a `Matrix` over F_{p^f} holds (`Matrix.blocks`, an injective ring
@@ -39,7 +40,7 @@ import numpy as np
 
 from . import resolved_seed
 from ._kernels import DENSE_CAP, POS_BITS, POS_MASK, orbit_bfs
-from .fields import FieldCtx, elem_to_json
+from .fields import FieldCtx, elem_to_json, is_json_int
 from .forms import OrthoSpace, in_omega, omega_order
 from .generators import GenPair, WrongCase, s9_restrictions
 from .linalg import Matrix, Singular, _block_inverse, _eye, restrict, unit_vector
@@ -379,16 +380,18 @@ class _ChainBuilder:
 
 def stabilizer_chain(gens, target: int | None = None, seed: int | None = None,
                      budget_seconds: float | None = None) -> StabilizerChain:
-    """Randomized Schreier-Sims with sound termination.
+    """Randomized Schreier-Sims; the chain order is a lower bound on the
+    generated group's order.
 
-    With a target (caller must have verified the generated group's order
-    divides it, e.g. by containment in a known group), the build stops as
-    soon as the chain order reaches the target: the product of orbit sizes
-    never exceeds the generated order. Without a target, a run of 64
-    trivial random sifts is always followed by `verify_schreier`, which
-    tests each level's own generators only: the order is then a lower
-    bound that neither found a way past, not a proven one.
+    A target is a positive integer that the caller has proved the group's
+    order divides (e.g. by containment in a known group): the build stops
+    once the chain order reaches it, which makes that order exact, and
+    raises CertifyError past it. Without a target, or short of it, the
+    build ends at 64 trivial random sifts and a `verify_schreier`, which
+    tests each level's own generators only: no upper bound is proved.
     """
+    if target is not None and not (is_json_int(target) and target > 0):
+        raise CertifyError(f"target {target!r} is not a positive integer")
     gens = tuple(gens)
     seed = resolved_seed(seed)
     if not gens:
@@ -429,11 +432,11 @@ def certify_generation(pair: GenPair, restrict_to_s9: bool = False,
     Full mode certifies <x, y> against the ambient group's order; restricted
     mode (even/odd tail families only) certifies the action of <y, tau> on
     the distinguished 9-dimensional subspace against the 9-dimensional
-    target. Verdicts: Generates (orders equal), ProperSubgroup (computed
-    order properly divides the target), Inconclusive (budget exhausted, a
-    state space past DENSE_CAP, or - without pre-verified containment - an
-    order incompatible with the target; the certificate then carries the
-    best exact or partial order known, never a wrong one).
+    target. Generates needs both generators proved to lie in the compared
+    group (`in_omega`) and a chain order, a lower bound, that reaches its
+    order; every other outcome (a chain short of it, a pair outside Omega,
+    a budget or DENSE_CAP stop) is Inconclusive, and computed_order keeps
+    the lower bound. ProperSubgroup awaits a proved upper bound below it.
     """
     t0 = time.perf_counter()
     seed = resolved_seed(seed)
@@ -460,10 +463,8 @@ def certify_generation(pair: GenPair, restrict_to_s9: bool = False,
             raise CertifyError(
                 "computed order does not divide the target despite verified "
                 "containment")
-        if computed == target:
+        if contained and computed == target:
             verdict = "Generates"
-        elif computed < target and target % computed == 0:
-            verdict = "ProperSubgroup"
     except BudgetExceeded as stop:
         orbit_sizes = stop.orbit_sizes
     except StateSpaceTooLarge:

@@ -317,7 +317,7 @@ def _build_parser() -> _Parser:
     def common(p, with_pair=True):
         if with_pair:
             p.add_argument("--n", type=int, required=True)
-            p.add_argument("--q", required=True,
+            p.add_argument("--q", type=int, required=True,
                            help="odd prime power, e.g. 3 or 27")
         p.add_argument("--format", choices=("json", "text"), default="json")
         p.add_argument("--output", default=None)
@@ -355,7 +355,7 @@ def _build_parser() -> _Parser:
     s.set_defaults(fn=_cmd_search_a)
 
     sp = sub.add_parser("spinor", description="spinor norm of a matrix")
-    sp.add_argument("--q", required=True)
+    sp.add_argument("--q", type=int, required=True)
     sp.add_argument("--matrix", required=True,
                     help="JSON file with the matrix; '-' reads stdin")
     sp.add_argument("--gram", default=None,

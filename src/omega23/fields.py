@@ -451,7 +451,9 @@ def _make_field(p: int, f: int) -> FieldCtx:
 
 def field_from_prime_power(q: int) -> FieldCtx:
     """Split q = p**f by exact f-th roots and build the field; rejects
-    non-prime-powers."""
+    non-integers (`is_json_int`) and non-prime-powers."""
+    if not is_json_int(q):
+        raise FieldError(f"not an integer: {q!r}")
     q = int(q)
     if q < 3:
         raise FieldError(f"not an odd prime power: {q}")

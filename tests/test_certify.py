@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from omega23.fields import field_from_prime_power, make_field
 from omega23.forms import in_omega, is_isometry, omega_order, quadratic_value
-from omega23.generators import WrongCase, build_pair, gram_matrix
+from omega23.generators import GenPair, WrongCase, build_pair, gram_matrix
 from omega23.linalg import Matrix, _block_form, unit_vector
 from omega23 import _kernels, linalg
 from omega23._kernels import DENSE_CAP, POS_BITS, POS_MASK, orbit_bfs
@@ -814,6 +815,15 @@ def test_chain_refuses_a_budget_that_is_not_a_duration(pair932, budget):
         stabilizer_chain([pair932.x, pair932.y], seed=1, budget_seconds=budget)
 
 
+@pytest.mark.parametrize("target", [0, -5, 2.5, True, "7"],
+                         ids=["zero", "negative", "float", "bool", "string"])
+def test_chain_refuses_a_target_that_is_not_a_positive_integer(pair932, target, count_calls):
+    counts = count_calls(_kernels, "orbit_bfs")
+    with pytest.raises(CertifyError, match=f"target {target!r} is not a positive integer"):
+        stabilizer_chain([pair932.x, pair932.y], target=target, seed=1)
+    assert counts["orbit_bfs"] == 0
+
+
 def test_chain_transversals_sampled(chain932):
     rng = random.Random(23)
     for lv in chain932.levels:
@@ -990,8 +1000,9 @@ def test_certify_restricted_needs_tail_family(pair932):
 
 
 def test_certify_forced_pair_documents_outcome():
-    # non-admissible parameter: no containment, chain fully verified; the
-    # outcome lands on the full special orthogonal group, twice the target
+    # non-admissible parameter: x lies outside Omega, so the chain runs
+    # without a target and ends at `verify_schreier`, which is not a complete
+    # check; its order, twice the target (that of SO), is a lower bound only
     res = certify_generation(build_pair(9, CTX3, 1, force=True), seed=53251)
     assert res.computed_order == 2 * res.target_order
     assert res.verdict == "Inconclusive"
@@ -1002,3 +1013,38 @@ def test_certify_budget_inconclusive(pair932):
     assert res.verdict == "Inconclusive"
     assert res.target_order == omega_order(9, "circ", 3)
     assert res.computed_order >= 1
+
+
+def test_certify_contained_proper_subgroup_is_inconclusive(pair932):
+    # <y> lies in Omega and has order 3, but only `verify_schreier` ends its
+    # chain there: no upper bound below |Omega| is proved
+    res = certify_generation(GenPair(pair932.y, pair932.y, pair932.a, True), seed=1)
+    assert res.verdict == "Inconclusive"
+    assert res.computed_order == 3 and res.orbit_sizes == (3,)
+    assert res.target_order == omega_order(9, "circ", 3)
+
+
+def test_certify_pair_outside_omega_never_generates(monkeypatch):
+    # a chain that reaches |Omega| proves nothing about a pair not in Omega
+    pair = build_pair(9, CTX3, 1, force=True)
+    assert not pair.x_in_omega.ok
+    targets = []
+
+    def reaches_omega(gens, target, seed, budget_seconds):
+        targets.append(target)
+        return SimpleNamespace(orbit_sizes=SIZES_932)
+
+    monkeypatch.setattr(certify_mod, "stabilizer_chain", reaches_omega)
+    res = certify_generation(pair, seed=1)
+    assert targets == [None]
+    assert res.computed_order == res.target_order == math.prod(SIZES_932)
+    assert res.verdict == "Inconclusive"
+
+
+def test_certify_contained_order_off_the_target_is_an_error(pair932, monkeypatch):
+    # 11 does not divide |Omega_9(3)|, so a contained chain of that order is
+    # inconsistent, whatever the verdict would be
+    monkeypatch.setattr(certify_mod, "stabilizer_chain",
+                        lambda *args: SimpleNamespace(orbit_sizes=(11,)))
+    with pytest.raises(CertifyError, match="does not divide the target"):
+        certify_generation(pair932, seed=1)

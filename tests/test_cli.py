@@ -181,6 +181,18 @@ def test_certify_forced_pair_inconclusive(capsys):
     assert int(cert["computed_order"]) == 2 * int(cert["target_order"])
 
 
+def test_certify_forced_pair_below_the_target_is_inconclusive(capsys):
+    # x lies outside Omega_11(3), and the targetless chain stops at
+    # 2|Omega_10^-(3)|, which divides the target; no proved upper bound says
+    # the group is that small, so the certificate claims no proper subgroup
+    code, out, _ = run_cli(capsys, "certify", "--n", "11", "--q", "3",
+                           "--a", "1", "--force", "--seed", "1")
+    assert code == 3
+    cert = check("certify", out)["certificate"]
+    assert cert["verdict"] == "Inconclusive"
+    assert cert["computed_order"] == "2600339861038664908800"
+
+
 def test_certify_restricted(capsys):
     code, out, _ = run_cli(capsys, "certify", "--n", "15", "--q", "3",
                            "--restrict-s9")
@@ -439,11 +451,14 @@ def test_oracle_parity_is_checked_before_the_bound(capsys, what, n, detail):
     *((("spinor", "--q", "3", "--matrix", f"{{{name}}}", "--gram", f"{{{name}}}"), "LinalgError")
       for name in ("rows_null", "rows_list", "rows_float", "rows_bool", "rows_string",
                    "cols_float")),
+    # --q is an argparse int, so a q that is not one is a usage error
+    (("certify", "--n", "9", "--q", "x"), "usage"),
+    (("spinor", "--q", "27.5", "--matrix", "{top_int}"), "usage"),
 ], ids=["witt-type-n0", "witt-type-n-2", "omega-order-n-1", "omega-order-n1",
         "empty-list-matrix", "empty-object-matrix", "ragged-list-matrix", "short-a",
         "object-without-entries", "top-level-int", "row-not-a-list", "int-entries",
         "entry-row-not-a-list", "top-level-string", "rows-null", "rows-list", "rows-float",
-        "rows-bool", "rows-string", "cols-float"])
+        "rows-bool", "rows-string", "cols-float", "q-not-a-number", "q-fractional"])
 def test_malformed_input_is_refused_by_name(capsys, tmp_path, argv, kind):
     files = {"empty_list": [], "empty_object": {"rows": 0, "cols": 0, "entries": []},
              "ragged_list": [[1, 2], [3]], "no_entries": {"rows": 1, "cols": 1},

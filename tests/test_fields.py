@@ -244,6 +244,15 @@ def test_elem_from_json_refuses_non_integers(v):
         elem_from_json(ctx9, v)
 
 
+@pytest.mark.parametrize("q", [27.5, 9.9, np.float64(25.0), "27", True],
+                         ids=["float", "float-below", "numpy-float", "string", "bool"])
+def test_field_from_prime_power_refuses_a_non_integer(q):
+    """q is not truncated or parsed: neither 27.5 nor "27" is GF(27)."""
+    with pytest.raises(FieldError, match="not an integer"):
+        field_from_prime_power(q)
+    assert field_from_prime_power(np.int64(25)).q == 25
+
+
 def test_field_from_prime_power():
     assert field_from_prime_power(27).q == 27
     assert field_from_prime_power(13).f == 1
