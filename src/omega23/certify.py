@@ -34,11 +34,10 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import resolved_seed
+from . import Record, resolved_seed
 from ._kernels import DENSE_CAP, POS_BITS, POS_MASK, orbit_bfs
 from .fields import FieldCtx, elem_to_json, is_json_int
 from .forms import OrthoSpace, in_omega, omega_order
@@ -74,8 +73,7 @@ _PRA_BURN_IN = 64
 # orbits
 
 
-@dataclass(frozen=True)
-class Orbit:
+class Orbit(Record):
     parent: np.ndarray
     genlab: np.ndarray
     index: np.ndarray  # sorted (code << POS_BITS) | position, one entry a point
@@ -203,8 +201,7 @@ class Level:
         return self._walk(pos, self._u_inv, lambda m, lbl: m.dot(self.invs[lbl]) % self.ctx.p)
 
 
-@dataclass(frozen=True)
-class StabilizerChain:
+class StabilizerChain(Record):
     base: tuple
     levels: tuple
     order: int
@@ -404,8 +401,7 @@ def stabilizer_chain(gens, target: int | None = None, seed: int | None = None,
 # certification front end
 
 
-@dataclass(frozen=True)
-class CertResult:
+class CertResult(Record):
     n: int
     q: int
     a: object
@@ -419,7 +415,7 @@ class CertResult:
     elapsed_ms: float
 
     def to_json(self) -> dict:
-        return {**asdict(self), "computed_order": str(self.computed_order),
+        return {**self._asdict(), "computed_order": str(self.computed_order),
                 "target_order": str(self.target_order),
                 "orbit_sizes": list(self.orbit_sizes)}
 

@@ -19,11 +19,11 @@ texts use the opposite sign convention; reports name this one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
+from . import Record
 from ._kernels import _digit_chunks
 from .fields import FieldCtx, is_square
 from .linalg import Matrix, rref
@@ -53,13 +53,13 @@ class TooLarge(FormsError):
     pass
 
 
-@dataclass(frozen=True)
-class OrthoSpace:
+class OrthoSpace(Record):
     """A quadratic space, given by its symmetric Gram matrix J alone."""
 
     J: Matrix
 
-    def __post_init__(self):
+    def __init__(self, J: Matrix):
+        super().__init__(J)
         if self.J.rows != self.J.cols:
             raise DimensionMismatch(
                 f"Gram matrix is {self.J.rows}x{self.J.cols}, not square")
@@ -280,8 +280,7 @@ def spinor_norm(space: OrthoSpace, g: Matrix) -> np.ndarray:
     return disc
 
 
-@dataclass(frozen=True)
-class OmegaMembership:
+class OmegaMembership(Record):
     ok: bool
     reasons: tuple[str, ...]
 

@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import json
 import zlib
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from importlib import resources
 
 import numpy as np
 
+from . import Record
 from .fields import FieldCtx, elem_to_json, field_to_json, is_square, subfield_degree
 from .forms import OmegaMembership, OrthoSpace, in_omega
 from .linalg import Matrix, Poly, commutator, restrict
@@ -66,8 +66,7 @@ class TranscriptionError(GenError):
 # case classification
 
 
-@dataclass(frozen=True)
-class CaseTag:
+class CaseTag(Record):
     case: str  # "A" | "B5" | "B6"
     m: int | None = None
     r: int | None = None
@@ -200,8 +199,7 @@ def _nu1_cycles(r: int, n_even: bool):
 # admissibility
 
 
-@dataclass(frozen=True)
-class AdmissibleResult:
+class AdmissibleResult(Record):
     ok: bool
     reasons: tuple[str, ...]
 
@@ -236,14 +234,16 @@ def admissible(n: int, ctx: FieldCtx, a) -> AdmissibleResult:
     return AdmissibleResult(not reasons, tuple(reasons))
 
 
-# eq=False: `values` holds arrays, whose == is elementwise
-@dataclass(frozen=True, eq=False)
-class SearchResult:
+class SearchResult(Record):
     values: tuple[np.ndarray, ...]  # read-only (f,) vectors
     guaranteed: bool
     inequality: str
     lhs: int
     rhs: int
+
+    # by identity: `values` holds arrays, whose == is elementwise
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
 
 def _nongen_bound(p: int, f: int) -> int:
@@ -296,16 +296,15 @@ def default_a(n: int, ctx: FieldCtx) -> np.ndarray:
 # pair construction
 
 
-@dataclass(frozen=True)
-class GenPair:
+class GenPair(Record, compare=("x", "y")):
     """The generators x and y; n and the field are read off x, and the case
-    and the form off the dimension rule."""
+    and the form off the dimension rule. Pairs compare by x and y, which
+    already tell a apart."""
     x: Matrix
     y: Matrix
-    # read-only (f,) vector; left out of ==, where x and y already tell it apart
-    a: np.ndarray = field(compare=False)
+    a: np.ndarray  # read-only (f,) vector
     # whether build_pair skipped the admissibility and spinor-kernel checks
-    forced: bool = field(default=False, compare=False)
+    forced: bool = False
 
     @property
     def n(self) -> int:
@@ -460,8 +459,7 @@ def s9_restrictions(pair: GenPair):
     return restrict(pair.y, s9), restrict(tau_full, s9), tau_full, g
 
 
-@dataclass(frozen=True)
-class SpecialSubspaces:
+class SpecialSubspaces(Record):
     """The tail S9 and the splitting into A- and B-summands and C, each a
     coordinate subspace held as its tuple of 0-based coordinates, with the
     action of [x, y] on the summands: coordinate i goes to action[i]."""

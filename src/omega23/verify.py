@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass
 from functools import lru_cache
 from importlib import resources
 from math import comb
 
 import numpy as np
 
+from . import Record
 from .fields import FieldCtx, elem_to_json, field_from_prime_power, is_square, make_field
 # verify.in_omega stays bound although pairs cache their memberships: the
 # tracer test in perfbench/check_bench.py looks it up here
@@ -56,8 +56,7 @@ class WrongExtensionDegree(VerifyError):
 # report plumbing
 
 
-@dataclass(frozen=True)
-class CheckEntry:
+class CheckEntry(Record):
     name: str
     status: str  # "pass" | "fail" | "skip"
     expected: str
@@ -65,8 +64,7 @@ class CheckEntry:
     paper_ref: str
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(Record):
     params: dict
     checks: tuple
     timing_ms: float
@@ -78,7 +76,7 @@ class VerificationReport:
     def to_json(self) -> dict:
         return {
             "params": self.params,
-            "checks": [asdict(c) for c in self.checks],
+            "checks": [c._asdict() for c in self.checks],
             "timing_ms": self.timing_ms,
         }
 
@@ -474,8 +472,7 @@ def verify_caseB_closed_forms_all_a(n: int, ctx: FieldCtx) -> VerificationReport
 # order claims
 
 
-@dataclass(frozen=True)
-class ExactOrder:
+class ExactOrder(Record):
     k: int
 
     def check(self, order: int) -> bool:
@@ -485,8 +482,7 @@ class ExactOrder:
         return f"order = {self.k}"
 
 
-@dataclass(frozen=True)
-class DivisibleBy:
+class DivisibleBy(Record):
     r: int
 
     def check(self, order: int) -> bool:
@@ -496,8 +492,7 @@ class DivisibleBy:
         return f"order divisible by {self.r}"
 
 
-@dataclass(frozen=True)
-class DivisibleByPrimeAtLeast:
+class DivisibleByPrimeAtLeast(Record):
     r: int
 
     def check(self, order: int) -> bool:
@@ -511,8 +506,7 @@ class DivisibleByPrimeAtLeast:
         return f"order divisible by a prime >= {self.r}"
 
 
-@dataclass(frozen=True)
-class DivisibleByOneOf:
+class DivisibleByOneOf(Record):
     options: tuple
 
     def check(self, order: int) -> bool:
@@ -535,8 +529,7 @@ def expectation_from_json(blob: dict):
     raise VerifyError(f"unknown expectation type {kind!r}")
 
 
-@dataclass(frozen=True)
-class Claim:
+class Claim(Record):
     id: str
     n: int
     q: int

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 import random
@@ -13,7 +12,7 @@ from omega23.fields import field_from_prime_power, make_field
 from omega23.forms import in_omega, is_isometry, omega_order, quadratic_value
 from omega23.generators import GenPair, WrongCase, build_pair, gram_matrix
 from omega23.linalg import Matrix, _block_form, unit_vector
-from omega23 import _kernels, linalg
+from omega23 import BadSeed, _kernels, linalg
 from omega23._kernels import DENSE_CAP, POS_BITS, POS_MASK, orbit_bfs
 from omega23 import certify as certify_mod
 from omega23.certify import (
@@ -571,7 +570,7 @@ def test_orbit_holds_fourteen_bytes_a_point():
     finally:
         tracemalloc.stop()
     assert o.size == 59292
-    arrays = [getattr(o, f.name) for f in dataclasses.fields(o)]
+    arrays = [o.parent, o.genlab, o.index, o.powers]
     held = sum(a.nbytes if a.base is None else a.base.nbytes
                for a in arrays if isinstance(a, np.ndarray))
     assert held == 14 * o.size + o.powers.nbytes  # powers: one p^k a coordinate
@@ -822,6 +821,22 @@ def test_chain_refuses_a_target_that_is_not_a_positive_integer(pair932, target, 
     with pytest.raises(CertifyError, match=f"target {target!r} is not a positive integer"):
         stabilizer_chain([pair932.x, pair932.y], target=target, seed=1)
     assert counts["orbit_bfs"] == 0
+
+
+@pytest.mark.parametrize("seed", [2.5, True, "7"], ids=["float", "bool", "string"])
+def test_a_seed_that_is_not_an_integer_is_refused_before_any_search(pair932, seed, count_calls):
+    # int(seed) used to turn these into 2, 1 and 7 without a word
+    counts = count_calls(_kernels, "orbit_bfs")
+    with pytest.raises(BadSeed, match=f"seed must be an integer, got {seed!r}"):
+        certify_generation(pair932, seed=seed)
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        stabilizer_chain([pair932.x, pair932.y], seed=seed)
+    assert counts["orbit_bfs"] == 0
+
+
+def test_a_numpy_integer_seed_is_accepted():
+    chain = stabilizer_chain([Matrix.identity(CTX3, 3)], seed=np.int64(7))
+    assert chain.seed == 7 and type(chain.seed) is int
 
 
 def test_chain_transversals_sampled(chain932):
