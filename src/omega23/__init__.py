@@ -82,4 +82,16 @@ class Record:
         return {name: self.__dict__[name] for name in self._fields}
 
 
-__all__ = ["DEFAULT_SEED", "BadSeed", "Record", "resolved_seed"]
+class Clauses(Record):
+    """A test's verdict: the names of the clauses it failed, in the order
+    it tests them. It passes, and is true, when none failed."""
+
+    reasons: tuple[str, ...]
+
+    def __bool__(self):
+        return not self.reasons
+
+    ok = property(__bool__)
+
+
+__all__ = ["DEFAULT_SEED", "BadSeed", "Clauses", "Record", "resolved_seed"]

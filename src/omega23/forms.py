@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import Record
+from . import Clauses, Record
 from ._kernels import _digit_chunks
 from .fields import FieldCtx, is_square
 from .linalg import Matrix, rref
@@ -280,26 +280,18 @@ def spinor_norm(space: OrthoSpace, g: Matrix) -> np.ndarray:
     return disc
 
 
-class OmegaMembership(Record):
-    ok: bool
-    reasons: tuple[str, ...]
-
-    def __bool__(self):
-        return self.ok
-
-
-def in_omega(space: OrthoSpace, g: Matrix) -> OmegaMembership:
+def in_omega(space: OrthoSpace, g: Matrix) -> Clauses:
     """Isometry + det 1 + trivial spinor norm, with reason codes on failure."""
     try:
         disc = spinor_norm(space, g)
     except NotAnIsometry:
-        return OmegaMembership(False, ("not-an-isometry",))
+        return Clauses(("not-an-isometry",))
     reasons = []
     if not np.array_equal(g.det(), space.ctx.one):
         reasons.append("determinant-not-one")
     if not is_square(space.ctx, disc):
         reasons.append("spinor-norm-nontrivial")
-    return OmegaMembership(not reasons, tuple(reasons))
+    return Clauses(tuple(reasons))
 
 
 # ---------------------------------------------------------------------------

@@ -20,9 +20,9 @@ from importlib import resources
 
 import numpy as np
 
-from . import Record
+from . import Clauses, Record
 from .fields import FieldCtx, elem_to_json, field_to_json, is_square, subfield_degree
-from .forms import OmegaMembership, OrthoSpace, in_omega
+from .forms import OrthoSpace, in_omega
 from .linalg import Matrix, Poly, commutator, restrict
 
 
@@ -199,15 +199,7 @@ def _nu1_cycles(r: int, n_even: bool):
 # admissibility
 
 
-class AdmissibleResult(Record):
-    ok: bool
-    reasons: tuple[str, ...]
-
-    def __bool__(self):
-        return self.ok
-
-
-def admissible(n: int, ctx: FieldCtx, a) -> AdmissibleResult:
+def admissible(n: int, ctx: FieldCtx, a) -> Clauses:
     """Parameter test for the given dimension; reasons name failed clauses."""
     tag = classify(n)
     a_vec = ctx.coerce(a)
@@ -231,7 +223,7 @@ def admissible(n: int, ctx: FieldCtx, a) -> AdmissibleResult:
             reasons.append("a-squared-generates-proper-subfield")
         if np.array_equal(a2, ctx.coerce(2)) or np.array_equal(a2, ctx.coerce(3)):
             reasons.append("a-squared-in-excluded-set")
-    return AdmissibleResult(not reasons, tuple(reasons))
+    return Clauses(tuple(reasons))
 
 
 class SearchResult(Record):
@@ -337,11 +329,11 @@ class GenPair(Record, compare=("x", "y")):
 
     # spinor-kernel membership of each generator, computed at most once
     @cached_property
-    def x_in_omega(self) -> OmegaMembership:
+    def x_in_omega(self) -> Clauses:
         return in_omega(self.space, self.x)
 
     @cached_property
-    def y_in_omega(self) -> OmegaMembership:
+    def y_in_omega(self) -> Clauses:
         return in_omega(self.space, self.y)
 
 

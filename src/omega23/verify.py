@@ -16,7 +16,8 @@ from math import comb
 import numpy as np
 
 from . import Record
-from .fields import FieldCtx, elem_to_json, field_from_prime_power, is_square, make_field
+from .fields import (FieldCtx, elem_to_json, field_from_prime_power, is_json_int, is_square,
+                     make_field)
 # verify.in_omega stays bound although pairs cache their memberships: the
 # tracer test in perfbench/check_bench.py looks it up here
 from .forms import in_omega  # noqa: F401
@@ -472,61 +473,57 @@ def verify_caseB_closed_forms_all_a(n: int, ctx: FieldCtx) -> VerificationReport
 # order claims
 
 
-class ExactOrder(Record):
-    k: int
+def _has_prime_at_least(order: int, r: int) -> bool:
+    # a prime factor >= r is left once every factor below r is removed
+    for d in range(2, r):
+        while order % d == 0:
+            order //= d
+    return order > 1
+
+
+# the claims table's expectations on an element order, by JSON type: the
+# key of the argument, the test of an order and the description
+_EXPECTATIONS = {
+    "ExactOrder": ("k", lambda order, k: order == k, "order = {}".format),
+    "DivisibleBy": ("r", lambda order, r: order % r == 0, "order divisible by {}".format),
+    "DivisibleByPrimeAtLeast": ("r", _has_prime_at_least,
+                                "order divisible by a prime >= {}".format),
+    "DivisibleByOneOf": ("options", lambda order, rs: any(order % r == 0 for r in rs),
+                         lambda rs: f"order divisible by one of {sorted(rs)}"),
+}
+
+
+def _positive(value, field: str) -> int:
+    if not is_json_int(value) or value < 1:
+        raise VerifyError(f"{field} must be a positive integer, got {value!r}")
+    return int(value)
+
+
+class Expectation(Record):
+    """An expectation on an order: a JSON type of `_EXPECTATIONS` and its
+    argument, a positive integer or, where the key is "options", a tuple of them."""
+
+    kind: str
+    arg: object
+
+    @classmethod
+    def from_json(cls, blob: dict) -> "Expectation":
+        kind = blob.get("type") if isinstance(blob, dict) else None
+        if not isinstance(kind, str) or kind not in _EXPECTATIONS:
+            raise VerifyError(f"unknown expectation type {kind!r}")
+        key = _EXPECTATIONS[kind][0]
+        arg = blob.get(key)
+        if key != "options":
+            return cls(kind, _positive(arg, key))
+        if not isinstance(arg, list) or not arg:
+            raise VerifyError(f"options must be a non-empty list, got {arg!r}")
+        return cls(kind, tuple(_positive(r, "options") for r in arg))
 
     def check(self, order: int) -> bool:
-        return order == self.k
+        return _EXPECTATIONS[self.kind][1](order, self.arg)
 
     def describe(self) -> str:
-        return f"order = {self.k}"
-
-
-class DivisibleBy(Record):
-    r: int
-
-    def check(self, order: int) -> bool:
-        return order % self.r == 0
-
-    def describe(self) -> str:
-        return f"order divisible by {self.r}"
-
-
-class DivisibleByPrimeAtLeast(Record):
-    r: int
-
-    def check(self, order: int) -> bool:
-        # a prime factor >= r is left once every factor below r is removed
-        for d in range(2, self.r):
-            while order % d == 0:
-                order //= d
-        return order > 1
-
-    def describe(self) -> str:
-        return f"order divisible by a prime >= {self.r}"
-
-
-class DivisibleByOneOf(Record):
-    options: tuple
-
-    def check(self, order: int) -> bool:
-        return any(order % r == 0 for r in self.options)
-
-    def describe(self) -> str:
-        return f"order divisible by one of {sorted(self.options)}"
-
-
-def expectation_from_json(blob: dict):
-    kind = blob["type"]
-    if kind == "ExactOrder":
-        return ExactOrder(int(blob["k"]))
-    if kind == "DivisibleBy":
-        return DivisibleBy(int(blob["r"]))
-    if kind == "DivisibleByPrimeAtLeast":
-        return DivisibleByPrimeAtLeast(int(blob["r"]))
-    if kind == "DivisibleByOneOf":
-        return DivisibleByOneOf(tuple(int(r) for r in blob["options"]))
-    raise VerifyError(f"unknown expectation type {kind!r}")
+        return _EXPECTATIONS[self.kind][2](self.arg)
 
 
 class Claim(Record):
@@ -536,22 +533,27 @@ class Claim(Record):
     a: object  # int | tuple | None (None = default parameter)
     force: bool
     word: str
-    expectation: object
+    expectation: Expectation
     paper_ref: str
 
     @classmethod
     def from_json(cls, blob: dict) -> "Claim":
-        a = blob.get("a")
-        return cls(
-            id=blob["id"],
-            n=int(blob["n"]),
-            q=int(blob["q"]),
-            a=tuple(a) if isinstance(a, list) else a,
-            force=bool(blob.get("force", False)),
-            word=blob["word"],
-            expectation=expectation_from_json(blob["expectation"]),
-            paper_ref=blob["paper_ref"],
-        )
+        """A claims-table row. A field that is missing or of the wrong type
+        raises VerifyError naming it: nothing is coerced."""
+        text = {key: blob.get(key) for key in ("id", "word", "paper_ref")}
+        for key, value in text.items():
+            if not isinstance(value, str):
+                raise VerifyError(f"{key} must be a string, got {value!r}")
+        a, force = blob.get("a"), blob.get("force", False)
+        if isinstance(a, list) and all(map(is_json_int, a)):
+            a = tuple(a)
+        elif a is not None and not is_json_int(a):
+            raise VerifyError(f"a must be absent, an integer or a list of integers, got {a!r}")
+        if not isinstance(force, bool):
+            raise VerifyError(f"force must be true or false, got {force!r}")
+        return cls(n=_positive(blob.get("n"), "n"), q=_positive(blob.get("q"), "q"), a=a,
+                   force=force, expectation=Expectation.from_json(blob.get("expectation")),
+                   **text)
 
 
 def load_claims() -> tuple:

@@ -40,7 +40,7 @@ from omega23.linalg import (
     rref,
     unit_vector,
 )
-from omega23.verify import Claim, ExactOrder, _cached_pair, evaluate_claim_word, load_claims
+from omega23.verify import Claim, Expectation, _cached_pair, evaluate_claim_word, load_claims
 from test_fields import _int64_edge
 
 F3 = make_field(3, 1)
@@ -1087,7 +1087,7 @@ def test_order_claims_report_an_over_budget_row(monkeypatch):
     m = _companion(make_field(10007, 1), G30)
     monkeypatch.setattr(verify, "evaluate_claim_word", lambda pair, word: m)
     claim = Claim(id="over-budget", n=9, q=3, a=None, force=False, word="xy",
-                  expectation=ExactOrder(2), paper_ref="none")
+                  expectation=Expectation("ExactOrder", 2), paper_ref="none")
     (row,) = verify.verify_order_claims([claim]).checks
     assert (row.status, row.actual) == ("fail", f"error: {BUDGET_MESSAGE}")
 

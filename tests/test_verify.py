@@ -15,15 +15,11 @@ from omega23.generators import WrongCase, build_pair
 from omega23.linalg import Matrix, eigenspace, unit_vector
 from omega23.verify import (
     Claim,
-    DivisibleBy,
-    DivisibleByOneOf,
-    DivisibleByPrimeAtLeast,
-    ExactOrder,
+    Expectation,
     VerifyError,
     WrongExtensionDegree,
     _cached_pair,
     evaluate_claim_word,
-    expectation_from_json,
     hermitian_rep,
     load_claims,
     sym_power_rep,
@@ -238,33 +234,99 @@ def test_data_files_are_read_as_utf8_under_an_ascii_locale(tmp_path):
 
 def test_expectation_json():
     for blob, exp in (
-        ({"type": "ExactOrder", "k": 156}, ExactOrder(156)),
-        ({"type": "DivisibleBy", "r": 41}, DivisibleBy(41)),
-        ({"type": "DivisibleByPrimeAtLeast", "r": 43}, DivisibleByPrimeAtLeast(43)),
-        ({"type": "DivisibleByOneOf", "options": [13, 73]}, DivisibleByOneOf((13, 73))),
+        ({"type": "ExactOrder", "k": 156}, Expectation("ExactOrder", 156)),
+        ({"type": "DivisibleBy", "r": 41}, Expectation("DivisibleBy", 41)),
+        ({"type": "DivisibleByPrimeAtLeast", "r": 43}, Expectation("DivisibleByPrimeAtLeast", 43)),
+        ({"type": "DivisibleByOneOf", "options": [13, 73]},
+         Expectation("DivisibleByOneOf", (13, 73))),
     ):
-        assert expectation_from_json(blob) == exp
+        assert Expectation.from_json(blob) == exp
     with pytest.raises(VerifyError):
-        expectation_from_json({"type": "Nonsense"})
+        Expectation.from_json({"type": "Nonsense"})
 
 
 def test_expectation_semantics():
-    assert ExactOrder(12).check(12) and not ExactOrder(12).check(24)
-    assert DivisibleBy(4).check(12) and not DivisibleBy(4).check(6)
-    assert DivisibleByPrimeAtLeast(41).check(82) and not DivisibleByPrimeAtLeast(41).check(74)
-    assert DivisibleByOneOf((13, 73)).check(146) and not DivisibleByOneOf((13, 73)).check(77)
+    exact, by = Expectation("ExactOrder", 12), Expectation("DivisibleBy", 4)
+    prime = Expectation("DivisibleByPrimeAtLeast", 41)
+    one_of = Expectation("DivisibleByOneOf", (73, 13))
+    assert exact.check(12) and not exact.check(24)
+    assert by.check(12) and not by.check(6)
+    assert prime.check(82) and not prime.check(74)
+    assert one_of.check(146) and not one_of.check(77)
+    assert [e.describe() for e in (exact, by, prime, one_of)] == [
+        "order = 12", "order divisible by 4", "order divisible by a prime >= 41",
+        "order divisible by one of [13, 73]"]
 
 
 def test_prime_at_least_matches_factorint():
     from sympy import factorint
 
-    rs = sorted({c.expectation.r for c in load_claims()
-                 if isinstance(c.expectation, DivisibleByPrimeAtLeast)})
+    rs = sorted({c.expectation.arg for c in load_claims()
+                 if c.expectation.kind == "DivisibleByPrimeAtLeast"})
     assert rs == [2, 13, 15, 17, 19, 21, 41, 43]
     for r in rs:
-        check = DivisibleByPrimeAtLeast(r).check
+        check = Expectation("DivisibleByPrimeAtLeast", r).check
         for order in range(1, 3001):
             assert check(order) == any(p >= r for p in factorint(order)), (r, order)
+
+
+CLAIM_ROW = {"id": "row", "n": 9, "q": 3, "a": [1], "force": True, "word": "xy",
+             "expectation": {"type": "ExactOrder", "k": 2}, "paper_ref": "ref"}
+_MISSING = object()
+
+
+def test_a_well_formed_row_loads_as_written():
+    claim = Claim.from_json(CLAIM_ROW)
+    assert claim == Claim("row", 9, 3, (1,), True, "xy", Expectation("ExactOrder", 2), "ref")
+    bare = {key: value for key, value in CLAIM_ROW.items() if key not in ("a", "force")}
+    loaded = Claim.from_json(bare)
+    assert (loaded.a, loaded.force) == (None, False)
+    assert Claim.from_json({**CLAIM_ROW, "a": -2}).a == -2
+
+
+@pytest.mark.parametrize("field, value, kind", [
+    ("n", 9.7, None), ("n", "9", None), ("n", True, None), ("n", 0, None), ("n", _MISSING, None),
+    ("q", "3", None), ("q", 3.0, None), ("q", -3, None),
+    ("force", "false", None), ("force", 1, None), ("force", None, None),
+    ("a", [1, "2"], None), ("a", 2.5, None), ("a", "2", None), ("a", True, None),
+    ("a", [True], None),
+    ("id", 5, None), ("word", 5, None), ("paper_ref", _MISSING, None), ("paper_ref", None, None),
+    ("k", 2.9, "ExactOrder"), ("k", _MISSING, "ExactOrder"),
+    ("r", 0, "DivisibleBy"), ("r", "13", "DivisibleByPrimeAtLeast"),
+    ("options", [13, "73"], "DivisibleByOneOf"), ("options", [13, 0], "DivisibleByOneOf"),
+    ("options", [], "DivisibleByOneOf"), ("options", 13, "DivisibleByOneOf"),
+])
+def test_a_malformed_claim_row_is_refused_naming_its_field(field, value, kind):
+    """Each row differs from a good one in one field of the row or, with a
+    kind, of its expectation. A loader that coerces with int() or bool(), or
+    keeps a value as written, loads most of them: a word of 5 then crashes
+    `verify_order_claims` with an AttributeError, a divisor 0 fails its row
+    at run time, and an empty options list can never pass."""
+    row = dict(CLAIM_ROW) if kind is None else {**CLAIM_ROW, "expectation": {"type": kind}}
+    where = row if kind is None else row["expectation"]
+    where[field] = value
+    if value is _MISSING:
+        del where[field]
+    with pytest.raises(VerifyError, match=f"^{field} must be"):
+        Claim.from_json(row)
+
+
+def test_a_row_of_coerced_values_is_refused():
+    row = {**CLAIM_ROW, "n": 9.7, "q": "3", "force": "false",
+           "expectation": {"type": "ExactOrder", "k": 2.9}}
+    with pytest.raises(VerifyError, match="^(n|q|force|k) must be"):
+        Claim.from_json(row)
+
+
+def test_a_row_without_a_known_expectation_is_refused():
+    for expectation in (_MISSING, None, [], {"k": 2}, {"type": ["ExactOrder"], "k": 2}):
+        row = dict(CLAIM_ROW)
+        if expectation is _MISSING:
+            del row["expectation"]
+        else:
+            row["expectation"] = expectation
+        with pytest.raises(VerifyError, match="^unknown expectation type"):
+            Claim.from_json(row)
 
 
 def test_verify_order_claims_subset():
@@ -292,7 +354,7 @@ def test_order_claims_build_each_distinct_pair_once(count_calls):
 def test_verify_order_claims_error_row():
     bad = Claim(
         id="zz-bad", n=9, q=6, a=None, force=False, word="xy",
-        expectation=ExactOrder(2), paper_ref="none",
+        expectation=Expectation("ExactOrder", 2), paper_ref="none",
     )
     report = verify_order_claims([bad])
     assert not report.ok
