@@ -1,4 +1,4 @@
-"""Prime-field orbit kernel.
+"""Prime-field orbit kernel, which only `certify` imports.
 
 Breadth-first orbit closure over F_p^N with a dense one-byte seen table,
 no matrix products. A point's code is its base-p number, digit k of weight
@@ -51,6 +51,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .fields import _digit_chunks
+
 DENSE_CAP = 1 << 22  # largest p^N handled by the dense tables
 POS_BITS = (DENSE_CAP - 1).bit_length()  # a position or a code fits 22 bits
 POS_MASK = (1 << POS_BITS) - 1
@@ -79,23 +81,10 @@ def _packed_images(p: int, lo_digit: int, n_digits: int, gens: np.ndarray) -> np
     return images @ weights
 
 
-def _digit_chunks(p: int, width: int, chunk: int):
-    """The base-p digit rows of 0, 1, ..., p**width - 1, least significant
-    digit first, as (rows, width) int64 arrays of at most `chunk` rows."""
-    total = p**width
-    for start in range(0, total, chunk):
-        rest = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        digits = np.empty((rest.size, width), dtype=np.int64)
-        for k in range(width):
-            digits[:, k] = rest % p
-            rest //= p
-        yield digits
-
-
 @lru_cache(maxsize=None)
 def _digit_grid(p: int, n_digits: int) -> np.ndarray:
     """Row c: the base-p digits of c, least significant first, as floats:
-    `_digit_chunks` in one chunk. Every grid is kept: as p^N <= DENSE_CAP,
+    `fields._digit_chunks` in one chunk. Every grid is kept: as p^N <= DENSE_CAP,
     a grid of at most ceil(N/2) digits has at most sqrt(p * DENSE_CAP)
     rows (24,649 rows, 0.4 MB, at p = 157 and N = 3)."""
     digits = next(_digit_chunks(p, n_digits, p ** n_digits)).astype(np.float64)

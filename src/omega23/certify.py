@@ -45,7 +45,7 @@ from .generators import GenPair, WrongCase, s9_restrictions
 from .linalg import Matrix, Singular, _block_inverse, _eye, restrict, unit_vector
 
 
-class CertifyError(Exception):
+class CertifyError(ValueError):
     pass
 
 

@@ -16,9 +16,7 @@ import sys
 import numpy as np
 
 from . import resolved_seed
-from .certify import CertifyError, certify_generation
-from .fields import elem_to_json, field_from_prime_power, field_to_json
-from ._kernels import _digit_chunks
+from .fields import _digit_chunks, elem_to_json, field_from_prime_power, field_to_json
 from .forms import (FormsError, OrthoSpace, in_omega,
                     isotropic_count, omega_order, witt_type)
 from .generators import (GenError, build_pair, default_a, gram_matrix,
@@ -37,10 +35,6 @@ EXIT_INCONCLUSIVE = 3
 # `generate`, `verify` and `certify` build: 2^22 entries, 32 MiB. The
 # acceptance grid's largest point, n = 25 at q = 27, needs 75^2 = 5625.
 MAX_MATRIX_ENTRIES = 1 << 22
-
-# Every package error but CertifyError is a ValueError. OSError: an
-# unreadable --matrix/--gram file or an unwritable --output.
-_BUILD_ERRORS = (CertifyError, ValueError, OSError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -138,6 +132,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_certify(args) -> int:
+    from .certify import certify_generation  # the one command that loads the chain
     pair, params = _build_pair(args)
     result = certify_generation(
         pair,
@@ -375,7 +370,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except _BUILD_ERRORS as exc:
+    # Every package error is a ValueError. OSError: an unreadable
+    # --matrix/--gram file or an unwritable --output.
+    except (ValueError, OSError) as exc:
         _diag(type(exc).__name__, str(exc))
         return EXIT_USAGE
 

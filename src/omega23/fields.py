@@ -406,6 +406,19 @@ class FieldCtx:
         return v
 
 
+def _digit_chunks(p: int, width: int, chunk: int):
+    """The base-p digit rows of 0, 1, ..., p**width - 1, least significant
+    digit first, as (rows, width) int64 arrays of at most `chunk` rows."""
+    total = p**width
+    for start in range(0, total, chunk):
+        rest = np.arange(start, min(start + chunk, total), dtype=np.int64)
+        digits = np.empty((rest.size, width), dtype=np.int64)
+        for k in range(width):
+            digits[:, k] = rest % p
+            rest //= p
+        yield digits
+
+
 def poly_str(coeffs) -> str:
     """Human-readable form of a little-endian coefficient vector in t."""
     terms = []

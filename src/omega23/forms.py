@@ -24,8 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from . import Clauses, Record
-from ._kernels import _digit_chunks
-from .fields import FieldCtx, is_square
+from .fields import FieldCtx, _digit_chunks, is_square
 from .linalg import Matrix, rref
 
 
@@ -307,13 +306,13 @@ def witt_type(n: int, q: int) -> str:
 
 
 def isotropic_count(space: OrthoSpace) -> int:
-    """Number of nonzero isotropic vectors, by brute-force enumeration."""
+    """Number of nonzero isotropic vectors, by brute-force enumeration of
+    F_p^(n*f) through `fields._digit_chunks`."""
     ctx = space.ctx
     n = space.n
     total = ctx.q**n
     if total > 10**8:
         raise TooLarge(f"q^n = {total} exceeds the enumeration cap 10^8")
-    # count solutions of v^T J v = 0 in chunks; subtract the zero vector
     count = 0
     j = space.J.data
     for digits in _digit_chunks(ctx.p, n * ctx.f, 1 << 14):

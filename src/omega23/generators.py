@@ -379,10 +379,10 @@ def build_pair(n: int, ctx: FieldCtx, a=None, force: bool = False) -> GenPair:
         x2 = _embed_tail(ctx, n, xt)
         y2 = _embed_tail(ctx, n, _instantiate(ctx, "ytilde", a_vec))
 
-    _require(x1 @ x2 == x2 @ x1, "x1 and x2 must commute")
-    _require(y1 @ y2 == y2 @ y1, "y1 and y2 must commute")
-    pair = GenPair(x1 @ x2, y1 @ y2, a_vec, bool(force))
-    x, y, ident = pair.x, pair.y, Matrix.identity(ctx, n)
+    x, y, ident = x1 @ x2, y1 @ y2, Matrix.identity(ctx, n)
+    _require(x == x2 @ x1, "x1 and x2 must commute")
+    _require(y == y2 @ y1, "y1 and y2 must commute")
+    pair = GenPair(x, y, a_vec, bool(force))
     _require(pair.x_squared == ident, "x^2 = I")
     _require(pair.y_cubed == ident, "y^3 = I")
     _require(y != ident, "y != I")

@@ -280,7 +280,7 @@ class Matrix:
         widths = {len(row) for row in rows}
         if len(widths) != 1 or 0 in widths:
             raise LinalgError("a matrix needs one or more rows of one positive length")
-        d = np.stack([np.stack([ctx.coerce(e) for e in row]) for row in rows])
+        d = np.stack([vector(ctx, row) for row in rows])
         return Matrix(ctx, d)
 
     # the block form is injective, so equal shapes and equal bytes mean

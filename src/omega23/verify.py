@@ -540,6 +540,8 @@ class Claim(Record):
     def from_json(cls, blob: dict) -> "Claim":
         """A claims-table row. A field that is missing or of the wrong type
         raises VerifyError naming it: nothing is coerced."""
+        if not isinstance(blob, dict):
+            raise VerifyError(f"a claim row must be a JSON object, got {blob!r}")
         text = {key: blob.get(key) for key in ("id", "word", "paper_ref")}
         for key, value in text.items():
             if not isinstance(value, str):

@@ -171,6 +171,20 @@ def test_certify_refuses_a_budget_that_is_not_seconds(capsys, budget):
     assert err == json.dumps({"detail": detail, "error": "CertifyError"}) + "\n"
 
 
+def test_every_package_error_is_a_value_error():
+    # cli.main reports a package error, and exits 2, by catching ValueError
+    import inspect
+
+    import omega23
+    from omega23 import certify, fields, forms, generators, linalg, verify
+
+    errors = {cls for module in (omega23, certify, fields, forms, generators, linalg, verify)
+              for _, cls in inspect.getmembers(module, inspect.isclass)
+              if issubclass(cls, Exception) and cls.__module__.startswith("omega23")}
+    assert issubclass(certify.CertifyError, ValueError) and certify.BudgetExceeded in errors
+    assert all(issubclass(cls, ValueError) for cls in errors), errors
+
+
 def test_certify_forced_pair_inconclusive(capsys):
     # the non-admissible point lands outside the kernel: the closure doubles
     code, out, _ = run_cli(capsys, "certify", "--n", "9", "--q", "3",
@@ -616,6 +630,41 @@ if len(sys.argv) > 1:
 else:
     import omega23.cli
 """
+
+
+CHAIN_PROBE = """
+import contextlib, io, json, sys
+from omega23.cli import main
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    loaded = [m for m in ("omega23.certify", "omega23._kernels") if m in sys.modules]
+    print(json.dumps([argv[0], code, loaded]))
+"""
+
+
+def test_only_certify_loads_the_stabilizer_chain(tmp_path):
+    """Every other command runs without the chain or the orbit kernel."""
+    mat = tmp_path / "y.json"
+    mat.write_text(json.dumps(build_pair(9, make_field(3, 1), 2).y.to_json()))
+    commands = [
+        ["verify", "--n", "9", "--q", "3"],
+        ["generate", "--n", "9", "--q", "3"],
+        ["search-a", "--n", "9", "--q", "3"],
+        ["spinor", "--q", "3", "--matrix", str(mat)],
+        ["oracle", "--what", "omega-order", "--n", "3", "--q", "3"],
+        ["oracle", "--what", "witt-type", "--n", "2", "--q", "3"],
+        ["certify", "--n", "9", "--q", "3", "--seed", "1"],
+    ]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", CHAIN_PROBE, json.dumps(commands)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    runs = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert runs[:-1] == [[argv[0], 0, []] for argv in commands[:-1]]
+    assert runs[-1] == ["certify", 0, ["omega23.certify", "omega23._kernels"]]
 
 
 def test_importing_main_module_runs_nothing():

@@ -42,7 +42,6 @@ ALLOWED = {
     "verify.verify_caseB_closed_forms_all_a": ("public", "acceptance criterion 3"),
     "verify.hermitian_rep": ("public", "acceptance criterion 5"),
     "fields.field_from_json": ("public", "reads a report's field header back"),
-    "linalg.vector": ("public", "coerces scalars to an (n, f) vector"),
 }
 REASONS = {"public", "hook", "tracer", "direction"}
 
@@ -112,6 +111,34 @@ def test_a_name_read_only_in_another_module_is_flagged(tmp_path):
     certify.write_text(certify.read_text(encoding="utf-8") + "\n_CASE_A = {}\n",
                        encoding="utf-8")
     assert _unreferenced(tmp_path) - _unreferenced() == {"certify._CASE_A"}
+
+
+def _kernel_importers(src=SRC):
+    """Stem of every module in src that imports the orbit kernel, by a
+    relative or an absolute import of `_kernels` or of a name from it."""
+    importers = set()
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                base = "omega23" if node.level == 1 else ""
+                module = ".".join(filter(None, [base, node.module]))
+                modules = [module] + [f"{module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            if "omega23._kernels" in modules:
+                importers.add(path.stem)
+    return importers
+
+
+def test_only_certify_imports_the_orbit_kernel(tmp_path):
+    """The stabilizer chain is the kernel's one client: `fields` owns the
+    digit enumerator that `forms` and `cli` read."""
+    assert _kernel_importers() == {"certify"}
+    (tmp_path / "forms.py").write_text("from ._kernels import DENSE_CAP\n", encoding="utf-8")
+    (tmp_path / "cli.py").write_text("from omega23 import _kernels\n", encoding="utf-8")
+    assert _kernel_importers(tmp_path) == {"forms", "cli"}
 
 
 def _unread_imports():

@@ -311,6 +311,13 @@ def test_a_malformed_claim_row_is_refused_naming_its_field(field, value, kind):
         Claim.from_json(row)
 
 
+@pytest.mark.parametrize("row", [[1], "x", None, 5], ids=["list", "str", "null", "int"])
+def test_a_claim_row_that_is_not_an_object_is_refused(row):
+    # a row is read with .get, which only a JSON object has
+    with pytest.raises(VerifyError, match="^a claim row must be a JSON object"):
+        Claim.from_json(row)
+
+
 def test_a_row_of_coerced_values_is_refused():
     row = {**CLAIM_ROW, "n": 9.7, "q": "3", "force": "false",
            "expectation": {"type": "ExactOrder", "k": 2.9}}
