@@ -4,7 +4,8 @@ Randomized Schreier-Sims on the natural action on F_q^n. A chain's order,
 the product of its orbit sizes, is a lower bound on the generated group's;
 a verdict names the upper bound it proves, and the one proved today is
 containment in Omega. So Generates needs both generators in Omega and a
-chain that reaches |Omega|, and every other outcome is Inconclusive. A run
+chain that reaches |Omega|, and every other outcome is Inconclusive; that
+rule is `generation_verdict`, over any generators and quadratic space. A run
 of trivial sifts followed by `verify_schreier` proves no bound: that test
 covers only the Schreier generators of each level's own generators, and
 passes S3 = <(0 1), (1 2)> at order 4 without random sifts.
@@ -41,8 +42,8 @@ from . import Record, resolved_seed
 from ._kernels import DENSE_CAP, POS_BITS, POS_MASK, orbit_bfs
 from .fields import FieldCtx, elem_to_json, is_json_int
 from .forms import OrthoSpace, in_omega, omega_order
-from .generators import GenPair, WrongCase, s9_restrictions
-from .linalg import Matrix, Singular, _block_inverse, _eye, restrict, unit_vector
+from .generators import GenPair, WrongCase, s9_restrictions, s9_space
+from .linalg import Matrix, Singular, _block_inverse, _eye, unit_vector
 
 
 class CertifyError(ValueError):
@@ -106,15 +107,18 @@ class Orbit(Record):
 
 
 def orbit(gens, v) -> Orbit:
-    """Breadth-first closure of the vector v under the given matrices,
-    which must be invertible: a singular one is refused before any search."""
+    """Breadth-first closure of the integer vector v under the matrices
+    gens, which must be invertible: a singular one is refused before any search."""
     gens = tuple(gens)
     if not gens:
         raise CertifyError("orbit needs at least one generator")
     ctx, n = _shape_of(gens)
     if not all(g.det().any() for g in gens):
         raise CertifyError("generators must be invertible")
-    vec = np.asarray(v, dtype=np.int64) % ctx.p
+    vec = np.asarray(v)
+    if vec.dtype.kind not in "iu":
+        raise CertifyError(f"vector entries must be integers, not {vec.dtype}")
+    vec = vec.astype(np.int64) % ctx.p
     if vec.shape != (n, ctx.f):
         raise DimensionMismatch(f"vector shape {vec.shape} does not match ({n}, {ctx.f})")
     return _orbit(ctx, np.stack([g.blocks for g in gens]), vec)
@@ -420,35 +424,17 @@ class CertResult(Record):
                 "orbit_sizes": list(self.orbit_sizes)}
 
 
-def certify_generation(pair: GenPair, restrict_to_s9: bool = False,
-                       seed: int | None = None,
-                       budget_seconds: float | None = None) -> CertResult:
-    """Compare the order of the generated group against the closed formula.
-
-    Full mode certifies <x, y> against the ambient group's order; restricted
-    mode (even/odd tail families only) certifies the action of <y, tau> on
-    the distinguished 9-dimensional subspace against the 9-dimensional
-    target. Generates needs both generators proved to lie in the compared
-    group (`in_omega`) and a chain order, a lower bound, that reaches its
-    order; every other outcome (a chain short of it, a pair outside Omega,
-    a budget or DENSE_CAP stop) is Inconclusive, and computed_order keeps
-    the lower bound. ProperSubgroup awaits a proved upper bound below it.
-    """
-    t0 = time.perf_counter()
-    seed = resolved_seed(seed)
-    ctx = pair.ctx
-    if restrict_to_s9:
-        if pair.tag.case == "A":
-            raise WrongCase("restricted certification needs an S9 tail family")
-        gens = s9_restrictions(pair)[:2]  # y and tau on the 9-dimensional subspace
-        space = OrthoSpace(restrict(pair.space.J, range(pair.n - 9, pair.n)))
-        contained = all(in_omega(space, g).ok for g in gens)
-    else:
-        gens = (pair.x, pair.y)
-        space = pair.space
-        contained = pair.x_in_omega.ok and pair.y_in_omega.ok
-    target = omega_order(space.n, space.eps, ctx.q)
-
+def generation_verdict(gens, space: OrthoSpace, seed: int | None = None,
+                       budget_seconds: float | None = None) -> tuple:
+    """The verdict rule: (verdict, orbit_sizes, target) for <gens> against
+    Omega(space). Generates needs every generator proved to lie in Omega
+    (`in_omega`) and a chain order, a lower bound, that reaches |Omega|;
+    every other outcome (a chain short of it, a generator outside Omega, a
+    budget or DENSE_CAP stop) is Inconclusive, and orbit_sizes keep the
+    lower bound. ProperSubgroup awaits a proved upper bound below it."""
+    gens = tuple(gens)
+    contained = all(in_omega(space, g).ok for g in gens)
+    target = omega_order(space.n, space.eps, space.ctx.q)
     verdict = "Inconclusive"
     orbit_sizes = ()  # of the chain, or of the partial chain a budget stops
     try:
@@ -465,11 +451,25 @@ def certify_generation(pair: GenPair, restrict_to_s9: bool = False,
         orbit_sizes = stop.orbit_sizes
     except StateSpaceTooLarge:
         pass
+    return verdict, orbit_sizes, target
 
+
+def certify_generation(pair: GenPair, restrict_to_s9: bool = False,
+                       seed: int | None = None,
+                       budget_seconds: float | None = None) -> CertResult:
+    """The report of `generation_verdict` for <x, y> on the pair's space, or
+    in restricted mode (tail families only) for <y, tau> acting on S9."""
+    t0 = time.perf_counter()
+    seed = resolved_seed(seed)
+    if restrict_to_s9 and pair.tag.case == "A":
+        raise WrongCase("restricted certification needs an S9 tail family")
+    gens, space = ((s9_restrictions(pair)[:2], s9_space(pair)) if restrict_to_s9
+                   else ((pair.x, pair.y), pair.space))
+    verdict, orbit_sizes, target = generation_verdict(gens, space, seed, budget_seconds)
     return CertResult(
         n=space.n,
-        q=ctx.q,
-        a=elem_to_json(ctx, pair.a),
+        q=space.ctx.q,
+        a=elem_to_json(pair.ctx, pair.a),
         eps=space.eps,
         computed_order=math.prod(orbit_sizes),
         target_order=target,

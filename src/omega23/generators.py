@@ -441,14 +441,24 @@ def theta_block(ctx: FieldCtx, a, corrected: bool) -> Matrix:
     return Matrix(ctx, base)
 
 
+def s9_coords(n: int) -> tuple:
+    """S9, the span of the last nine unit vectors, as its 0-based coordinates."""
+    return tuple(range(n - 9, n))
+
+
+def s9_space(pair: GenPair) -> OrthoSpace:
+    """S9 with the pair's form restricted to it."""
+    return OrthoSpace(restrict(pair.space.J, s9_coords(pair.n)))
+
+
 def s9_restrictions(pair: GenPair):
-    """(y|S9, tau|S9, tau, [x, y]) with tau = [x, y]^24 and S9 the span of
-    the last nine unit vectors, unchecked: the case-B battery checks them
-    against the printed blocks, and certify acts on S9 by y|S9 and tau|S9."""
-    s9 = range(pair.n - 9, pair.n)
+    """(y|S9, tau|S9, tau, [x, y]) with tau = [x, y]^24, unchecked: the
+    case-B battery checks them against the printed blocks, and certify
+    acts on S9 by y|S9 and tau|S9."""
+    coords = s9_coords(pair.n)
     g = commutator(pair.x, pair.y)
     tau_full = g.pow(24)
-    return restrict(pair.y, s9), restrict(tau_full, s9), tau_full, g
+    return restrict(pair.y, coords), restrict(tau_full, coords), tau_full, g
 
 
 class SpecialSubspaces(Record):
@@ -485,9 +495,9 @@ def special_subspaces(pair: GenPair) -> SpecialSubspaces:
     if pair.tag.case == "A":
         raise WrongCase("the distinguished subspaces belong to the case-B pairs")
     n = pair.n
-    s9 = tuple(range(n - 9, n))
+    tail = s9_coords(n)
     if n == 12:
-        return SpecialSubspaces(s9, (), (), (), {})
+        return SpecialSubspaces(tail, (), (), (), {})
     m, r = pair.tag.m, pair.tag.r
     action = {}
 
@@ -500,10 +510,10 @@ def special_subspaces(pair: GenPair) -> SpecialSubspaces:
     # B-summand j is one 3-cycle of [x, y]
     b_summands = tuple(summand([(5 + 4 * r + 3 * j, 10 + 4 * r + 3 * j, 9 + 4 * r + 3 * j)])
                        for j in range(m - 3 - r))
-    c = (n - 14, n - 11, n - 10, *s9)  # the paper's n-13, n-10, n-9 and S9
+    c = (n - 14, n - 11, n - 10, *tail)  # the paper's n-13, n-10, n-9 and S9
     coords = sorted(i for grp in (*a_summands, *b_summands, c) for i in grp)
     _require(coords == list(range(n)), "the summands and C partition the coordinates")
-    return SpecialSubspaces(s9, a_summands, b_summands, c, action)
+    return SpecialSubspaces(tail, a_summands, b_summands, c, action)
 
 
 # ---------------------------------------------------------------------------

@@ -879,8 +879,8 @@ def restrict(m: Matrix, coords) -> Matrix:
     if m.cols != n:
         raise NotSquare("restriction needs a square matrix")
     coords = list(coords)
-    if not all(0 <= i < n for i in coords):
-        raise LinalgError(f"coordinates must lie in 0..{n - 1}")
+    if not all(is_json_int(i) and 0 <= i < n for i in coords):
+        raise LinalgError(f"coordinates must lie in 0..{n - 1} and be integers")
     if len(set(coords)) < len(coords):
         raise DependentBasis("a coordinate is listed twice")
     # the rows and columns of each coordinate's f x f block
@@ -945,7 +945,7 @@ def evaluate_word(word: str, x: Matrix, y: Matrix) -> Matrix:
             sign = -1
             pos += 1
         start = pos
-        while pos < len(word) and word[pos].isdigit():
+        while pos < len(word) and "0" <= word[pos] <= "9":  # isdigit() takes "²", which int() refuses
             pos += 1
         if pos == start:
             raise ParseError("expected an integer exponent after '^'", pos)

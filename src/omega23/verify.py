@@ -25,6 +25,7 @@ from .generators import (
     GenPair,
     WrongCase,
     build_pair,
+    s9_coords,
     s9_restrictions,
     theta_block,
     special_subspaces,
@@ -579,7 +580,7 @@ def evaluate_claim_word(pair: GenPair, word: str) -> Matrix:
     core = word[: -len("|S9")] if restricted else word
     value = evaluate_word(core, pair.x, pair.y)
     if restricted:
-        value = restrict(value, range(pair.n - 9, pair.n))
+        value = restrict(value, s9_coords(pair.n))
     return value
 
 

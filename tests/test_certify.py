@@ -9,9 +9,10 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from omega23.fields import field_from_prime_power, make_field
-from omega23.forms import in_omega, is_isometry, omega_order, quadratic_value
+from omega23.forms import (OrthoSpace, in_omega, is_isometry, omega_order, quadratic_value,
+                           reflection)
 from omega23.generators import GenPair, WrongCase, build_pair, gram_matrix
-from omega23.linalg import Matrix, _block_form, unit_vector
+from omega23.linalg import Matrix, _block_form, unit_vector, vector
 from omega23 import BadSeed, _kernels, linalg
 from omega23._kernels import DENSE_CAP, POS_BITS, POS_MASK, orbit_bfs
 from omega23 import certify as certify_mod
@@ -24,6 +25,7 @@ from omega23.certify import (
     _RandomElements,
     StateSpaceTooLarge,
     certify_generation,
+    generation_verdict,
     orbit,
     stabilizer_chain,
 )
@@ -1063,3 +1065,61 @@ def test_certify_contained_order_off_the_target_is_an_error(pair932, monkeypatch
                         lambda *args: SimpleNamespace(orbit_sizes=(11,)))
     with pytest.raises(CertifyError, match="does not divide the target"):
         certify_generation(pair932, seed=1)
+
+
+def test_orbit_refuses_a_vector_that_is_not_integer(pair932):
+    # np.asarray(v, dtype=np.int64) would search the orbit of e_0 for 1.7 e_0
+    v = unit_vector(CTX3, 9, 0).astype(float)
+    v[0, 0] = 1.7
+    with pytest.raises(CertifyError, match="must be integers"):
+        orbit([pair932.x, pair932.y], v)
+
+
+# --- controls from the literature ---------------------------------------------
+
+def _two_three_pairs(n, involution_sizes, count, seed):
+    """`count` pairs (x, y) in Omega of F_3^n under J = I_n: x is conjugate
+    to -1 on k coordinates, k cycling through involution_sizes, and y to
+    the permutation (0 1 2)(3 4 5), each by a product of 16 random
+    reflections (Omega is normal in O, so both stay in it)."""
+    space = OrthoSpace(Matrix.identity(CTX3, n))
+    rng = random.Random(seed)
+
+    def conjugate(m):
+        g, k = Matrix.identity(CTX3, n), 0
+        while k < 16:  # anisotropic centers only
+            v = vector(CTX3, [rng.randrange(3) for _ in range(n)])
+            if quadratic_value(space, v).any():
+                g, k = g @ reflection(space, v), k + 1
+        return g @ m @ g.inverse()
+
+    sigma = [1, 2, 0, 4, 5, 3, *range(6, n)]
+    three = Matrix.from_rows(CTX3, [[int(i == sigma[j]) for j in range(n)] for i in range(n)])
+    for t in range(count):
+        k = involution_sizes[t % len(involution_sizes)]
+        two = Matrix.from_rows(CTX3, [[(j == i) * (-1 if i < k else 1) for j in range(n)]
+                                      for i in range(n)])
+        yield space, conjugate(two), conjugate(three)
+
+
+def test_no_two_three_pair_generates_omega_8_plus_3():
+    """Negative control. PΩ₈⁺(3) is not (2,3)-generated (M. Vsemirnov, "More
+    classical groups which are not (2,3)-generated", Arch. Math. 96, 2011).
+    A pair (x, y) with x² = y³ = 1 that generated Ω₈⁺(3) would map onto a pair
+    of orders dividing 2 and 3 that generates PΩ₈⁺(3), and neither image can
+    be trivial, since PΩ₈⁺(3) is not cyclic: so no such pair generates
+    Ω₈⁺(3), and the verdict rule must say Generates for none. Every pair
+    is in Ω, so each chain runs against the target |Ω₈⁺(3)|."""
+    for t, (space, x, y) in enumerate(_two_three_pairs(8, (2, 4, 6), 96, seed=8)):
+        assert space.eps == "plus" and in_omega(space, x).ok and in_omega(space, y).ok
+        verdict, sizes, target = generation_verdict((x, y), space, seed=t)
+        assert target == 9_904_359_628_800
+        assert verdict == "Inconclusive" and target % math.prod(sizes) == 0, t
+
+
+def test_the_two_three_sampler_reaches_generation_in_omega_7_3():
+    """The control above is not vacuous: the same sampler in Ω₇(3), which
+    its (2,3)-pairs can generate, gives a pair that the rule certifies."""
+    verdicts = (generation_verdict((x, y), space, seed=t)[0]
+                for t, (space, x, y) in enumerate(_two_three_pairs(7, (4,), 40, seed=7)))
+    assert "Generates" in verdicts

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -38,8 +39,8 @@ from omega23.generators import (
     _figures,
     _nongen_bound,
 )
-from omega23.linalg import Matrix, restrict, unit_vector
-from omega23.verify import _A_BATTERY, verify_structural
+from omega23.linalg import Matrix, restrict, rref, unit_vector
+from omega23.verify import _A_BATTERY, _cached_pair, verify_structural
 
 GRID_N = [9, 11, 12, 13] + [n for n in range(15, 26) if n != 14]
 GRID_Q = [3, 5, 7, 9, 11, 13, 25, 27]
@@ -400,6 +401,20 @@ def test_build_pair_unsupported_dimension():
     ctx = make_field(3, 1)
     with pytest.raises(Unsupported):
         build_pair(14, ctx)
+
+
+def test_scott_bound_holds_with_equality_on_the_grid():
+    """Scott (Ann. of Math. 105, 1977): if g1 g2 g3 = 1 and <g1, g2, g3> acts
+    irreducibly and nontrivially on V, then sum dim [V, g_i] >= 2 dim V. For
+    (x, y, (xy)^-1), dim [V, g] = rank(g - 1), and at every grid point the
+    pair meets the bound with equality: each of x, y and xy has the largest
+    fixed space that irreducibility allows, so a construction fault that
+    enlarges one (a 3-cycle of y dropped, say) fails here."""
+    for n, q in itertools.product(GRID_N, GRID_Q):
+        pair = _cached_pair(n, q, None, False)
+        one = Matrix.identity(pair.ctx, n)
+        ranks = [len(rref(pair.ctx, (g - one).data)[1]) for g in (pair.x, pair.y, pair.x @ pair.y)]
+        assert sum(ranks) == 2 * n, (n, q, ranks)
 
 
 # --- tau and subspaces ------------------------------------------------------

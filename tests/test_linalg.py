@@ -1293,6 +1293,14 @@ def test_restrict_action_and_invariance_check():
         restrict(Matrix.zeros(F5, 2, 3), [0])
 
 
+@pytest.mark.parametrize("coords", [[0.5, 1.5], [True, 2], [0.9]])
+def test_restrict_refuses_coordinates_that_are_not_integers(coords):
+    # an intp array would truncate them to coordinates 0 and 1, 1 and 2, and 0
+    m = Matrix.identity(F5, 3)
+    with pytest.raises(LinalgError, match="be integers"):
+        restrict(m, coords)
+
+
 # ---------------------------------------------------------------------------
 # the word language
 
@@ -1346,6 +1354,9 @@ PARSE_ERRORS = [
     ("x^2y^-", 6, "expected an integer exponent after '^'"),
     ("[x,y]]", 5, "unexpected character ']'"),
     ("xyz", 2, "unexpected character 'z'"),
+    # exponents are ASCII digits: int() refuses "²" and reads "٣" as 3
+    ("x^\u00b2", 2, "expected an integer exponent after '^'"),
+    ("x^\u0663", 2, "expected an integer exponent after '^'"),
 ]
 
 
