@@ -3,7 +3,11 @@
 The geometry of any quadratic space: quadratic values, reflections,
 the spinor norm as the discriminant of Wall's form on im(1 - g) (one
 rref and one small determinant), kernel-of-spinor-norm membership, Witt
-type, and the classical group orders. A space is its
+type, and the classical group orders. The spinor norm refuses a
+degenerate form (a singular J, read from J's kept determinant) and
+keeps det g = (-1)**rank(1 - g) on g, so membership eliminates no n x n
+determinant; `in_omega` keeps its verdict on g for the space it was
+proved in. A space is its
 Gram matrix: `OrthoSpace.eps` reads the type off det J by the
 discriminant rule, the one place the package computes a type.
 `witt_type(n, q)` is the closed form for a det-1 form: the type oracle
@@ -258,39 +262,50 @@ def spinor_norm(space: OrthoSpace, g: Matrix) -> np.ndarray:
     (M^T J)[piv, piv]. For a reflection r_v the class is that of Q(v), the
     convention above.
 
+    Over a nondegenerate form g is a product of rank(1 - g) reflections,
+    or of two more when im(1 - g) is totally isotropic (P. Scherk, Proc.
+    AMS 1, 1950), so det g = (-1)**rank(1 - g): g keeps it, and `det()`
+    reads it without elimination. OrthoSpace admits a singular Gram
+    matrix, where that count fails, so one is refused here.
+
     Returns the determinant as an (f,) array, 1 when g = 1, and raises
-    NotAnIsometry when g does not preserve the form.
+    NotAnIsometry when g does not preserve the form and FormsError when
+    the form is degenerate.
     """
     ctx = space.ctx
+    if not space.J.det().any():
+        raise FormsError("the form is degenerate: the Gram matrix is singular")
     if not is_isometry(space, g):
         raise NotAnIsometry("matrix does not preserve the form")
     m = Matrix.identity(ctx, space.n) - g
     piv = rref(ctx, m.data)[1]
-    # Over a nondegenerate form g is a product of rank(1 - g) reflections,
-    # up to an even number more; OrthoSpace admits a singular Gram matrix.
-    if not np.array_equal(g.det(), ctx.coerce((-1) ** len(piv))):
-        raise FormsError("the form is degenerate: det(g) is not (-1)^rank(1 - g)")
+    g._keep_det(ctx.coerce((-1) ** len(piv)))
     if not piv:
         return ctx.coerce(1)
     chi = (m.transpose() @ space.J).data[np.ix_(piv, piv)]
-    disc = Matrix(ctx, chi).det()
-    if not disc.any():
-        raise FormsError("Wall's form is degenerate: the Gram matrix is singular")
-    return disc
+    return Matrix(ctx, chi).det()
 
 
 def in_omega(space: OrthoSpace, g: Matrix) -> Clauses:
-    """Isometry + det 1 + trivial spinor norm, with reason codes on failure."""
+    """Isometry + det 1 + trivial spinor norm, with reason codes on failure.
+
+    g keeps the verdict with this space object; a later call with the same
+    object (by identity) reads it back."""
+    if g._omega is not None and g._omega[0] is space:
+        return g._omega[1]
     try:
         disc = spinor_norm(space, g)
     except NotAnIsometry:
-        return Clauses(("not-an-isometry",))
-    reasons = []
-    if not np.array_equal(g.det(), space.ctx.one):
-        reasons.append("determinant-not-one")
-    if not is_square(space.ctx, disc):
-        reasons.append("spinor-norm-nontrivial")
-    return Clauses(tuple(reasons))
+        verdict = Clauses(("not-an-isometry",))
+    else:
+        reasons = []
+        if not np.array_equal(g.det(), space.ctx.one):
+            reasons.append("determinant-not-one")
+        if not is_square(space.ctx, disc):
+            reasons.append("spinor-norm-nontrivial")
+        verdict = Clauses(tuple(reasons))
+    object.__setattr__(g, "_omega", (space, verdict))
+    return verdict
 
 
 # ---------------------------------------------------------------------------

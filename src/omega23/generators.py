@@ -102,24 +102,15 @@ def classify(n: int) -> CaseTag:
 def gram_matrix(n: int, ctx: FieldCtx) -> OrthoSpace:
     """The construction's Gram matrix in dimension n: case A's, I_(n-3) plus
     the 3x3 antidiagonal, or case B's, I_(n-8) plus the pairing of two
-    4-dimensional blocks, which the B5 and B6 layouts share."""
-    case = classify(n).case
-    d = np.zeros((n, n, ctx.f), dtype=np.int64)
-    if case == "A":
-        for i in range(n - 3):
-            d[i, i, 0] = 1
-        d[n - 3, n - 1, 0] = 1
-        d[n - 2, n - 2, 0] = 1
-        d[n - 1, n - 3, 0] = 1
+    4-dimensional blocks, which the B5 and B6 layouts share. Both are the
+    permutation matrices of their transpositions, so J keeps its sign as
+    its determinant."""
+    if classify(n).case == "A":
+        j = _perm_matrix(ctx, n, [(n - 2, n)])
         expected_det = ctx.coerce(-1)
     else:
-        for i in range(n - 8):
-            d[i, i, 0] = 1
-        for i in range(4):
-            d[n - 8 + i, n - 4 + i, 0] = 1
-            d[n - 4 + i, n - 8 + i, 0] = 1
+        j = _perm_matrix(ctx, n, [(n - 7 + i, n - 3 + i) for i in range(4)])
         expected_det = ctx.coerce(1)
-    j = Matrix(ctx, d)
     assert np.array_equal(j.det(), expected_det)
     return OrthoSpace(j)
 
@@ -165,7 +156,10 @@ def _instantiate(ctx: FieldCtx, name: str, a_vec) -> np.ndarray:
 
 
 def _perm_matrix(ctx: FieldCtx, n: int, cycles) -> Matrix:
-    """Permutation matrix sending e_a -> e_b along each cycle (a, b, ...)."""
+    """Permutation matrix sending e_a -> e_b along each cycle (a, b, ...).
+
+    When the cycles define a bijection sigma, the matrix keeps its sign,
+    (-1)**(n - #cycles of sigma), as its determinant."""
     sigma = list(range(n))
     for cyc in cycles:
         for k, src in enumerate(cyc):
@@ -174,7 +168,18 @@ def _perm_matrix(ctx: FieldCtx, n: int, cycles) -> Matrix:
     d = np.zeros((n, n, ctx.f), dtype=np.int64)
     for j, i in enumerate(sigma):
         d[i, j, 0] = 1
-    return Matrix(ctx, d)
+    out = Matrix(ctx, d)
+    if sorted(sigma) == list(range(n)):
+        seen, orbits = set(), 0
+        for start in range(n):
+            if start in seen:
+                continue
+            orbits += 1
+            while start not in seen:
+                seen.add(start)
+                start = sigma[start]
+        out._keep_det(ctx.coerce((-1) ** (n - orbits)))
+    return out
 
 
 def _embed_tail(ctx: FieldCtx, n: int, block: np.ndarray) -> Matrix:
@@ -411,15 +416,15 @@ def _check_sl4_block(ctx: FieldCtx, xt: np.ndarray):
              "x-tilde corner block")
     _require(not xt[1:5, 5:9].any() and not xt[5:9, 1:5].any(), "x-tilde off blocks vanish")
     _require(np.array_equal(h.det(), ctx.one), "h in SL_4")
-    _require(hmt == h.inverse().transpose(), "lower block is h^{-T}")
+    # hmt = h^-T exactly when hmt^T h = I, so h is not inverted
+    _require((hmt.transpose() @ h).is_identity(), "lower block is h^{-T}")
 
 
 def _x3_decomposition_check(ctx: FieldCtx, n: int, x: Matrix, x1: Matrix, a_vec):
     """x = (even permutation) * diag(I_{n-3}, x3) with x3 the printed block."""
-    xbar = _instantiate(ctx, "xbar", a_vec)
-    x3 = xbar[6:, 6:]
-    tail = _embed_tail(ctx, n, x3)
-    perm_part = x @ tail.inverse()
+    x3 = Matrix(ctx, _instantiate(ctx, "xbar", a_vec)[6:, 6:])
+    # diag(I, x3)^-1 = diag(I, x3^-1), so only the 3x3 block is inverted
+    perm_part = x @ _embed_tail(ctx, n, x3.inverse().data)
     d = perm_part.data
     _require(
         bool(((d[:, :, 0] == 0) | (d[:, :, 0] == 1)).all()) and not d[:, :, 1:].any()

@@ -21,8 +21,8 @@ to factor p**d - 1 and in `factor_poly` and `Poly.pow_mod`, which wrap
 its galoistools and which `element_order` does not call.
 
 Everything here is pure and matrices are immutable; a matrix keeps its
-determinant and inverse once computed, and a kept inverse keeps its
-source as its own inverse.
+determinant and inverse once computed or proved (see `Matrix`), and a
+kept inverse keeps its source as its own inverse.
 """
 
 from __future__ import annotations
@@ -223,9 +223,17 @@ class Matrix:
     inverse as a Matrix whose own kept inverse is a new Matrix on this
     one's blocks, so no reference cycle forms. A failure (NotSquare,
     Singular) is not kept and raises again on every call.
+
+    A fact the package has proved is kept the same way, through
+    `_keep_det` and `_keep_inverse`, and never eliminated: det g =
+    (-1)**rank(1 - g) for an isometry g (`forms.spinor_norm`), the sign
+    of a permutation (`generators._perm_matrix`), x**-1 = x and
+    y**-1 = y**2 (`generators.build_pair`), and the restriction of a
+    kept inverse (`restrict`). `_omega` holds the last `forms.in_omega`
+    verdict with the space it was proved in.
     """
 
-    __slots__ = ("ctx", "blocks", "_det", "_inv")
+    __slots__ = ("ctx", "blocks", "_det", "_inv", "_omega")
 
     def __init__(self, ctx: FieldCtx, data):
         object.__setattr__(self, "ctx", ctx)
@@ -237,8 +245,8 @@ class Matrix:
         b = np.ascontiguousarray(_block_form(ctx, d % ctx.p))
         b.setflags(write=False)
         object.__setattr__(self, "blocks", b)
-        object.__setattr__(self, "_det", None)
-        object.__setattr__(self, "_inv", None)
+        for slot in ("_det", "_inv", "_omega"):
+            object.__setattr__(self, slot, None)
 
     def __setattr__(self, *a):
         raise AttributeError("Matrix is immutable")
@@ -250,8 +258,8 @@ class Matrix:
         blocks.setflags(write=False)
         object.__setattr__(m, "ctx", ctx)
         object.__setattr__(m, "blocks", blocks)
-        object.__setattr__(m, "_det", None)
-        object.__setattr__(m, "_inv", None)
+        for slot in ("_det", "_inv", "_omega"):
+            object.__setattr__(m, slot, None)
         return m
 
     @property
@@ -393,10 +401,14 @@ class Matrix:
         """Determinant as a read-only (f,) element vector, by elimination
         on the first call."""
         if self._det is None:
-            d = self._eliminate_det()
-            d.setflags(write=False)
-            object.__setattr__(self, "_det", d)
+            self._keep_det(self._eliminate_det())
         return self._det
+
+    def _keep_det(self, d: np.ndarray) -> None:
+        """Keep a proved determinant, an (f,) element, as a read-only copy."""
+        d = np.array(d, dtype=np.int64)
+        d.setflags(write=False)
+        object.__setattr__(self, "_det", d)
 
     def _eliminate_det(self) -> np.ndarray:
         if self.rows != self.cols:
@@ -874,7 +886,11 @@ def _order_below(y: np.ndarray, parts: tuple, p: int) -> int:
 
 def restrict(m: Matrix, coords) -> Matrix:
     """m's action on the span of the e_i, i in coords (0-based): m[coords, coords]
-    in the given order, once m's columns at coords vanish outside those rows."""
+    in the given order, once m's columns at coords vanish outside those rows.
+
+    When m keeps an inverse, the restriction keeps m**-1[coords, coords] as
+    its own: an invertible m that maps the span into itself maps it onto
+    itself, so m**-1 preserves the span too and restricts to the inverse."""
     n, f = m.rows, m.ctx.f
     if m.cols != n:
         raise NotSquare("restriction needs a square matrix")
@@ -888,7 +904,10 @@ def restrict(m: Matrix, coords) -> Matrix:
     cols = m.blocks[:, idx]
     if np.delete(cols, idx, axis=0).any():
         raise NotInvariant("span is not invariant under the matrix")
-    return Matrix._from_blocks(m.ctx, np.ascontiguousarray(cols[idx]))
+    out = Matrix._from_blocks(m.ctx, np.ascontiguousarray(cols[idx]))
+    if m._inv is not None:
+        out._keep_inverse(m._inv.blocks[np.ix_(idx, idx)])
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from omega23.forms import (OrthoSpace, in_omega, is_isometry, omega_order, quadr
                            reflection)
 from omega23.generators import GenPair, WrongCase, build_pair, gram_matrix
 from omega23.linalg import Matrix, _block_form, unit_vector, vector
-from omega23 import BadSeed, _kernels, linalg
+from omega23 import BadSeed, _kernels, forms, linalg
 from omega23._kernels import DENSE_CAP, POS_BITS, POS_MASK, orbit_bfs
 from omega23 import certify as certify_mod
 from omega23.certify import (
@@ -1009,6 +1009,21 @@ def test_certify_restricted():
     assert res.verdict == "Generates"
     assert res.target_order == omega_order(9, "circ", 3)
     assert res.computed_order == res.target_order
+
+
+def test_certify_reads_the_memberships_and_inverses_the_pair_proved(count_calls):
+    """Full mode tests x and y with in_omega on the pair's own space, which
+    reads back the verdicts build_pair proved; restricted mode acts by
+    y|S9, which keeps y's inverse restricted, so only tau|S9 is eliminated."""
+    pair = build_pair(15, CTX3, 1)
+    counts = count_calls(forms, "in_omega", "spinor_norm")
+    rrefs = count_calls(linalg, "rref")
+    assert certify_generation(pair, seed=53251).verdict == "Inconclusive"
+    assert counts == {"in_omega": 2, "spinor_norm": 0}
+    assert rrefs["rref"] == 0
+    assert certify_generation(pair, restrict_to_s9=True, seed=53251).verdict == "Generates"
+    assert counts == {"in_omega": 4, "spinor_norm": 2}
+    assert rrefs["rref"] == 3  # 1 - y|S9, 1 - tau|S9 and [tau|S9 | I]
 
 
 def test_certify_restricted_needs_tail_family(pair932):

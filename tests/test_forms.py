@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from omega23 import forms
 from omega23.fields import field_from_prime_power, is_square, make_field
 from omega23.forms import (
     DimensionMismatch,
@@ -345,6 +346,64 @@ def test_spinor_norm_refuses_a_determinant_no_nondegenerate_form_allows():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "FormsError"
+
+
+def test_spinor_norm_and_in_omega_refuse_a_singular_gram_matrix():
+    """diag(0, 1, 1) is degenerate, and diag(1, 2, 1) preserves it with
+    det -1 = (-1)**rank(1 - g): only the singular Gram matrix tells that
+    the form has no spinor norm."""
+    space = OrthoSpace(Matrix.from_rows(F3, [[0, 0, 0], [0, 1, 0], [0, 0, 1]]))
+    g = Matrix.from_rows(F3, [[1, 0, 0], [0, 2, 0], [0, 0, 1]])
+    assert is_isometry(space, g)
+    with pytest.raises(FormsError, match="degenerate"):
+        spinor_norm(space, g)
+    with pytest.raises(FormsError, match="degenerate"):
+        in_omega(space, g)
+
+
+def _twisted_space(ctx, n, twist, rng):
+    """I_(n-1) plus one last diagonal entry, a nonsquare when twist: in even
+    n the two discriminants give the two Witt types."""
+    d = np.zeros((n, n, ctx.f), dtype=np.int64)
+    d[np.arange(n), np.arange(n), 0] = 1
+    while twist:
+        d[-1, -1] = rng.integers(0, ctx.p, size=ctx.f)
+        twist = not d[-1, -1].any() or is_square(ctx, d[-1, -1])
+    return OrthoSpace(Matrix(ctx, d))
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(q=st.sampled_from([3, 5, 7, 9, 25, 27]), n=st.integers(3, 9),
+       twist=st.booleans(), k=st.integers(0, 5), seed=seed_st)
+def test_in_omega_keeps_the_determinant_elimination_gives(q, n, twist, k, seed):
+    """After in_omega, det g of a product of k reflections is read, not
+    eliminated: it equals a fresh elimination and (-1)**k."""
+    ctx = field_from_prime_power(q)
+    rng = np.random.default_rng(seed)
+    space = _twisted_space(ctx, n, twist, rng)
+    if n % 2 == 0:  # -1 is a square iff q = 1 mod 4; the twist flips the class
+        untwisted_plus = n % 4 == 0 or q % 4 == 1
+        assert (space.eps == "plus") == (untwisted_plus != twist)
+    g = Matrix.identity(ctx, n)
+    for _ in range(k):
+        g = g @ reflection(space, _rand_center(space, rng))
+    assert g._det is None
+    in_omega(space, g)
+    assert g._det is not None
+    assert g.det().tolist() == Matrix(ctx, g.data).det().tolist() == ctx.coerce((-1) ** k).tolist()
+
+
+def test_in_omega_reads_its_verdict_back_only_for_the_same_space(count_calls):
+    space = gram_matrix(9, F5)
+    g = build_pair(9, F5).y @ reflection(space, vector(F5, [1, 0, 0, 0, 0, 0, 0, 0, 0]))
+    counts = count_calls(forms, "spinor_norm")
+    first = in_omega(space, g)
+    assert in_omega(space, g) is first and counts["spinor_norm"] == 1
+    twin = gram_matrix(9, F5)
+    assert twin == space and twin is not space
+    assert in_omega(twin, g) == first and counts["spinor_norm"] == 2
+    assert in_omega(_identity_space(F5, 9), g).reasons == ("not-an-isometry",)
+    assert counts["spinor_norm"] == 3
 
 
 def test_in_omega_reasons():

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from omega23 import generators
 from omega23.fields import make_field, field_from_prime_power, subfield_degree, is_square
@@ -32,12 +34,14 @@ from omega23.generators import (
     default_a,
     pair_to_json,
     pair_to_text,
+    s9_coords,
     s9_restrictions,
     search_a,
     special_subspaces,
     theta_block,
     _figures,
     _nongen_bound,
+    _perm_matrix,
 )
 from omega23.linalg import Matrix, restrict, rref, unit_vector
 from omega23.verify import _A_BATTERY, _cached_pair, verify_structural
@@ -103,7 +107,9 @@ def test_gram_matrix_follows_classify():
                 generators.gram_matrix(n, ctx)
             assert str(gram_exc.value) == str(exc)
             continue
-        j = generators.gram_matrix(n, ctx).J.data[:, :, 0]
+        gram = generators.gram_matrix(n, ctx).J
+        assert gram.det().tolist() == Matrix(ctx, gram.data).det().tolist(), n
+        j = gram.data[:, :, 0]
         layout_a = _gram_layout(n, n - 3, anti3)
         assert np.array_equal(j, layout_a) == (case == "A"), n
         if case != "A":
@@ -415,6 +421,65 @@ def test_scott_bound_holds_with_equality_on_the_grid():
         one = Matrix.identity(pair.ctx, n)
         ranks = [len(rref(pair.ctx, (g - one).data)[1]) for g in (pair.x, pair.y, pair.x @ pair.y)]
         assert sum(ranks) == 2 * n, (n, q, ranks)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(data=st.data(), n=st.integers(1, 9), q=st.sampled_from([3, 9]))
+def test_a_permutation_matrix_keeps_the_sign_elimination_gives(data, n, q):
+    """Disjoint cycles cut from a random ordering, then up to two random
+    cycles that may overlap them: a bijection keeps its sign, and any other
+    list keeps nothing and has determinant 0."""
+    ctx = field_from_prime_power(q)
+    order = data.draw(st.permutations(range(1, n + 1)))
+    cuts = sorted(data.draw(st.sets(st.integers(1, max(n - 1, 1)))) - {n})
+    cycles = [tuple(order[i:j]) for i, j in zip([0, *cuts], [*cuts, n])]
+    cycles += data.draw(st.lists(st.lists(st.integers(1, n), min_size=1, max_size=4),
+                                 max_size=2))
+    m = _perm_matrix(ctx, n, cycles)
+    fresh = Matrix(ctx, m.data).det()
+    if (m.data[:, :, 0].sum(axis=1) == 1).all():
+        assert m._det is not None and m.det().tolist() == fresh.tolist()
+    else:
+        assert m._det is None and not fresh.any()
+
+
+@pytest.mark.parametrize("q", [3, 27])
+def test_the_sl4_check_refuses_a_lower_block_that_is_not_h_inverse_transpose(q):
+    ctx = field_from_prime_power(q)
+    xt = generators._instantiate(ctx, "xtilde", ctx.coerce(default_a(15, ctx)))
+    generators._check_sl4_block(ctx, xt)
+    for i, j in ((5, 5), (5, 8)):
+        bad = xt.copy()
+        bad[i, j] = (bad[i, j] + ctx.one) % ctx.p
+        with pytest.raises(TranscriptionError, match=r"h\^\{-T\}"):
+            generators._check_sl4_block(ctx, bad)
+
+
+def test_the_kept_inverse_of_y_on_s9_is_its_inverse_on_the_grid():
+    """restrict keeps y^-1[S9, S9], read off y's kept inverse y^2."""
+    for n, q in itertools.product(GRID_N, GRID_Q):
+        if classify(n).case == "A":
+            continue
+        pair = _cached_pair(n, q, None, False)
+        y9 = restrict(pair.y, s9_coords(n))
+        assert y9._inv is not None
+        assert y9.inverse() == Matrix(pair.ctx, y9.data).inverse(), (n, q)
+
+
+def test_pair_and_structural_battery_eliminate_no_generator(monkeypatch):
+    """At (25, 27) det x and det y come from rank(1 - g), and det y1 and
+    det J from their cycles: no n x n determinant is eliminated."""
+    eliminated = []
+    orig = Matrix._eliminate_det
+
+    def spy(m):
+        eliminated.append(m)
+        return orig(m)
+
+    monkeypatch.setattr(Matrix, "_eliminate_det", spy)
+    pair = build_pair(25, field_from_prime_power(27))
+    assert verify_structural(pair).ok
+    assert eliminated and max(m.rows for m in eliminated) < 25
 
 
 # --- tau and subspaces ------------------------------------------------------

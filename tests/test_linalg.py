@@ -1293,6 +1293,16 @@ def test_restrict_action_and_invariance_check():
         restrict(Matrix.zeros(F5, 2, 3), [0])
 
 
+def test_restrict_keeps_the_restricted_inverse_only_of_a_kept_inverse():
+    m = Matrix.from_rows(F5, [[2, 1, 0], [0, 2, 0], [0, 0, 3]])
+    assert restrict(m, [1, 0])._inv is None
+    m.inverse()
+    part = restrict(m, (1, 0))
+    assert part._inv is not None
+    assert part.inverse() == Matrix(F5, part.data).inverse() == Matrix.from_rows(F5, [[3, 0], [1, 3]])
+    assert part.inverse().inverse().blocks is part.blocks
+
+
 @pytest.mark.parametrize("coords", [[0.5, 1.5], [True, 2], [0.9]])
 def test_restrict_refuses_coordinates_that_are_not_integers(coords):
     # an intp array would truncate them to coordinates 0 and 1, 1 and 2, and 0
