@@ -42,7 +42,7 @@ from . import Record, resolved_seed
 from ._kernels import DENSE_CAP, POS_BITS, POS_MASK, orbit_bfs
 from .fields import FieldCtx, elem_to_json, is_json_int
 from .forms import OrthoSpace, in_omega, omega_order
-from .generators import GenPair, WrongCase, s9_restrictions, s9_space
+from .generators import GenPair, WrongCase
 from .linalg import Matrix, Singular, _block_inverse, _eye, unit_vector
 
 
@@ -463,7 +463,7 @@ def certify_generation(pair: GenPair, restrict_to_s9: bool = False,
     seed = resolved_seed(seed)
     if restrict_to_s9 and pair.tag.case == "A":
         raise WrongCase("restricted certification needs an S9 tail family")
-    gens, space = ((s9_restrictions(pair)[:2], s9_space(pair)) if restrict_to_s9
+    gens, space = ((pair.s9_restrictions[:2], pair.s9_space) if restrict_to_s9
                    else ((pair.x, pair.y), pair.space))
     verdict, orbit_sizes, target = generation_verdict(gens, space, seed, budget_seconds)
     return CertResult(

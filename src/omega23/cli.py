@@ -48,13 +48,14 @@ def _diag(kind: str, detail: str):
           file=sys.stderr)
 
 
-def _parse_a(text: str | None):
-    if text is None:
-        return None
-    parts = text.split(",")
-    if len(parts) == 1:
-        return int(parts[0])
-    return [int(c) for c in parts]
+def _parse_a(text: str):
+    """--a: an int, or comma-separated int coefficients."""
+    try:
+        parts = [int(c) for c in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not an int or comma-separated ints: {text!r}") from None
+    return parts[0] if len(parts) == 1 else parts
 
 
 def _emit(doc: dict, text: str, args) -> None:
@@ -73,7 +74,7 @@ def _build_pair(args):
     """(pair, report params) of a pair command: build_pair, refused
     before any allocation above MAX_MATRIX_ENTRIES."""
     ctx = field_from_prime_power(args.q)
-    a = _parse_a(args.a)
+    a = args.a
     entries = (args.n * ctx.f) ** 2
     if entries > MAX_MATRIX_ENTRIES:
         raise GenError(f"(n*f)^2 = {entries} matrix entries exceed the CLI bound "
@@ -192,11 +193,7 @@ def _cmd_spinor(args) -> int:
     ctx = field_from_prime_power(args.q)
     g = _load_matrix(ctx, args.matrix)
     if args.gram:
-        j = _load_matrix(ctx, args.gram)
-        if not j.det().any():
-            raise FormsError("Gram matrix is singular: the form is degenerate "
-                             "and has no spinor norm")
-        space = OrthoSpace(j)
+        space = OrthoSpace(_load_matrix(ctx, args.gram))
     else:
         space = gram_matrix(g.rows, ctx)
     if g.rows != space.n or g.cols != space.n:
@@ -319,7 +316,7 @@ def _build_parser() -> _Parser:
 
     g = sub.add_parser("generate", description="build a generator pair")
     common(g)
-    g.add_argument("--a", default=None,
+    g.add_argument("--a", type=_parse_a, default=None,
                    help="field element: int, or comma-separated coefficients")
     g.add_argument("--force", action="store_true",
                    help="skip the admissibility screen")
@@ -327,7 +324,7 @@ def _build_parser() -> _Parser:
 
     v = sub.add_parser("verify", description="run identity batteries")
     common(v)
-    v.add_argument("--a", default=None)
+    v.add_argument("--a", type=_parse_a, default=None)
     v.add_argument("--force", action="store_true")
     v.add_argument("--suite", choices=("structural", "case", "all"),
                    default="all")
@@ -337,7 +334,7 @@ def _build_parser() -> _Parser:
 
     c = sub.add_parser("certify", description="certify the generated order")
     common(c)
-    c.add_argument("--a", default=None)
+    c.add_argument("--a", type=_parse_a, default=None)
     c.add_argument("--force", action="store_true")
     c.add_argument("--restrict-s9", action="store_true", dest="restrict_s9")
     c.add_argument("--seed", type=int, default=None)

@@ -170,16 +170,21 @@ def _perm_matrix(ctx: FieldCtx, n: int, cycles) -> Matrix:
         d[i, j, 0] = 1
     out = Matrix(ctx, d)
     if sorted(sigma) == list(range(n)):
-        seen, orbits = set(), 0
-        for start in range(n):
-            if start in seen:
-                continue
-            orbits += 1
-            while start not in seen:
-                seen.add(start)
-                start = sigma[start]
-        out._keep_det(ctx.coerce((-1) ** (n - orbits)))
+        out._keep_det(ctx.coerce(_sign(sigma)))
     return out
+
+
+def _sign(sigma) -> int:
+    """The sign (-1)**(n - #cycles) of a permutation sigma of range(n)."""
+    seen, cycles = set(), 0
+    for start in range(len(sigma)):
+        if start in seen:
+            continue
+        cycles += 1
+        while start not in seen:
+            seen.add(start)
+            start = sigma[start]
+    return (-1) ** (len(sigma) - cycles)
 
 
 def _embed_tail(ctx: FieldCtx, n: int, block: np.ndarray) -> Matrix:
@@ -332,14 +337,20 @@ class GenPair(Record, compare=("x", "y")):
     def y_cubed(self) -> Matrix:
         return self.y_squared @ self.y
 
-    # spinor-kernel membership of each generator, computed at most once
     @cached_property
-    def x_in_omega(self) -> Clauses:
-        return in_omega(self.space, self.x)
+    def s9_space(self) -> OrthoSpace:
+        """S9 with the pair's form restricted to it."""
+        return OrthoSpace(restrict(self.space.J, s9_coords(self.n)))
 
     @cached_property
-    def y_in_omega(self) -> Clauses:
-        return in_omega(self.space, self.y)
+    def s9_restrictions(self) -> tuple:
+        """(y|S9, tau|S9, tau, [x, y]) with tau = [x, y]^24, unchecked: the
+        case-B battery checks them against the printed blocks, and certify
+        acts on S9 by y|S9 and tau|S9."""
+        coords = s9_coords(self.n)
+        g = commutator(self.x, self.y)
+        tau_full = g.pow(24)
+        return restrict(self.y, coords), restrict(tau_full, coords), tau_full, g
 
 
 def _require(cond: bool, what: str):
@@ -394,17 +405,18 @@ def build_pair(n: int, ctx: FieldCtx, a=None, force: bool = False) -> GenPair:
     # the two checks prove x^-1 = x and y^-1 = y^2
     x._keep_inverse(x.blocks)
     y._keep_inverse(pair.y_squared.blocks)
-    x_reasons, y_reasons = pair.x_in_omega.reasons, pair.y_in_omega.reasons
-    _require("not-an-isometry" not in x_reasons, "x preserves the form")
-    _require("not-an-isometry" not in y_reasons, "y preserves the form")
-    _require("determinant-not-one" not in x_reasons, "det x = 1")
-    _require("determinant-not-one" not in y_reasons, "det y = 1")
+    # x and y keep their verdicts for pair.space, which later readers pass
+    x_member, y_member = in_omega(pair.space, x), in_omega(pair.space, y)
+    _require("not-an-isometry" not in x_member.reasons, "x preserves the form")
+    _require("not-an-isometry" not in y_member.reasons, "y preserves the form")
+    _require("determinant-not-one" not in x_member.reasons, "det x = 1")
+    _require("determinant-not-one" not in y_member.reasons, "det y = 1")
     _require(np.array_equal(y1.det(), ctx.one), "y1 is an even permutation")
     if tag.case == "A":
-        _x3_decomposition_check(ctx, n, x, x1, a_vec)
+        _x3_decomposition_check(ctx, n, x, a_vec)
     if not force:
-        _require(pair.x_in_omega.ok, "x has trivial spinor norm")
-        _require(pair.y_in_omega.ok, "y has trivial spinor norm")
+        _require(x_member.ok, "x has trivial spinor norm")
+        _require(y_member.ok, "y has trivial spinor norm")
     return pair
 
 
@@ -420,18 +432,18 @@ def _check_sl4_block(ctx: FieldCtx, xt: np.ndarray):
     _require((hmt.transpose() @ h).is_identity(), "lower block is h^{-T}")
 
 
-def _x3_decomposition_check(ctx: FieldCtx, n: int, x: Matrix, x1: Matrix, a_vec):
+def _x3_decomposition_check(ctx: FieldCtx, n: int, x: Matrix, a_vec):
     """x = (even permutation) * diag(I_{n-3}, x3) with x3 the printed block."""
     x3 = Matrix(ctx, _instantiate(ctx, "xbar", a_vec)[6:, 6:])
     # diag(I, x3)^-1 = diag(I, x3^-1), so only the 3x3 block is inverted
-    perm_part = x @ _embed_tail(ctx, n, x3.inverse().data)
-    d = perm_part.data
+    d = (x @ _embed_tail(ctx, n, x3.inverse().data)).data
     _require(
         bool(((d[:, :, 0] == 0) | (d[:, :, 0] == 1)).all()) and not d[:, :, 1:].any()
         and (d[:, :, 0].sum(axis=0) == 1).all() and (d[:, :, 0].sum(axis=1) == 1).all(),
         "x factors as permutation times diag(I, x3)",
     )
-    _require(np.array_equal(perm_part.det(), ctx.one), "permutation part of x is even")
+    # column j holds its 1 in row sigma(j)
+    _require(_sign(d[:, :, 0].argmax(axis=0).tolist()) == 1, "permutation part of x is even")
 
 
 # ---------------------------------------------------------------------------
@@ -449,21 +461,6 @@ def theta_block(ctx: FieldCtx, a, corrected: bool) -> Matrix:
 def s9_coords(n: int) -> tuple:
     """S9, the span of the last nine unit vectors, as its 0-based coordinates."""
     return tuple(range(n - 9, n))
-
-
-def s9_space(pair: GenPair) -> OrthoSpace:
-    """S9 with the pair's form restricted to it."""
-    return OrthoSpace(restrict(pair.space.J, s9_coords(pair.n)))
-
-
-def s9_restrictions(pair: GenPair):
-    """(y|S9, tau|S9, tau, [x, y]) with tau = [x, y]^24, unchecked: the
-    case-B battery checks them against the printed blocks, and certify
-    acts on S9 by y|S9 and tau|S9."""
-    coords = s9_coords(pair.n)
-    g = commutator(pair.x, pair.y)
-    tau_full = g.pow(24)
-    return restrict(pair.y, coords), restrict(tau_full, coords), tau_full, g
 
 
 class SpecialSubspaces(Record):

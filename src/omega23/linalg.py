@@ -230,7 +230,8 @@ class Matrix:
     of a permutation (`generators._perm_matrix`), x**-1 = x and
     y**-1 = y**2 (`generators.build_pair`), and the restriction of a
     kept inverse (`restrict`). `_omega` holds the last `forms.in_omega`
-    verdict with the space it was proved in.
+    verdict with the space it was proved in, the package's one kept
+    Omega verdict.
     """
 
     __slots__ = ("ctx", "blocks", "_det", "_inv", "_omega")

@@ -18,15 +18,12 @@ import numpy as np
 from . import Record
 from .fields import (FieldCtx, elem_to_json, field_from_prime_power, is_json_int, is_square,
                      make_field)
-# verify.in_omega stays bound although pairs cache their memberships: the
-# tracer test in perfbench/check_bench.py looks it up here
-from .forms import in_omega  # noqa: F401
+from .forms import in_omega
 from .generators import (
     GenPair,
     WrongCase,
     build_pair,
     s9_coords,
-    s9_restrictions,
     theta_block,
     special_subspaces,
     _instantiate,
@@ -132,7 +129,8 @@ def verify_structural(pair: GenPair) -> VerificationReport:
         rec.add(name, is_one, "I", "I" if is_one else "not I", ref)
     rec.add("y-nontrivial", pair.y != ident, "y != I",
             "y != I" if pair.y != ident else "y == I", "generators/order-three")
-    for name, g, verdict in (("x", pair.x, pair.x_in_omega), ("y", pair.y, pair.y_in_omega)):
+    for name, g in (("x", pair.x), ("y", pair.y)):
+        verdict = in_omega(pair.space, g)
         iso = "not-an-isometry" not in verdict.reasons
         rec.add(f"{name}-preserves-form", iso, "gram matrix preserved",
                 "preserved" if iso else "violated", "generators/isometry")
@@ -148,7 +146,7 @@ def verify_structural(pair: GenPair) -> VerificationReport:
                 "generators/spinor-kernel")
     if pair.tag.case == "A":
         minus_a_square = is_square(ctx, ctx.neg(pair.a))
-        member = pair.x_in_omega.ok
+        member = in_omega(pair.space, pair.x).ok
         rec.add("tail-block-membership-criterion", member == minus_a_square,
                 f"membership iff -a is a square (here {minus_a_square})",
                 f"membership: {member}", "generators/tail-membership")
@@ -319,7 +317,7 @@ def verify_caseB_identities(pair: GenPair) -> VerificationReport:
     a2 = ctx.mul(a, a)
     exceptional = is_even_family and np.array_equal(a2, ctx.coerce(3))
 
-    y9, t9, tau_full, g = s9_restrictions(pair)
+    y9, t9, tau_full, g = pair.s9_restrictions
 
     # (1) the 24th commutator power: unipotent with a printed tail block
     cp = charpoly(tau_full)
@@ -465,7 +463,7 @@ def verify_caseB_closed_forms_all_a(n: int, ctx: FieldCtx) -> VerificationReport
     for i in range(1, ctx.q):
         a = ctx.from_index(i)
         pair = build_pair(n, ctx, a, force=True)
-        y9, t9 = s9_restrictions(pair)[:2]
+        y9, t9 = pair.s9_restrictions[:2]
         _closed_form_checks(rec, pair, y9, t9, f"[a={elem_to_json(ctx, a)}]")
     return rec.report()
 

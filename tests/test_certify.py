@@ -1011,19 +1011,32 @@ def test_certify_restricted():
     assert res.computed_order == res.target_order
 
 
-def test_certify_reads_the_memberships_and_inverses_the_pair_proved(count_calls):
+def test_certify_reads_the_memberships_and_inverses_the_pair_proved(count_calls, monkeypatch):
     """Full mode tests x and y with in_omega on the pair's own space, which
     reads back the verdicts build_pair proved; restricted mode acts by
-    y|S9, which keeps y's inverse restricted, so only tau|S9 is eliminated."""
+    y|S9, which keeps y's inverse restricted, so only tau|S9 is eliminated.
+    The pair keeps its S9 space and restrictions, so a second restricted
+    certificate reads every membership, inverse and determinant back."""
     pair = build_pair(15, CTX3, 1)
     counts = count_calls(forms, "in_omega", "spinor_norm")
     rrefs = count_calls(linalg, "rref")
+    dets = []
+    eliminate_det = Matrix._eliminate_det
+    monkeypatch.setattr(Matrix, "_eliminate_det", lambda m: dets.append(m) or eliminate_det(m))
     assert certify_generation(pair, seed=53251).verdict == "Inconclusive"
     assert counts == {"in_omega": 2, "spinor_norm": 0}
     assert rrefs["rref"] == 0
-    assert certify_generation(pair, restrict_to_s9=True, seed=53251).verdict == "Generates"
+    first = certify_generation(pair, restrict_to_s9=True, seed=53251)
+    assert first.verdict == "Generates"
     assert counts == {"in_omega": 4, "spinor_norm": 2}
     assert rrefs["rref"] == 3  # 1 - y|S9, 1 - tau|S9 and [tau|S9 | I]
+    eliminated = len(dets)
+    again = certify_generation(pair, restrict_to_s9=True, seed=53251)
+    assert ({k: v for k, v in again.to_json().items() if k != "elapsed_ms"}
+            == {k: v for k, v in first.to_json().items() if k != "elapsed_ms"})
+    assert counts == {"in_omega": 6, "spinor_norm": 2}
+    assert rrefs["rref"] == 3
+    assert len(dets) == eliminated
 
 
 def test_certify_restricted_needs_tail_family(pair932):
@@ -1059,7 +1072,7 @@ def test_certify_contained_proper_subgroup_is_inconclusive(pair932):
 def test_certify_pair_outside_omega_never_generates(monkeypatch):
     # a chain that reaches |Omega| proves nothing about a pair not in Omega
     pair = build_pair(9, CTX3, 1, force=True)
-    assert not pair.x_in_omega.ok
+    assert not in_omega(pair.space, pair.x).ok
     targets = []
 
     def reaches_omega(gens, target, seed, budget_seconds):

@@ -468,11 +468,16 @@ def test_oracle_parity_is_checked_before_the_bound(capsys, what, n, detail):
     # --q is an argparse int, so a q that is not one is a usage error
     (("certify", "--n", "9", "--q", "x"), "usage"),
     (("spinor", "--q", "27.5", "--matrix", "{top_int}"), "usage"),
+    # so is --a, an int or comma-separated ints
+    (("generate", "--n", "15", "--q", "3", "--a", "1.5"), "usage"),
+    (("verify", "--n", "15", "--q", "27", "--a", "1,"), "usage"),
+    (("certify", "--n", "15", "--q", "3", "--a", "true"), "usage"),
 ], ids=["witt-type-n0", "witt-type-n-2", "omega-order-n-1", "omega-order-n1",
         "empty-list-matrix", "empty-object-matrix", "ragged-list-matrix", "short-a",
         "object-without-entries", "top-level-int", "row-not-a-list", "int-entries",
         "entry-row-not-a-list", "top-level-string", "rows-null", "rows-list", "rows-float",
-        "rows-bool", "rows-string", "cols-float", "q-not-a-number", "q-fractional"])
+        "rows-bool", "rows-string", "cols-float", "q-not-a-number", "q-fractional",
+        "a-fractional", "a-trailing-comma", "a-not-a-number"])
 def test_malformed_input_is_refused_by_name(capsys, tmp_path, argv, kind):
     files = {"empty_list": [], "empty_object": {"rows": 0, "cols": 0, "entries": []},
              "ragged_list": [[1, 2], [3]], "no_entries": {"rows": 1, "cols": 1},

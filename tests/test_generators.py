@@ -35,7 +35,6 @@ from omega23.generators import (
     pair_to_json,
     pair_to_text,
     s9_coords,
-    s9_restrictions,
     search_a,
     special_subspaces,
     theta_block,
@@ -466,9 +465,11 @@ def test_the_kept_inverse_of_y_on_s9_is_its_inverse_on_the_grid():
         assert y9.inverse() == Matrix(pair.ctx, y9.data).inverse(), (n, q)
 
 
-def test_pair_and_structural_battery_eliminate_no_generator(monkeypatch):
-    """At (25, 27) det x and det y come from rank(1 - g), and det y1 and
-    det J from their cycles: no n x n determinant is eliminated."""
+@pytest.mark.parametrize("n,q", [(9, 5), (11, 3), (13, 13), (17, 3), (25, 27)])
+def test_pair_and_structural_battery_eliminate_no_generator(monkeypatch, n, q):
+    """det x and det y come from rank(1 - g), det y1 and det J from their
+    cycles, and in case A the sign of x's permutation part from its
+    columns: no n x n determinant is eliminated."""
     eliminated = []
     orig = Matrix._eliminate_det
 
@@ -477,9 +478,9 @@ def test_pair_and_structural_battery_eliminate_no_generator(monkeypatch):
         return orig(m)
 
     monkeypatch.setattr(Matrix, "_eliminate_det", spy)
-    pair = build_pair(25, field_from_prime_power(27))
+    pair = build_pair(n, field_from_prime_power(q))
     assert verify_structural(pair).ok
-    assert eliminated and max(m.rows for m in eliminated) < 25
+    assert eliminated and max(m.rows for m in eliminated) < n
 
 
 # --- tau and subspaces ------------------------------------------------------
@@ -499,7 +500,7 @@ def test_tau_block_structure(n, q):
     theta = theta_block(ctx, pair.a, corrected=pair.tag.case == "B6")
     expect = Matrix.identity(ctx, n).data.copy()
     expect[n - 8:, n - 8:] = theta.data
-    assert s9_restrictions(pair)[2] == Matrix(ctx, expect)
+    assert pair.s9_restrictions[2] == Matrix(ctx, expect)
 
 
 def test_commutator_orientations_differ():

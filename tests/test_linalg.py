@@ -15,7 +15,7 @@ from sympy.polys.matrices import DomainMatrix
 
 from omega23 import linalg, verify
 from omega23.fields import FieldCtx, field_from_prime_power, make_field
-from omega23.generators import build_pair, s9_restrictions
+from omega23.generators import build_pair
 from omega23.linalg import (
     DependentBasis,
     LinalgError,
@@ -598,7 +598,7 @@ def test_coordinate_restrictions_eliminate_nothing(count_calls, q):
     """y|S9 and tau|S9 are slices of y and of tau, as is a "|S9" claim word."""
     pair = build_pair(15, field_from_prime_power(q))
     counts = count_calls(linalg, "rref")
-    s9_restrictions(pair)
+    pair.s9_restrictions
     assert counts["rref"] == 0
     evaluate_claim_word(pair, "y|S9")
     assert counts["rref"] == 0

@@ -46,9 +46,7 @@ ALLOWED = {
 REASONS = {"public", "hook", "tracer", "direction"}
 
 # module.name -> (reason, note) for an import its module does not read
-IMPORTS_ALLOWED = {
-    "verify.in_omega": ("tracer", "the tracer patches in_omega in every module that binds it"),
-}
+IMPORTS_ALLOWED = {}
 
 
 def _is_dunder(name: str) -> bool:

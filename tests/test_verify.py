@@ -58,11 +58,12 @@ def test_structural_battery_green(n, q):
 @pytest.mark.parametrize("n,q", [(9, 3), (12, 5)])
 def test_pair_and_structural_battery_test_each_generator_once(count_calls, n, q):
     """build_pair and verify_structural share one membership per generator:
-    one isometry test and one in_omega call each, not one per consumer."""
-    counts = count_calls(forms, "is_isometry", "in_omega")
+    one isometry test and one spinor norm each, not one per consumer; a
+    later in_omega reads back the verdict x and y keep for pair.space."""
+    counts = count_calls(forms, "is_isometry", "spinor_norm")
     report = verify_structural(_pair(n, q))
     assert report.ok, _failing(report)
-    assert counts == {"is_isometry": 2, "in_omega": 2}
+    assert counts == {"is_isometry": 2, "spinor_norm": 2}
 
 
 def test_structural_battery_forced_nonsquare_parameter():
