@@ -133,15 +133,6 @@ def _poly_gcd(p: int, a: list, b: list) -> list:
     return a
 
 
-def _poly_mul(p: int, a: list, b: list) -> list:
-    """Product of two little-endian polynomials over GF(p), reduced, not trimmed."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return [c % p for c in out]
-
-
 def _companion(p: int, g: list) -> np.ndarray:
     """Companion matrix of a monic g: column j is t**(j + 1) mod g, so it multiplies by t."""
     k = len(g) - 1

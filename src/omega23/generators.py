@@ -2,7 +2,8 @@
 
 `classify` is the construction's one dimension rule (case A, or the B5
 and B6 tail layouts with n = 3m + 9 + r), and `gram_matrix` is the form
-each case preserves; an unsupported n raises `Unsupported` from both.
+each case preserves; an unsupported n raises `Unsupported` from both, and
+an n that is not an integer a `GenError` that names it.
 The 9x9 seed matrices live in data/figures.json (symbolic [num, den,
 a-power] entries, with a CRC-32 of their canonical JSON checked at
 load); everything else is permutation plumbing around them.
@@ -21,7 +22,7 @@ from importlib import resources
 import numpy as np
 
 from . import Clauses, Record
-from .fields import FieldCtx, elem_to_json, field_to_json, is_square, subfield_degree
+from .fields import FieldCtx, elem_to_json, field_to_json, is_json_int, is_square, subfield_degree
 from .forms import OrthoSpace, in_omega
 from .linalg import Matrix, Poly, commutator, restrict
 
@@ -87,6 +88,8 @@ def classify(n: int) -> CaseTag:
     """The construction's one dimension rule: case A for n in (9, 11, 13,
     17); otherwise n = 3m + 9 + r with r in {0, 1, 2}, laid out as B6 for
     n in (12, 16, 20) and as B5 for n in (15, 18, 19) or n >= 21."""
+    if not is_json_int(n):
+        raise GenError(f"dimension {n!r} is not an integer")
     if n in _CASE_A:
         return CaseTag("A")
     if n in (12, 16, 20):

@@ -12,10 +12,10 @@ first dependency among the powers of the matrix, and kernel and
 eigenspace bases come out in reduced echelon form, so subspace
 comparisons are plain equality. Element orders are computed over F_p
 from the block form: its characteristic polynomial is split into
-squarefree parts and its radical by distinct degree
+squarefree parts and each part by distinct degree
 (`fields._distinct_degree_split`, which also tests the field moduli),
-with no factoring into irreducibles; the order of t modulo each part
-comes from powers of the part's companion matrix, and the unipotent
+with no factoring into irreducibles; the order of t modulo each piece
+comes from powers of its companion matrix, and the unipotent
 part's order from p-th powers of the block form. sympy is imported only
 to factor p**d - 1 and in `factor_poly` and `Poly.pow_mod`, which wrap
 its galoistools and which `element_order` does not call.
@@ -33,7 +33,7 @@ from math import lcm, prod
 import numpy as np
 
 from .fields import (
-    FieldCtx, _companion, _distinct_degree_split, _mat_pow, _poly_divmod, _poly_gcd, _poly_mul,
+    FieldCtx, _companion, _distinct_degree_split, _mat_pow, _poly_divmod, _poly_gcd,
     elem_from_json, elem_to_json, is_json_int, make_field,
 )
 
@@ -353,7 +353,8 @@ class Matrix:
         # same entry, so it is not itself transposed
         f = self.ctx.f
         b = self.blocks.reshape(self.rows, f, self.cols, f).transpose(2, 1, 0, 3)
-        return Matrix._from_blocks(self.ctx, np.ascontiguousarray(b).reshape(self.cols * f, -1))
+        b = np.ascontiguousarray(b).reshape(self.cols * f, self.rows * f)
+        return Matrix._from_blocks(self.ctx, b)
 
     def trace(self) -> np.ndarray:
         if self.rows != self.cols:
@@ -788,11 +789,12 @@ def element_order(m: Matrix) -> int:
     semisimple part and p**k that of its unipotent part (Celler and
     Leedham-Green, "Calculating the order of an invertible matrix", 1997).
     The charpoly cp of B over F_p has the irreducible factors of B's
-    minimal polynomial, so m0 is the order of t modulo the radical of cp.
-    `_squarefree_split` gives the radical as the product of cp's
-    squarefree parts, `_distinct_degree_split` splits it into g_d, the
-    products of its degree-d irreducibles, and the order of t modulo g_d
-    divides p**d - 1 (`_order_of_t`). No factor is split further. If cp
+    minimal polynomial, so m0 is the order of t modulo the radical of cp:
+    the lcm of its orders modulo cp's squarefree parts (`_squarefree_split`),
+    which are squarefree and pairwise coprime. `_distinct_degree_split`
+    splits each part into g_d, the product of its degree-d irreducibles,
+    and the order of t modulo g_d divides p**d - 1, so `_order_below`
+    finds it from g_d's companion matrix. No factor is split further. If cp
     is squarefree, B is semisimple and k = 0; otherwise `_order_below`
     finds p**k, the order of B**m0, which divides the least power of p at
     or above N = n*f, as no Jordan block is longer than N. Every product
@@ -807,13 +809,13 @@ def element_order(m: Matrix) -> int:
     cp = charpoly(Matrix._from_blocks(fp, m.blocks))
     if not cp.coeffs[0].any():
         raise Singular("matrix is singular, no multiplicative order")
-    radical, top = [1], 1
-    for part, e in _squarefree_split(p, cp.coeffs[:, 0].tolist()):
-        radical, top = _poly_mul(p, radical, part), max(top, e)
+    parts = _squarefree_split(p, cp.coeffs[:, 0].tolist())
+    top = max((e for _, e in parts), default=1)
     order = 1
     # by increasing d, so the least d whose p**d - 1 is over the budget raises
-    for g, d in _distinct_degree_split(p, radical):
-        order = lcm(order, _order_of_t(p, g, d))
+    for g, d in sorted((gd for part, _ in parts for gd in _distinct_degree_split(p, part)),
+                       key=lambda gd: gd[1]):
+        order = lcm(order, _order_below(_companion(p, g), _factor_qd_minus_1(p, d), p))
     if top == 1:
         return order
     k = 0
@@ -851,22 +853,16 @@ def _squarefree_split(p: int, f: list) -> list:
     return parts
 
 
-def _order_of_t(p: int, g: list, d: int) -> int:
-    """Order of t modulo g, a monic squarefree product of degree-d irreducibles.
+def _order_below(y: np.ndarray, parts: tuple, p: int) -> int:
+    """The order of y, which divides the product of the r**k in parts; LinalgError if not.
 
-    It divides N = p**d - 1. For each r**k exactly dividing N, the r-part
-    of the order is r**j for the least j with (C**(N / r**k))**(r**j) = 1,
-    C the companion matrix of g. The powers C**(N / r**k) come from one
-    power tree (von zur Gathen and Gerhard, ch. 10): the prime powers are
-    split into halves, and each half gets its node's power raised to the
-    product of the other half, so about log2 of their number
+    For each r**k in parts, the r-part of the order is r**j for the least j
+    with (y**(N / r**k))**(r**j) = 1, N the product. The powers y**(N / r**k)
+    come from one power tree (von zur Gathen and Gerhard, ch. 10): the prime
+    powers are split into halves, and each half gets its node's power raised
+    to the product of the other half, so about log2 of their number
     exponentiations lead to each leaf.
     """
-    return _order_below(_companion(p, g), _factor_qd_minus_1(p, d), p)
-
-
-def _order_below(y: np.ndarray, parts: tuple, p: int) -> int:
-    """The order of y, which divides the product of the r**k in parts; LinalgError if not."""
     if len(parts) == 1:
         (r, k), order = parts[0], 1
         while not np.array_equal(y, _eye(len(y))):
@@ -926,7 +922,8 @@ def evaluate_word(word: str, x: Matrix, y: Matrix) -> Matrix:
     parses. The product of the terms' powers is taken from the first one: a
     lone letter is the generator object itself, so its kept inverse is
     reused, and Y is y's inverse, taken only where it occurs. A malformed
-    word raises ParseError at the offending position."""
+    word, or one nested deeper than Python's recursion limit, raises
+    ParseError at the offending position."""
     pos = 0
 
     def skip_ws():
@@ -988,4 +985,7 @@ def evaluate_word(word: str, x: Matrix, y: Matrix) -> Matrix:
             return commutator(u, sequence("]", "unclosed '['"))
         raise ParseError(f"unexpected character {ch!r}", pos - 1)
 
-    return sequence()
+    try:
+        return sequence()
+    except RecursionError:
+        raise ParseError("word nested too deeply", pos) from None

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 import types
@@ -20,6 +21,7 @@ from omega23.forms import in_omega, is_isometry, quadratic_value
 from omega23.generators import (
     CaseTag,
     DivisionByZero,
+    GenError,
     GenPair,
     NoAdmissibleParameter,
     NotAdmissible,
@@ -70,6 +72,18 @@ def test_classify_unsupported(n):
     with pytest.raises(Unsupported) as exc:
         classify(n)
     assert f"dimension {n} is not supported" in str(exc.value)
+
+
+@pytest.mark.parametrize("n", [9.0, 15.0, "9", None])
+def test_a_dimension_that_is_not_an_integer_is_refused_by_name(n):
+    """9.0 == 9, so a float found its case and admissible() passed it; a
+    string or None failed a comparison with a TypeError."""
+    ctx = make_field(3, 1)
+    for call in (classify, lambda n: build_pair(n, ctx), lambda n: generators.gram_matrix(n, ctx),
+                 lambda n: admissible(n, ctx, 2), lambda n: search_a(n, ctx)):
+        with pytest.raises(GenError, match=f"^dimension {re.escape(repr(n))} is not an integer$"):
+            call(n)
+    assert classify(np.int64(9)) == CaseTag("A")
 
 
 def test_case_a_is_the_keys_of_its_two_tables():

@@ -312,6 +312,16 @@ def test_product_matches_einsum_reference(q, r, k, c, fill, seed):
         assert Matrix(ctx, m.data) == m
 
 
+@pytest.mark.parametrize("rows, cols", [(2, 0), (0, 2), (0, 0)])
+def test_transpose_with_a_zero_dimension(rows, cols):
+    for ctx in (F3, F9):
+        m = Matrix.zeros(ctx, rows, cols)
+        t = m.transpose()
+        assert t.data.shape == (cols, rows, ctx.f)
+        assert t.transpose() == m
+    assert restrict(Matrix.identity(F3, 3), ()).transpose().data.shape == (0, 0, 1)
+
+
 @product_case
 @given(q=st.sampled_from([3, 5, 7, 9, 25, 27]), n=st.integers(1, 12), data=st.data(),
        seed=seed_st)
@@ -1110,7 +1120,8 @@ def test_order_budget_names_the_least_degree():
 
 def test_order_of_t_keeps_the_digit_budget():
     with pytest.raises(OrderSearchExceeded) as info:
-        linalg._order_of_t(10007, G30, 30)
+        linalg._order_below(linalg._companion(10007, G30), linalg._factor_qd_minus_1(10007, 30),
+                            10007)
     assert str(info.value) == BUDGET_MESSAGE
 
 
@@ -1170,7 +1181,8 @@ def _degree_d_products(draw):
 @example(case=(13, [1, 0, 0, 0, 0, 1, 1], 6))  # the modulus of GF(13**6)
 def test_order_of_t_tree_matches_the_per_prime_loop(case):
     p, g, d = case
-    assert linalg._order_of_t(p, g, d) == _order_of_t_per_prime(p, g, d)
+    order = linalg._order_below(linalg._companion(p, g), linalg._factor_qd_minus_1(p, d), p)
+    assert order == _order_of_t_per_prime(p, g, d)
 
 
 def test_order_below_refuses_an_order_outside_its_parts():
@@ -1378,3 +1390,20 @@ def test_parse_word_errors(word, position, message):
         evaluate_word(word, pair.x, pair.y)
     assert info.value.position == position
     assert str(info.value) == f"{message} (at position {position})"
+
+
+@pytest.mark.parametrize("depth", [400, 1000])
+def test_a_deeply_nested_word_is_a_parse_error(depth):
+    """Past Python's recursion limit the parser stops where it got to."""
+    pair = _cached_pair(9, 5, 2, True)
+    with pytest.raises(ParseError, match="^word nested too deeply") as info:
+        evaluate_word("(" * depth + "x" + ")" * depth, pair.x, pair.y)
+    assert 0 < info.value.position <= depth
+
+
+def test_order_claims_report_a_deeply_nested_word():
+    claim = Claim(id="deep", n=9, q=3, a=None, force=False, word="(" * 1000 + "x" + ")" * 1000,
+                  expectation=Expectation("ExactOrder", 2), paper_ref="none")
+    (row,) = verify.verify_order_claims([claim]).checks
+    assert row.status == "fail"
+    assert row.actual.startswith("error: word nested too deeply (at position ")
