@@ -13,19 +13,24 @@ passes S3 = <(0 1), (1 2)> at order 4 without random sifts.
 Inside the chain a group element is the (nf, nf) int64 F_p block form
 that a `Matrix` over F_{p^f} holds (`Matrix.blocks`, an injective ring
 map), so a product is A.dot(B) % p (exact as p^(nf) <= DENSE_CAP; `dot`
-skips the dispatch of `@`, a sixth of a 13 x 13 product), and an inverse
-one Gauss-Jordan elimination over F_p (`linalg._block_inverse`). The
-chain reads `g.blocks` at `orbit`, `stabilizer_chain` and
-`StabilizerChain.sift`, and wraps a block form back into a Matrix only to
-return a residue.
+skips the dispatch of `@`, a sixth of a 13 x 13 product). A chain given
+the quadratic space its generators preserve reads every inverse off the
+space's trace form: with K the F_p Gram matrix of Tr o B on F_p^{nf},
+g^-1 = K^-1 g^T K for every product g of isometries (G. E. Wall, Publ.
+IHES 1, 1959), two products, and K^-1 is the chain's one elimination.
+Without a space an inverse is one Gauss-Jordan elimination over F_p
+(`linalg._block_inverse`). The chain reads `g.blocks` at `orbit`,
+`stabilizer_chain` and `StabilizerChain.sift`, and wraps a block form
+back into a Matrix only to return a residue.
 The orbit kernel (`_kernels.orbit_bfs`) computes a frontier's images
 by one matmul on its decoded base-p digits while it is small (always
 at N = 1), and from per-generator image tables once it is not; either
 way one loop appends them, generator by generator. An orbit keeps its
 Schreier vector and the sorted index of its codes, 14 bytes a point. A
-level holds its generators with their inverses: an input generator's
-inverse is the one its Matrix keeps, and a residue's is one elimination
-when it is absorbed. The discovery order fixes the Schreier trees, and
+level holds its generators with their inverses: read off K when the
+chain has a space; without one, an input generator's inverse is the one
+its Matrix keeps, and a residue's is one elimination when it is
+absorbed. The discovery order fixes the Schreier trees, and
 so the transversals, the residues and the later base vectors: the same
 seed gives the same chain on every machine.
 """
@@ -150,15 +155,15 @@ def _shape_of(gens) -> tuple:
 
 class Level:
     """One link: a unit base vector e_j, its generators and their
-    inverses (invs[i] is the inverse of gens[i]), and the orbit
-    machinery. Group elements are (nf, nf) F_p block forms, as
-    `Matrix.blocks` holds them; g maps e_j to column j*f of g. The
-    orbit's parent/genlab arrays are its Schreier vector. A coset
-    representative u(pos), and its inverse, is built on first use by
-    walking the Schreier tree up to the nearest memoized ancestor (Seress,
-    Permutation Group Algorithms, 2003, ch. 4); each memo keeps elements
-    while they fit in _TRANSVERSAL_CACHE_BYTES and walks without storing
-    past that.
+    inverses (invs[i] is the inverse of gens[i], which the chain read off
+    its space's trace form or eliminated once), and the orbit machinery.
+    Group elements are (nf, nf) F_p block forms, as `Matrix.blocks` holds
+    them; g maps e_j to column j*f of g. The orbit's parent/genlab arrays
+    are its Schreier vector. A coset representative u(pos), and its
+    inverse, is built on first use by walking the Schreier tree up to the
+    nearest memoized ancestor (Seress, Permutation Group Algorithms, 2003,
+    ch. 4); each memo keeps elements while they fit in
+    _TRANSVERSAL_CACHE_BYTES and walks without storing past that.
     """
 
     __slots__ = ("ctx", "base_vec", "base_col", "gens", "invs", "orbit", "_u", "_u_inv")
@@ -184,25 +189,34 @@ class Level:
         o = self.orbit
         return o.position(int(o.powers @ g[:, self.base_col]))
 
-    def _walk(self, pos: int, memo: dict, step) -> np.ndarray:
+    def _walk(self, pos: int, memo: dict, left: bool) -> np.ndarray:
+        """Extend memo[ancestor] down to pos, one generator a step: on the
+        left by gens (u) or on the right by invs (u_inv)."""
+        parent = self.orbit.parent
         path = []
         while pos not in memo:
             path.append(pos)
-            pos = int(self.orbit.parent[pos])
+            pos = int(parent[pos])
         m = memo[pos]
-        genlab = self.orbit.genlab
+        if not path:
+            return m
+        genlab, p = self.orbit.genlab, self.ctx.p
+        elems = self.gens if left else self.invs
+        room = _TRANSVERSAL_CACHE_BYTES // m.nbytes - len(memo)  # entries that still fit
         for at in reversed(path):
-            m = step(m, int(genlab[at]))
-            if (len(memo) + 1) * m.nbytes <= _TRANSVERSAL_CACHE_BYTES:
+            m = elems[genlab[at]].dot(m) if left else m.dot(elems[genlab[at]])
+            m %= p
+            if room > 0:
                 memo[at] = m
+                room -= 1
         return m
 
     def u(self, pos: int) -> np.ndarray:
         """The transversal element mapping the base vector to orbit[pos]."""
-        return self._walk(pos, self._u, lambda m, lbl: self.gens[lbl].dot(m) % self.ctx.p)
+        return self._walk(pos, self._u, True)
 
     def u_inv(self, pos: int) -> np.ndarray:
-        return self._walk(pos, self._u_inv, lambda m, lbl: m.dot(self.invs[lbl]) % self.ctx.p)
+        return self._walk(pos, self._u_inv, False)
 
 
 class StabilizerChain(Record):
@@ -271,8 +285,21 @@ class _RandomElements:
         return self.acc
 
 
+def _trace_form(space: OrthoSpace) -> np.ndarray:
+    """K, the F_p Gram matrix of the trace form Tr o B on F_p^{nf}: entry
+    (i*f + w, j*f + u) is Tr(t^w J_ij t^u), so K = (I_n (x) T) B(J) with
+    T[w, u] = Tr(t^(w+u)), the trace of the F_p multiplication matrix of
+    t^(w+u). Nondegenerate with B, as the trace form of F_q/F_p is."""
+    ctx, blocks = space.ctx, space.J.blocks
+    if ctx.f == 1:
+        return blocks
+    traces = np.einsum("xvv->x", ctx.mul_table)  # Tr(t^x) for x < f
+    t = ctx.mul_table @ traces % ctx.p
+    return np.kron(np.eye(space.n, dtype=np.int64), t) @ blocks % ctx.p
+
+
 class _ChainBuilder:
-    def __init__(self, gens, seed, budget_seconds):
+    def __init__(self, gens, seed, budget_seconds, space):
         self.gens = gens  # matrices over F_q
         self.ctx, self.n = _shape_of(gens)
         self.seed = seed
@@ -280,6 +307,24 @@ class _ChainBuilder:
         if budget_seconds is not None and not budget_seconds >= 0:  # NaN would never pass
             raise CertifyError(f"budget {budget_seconds} is not a number of seconds >= 0")
         self.deadline = None if budget_seconds is None else time.monotonic() + budget_seconds
+        self.form = None  # (K, K^-1) of the space every generator preserves
+        if space is not None:
+            if space.ctx != self.ctx or space.n != self.n:
+                raise DimensionMismatch("the space and the generators differ in field or size")
+            if any("not-an-isometry" in in_omega(space, g).reasons for g in gens):
+                raise CertifyError("a generator does not preserve the space's form")
+            k = _trace_form(space)
+            self.form = k, _block_inverse(k, self.ctx.p)
+
+    def _inverse(self, g: np.ndarray) -> np.ndarray:
+        """g's inverse: K^-1 g^T K for a product of isometries of the
+        space, two products exact as every chain product is; else one
+        elimination."""
+        p = self.ctx.p
+        if self.form is None:
+            return _block_inverse(g, p)
+        k, k_inv = self.form
+        return k_inv.dot(g.T.dot(k) % p) % p
 
     def order(self) -> int:
         return math.prod(lv.orbit.size for lv in self.levels)
@@ -304,7 +349,7 @@ class _ChainBuilder:
             self.levels.append(Level(self.ctx, self._new_base_vector(residue)))
         lv = self.levels[idx]
         lv.gens.append(residue)
-        lv.invs.append(_block_inverse(residue, self.ctx.p) if inverse is None else inverse)
+        lv.invs.append(self._inverse(residue) if inverse is None else inverse)
         lv.recompute()
 
     def feed(self, g: np.ndarray, inverse=None) -> bool:
@@ -339,10 +384,13 @@ class _ChainBuilder:
 
     def build(self, target) -> StabilizerChain:
         flat = [g.blocks for g in self.gens]
-        try:
-            inverses = [g.inverse().blocks for g in self.gens]
-        except Singular as err:
-            raise CertifyError("generators must be invertible") from err
+        if self.form is not None:
+            inverses = [self._inverse(b) for b in flat]
+        else:
+            try:
+                inverses = [g.inverse().blocks for g in self.gens]
+            except Singular as err:
+                raise CertifyError("generators must be invertible") from err
         for b, b_inv in zip(flat, inverses):
             self.feed(b, b_inv)
         stream = _RandomElements(self.ctx, flat, inverses, self.seed)
@@ -380,9 +428,18 @@ class _ChainBuilder:
 
 
 def stabilizer_chain(gens, target: int | None = None, seed: int | None = None,
-                     budget_seconds: float | None = None) -> StabilizerChain:
+                     budget_seconds: float | None = None, *,
+                     space: OrthoSpace | None = None) -> StabilizerChain:
     """Randomized Schreier-Sims; the chain order is a lower bound on the
     generated group's order.
+
+    A space is a quadratic space whose form every generator preserves; the
+    chain reads their `in_omega` verdicts and refuses one that is
+    `not-an-isometry` (CertifyError) before any search, as it refuses a
+    space over another field or of another size (DimensionMismatch); a
+    degenerate form raises FormsError, as in `in_omega`. It then inverts
+    by the trace form instead of by elimination. Nothing else changes: an
+    inverse is the same matrix either way.
 
     A target is a positive integer that the caller has proved the group's
     order divides (e.g. by containment in a known group): the build stops
@@ -397,7 +454,7 @@ def stabilizer_chain(gens, target: int | None = None, seed: int | None = None,
     seed = resolved_seed(seed)
     if not gens:
         return StabilizerChain(base=(), levels=(), order=1, verified=True, seed=seed)
-    builder = _ChainBuilder(gens, seed, budget_seconds)
+    builder = _ChainBuilder(gens, seed, budget_seconds, space)
     return builder.build(target)
 
 
@@ -431,15 +488,20 @@ def generation_verdict(gens, space: OrthoSpace, seed: int | None = None,
     (`in_omega`) and a chain order, a lower bound, that reaches |Omega|;
     every other outcome (a chain short of it, a generator outside Omega, a
     budget or DENSE_CAP stop) is Inconclusive, and orbit_sizes keep the
-    lower bound. ProperSubgroup awaits a proved upper bound below it."""
+    lower bound. ProperSubgroup awaits a proved upper bound below it. The
+    chain is given the space whenever every generator is an isometry of
+    it, contained or not, so it inverts by the trace form."""
     gens = tuple(gens)
-    contained = all(in_omega(space, g).ok for g in gens)
+    verdicts = [in_omega(space, g) for g in gens]
+    contained = all(verdicts)
+    isometries = not any("not-an-isometry" in v.reasons for v in verdicts)
     target = omega_order(space.n, space.eps, space.ctx.q)
     verdict = "Inconclusive"
     orbit_sizes = ()  # of the chain, or of the partial chain a budget stops
     try:
         orbit_sizes = stabilizer_chain(gens, target if contained else None, seed,
-                                       budget_seconds).orbit_sizes
+                                       budget_seconds,
+                                       space=space if isometries else None).orbit_sizes
         computed = math.prod(orbit_sizes)
         if contained and target % computed != 0:
             raise CertifyError(

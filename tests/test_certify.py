@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 from omega23.fields import field_from_prime_power, make_field
@@ -991,6 +991,93 @@ def test_chain_generators_are_born_with_their_inverses(pair932, count_calls):
             assert np.array_equal(g.dot(g_inv) % 3, one)
 
 
+# --- inverses read off the trace form ----------------------------------------
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), q=st.sampled_from((3, 5, 9, 25, 27)), n=st.integers(1, 4))
+def test_trace_form_inverse_is_the_eliminated_inverse(data, q, n):
+    """A chain given a space inverts g by K^-1 B(g)^T K, K the Gram matrix
+    of the trace form; for g a random product of reflections of a random
+    nondegenerate form this is the eliminated inverse of g's block form."""
+    ctx = field_from_prime_power(q)
+    p, f = ctx.p, ctx.f
+    element = st.lists(st.integers(0, p - 1), min_size=f, max_size=f)
+    half = np.array(data.draw(st.lists(element, min_size=n * n, max_size=n * n)))
+    half = half.reshape(n, n, f)
+    gram = Matrix(ctx, half + half.transpose(1, 0, 2))
+    assume(gram.det().any())
+    space = OrthoSpace(gram)
+    g = Matrix.identity(ctx, n)
+    for _ in range(data.draw(st.integers(0, 6))):
+        v = np.array(data.draw(st.lists(element, min_size=n, max_size=n)))
+        if quadratic_value(space, v).any():
+            g = g @ reflection(space, v)
+    b, k = g.blocks, certify_mod._trace_form(space)
+    assert np.array_equal(b.T @ k @ b % p, k)
+    builder = certify_mod._ChainBuilder((g,), 1, None, space)
+    assert np.array_equal(builder._inverse(b), linalg._block_inverse(b, p))
+
+
+def _assert_same_chain(got, want):
+    """Same base, orbit sizes, and byte-equal generators and inverses on
+    every level."""
+    assert got.orbit_sizes == want.orbit_sizes
+    assert len(got.base) == len(want.base)
+    for u, v in zip(got.base, want.base):
+        assert np.array_equal(u, v)
+    for lv, lw in zip(got.levels, want.levels):
+        assert [g.tobytes() for g in lv.gens] == [g.tobytes() for g in lw.gens]
+        assert [g.tobytes() for g in lv.invs] == [g.tobytes() for g in lw.invs]
+
+
+# The desk points of the `certify` benchmark: (n, q, a, restrict_to_s9).
+_DESK_POINTS = ((9, 3, 2, False), (11, 3, None, False), (12, 3, None, False),
+                (13, 3, None, False), (9, 5, None, False), (15, 3, None, True))
+
+
+@pytest.mark.parametrize("n, q, a, restrict", _DESK_POINTS)
+def test_chain_with_a_space_is_the_eliminating_chain(n, q, a, restrict):
+    pair = build_pair(n, make_field(q), a)
+    gens, space = ((pair.s9_restrictions[:2], pair.s9_space) if restrict
+                   else ((pair.x, pair.y), pair.space))
+    target = omega_order(space.n, space.eps, q)
+    for seed in (1, 2, 3):
+        _assert_same_chain(stabilizer_chain(gens, target, seed, space=space),
+                           stabilizer_chain(gens, target, seed))
+
+
+def test_chain_refuses_a_space_a_generator_does_not_preserve(pair932, count_calls):
+    counts = count_calls(_kernels, "orbit_bfs")
+    # fresh matrices, so the pair's kept verdicts stay with its own space
+    x, y = (Matrix(CTX3, g.data) for g in (pair932.x, pair932.y))
+    plain = OrthoSpace(Matrix.identity(CTX3, 9))
+    assert is_isometry(plain, x) and not is_isometry(plain, y)
+    with pytest.raises(CertifyError, match="does not preserve"):
+        stabilizer_chain([x, y], seed=1, space=plain)
+    with pytest.raises(DimensionMismatch):
+        stabilizer_chain([x, y], seed=1, space=OrthoSpace(Matrix.identity(CTX3, 7)))
+    assert counts["orbit_bfs"] == 0
+    stabilizer_chain([x, y], target=omega_order(9, "circ", 3), seed=1, space=pair932.space)
+    assert counts["orbit_bfs"] > 0  # the spy sees the searches that do run
+
+
+@pytest.mark.parametrize("n, a, restrict", [(9, 2, False), (15, 1, True)],
+                         ids=["full", "restricted"])
+def test_certify_eliminates_only_the_trace_form(n, a, restrict, count_calls, monkeypatch):
+    """Both certificate modes give the chain their space: K^-1 is the one
+    Gauss-Jordan elimination, and no inverse is asked of a Matrix."""
+    pair = build_pair(n, CTX3, a)
+    if restrict:
+        pair.s9_restrictions  # the restrictions' own commutator reads kept inverses
+    counts = count_calls(linalg, "_block_inverse")
+    inverted = []
+    inverse = Matrix.inverse
+    monkeypatch.setattr(Matrix, "inverse", lambda m: inverted.append(m) or inverse(m))
+    assert certify_generation(pair, restrict_to_s9=restrict, seed=1).verdict == "Generates"
+    assert counts["_block_inverse"] == 1
+    assert inverted == []
+
+
 # --- certification -----------------------------------------------------------
 
 def test_certify_headline(pair932):
@@ -1013,10 +1100,12 @@ def test_certify_restricted():
 
 def test_certify_reads_the_memberships_and_inverses_the_pair_proved(count_calls, monkeypatch):
     """Full mode tests x and y with in_omega on the pair's own space, which
-    reads back the verdicts build_pair proved; restricted mode acts by
-    y|S9, which keeps y's inverse restricted, so only tau|S9 is eliminated.
-    The pair keeps its S9 space and restrictions, so a second restricted
-    certificate reads every membership, inverse and determinant back."""
+    reads back the verdicts build_pair proved, and so does the chain, which
+    is given that space; restricted mode proves the memberships of y|S9 and
+    tau|S9 once and inverts by the trace form of the S9 space, so no
+    `[tau|S9 | I]` is reduced. The pair keeps its S9 space and
+    restrictions, so a second restricted certificate reads every membership
+    and determinant back."""
     pair = build_pair(15, CTX3, 1)
     counts = count_calls(forms, "in_omega", "spinor_norm")
     rrefs = count_calls(linalg, "rref")
@@ -1024,18 +1113,18 @@ def test_certify_reads_the_memberships_and_inverses_the_pair_proved(count_calls,
     eliminate_det = Matrix._eliminate_det
     monkeypatch.setattr(Matrix, "_eliminate_det", lambda m: dets.append(m) or eliminate_det(m))
     assert certify_generation(pair, seed=53251).verdict == "Inconclusive"
-    assert counts == {"in_omega": 2, "spinor_norm": 0}
+    assert counts == {"in_omega": 4, "spinor_norm": 0}
     assert rrefs["rref"] == 0
     first = certify_generation(pair, restrict_to_s9=True, seed=53251)
     assert first.verdict == "Generates"
-    assert counts == {"in_omega": 4, "spinor_norm": 2}
-    assert rrefs["rref"] == 3  # 1 - y|S9, 1 - tau|S9 and [tau|S9 | I]
+    assert counts == {"in_omega": 8, "spinor_norm": 2}
+    assert rrefs["rref"] == 2  # 1 - y|S9 and 1 - tau|S9
     eliminated = len(dets)
     again = certify_generation(pair, restrict_to_s9=True, seed=53251)
     assert ({k: v for k, v in again.to_json().items() if k != "elapsed_ms"}
             == {k: v for k, v in first.to_json().items() if k != "elapsed_ms"})
-    assert counts == {"in_omega": 6, "spinor_norm": 2}
-    assert rrefs["rref"] == 3
+    assert counts == {"in_omega": 12, "spinor_norm": 2}
+    assert rrefs["rref"] == 2
     assert len(dets) == eliminated
 
 
@@ -1075,7 +1164,7 @@ def test_certify_pair_outside_omega_never_generates(monkeypatch):
     assert not in_omega(pair.space, pair.x).ok
     targets = []
 
-    def reaches_omega(gens, target, seed, budget_seconds):
+    def reaches_omega(gens, target, seed, budget_seconds, space=None):
         targets.append(target)
         return SimpleNamespace(orbit_sizes=SIZES_932)
 
@@ -1090,7 +1179,7 @@ def test_certify_contained_order_off_the_target_is_an_error(pair932, monkeypatch
     # 11 does not divide |Omega_9(3)|, so a contained chain of that order is
     # inconsistent, whatever the verdict would be
     monkeypatch.setattr(certify_mod, "stabilizer_chain",
-                        lambda *args: SimpleNamespace(orbit_sizes=(11,)))
+                        lambda *args, **kwargs: SimpleNamespace(orbit_sizes=(11,)))
     with pytest.raises(CertifyError, match="does not divide the target"):
         certify_generation(pair932, seed=1)
 
@@ -1151,3 +1240,12 @@ def test_the_two_three_sampler_reaches_generation_in_omega_7_3():
     verdicts = (generation_verdict((x, y), space, seed=t)[0]
                 for t, (space, x, y) in enumerate(_two_three_pairs(7, (4,), 40, seed=7)))
     assert "Generates" in verdicts
+
+
+@pytest.mark.parametrize("n, involution_sizes, seed", [(7, (4,), 7), (8, (2, 4, 6), 8)],
+                         ids=["omega7", "omega8plus"])
+def test_two_three_chains_with_a_space_are_the_eliminating_chains(n, involution_sizes, seed):
+    for t, (space, x, y) in enumerate(_two_three_pairs(n, involution_sizes, 10, seed)):
+        target = omega_order(n, space.eps, 3)
+        _assert_same_chain(stabilizer_chain((x, y), target, t, space=space),
+                           stabilizer_chain((x, y), target, t))
